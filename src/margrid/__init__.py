@@ -11,11 +11,9 @@ new sampling effort round out the toolkit.
 
 from .baselines import GibbsTrace, nearest_neighbor_extrapolate, run_griddy_gibbs
 from .design import (
-    CrossMomentEstimate,
     DesignState,
     EvalExtension,
     design_history_to_csv,
-    estimate_cross_moments,
     extend_to_eval_grid,
     incremental_weights,
     optimal_weights,
@@ -109,8 +107,8 @@ __all__ = [
     "group_inverse", "spectral_gap",
     "FunctionalEstimate",
     "GibbsTrace", "run_griddy_gibbs", "nearest_neighbor_extrapolate",
-    "EvalExtension", "CrossMomentEstimate", "extend_to_eval_grid",
-    "estimate_cross_moments", "optimal_weights", "incremental_weights",
+    "EvalExtension", "extend_to_eval_grid", "optimal_weights",
+    "incremental_weights",
     "pivotal_sample", "DesignState", "run_design_loop", "design_history_to_csv",
     "enumerate_discrete_transition", "enumerate_discrete_kernel",
     "exhaustive_discrete_bank", "quadrature_transition_matrix",

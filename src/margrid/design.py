@@ -1,16 +1,20 @@
 """Sequential allocation of sampling effort over an evaluation grid.
 
 The curve estimator's accuracy depends on where samples were taken.
-Reweighting extends a fitted estimate to a denser evaluation grid: both
-the grid matrix and the cross moments of the normalized weights on that
-grid are sample averages of products of two weight ratios (numerators at
-evaluation columns; one denominator over the evaluation grid, one over
-the simulation grid).  The asymptotic-variance calculus then scores each
-candidate point by u_m sqrt(tr(G' Xi_m G)) with G the group inverse of
-I - F on the evaluation grid; the incremental rule converts those scores
-into next-batch weights given what has already been spent, and a pivotal
-draw turns weights into integer allocations with exactly the requested
-batch size and the prescribed inclusion probabilities.
+Reweighting extends a fitted estimate to a denser evaluation grid: the
+grid matrix on that grid is a sample average of products of two weight
+ratios (numerators at evaluation columns; one denominator over the
+evaluation grid, one over the simulation grid).  The asymptotic-variance
+calculus then scores each candidate point by u_m sqrt(tr(G' Xi_m G)),
+with G the group inverse of I - F on the evaluation grid and Xi_m the
+covariance of the normalized weights under the local density of m.
+Only those traces are needed, and each is read off the same sample
+averages as E_m[a' H a] - f_m' H f_m with H = G G', so scoring costs
+O(S M^2) for S samples and M evaluation points and the grid size has
+no cap.  The incremental rule converts the scores into next-batch
+weights given what has already been spent, and a pivotal draw turns
+weights into integer allocations with exactly the requested batch size
+and the prescribed inclusion probabilities.
 """
 
 from __future__ import annotations
@@ -32,9 +36,8 @@ from .models import Model
 
 __all__ = [
     "EvalExtension",
-    "CrossMomentEstimate",
     "extend_to_eval_grid",
-    "estimate_cross_moments",
+    "trace_weights",
     "optimal_weights",
     "incremental_weights",
     "pivotal_sample",
@@ -42,10 +45,6 @@ __all__ = [
     "run_design_loop",
     "design_history_to_csv",
 ]
-
-#: refuse cross-moment tensors beyond this many evaluation points
-MAX_EVAL_POINTS = 128
-
 
 def _require_subset(sim_grid: HyperGrid, eval_grid: HyperGrid) -> np.ndarray:
     """Indices of the simulation points inside the evaluation grid."""
@@ -118,85 +117,74 @@ def extend_to_eval_grid(functional: FunctionalEstimate,
     )
 
 
-@dataclass
-class CrossMomentEstimate:
-    """Per-point covariance matrices of the evaluation-grid weights.
-
-    ``xi[m]`` estimates the covariance, under the local density of
-    evaluation point m, of the normalized weight vector over the
-    evaluation columns; each matrix is symmetrized by transpose
-    averaging.  Diagonals can round slightly negative far from the
-    samples; consumers clip where positivity matters.
-    """
-
-    xi: np.ndarray
-    transition: np.ndarray
-    stationary_values: np.ndarray
-    eval_grid: HyperGrid
+def _traces(a: np.ndarray, local: np.ndarray, F: np.ndarray,
+            G: np.ndarray) -> np.ndarray:
+    """t_m = tr(G' Xi_m G) as E_m[a' H a] - f_m' H f_m, H = G G'."""
+    H = G @ G.T
+    # the quadratic form a' H a per sample is shared by every point m
+    aH = a @ H
+    aH *= a
+    first = local.T @ aH.sum(axis=1)
+    second = np.sum((F @ H) * F, axis=1)
+    return first - second
 
 
-def estimate_cross_moments(extension: EvalExtension,
-                           max_points: int = MAX_EVAL_POINTS) -> CrossMomentEstimate:
-    """Cross moments Xi_m = E_m[a a'] - f_m f_m' for every evaluation point.
+def trace_weights(a: np.ndarray, local: np.ndarray, F: np.ndarray,
+                  u: np.ndarray, G: np.ndarray):
+    """Allocation weights w_m proportional to u_m sqrt(t_m) from trace scores.
 
-    The second moments reuse the same reweighting as the extended grid
-    matrix.  Cost and memory scale with the cube of the evaluation grid
-    size, so grids beyond ``max_points`` are refused.
-    """
-    M = len(extension.eval_grid)
-    if M > max_points:
-        raise GridError(
-            f"cross moments need O(M^3) work and memory; {M} evaluation points "
-            f"exceed the cap of {max_points}"
-        )
-    a = extension._eval_ratios
-    b = extension._sim_ratios
-    c = extension._sample_scale
-    F = extension.transition
-    u = extension.stationary_values
-    xi = np.empty((M, M, M))
-    for m in range(M):
-        w = (c * b[:, m]) / u[m]
-        second = (a * w[:, None]).T @ a
-        mat = second - np.outer(F[m], F[m])
-        xi[m] = 0.5 * (mat + mat.T)
-    return CrossMomentEstimate(
-        xi=xi, transition=F, stationary_values=u, eval_grid=extension.eval_grid
-    )
+    The trace t_m = tr(G' Xi_m G) of the weight covariance Xi_m =
+    E_m[a a'] - f_m f_m' is evaluated as E_m[a' H a] - f_m' H f_m with
+    H = G G', so no M x M x M moment tensor is formed.  ``a`` holds the
+    normalized evaluation-grid weights per sample (or quadrature node),
+    shape (S, M); column m of ``local`` holds the weights that turn a
+    per-sample quantity into its expectation under the local density of
+    point m; row m of ``F`` is f_m.  Work is O(S M^2).
 
-
-def optimal_weights(moments: CrossMomentEstimate):
-    """Variance-optimal sampling fractions over the evaluation grid.
-
-    Scores each point by u_m sqrt(tr(G' Xi_m G)), G the group inverse of
-    I - F on the evaluation grid (computed by the direct fundamental-
-    matrix route, since an estimated matrix is reversible only in
-    expectation), and normalizes to a probability vector.  The group
-    inverse needs the exact stationary vector of the estimated matrix,
-    which is re-solved here (the reweighted curve values only agree
-    with it in expectation); provisional fits on weakly connected grids
-    are tolerated by clamping.  Negative trace estimates are clipped to
-    zero; if every trace vanishes the weights degenerate to uniform and
-    the flag says so.
+    Negative trace estimates (rounding far from the samples) are clipped
+    to zero; if every trace vanishes the weights degenerate to uniform
+    and the flag says so.
 
     Returns
     -------
     (w, degenerate) : (ndarray (M,), bool)
     """
-    F = moments.transition
-    u = np.asarray(moments.stationary_values, dtype=float)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        v = stationary_vector(F, on_degenerate="truncate")
-    G = group_inverse(F, v, method="direct")
-    H = G @ G.T
-    traces = np.array([float(np.sum(moments.xi[m] * H)) for m in range(len(u))])
-    traces = np.clip(traces, 0.0, None)
+    traces = np.clip(_traces(a, local, F, G), 0.0, None)
     scores = u * np.sqrt(traces)
     total = scores.sum()
     if total <= 0:
         return np.full(u.size, 1.0 / u.size), True
     return scores / total, False
+
+
+def optimal_weights(extension: EvalExtension):
+    """Variance-optimal sampling fractions over the evaluation grid.
+
+    Scores each point by u_m sqrt(tr(G' Xi_m G)), G the group inverse of
+    I - F on the evaluation grid (computed by the direct fundamental-
+    matrix route, since an estimated matrix is reversible only in
+    expectation), through :func:`trace_weights`.  Expectations under the
+    local density of point m weight each sample by c b_m / u_m, the same
+    reweighting that built the extended grid matrix.  The group inverse
+    needs the exact stationary vector of the estimated matrix, which is
+    re-solved here (the reweighted curve values only agree with it in
+    expectation); provisional fits on weakly connected grids are
+    tolerated by clamping.  The evaluation grid has no size cap: work
+    grows as S M^2 for S cached samples.
+
+    Returns
+    -------
+    (w, degenerate) : (ndarray (M,), bool)
+    """
+    F = extension.transition
+    u = np.asarray(extension.stationary_values, dtype=float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        v = stationary_vector(F, on_degenerate="truncate")
+    G = group_inverse(F, v, method="direct")
+    local = extension._sim_ratios * extension._sample_scale[:, None]
+    local /= u
+    return trace_weights(extension._eval_ratios, local, F, u, G)
 
 
 def incremental_weights(w_hat: np.ndarray, counts: np.ndarray, budget: int,
@@ -359,8 +347,7 @@ def run_design_loop(model: Model, eval_grid: HyperGrid, iterations: int,
                 w_used = np.full(M, 1.0 / M)
             else:
                 extension = extend_to_eval_grid(functional, eval_grid)
-                moments = estimate_cross_moments(extension)
-                w_hat, degenerate = optimal_weights(moments)
+                w_hat, degenerate = optimal_weights(extension)
                 state.w_hat, state.degenerate = w_hat, degenerate
                 w_bar, fallback = incremental_weights(
                     w_hat, state.block_counts, blocks_per_iteration,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .design import trace_weights
 from .diagnostics import group_inverse
 from .emus import SampleBank
 from .grids import HyperGrid
@@ -148,29 +149,19 @@ def quadrature_optimal_weights(model: Model, eval_grid: HyperGrid, theta_nodes):
     """Exact optimal sampling weights on an evaluation grid (scalar theta).
 
     Computes the grid matrix, its group inverse through the reversible
-    route, the cross-moment traces, and the allocation rule
+    route, and the allocation rule
 
         w_m proportional to u_m sqrt( tr( G^T Xi_m G ) ),  G = (I - F)^#,
 
-    all by quadrature.  Returns (w, F, u).
+    all by quadrature, scoring through the same trace identity as the
+    sampled design loop (:func:`margrid.design.trace_weights`) with theta
+    nodes in place of samples.  Returns (w, F, u).
     """
     A, mix, quad = _quadrature_weight_table(model, eval_grid, theta_nodes)
     F, u = _overlap_to_transition(A.T @ (A * (mix * quad)[:, None]))
     G = group_inverse(F, u, method="eigen")
-    H = G @ G.T
-    # t_m = E_m[a' H a] - f_m' H f_m with E_m against the local density of m;
-    # the quadratic form per theta node is shared across m.
-    node_form = np.sum((A @ H) * A, axis=1)
     # local density weights per column: psi_m(theta) d(theta), normalized
     local = A * (mix * quad)[:, None]
     local = local / local.sum(axis=0, keepdims=True)
-    first = local.T @ node_form
-    second = np.sum((F @ H) * F, axis=1)
-    traces = np.clip(first - second, 0.0, None)
-    w = u * np.sqrt(traces)
-    total = w.sum()
-    if total <= 0:
-        w = np.full(u.size, 1.0 / u.size)
-    else:
-        w = w / total
+    w, _ = trace_weights(A, local, F, u, G)
     return w, F, u

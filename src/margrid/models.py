@@ -72,6 +72,7 @@ class Model:
             f"{type(self).__name__} does not implement hyperparameter gradients"
         )
 
+    @property
     def has_exact_log_u(self) -> bool:
         return type(self).exact_log_u is not Model.exact_log_u
 
@@ -436,10 +437,14 @@ def discrete_table_from_csv(path_or_buf) -> np.ndarray:
         if own:
             fh.close()
     rows = [r for r in csv.reader(io.StringIO(text)) if r and not r[0].startswith("#")]
+    if not rows:
+        raise ValueError("psi-table CSV has no rows")
     first = rows[0]
     try:
         [float(v) for v in first]
         body = rows
     except ValueError:
         body = rows[1:]
+    if not body:
+        raise ValueError("psi-table CSV has a header but no data rows")
     return np.array([[float(v) for v in r] for r in body])

@@ -124,6 +124,20 @@ def test_incomplete_config_fails_cleanly(tmp_path, capsys):
     assert "config needs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("table_text", ["", "# only a comment\n", "psi0,psi1\n"],
+                         ids=["empty", "comment-only", "header-only"])
+def test_empty_table_csv_fails_cleanly(tmp_path, capsys, table_text):
+    (tmp_path / "table.csv").write_text(table_text)
+    path = tmp_path / "disc.ini"
+    path.write_text("[model]\nkind = discrete\ntable = table.csv\n")
+    code = run_cli("estimate", "--config", str(path),
+                   "--out", str(tmp_path / "x"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "psi-table CSV" in err
+
+
 def test_unknown_subcommand_is_a_usage_error(config_path, tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_cli("explode", "--config", config_path, "--out", str(tmp_path))

@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import margrid as mg
+from margrid import design
 from margrid.design import (
     _bootstrap_allocation,
+    _traces,
     design_history_to_csv,
-    estimate_cross_moments,
     extend_to_eval_grid,
     incremental_weights,
     optimal_weights,
@@ -73,43 +74,103 @@ def test_extension_requires_sim_subset(asym_model, toy_model, toy_grid):
 # -- cross moments ---------------------------------------------------------
 
 
+def cross_moments_oracle(extension):
+    """Reference Xi_m = E_m[a a'] - f_m f_m' per point, as a dense M^3 cube.
+
+    The loop that scoring used before the trace identity; each matrix is
+    symmetrized by transpose averaging.
+    """
+    a = extension._eval_ratios
+    b = extension._sim_ratios
+    c = extension._sample_scale
+    F = extension.transition
+    u = extension.stationary_values
+    M = u.size
+    xi = np.empty((M, M, M))
+    for m in range(M):
+        w = (c * b[:, m]) / u[m]
+        second = (a * w[:, None]).T @ a
+        mat = second - np.outer(F[m], F[m])
+        xi[m] = 0.5 * (mat + mat.T)
+    return xi
+
+
+def scoring_inputs(extension):
+    """(a, local, F, G) exactly as ``optimal_weights`` builds them."""
+    F = extension.transition
+    u = extension.stationary_values
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        v = mg.stationary_vector(F, on_degenerate="truncate")
+    G = mg.group_inverse(F, v, method="direct")
+    local = (extension._sim_ratios * extension._sample_scale[:, None]) / u
+    return extension._eval_ratios, local, F, G
+
+
 def test_cross_moments_match_direct_summation():
     model = mg.DiscreteModel(WIDE_TABLE)
     fn = exhaustive_functional(model, [0, 2])
     eval_grid = model.grid()
     ext = extend_to_eval_grid(fn, eval_grid)
-    moments = estimate_cross_moments(ext)
+    a_s, local, F, G = scoring_inputs(ext)
+    H = G @ G.T
+    traces = _traces(a_s, local, F, G)
 
     # Exact second moments by summation: a_j(k) = psi_j(k) / T(k) with T
     # the total eval mass at atom k, expectations under pi_m.
     T = WIDE_TABLE.sum(axis=1)
     a = WIDE_TABLE / T[:, None]
     z = WIDE_TABLE.sum(axis=0)
+    xi_oracle = cross_moments_oracle(ext)
     for m in range(3):
         pi_m = WIDE_TABLE[:, m] / z[m]
         second = (a * pi_m[:, None]).T @ a
         f_m = a.T @ pi_m
         xi_exact = second - np.outer(f_m, f_m)
-        np.testing.assert_allclose(moments.xi[m], xi_exact, atol=1e-12)
-        np.testing.assert_allclose(moments.xi[m], moments.xi[m].T, atol=1e-15)
+        assert traces[m] == pytest.approx(np.sum(xi_exact * H), abs=1e-12)
+        np.testing.assert_allclose(xi_oracle[m], xi_exact, atol=1e-12)
 
 
-def test_cross_moments_refuse_oversized_grids(asym_model):
-    fn = exhaustive_functional(asym_model)
-    ext = extend_to_eval_grid(fn, fn.emus.grid)
-    with pytest.raises(mg.GridError):
-        estimate_cross_moments(ext, max_points=1)
+def test_sampled_scores_match_the_cube_oracle_at_m128():
+    model = mg.ToyBimodalModel(y=1.0, q=64.0, tau=16.0)
+    eval_grid = mg.make_regular_grid(mg.Domain(-2.0, 2.0), 128)
+    sim_grid = mg.HyperGrid(domain=eval_grid.domain,
+                            points=eval_grid.points[::8], scale=eval_grid.scale)
+    bank = mg.draw_sample_bank(model, sim_grid, np.full(16, 64), 3)
+    emus = mg.fit_emus(bank, model, on_degenerate="truncate")
+    ext = extend_to_eval_grid(mg.FunctionalEstimate(emus, model), eval_grid)
+    w, degenerate = optimal_weights(ext)
+
+    _, _, _, G = scoring_inputs(ext)
+    H = G @ G.T
+    xi = cross_moments_oracle(ext)
+    traces = np.clip(np.einsum("mij,ij->m", xi, H), 0.0, None)
+    scores = ext.stationary_values * np.sqrt(traces)
+    assert not degenerate
+    assert np.max(np.abs(w - scores / scores.sum())) <= 1e-9
+
+
+def test_design_loop_runs_past_the_old_grid_cap(toy_model):
+    # Scoring once refused evaluation grids beyond 128 points.
+    eval_grid = mg.make_regular_grid(mg.Domain(-2.0, 2.0), 160)
+    state, fn = run_design_loop(
+        toy_model, eval_grid, iterations=2, blocks_per_iteration=8,
+        samples_per_block=4, master_seed=11)
+    assert state.w_hat.shape == (160,)
+    assert state.w_hat.sum() == pytest.approx(1.0)
+    assert state.total_draws == 2 * 8 * 4
+    assert fn.emus.bank.total == 2 * 8 * 4
 
 
 # -- allocation weights ----------------------------------------------------
 
 
-def test_optimal_weights_uniform_when_moments_vanish(asym_model):
+def test_optimal_weights_uniform_when_moments_vanish(asym_model, monkeypatch):
     fn = exhaustive_functional(asym_model)
     ext = extend_to_eval_grid(fn, fn.emus.grid)
-    moments = estimate_cross_moments(ext)
-    moments.xi[:] = 0.0
-    w, degenerate = optimal_weights(moments)
+    monkeypatch.setattr(design, "_traces",
+                        lambda a, local, F, G: np.zeros(F.shape[0]))
+    w, degenerate = optimal_weights(ext)
     np.testing.assert_allclose(w, [0.5, 0.5])
     assert degenerate
 
@@ -118,7 +179,7 @@ def test_optimal_weights_symmetric_model_splits_evenly():
     model = mg.DiscreteModel(SYM_TABLE)
     fn = exhaustive_functional(model)
     ext = extend_to_eval_grid(fn, fn.emus.grid)
-    w, degenerate = optimal_weights(estimate_cross_moments(ext))
+    w, degenerate = optimal_weights(ext)
     assert not degenerate
     np.testing.assert_allclose(w, [0.5, 0.5], atol=1e-12)
 
@@ -127,7 +188,7 @@ def test_optimal_weights_are_a_probability_vector():
     model = mg.DiscreteModel(WIDE_TABLE)
     fn = exhaustive_functional(model, [0, 2])
     ext = extend_to_eval_grid(fn, model.grid())
-    w, degenerate = optimal_weights(estimate_cross_moments(ext))
+    w, degenerate = optimal_weights(ext)
     assert not degenerate
     assert np.all(w >= 0)
     assert w.sum() == pytest.approx(1.0)

@@ -207,6 +207,33 @@ def test_run_estimate_seed_override(tmp_path):
     assert manifest["replicates"] == 2
 
 
+class NoClosedFormToy(mg.ToyBimodalModel):
+    """The toy model with its closed-form marginal hidden."""
+
+    exact_log_u = mg.Model.exact_log_u
+
+
+def test_runners_respect_models_without_an_exact_reference(tmp_path, monkeypatch):
+    model = NoClosedFormToy()
+    assert model.has_exact_log_u is False
+    assert mg.ToyBimodalModel().has_exact_log_u is True
+    monkeypatch.setattr(mg.experiments, "build_model", lambda config: model)
+    cfg = mg.ExperimentConfig.from_text(TOY_TEXT)
+
+    with pytest.raises(mg.GridError):
+        mg.run_compare(cfg, str(tmp_path / "cmp"), replicates=1)
+    with pytest.raises(mg.GridError):
+        mg.run_rate_study(cfg, str(tmp_path / "rate"), replicates=1)
+
+    out = tmp_path / "est"
+    manifest = mg.run_estimate(cfg, str(out), replicates=1)
+    curve = (out / "curve.csv").read_text().splitlines()
+    assert curve[2] == "dim0,u_hat"
+    assert len(curve) == 3 + 12
+    assert "errors.csv" not in manifest["outputs"]
+    assert not (out / "errors.csv").exists()
+
+
 def test_run_compare_single_point_grid_agrees(tmp_path):
     # On a one-point grid both estimators are exact after normalization,
     # so every error entry is zero.

@@ -22,8 +22,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 
-import os
-
 import numpy as np
 from scipy.special import logsumexp
 
@@ -31,7 +29,7 @@ from .diagnostics import group_inverse
 from .emus import SampleBank, child_rng, fit_emus, stationary_vector
 from .errors import GridError, MargridError
 from .functional import FunctionalEstimate
-from .grids import HyperGrid
+from .grids import HyperGrid, _path_or_buffer
 from .models import Model
 
 __all__ = [
@@ -234,7 +232,9 @@ def pivotal_sample(expected_counts: np.ndarray, rng: np.random.Generator) -> np.
     sequential pivotal rule (repeatedly confront two open units and let
     one of them resolve, preserving the pairwise sum and the individual
     expectations), so every unit is included with probability equal to
-    its fractional part and the counts always sum to B exactly.
+    its fractional part and the counts always sum to B exactly.  A pair
+    whose fractions sum to within 1e-12 of 1 is resolved as summing to
+    exactly 1.
     """
     p = np.asarray(expected_counts, dtype=float)
     if np.any(p < 0) or not np.all(np.isfinite(p)):
@@ -258,6 +258,10 @@ def pivotal_sample(expected_counts: np.ndarray, rng: np.random.Generator) -> np.
         for idx in active[1:]:
             idx = int(idx)
             pair = mass + frac[idx]
+            # a pair summing to 1 up to rounding takes one fixed branch, so
+            # last-bit changes in the input cannot change the allocation
+            if abs(pair - 1.0) <= 1e-12:
+                pair = 1.0
             if pair <= 1.0:
                 if rng.random() * pair < frac[idx]:
                     carry, mass = idx, pair
@@ -315,7 +319,7 @@ def _bootstrap_allocation(M: int, blocks: int) -> np.ndarray:
 
 def run_design_loop(model: Model, eval_grid: HyperGrid, iterations: int,
                     blocks_per_iteration: int, samples_per_block: int,
-                    master_seed: int, stabilize: bool = True, warmup: int = 0):
+                    master_seed: int, stabilize: bool = True):
     """Alternate estimation and allocation for a fixed number of rounds.
 
     Each iteration allocates ``blocks_per_iteration`` blocks over the
@@ -362,8 +366,7 @@ def run_design_loop(model: Model, eval_grid: HyperGrid, iterations: int,
             for m in np.nonzero(alloc)[0]:
                 rng = child_rng(master_seed, it, int(m))
                 draws = model.sample_local(
-                    eval_grid.points[m], rng,
-                    int(alloc[m]) * samples_per_block, warmup=warmup,
+                    eval_grid.points[m], rng, int(alloc[m]) * samples_per_block,
                 )
                 stash[m].append(np.asarray(draws))
             state.block_counts = state.block_counts + alloc
@@ -398,9 +401,7 @@ def design_history_to_csv(state: DesignState, path_or_buf, header_lines=()) -> N
     bootstrap round), ``allocated`` counts latent draws (blocks times
     samples per block) that the iteration placed at the point.
     """
-    own = isinstance(path_or_buf, (str, bytes, os.PathLike))
-    fh = open(path_or_buf, "w", newline="") if own else path_or_buf
-    try:
+    with _path_or_buffer(path_or_buf, "w") as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")
         fh.write("iteration,point,weight,allocated\n")
@@ -409,6 +410,3 @@ def design_history_to_csv(state: DesignState, path_or_buf, header_lines=()) -> N
             weights = record["weights"]
             for m in range(len(state.eval_grid)):
                 fh.write(f"{it},{m},{float(weights[m])!r},{int(draws[m])}\n")
-    finally:
-        if own:
-            fh.close()

@@ -6,7 +6,9 @@ variances of the normalized weights, and how strongly the grid chain
 connects each pair of points.  The latter enters through first-visit
 probabilities (probability that the chain started at i reaches j before
 returning to i) and, for reversible matrices, through the spectral gap
-and the group inverse of I - F.
+and the group inverse of I - F.  The first-visit probabilities of row i
+come from one inverse, the fundamental matrix of the chain killed at i
+(Kemeny and Snell, Finite Markov Chains, ch. 3).
 """
 
 from __future__ import annotations
@@ -35,36 +37,39 @@ def hitting_probabilities(transition: np.ndarray) -> np.ndarray:
     """First-visit probabilities Q[i, j] for all ordered pairs.
 
     Q[i, j] is the probability that the chain driven by the matrix,
-    started at i, visits j before returning to i.  Conditioning on the
-    first step gives Q[i, j] = F_ij + sum_{k not in {i, j}} F_ik h_k
-    with h the absorption probabilities at j for the chain killed at i,
-    which solve the linear system (I - F_BB) h = F_Bj over the states
-    B = complement of {i, j}.  The diagonal is set to 1 by convention.
+    started at i, visits j before returning to i.  Row i comes from one
+    inverse: N = (I - F_BB)^{-1} over the states B = complement of {i}
+    is the Green's function of the chain killed at i, so N[k, j] counts
+    the expected visits to j from k before the chain hits i.  Each of
+    those visits is preceded by a first one, hence
+    Q[i, j] = (F_iB N)_j / N_jj: the expected visits to j per excursion
+    from i, over the expected visits to j, starting from j, before i.
+    The diagonal is set to 1 by convention.  Cost is O(L^4) time and
+    O(L^2) memory.
+
+    Raises
+    ------
+    ReducibleChainError
+        If some killed system is singular (the matrix has absorbing
+        subsets that avoid a state).
     """
     F = np.asarray(transition, dtype=float)
     n = F.shape[0]
     Q = np.ones((n, n))
-    if n == 1:
+    if n <= 2:
+        off = ~np.eye(n, dtype=bool)
+        Q[off] = F[off]
         return Q
-    if n == 2:
-        Q[0, 1] = F[0, 1]
-        Q[1, 0] = F[1, 0]
-        return Q
-    idx = np.arange(n)
     for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            keep = idx[(idx != i) & (idx != j)]
-            A = np.eye(keep.size) - F[np.ix_(keep, keep)]
-            try:
-                h = np.linalg.solve(A, F[keep, j])
-            except np.linalg.LinAlgError as exc:
-                raise ReducibleChainError(
-                    f"first-visit system for pair ({i}, {j}) is singular; the "
-                    "matrix has absorbing subsets"
-                ) from exc
-            Q[i, j] = F[i, j] + F[i, keep] @ h
+        keep = np.arange(n) != i
+        try:
+            N = np.linalg.inv(np.eye(n - 1) - F[np.ix_(keep, keep)])
+        except np.linalg.LinAlgError as exc:
+            raise ReducibleChainError(
+                f"the chain killed at state {i} has a singular system; the "
+                "matrix has absorbing subsets"
+            ) from exc
+        Q[i, keep] = (F[i, keep] @ N) / np.diag(N)
     return Q
 
 
@@ -88,9 +93,30 @@ def weight_ratio_variances(estimate: EmusEstimate) -> np.ndarray:
     return R
 
 
+def _bound_terms(R: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Per-row grid terms L sum_{j != i} R_ij / Q_ij^2 of the variance bound.
+
+    Pairs with zero weight variance contribute nothing.  Rows whose R is
+    NaN (single-draw points) are NaN; a zero Q_ij against a positive
+    R_ij makes its row infinite, with a warning.
+    """
+    R = np.asarray(R, dtype=float)
+    n = R.shape[0]
+    off = ~np.eye(n, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = n * np.where(off & (R > 0), R / Q**2, 0.0).sum(axis=1)
+    terms[np.isnan(R).any(axis=1)] = np.nan
+    if np.any(np.isinf(terms)):
+        warnings.warn(
+            "a pair with positive weight variance has zero first-visit "
+            "probability; the variance bound is infinite",
+            RuntimeWarning,
+        )
+    return terms
+
+
 def relative_variance_bound(transition: np.ndarray, R: np.ndarray,
-                            sampling_fractions: np.ndarray,
-                            Q: np.ndarray | None = None) -> float:
+                            sampling_fractions: np.ndarray) -> float:
     """Bound on the worst-case asymptotic relative variance of the grid values.
 
     Computes L * sum_i w_i^{-1} sum_{j != i} R_ij / Q_ij^2 where w are the
@@ -102,25 +128,8 @@ def relative_variance_bound(transition: np.ndarray, R: np.ndarray,
     is returned as such with a warning; NaN rows in R (single-draw
     points) make the bound NaN.
     """
-    F = np.asarray(transition, dtype=float)
-    n = F.shape[0]
-    R = np.asarray(R, dtype=float)
-    w = np.asarray(sampling_fractions, dtype=float)
-    if Q is None:
-        Q = hitting_probabilities(F)
-    if np.any(np.isnan(R)):
-        return float("nan")
-    off = ~np.eye(n, dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(off & (R > 0), R / Q**2, 0.0)
-    if np.any(np.isinf(terms)) or np.any(np.isnan(terms)):
-        warnings.warn(
-            "a pair with positive weight variance has zero first-visit "
-            "probability; the variance bound is infinite",
-            RuntimeWarning,
-        )
-        return float("inf")
-    return float(n * np.sum(terms.sum(axis=1) / w))
+    Q = hitting_probabilities(transition)
+    return float(np.sum(_bound_terms(R, Q) / np.asarray(sampling_fractions, dtype=float)))
 
 
 @dataclass
@@ -132,32 +141,25 @@ class VarianceDiagnostics:
     sampling_fractions: np.ndarray
     rel_var_bound: float
     eq_sample: bool
-    ind_sample: bool
 
 
-def variance_diagnostics(estimate: EmusEstimate,
-                         transition: np.ndarray | None = None) -> VarianceDiagnostics:
+def variance_diagnostics(estimate: EmusEstimate) -> VarianceDiagnostics:
     """Compute R, Q and the grid variance bound for a fitted estimate.
 
-    ``transition`` overrides the matrix used for the first-visit
-    probabilities (for instance a smoothed or exactly computed one); by
-    default the estimate's own matrix is used.  The flags record whether
-    the equal-allocation and independent-sampling conditions held; they
-    are recorded, not enforced.
+    The first-visit probabilities are those of the estimate's own
+    matrix.  ``eq_sample`` records whether every point got the same
+    number of draws; it is recorded, not enforced.
     """
-    F = estimate.transition if transition is None else np.asarray(transition, dtype=float)
     R = weight_ratio_variances(estimate)
-    Q = hitting_probabilities(F)
+    Q = hitting_probabilities(estimate.transition)
     counts = estimate.counts
     w = counts / counts.sum()
-    bound = relative_variance_bound(F, R, w, Q)
     return VarianceDiagnostics(
         R=R,
         Q=Q,
         sampling_fractions=w,
-        rel_var_bound=bound,
+        rel_var_bound=float(np.sum(_bound_terms(R, Q) / w)),
         eq_sample=bool(np.all(counts == counts[0])),
-        ind_sample=bool(estimate.bank.independent),
     )
 
 
@@ -178,27 +180,16 @@ def pointwise_variance_bound(functional, lam, diagnostics: VarianceDiagnostics |
     est = functional.emus
     if diagnostics is None:
         diagnostics = variance_diagnostics(est)
-    R, Q, w = diagnostics.R, diagnostics.Q, diagnostics.sampling_fractions
-    if np.any(np.isnan(R)):
-        return float("nan")
-    n = R.shape[0]
-    off = ~np.eye(n, dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        grid_terms = np.where(off & (R > 0), R / Q**2, 0.0)
-    if np.any(~np.isfinite(grid_terms)):
-        warnings.warn(
-            "a pair with positive weight variance has zero first-visit "
-            "probability; the variance bound is infinite",
-            RuntimeWarning,
-        )
-        return float("inf")
-    grid_part = n * grid_terms.sum(axis=1)
+    grid_part = _bound_terms(diagnostics.R, diagnostics.Q)
+    if not np.all(np.isfinite(grid_part)):
+        # NaN for single-draw points, otherwise infinite
+        return float(np.sum(grid_part))
     r = functional.kernel_ratio_variances(lam)
     u_lam = functional.marginal(lam)
     if not u_lam > 0:
         return float("inf")
     point_part = (est.stationary**2 / u_lam**2) * r
-    return float(2.0 * np.sum((grid_part + point_part) / w))
+    return float(2.0 * np.sum((grid_part + point_part) / diagnostics.sampling_fractions))
 
 
 def _reversible_eigens(F: np.ndarray, v: np.ndarray, db_tol: float):

@@ -46,6 +46,9 @@ LOG_WEIGHT_FLOOR = 700.0
 #: number of power-method refinements applied after the QR null vector
 POWER_POLISH_STEPS = 5
 
+#: largest accepted relative stationary residual max|F'u - u| / max|u|
+STATIONARY_RESIDUAL_TOL = 1e-6
+
 
 def child_rng(master_seed: int, *key: int) -> np.random.Generator:
     """Independent child generator for a (replicate, point, ...) context.
@@ -78,7 +81,6 @@ class SampleBank:
     samples: list
     counts: np.ndarray
     seed_lineage: dict = field(default_factory=dict)
-    independent: bool = True
 
     def __post_init__(self):
         self.counts = np.asarray(self.counts, dtype=int)
@@ -102,7 +104,7 @@ class SampleBank:
 
 
 def draw_sample_bank(model: Model, grid: HyperGrid, counts, master_seed: int,
-                     warmup: int = 0, spawn_prefix: tuple = ()) -> SampleBank:
+                     spawn_prefix: tuple = ()) -> SampleBank:
     """Draw independent local samples at every grid point.
 
     The stream for point i is ``child_rng(master_seed, *spawn_prefix, i)``,
@@ -113,7 +115,7 @@ def draw_sample_bank(model: Model, grid: HyperGrid, counts, master_seed: int,
     samples = []
     for i, lam in enumerate(grid.points):
         rng = child_rng(master_seed, *spawn_prefix, i)
-        samples.append(np.asarray(model.sample_local(lam, rng, int(counts[i]), warmup=warmup)))
+        samples.append(np.asarray(model.sample_local(lam, rng, int(counts[i]))))
     lineage = {"master_seed": int(master_seed), "spawn_prefix": tuple(spawn_prefix)}
     return SampleBank(grid=grid, samples=samples, counts=counts, seed_lineage=lineage)
 
@@ -185,14 +187,13 @@ def estimate_transition_matrix(bank: SampleBank, model: Model,
     return segment_mean(ratios, cache.offsets), cache
 
 
-def stationary_vector(transition: np.ndarray, polish: int = POWER_POLISH_STEPS,
-                      residual_tol: float = 1e-6,
+def stationary_vector(transition: np.ndarray,
                       on_degenerate: str = "raise") -> np.ndarray:
     """Left stationary vector of a row-stochastic matrix, scaled to sum L.
 
     Solves u = F^T u by QR-factorizing A = I - F and taking the last
     column of Q (which spans the null space of A^T when rank(A) = L-1),
-    then applying a fixed number of power-method multiplications, then
+    then applying POWER_POLISH_STEPS power-method multiplications, then
     rescaling so the entries sum to L.
 
     A unique positive solution needs the grid to be irreducible: every
@@ -205,16 +206,16 @@ def stationary_vector(transition: np.ndarray, polish: int = POWER_POLISH_STEPS,
     of machine epsilon below the largest one and a RuntimeWarning is
     emitted, which callers that can self-correct (sequential designs
     accumulating overlap) use for provisional fits.  An inaccurate
-    solve (residual above ``residual_tol``) always raises.
+    solve (residual above STATIONARY_RESIDUAL_TOL) always raises.
 
     Raises
     ------
     ReducibleChainError
     """
-    return _solve_stationary(transition, polish, residual_tol, on_degenerate)[0]
+    return _solve_stationary(transition, on_degenerate)[0]
 
 
-def _solve_stationary(transition, polish, residual_tol, on_degenerate):
+def _solve_stationary(transition, on_degenerate):
     """Worker behind stationary_vector; also reports whether it clamped."""
     if on_degenerate not in ("raise", "truncate"):
         raise ValueError(f"unknown on_degenerate mode {on_degenerate!r}")
@@ -239,7 +240,7 @@ def _solve_stationary(transition, polish, residual_tol, on_degenerate):
     q = np.linalg.qr(A, mode="complete")[0][:, -1]
     if q.sum() < 0:
         q = -q
-    for _ in range(polish):
+    for _ in range(POWER_POLISH_STEPS):
         q = F.T @ q
         total = np.abs(q).sum()
         if total <= 0:
@@ -256,11 +257,12 @@ def _solve_stationary(transition, polish, residual_tol, on_degenerate):
         )
     u = q * (n / total)
     residual = np.max(np.abs(F.T @ u - u)) / np.max(np.abs(u))
-    if residual > residual_tol:
+    if residual > STATIONARY_RESIDUAL_TOL:
         raise ReducibleChainError(
-            f"stationary residual {residual:.3e} exceeds {residual_tol:.1e}; the "
-            "estimated matrix looks reducible (grid points with no mutual "
-            "overlap), so the stationary vector is not unique"
+            f"stationary residual {residual:.3e} exceeds "
+            f"{STATIONARY_RESIDUAL_TOL:.1e}; the estimated matrix looks "
+            "reducible (grid points with no mutual overlap), so the "
+            "stationary vector is not unique"
         )
     truncated = False
     if np.any(u <= 0.0) or multiple_null:
@@ -318,7 +320,7 @@ def fit_emus(bank: SampleBank, model: Model,
              on_degenerate: str = "raise") -> EmusEstimate:
     """Estimate the transition matrix and its stationary vector."""
     F, cache = estimate_transition_matrix(bank, model)
-    u, truncated = _solve_stationary(F, POWER_POLISH_STEPS, 1e-6, on_degenerate)
+    u, truncated = _solve_stationary(F, on_degenerate)
     return EmusEstimate(bank=bank, cache=cache, transition=F, stationary=u,
                         truncated=truncated)
 

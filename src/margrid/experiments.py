@@ -41,7 +41,7 @@ from .models import (
     gp_dataset_from_csv,
     make_synthetic_gp_dataset,
 )
-from .diagnostics import variance_diagnostics
+from .diagnostics import _bound_terms, variance_diagnostics
 
 __all__ = [
     "ExperimentConfig",
@@ -69,9 +69,9 @@ class ExperimentConfig:
     Sections and keys are interpreted by the individual runners; the
     common ones are ``[model]`` (kind and its parameters), ``[domain]``
     (lower/upper/scale), ``[grids]`` (per-axis point counts) and
-    ``[sampling]`` (samples per point, warmup, master seed, replicate
-    count).  Paths inside the file resolve relative to the file itself
-    and are checked at load time.
+    ``[sampling]`` (samples per point, master seed, replicate count).
+    Paths inside the file resolve relative to the file itself and are
+    checked at load time.
     """
 
     parser: configparser.ConfigParser
@@ -378,11 +378,9 @@ def run_estimate(config: ExperimentConfig, out_dir: str, *, seed=None,
     counts = _sample_counts(config, len(sim_grid))
     master = _resolve_seed(config, seed)
     reps = _resolve_replicates(config, replicates)
-    warmup = config.getint("sampling", "warmup", fallback=0)
 
     def one(r: int):
-        bank = draw_sample_bank(model, sim_grid, counts, master,
-                                warmup=warmup, spawn_prefix=(r,))
+        bank = draw_sample_bank(model, sim_grid, counts, master, spawn_prefix=(r,))
         emus = fit_emus(bank, model)
         fn = FunctionalEstimate(emus, model)
         curve = fn.marginal_many(eval_grid.points)
@@ -415,14 +413,10 @@ def run_estimate(config: ExperimentConfig, out_dir: str, *, seed=None,
             profile_files.append(name)
 
     diag = variance_diagnostics(emus0)
-    n = len(sim_grid)
-    off = ~np.eye(n, dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(off & (diag.R > 0), diag.R / diag.Q**2, 0.0)
-        per_point = n * terms.sum(axis=1) / diag.sampling_fractions
+    per_point = _bound_terms(diag.R, diag.Q) / diag.sampling_fractions
     diag_rows = [
         (i, *sim_grid.points[i], counts[i], emus0.stationary[i], per_point[i])
-        for i in range(n)
+        for i in range(len(sim_grid))
     ]
     _write_csv(os.path.join(out_dir, "diagnostics.csv"),
                ["point"] + _point_header(sim_grid) + ["n_draws", "u_hat", "bound_term"],
@@ -431,7 +425,6 @@ def run_estimate(config: ExperimentConfig, out_dir: str, *, seed=None,
     summary: dict = {
         "rel_var_bound": diag.rel_var_bound,
         "equal_allocation": diag.eq_sample,
-        "independent_sampling": diag.ind_sample,
         "total_draws": int(counts.sum()),
     }
     argmax_point, argmax_value, argmax_index = fn0.argmax_on(eval_grid)
@@ -486,7 +479,6 @@ def run_compare(config: ExperimentConfig, out_dir: str, *, seed=None,
     counts = _sample_counts(config, len(sim_grid))
     master = _resolve_seed(config, seed)
     reps = _resolve_replicates(config, replicates)
-    warmup = config.getint("sampling", "warmup", fallback=0)
     burn_in = config.getint("compare", "burn_in", fallback=0)
     total = int(counts.sum())
     n_iter = total + burn_in
@@ -509,7 +501,7 @@ def run_compare(config: ExperimentConfig, out_dir: str, *, seed=None,
 
         def one(r: int, model=model, s=s, exact_sim=exact_sim):
             bank = draw_sample_bank(model, sim_grid, counts, master,
-                                    warmup=warmup, spawn_prefix=(s, r, 0))
+                                    spawn_prefix=(s, r, 0))
             # the sweep deliberately enters regimes where neighboring
             # windows stop overlapping, so fit in the clamping mode and
             # report how often it fired instead of aborting the study
@@ -579,7 +571,6 @@ def run_rate_study(config: ExperimentConfig, out_dir: str, *, seed=None,
     sim_grid, eval_grid = build_grids(config, model)
     master = _resolve_seed(config, seed)
     reps = _resolve_replicates(config, replicates)
-    warmup = config.getint("sampling", "warmup", fallback=0)
     n_sweep = config.ints("rate", "n_sweep", fallback=(16, 32, 64, 128, 256, 512, 1024))
     l_sweep = config.ints("rate", "l_sweep", fallback=(8, 16, 32, 64, 128))
     fixed_n = config.getint("rate", "fixed_n", fallback=4)
@@ -594,7 +585,7 @@ def run_rate_study(config: ExperimentConfig, out_dir: str, *, seed=None,
     def fit_error(grid, n_per_point, prefix, ref):
         bank = draw_sample_bank(model, grid,
                                 np.full(len(grid), n_per_point, dtype=int),
-                                master, warmup=warmup, spawn_prefix=prefix)
+                                master, spawn_prefix=prefix)
         emus = fit_emus(bank, model)
         if discrete:
             return normalized_l2_error(emus.stationary, ref)
@@ -682,7 +673,6 @@ def run_design_study(config: ExperimentConfig, out_dir: str, *, seed=None,
     _, eval_grid = build_grids(config, model)
     master = _resolve_seed(config, seed)
     reps = _resolve_replicates(config, replicates)
-    warmup = config.getint("sampling", "warmup", fallback=0)
     iterations = config.getint("design", "iterations", fallback=8)
     blocks = config.getint("design", "blocks_per_iteration", fallback=8)
     per_block = config.getint("design", "samples_per_block", fallback=8)
@@ -691,7 +681,7 @@ def run_design_study(config: ExperimentConfig, out_dir: str, *, seed=None,
 
     state, functional = run_design_loop(
         model, eval_grid, iterations, blocks, per_block, master,
-        stabilize=stabilize, warmup=warmup,
+        stabilize=stabilize,
     )
     design_history_to_csv(state, os.path.join(out_dir, "design.csv"),
                           header_lines=comments)
@@ -735,14 +725,14 @@ def run_design_study(config: ExperimentConfig, out_dir: str, *, seed=None,
             try:
                 _, fn = run_design_loop(model, eval_grid, iterations, blocks,
                                         per_block, rep_master,
-                                        stabilize=stabilize, warmup=warmup)
+                                        stabilize=stabilize)
                 return probe_density(fn)
             except MargridError:
                 return np.full(len(probe_idx), np.nan)
 
         def one_uniform(r: int):
             bank = draw_sample_bank(model, sub_grid, base_counts, master,
-                                    warmup=warmup, spawn_prefix=(3, r))
+                                    spawn_prefix=(3, r))
             try:
                 emus = fit_emus(bank, model, on_degenerate="truncate")
                 return probe_density(FunctionalEstimate(emus, model))

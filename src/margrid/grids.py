@@ -10,11 +10,10 @@ lexicographically by dimension index (the last axis varies fastest).
 
 from __future__ import annotations
 
+import contextlib
 import csv
-import io
-from dataclasses import dataclass, field
-
 import os
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -200,18 +199,50 @@ def trapezoid_weights(grid: HyperGrid) -> np.ndarray:
     return w.ravel()
 
 
+@contextlib.contextmanager
+def _path_or_buffer(path_or_buf, mode: str):
+    """Open a path for the duration of the block, or pass a text buffer through."""
+    if isinstance(path_or_buf, (str, bytes, os.PathLike)):
+        with open(path_or_buf, mode, newline="") as fh:
+            yield fh
+    else:
+        yield path_or_buf
+
+
+def _read_csv_table(path_or_buf, what: str):
+    """Numeric CSV rows below an optional header, comment lines dropped.
+
+    The first row is the header unless every entry parses as a number.
+    Returns ``(header, data)`` with ``header`` None when absent and
+    ``data`` a float array with one row per data line.
+
+    Raises
+    ------
+    ValueError
+        Naming ``what`` when there is no data row or a value is not a
+        number.
+    """
+    with _path_or_buffer(path_or_buf, "r") as fh:
+        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
+    if not rows:
+        raise ValueError(f"{what} has no rows")
+    try:
+        [float(v) for v in rows[0]]
+        header, body = None, rows
+    except ValueError:
+        header, body = rows[0], rows[1:]
+    if not body:
+        raise ValueError(f"{what} has a header but no data rows")
+    return header, np.array([[float(v) for v in r] for r in body])
+
+
 def grid_to_csv(grid: HyperGrid, path_or_buf) -> None:
     """Write grid points as CSV with header dim0,...,dim{p-1}."""
-    own = isinstance(path_or_buf, (str, bytes, os.PathLike))
-    fh = open(path_or_buf, "w", newline="") if own else path_or_buf
-    try:
+    with _path_or_buffer(path_or_buf, "w") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"dim{d}" for d in range(grid.dim)])
         for row in grid.points:
             writer.writerow([repr(float(v)) for v in row])
-    finally:
-        if own:
-            fh.close()
 
 
 def grid_from_csv(path_or_buf, domain: Domain | None = None, scale: str = "linear") -> HyperGrid:
@@ -220,18 +251,9 @@ def grid_from_csv(path_or_buf, domain: Domain | None = None, scale: str = "linea
     When no domain is given, the bounding box of the points (padded by
     zero width checks) is used.
     """
-    own = isinstance(path_or_buf, (str, bytes, os.PathLike))
-    fh = open(path_or_buf, "r", newline="") if own else path_or_buf
-    try:
-        text = fh.read()
-    finally:
-        if own:
-            fh.close()
-    rows = [r for r in csv.reader(io.StringIO(text)) if r and not r[0].startswith("#")]
-    header, body = rows[0], rows[1:]
-    if not all(h.startswith("dim") for h in header):
+    header, pts = _read_csv_table(path_or_buf, "grid CSV")
+    if header is None or not all(h.startswith("dim") for h in header):
         raise GridError("grid CSV header must be dim0,dim1,...")
-    pts = np.array([[float(v) for v in r] for r in body])
     if domain is None:
         lo, hi = pts.min(axis=0), pts.max(axis=0)
         pad = np.where(hi - lo > 0, 0.0, 1.0)

@@ -5,7 +5,7 @@ Every model provides, for hyperparameter values lam in its domain:
 - ``log_psi(thetas, lam)``: log of the unnormalized local density
   psi_lam(theta) evaluated at a batch of latent states,
 - ``log_prior(lam)``: log prior density over the hyperparameter,
-- ``sample_local(lam, rng, size, warmup)``: draws from the normalized
+- ``sample_local(lam, rng, size)``: exact draws from the normalized
   local density pi_lam = psi_lam / z(lam),
 - optionally ``grad_log_psi_prior`` (hyperparameter gradients) and
   ``exact_log_u`` (a closed form for log z(lam) p(lam), used as an
@@ -18,16 +18,13 @@ up to a lam-independent constant.
 from __future__ import annotations
 
 import csv
-import io
-
-import os
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
 from scipy.special import expit
 
 from .errors import DegenerateWeightError, GradientUnavailableError, GridError
-from .grids import Domain, HyperGrid
+from .grids import Domain, HyperGrid, _path_or_buffer, _read_csv_table
 
 __all__ = [
     "Model",
@@ -60,7 +57,7 @@ class Model:
     def log_prior(self, lam) -> float:
         raise NotImplementedError
 
-    def sample_local(self, lam, rng, size: int, warmup: int = 0):
+    def sample_local(self, lam, rng, size: int):
         raise NotImplementedError
 
     @property
@@ -158,7 +155,7 @@ class DiscreteModel(Model):
     def log_prior(self, lam) -> float:
         return float(np.log(self.prior[self.column_of(lam)]))
 
-    def sample_local(self, lam, rng, size: int, warmup: int = 0):
+    def sample_local(self, lam, rng, size: int):
         col = self.column_of(lam)
         w = self.psi_table[:, col]
         return rng.choice(w.size, size=size, p=w / w.sum())
@@ -218,7 +215,7 @@ class ToyBimodalModel(Model):
         thetas = np.asarray(thetas, dtype=float).ravel()
         return (self.tau * (thetas - lam[0]))[:, None]
 
-    def sample_local(self, lam, rng, size: int, warmup: int = 0):
+    def sample_local(self, lam, rng, size: int):
         # Exact conjugate draw: completing the square in theta shows
         #   pi_lam = w+ N(m+, v) + w- N(m-, v)
         # with v = 1/(q+tau), m+- = (tau lam +- q y)/(q+tau) and component
@@ -359,7 +356,7 @@ class GpRegressionModel(Model):
               - 0.5 * quad_k / tau2 - 0.5 * quad_cd - 1.0 / tau2)
         return np.stack([g1, g2], axis=1)
 
-    def sample_local(self, lam, rng, size: int, warmup: int = 0):
+    def sample_local(self, lam, rng, size: int):
         entry = self._entry(lam)
         mean, chol_post = self._posterior(entry)
         z = rng.standard_normal((size, self.y.size))
@@ -395,32 +392,19 @@ def gp_dataset_to_csv(x, y, path_or_buf) -> None:
     if x.ndim == 1:
         x = x[:, None]
     y = np.asarray(y, dtype=float).ravel()
-    own = isinstance(path_or_buf, (str, bytes, os.PathLike))
-    fh = open(path_or_buf, "w", newline="") if own else path_or_buf
-    try:
+    with _path_or_buffer(path_or_buf, "w") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"x{d}" for d in range(x.shape[1])] + ["y"])
         for xi, yi in zip(x, y):
             writer.writerow([repr(float(v)) for v in xi] + [repr(float(yi))])
-    finally:
-        if own:
-            fh.close()
 
 
 def gp_dataset_from_csv(path_or_buf):
     """Read a regression dataset written by :func:`gp_dataset_to_csv`."""
-    own = isinstance(path_or_buf, (str, bytes, os.PathLike))
-    fh = open(path_or_buf, "r", newline="") if own else path_or_buf
-    try:
-        text = fh.read()
-    finally:
-        if own:
-            fh.close()
-    rows = [r for r in csv.reader(io.StringIO(text)) if r and not r[0].startswith("#")]
-    header, body = rows[0], rows[1:]
-    if header[-1] != "y" or not all(h.startswith("x") for h in header[:-1]):
+    header, data = _read_csv_table(path_or_buf, "dataset CSV")
+    if (header is None or header[-1] != "y"
+            or not all(h.startswith("x") for h in header[:-1])):
         raise ValueError("dataset CSV header must be x0,...,y")
-    data = np.array([[float(v) for v in r] for r in body])
     x = data[:, :-1]
     if x.shape[1] == 1:
         x = x.ravel()
@@ -429,22 +413,4 @@ def gp_dataset_from_csv(path_or_buf):
 
 def discrete_table_from_csv(path_or_buf) -> np.ndarray:
     """Read a psi-table (rows = theta-atoms, columns = lambda-atoms)."""
-    own = isinstance(path_or_buf, (str, bytes, os.PathLike))
-    fh = open(path_or_buf, "r", newline="") if own else path_or_buf
-    try:
-        text = fh.read()
-    finally:
-        if own:
-            fh.close()
-    rows = [r for r in csv.reader(io.StringIO(text)) if r and not r[0].startswith("#")]
-    if not rows:
-        raise ValueError("psi-table CSV has no rows")
-    first = rows[0]
-    try:
-        [float(v) for v in first]
-        body = rows
-    except ValueError:
-        body = rows[1:]
-    if not body:
-        raise ValueError("psi-table CSV has a header but no data rows")
-    return np.array([[float(v) for v in r] for r in body])
+    return _read_csv_table(path_or_buf, "psi-table CSV")[1]

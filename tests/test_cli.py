@@ -124,18 +124,23 @@ def test_incomplete_config_fails_cleanly(tmp_path, capsys):
     assert "config needs" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("table_text", ["", "# only a comment\n", "psi0,psi1\n"],
-                         ids=["empty", "comment-only", "header-only"])
-def test_empty_table_csv_fails_cleanly(tmp_path, capsys, table_text):
-    (tmp_path / "table.csv").write_text(table_text)
-    path = tmp_path / "disc.ini"
-    path.write_text("[model]\nkind = discrete\ntable = table.csv\n")
+@pytest.mark.parametrize("kind,key,text,what", [
+    ("discrete", "table", "", "psi-table CSV"),
+    ("discrete", "table", "# only a comment\n", "psi-table CSV"),
+    ("discrete", "table", "psi0,psi1\n", "psi-table CSV"),
+    ("gp", "dataset", "", "dataset CSV"),
+    ("gp", "dataset", "x0,y\n", "dataset CSV"),
+], ids=["empty", "comment-only", "header-only", "dataset-empty", "dataset-header-only"])
+def test_empty_table_csv_fails_cleanly(tmp_path, capsys, kind, key, text, what):
+    (tmp_path / "input.csv").write_text(text)
+    path = tmp_path / "model.ini"
+    path.write_text(f"[model]\nkind = {kind}\n{key} = input.csv\n")
     code = run_cli("estimate", "--config", str(path),
                    "--out", str(tmp_path / "x"))
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
-    assert "psi-table CSV" in err
+    assert what in err
 
 
 def test_unknown_subcommand_is_a_usage_error(config_path, tmp_path):

@@ -255,6 +255,23 @@ def test_pivotal_total_is_exact(n, budget, seed):
     assert np.all(counts >= np.floor(p).astype(int))
 
 
+def test_pivotal_pairs_summing_to_one_within_an_ulp_agree():
+    # The fractional pair sums to 1 - 1 ulp, exactly 1 and 1 + 1 ulp;
+    # without the snap the two sides take different branches, which map
+    # one uniform draw to different units.
+    low, high = np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)
+    pairs = {}
+    for target in (low, 1.0, high):
+        b = target - 0.25
+        assert 0.25 + b == target
+        pairs[target] = np.array([2.0, 0.25, b, 1.0])
+    for seed in range(32):
+        ref = pivotal_sample(pairs[1.0], np.random.default_rng(seed))
+        for target in (low, high):
+            counts = pivotal_sample(pairs[target], np.random.default_rng(seed))
+            np.testing.assert_array_equal(counts, ref)
+
+
 def test_pivotal_inclusion_probabilities():
     p = np.array([0.3, 0.7, 0.5, 0.5])
     n = 20_000

@@ -18,6 +18,32 @@ def random_reversible_chain(rng, n):
     return S / rowsums[:, None], rowsums / rowsums.sum()
 
 
+def random_chain(rng, n):
+    """Row-normalized positive matrix with no symmetry imposed."""
+    S = rng.random((n, n)) + 0.1
+    return S / S.sum(axis=1)[:, None]
+
+
+def hitting_probabilities_oracle(F):
+    """Q[i, j] by one first-step solve per ordered pair, O(L^5) in all.
+
+    Q[i, j] = F_ij + sum_{k not in {i, j}} F_ik h_k, where h holds the
+    probabilities of reaching j before i and solves (I - F_BB) h = F_Bj
+    over the states B = complement of {i, j}.
+    """
+    n = F.shape[0]
+    Q = np.ones((n, n))
+    idx = np.arange(n)
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            keep = idx[(idx != i) & (idx != j)]
+            h = np.linalg.solve(np.eye(keep.size) - F[np.ix_(keep, keep)], F[keep, j])
+            Q[i, j] = F[i, j] + F[i, keep] @ h
+    return Q
+
+
 # -- first-visit probabilities ------------------------------------------
 
 
@@ -39,6 +65,32 @@ def test_hitting_uniform_three_states():
 
 def test_hitting_single_state():
     np.testing.assert_array_equal(mg.hitting_probabilities(np.ones((1, 1))), [[1.0]])
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_hitting_matches_the_pairwise_oracle(n):
+    rng = np.random.default_rng(100 + n)
+    for F in (random_reversible_chain(rng, n)[0], random_chain(rng, n)):
+        np.testing.assert_allclose(mg.hitting_probabilities(F),
+                                   hitting_probabilities_oracle(F), rtol=1e-12)
+
+
+def test_hitting_matches_the_pairwise_oracle_on_a_toy_fit():
+    model = mg.ToyBimodalModel(y=1.0, q=64.0, tau=16.0)
+    grid = mg.make_regular_grid(mg.Domain(-2.0, 2.0), 64)
+    F = mg.fit_emus(mg.draw_sample_bank(model, grid, 256, master_seed=7), model).transition
+    np.testing.assert_allclose(mg.hitting_probabilities(F),
+                               hitting_probabilities_oracle(F), rtol=1e-12)
+
+
+def test_hitting_absorbing_chain_is_reducible():
+    F = np.array([
+        [1.0, 0.0, 0.0],
+        [0.5, 0.0, 0.5],
+        [0.0, 0.0, 1.0],
+    ])
+    with pytest.raises(mg.ReducibleChainError):
+        mg.hitting_probabilities(F)
 
 
 def test_hitting_matches_simulated_excursions():
@@ -116,7 +168,7 @@ def test_bound_nan_for_single_draw_rows():
 def test_variance_diagnostics_flags_and_fractions():
     fit = make_fit([8, 8, 8, 8])
     diag = mg.variance_diagnostics(fit)
-    assert diag.eq_sample and diag.ind_sample
+    assert diag.eq_sample
     np.testing.assert_allclose(diag.sampling_fractions, 0.25)
     assert diag.rel_var_bound > 0
     uneven = make_fit([8, 16, 8, 8])

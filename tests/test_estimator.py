@@ -140,7 +140,7 @@ def test_bridge_ratio_consistent_with_stationary(asym_model):
 def test_degenerate_weight_error_names_the_sample():
     # A sampler whose draws fall where every grid column has zero mass.
     class BrokenModel(mg.DiscreteModel):
-        def sample_local(self, lam, rng, size, warmup=0):
+        def sample_local(self, lam, rng, size):
             return np.full(size, 4)
 
     table = np.array([

@@ -198,6 +198,23 @@ def test_run_estimate_is_deterministic_and_thread_invariant(tmp_path):
         assert (c / name).read_bytes() == ref
 
 
+def test_run_estimate_single_draw_points_have_no_bound_term(tmp_path):
+    # A point with one draw has no weight variance, so its bound term is
+    # unavailable (NaN), like the overall bound, never zero.
+    text = TOY_TEXT.replace("samples_per_point = 32",
+                            "samples_per_point = 1 32 32 32 32 32")
+    out = tmp_path / "one"
+    manifest = mg.run_estimate(mg.ExperimentConfig.from_text(text), str(out),
+                               replicates=1)
+    assert manifest["summary"]["rel_var_bound"] == "nan"
+    rows = (out / "diagnostics.csv").read_text().splitlines()
+    assert rows[2] == "point,dim0,n_draws,u_hat,bound_term"
+    terms = [float(row.split(",")[-1]) for row in rows[3:]]
+    assert len(terms) == 6
+    assert math.isnan(terms[0])
+    assert all(t > 0 for t in terms[1:])
+
+
 def test_run_estimate_seed_override(tmp_path):
     cfg = mg.ExperimentConfig.from_text(TOY_TEXT)
     out = tmp_path / "s"

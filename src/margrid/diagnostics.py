@@ -132,15 +132,25 @@ def relative_variance_bound(transition: np.ndarray, R: np.ndarray,
     return float(np.sum(_bound_terms(R, Q) / np.asarray(sampling_fractions, dtype=float)))
 
 
+#: slack around [0, 1] before a first-visit probability counts as out of range
+Q_RANGE_TOL = 1e-9
+
+
 @dataclass
 class VarianceDiagnostics:
-    """Bundle of variance-related quantities for a fitted estimate."""
+    """Bundle of variance-related quantities for a fitted estimate.
+
+    ``out_of_range`` counts the off-diagonal first-visit probabilities
+    outside [-Q_RANGE_TOL, 1 + Q_RANGE_TOL]; nonzero means the chain is
+    too ill-conditioned for Q, and hence the bound, to be trusted.
+    """
 
     R: np.ndarray
     Q: np.ndarray
     sampling_fractions: np.ndarray
     rel_var_bound: float
     eq_sample: bool
+    out_of_range: int
 
 
 def variance_diagnostics(estimate: EmusEstimate) -> VarianceDiagnostics:
@@ -148,10 +158,22 @@ def variance_diagnostics(estimate: EmusEstimate) -> VarianceDiagnostics:
 
     The first-visit probabilities are those of the estimate's own
     matrix.  ``eq_sample`` records whether every point got the same
-    number of draws; it is recorded, not enforced.
+    number of draws; it is recorded, not enforced.  First-visit
+    probabilities outside [0, 1] are counted in ``out_of_range`` and
+    reported with a RuntimeWarning; they are not clipped.
     """
     R = weight_ratio_variances(estimate)
     Q = hitting_probabilities(estimate.transition)
+    q_off = Q[~np.eye(Q.shape[0], dtype=bool)]
+    excess = np.maximum(-q_off, q_off - 1.0)
+    out_of_range = int(np.count_nonzero(excess > Q_RANGE_TOL))
+    if out_of_range:
+        warnings.warn(
+            f"{out_of_range} first-visit probabilities lie outside [0, 1] "
+            f"(most extreme {q_off[np.argmax(excess)]:.6g}); the chain is too "
+            "ill-conditioned for the variance bound to be trusted",
+            RuntimeWarning,
+        )
     counts = estimate.counts
     w = counts / counts.sum()
     return VarianceDiagnostics(
@@ -160,6 +182,7 @@ def variance_diagnostics(estimate: EmusEstimate) -> VarianceDiagnostics:
         sampling_fractions=w,
         rel_var_bound=float(np.sum(_bound_terms(R, Q) / w)),
         eq_sample=bool(np.all(counts == counts[0])),
+        out_of_range=out_of_range,
     )
 
 

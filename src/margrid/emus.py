@@ -194,13 +194,19 @@ def stationary_vector(transition: np.ndarray,
     Solves u = F^T u by QR-factorizing A = I - F and taking the last
     column of Q (which spans the null space of A^T when rank(A) = L-1),
     then applying POWER_POLISH_STEPS power-method multiplications, then
-    rescaling so the entries sum to L.
+    rescaling so the entries sum to L.  When that leaves a nonpositive
+    entry although the null direction is unique and the positive
+    entries of F connect every state to every other, the polish
+    restarts from the entrywise absolute value of the QR vector:
+    entries below the QR's resolution carry a sign that is rounding
+    noise.
 
     A unique positive solution needs the grid to be irreducible: every
     pair of grid points connected through overlapping local densities.
     Two degeneracy symptoms are checked: a second near-vanishing
     singular value of I - F (the null direction is not unique at
-    working precision) and nonpositive entries in the solution.  With
+    working precision) and nonpositive entries in the solution after
+    the restart.  With
     ``on_degenerate="raise"`` (default) either symptom raises; with
     ``"truncate"`` the affected entries are clamped to a floor a factor
     of machine epsilon below the largest one and a RuntimeWarning is
@@ -213,6 +219,45 @@ def stationary_vector(transition: np.ndarray,
     ReducibleChainError
     """
     return _solve_stationary(transition, on_degenerate)[0]
+
+
+def _irreducible(F) -> bool:
+    """True when the positive entries of F connect every state to every other.
+
+    State 0 must reach every state along positive entries, and every
+    state must reach state 0 (the same search on the transpose).
+    """
+    positive = F > 0
+    for edges in (positive, positive.T):
+        seen = np.zeros(F.shape[0], dtype=bool)
+        seen[0] = True
+        frontier = seen
+        while frontier.any():
+            frontier = edges[frontier].any(axis=0) & ~seen
+            seen = seen | frontier
+        if not seen.all():
+            return False
+    return True
+
+
+def _polish(F, q):
+    """POWER_POLISH_STEPS power steps from q, rescaled to sum to L."""
+    for _ in range(POWER_POLISH_STEPS):
+        q = F.T @ q
+        total = np.abs(q).sum()
+        if total <= 0:
+            raise ReducibleChainError(
+                "power polish annihilated the stationary candidate; the grid "
+                "does not satisfy the irreducibility assumption"
+            )
+        q = q / total
+    total = q.sum()
+    if total <= 0:
+        raise ReducibleChainError(
+            "stationary candidate has nonpositive mass; the grid does not "
+            "satisfy the irreducibility assumption"
+        )
+    return q * (F.shape[0] / total)
 
 
 def _solve_stationary(transition, on_degenerate):
@@ -240,22 +285,13 @@ def _solve_stationary(transition, on_degenerate):
     q = np.linalg.qr(A, mode="complete")[0][:, -1]
     if q.sum() < 0:
         q = -q
-    for _ in range(POWER_POLISH_STEPS):
-        q = F.T @ q
-        total = np.abs(q).sum()
-        if total <= 0:
-            raise ReducibleChainError(
-                "power polish annihilated the stationary candidate; the grid "
-                "does not satisfy the irreducibility assumption"
-            )
-        q = q / total
-    total = q.sum()
-    if total <= 0:
-        raise ReducibleChainError(
-            "stationary candidate has nonpositive mass; the grid does not "
-            "satisfy the irreducibility assumption"
-        )
-    u = q * (n / total)
+    u = _polish(F, q)
+    if np.any(u <= 0.0) and not multiple_null and _irreducible(F):
+        # In a nearly decomposable chain some entries lie below the QR's
+        # resolution and their signs are rounding noise.  The stationary
+        # vector of an irreducible F is positive (Perron-Frobenius), so
+        # |q| is as close to it as q is; polish that instead.
+        u = _polish(F, np.abs(q))
     residual = np.max(np.abs(F.T @ u - u)) / np.max(np.abs(u))
     if residual > STATIONARY_RESIDUAL_TOL:
         raise ReducibleChainError(

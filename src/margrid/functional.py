@@ -45,13 +45,9 @@ class FunctionalEstimate:
 
     # -- kernel machinery -------------------------------------------------
 
-    def _log_numerators(self, lam) -> np.ndarray:
-        lam = np.atleast_1d(np.asarray(lam, dtype=float))
-        return self.model.log_psi(self._thetas, lam) + self.model.log_prior(lam)
-
     def _ratios(self, lam) -> np.ndarray:
         """Per-sample kernel weights exp(log psi p - lse) at one value."""
-        return np.exp(self._log_numerators(lam) - self.emus.cache.lse)
+        return self._ratio_matrix(lam)[:, 0]
 
     def _ratio_matrix(self, points) -> np.ndarray:
         """Kernel weights for many values at once, shape (samples, M)."""
@@ -98,16 +94,22 @@ class FunctionalEstimate:
         Differentiating each kernel summand through the exponential
         multiplies it by the model's gradient of log(psi_lam p(lam)).
         """
-        r = self._ratios(lam)
-        g = np.asarray(self.model.grad_log_psi_prior(self._thetas, np.atleast_1d(lam)))
-        weighted = segment_mean(r[:, None] * g, self._offsets)
-        return self.emus.stationary @ weighted
+        return self.curve_with_gradient(lam)[1][0]
 
     def curve_with_gradient(self, points):
-        """Values and gradients along a set of points: (M,), (M, p)."""
+        """Values and gradients along a set of points: (M,), (M, p).
+
+        One ratio matrix serves both: its columns average into the curve
+        values and, weighted by the model's gradients, into the gradients.
+        """
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        values = self.marginal_many(points)
-        grads = np.stack([self.gradient(lam) for lam in points])
+        ratios = self._ratio_matrix(points)
+        values = self.emus.stationary @ segment_mean(ratios, self._offsets)
+        grads = np.empty(points.shape)
+        for m, lam in enumerate(points):
+            g = np.asarray(self.model.grad_log_psi_prior(self._thetas, lam))
+            weighted = segment_mean(ratios[:, m, None] * g, self._offsets)
+            grads[m] = self.emus.stationary @ weighted
         return values, grads
 
     # -- expectations over the hyperparameter -------------------------------

@@ -219,11 +219,15 @@ def _read_csv_table(path_or_buf, what: str):
     Raises
     ------
     ValueError
-        Naming ``what`` when there is no data row or a value is not a
-        number.
+        Naming ``what`` when the CSV syntax is broken, there is no data
+        row, a value is not a number, or the rows and the header differ
+        in length.
     """
     with _path_or_buffer(path_or_buf, "r") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
+        try:
+            rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
+        except csv.Error as exc:
+            raise ValueError(f"{what} is not readable CSV: {exc}") from exc
     if not rows:
         raise ValueError(f"{what} has no rows")
     try:
@@ -233,7 +237,14 @@ def _read_csv_table(path_or_buf, what: str):
         header, body = rows[0], rows[1:]
     if not body:
         raise ValueError(f"{what} has a header but no data rows")
-    return header, np.array([[float(v) for v in r] for r in body])
+    try:
+        data = np.array([[float(v) for v in r] for r in body])
+    except ValueError as exc:  # a non-number, or rows of unequal length
+        raise ValueError(f"{what}: {exc}") from exc
+    if header is not None and len(header) != data.shape[1]:
+        raise ValueError(
+            f"{what} header names {len(header)} columns but rows have {data.shape[1]}")
+    return header, data
 
 
 def grid_to_csv(grid: HyperGrid, path_or_buf) -> None:

@@ -13,14 +13,24 @@ Every model provides, for hyperparameter values lam in its domain:
 
 The marginal quantity of interest is always u(lam) = z(lam) p(lam)
 up to a lam-independent constant.
+
+The estimators evaluate log-weights through ``log_weight_matrix(thetas,
+points, log_priors)``, one column per hyperparameter value.  The base
+class loops over ``log_psi``; every bundled model overrides it with one
+batched evaluation.  ``ToyBimodalModel`` broadcasts, ``DiscreteModel``
+gathers table columns, and ``GpRegressionModel`` shares one Cholesky
+factor and one whitening solve among all columns with the same length
+scale, with ``log_psi`` as its one-column case.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
+from scipy.linalg import cho_factor, cho_solve, cholesky
+from scipy.linalg.blas import dtrsm
 from scipy.special import expit
 
 from .errors import DegenerateWeightError, GradientUnavailableError, GridError
@@ -129,14 +139,19 @@ class DiscreteModel(Model):
         if self.prior.shape != (n_atoms,) or np.any(self.prior <= 0):
             raise ValueError("prior must be a positive vector over lambda-atoms")
 
-    def column_of(self, lam) -> int:
-        lam = _as_lambda(lam)
-        if lam.size != 1:
+    def _columns(self, points) -> np.ndarray:
+        """Table columns of many hyperparameter values, one per row of points."""
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        if points.ndim != 2 or points.shape[1] != 1:
             raise ValueError("discrete models have a one-dimensional hyperparameter")
-        hits = np.nonzero(np.isclose(self.atom_values, lam[0], rtol=0.0, atol=1e-9))[0]
-        if hits.size == 0:
-            raise GridError(f"lambda={lam[0]!r} does not match any model atom")
-        return int(hits[0])
+        hits = np.isclose(points, self.atom_values[None, :], rtol=0.0, atol=1e-9)
+        missing = ~hits.any(axis=1)
+        if np.any(missing):
+            raise GridError(f"lambda={points[missing][0, 0]!r} does not match any model atom")
+        return np.argmax(hits, axis=1)
+
+    def column_of(self, lam) -> int:
+        return int(self._columns(_as_lambda(lam)[None, :])[0])
 
     def grid(self, columns=None) -> HyperGrid:
         """Explicit grid over a subset of the lambda-atoms (all by default)."""
@@ -154,6 +169,12 @@ class DiscreteModel(Model):
 
     def log_prior(self, lam) -> float:
         return float(np.log(self.prior[self.column_of(lam)]))
+
+    def log_weight_matrix(self, thetas, points, log_priors):
+        cols = self._columns(points)
+        idx = np.asarray(thetas, dtype=int).ravel()
+        with np.errstate(divide="ignore"):
+            return np.log(self.psi_table[np.ix_(idx, cols)]) + np.asarray(log_priors)[None, :]
 
     def sample_local(self, lam, rng, size: int):
         col = self.column_of(lam)
@@ -256,6 +277,20 @@ class GpRegressionModel(Model):
 
     A relative jitter (``jitter_scale`` times the mean kernel diagonal)
     is added to C_lam before factorization.
+
+    The kernel diagonal is tau1/tau2, so the jittered covariance splits
+    exactly into a scale and a matrix of tau2 alone:
+
+        C_lam = (tau1/tau2) B(tau2),  B(tau2) = exp(-tau2 |x - x'|^2) + jitter_scale I.
+
+    Hence log N(theta; 0, C_lam) = -(n log 2 pi + n log(tau1/tau2)
+    + log det B + theta' B^{-1} theta / (tau1/tau2)) / 2, and the whitened
+    squares theta' B^{-1} theta of a batch of draws serve every tau1 at
+    that tau2.  An absolute jitter would not scale with tau1 and would
+    break the split.  ``log_weight_matrix`` therefore factors B once per
+    distinct tau2 among its points.  The per-value factorization of
+    C_lam, cached by ``_entry``, serves the sampler, the gradients and
+    the exact marginal.
     """
 
     def __init__(self, x, y, noise_var: float = 1.0 / 16.0, jitter_scale: float = 1e-9):
@@ -296,7 +331,6 @@ class GpRegressionModel(Model):
                 "kernel": kernel,
                 "cov": cov,
                 "chol": chol,
-                "logdet": 2.0 * np.sum(np.log(np.diag(chol))),
                 "chol_noisy": chol_noisy,
                 "logdet_noisy": 2.0 * np.sum(np.log(np.diag(chol_noisy[0]))),
             }
@@ -318,7 +352,19 @@ class GpRegressionModel(Model):
     # -- Model interface ------------------------------------------------
 
     def log_psi(self, thetas, lam):
-        entry = self._entry(lam)
+        return self.log_weight_matrix(thetas, _as_lambda(lam)[None, :], np.zeros(1))[:, 0]
+
+    def log_weight_matrix(self, thetas, points, log_priors):
+        """Matrix of log(psi_lam_j(theta_n) p(lam_j)), shape (N, M).
+
+        Columns that share tau2 share one Cholesky factor of B(tau2) and
+        one whitening solve of all draws (see the class docstring); each
+        column then costs O(N).  A column depends only on its own point,
+        never on which other points share the call.
+        """
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        if points.ndim != 2 or points.shape[1] != 2 or np.any(points <= 0):
+            raise ValueError("lam must be a positive pair (tau1, tau2)")
         thetas = np.asarray(thetas, dtype=float)
         if thetas.ndim == 1:
             thetas = thetas[None, :]
@@ -326,9 +372,22 @@ class GpRegressionModel(Model):
         resid = self.y[None, :] - thetas
         obs = -0.5 * (n * (_LOG_2PI + np.log(self.noise_var))
                       + np.sum(resid * resid, axis=1) / self.noise_var)
-        white = solve_triangular(entry["chol"], thetas.T, lower=True)
-        prior = -0.5 * (n * _LOG_2PI + entry["logdet"] + np.sum(white * white, axis=0))
-        return obs + prior
+        draws = np.asfortranarray(thetas)
+        tau2s, group = np.unique(points[:, 1], return_inverse=True)
+        out = np.empty((thetas.shape[0], points.shape[0]))
+        for g, tau2 in enumerate(tau2s):
+            base = np.exp(-tau2 * self._sqdist) + self.jitter_scale * np.eye(n)
+            chol = cholesky(base, lower=True)
+            logdet = 2.0 * np.sum(np.log(np.diag(chol)))
+            # rows of the solution are L^{-1} theta_k: X L^T = Theta
+            white = dtrsm(1.0, chol, draws, side=1, lower=1, trans_a=1)
+            q = np.sum(white * white, axis=1)
+            for j in np.flatnonzero(group == g):
+                scale = points[j, 0] / tau2
+                out[:, j] = (obs - 0.5 * (n * (_LOG_2PI + math.log(scale)) + logdet
+                                          + q / scale)
+                             + log_priors[j])
+        return out
 
     def log_prior(self, lam) -> float:
         lam = _as_lambda(lam)

@@ -130,7 +130,10 @@ def test_incomplete_config_fails_cleanly(tmp_path, capsys):
     ("discrete", "table", "psi0,psi1\n", "psi-table CSV"),
     ("gp", "dataset", "", "dataset CSV"),
     ("gp", "dataset", "x0,y\n", "dataset CSV"),
-], ids=["empty", "comment-only", "header-only", "dataset-empty", "dataset-header-only"])
+    ("gp", "dataset", "x0,y\n1,2,3\n4,5,6\n", "dataset CSV"),
+    ("discrete", "table", "1,2\n3\n", "psi-table CSV"),
+], ids=["empty", "comment-only", "header-only", "dataset-empty", "dataset-header-only",
+        "dataset-header-mismatch", "ragged-rows"])
 def test_empty_table_csv_fails_cleanly(tmp_path, capsys, kind, key, text, what):
     (tmp_path / "input.csv").write_text(text)
     path = tmp_path / "model.ini"

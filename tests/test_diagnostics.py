@@ -75,10 +75,15 @@ def test_hitting_matches_the_pairwise_oracle(n):
                                    hitting_probabilities_oracle(F), rtol=1e-12)
 
 
-def test_hitting_matches_the_pairwise_oracle_on_a_toy_fit():
+@pytest.fixture(scope="module")
+def toy_fit_l64():
     model = mg.ToyBimodalModel(y=1.0, q=64.0, tau=16.0)
     grid = mg.make_regular_grid(mg.Domain(-2.0, 2.0), 64)
-    F = mg.fit_emus(mg.draw_sample_bank(model, grid, 256, master_seed=7), model).transition
+    return mg.fit_emus(mg.draw_sample_bank(model, grid, 256, master_seed=7), model)
+
+
+def test_hitting_matches_the_pairwise_oracle_on_a_toy_fit(toy_fit_l64):
+    F = toy_fit_l64.transition
     np.testing.assert_allclose(mg.hitting_probabilities(F),
                                hitting_probabilities_oracle(F), rtol=1e-12)
 
@@ -173,6 +178,24 @@ def test_variance_diagnostics_flags_and_fractions():
     assert diag.rel_var_bound > 0
     uneven = make_fit([8, 16, 8, 8])
     assert not mg.variance_diagnostics(uneven).eq_sample
+
+
+def test_first_visit_probabilities_outside_the_unit_interval_warn(monkeypatch):
+    fit = make_fit([8, 8, 8, 8])
+    Q = mg.hitting_probabilities(fit.transition)
+    Q[0, 1], Q[2, 3], Q[3, 1] = -0.5, 1.7, 1.0 + 1e-10
+    monkeypatch.setattr(mg.diagnostics, "hitting_probabilities", lambda F: Q.copy())
+    with pytest.warns(RuntimeWarning, match=r"^2 first-visit .*most extreme 1\.7\b"):
+        diag = mg.variance_diagnostics(fit)
+    assert diag.out_of_range == 2
+    assert diag.Q[0, 1] == -0.5 and diag.Q[2, 3] == 1.7
+
+
+def test_well_conditioned_fit_has_no_out_of_range_probabilities(toy_fit_l64):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        diag = mg.variance_diagnostics(toy_fit_l64)
+    assert diag.out_of_range == 0
 
 
 def test_weight_ratio_variances_match_numpy(toy_fit):

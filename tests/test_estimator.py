@@ -93,6 +93,36 @@ def test_stationary_raises_on_block_diagonal():
         mg.stationary_vector(F)
 
 
+def test_stationary_nearly_decomposable_chain_stays_positive():
+    # States 2 and 3 form a block that is entered with probability 1e-20
+    # and left with probability 1e-5, so their stationary mass lies below
+    # the QR's resolution and the null vector's sign there is noise.  The
+    # chain is irreducible, so the solve must still return a positive vector.
+    F = np.array([
+        [0.5, 0.5 - 1e-20, 1e-20, 0.0],
+        [0.5, 0.5, 0.0, 0.0],
+        [1e-5, 0.0, 0.5 - 1e-5, 0.5],
+        [0.0, 0.0, 0.5, 0.5],
+    ])
+    u = mg.stationary_vector(F)
+    assert np.all(u > 0)
+    assert u.sum() == pytest.approx(4.0)
+    assert np.max(np.abs(F.T @ u - u)) <= 1e-12 * np.max(u)
+
+
+def test_restart_is_limited_to_irreducible_chains():
+    # A state that no other state enters has stationary mass zero; the
+    # |q| restart must not lift it, so the guard sees the chain as reducible.
+    transient = np.array([
+        [0.5, 0.5, 0.0],
+        [0.5, 0.5, 0.0],
+        [0.3, 0.3, 0.4],
+    ])
+    assert not mg.emus._irreducible(transient)
+    assert not mg.emus._irreducible(np.eye(2))
+    assert mg.emus._irreducible(np.array([[1.0 - 1e-300, 1e-300], [0.5, 0.5]]))
+
+
 def test_stationary_truncate_mode_recovers():
     F = np.array([
         [1.0, 0.0, 0.0],

@@ -155,6 +155,19 @@ def test_gradient_matches_finite_differences_2d():
         assert grad[r] == pytest.approx(fd, rel=1e-4)
 
 
+def test_batched_gradients_match_the_per_point_formula(toy_functional, toy_model):
+    fn = toy_functional
+    points = np.linspace(-1.9, 1.9, 9)[:, None]
+    _, grads = fn.curve_with_gradient(points)
+    for lam, grad in zip(points, grads):
+        r = np.exp(toy_model.log_psi(fn._thetas, lam) + toy_model.log_prior(lam)
+                   - fn.emus.cache.lse)
+        g = toy_model.grad_log_psi_prior(fn._thetas, lam)
+        expected = fn.emus.stationary @ mg.emus.segment_mean(r[:, None] * g, fn._offsets)
+        np.testing.assert_allclose(grad, expected, rtol=1e-12)
+        np.testing.assert_allclose(fn.gradient(lam), expected, rtol=1e-12)
+
+
 def test_curve_with_gradient_shapes(toy_functional):
     points = np.linspace(-1.0, 1.0, 5)[:, None]
     values, grads = toy_functional.curve_with_gradient(points)

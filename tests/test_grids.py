@@ -108,3 +108,8 @@ def test_grid_csv_comment_lines_skipped():
     buf = io.StringIO("# note\ndim0\n0.5\n1.0\n")
     g = mg.grid_from_csv(buf)
     assert np.array_equal(g.points.ravel(), [0.5, 1.0])
+
+
+def test_grid_csv_header_must_name_every_column():
+    with pytest.raises(ValueError, match="header names 1 columns but rows have 2"):
+        mg.grid_from_csv(io.StringIO("dim0\n1,2\n3,4\n"))

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import solve_triangular
 
 import margrid as mg
 
@@ -100,6 +101,136 @@ def test_toy_rejects_nonpositive_precisions():
 def gp_model():
     x, y = mg.make_synthetic_gp_dataset(n=8, seed=3)
     return mg.GpRegressionModel(x, y)
+
+
+def gp_log_psi_oracle(model, thetas, lam):
+    """log N(y; theta, s2 I) + log N(theta; 0, C_lam), one factor of C_lam per call.
+
+    The per-column formula that log_weight_matrix batches: it whitens
+    the draws by the Cholesky factor of C_lam itself, not of B(tau2).
+    """
+    thetas = np.atleast_2d(thetas)
+    n = model.y.size
+    resid = model.y[None, :] - thetas
+    obs = -0.5 * (n * (math.log(2 * math.pi) + math.log(model.noise_var))
+                  + np.sum(resid * resid, axis=1) / model.noise_var)
+    chol = model._entry(lam)["chol"]
+    logdet = 2.0 * np.sum(np.log(np.diag(chol)))
+    white = solve_triangular(chol, thetas.T, lower=True)
+    return obs - 0.5 * (n * math.log(2 * math.pi) + logdet + np.sum(white * white, axis=0))
+
+
+def gp_log_psi_long_double(model, thetas, lam):
+    """The same log density in extended precision: Cholesky and forward
+    substitution written out in np.longdouble."""
+    ld = np.longdouble
+    tau1, tau2 = ld(lam[0]), ld(lam[1])
+    n = model.y.size
+    cov = (tau1 / tau2) * (np.exp(-tau2 * model._sqdist.astype(ld))
+                           + ld(model.jitter_scale) * np.eye(n, dtype=ld))
+    chol = np.zeros((n, n), dtype=ld)
+    for j in range(n):
+        chol[j, j] = np.sqrt(cov[j, j] - np.sum(chol[j, :j] ** 2))
+        for i in range(j + 1, n):
+            chol[i, j] = (cov[i, j] - np.sum(chol[i, :j] * chol[j, :j])) / chol[j, j]
+    th = thetas.astype(ld)
+    white = np.zeros_like(th)
+    for i in range(n):
+        white[:, i] = (th[:, i] - white[:, :i] @ chol[i, :i]) / chol[i, i]
+    log_2pi = np.log(2 * np.arccos(ld(-1)))
+    noise = ld(model.noise_var)
+    resid = model.y.astype(ld)[None, :] - th
+    obs = -(n * (log_2pi + np.log(noise)) + np.sum(resid * resid, axis=1) / noise) / 2
+    prior = -(n * log_2pi + 2 * np.sum(np.log(np.diag(chol)))
+              + np.sum(white * white, axis=1)) / 2
+    return obs + prior
+
+
+def gp_draws_and_points(model, seed):
+    """Draws from a 3x3 log grid plus off-grid points sharing and not
+    sharing its tau2 values."""
+    grid = mg.make_regular_grid(mg.Domain([0.3, 0.3], [3.0, 3.0]), [3, 3], "log")
+    thetas, _ = mg.draw_sample_bank(model, grid, 16, master_seed=seed).flattened()
+    extra = np.array([[0.7, grid.axes[1][0]], [2.2, grid.axes[1][2]], [1.3, 0.45], [0.4, 2.6]])
+    return thetas, np.vstack([grid.points, extra])
+
+
+@pytest.mark.parametrize("n,seed,jitter_scale", [(5, 2, 1e-9), (8, 3, 1e-9), (16, 7, 1e-4)])
+def test_gp_log_weight_matrix_matches_the_oracle(n, seed, jitter_scale):
+    # cond(C) up to about 1e5 on these data: the shared factorization of
+    # B(tau2) agrees with a factorization per column to 1e-9 relative to
+    # max(|value|, 1); a log-weight near zero is a cancellation of terms
+    # of order one or larger, so it gets the same absolute tolerance.
+    x, y = mg.make_synthetic_gp_dataset(n=n, seed=seed)
+    model = mg.GpRegressionModel(x, y, jitter_scale=jitter_scale)
+    thetas, points = gp_draws_and_points(model, seed)
+    log_priors = np.array([model.log_prior(p) for p in points])
+    fast = model.log_weight_matrix(thetas, points, log_priors)
+    slow = np.stack([gp_log_psi_oracle(model, thetas, p) + lp
+                     for p, lp in zip(points, log_priors)], axis=1)
+    np.testing.assert_allclose(fast, slow, rtol=1e-9, atol=1e-9)
+
+
+def test_gp_log_weights_no_worse_than_the_oracle_in_extended_precision():
+    # The benchmark's GP configuration reaches cond(C) ~ 1e10, where
+    # neither path is exact.  Against a long-double reference, over every
+    # grid column, the batched path must be as accurate as the per-column
+    # one.  Errors are relative to max(|ref|, 1): log-weights near zero
+    # make a plain relative error meaningless.  The maximum is taken over
+    # all 144 columns because over a dozen it swings by 2x either way.
+    x, y = mg.make_synthetic_gp_dataset(16, 7)
+    model = mg.GpRegressionModel(x, y)
+    grid = mg.make_regular_grid(mg.Domain([0.1, 0.1], [10.0, 10.0]), [12, 12], "log")
+    thetas, _ = mg.draw_sample_bank(model, grid, 64, master_seed=11).flattened()
+    rng = np.random.default_rng(0)
+    thetas = thetas[np.sort(rng.choice(thetas.shape[0], 2048, replace=False))]
+    fast = model.log_weight_matrix(thetas, grid.points, np.zeros(len(grid)))
+    err_fast = err_oracle = 0.0
+    for j, lam in enumerate(grid.points):
+        ref = gp_log_psi_long_double(model, thetas, lam)
+        scale = np.maximum(np.abs(ref), 1)
+        err_fast = max(err_fast, float(np.max(np.abs(fast[:, j] - ref) / scale)))
+        err_oracle = max(err_oracle, float(np.max(
+            np.abs(gp_log_psi_oracle(model, thetas, lam) - ref) / scale)))
+    assert err_fast <= 1.25 * err_oracle
+    assert err_fast < 1e-4
+
+
+def test_gp_log_psi_is_its_log_weight_matrix_column(gp_model):
+    thetas, points = gp_draws_and_points(gp_model, 5)
+    log_priors = np.array([gp_model.log_prior(p) for p in points])
+    matrix = gp_model.log_weight_matrix(thetas, points, log_priors)
+    for j, lam in enumerate(points):
+        np.testing.assert_array_equal(
+            gp_model.log_psi(thetas, lam) + gp_model.log_prior(lam), matrix[:, j])
+
+
+def test_gp_log_weight_columns_do_not_depend_on_their_companions(gp_model):
+    thetas, points = gp_draws_and_points(gp_model, 6)
+    lp = np.array([gp_model.log_prior(p) for p in points])
+    matrix = gp_model.log_weight_matrix(thetas, points, lp)
+    perm = np.random.default_rng(1).permutation(len(points))
+    np.testing.assert_array_equal(
+        gp_model.log_weight_matrix(thetas, points[perm], lp[perm]), matrix[:, perm])
+    repeat = np.r_[np.arange(len(points)), [0, 4, 4, len(points) - 1]]
+    np.testing.assert_array_equal(
+        gp_model.log_weight_matrix(thetas, points[repeat], lp[repeat]), matrix[:, repeat])
+    # every tau2 distinct: one factorization per column
+    scattered = points + np.arange(len(points))[:, None] * np.array([0.0, 1e-3])
+    slp = np.array([gp_model.log_prior(p) for p in scattered])
+    separate = np.stack([gp_model.log_weight_matrix(thetas, p[None, :], slp[[j]])[:, 0]
+                         for j, p in enumerate(scattered)], axis=1)
+    np.testing.assert_array_equal(
+        gp_model.log_weight_matrix(thetas, scattered, slp), separate)
+
+
+@pytest.mark.parametrize("lam", [(1.0, -1.0), (0.0, 1.0), (1.0,), (1.0, 1.0, 1.0)])
+def test_gp_log_weights_reject_a_bad_lambda(gp_model, lam):
+    thetas = np.zeros((2, gp_model.y.size))
+    with pytest.raises(ValueError):
+        gp_model.log_psi(thetas, lam)
+    with pytest.raises(ValueError):
+        gp_model.log_weight_matrix(thetas, [(1.0, 1.0), lam], np.zeros(2))
 
 
 def test_gp_single_point_marginal_closed_form():
@@ -197,6 +328,20 @@ def test_discrete_sampler_frequencies(asym_model):
     p = ASYM_TABLE[:, 0] / ASYM_TABLE[:, 0].sum()
     se = np.sqrt(p * (1 - p) / n)
     assert np.all(np.abs(freq - p) <= 4 * se + 1e-12)
+
+
+def test_discrete_log_weight_matrix_matches_columnwise():
+    model = mg.DiscreteModel(ASYM_TABLE[:, [0, 1, 0]] + [[0, 0, 1]] * 5,
+                             atom_values=[0.0, 0.5, 1.0], prior=[1.0, 2.0, 3.0])
+    thetas = np.array([0, 4, 2, 1, 3, 0, 2, 4])
+    points = np.array([[1.0], [0.0], [0.5], [1.0], [0.0]])
+    log_priors = np.array([model.log_prior(p) for p in points])
+    fast = model.log_weight_matrix(thetas, points, log_priors)
+    slow = mg.models.Model.log_weight_matrix(model, thetas, points, log_priors)
+    np.testing.assert_array_equal(fast, slow)
+    assert np.isneginf(fast).any()
+    with pytest.raises(mg.GridError):
+        model.log_weight_matrix(thetas, [[0.0], [0.25]], np.zeros(2))
 
 
 def test_discrete_grid_subsets(asym_model):

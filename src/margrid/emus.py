@@ -192,27 +192,27 @@ def stationary_vector(transition: np.ndarray,
     """Left stationary vector of a row-stochastic matrix, scaled to sum L.
 
     Solves u = F^T u by QR-factorizing A = I - F and taking the last
-    column of Q (which spans the null space of A^T when rank(A) = L-1),
-    then applying POWER_POLISH_STEPS power-method multiplications, then
-    rescaling so the entries sum to L.  When that leaves a nonpositive
-    entry although the null direction is unique and the positive
-    entries of F connect every state to every other, the polish
-    restarts from the entrywise absolute value of the QR vector:
-    entries below the QR's resolution carry a sign that is rounding
-    noise.
+    column q of Q (which spans the null space of A^T when rank(A) = L-1),
+    then applying POWER_POLISH_STEPS power-method multiplications to |q|,
+    then rescaling so the entries sum to L.  The stationary vector of an
+    irreducible F is positive (Perron-Frobenius), and entries of q below
+    the QR's resolution carry a sign that is rounding noise, so |q| is as
+    close to the solution as q is.
 
     A unique positive solution needs the grid to be irreducible: every
     pair of grid points connected through overlapping local densities.
-    Two degeneracy symptoms are checked: a second near-vanishing
+    Three degeneracy symptoms are checked: a second near-vanishing
     singular value of I - F (the null direction is not unique at
-    working precision) and nonpositive entries in the solution after
-    the restart.  With
-    ``on_degenerate="raise"`` (default) either symptom raises; with
-    ``"truncate"`` the affected entries are clamped to a floor a factor
-    of machine epsilon below the largest one and a RuntimeWarning is
-    emitted, which callers that can self-correct (sequential designs
-    accumulating overlap) use for provisional fits.  An inaccurate
-    solve (residual above STATIONARY_RESIDUAL_TOL) always raises.
+    working precision), positive entries of F that do not connect every
+    state to every other (a reducible chain, whose stationary vector
+    vanishes on transient states even where the solve leaves them a
+    tiny positive mass), and nonpositive entries in the solution.  With
+    ``on_degenerate="raise"`` (default) any symptom raises; with
+    ``"truncate"`` the entries below resolution are clamped to a floor a
+    factor of machine epsilon below the largest one and a RuntimeWarning
+    is emitted, which callers that can self-correct (sequential designs
+    accumulating overlap) use for provisional fits.  An inaccurate solve
+    (residual above STATIONARY_RESIDUAL_TOL) always raises.
 
     Raises
     ------
@@ -240,26 +240,6 @@ def _irreducible(F) -> bool:
     return True
 
 
-def _polish(F, q):
-    """POWER_POLISH_STEPS power steps from q, rescaled to sum to L."""
-    for _ in range(POWER_POLISH_STEPS):
-        q = F.T @ q
-        total = np.abs(q).sum()
-        if total <= 0:
-            raise ReducibleChainError(
-                "power polish annihilated the stationary candidate; the grid "
-                "does not satisfy the irreducibility assumption"
-            )
-        q = q / total
-    total = q.sum()
-    if total <= 0:
-        raise ReducibleChainError(
-            "stationary candidate has nonpositive mass; the grid does not "
-            "satisfy the irreducibility assumption"
-        )
-    return q * (F.shape[0] / total)
-
-
 def _solve_stationary(transition, on_degenerate):
     """Worker behind stationary_vector; also reports whether it clamped."""
     if on_degenerate not in ("raise", "truncate"):
@@ -282,16 +262,23 @@ def _solve_stationary(transition, on_degenerate):
             "stationary vector is not unique; the grid-irreducibility "
             "assumption is violated (disconnected or barely connected blocks)"
         )
-    q = np.linalg.qr(A, mode="complete")[0][:, -1]
-    if q.sum() < 0:
-        q = -q
-    u = _polish(F, q)
-    if np.any(u <= 0.0) and not multiple_null and _irreducible(F):
-        # In a nearly decomposable chain some entries lie below the QR's
-        # resolution and their signs are rounding noise.  The stationary
-        # vector of an irreducible F is positive (Perron-Frobenius), so
-        # |q| is as close to it as q is; polish that instead.
-        u = _polish(F, np.abs(q))
+    q = np.abs(np.linalg.qr(A, mode="complete")[0][:, -1])
+    for _ in range(POWER_POLISH_STEPS):
+        q = F.T @ q
+        total = np.abs(q).sum()
+        if total <= 0:
+            raise ReducibleChainError(
+                "power polish annihilated the stationary candidate; the grid "
+                "does not satisfy the irreducibility assumption"
+            )
+        q = q / total
+    total = q.sum()
+    if total <= 0:
+        raise ReducibleChainError(
+            "stationary candidate has nonpositive mass; the grid does not "
+            "satisfy the irreducibility assumption"
+        )
+    u = q * (n / total)
     residual = np.max(np.abs(F.T @ u - u)) / np.max(np.abs(u))
     if residual > STATIONARY_RESIDUAL_TOL:
         raise ReducibleChainError(
@@ -301,11 +288,12 @@ def _solve_stationary(transition, on_degenerate):
             "stationary vector is not unique"
         )
     truncated = False
-    if np.any(u <= 0.0) or multiple_null:
+    if np.any(u <= 0.0) or multiple_null or not _irreducible(F):
         if on_degenerate == "raise":
             raise ReducibleChainError(
-                "stationary vector has nonpositive entries; some grid points "
-                "are unreachable (grid-irreducibility assumption violated)"
+                "some grid points are unreachable: the transition matrix is "
+                "reducible or its stationary vector has nonpositive entries "
+                "(grid-irreducibility assumption violated)"
             )
         floor = np.finfo(float).eps * np.max(u)
         u = np.where(u < floor, floor, u)

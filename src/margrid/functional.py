@@ -58,6 +58,10 @@ class FunctionalEstimate:
         )
         return np.exp(logw - self.emus.cache.lse[:, None])
 
+    def _curve(self, summands) -> np.ndarray:
+        """Stationary-weighted sum of per-point means of per-sample columns."""
+        return self.emus.stationary @ segment_mean(summands, self._offsets)
+
     def kernel_values(self, lam) -> np.ndarray:
         """Mean kernel weight per grid point, shape (L,).
 
@@ -85,8 +89,7 @@ class FunctionalEstimate:
 
     def marginal_many(self, points) -> np.ndarray:
         """Curve values at many hyperparameter points, shape (M,)."""
-        kernel_cols = segment_mean(self._ratio_matrix(points), self._offsets)
-        return self.emus.stationary @ kernel_cols
+        return self._curve(self._ratio_matrix(points))
 
     def gradient(self, lam) -> np.ndarray:
         """Hyperparameter gradient of the curve at lam, shape (p,).
@@ -104,13 +107,11 @@ class FunctionalEstimate:
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         ratios = self._ratio_matrix(points)
-        values = self.emus.stationary @ segment_mean(ratios, self._offsets)
         grads = np.empty(points.shape)
         for m, lam in enumerate(points):
             g = np.asarray(self.model.grad_log_psi_prior(self._thetas, lam))
-            weighted = segment_mean(ratios[:, m, None] * g, self._offsets)
-            grads[m] = self.emus.stationary @ weighted
-        return values, grads
+            grads[m] = self._curve(ratios[:, m, None] * g)
+        return self._curve(ratios), grads
 
     # -- expectations over the hyperparameter -------------------------------
 
@@ -133,10 +134,8 @@ class FunctionalEstimate:
         phi_vals = np.asarray(phi(self._thetas), dtype=float)
         if phi_vals.shape != (ratios.shape[0],):
             raise ValueError("phi must map the sample array to one value per sample")
-        h_cols = segment_mean(ratios * phi_vals[:, None], self._offsets)
-        f_cols = segment_mean(ratios, self._offsets)
-        numerator = self.emus.stationary @ h_cols @ quad_weights
-        denominator = self.emus.stationary @ f_cols @ quad_weights
+        numerator = self._curve(ratios * phi_vals[:, None]) @ quad_weights
+        denominator = self._curve(ratios) @ quad_weights
         if not denominator > 0:
             raise DegenerateWeightError(
                 "quadrature normalizer of the curve is not positive; the "

@@ -162,10 +162,7 @@ class DiscreteModel(Model):
         return HyperGrid(Domain(lo, hi), vals[:, None])
 
     def log_psi(self, thetas, lam):
-        col = self.column_of(lam)
-        idx = np.asarray(thetas, dtype=int).ravel()
-        with np.errstate(divide="ignore"):
-            return np.log(self.psi_table[idx, col])
+        return self.log_weight_matrix(thetas, _as_lambda(lam)[None, :], np.zeros(1))[:, 0]
 
     def log_prior(self, lam) -> float:
         return float(np.log(self.prior[self.column_of(lam)]))

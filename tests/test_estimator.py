@@ -1,6 +1,8 @@
 """Transition-matrix estimator and stationary solve, checked against
 exact enumeration on small discrete models."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -97,7 +99,8 @@ def test_stationary_nearly_decomposable_chain_stays_positive():
     # States 2 and 3 form a block that is entered with probability 1e-20
     # and left with probability 1e-5, so their stationary mass lies below
     # the QR's resolution and the null vector's sign there is noise.  The
-    # chain is irreducible, so the solve must still return a positive vector.
+    # chain is irreducible, so the solve must still return a positive
+    # vector, and truncate mode returns the same vector, unclamped.
     F = np.array([
         [0.5, 0.5 - 1e-20, 1e-20, 0.0],
         [0.5, 0.5, 0.0, 0.0],
@@ -108,19 +111,31 @@ def test_stationary_nearly_decomposable_chain_stays_positive():
     assert np.all(u > 0)
     assert u.sum() == pytest.approx(4.0)
     assert np.max(np.abs(F.T @ u - u)) <= 1e-12 * np.max(u)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u_truncate, truncated = mg.emus._solve_stationary(F, "truncate")
+    assert truncated is False
+    np.testing.assert_array_equal(u_truncate, u)
 
 
-def test_restart_is_limited_to_irreducible_chains():
-    # A state that no other state enters has stationary mass zero; the
-    # |q| restart must not lift it, so the guard sees the chain as reducible.
-    transient = np.array([
-        [0.5, 0.5, 0.0],
-        [0.5, 0.5, 0.0],
-        [0.3, 0.3, 0.4],
-    ])
-    assert not mg.emus._irreducible(transient)
-    assert not mg.emus._irreducible(np.eye(2))
-    assert mg.emus._irreducible(np.array([[1.0 - 1e-300, 1e-300], [0.5, 0.5]]))
+@pytest.mark.parametrize("transient", [
+    # state 2 keeps itself with probability 0.4 but nothing enters it
+    [[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.3, 0.3, 0.4]],
+    # states 2 and 3 enter each other, but states 0 and 1 never enter them
+    [[0.5, 0.5, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0],
+     [0.2, 0.1, 0.3, 0.4], [0.1, 0.2, 0.4, 0.3]],
+], ids=["self-loop", "closed-pair"])
+def test_stationary_flags_states_no_other_state_enters(transient):
+    # The stationary mass of the transient states is zero although the
+    # polish leaves them a tiny positive value; the reducible chain must
+    # still count as degenerate.
+    transient = np.array(transient)
+    with pytest.raises(mg.ReducibleChainError):
+        mg.stationary_vector(transient)
+    with pytest.warns(RuntimeWarning):
+        u, truncated = mg.emus._solve_stationary(transient, "truncate")
+    assert truncated is True
+    assert np.all(u > 0)
 
 
 def test_stationary_truncate_mode_recovers():

@@ -340,6 +340,13 @@ def test_discrete_log_weight_matrix_matches_columnwise():
     slow = mg.models.Model.log_weight_matrix(model, thetas, points, log_priors)
     np.testing.assert_array_equal(fast, slow)
     assert np.isneginf(fast).any()
+    # against the table itself, and log_psi as the one-column case
+    cols = [2, 0, 1, 2, 0]
+    with np.errstate(divide="ignore"):
+        direct = [np.log(model.psi_table[thetas, c]) for c in cols]
+    np.testing.assert_array_equal(fast, np.stack(direct, axis=1) + log_priors)
+    for p, col in zip(points, direct):
+        np.testing.assert_array_equal(model.log_psi(thetas, p), col)
     with pytest.raises(mg.GridError):
         model.log_weight_matrix(thetas, [[0.0], [0.25]], np.zeros(2))
 

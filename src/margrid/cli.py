@@ -4,12 +4,12 @@ Four subcommands map onto the runners in :mod:`margrid.experiments`:
 
     margrid estimate   --config cfg.ini --out results/
     margrid compare    --config cfg.ini --out results/ --replicates 32
-    margrid rate-study --config cfg.ini --out results/ --threads 4
+    margrid rate-study --config cfg.ini --out results/
     margrid design     --config cfg.ini --out results/ --seed 7
 
 ``--seed`` and ``--replicates`` override the corresponding config
-values; ``--threads`` parallelizes replicate work.  The exit code is
-nonzero whenever configuration loading or estimation fails.
+values.  Replicates run one after another in replicate order.  The exit
+code is nonzero whenever configuration loading or estimation fails.
 """
 
 from __future__ import annotations
@@ -49,8 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="master seed override (unsigned 64-bit)")
         cmd.add_argument("--replicates", type=int, default=None,
                          help="replicate count override")
-        cmd.add_argument("--threads", type=int, default=1,
-                         help="worker threads for replicate work")
         cmd.set_defaults(runner=runner)
     return parser
 
@@ -59,10 +57,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = ExperimentConfig.load(args.config)
-        manifest = args.runner(
-            config, args.out,
-            seed=args.seed, replicates=args.replicates, threads=args.threads,
-        )
+        manifest = args.runner(config, args.out, seed=args.seed,
+                               replicates=args.replicates)
     except (MargridError, OSError, ValueError, configparser.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

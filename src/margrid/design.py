@@ -380,10 +380,7 @@ def run_design_loop(model: Model, eval_grid: HyperGrid, iterations: int,
             )
             samples = [np.concatenate(stash[m], axis=0) for m in occupied]
             counts = np.array([s.shape[0] for s in samples])
-            bank = SampleBank(
-                grid=sim_grid, samples=samples, counts=counts,
-                seed_lineage={"master_seed": int(master_seed), "design": True},
-            )
+            bank = SampleBank(grid=sim_grid, samples=samples, counts=counts)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 emus = fit_emus(bank, model, on_degenerate="truncate")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .emus import EmusEstimate, stationary_vector
+from .emus import EmusEstimate, segment_var, stationary_vector
 from .errors import NotReversibleError, ReducibleChainError
 
 __all__ = [
@@ -31,6 +31,9 @@ __all__ = [
     "group_inverse",
     "spectral_gap",
 ]
+
+#: largest accepted detailed-balance imbalance max|v_i F_ij - v_j F_ji|
+DETAILED_BALANCE_TOL = 1e-8
 
 
 def hitting_probabilities(transition: np.ndarray) -> np.ndarray:
@@ -82,15 +85,7 @@ def weight_ratio_variances(estimate: EmusEstimate) -> np.ndarray:
     single draw are unavailable and reported as NaN, never as zero.
     """
     cache = estimate.cache
-    ratios = np.exp(cache.logw - cache.lse[:, None])
-    counts = cache.counts
-    n = counts.size
-    R = np.full((n, ratios.shape[1]), np.nan)
-    for i in range(n):
-        lo, hi = cache.offsets[i], cache.offsets[i + 1]
-        if counts[i] > 1:
-            R[i] = np.var(ratios[lo:hi], axis=0, ddof=1)
-    return R
+    return segment_var(np.exp(cache.logw - cache.lse[:, None]), cache.offsets)
 
 
 def _bound_terms(R: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -215,7 +210,7 @@ def pointwise_variance_bound(functional, lam, diagnostics: VarianceDiagnostics |
     return float(2.0 * np.sum((grid_part + point_part) / diagnostics.sampling_fractions))
 
 
-def _reversible_eigens(F: np.ndarray, v: np.ndarray, db_tol: float):
+def _reversible_eigens(F: np.ndarray, v: np.ndarray):
     """Eigendecomposition through the detailed-balance similarity.
 
     For a matrix in detailed balance with the probability vector v,
@@ -223,9 +218,10 @@ def _reversible_eigens(F: np.ndarray, v: np.ndarray, db_tol: float):
     orthogonal eigensystem in the D-weighted geometry.
     """
     imbalance = np.max(np.abs(v[:, None] * F - (v[:, None] * F).T))
-    if imbalance > db_tol:
+    if imbalance > DETAILED_BALANCE_TOL:
         raise NotReversibleError(
-            f"detailed balance violated by {imbalance:.3e} (> {db_tol:.1e}); "
+            f"detailed balance violated by {imbalance:.3e} "
+            f"(> {DETAILED_BALANCE_TOL:.1e}); "
             "the similarity route needs a reversible matrix"
         )
     d = np.sqrt(v)
@@ -236,14 +232,15 @@ def _reversible_eigens(F: np.ndarray, v: np.ndarray, db_tol: float):
 
 
 def group_inverse(transition: np.ndarray, stationary: np.ndarray | None = None,
-                  method: str = "eigen", db_tol: float = 1e-8) -> np.ndarray:
+                  method: str = "eigen") -> np.ndarray:
     """Group inverse of I - F for an irreducible row-stochastic F.
 
     method="eigen" (default) uses the detailed-balance similarity: with
     D = diag(v), D^{1/2} F D^{-1/2} is symmetric, F = D^{-1/2} W E W^T D^{1/2}
     with orthogonal W, and the group inverse replaces each eigenvalue
     1 - e by its reciprocal, with 0 kept for the unit eigenvalue.  This
-    route errors if detailed balance is violated beyond ``db_tol``.
+    route errors if detailed balance is violated beyond
+    DETAILED_BALANCE_TOL.
 
     method="direct" works for any irreducible matrix through the
     fundamental-matrix identity (I - F)^# = (I - F + 1 v^T)^{-1} - 1 v^T
@@ -270,7 +267,7 @@ def group_inverse(transition: np.ndarray, stationary: np.ndarray | None = None,
     if method != "eigen":
         raise ValueError(f"unknown method {method!r}")
 
-    eigvals, W, d = _reversible_eigens(F, v, db_tol)
+    eigvals, W, d = _reversible_eigens(F, v)
     unit = int(np.argmax(eigvals))
     if abs(eigvals[unit] - 1.0) > 1e-8:
         raise ReducibleChainError("no unit eigenvalue found; F is not stochastic")
@@ -286,15 +283,14 @@ def group_inverse(transition: np.ndarray, stationary: np.ndarray | None = None,
     return (core / d[:, None]) * d[None, :]
 
 
-def spectral_gap(transition: np.ndarray, stationary: np.ndarray | None = None,
-                 db_tol: float = 1e-8) -> float:
+def spectral_gap(transition: np.ndarray, stationary: np.ndarray | None = None) -> float:
     """1 minus the second-largest eigenvalue magnitude of a reversible F."""
     F = np.asarray(transition, dtype=float)
     if stationary is None:
         stationary = stationary_vector(F)
     v = np.asarray(stationary, dtype=float)
     v = v / v.sum()
-    eigvals, _, _ = _reversible_eigens(F, v, db_tol)
+    eigvals, _, _ = _reversible_eigens(F, v)
     unit = int(np.argmax(eigvals))
     others = np.delete(eigvals, unit)
     if others.size == 0:

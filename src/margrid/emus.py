@@ -18,7 +18,7 @@ with a fixed number of power-method multiplications before rescaling.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
@@ -72,15 +72,11 @@ class SampleBank:
         One array per grid point, leading axis of length counts[i].
     counts : ndarray of int
         Draws per point, all >= 1.
-    seed_lineage : dict
-        How the per-point streams were derived (master seed and spawn
-        prefix), for reproducibility records.
     """
 
     grid: HyperGrid
     samples: list
     counts: np.ndarray
-    seed_lineage: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.counts = np.asarray(self.counts, dtype=int)
@@ -116,8 +112,7 @@ def draw_sample_bank(model: Model, grid: HyperGrid, counts, master_seed: int,
     for i, lam in enumerate(grid.points):
         rng = child_rng(master_seed, *spawn_prefix, i)
         samples.append(np.asarray(model.sample_local(lam, rng, int(counts[i]))))
-    lineage = {"master_seed": int(master_seed), "spawn_prefix": tuple(spawn_prefix)}
-    return SampleBank(grid=grid, samples=samples, counts=counts, seed_lineage=lineage)
+    return SampleBank(grid=grid, samples=samples, counts=counts)
 
 
 @dataclass
@@ -133,11 +128,6 @@ class LogWeightCache:
     logw: np.ndarray
     lse: np.ndarray
     offsets: np.ndarray
-    log_priors: np.ndarray
-
-    @property
-    def counts(self) -> np.ndarray:
-        return np.diff(self.offsets)
 
 
 def compute_log_weights(bank: SampleBank, model: Model) -> LogWeightCache:
@@ -158,7 +148,7 @@ def compute_log_weights(bank: SampleBank, model: Model) -> LogWeightCache:
         )
     logw[logw < (row_max[:, None] - LOG_WEIGHT_FLOOR)] = -np.inf
     lse = logsumexp(logw, axis=1)
-    return LogWeightCache(logw=logw, lse=lse, offsets=offsets, log_priors=log_priors)
+    return LogWeightCache(logw=logw, lse=lse, offsets=offsets)
 
 
 def segment_mean(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -169,8 +159,19 @@ def segment_mean(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return sums / counts.reshape(shape)
 
 
-def estimate_transition_matrix(bank: SampleBank, model: Model,
-                               cache: LogWeightCache | None = None):
+def segment_var(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Unbiased (ddof=1) variance of each offset-delimited segment along axis 0.
+
+    Single-draw segments have no variance and are NaN, never zero.
+    """
+    out = np.full((offsets.size - 1,) + values.shape[1:], np.nan)
+    for i, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
+        if hi - lo > 1:
+            out[i] = np.var(values[lo:hi], axis=0, ddof=1)
+    return out
+
+
+def estimate_transition_matrix(bank: SampleBank, model: Model):
     """Row-stochastic matrix of mean normalized weights.
 
     Entry (i, j) averages psi_j(theta) p(lam_j) / sum_l psi_l(theta) p(lam_l)
@@ -181,8 +182,7 @@ def estimate_transition_matrix(bank: SampleBank, model: Model,
     -------
     (F, cache) : (ndarray of shape (L, L), LogWeightCache)
     """
-    if cache is None:
-        cache = compute_log_weights(bank, model)
+    cache = compute_log_weights(bank, model)
     ratios = np.exp(cache.logw - cache.lse[:, None])
     return segment_mean(ratios, cache.offsets), cache
 
@@ -327,9 +327,6 @@ class EmusEstimate:
     stationary: np.ndarray
     #: True when a degenerate solve was clamped (on_degenerate="truncate")
     truncated: bool = False
-
-    #: how ``stationary`` is normalized (entries sum to the grid size)
-    normalization = "sum_to_L"
 
     @property
     def grid(self) -> HyperGrid:

@@ -109,8 +109,7 @@ def exhaustive_discrete_bank(model: DiscreteModel, columns=None) -> SampleBank:
         block = np.repeat(atoms, reps)
         samples.append(block)
         counts.append(block.size)
-    return SampleBank(grid=grid, samples=samples, counts=np.asarray(counts),
-                      seed_lineage={"exhaustive": True})
+    return SampleBank(grid=grid, samples=samples, counts=np.asarray(counts))
 
 
 def _quadrature_weight_table(model: Model, grid: HyperGrid, theta_nodes: np.ndarray):

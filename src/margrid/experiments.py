@@ -21,7 +21,6 @@ import json
 import math
 import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,10 +150,17 @@ def _resolve_seed(config: ExperimentConfig, seed) -> int:
     return config.getint("sampling", "master_seed", fallback=0)
 
 
+def _at_least_one(value: int, key: str) -> int:
+    if value < 1:
+        raise GridError(f"{key} must be at least 1, got {value}")
+    return value
+
+
 def _resolve_replicates(config: ExperimentConfig, replicates) -> int:
     if replicates is not None:
-        return int(replicates)
-    return config.getint("sampling", "replicates", fallback=32)
+        return _at_least_one(int(replicates), "--replicates")
+    return _at_least_one(config.getint("sampling", "replicates", fallback=32),
+                         "[sampling] replicates")
 
 
 def build_model(config: ExperimentConfig) -> Model:
@@ -345,14 +351,6 @@ def _write_manifest(out_dir: str, manifest: dict) -> dict:
     return payload
 
 
-def _parallel_map(fn, items, threads: int):
-    items = list(items)
-    if threads and int(threads) > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def _point_header(grid: HyperGrid):
     return [f"dim{k}" for k in range(grid.points.shape[1])]
 
@@ -362,7 +360,7 @@ def _point_header(grid: HyperGrid):
 
 
 def run_estimate(config: ExperimentConfig, out_dir: str, *, seed=None,
-                 replicates=None, threads: int = 1) -> dict:
+                 replicates=None) -> dict:
     """Fit the curve estimator and write it over the evaluation grid.
 
     Outputs: ``curve.csv`` (evaluation-grid curve, with the exact
@@ -386,7 +384,7 @@ def run_estimate(config: ExperimentConfig, out_dir: str, *, seed=None,
         curve = fn.marginal_many(eval_grid.points)
         return emus, fn, curve
 
-    results = _parallel_map(one, range(reps), threads)
+    results = [one(r) for r in range(reps)]
     emus0, fn0, curve0 = results[0]
     comments = _comments(config, master)
     have_exact = model.has_exact_log_u
@@ -460,7 +458,7 @@ def run_estimate(config: ExperimentConfig, out_dir: str, *, seed=None,
 
 
 def run_compare(config: ExperimentConfig, out_dir: str, *, seed=None,
-                replicates=None, threads: int = 1) -> dict:
+                replicates=None) -> dict:
     """Grid estimator against the single-chain Gibbs baseline.
 
     Both methods see the same total number of latent draws per
@@ -499,7 +497,7 @@ def run_compare(config: ExperimentConfig, out_dir: str, *, seed=None,
     for s, (tau, model) in enumerate(models):
         exact_sim = exact_stationary(model, sim_grid)
 
-        def one(r: int, model=model, s=s, exact_sim=exact_sim):
+        def one(r: int):
             bank = draw_sample_bank(model, sim_grid, counts, master,
                                     spawn_prefix=(s, r, 0))
             # the sweep deliberately enters regimes where neighboring
@@ -519,7 +517,7 @@ def run_compare(config: ExperimentConfig, out_dir: str, *, seed=None,
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            res = _parallel_map(one, range(reps), threads)
+            res = [one(r) for r in range(reps)]
         for r, (grid_l1, chain_l1, neg, pos, _trunc) in enumerate(res):
             rows.append((tau, r, grid_l1, chain_l1, neg, pos))
         arr = np.array([(a, b) for a, b, _, _, _ in res])
@@ -551,7 +549,7 @@ def run_compare(config: ExperimentConfig, out_dir: str, *, seed=None,
 
 
 def run_rate_study(config: ExperimentConfig, out_dir: str, *, seed=None,
-                   replicates=None, threads: int = 1) -> dict:
+                   replicates=None) -> dict:
     """Error against sampling effort in two regimes.
 
     Fixed-grid: the simulation grid stays put while the per-point draw
@@ -574,7 +572,8 @@ def run_rate_study(config: ExperimentConfig, out_dir: str, *, seed=None,
     n_sweep = config.ints("rate", "n_sweep", fallback=(16, 32, 64, 128, 256, 512, 1024))
     l_sweep = config.ints("rate", "l_sweep", fallback=(8, 16, 32, 64, 128))
     fixed_n = config.getint("rate", "fixed_n", fallback=4)
-    dense_reps = config.getint("rate", "dense_replicates", fallback=3)
+    dense_reps = _at_least_one(config.getint("rate", "dense_replicates", fallback=3),
+                               "[rate] dense_replicates")
     discrete = isinstance(model, DiscreteModel)
 
     if discrete:
@@ -595,11 +594,8 @@ def run_rate_study(config: ExperimentConfig, out_dir: str, *, seed=None,
     rows = []
     fixed_means = []
     for j, n_per in enumerate(n_sweep):
-        errs = _parallel_map(
-            lambda r, j=j, n_per=n_per: fit_error(sim_grid, n_per, (0, j, r), reference),
-            range(reps), threads,
-        )
-        errs = np.asarray(errs)
+        errs = np.array([fit_error(sim_grid, n_per, (0, j, r), reference)
+                         for r in range(reps)])
         fixed_means.append(errs.mean())
         rows.append(("fixed-grid", n_per, reps, errs.mean(), float(np.median(errs))))
 
@@ -616,12 +612,8 @@ def run_rate_study(config: ExperimentConfig, out_dir: str, *, seed=None,
             dense_counts = [L] * sim_grid.domain.dim
             grid_k = make_regular_grid(sim_grid.domain, dense_counts, sim_grid.scale)
             ref_k = exact_reference(model, eval_grid, grid_k)
-            errs = _parallel_map(
-                lambda r, k=k, grid_k=grid_k, ref_k=ref_k:
-                    fit_error(grid_k, fixed_n, (1, k, r), ref_k),
-                range(dense_reps), threads,
-            )
-            errs = np.asarray(errs)
+            errs = np.array([fit_error(grid_k, fixed_n, (1, k, r), ref_k)
+                             for r in range(dense_reps)])
             med = float(np.median(errs))
             dense_medians.append(med)
             rows.append(("dense-grid", L, dense_reps, errs.mean(), med))
@@ -655,7 +647,7 @@ def _uniform_baseline_indices(n_points: int, n_sites: int) -> np.ndarray:
 
 
 def run_design_study(config: ExperimentConfig, out_dir: str, *, seed=None,
-                     replicates=None, threads: int = 1) -> dict:
+                     replicates=None) -> dict:
     """Sequential allocation run plus a variance comparison at equal effort.
 
     Writes ``design.csv`` (per-iteration ``iteration,point,weight,
@@ -741,8 +733,8 @@ def run_design_study(config: ExperimentConfig, out_dir: str, *, seed=None,
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            design_vals = np.asarray(_parallel_map(one_design, range(reps), threads))
-            uniform_vals = np.asarray(_parallel_map(one_uniform, range(reps), threads))
+            design_vals = np.array([one_design(r) for r in range(reps)])
+            uniform_vals = np.array([one_uniform(r) for r in range(reps)])
 
         var_rows = []
         for r in range(reps):

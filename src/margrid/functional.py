@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .emus import EmusEstimate, segment_mean
+from .emus import EmusEstimate, segment_mean, segment_var
 from .errors import DegenerateWeightError
 from .grids import HyperGrid, trapezoid_weights
 from .models import Model
@@ -72,14 +72,7 @@ class FunctionalEstimate:
 
     def kernel_ratio_variances(self, lam) -> np.ndarray:
         """Unbiased per-point variances of the kernel weights at lam."""
-        r = self._ratios(lam)
-        counts = np.diff(self._offsets)
-        out = np.full(counts.size, np.nan)
-        for i in range(counts.size):
-            lo, hi = self._offsets[i], self._offsets[i + 1]
-            if counts[i] > 1:
-                out[i] = np.var(r[lo:hi], ddof=1)
-        return out
+        return segment_var(self._ratios(lam), self._offsets)
 
     # -- the curve ---------------------------------------------------------
 

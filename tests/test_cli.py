@@ -68,15 +68,6 @@ def test_reruns_are_byte_identical(config_path, tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-def test_threads_do_not_change_outputs(config_path, tmp_path):
-    a, b = tmp_path / "t1", tmp_path / "t4"
-    assert run_cli("rate-study", "--config", config_path, "--out", str(a)) == 0
-    assert run_cli("rate-study", "--config", config_path, "--out", str(b),
-                   "--threads", "4") == 0
-    assert (a / "rates.csv").read_bytes() == (b / "rates.csv").read_bytes()
-    assert (a / "manifest.json").read_bytes() == (b / "manifest.json").read_bytes()
-
-
 def test_seed_and_replicates_flags(config_path, tmp_path):
     out = tmp_path / "o"
     assert run_cli("estimate", "--config", config_path, "--out", str(out),
@@ -147,6 +138,40 @@ def test_empty_table_csv_fails_cleanly(tmp_path, capsys, kind, key, text, what):
 
 
 def test_unknown_subcommand_is_a_usage_error(config_path, tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        run_cli("explode", "--config", config_path, "--out", str(tmp_path))
-    assert exc.value.code == 2
+    for argv in (("explode", "--config", config_path, "--out", str(tmp_path)),
+                 ("estimate", "--config", config_path, "--out", str(tmp_path),
+                  "--threads", "2")):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+
+
+_COUNTS_BELOW_ONE = [
+    ("flag-zero", ("--replicates", "0"), None, "--replicates"),
+    ("flag-negative", ("--replicates", "-1"), None, "--replicates"),
+    ("config-zero", (), ("\nreplicates = 2", "\nreplicates = 0"), "[sampling] replicates"),
+]
+
+
+@pytest.mark.parametrize("command,override,edit,key", [
+    pytest.param(command, override, edit, key, id=f"{command}-{name}")
+    for command in ("estimate", "compare", "rate-study", "design")
+    for name, override, edit, key in _COUNTS_BELOW_ONE
+] + [
+    pytest.param("rate-study", (), ("dense_replicates = 2", "dense_replicates = 0"),
+                 "[rate] dense_replicates", id="rate-study-dense-zero"),
+])
+def test_replicate_counts_below_one_fail_cleanly(tmp_path, capsys, command,
+                                                 override, edit, key):
+    # probe_points make design run its replicate study too
+    text = SMALL_TOY.replace("[design]", "[design]\nprobe_points = -1 1")
+    if edit is not None:
+        text = text.replace(*edit)
+    path = tmp_path / "exp.ini"
+    path.write_text(text)
+    code = run_cli(command, "--config", str(path), "--out", str(tmp_path / "x"),
+                   *override)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert key in err

@@ -235,7 +235,7 @@ def test_child_rng_is_keyed_and_reproducible():
 def test_sample_bank_validates_shapes(toy_model, toy_grid):
     with pytest.raises(ValueError):
         mg.SampleBank(grid=toy_grid, samples=[np.zeros(3)] * 7,
-                      counts=np.full(8, 3), seed_lineage={})
+                      counts=np.full(8, 3))
     bank = mg.draw_sample_bank(toy_model, toy_grid, 5, master_seed=2)
     assert bank.total == 40
     thetas, offsets = bank.flattened()

@@ -186,16 +186,13 @@ def test_run_estimate_outputs(tmp_path):
     assert len(errors) == 3 + 3
 
 
-def test_run_estimate_is_deterministic_and_thread_invariant(tmp_path):
+def test_run_estimate_reruns_are_byte_identical(tmp_path):
     cfg = mg.ExperimentConfig.from_text(TOY_TEXT)
-    a, b, c = (tmp_path / name for name in ("a", "b", "c"))
-    mg.run_estimate(cfg, str(a), threads=1)
-    mg.run_estimate(cfg, str(b), threads=1)
-    mg.run_estimate(cfg, str(c), threads=3)
+    a, b = tmp_path / "a", tmp_path / "b"
+    mg.run_estimate(cfg, str(a))
+    mg.run_estimate(cfg, str(b))
     for name in ("curve.csv", "errors.csv", "manifest.json"):
-        ref = (a / name).read_bytes()
-        assert (b / name).read_bytes() == ref
-        assert (c / name).read_bytes() == ref
+        assert (b / name).read_bytes() == (a / name).read_bytes()
 
 
 def test_run_estimate_single_draw_points_have_no_bound_term(tmp_path):

@@ -6,9 +6,13 @@ variances of the normalized weights, and how strongly the grid chain
 connects each pair of points.  The latter enters through first-visit
 probabilities (probability that the chain started at i reaches j before
 returning to i) and, for reversible matrices, through the spectral gap
-and the group inverse of I - F.  The first-visit probabilities of row i
-come from one inverse, the fundamental matrix of the chain killed at i
-(Kemeny and Snell, Finite Markov Chains, ch. 3).
+and the group inverse of I - F.  The first-visit probabilities into
+state i come from one inverse, the fundamental matrix of the chain
+killed at i (Kemeny and Snell, Finite Markov Chains, ch. 3), computed
+from the chain's off-diagonal entries and killing masses without a
+single subtraction (the triplet representation of Alfa, Xue and Ye,
+Math. Comp. 71, 2002), so Q is accurate entry by entry and lies in
+[0, 1] up to the rounding of F's row sums.
 """
 
 from __future__ import annotations
@@ -35,45 +39,89 @@ __all__ = [
 #: largest accepted detailed-balance imbalance max|v_i F_ij - v_j F_ji|
 DETAILED_BALANCE_TOL = 1e-8
 
+#: killed systems inverted together in one stacked elimination
+KILLED_BATCH = 32
+
 
 def hitting_probabilities(transition: np.ndarray) -> np.ndarray:
     """First-visit probabilities Q[i, j] for all ordered pairs.
 
     Q[i, j] is the probability that the chain driven by the matrix,
-    started at i, visits j before returning to i.  Row i comes from one
-    inverse: N = (I - F_BB)^{-1} over the states B = complement of {i}
-    is the Green's function of the chain killed at i, so N[k, j] counts
-    the expected visits to j from k before the chain hits i.  Each of
-    those visits is preceded by a first one, hence
-    Q[i, j] = (F_iB N)_j / N_jj: the expected visits to j per excursion
-    from i, over the expected visits to j, starting from j, before i.
-    The diagonal is set to 1 by convention.  Cost is O(L^4) time and
-    O(L^2) memory.
+    started at i, visits j before returning to i.  Column i comes from
+    one inverse: N = (I - F_BB)^{-1} over the states B = complement of
+    {i} is the Green's function of the chain killed at i, and the visits
+    to j, starting from j, before the chain hits i are geometric with
+    success probability Q[j, i], so Q[j, i] = 1 / N[j, j].  The diagonal
+    is set to 1 by convention.
+
+    N comes from :func:`_killed_inverse`, which reads only the
+    off-diagonal entries of F (its diagonal is 1 minus their row sum)
+    and never subtracts, so every entry of Q is accurate relative to
+    itself.  Cost is O(L^4) time and O(KILLED_BATCH L^2) memory; the
+    result does not depend on the batch size.  In a two-state chain Q is
+    the off-diagonal of F, zero included.
 
     Raises
     ------
     ReducibleChainError
-        If some killed system is singular (the matrix has absorbing
-        subsets that avoid a state).
+        If some killed system of two or more states is singular (the
+        matrix has absorbing subsets that avoid a state).
     """
     F = np.asarray(transition, dtype=float)
     n = F.shape[0]
     Q = np.ones((n, n))
-    if n <= 2:
-        off = ~np.eye(n, dtype=bool)
-        Q[off] = F[off]
+    if n == 1:
         return Q
-    for i in range(n):
-        keep = np.arange(n) != i
-        try:
-            N = np.linalg.inv(np.eye(n - 1) - F[np.ix_(keep, keep)])
-        except np.linalg.LinAlgError as exc:
-            raise ReducibleChainError(
-                f"the chain killed at state {i} has a singular system; the "
-                "matrix has absorbing subsets"
-            ) from exc
-        Q[i, keep] = (F[i, keep] @ N) / np.diag(N)
+    for lo in range(0, n, KILLED_BATCH):
+        cols = np.arange(lo, min(lo + KILLED_BATCH, n))
+        # keep[b] lists the states of the chain killed at cols[b]
+        keep = np.arange(n - 1) + (np.arange(n - 1) >= cols[:, None])
+        G = F[keep[:, :, None], keep[:, None, :]]
+        G[:, np.arange(n - 1), np.arange(n - 1)] = 0.0
+        N = _killed_inverse(G, F[keep, cols[:, None]])
+        Q[keep, cols[:, None]] = 1.0 / np.diagonal(N, axis1=1, axis2=2)
     return Q
+
+
+def _killed_inverse(G: np.ndarray, kill: np.ndarray) -> np.ndarray:
+    """Stacked (I - P)^{-1} of killed chains given as triplets, subtraction-free.
+
+    ``G`` (b, m, m) holds the off-diagonal transition probabilities (zero
+    diagonal) and ``kill`` (b, m) the killing mass of each state, so the
+    diagonal of I - P is ``kill + G.sum(-1)``.  A recursive 2x2 block
+    split: the leading block is a killed chain that also counts exits
+    into the trailing block as killing, the Schur complement is the
+    trailing block censored on the leading one (off-diagonals
+    G22 + G21 N1 G12, killing mass k2 + G21 N1 k1), and every block of
+    the inverse is a product of nonnegative matrices.  A lone state that
+    is never killed has an infinite inverse; in a larger chain such a
+    state raises ReducibleChainError.
+    """
+    m = kill.shape[1]
+    if m == 1:
+        with np.errstate(divide="ignore"):
+            return 1.0 / kill[:, :, None]
+    h = m // 2
+    G12, G21 = G[:, :h, h:], G[:, h:, :h]
+    N1 = _finite(_killed_inverse(G[:, :h, :h], kill[:, :h] + G12.sum(axis=2)))
+    G21N1 = G21 @ N1
+    H = G[:, h:, h:] + G21N1 @ G12
+    H[:, np.arange(m - h), np.arange(m - h)] = 0.0
+    N2 = _finite(_killed_inverse(H, kill[:, h:] + (G21N1 @ kill[:, :h, None])[:, :, 0]))
+    N12 = N1 @ G12 @ N2
+    N21 = N2 @ G21N1
+    N11 = N1 + N12 @ G21N1
+    return np.block([[N11, N12], [N21, N2]])
+
+
+def _finite(N: np.ndarray) -> np.ndarray:
+    """N unchanged, or ReducibleChainError if a zero pivot made it infinite."""
+    if not np.isfinite(N).all():
+        raise ReducibleChainError(
+            "a killed chain has a singular system; the matrix has absorbing "
+            "subsets that avoid a state"
+        )
+    return N
 
 
 def weight_ratio_variances(estimate: EmusEstimate) -> np.ndarray:
@@ -127,25 +175,15 @@ def relative_variance_bound(transition: np.ndarray, R: np.ndarray,
     return float(np.sum(_bound_terms(R, Q) / np.asarray(sampling_fractions, dtype=float)))
 
 
-#: slack around [0, 1] before a first-visit probability counts as out of range
-Q_RANGE_TOL = 1e-9
-
-
 @dataclass
 class VarianceDiagnostics:
-    """Bundle of variance-related quantities for a fitted estimate.
-
-    ``out_of_range`` counts the off-diagonal first-visit probabilities
-    outside [-Q_RANGE_TOL, 1 + Q_RANGE_TOL]; nonzero means the chain is
-    too ill-conditioned for Q, and hence the bound, to be trusted.
-    """
+    """Bundle of variance-related quantities for a fitted estimate."""
 
     R: np.ndarray
     Q: np.ndarray
     sampling_fractions: np.ndarray
     rel_var_bound: float
     eq_sample: bool
-    out_of_range: int
 
 
 def variance_diagnostics(estimate: EmusEstimate) -> VarianceDiagnostics:
@@ -153,22 +191,10 @@ def variance_diagnostics(estimate: EmusEstimate) -> VarianceDiagnostics:
 
     The first-visit probabilities are those of the estimate's own
     matrix.  ``eq_sample`` records whether every point got the same
-    number of draws; it is recorded, not enforced.  First-visit
-    probabilities outside [0, 1] are counted in ``out_of_range`` and
-    reported with a RuntimeWarning; they are not clipped.
+    number of draws; it is recorded, not enforced.
     """
     R = weight_ratio_variances(estimate)
     Q = hitting_probabilities(estimate.transition)
-    q_off = Q[~np.eye(Q.shape[0], dtype=bool)]
-    excess = np.maximum(-q_off, q_off - 1.0)
-    out_of_range = int(np.count_nonzero(excess > Q_RANGE_TOL))
-    if out_of_range:
-        warnings.warn(
-            f"{out_of_range} first-visit probabilities lie outside [0, 1] "
-            f"(most extreme {q_off[np.argmax(excess)]:.6g}); the chain is too "
-            "ill-conditioned for the variance bound to be trusted",
-            RuntimeWarning,
-        )
     counts = estimate.counts
     w = counts / counts.sum()
     return VarianceDiagnostics(
@@ -177,7 +203,6 @@ def variance_diagnostics(estimate: EmusEstimate) -> VarianceDiagnostics:
         sampling_fractions=w,
         rel_var_bound=float(np.sum(_bound_terms(R, Q) / w)),
         eq_sample=bool(np.all(counts == counts[0])),
-        out_of_range=out_of_range,
     )
 
 

@@ -8,11 +8,11 @@ a row-stochastic matrix whose stationary vector, rescaled to sum L,
 estimates the marginal u(lam_l) = z(lam_l) p(lam_l) on the grid up to a
 common constant.
 
-The stationary vector is computed from a QR factorization of I - F: the
-last column of Q spans the null space of (I - F)^T whenever the matrix
-is rank L-1, because (I - F)^T q_L = R^T e_L = 0 when the final diagonal
-entry of R vanishes.  The QR solution is sign-corrected and polished
-with a fixed number of power-method multiplications before rescaling.
+The stationary vector is computed by Grassmann-Taksar-Heyman state
+reduction (Oper. Res. 33, 1985): states are censored out one at a time,
+each pivot is the remaining off-diagonal mass of its row, and nothing is
+ever subtracted, so every entry, however small, is accurate to working
+precision relative to itself.
 """
 
 from __future__ import annotations
@@ -42,9 +42,6 @@ __all__ = [
 
 #: log-weights this far below a sample's maximum are floored to -inf
 LOG_WEIGHT_FLOOR = 700.0
-
-#: number of power-method refinements applied after the QR null vector
-POWER_POLISH_STEPS = 5
 
 #: largest accepted relative stationary residual max|F'u - u| / max|u|
 STATIONARY_RESIDUAL_TOL = 1e-6
@@ -191,25 +188,24 @@ def stationary_vector(transition: np.ndarray,
                       on_degenerate: str = "raise") -> np.ndarray:
     """Left stationary vector of a row-stochastic matrix, scaled to sum L.
 
-    Solves u = F^T u by QR-factorizing A = I - F and taking the last
-    column q of Q (which spans the null space of A^T when rank(A) = L-1),
-    then applying POWER_POLISH_STEPS power-method multiplications to |q|,
-    then rescaling so the entries sum to L.  The stationary vector of an
-    irreducible F is positive (Perron-Frobenius), and entries of q below
-    the QR's resolution carry a sign that is rounding noise, so |q| is as
-    close to the solution as q is.
+    Solves u = F^T u by GTH elimination.  States L-1, ..., 1 are censored
+    out in turn: the pivot of state k is the off-diagonal mass of its row
+    towards the states still present, its inflow column is divided by
+    that pivot, and a rank-one update folds its excursions into the rows
+    that remain.  Back substitution from u_0 = 1 then sums the inflow
+    into each state.  Only the off-diagonal entries of F are read (its
+    diagonal is 1 minus their row sum), and nothing is subtracted, so each
+    entry of u is accurate to a few units of rounding relative to itself.
 
     A unique positive solution needs the grid to be irreducible: every
     pair of grid points connected through overlapping local densities.
-    Three degeneracy symptoms are checked: a second near-vanishing
-    singular value of I - F (the null direction is not unique at
-    working precision), positive entries of F that do not connect every
-    state to every other (a reducible chain, whose stationary vector
-    vanishes on transient states even where the solve leaves them a
-    tiny positive mass), and nonpositive entries in the solution.  With
-    ``on_degenerate="raise"`` (default) any symptom raises; with
-    ``"truncate"`` the entries below resolution are clamped to a floor a
-    factor of machine epsilon below the largest one and a RuntimeWarning
+    Zeros in the solution are structural, never rounding.  A zero pivot
+    means states k..L-1 hold a closed class; back substitution then
+    starts from u_k = 1 with zeros below k, an exact stationary vector of
+    the reducible chain, and states its class never enters get zero
+    inflow.  With ``on_degenerate="raise"`` (default) any zero entry
+    raises; with ``"truncate"`` entries below a factor of machine epsilon
+    under the largest one are clamped to that floor and a RuntimeWarning
     is emitted, which callers that can self-correct (sequential designs
     accumulating overlap) use for provisional fits.  An inaccurate solve
     (residual above STATIONARY_RESIDUAL_TOL) always raises.
@@ -221,25 +217,6 @@ def stationary_vector(transition: np.ndarray,
     return _solve_stationary(transition, on_degenerate)[0]
 
 
-def _irreducible(F) -> bool:
-    """True when the positive entries of F connect every state to every other.
-
-    State 0 must reach every state along positive entries, and every
-    state must reach state 0 (the same search on the transpose).
-    """
-    positive = F > 0
-    for edges in (positive, positive.T):
-        seen = np.zeros(F.shape[0], dtype=bool)
-        seen[0] = True
-        frontier = seen
-        while frontier.any():
-            frontier = edges[frontier].any(axis=0) & ~seen
-            seen = seen | frontier
-        if not seen.all():
-            return False
-    return True
-
-
 def _solve_stationary(transition, on_degenerate):
     """Worker behind stationary_vector; also reports whether it clamped."""
     if on_degenerate not in ("raise", "truncate"):
@@ -248,51 +225,38 @@ def _solve_stationary(transition, on_degenerate):
     if F.ndim != 2 or F.shape[0] != F.shape[1]:
         raise ValueError("transition matrix must be square")
     n = F.shape[0]
-    if np.any(F < -1e-12) or np.max(np.abs(F.sum(axis=1) - 1.0)) > 1e-8:
+    # written so that NaN entries fail it too
+    if not (np.all(F >= -1e-12) and np.max(np.abs(F.sum(axis=1) - 1.0)) <= 1e-8):
         raise ValueError("transition matrix must be row-stochastic")
     if n == 1:
         return np.ones(1), False
 
-    A = np.eye(n) - F
-    sing = np.linalg.svd(A, compute_uv=False)
-    multiple_null = sing[-2] <= 1e-12 * max(sing[0], 1.0)
-    if multiple_null and on_degenerate == "raise":
-        raise ReducibleChainError(
-            "I - F has more than one vanishing singular value, so the "
-            "stationary vector is not unique; the grid-irreducibility "
-            "assumption is violated (disconnected or barely connected blocks)"
-        )
-    q = np.abs(np.linalg.qr(A, mode="complete")[0][:, -1])
-    for _ in range(POWER_POLISH_STEPS):
-        q = F.T @ q
-        total = np.abs(q).sum()
-        if total <= 0:
-            raise ReducibleChainError(
-                "power polish annihilated the stationary candidate; the grid "
-                "does not satisfy the irreducibility assumption"
-            )
-        q = q / total
-    total = q.sum()
-    if total <= 0:
-        raise ReducibleChainError(
-            "stationary candidate has nonpositive mass; the grid does not "
-            "satisfy the irreducibility assumption"
-        )
-    u = q * (n / total)
-    residual = np.max(np.abs(F.T @ u - u)) / np.max(np.abs(u))
+    P = F.copy()
+    root = 0
+    for k in range(n - 1, 0, -1):
+        pivot = P[k, :k].sum()
+        if pivot == 0.0:
+            root = k
+            break
+        P[:k, k] /= pivot
+        P[:k, :k] += P[:k, k, None] * P[k, None, :k]
+    u = np.zeros(n)
+    u[root] = 1.0
+    for j in range(root + 1, n):
+        u[j] = u[root:j] @ P[root:j, j]
+    u *= n / u.sum()
+    residual = np.max(np.abs(F.T @ u - u)) / np.max(u)
     if residual > STATIONARY_RESIDUAL_TOL:
         raise ReducibleChainError(
             f"stationary residual {residual:.3e} exceeds "
-            f"{STATIONARY_RESIDUAL_TOL:.1e}; the estimated matrix looks "
-            "reducible (grid points with no mutual overlap), so the "
-            "stationary vector is not unique"
+            f"{STATIONARY_RESIDUAL_TOL:.1e}; the stationary solve is inaccurate"
         )
     truncated = False
-    if np.any(u <= 0.0) or multiple_null or not _irreducible(F):
+    if np.any(u <= 0.0):
         if on_degenerate == "raise":
             raise ReducibleChainError(
                 "some grid points are unreachable: the transition matrix is "
-                "reducible or its stationary vector has nonpositive entries "
+                "reducible, so its stationary vector vanishes on them "
                 "(grid-irreducibility assumption violated)"
             )
         floor = np.finfo(float).eps * np.max(u)

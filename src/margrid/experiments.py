@@ -150,17 +150,18 @@ def _resolve_seed(config: ExperimentConfig, seed) -> int:
     return config.getint("sampling", "master_seed", fallback=0)
 
 
-def _at_least_one(value: int, key: str) -> int:
-    if value < 1:
-        raise GridError(f"{key} must be at least 1, got {value}")
+def _at_least(value: int, key: str, least: int = 1, why: str = "") -> int:
+    if value < least:
+        raise GridError(f"{key} must be at least {least}{why}, got {value}")
     return value
 
 
-def _resolve_replicates(config: ExperimentConfig, replicates) -> int:
+def _resolve_replicates(config: ExperimentConfig, replicates, least: int = 1,
+                        why: str = "") -> int:
     if replicates is not None:
-        return _at_least_one(int(replicates), "--replicates")
-    return _at_least_one(config.getint("sampling", "replicates", fallback=32),
-                         "[sampling] replicates")
+        return _at_least(int(replicates), "--replicates", least, why)
+    return _at_least(config.getint("sampling", "replicates", fallback=32),
+                     "[sampling] replicates", least, why)
 
 
 def build_model(config: ExperimentConfig) -> Model:
@@ -572,8 +573,8 @@ def run_rate_study(config: ExperimentConfig, out_dir: str, *, seed=None,
     n_sweep = config.ints("rate", "n_sweep", fallback=(16, 32, 64, 128, 256, 512, 1024))
     l_sweep = config.ints("rate", "l_sweep", fallback=(8, 16, 32, 64, 128))
     fixed_n = config.getint("rate", "fixed_n", fallback=4)
-    dense_reps = _at_least_one(config.getint("rate", "dense_replicates", fallback=3),
-                               "[rate] dense_replicates")
+    dense_reps = _at_least(config.getint("rate", "dense_replicates", fallback=3),
+                           "[rate] dense_replicates")
     discrete = isinstance(model, DiscreteModel)
 
     if discrete:
@@ -664,7 +665,9 @@ def run_design_study(config: ExperimentConfig, out_dir: str, *, seed=None,
     model = build_model(config)
     _, eval_grid = build_grids(config, model)
     master = _resolve_seed(config, seed)
-    reps = _resolve_replicates(config, replicates)
+    probes = config.floats("design", "probe_points", fallback=())
+    reps = _resolve_replicates(config, replicates, 2 if probes else 1,
+                               " with [design] probe_points")
     iterations = config.getint("design", "iterations", fallback=8)
     blocks = config.getint("design", "blocks_per_iteration", fallback=8)
     per_block = config.getint("design", "samples_per_block", fallback=8)
@@ -688,7 +691,6 @@ def run_design_study(config: ExperimentConfig, out_dir: str, *, seed=None,
     }
     outputs = ["design.csv"]
 
-    probes = config.floats("design", "probe_points", fallback=())
     if probes:
         quad = trapezoid_weights(eval_grid)
         working = eval_grid.working_points()
@@ -736,6 +738,13 @@ def run_design_study(config: ExperimentConfig, out_dir: str, *, seed=None,
             design_vals = np.array([one_design(r) for r in range(reps)])
             uniform_vals = np.array([one_uniform(r) for r in range(reps)])
 
+        ok_d = ~np.isnan(design_vals).any(axis=1)
+        ok_u = ~np.isnan(uniform_vals).any(axis=1)
+        if min(ok_d.sum(), ok_u.sum()) < 2:
+            raise GridError(
+                "the variance study needs at least 2 successful replicates per "
+                f"method, got {ok_d.sum()} design and {ok_u.sum()} uniform of {reps}"
+            )
         var_rows = []
         for r in range(reps):
             for probe, value in zip(probes, design_vals[r]):
@@ -747,8 +756,6 @@ def run_design_study(config: ExperimentConfig, out_dir: str, *, seed=None,
                    var_rows, comments)
         outputs.append("design_variance.csv")
 
-        ok_d = ~np.isnan(design_vals).any(axis=1)
-        ok_u = ~np.isnan(uniform_vals).any(axis=1)
         var_d = design_vals[ok_d].var(axis=0, ddof=1)
         var_u = uniform_vals[ok_u].var(axis=0, ddof=1)
         summary["variance_study"] = {

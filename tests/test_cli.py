@@ -175,3 +175,49 @@ def test_replicate_counts_below_one_fail_cleanly(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert key in err
+
+
+@pytest.mark.parametrize("override,edit,key", [
+    (("--replicates", "1"), None, "--replicates"),
+    ((), ("\nreplicates = 2", "\nreplicates = 1"), "[sampling] replicates"),
+], ids=["flag", "config"])
+def test_design_variance_study_needs_two_replicates(tmp_path, capsys, override, edit, key):
+    text = SMALL_TOY.replace("[design]", "[design]\nprobe_points = -1 1")
+    if edit is not None:
+        text = text.replace(*edit)
+    path = tmp_path / "exp.ini"
+    path.write_text(text)
+    code = run_cli("design", "--config", str(path), "--out", str(tmp_path / "x"),
+                   *override)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must be at least 2 with [design] probe_points")
+
+
+def test_design_variance_study_needs_two_successful_replicates(tmp_path, capsys,
+                                                               monkeypatch):
+    # The master-seed run succeeds and all but one replicate run fails.
+    import margrid.experiments as experiments
+    from margrid import ReducibleChainError
+
+    real_loop = experiments.run_design_loop
+    calls = []
+
+    def flaky_loop(*args, **kwargs):
+        calls.append(None)
+        if len(calls) > 2:
+            raise ReducibleChainError("no overlap")
+        return real_loop(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "run_design_loop", flaky_loop)
+    text = SMALL_TOY.replace("[design]", "[design]\nprobe_points = -1 1")
+    path = tmp_path / "exp.ini"
+    path.write_text(text)
+    out = tmp_path / "x"
+    code = run_cli("design", "--config", str(path), "--out", str(out),
+                   "--replicates", "3")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the variance study needs at least 2 successful "
+                          "replicates per method, got 1 design and 3 uniform of 3")
+    assert not (out / "design_variance.csv").exists()

@@ -180,22 +180,33 @@ def test_variance_diagnostics_flags_and_fractions():
     assert not mg.variance_diagnostics(uneven).eq_sample
 
 
-def test_first_visit_probabilities_outside_the_unit_interval_warn(monkeypatch):
-    fit = make_fit([8, 8, 8, 8])
-    Q = mg.hitting_probabilities(fit.transition)
-    Q[0, 1], Q[2, 3], Q[3, 1] = -0.5, 1.7, 1.0 + 1e-10
-    monkeypatch.setattr(mg.diagnostics, "hitting_probabilities", lambda F: Q.copy())
-    with pytest.warns(RuntimeWarning, match=r"^2 first-visit .*most extreme 1\.7\b"):
-        diag = mg.variance_diagnostics(fit)
-    assert diag.out_of_range == 2
-    assert diag.Q[0, 1] == -0.5 and diag.Q[2, 3] == 1.7
-
-
 def test_well_conditioned_fit_has_no_out_of_range_probabilities(toy_fit_l64):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         diag = mg.variance_diagnostics(toy_fit_l64)
-    assert diag.out_of_range == 0
+    assert np.all((diag.Q >= 0.0) & (diag.Q <= 1.0))
+
+
+def test_first_visit_probabilities_stay_in_the_unit_interval_on_a_gp_fit():
+    # The 12x12 GP chain has entries down to 1e-306; an inverse of
+    # I - F_BB computed with subtractions put 113 of its first-visit
+    # probabilities outside [0, 1] (from -0.37 to 1.68).
+    x, y = mg.make_synthetic_gp_dataset(16, 7)
+    model = mg.GpRegressionModel(x, y)
+    domain = mg.Domain(np.array([0.1, 0.1]), np.array([10.0, 10.0]))
+    grid = mg.make_regular_grid(domain, [12, 12], "log")
+    fit = mg.fit_emus(mg.draw_sample_bank(model, grid, 64, master_seed=5), model)
+    Q = mg.hitting_probabilities(fit.transition)
+    off = Q[~np.eye(len(grid), dtype=bool)]
+    assert np.all((off >= 0.0) & (off <= 1.0))
+
+
+def test_hitting_probabilities_do_not_depend_on_the_batch_size(toy_fit_l64, monkeypatch):
+    F = toy_fit_l64.transition
+    batched = mg.hitting_probabilities(F)
+    assert F.shape[0] > mg.diagnostics.KILLED_BATCH
+    monkeypatch.setattr(mg.diagnostics, "KILLED_BATCH", F.shape[0])
+    np.testing.assert_array_equal(mg.hitting_probabilities(F), batched)
 
 
 def test_weight_ratio_variances_match_numpy(toy_fit):

@@ -2,6 +2,7 @@
 exact enumeration on small discrete models."""
 
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -81,6 +82,9 @@ def test_stationary_rejects_non_stochastic_input():
         mg.stationary_vector(np.array([0.5, 0.5]))
     with pytest.raises(ValueError):
         mg.stationary_vector(np.eye(2), on_degenerate="clip")
+    # GTH never reads the diagonal, so a NaN there must fail validation
+    with pytest.raises(ValueError):
+        mg.stationary_vector(np.array([[np.nan, 0.5], [0.5, 0.5]]))
 
 
 def test_stationary_raises_on_block_diagonal():
@@ -97,10 +101,11 @@ def test_stationary_raises_on_block_diagonal():
 
 def test_stationary_nearly_decomposable_chain_stays_positive():
     # States 2 and 3 form a block that is entered with probability 1e-20
-    # and left with probability 1e-5, so their stationary mass lies below
-    # the QR's resolution and the null vector's sign there is noise.  The
-    # chain is irreducible, so the solve must still return a positive
-    # vector, and truncate mode returns the same vector, unclamped.
+    # and left with probability 1e-5.  Detailed balance across the cut
+    # gives u_2 = u_3 = 2 r / (1 + r) with r = F_02 / F_20, about 2e-15;
+    # the chain is irreducible, so the solve must return that positive
+    # mass to full relative accuracy, and truncate mode returns the same
+    # vector, unclamped.
     F = np.array([
         [0.5, 0.5 - 1e-20, 1e-20, 0.0],
         [0.5, 0.5, 0.0, 0.0],
@@ -108,7 +113,9 @@ def test_stationary_nearly_decomposable_chain_stays_positive():
         [0.0, 0.0, 0.5, 0.5],
     ])
     u = mg.stationary_vector(F)
-    assert np.all(u > 0)
+    r = Fraction(F[0, 2]) / Fraction(F[2, 0])
+    block = float(2 * r / (1 + r))
+    np.testing.assert_allclose(u[2:], [block, block], rtol=1e-12, atol=0.0)
     assert u.sum() == pytest.approx(4.0)
     assert np.max(np.abs(F.T @ u - u)) <= 1e-12 * np.max(u)
     with warnings.catch_warnings():
@@ -126,9 +133,8 @@ def test_stationary_nearly_decomposable_chain_stays_positive():
      [0.2, 0.1, 0.3, 0.4], [0.1, 0.2, 0.4, 0.3]],
 ], ids=["self-loop", "closed-pair"])
 def test_stationary_flags_states_no_other_state_enters(transient):
-    # The stationary mass of the transient states is zero although the
-    # polish leaves them a tiny positive value; the reducible chain must
-    # still count as degenerate.
+    # Nothing flows into the transient states, so the elimination gives
+    # them exactly zero mass and the reducible chain counts as degenerate.
     transient = np.array(transient)
     with pytest.raises(mg.ReducibleChainError):
         mg.stationary_vector(transient)
@@ -136,6 +142,24 @@ def test_stationary_flags_states_no_other_state_enters(transient):
         u, truncated = mg.emus._solve_stationary(transient, "truncate")
     assert truncated is True
     assert np.all(u > 0)
+
+
+def test_stationary_truncate_mode_keeps_the_closed_class_of_a_transient_root():
+    # State 0 leaks into the closed pair {1, 2} and never comes back, so
+    # the solve restarts at the zero pivot of state 1: the clamped vector
+    # is still stationary up to the floor.
+    F = np.array([
+        [0.5, 0.5, 0.0],
+        [0.0, 0.5, 0.5],
+        [0.0, 0.5, 0.5],
+    ])
+    with pytest.raises(mg.ReducibleChainError):
+        mg.stationary_vector(F)
+    with pytest.warns(RuntimeWarning):
+        u, truncated = mg.emus._solve_stationary(F, "truncate")
+    assert truncated is True
+    np.testing.assert_allclose(u, [0.0, 1.5, 1.5], atol=1e-15)
+    assert u[0] > 0
 
 
 def test_stationary_truncate_mode_recovers():

@@ -9,7 +9,12 @@ diagnostics, a griddy Gibbs baseline, and a sequential rule for placing
 new sampling effort round out the toolkit.
 """
 
-from .baselines import GibbsTrace, nearest_neighbor_extrapolate, run_griddy_gibbs
+from .baselines import (
+    GibbsTrace,
+    nearest_neighbor_extrapolate,
+    run_griddy_chains,
+    run_griddy_gibbs,
+)
 from .design import (
     DesignState,
     EvalExtension,
@@ -106,7 +111,7 @@ __all__ = [
     "pointwise_variance_bound", "VarianceDiagnostics", "variance_diagnostics",
     "group_inverse", "spectral_gap",
     "FunctionalEstimate",
-    "GibbsTrace", "run_griddy_gibbs", "nearest_neighbor_extrapolate",
+    "GibbsTrace", "run_griddy_gibbs", "run_griddy_chains", "nearest_neighbor_extrapolate",
     "EvalExtension", "extend_to_eval_grid", "optimal_weights",
     "incremental_weights",
     "pivotal_sample", "DesignState", "run_design_loop", "design_history_to_csv",

@@ -8,6 +8,12 @@ estimate the same grid values as the reweighting estimator but are
 subject to mixing failure when the local densities are concentrated:
 moves between well-separated modes require intermediate latent states
 that the sampler never visits.
+
+Replicate chains run in lockstep through :func:`run_griddy_chains`, each
+on its own generator.  Its local draws go through the model's
+``sample_local_many(points, rngs)``, an optional override of a loop over
+``sample_local`` that must consume each generator exactly as that loop
+does; the toy and discrete models batch it.
 """
 
 from __future__ import annotations
@@ -20,7 +26,8 @@ from .errors import DegenerateWeightError
 from .grids import HyperGrid
 from .models import Model
 
-__all__ = ["GibbsTrace", "run_griddy_gibbs", "nearest_neighbor_extrapolate"]
+__all__ = ["GibbsTrace", "run_griddy_gibbs", "run_griddy_chains",
+           "nearest_neighbor_extrapolate"]
 
 
 @dataclass
@@ -47,6 +54,14 @@ class GibbsTrace:
 def run_griddy_gibbs(model: Model, grid: HyperGrid, n_iter: int,
                      rng: np.random.Generator, burn_in: int = 0,
                      init_state: int | None = None) -> GibbsTrace:
+    """One griddy Gibbs chain: the one-chain case of :func:`run_griddy_chains`."""
+    return run_griddy_chains(model, grid, n_iter, [rng], burn_in=burn_in,
+                             init_state=init_state)[0]
+
+
+def run_griddy_chains(model: Model, grid: HyperGrid, n_iter: int, rngs,
+                      burn_in: int = 0,
+                      init_state: int | None = None) -> list[GibbsTrace]:
     """Alternate local draws and categorical grid moves; count visits.
 
     Each iteration draws theta from the local density at the current
@@ -54,37 +69,51 @@ def run_griddy_gibbs(model: Model, grid: HyperGrid, n_iter: int,
     log(psi_l(theta) p_l) via the Gumbel-max rule.  States reached after
     the first ``burn_in`` iterations are counted, so the kept effort is
     n_iter - burn_in latent draws (burn_in defaults to 0 to keep effort
-    comparisons exact).  The chain starts at the grid midpoint state
+    comparisons exact).  Every chain starts at the grid midpoint state
     unless ``init_state`` says otherwise; the start is recorded in the
     trace metadata.
+
+    Chain r runs on ``rngs[r]`` alone.  The chains advance in lockstep,
+    one batched local draw, one (R, L) log-weight matrix and one row-wise
+    argmax per iteration for all of them, while each generator is
+    consumed in the order a lone chain consumes it (one local draw, then
+    L Gumbel variates), so every chain's visits are those it would have
+    on its own.
     """
     L = len(grid)
     if not 0 <= burn_in < n_iter:
         raise ValueError("need 0 <= burn_in < n_iter")
-    state = L // 2 if init_state is None else int(init_state)
-    if not 0 <= state < L:
+    start = L // 2 if init_state is None else int(init_state)
+    if not 0 <= start < L:
         raise ValueError("init_state outside the grid")
+    if len(rngs) == 0:
+        raise ValueError("need at least one chain generator")
     points = grid.points
     log_priors = np.array([model.log_prior(lam) for lam in points])
-    visits = np.zeros(L, dtype=int)
+    states = np.full(len(rngs), start)
+    chains = np.arange(len(rngs))
+    visits = np.zeros((len(rngs), L), dtype=int)
+    noise = np.empty((len(rngs), L))
     for t in range(n_iter):
-        theta = model.sample_local(points[state], rng, 1)
-        logw = np.asarray(
-            model.log_weight_matrix(theta, points, log_priors), dtype=float
-        ).ravel()
-        if not np.any(np.isfinite(logw)):
+        thetas = model.sample_local_many(points[states], rngs)
+        logw = np.asarray(model.log_weight_matrix(thetas, points, log_priors), dtype=float)
+        dead = np.flatnonzero(~np.isfinite(logw).any(axis=1))
+        if dead.size:
             raise DegenerateWeightError(
-                f"iteration {t}: the latent draw has zero weight against every "
-                "grid value"
+                f"iteration {t}, chain {dead[0]}: the latent draw has zero "
+                "weight against every grid value"
             )
-        state = int(np.argmax(logw + rng.gumbel(size=L)))
+        for r, g in enumerate(rngs):
+            noise[r] = g.gumbel(size=L)
+        states = np.argmax(logw + noise, axis=1)
         if t >= burn_in:
-            visits[state] += 1
-    return GibbsTrace(
-        visits=visits, n_iter=n_iter, burn_in=burn_in,
-        init_state=L // 2 if init_state is None else int(init_state),
-        meta={"init_rule": "midpoint" if init_state is None else "explicit"},
-    )
+            visits[chains, states] += 1
+    rule = "midpoint" if init_state is None else "explicit"
+    return [
+        GibbsTrace(visits=v, n_iter=n_iter, burn_in=burn_in, init_state=start,
+                   meta={"init_rule": rule})
+        for v in visits
+    ]
 
 
 def nearest_neighbor_extrapolate(values: np.ndarray, sim_grid: HyperGrid,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .emus import EmusEstimate, segment_var, stationary_vector
+from .emus import EmusEstimate, _row_stochastic, segment_var, stationary_vector
 from .errors import NotReversibleError, ReducibleChainError
 
 __all__ = [
@@ -63,11 +63,14 @@ def hitting_probabilities(transition: np.ndarray) -> np.ndarray:
 
     Raises
     ------
+    ValueError
+        If the matrix is not square and row-stochastic (NaN entries
+        included), the check :func:`stationary_vector` makes.
     ReducibleChainError
         If some killed system of two or more states is singular (the
         matrix has absorbing subsets that avoid a state).
     """
-    F = np.asarray(transition, dtype=float)
+    F = _row_stochastic(transition)
     n = F.shape[0]
     Q = np.ones((n, n))
     if n == 1:

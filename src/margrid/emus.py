@@ -217,17 +217,24 @@ def stationary_vector(transition: np.ndarray,
     return _solve_stationary(transition, on_degenerate)[0]
 
 
+def _row_stochastic(transition) -> np.ndarray:
+    """The matrix as a float array, or ValueError unless it is square and
+    row-stochastic (entries >= -1e-12, row sums within 1e-8 of 1)."""
+    F = np.asarray(transition, dtype=float)
+    if F.ndim != 2 or F.shape[0] != F.shape[1]:
+        raise ValueError("transition matrix must be square")
+    # written so that NaN entries fail it too
+    if not (np.all(F >= -1e-12) and np.max(np.abs(F.sum(axis=1) - 1.0)) <= 1e-8):
+        raise ValueError("transition matrix must be row-stochastic")
+    return F
+
+
 def _solve_stationary(transition, on_degenerate):
     """Worker behind stationary_vector; also reports whether it clamped."""
     if on_degenerate not in ("raise", "truncate"):
         raise ValueError(f"unknown on_degenerate mode {on_degenerate!r}")
-    F = np.asarray(transition, dtype=float)
-    if F.ndim != 2 or F.shape[0] != F.shape[1]:
-        raise ValueError("transition matrix must be square")
+    F = _row_stochastic(transition)
     n = F.shape[0]
-    # written so that NaN entries fail it too
-    if not (np.all(F >= -1e-12) and np.max(np.abs(F.sum(axis=1) - 1.0)) <= 1e-8):
-        raise ValueError("transition matrix must be row-stochastic")
     if n == 1:
         return np.ones(1), False
 

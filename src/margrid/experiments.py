@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import run_griddy_gibbs
+from .baselines import run_griddy_chains
 from .design import run_design_loop, design_history_to_csv
 from .emus import child_rng, draw_sample_bank, fit_emus
 from .errors import GridError, MargridError
@@ -468,7 +468,8 @@ def run_compare(config: ExperimentConfig, out_dir: str, *, seed=None,
     the manifest).  For toy models a ``tau_sweep`` list in the
     ``[compare]`` section repeats the study across prior precisions.
     Spawn keys: bank (sweep, replicate, 0, point), chain stream
-    (sweep, replicate, 1).
+    (sweep, replicate, 1).  All replicate chains of a sweep run in
+    lockstep, each on its own stream.
     """
     os.makedirs(out_dir, exist_ok=True)
     base_model = build_model(config)
@@ -497,38 +498,40 @@ def run_compare(config: ExperimentConfig, out_dir: str, *, seed=None,
     per_tau = []
     for s, (tau, model) in enumerate(models):
         exact_sim = exact_stationary(model, sim_grid)
-
-        def one(r: int):
-            bank = draw_sample_bank(model, sim_grid, counts, master,
-                                    spawn_prefix=(s, r, 0))
-            # the sweep deliberately enters regimes where neighboring
-            # windows stop overlapping, so fit in the clamping mode and
-            # report how often it fired instead of aborting the study
-            emus = fit_emus(bank, model, on_degenerate="truncate")
-            truncated = emus.truncated
-            grid_l1 = mean_abs_error(emus.stationary, exact_sim)
-            trace = run_griddy_gibbs(model, sim_grid, n_iter,
-                                     child_rng(master, s, r, 1), burn_in=burn_in)
-            if trace.kept != total:
-                raise AssertionError("effort parity broken between methods")
-            chain_l1 = mean_abs_error(trace.stationary_estimate(), exact_sim)
-            neg = int(trace.visits[first_axis < 0].sum())
-            pos = int(trace.visits[first_axis > 0].sum())
-            return grid_l1, chain_l1, neg, pos, truncated
-
+        # the sweep deliberately enters regimes where neighboring windows
+        # stop overlapping, so fit in the clamping mode and report how
+        # often it fired instead of aborting the study
+        grid_l1, truncated = [], []
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            res = [one(r) for r in range(reps)]
-        for r, (grid_l1, chain_l1, neg, pos, _trunc) in enumerate(res):
-            rows.append((tau, r, grid_l1, chain_l1, neg, pos))
-        arr = np.array([(a, b) for a, b, _, _, _ in res])
-        trapped = np.array([(neg == 0 or pos == 0) for _, _, neg, pos, _ in res])
+            for r in range(reps):
+                bank = draw_sample_bank(model, sim_grid, counts, master,
+                                        spawn_prefix=(s, r, 0))
+                emus = fit_emus(bank, model, on_degenerate="truncate")
+                grid_l1.append(mean_abs_error(emus.stationary, exact_sim))
+                truncated.append(emus.truncated)
+        traces = run_griddy_chains(model, sim_grid, n_iter,
+                                   [child_rng(master, s, r, 1) for r in range(reps)],
+                                   burn_in=burn_in)
+        sweep_rows = []
+        for r, trace in enumerate(traces):
+            if trace.kept != total:
+                raise AssertionError("effort parity broken between methods")
+            sweep_rows.append((
+                tau, r, grid_l1[r],
+                mean_abs_error(trace.stationary_estimate(), exact_sim),
+                int(trace.visits[first_axis < 0].sum()),
+                int(trace.visits[first_axis > 0].sum()),
+            ))
+        rows.extend(sweep_rows)
+        arr = np.array([(a, b) for _, _, a, b, _, _ in sweep_rows])
+        trapped = np.array([(neg == 0 or pos == 0) for *_, neg, pos in sweep_rows])
         per_tau.append({
             "tau": tau,
             "emus_mean_l1": arr[:, 0].mean(),
             "gibbs_mean_l1": arr[:, 1].mean(),
             "one_sided_fraction": trapped.mean(),
-            "truncated_fit_fraction": float(np.mean([t for *_, t in res])),
+            "truncated_fit_fraction": float(np.mean(truncated)),
         })
 
     _write_csv(os.path.join(out_dir, "compare.csv"),

@@ -7,6 +7,12 @@ Every model provides, for hyperparameter values lam in its domain:
 - ``log_prior(lam)``: log prior density over the hyperparameter,
 - ``sample_local(lam, rng, size)``: exact draws from the normalized
   local density pi_lam = psi_lam / z(lam),
+- optionally ``sample_local_many(points, rngs)``: one draw per row of
+  points, row r from ``rngs[r]``, consuming each generator exactly as
+  ``sample_local(points[r], rngs[r], 1)`` does; the base class loops,
+  and the toy and discrete models override it with batched arithmetic
+  (the griddy Gibbs chains of :mod:`margrid.baselines` call it once per
+  lockstep iteration),
 - optionally ``grad_log_psi_prior`` (hyperparameter gradients) and
   ``exact_log_u`` (a closed form for log z(lam) p(lam), used as an
   oracle by diagnostics and experiments).
@@ -69,6 +75,15 @@ class Model:
 
     def sample_local(self, lam, rng, size: int):
         raise NotImplementedError
+
+    def sample_local_many(self, points, rngs):
+        """One local draw per row of points, row r drawn from ``rngs[r]``.
+
+        Each generator is consumed exactly as by
+        ``sample_local(points[r], rngs[r], 1)``, so the draws are the same
+        bits; models override this when a batched evaluation is cheaper.
+        """
+        return np.concatenate([self.sample_local(lam, g, 1) for lam, g in zip(points, rngs)])
 
     @property
     def has_gradient(self) -> bool:
@@ -138,13 +153,19 @@ class DiscreteModel(Model):
         self.prior = np.asarray(prior, dtype=float)
         if self.prior.shape != (n_atoms,) or np.any(self.prior <= 0):
             raise ValueError("prior must be a positive vector over lambda-atoms")
+        # per-column CDFs formed as Generator.choice(p=w / w.sum()) forms them
+        self._cdfs = np.empty((n_atoms, table.shape[0]))
+        for a in range(n_atoms):
+            w = table[:, a]
+            self._cdfs[a] = np.cumsum(w / w.sum())
+            self._cdfs[a] /= self._cdfs[a, -1]
 
     def _columns(self, points) -> np.ndarray:
         """Table columns of many hyperparameter values, one per row of points."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if points.ndim != 2 or points.shape[1] != 1:
             raise ValueError("discrete models have a one-dimensional hyperparameter")
-        hits = np.isclose(points, self.atom_values[None, :], rtol=0.0, atol=1e-9)
+        hits = np.abs(points - self.atom_values[None, :]) <= 1e-9
         missing = ~hits.any(axis=1)
         if np.any(missing):
             raise GridError(f"lambda={points[missing][0, 0]!r} does not match any model atom")
@@ -177,6 +198,12 @@ class DiscreteModel(Model):
         col = self.column_of(lam)
         w = self.psi_table[:, col]
         return rng.choice(w.size, size=size, p=w / w.sum())
+
+    def sample_local_many(self, points, rngs):
+        # the inverse-CDF lookup of Generator.choice, one uniform per row
+        cdfs = self._cdfs[self._columns(points)]
+        return np.array([cdf.searchsorted(g.random(), side="right")
+                         for cdf, g in zip(cdfs, rngs)])
 
     def exact_log_u(self, lam) -> float:
         col = self.column_of(lam)
@@ -233,24 +260,33 @@ class ToyBimodalModel(Model):
         thetas = np.asarray(thetas, dtype=float).ravel()
         return (self.tau * (thetas - lam[0]))[:, None]
 
-    def sample_local(self, lam, rng, size: int):
-        # Exact conjugate draw: completing the square in theta shows
-        #   pi_lam = w+ N(m+, v) + w- N(m-, v)
-        # with v = 1/(q+tau), m+- = (tau lam +- q y)/(q+tau) and component
-        # weights proportional to N(y; +-lam, s), s = 1/q + 1/tau.
-        lam = _as_lambda(lam)[0]
+    def _local_mixture(self, lams):
+        """Weight of the + component, the two means and the common
+        standard deviation of pi_lam, per lam.
+
+        Completing the square in theta shows
+          pi_lam = w+ N(m+, v) + w- N(m-, v)
+        with v = 1/(q+tau), m+- = (tau lam +- q y)/(q+tau) and component
+        weights proportional to N(y; +-lam, s), s = 1/q + 1/tau.
+        """
         s = 1.0 / self.q + 1.0 / self.tau
-        lw = np.array([
-            _gauss_logpdf(self.y, lam, s),
-            _gauss_logpdf(self.y, -lam, s),
-        ])
-        w_plus = expit(lw[0] - lw[1])
-        v = 1.0 / (self.q + self.tau)
-        m_plus = (self.q * self.y + self.tau * lam) / (self.q + self.tau)
-        m_minus = (self.tau * lam - self.q * self.y) / (self.q + self.tau)
+        w_plus = expit(_gauss_logpdf(self.y, lams, s) - _gauss_logpdf(self.y, -lams, s))
+        m_plus = (self.q * self.y + self.tau * lams) / (self.q + self.tau)
+        m_minus = (self.tau * lams - self.q * self.y) / (self.q + self.tau)
+        return w_plus, m_plus, m_minus, np.sqrt(1.0 / (self.q + self.tau))
+
+    def sample_local(self, lam, rng, size: int):
+        w_plus, m_plus, m_minus, sd = self._local_mixture(_as_lambda(lam)[0])
         pick_plus = rng.random(size) < w_plus
         means = np.where(pick_plus, m_plus, m_minus)
-        return means + np.sqrt(v) * rng.standard_normal(size)
+        return means + sd * rng.standard_normal(size)
+
+    def sample_local_many(self, points, rngs):
+        w_plus, m_plus, m_minus, sd = self._local_mixture(
+            np.atleast_2d(np.asarray(points, dtype=float))[:, 0])
+        # per generator, the uniform and then the normal that sample_local draws
+        u, z = np.array([(g.random(), g.standard_normal()) for g in rngs]).T
+        return np.where(u < w_plus, m_plus, m_minus) + sd * z
 
     def exact_log_u(self, lam) -> float:
         lam = _as_lambda(lam)[0]

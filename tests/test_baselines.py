@@ -6,6 +6,52 @@ import pytest
 import margrid as mg
 
 
+def griddy_gibbs_oracle(model, grid, n_iter, rng, burn_in=0, init_state=None):
+    """One griddy Gibbs chain, one unbatched draw and grid move per iteration.
+
+    Per iteration: ``sample_local(point, rng, 1)``, a one-row log-weight
+    matrix, then ``rng.gumbel(size=L)`` and the Gumbel-max move.  The
+    lockstep chains must reproduce these visits exactly.
+    """
+    L = len(grid)
+    points = grid.points
+    log_priors = np.array([model.log_prior(lam) for lam in points])
+    start = L // 2 if init_state is None else int(init_state)
+    state = start
+    visits = np.zeros(L, dtype=int)
+    for t in range(n_iter):
+        theta = model.sample_local(points[state], rng, 1)
+        logw = np.asarray(
+            model.log_weight_matrix(theta, points, log_priors), dtype=float
+        ).ravel()
+        if not np.any(np.isfinite(logw)):
+            raise mg.DegenerateWeightError(f"iteration {t}")
+        state = int(np.argmax(logw + rng.gumbel(size=L)))
+        if t >= burn_in:
+            visits[state] += 1
+    return mg.GibbsTrace(visits=visits, n_iter=n_iter, burn_in=burn_in,
+                         init_state=start)
+
+
+def _equivalence_case(case, request):
+    """(model, grid) of one stream-equivalence case."""
+    if case.startswith("toy-tau"):
+        return (mg.ToyBimodalModel(y=1.0, q=64.0, tau=float(case[len("toy-tau"):])),
+                mg.make_regular_grid(mg.Domain(-2.0, 2.0), 16))
+    if case == "gp-2x2":
+        x, y = mg.make_synthetic_gp_dataset(n=8, seed=3)
+        return (mg.GpRegressionModel(x, y),
+                mg.make_regular_grid(mg.Domain([0.5, 0.5], [2.0, 2.0]), (2, 2),
+                                     scale="log"))
+    if case == "asym":
+        model = request.getfixturevalue("asym_model")
+    else:  # a larger table with a zero entry: "discrete-6x5"
+        table = np.random.default_rng(0).random((6, 5))
+        table[2, 1] = 0.0
+        model = mg.DiscreteModel(table)
+    return model, model.grid()
+
+
 def test_gibbs_single_point_grid_counts_everything(toy_model):
     grid = mg.make_regular_grid(mg.Domain(-2.0, 2.0), 1)
     trace = mg.run_griddy_gibbs(toy_model, grid, 50, np.random.default_rng(0))
@@ -14,17 +60,28 @@ def test_gibbs_single_point_grid_counts_everything(toy_model):
 
 
 def test_gibbs_burn_in_accounting(toy_model, toy_grid):
-    trace = mg.run_griddy_gibbs(
-        toy_model, toy_grid, 40, np.random.default_rng(1), burn_in=15)
-    assert trace.kept == 25
-    assert trace.visits.sum() == 25
-    assert trace.stationary_estimate().sum() == pytest.approx(8.0)
+    def one_chain(n_iter, **kwargs):
+        return [mg.run_griddy_gibbs(toy_model, toy_grid, n_iter,
+                                    np.random.default_rng(1), **kwargs)]
+
+    def three_chains(n_iter, **kwargs):
+        return mg.run_griddy_chains(toy_model, toy_grid, n_iter,
+                                    [np.random.default_rng(s) for s in (1, 2, 3)],
+                                    **kwargs)
+
+    for run, n_traces in ((one_chain, 1), (three_chains, 3)):
+        traces = run(40, burn_in=15)
+        assert len(traces) == n_traces
+        for trace in traces:
+            assert trace.kept == 25
+            assert trace.visits.sum() == 25
+            assert trace.stationary_estimate().sum() == pytest.approx(8.0)
+        with pytest.raises(ValueError):
+            run(10, burn_in=10)
+        with pytest.raises(ValueError):
+            run(10, init_state=99)
     with pytest.raises(ValueError):
-        mg.run_griddy_gibbs(toy_model, toy_grid, 10, np.random.default_rng(1),
-                            burn_in=10)
-    with pytest.raises(ValueError):
-        mg.run_griddy_gibbs(toy_model, toy_grid, 10, np.random.default_rng(1),
-                            init_state=99)
+        mg.run_griddy_chains(toy_model, toy_grid, 10, [])
 
 
 def test_gibbs_is_reproducible(toy_model, toy_grid):
@@ -58,6 +115,75 @@ def test_gibbs_traps_in_one_mode_when_local_densities_separate():
     pos = trace.visits[signs > 0].sum()
     assert min(neg, pos) == 0
     assert max(neg, pos) == 2000
+
+
+@pytest.mark.parametrize("case", ["toy-tau100", "toy-tau1000", "asym", "gp-2x2"])
+def test_lockstep_chains_match_the_one_chain_oracle(case, request):
+    # the GP model keeps the default, looping sample_local_many
+    model, grid = _equivalence_case(case, request)
+    n_iter = 40 if case == "gp-2x2" else 300
+    seeds = (5, 6, 7)
+    rngs = [np.random.default_rng(s) for s in seeds]
+    traces = mg.run_griddy_chains(model, grid, n_iter, rngs, burn_in=10)
+    for seed, rng, trace in zip(seeds, rngs, traces):
+        ref_rng = np.random.default_rng(seed)
+        ref = griddy_gibbs_oracle(model, grid, n_iter, ref_rng, burn_in=10)
+        np.testing.assert_array_equal(trace.visits, ref.visits)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+    one = mg.run_griddy_gibbs(model, grid, n_iter, np.random.default_rng(seeds[0]),
+                              burn_in=10)
+    np.testing.assert_array_equal(one.visits, traces[0].visits)
+
+
+@pytest.mark.parametrize("case", ["toy-tau100", "asym", "discrete-6x5"])
+def test_sample_local_many_is_the_per_row_draw(case, request):
+    model, grid = _equivalence_case(case, request)
+    points = grid.points[np.random.default_rng(1).integers(len(grid), size=300)]
+    many_rngs = [np.random.default_rng(s) for s in range(points.shape[0])]
+    one_rngs = [np.random.default_rng(s) for s in range(points.shape[0])]
+    for _ in range(3):
+        many = model.sample_local_many(points, many_rngs)
+        one = np.concatenate([model.sample_local(p, g, 1)
+                              for p, g in zip(points, one_rngs)])
+        assert many.dtype == one.dtype
+        np.testing.assert_array_equal(many, one)
+    for a, b in zip(many_rngs, one_rngs):
+        assert a.bit_generator.state == b.bit_generator.state
+
+
+class _DeadAboveCutoff(mg.Model):
+    """Uniform latent draws; a draw above the cutoff weighs zero everywhere."""
+
+    def __init__(self, cutoff):
+        self.cutoff = cutoff
+
+    def log_prior(self, lam):
+        return 0.0
+
+    def sample_local(self, lam, rng, size):
+        return rng.random(size)
+
+    def log_weight_matrix(self, thetas, points, log_priors):
+        alive = np.asarray(thetas)[:, None] < self.cutoff
+        return np.where(alive, 0.0, -np.inf) + np.zeros(len(points))
+
+
+def test_lockstep_degenerate_draw_names_iteration_and_chain():
+    model = _DeadAboveCutoff(0.97)
+    grid = mg.make_regular_grid(mg.Domain(0.0, 1.0), 4)
+    seeds = (27, 28, 29)
+    first = []
+    for seed in seeds:
+        with pytest.raises(mg.DegenerateWeightError) as err:
+            griddy_gibbs_oracle(model, grid, 200, np.random.default_rng(seed))
+        first.append(int(str(err.value).split()[1]))
+    t = min(first)
+    r = first.index(t)
+    assert r > 0  # the error must not just report chain 0
+    with pytest.raises(mg.DegenerateWeightError,
+                       match=rf"^iteration {t}, chain {r}: .*zero weight"):
+        mg.run_griddy_chains(model, grid, 200,
+                             [np.random.default_rng(s) for s in seeds])
 
 
 def test_nearest_neighbor_identity_on_same_grid(toy_grid):

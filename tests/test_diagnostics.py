@@ -98,6 +98,19 @@ def test_hitting_absorbing_chain_is_reducible():
         mg.hitting_probabilities(F)
 
 
+@pytest.mark.parametrize("F", [
+    np.array([[0.5, 0.5, 0.0], [0.2, 0.5, np.nan], [0.0, 0.5, 0.5]]),
+    np.array([[0.5, 0.5, 0.0], [0.2, 0.5, 0.5], [0.0, 0.5, 0.5]]),
+], ids=["nan-entry", "row-sums-to-1.2"])
+def test_hitting_rejects_non_stochastic_input(F):
+    # the stationary solve's matrix check, not a misleading reducibility
+    # error or an answer read off the off-diagonals
+    with pytest.raises(ValueError, match="row-stochastic"):
+        mg.hitting_probabilities(F)
+    with pytest.raises(ValueError, match="row-stochastic"):
+        mg.stationary_vector(F)
+
+
 def test_hitting_matches_simulated_excursions():
     rng = np.random.default_rng(31)
     F, _ = random_reversible_chain(rng, 4)

@@ -284,6 +284,31 @@ def test_run_compare_tau_sweep_and_truncation_reporting(tmp_path):
     assert len(rows) == 3 + 2 * 2
 
 
+def test_run_compare_lockstep_chains_write_the_one_chain_bytes(tmp_path, monkeypatch):
+    # compare.csv from the lockstep chains must be byte-identical to the
+    # one written when every replicate chain runs alone through the
+    # unbatched per-iteration loop
+    from test_baselines import griddy_gibbs_oracle
+
+    text = TOY_TEXT + "\n[compare]\ntau_sweep = 2 100 1000\nburn_in = 4\n"
+    cfg = mg.ExperimentConfig.from_text(text)
+    mg.run_compare(cfg, str(tmp_path / "lockstep"), replicates=3, seed=5)
+
+    calls = []
+
+    def one_by_one(model, grid, n_iter, rngs, burn_in=0, init_state=None):
+        calls.append(len(rngs))
+        return [griddy_gibbs_oracle(model, grid, n_iter, g, burn_in, init_state)
+                for g in rngs]
+
+    monkeypatch.setattr(mg.experiments, "run_griddy_chains", one_by_one)
+    mg.run_compare(cfg, str(tmp_path / "oracle"), replicates=3, seed=5)
+    assert calls == [3, 3, 3]
+    lockstep = (tmp_path / "lockstep" / "compare.csv").read_bytes()
+    assert lockstep == (tmp_path / "oracle" / "compare.csv").read_bytes()
+    assert lockstep.count(b"\n") == 3 + 3 * 3
+
+
 def test_run_rate_study_shapes_and_dense_trend(tmp_path):
     text = """
 [model]

@@ -2,12 +2,13 @@
 
 The curve estimator's accuracy depends on where samples were taken.
 Reweighting extends a fitted estimate to a denser evaluation grid: the
-grid matrix on that grid is a sample average of products of two weight
-ratios (numerators at evaluation columns; one denominator over the
-evaluation grid, one over the simulation grid).  The asymptotic-variance
-calculus then scores each candidate point by u_m sqrt(tr(G' Xi_m G)),
-with G the group inverse of I - F on the evaluation grid and Xi_m the
-covariance of the normalized weights under the local density of m.
+fitted curve's kernel summands at the evaluation columns, row-normalized,
+are the normalized weights a, and the grid matrix on that grid is the
+curve's own sample average of a under each point's local density.  The
+asymptotic-variance calculus then scores each candidate point by
+u_m sqrt(tr(G' Xi_m G)), with G the group inverse of I - F on the
+evaluation grid and Xi_m the covariance of the normalized weights under
+the local density of m.
 Only those traces are needed, and each is read off the same sample
 averages as E_m[a' H a] - f_m' H f_m with H = G G', so scoring costs
 O(S M^2) for S samples and M evaluation points and the grid size has
@@ -23,7 +24,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .diagnostics import group_inverse
 from .emus import SampleBank, child_rng, fit_emus, stationary_vector
@@ -69,49 +69,38 @@ class EvalExtension:
     transition: np.ndarray
     stationary_values: np.ndarray
     sim_indices: np.ndarray
-    _eval_ratios: np.ndarray = field(repr=False)   # a: eval-denominator weights
-    _sim_ratios: np.ndarray = field(repr=False)    # b: sim-denominator weights
-    _sample_scale: np.ndarray = field(repr=False)  # c: u_hat / N per sample
+    _eval_ratios: np.ndarray = field(repr=False)  # a: row-normalized weights
+    _local: np.ndarray = field(repr=False)        # c b_m / u_m per sample
 
 
 def extend_to_eval_grid(functional: FunctionalEstimate,
                         eval_grid: HyperGrid) -> EvalExtension:
     """Estimate the grid matrix of a finer evaluation grid by reweighting.
 
-    For each cached sample the weight against evaluation column j is
-    taken twice: a_j with the log-sum-exp over the evaluation grid in
-    the denominator, and b_i with the simulation grid's cached
-    log-sum-exp.  Averaging c b_i a_j with c = u_hat/N per sample and
-    dividing by the curve value at i gives a row-stochastic matrix that
-    estimates the evaluation-grid matrix without any new sampling.
+    The fitted curve supplies b, each cached sample's kernel summands at
+    the evaluation columns, and u, its values there.  Row-normalizing b
+    gives the normalized weights a (the simulation columns are among b's,
+    so every row sums to at least 1); local = c b_m / u_m, c = u_hat/N
+    per sample, averages under the local density of point m, and
+    F = local' a is row-stochastic, with no new sampling or log-weights.
     """
-    emus = functional.emus
-    model = functional.model
-    sim_idx = _require_subset(emus.grid, eval_grid)
-    thetas, offsets = emus.bank.flattened()
-    points = eval_grid.points
-    log_priors = np.array([model.log_prior(lam) for lam in points])
-    loga = np.asarray(model.log_weight_matrix(thetas, points, log_priors), dtype=float)
-    lse_eval = logsumexp(loga, axis=1)
-    a = np.exp(loga - lse_eval[:, None])
-    b = np.exp(loga - emus.cache.lse[:, None])
-    counts = emus.counts
-    c = np.repeat(emus.stationary / counts, counts)
-    u_eval = b.T @ c
+    sim_idx = _require_subset(functional.emus.grid, eval_grid)
+    b = functional._ratio_matrix(eval_grid.points)
+    u_eval = functional._curve(b)
     if np.any(u_eval <= 0):
         raise MargridError(
             "the reweighted curve vanishes at some evaluation points; the "
             "evaluation grid reaches beyond the samples' support"
         )
-    F_eval = (b * c[:, None]).T @ a / u_eval[:, None]
+    a = b / b.sum(axis=1, keepdims=True)
+    local = functional._weights[:, None] * b / u_eval
     return EvalExtension(
         eval_grid=eval_grid,
-        transition=F_eval,
+        transition=local.T @ a,
         stationary_values=u_eval,
         sim_indices=sim_idx,
         _eval_ratios=a,
-        _sim_ratios=b,
-        _sample_scale=c,
+        _local=local,
     )
 
 
@@ -180,9 +169,7 @@ def optimal_weights(extension: EvalExtension):
         warnings.simplefilter("ignore", RuntimeWarning)
         v = stationary_vector(F, on_degenerate="truncate")
     G = group_inverse(F, v, method="direct")
-    local = extension._sim_ratios * extension._sample_scale[:, None]
-    local /= u
-    return trace_weights(extension._eval_ratios, local, F, u, G)
+    return trace_weights(extension._eval_ratios, extension._local, F, u, G)
 
 
 def incremental_weights(w_hat: np.ndarray, counts: np.ndarray, budget: int,

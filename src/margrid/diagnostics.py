@@ -185,6 +185,8 @@ class VarianceDiagnostics:
     R: np.ndarray
     Q: np.ndarray
     sampling_fractions: np.ndarray
+    #: per-row grid terms L sum_{j != i} R_ij / Q_ij^2 of the bound
+    grid_terms: np.ndarray
     rel_var_bound: float
     eq_sample: bool
 
@@ -200,11 +202,13 @@ def variance_diagnostics(estimate: EmusEstimate) -> VarianceDiagnostics:
     Q = hitting_probabilities(estimate.transition)
     counts = estimate.counts
     w = counts / counts.sum()
+    terms = _bound_terms(R, Q)
     return VarianceDiagnostics(
         R=R,
         Q=Q,
         sampling_fractions=w,
-        rel_var_bound=float(np.sum(_bound_terms(R, Q) / w)),
+        grid_terms=terms,
+        rel_var_bound=float(np.sum(terms / w)),
         eq_sample=bool(np.all(counts == counts[0])),
     )
 
@@ -226,7 +230,7 @@ def pointwise_variance_bound(functional, lam, diagnostics: VarianceDiagnostics |
     est = functional.emus
     if diagnostics is None:
         diagnostics = variance_diagnostics(est)
-    grid_part = _bound_terms(diagnostics.R, diagnostics.Q)
+    grid_part = diagnostics.grid_terms
     if not np.all(np.isfinite(grid_part)):
         # NaN for single-draw points, otherwise infinite
         return float(np.sum(grid_part))

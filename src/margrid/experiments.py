@@ -40,7 +40,7 @@ from .models import (
     gp_dataset_from_csv,
     make_synthetic_gp_dataset,
 )
-from .diagnostics import _bound_terms, variance_diagnostics
+from .diagnostics import variance_diagnostics
 
 __all__ = [
     "ExperimentConfig",
@@ -255,9 +255,7 @@ def _exact_logs(model: Model, points) -> np.ndarray:
 
 def exact_stationary(model: Model, grid: HyperGrid) -> np.ndarray:
     """Exact stationary vector over a grid, normalized to sum L."""
-    logs = _exact_logs(model, grid.points)
-    z = np.exp(logs - logs.max())
-    return z * (len(z) / z.sum())
+    return exact_reference(model, grid, grid)
 
 
 def exact_reference(model: Model, eval_grid: HyperGrid, sim_grid: HyperGrid) -> np.ndarray:
@@ -412,7 +410,7 @@ def run_estimate(config: ExperimentConfig, out_dir: str, *, seed=None,
             profile_files.append(name)
 
     diag = variance_diagnostics(emus0)
-    per_point = _bound_terms(diag.R, diag.Q) / diag.sampling_fractions
+    per_point = diag.grid_terms / diag.sampling_fractions
     diag_rows = [
         (i, *sim_grid.points[i], counts[i], emus0.stationary[i], per_point[i])
         for i in range(len(sim_grid))
@@ -711,11 +709,6 @@ def run_design_study(config: ExperimentConfig, out_dir: str, *, seed=None,
                              points=eval_grid.points[site_idx],
                              scale=eval_grid.scale)
 
-        def probe_density(fn: FunctionalEstimate) -> np.ndarray:
-            dens = fn.marginal_many(eval_grid.points)
-            dens = dens / (dens @ quad)
-            return dens[probe_idx]
-
         def one_design(r: int):
             rep_master = int(np.random.SeedSequence(
                 master, spawn_key=(2, r)).generate_state(1, dtype=np.uint64)[0])
@@ -723,7 +716,7 @@ def run_design_study(config: ExperimentConfig, out_dir: str, *, seed=None,
                 _, fn = run_design_loop(model, eval_grid, iterations, blocks,
                                         per_block, rep_master,
                                         stabilize=stabilize)
-                return probe_density(fn)
+                return fn.density(eval_grid, quad)[probe_idx]
             except MargridError:
                 return np.full(len(probe_idx), np.nan)
 
@@ -732,7 +725,7 @@ def run_design_study(config: ExperimentConfig, out_dir: str, *, seed=None,
                                     spawn_prefix=(3, r))
             try:
                 emus = fit_emus(bank, model, on_degenerate="truncate")
-                return probe_density(FunctionalEstimate(emus, model))
+                return FunctionalEstimate(emus, model).density(eval_grid, quad)[probe_idx]
             except MargridError:
                 return np.full(len(probe_idx), np.nan)
 

@@ -2,17 +2,16 @@
 
 The same cached samples that produced the grid values extend the
 estimate to arbitrary hyperparameter values.  For any lam in the domain
-the kernel value at grid point i averages
+the curve is one product of per-sample weights and kernel summands,
 
-    exp( log psi_lam(theta) + log p(lam) - lse(theta) )
+    u(lam) = sum_s (u_i / N_i) exp( log psi_lam(theta_s) + log p(lam) - lse_s ),
 
-over the draws at i, where lse is the cached log-sum-exp over the
-simulation columns; the curve value is the stationary-weighted sum of
-kernel values.  Evaluating at a simulation point reproduces the grid
-value (the kernel column coincides with the transition column), the
-hyperparameter gradient follows by differentiating through the
-exponential, and ratios of integrated test-function kernels estimate
-posterior expectations.
+with draw s taken at grid point i and lse_s its cached log-sum-exp over
+the simulation columns.  Evaluating at a simulation point reproduces the
+grid value (the kernel column coincides with the transition column); the
+hyperparameter gradient (differentiating through the exponential) and
+the ratio estimators of posterior expectations apply the same product to
+other summands.
 """
 
 from __future__ import annotations
@@ -42,16 +41,27 @@ class FunctionalEstimate:
         self.emus = emus
         self.model = model
         self._thetas, self._offsets = emus.bank.flattened()
+        # c_s = u_i / N_i for every draw s at grid point i
+        self._weights = np.repeat(emus.stationary / emus.counts, emus.counts)
 
     # -- kernel machinery -------------------------------------------------
 
+    def _query_points(self, points) -> np.ndarray:
+        """Values as an (M, p) array; flat input holds consecutive p-vectors."""
+        points = np.asarray(points, dtype=float)
+        dim = self.emus.grid.dim
+        wrong_width = points.ndim == 2 and points.shape[1] != dim
+        if points.ndim > 2 or wrong_width or points.size % dim:
+            raise ValueError(f"points of shape {points.shape} do not fit grid dimension {dim}")
+        return points.reshape(-1, dim)
+
     def _ratios(self, lam) -> np.ndarray:
         """Per-sample kernel weights exp(log psi p - lse) at one value."""
-        return self._ratio_matrix(lam)[:, 0]
+        return self._ratio_matrix([lam])[:, 0]
 
     def _ratio_matrix(self, points) -> np.ndarray:
         """Kernel weights for many values at once, shape (samples, M)."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
+        points = self._query_points(points)
         log_priors = np.array([self.model.log_prior(lam) for lam in points])
         logw = np.asarray(
             self.model.log_weight_matrix(self._thetas, points, log_priors), dtype=float
@@ -59,8 +69,8 @@ class FunctionalEstimate:
         return np.exp(logw - self.emus.cache.lse[:, None])
 
     def _curve(self, summands) -> np.ndarray:
-        """Stationary-weighted sum of per-point means of per-sample columns."""
-        return self.emus.stationary @ segment_mean(summands, self._offsets)
+        """The one product c @ summands, c_s = u_i / N_i: every curve is this."""
+        return self._weights @ summands
 
     def kernel_values(self, lam) -> np.ndarray:
         """Mean kernel weight per grid point, shape (L,).
@@ -78,7 +88,7 @@ class FunctionalEstimate:
 
     def marginal(self, lam) -> float:
         """Estimated u(lam) on the same scale as the grid values."""
-        return float(self.emus.stationary @ self.kernel_values(lam))
+        return float(self.marginal_many([lam])[0])
 
     def marginal_many(self, points) -> np.ndarray:
         """Curve values at many hyperparameter points, shape (M,)."""
@@ -98,7 +108,7 @@ class FunctionalEstimate:
         One ratio matrix serves both: its columns average into the curve
         values and, weighted by the model's gradients, into the gradients.
         """
-        points = np.atleast_2d(np.asarray(points, dtype=float))
+        points = self._query_points(points)
         ratios = self._ratio_matrix(points)
         grads = np.empty(points.shape)
         for m, lam in enumerate(points):

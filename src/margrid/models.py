@@ -250,7 +250,10 @@ class ToyBimodalModel(Model):
 
     def log_weight_matrix(self, thetas, points, log_priors):
         thetas = np.asarray(thetas, dtype=float).ravel()
-        lams = np.atleast_2d(np.asarray(points, dtype=float))[:, 0]
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        if points.ndim != 2 or points.shape[1] != 1:
+            raise ValueError("the toy model has a one-dimensional hyperparameter")
+        lams = points[:, 0]
         base = self._log_mixture(thetas)[:, None]
         local = _gauss_logpdf(thetas[:, None], lams[None, :], 1.0 / self.tau)
         return base + local + np.asarray(log_priors)[None, :]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 import margrid as mg
 from margrid import design
@@ -71,6 +72,63 @@ def test_extension_requires_sim_subset(asym_model, toy_model, toy_grid):
         extend_to_eval_grid(fn, off)
 
 
+def extension_oracle(functional, eval_grid):
+    """(a, u, local, F) rebuilt from the model, as the extension once did.
+
+    Fresh log-weights of every cached sample against the evaluation grid;
+    a takes its own log-sum-exp over the evaluation columns, b the fit's
+    cached one over the simulation columns.
+    """
+    emus, model = functional.emus, functional.model
+    thetas, _ = emus.bank.flattened()
+    points = eval_grid.points
+    log_priors = np.array([model.log_prior(lam) for lam in points])
+    loga = np.asarray(model.log_weight_matrix(thetas, points, log_priors))
+    a = np.exp(loga - logsumexp(loga, axis=1)[:, None])
+    b = np.exp(loga - emus.cache.lse[:, None])
+    c = np.repeat(emus.stationary / emus.counts, emus.counts)
+    u = b.T @ c
+    F = (b * c[:, None]).T @ a / u[:, None]
+    return a, u, (b * c[:, None]) / u, F
+
+
+def toy_extension_case():
+    model = mg.ToyBimodalModel(y=1.0, q=64.0, tau=16.0)
+    eval_grid = mg.make_regular_grid(mg.Domain(-2.0, 2.0), 129)
+    sim_grid = mg.HyperGrid(domain=eval_grid.domain,
+                            points=eval_grid.points[::8], scale=eval_grid.scale)
+    bank = mg.draw_sample_bank(model, sim_grid, 64, 3)
+    emus = mg.fit_emus(bank, model, on_degenerate="truncate")
+    return mg.FunctionalEstimate(emus, model), eval_grid
+
+
+def gp_extension_case():
+    x, y = mg.make_synthetic_gp_dataset(16, 7)
+    model = mg.GpRegressionModel(x, y)
+    eval_grid = mg.make_regular_grid(
+        mg.Domain([0.1, 0.1], [10.0, 10.0]), [11, 11], scale="log")
+    # every second axis value on both axes: a 6 x 6 simulation grid
+    on_sim = (np.indices((11, 11)).reshape(2, -1) % 2 == 0).all(axis=0)
+    sim_grid = mg.HyperGrid(domain=eval_grid.domain,
+                            points=eval_grid.points[on_sim], scale=eval_grid.scale)
+    bank = mg.draw_sample_bank(model, sim_grid, 32, 5)
+    emus = mg.fit_emus(bank, model)
+    return mg.FunctionalEstimate(emus, model), eval_grid
+
+
+@pytest.mark.parametrize("case", [toy_extension_case, gp_extension_case],
+                         ids=["toy-129", "gp-11x11"])
+def test_extension_reads_the_fitted_curve(case):
+    fn, eval_grid = case()
+    ext = extend_to_eval_grid(fn, eval_grid)
+    a, u, local, F = extension_oracle(fn, eval_grid)
+    assert np.max(np.abs(ext._eval_ratios - a)) <= 1e-14
+    np.testing.assert_allclose(ext.stationary_values, u, rtol=1e-13, atol=0)
+    np.testing.assert_array_equal(ext._local, local)
+    assert np.max(np.abs(ext.transition - F)) <= 1e-13
+    np.testing.assert_allclose(ext.transition.sum(axis=1), 1.0, atol=1e-13)
+
+
 # -- cross moments ---------------------------------------------------------
 
 
@@ -81,15 +139,12 @@ def cross_moments_oracle(extension):
     symmetrized by transpose averaging.
     """
     a = extension._eval_ratios
-    b = extension._sim_ratios
-    c = extension._sample_scale
+    local = extension._local
     F = extension.transition
-    u = extension.stationary_values
-    M = u.size
+    M = F.shape[0]
     xi = np.empty((M, M, M))
     for m in range(M):
-        w = (c * b[:, m]) / u[m]
-        second = (a * w[:, None]).T @ a
+        second = (a * local[:, m, None]).T @ a
         mat = second - np.outer(F[m], F[m])
         xi[m] = 0.5 * (mat + mat.T)
     return xi
@@ -98,13 +153,11 @@ def cross_moments_oracle(extension):
 def scoring_inputs(extension):
     """(a, local, F, G) exactly as ``optimal_weights`` builds them."""
     F = extension.transition
-    u = extension.stationary_values
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         v = mg.stationary_vector(F, on_degenerate="truncate")
     G = mg.group_inverse(F, v, method="direct")
-    local = (extension._sim_ratios * extension._sample_scale[:, None]) / u
-    return extension._eval_ratios, local, F, G
+    return extension._eval_ratios, extension._local, F, G
 
 
 def test_cross_moments_match_direct_summation():

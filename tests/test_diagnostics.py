@@ -1,5 +1,6 @@
 """First-visit probabilities, variance bounds and spectral quantities."""
 
+import dataclasses
 import math
 import warnings
 
@@ -191,6 +192,26 @@ def test_variance_diagnostics_flags_and_fractions():
     assert diag.rel_var_bound > 0
     uneven = make_fit([8, 16, 8, 8])
     assert not mg.variance_diagnostics(uneven).eq_sample
+
+
+def test_grid_terms_are_computed_once_and_read_everywhere(toy_fit, toy_model):
+    diag = mg.variance_diagnostics(toy_fit)
+    terms = mg.diagnostics._bound_terms(diag.R, diag.Q)
+    np.testing.assert_array_equal(diag.grid_terms, terms)
+    assert diag.rel_var_bound == float(np.sum(terms / diag.sampling_fractions))
+    assert diag.rel_var_bound == mg.relative_variance_bound(
+        toy_fit.transition, diag.R, diag.sampling_fractions)
+    # the pointwise bound takes the stored terms as they are
+    fn = mg.FunctionalEstimate(toy_fit, toy_model)
+    lam = np.array([0.3])
+    u_lam = fn.marginal(lam)
+    point = (toy_fit.stationary**2 / u_lam**2) * fn.kernel_ratio_variances(lam)
+    expected = 2.0 * np.sum((terms + point) / diag.sampling_fractions)
+    assert mg.pointwise_variance_bound(fn, lam, diag) == expected
+    infinite = dataclasses.replace(diag, grid_terms=np.full(terms.shape, np.inf))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert math.isinf(mg.pointwise_variance_bound(fn, lam, infinite))
 
 
 def test_well_conditioned_fit_has_no_out_of_range_probabilities(toy_fit_l64):

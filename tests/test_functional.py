@@ -182,6 +182,9 @@ def test_density_integrates_to_one(toy_functional):
     D = mg.trapezoid_weights(eval_grid)
     assert dens @ D == pytest.approx(1.0, abs=1e-12)
     assert np.all(dens >= 0)
+    far = mg.make_regular_grid(mg.Domain(900.0, 950.0), 4)
+    with pytest.raises(mg.DegenerateWeightError):
+        toy_functional.density(far)
 
 
 def test_profile_is_axis_max():
@@ -230,3 +233,110 @@ def test_pointwise_bound_consistency(toy_fit, toy_model):
     assert b > 0 and math.isfinite(b)
     # Reuse of precomputed diagnostics must not change the value.
     assert b == mg.pointwise_variance_bound(fn, lam)
+
+
+def curve_oracle(fn, points):
+    """Curve by the per-point-mean route: u . segment_mean(ratios) per point.
+
+    The ratios come straight from the model, not from the functional.
+    """
+    model, emus = fn.model, fn.emus
+    log_priors = np.array([model.log_prior(lam) for lam in points])
+    ratios = np.exp(model.log_weight_matrix(fn._thetas, points, log_priors)
+                    - emus.cache.lse[:, None])
+    return ratios, lambda summands: emus.stationary @ mg.emus.segment_mean(
+        summands, fn._offsets)
+
+
+def expectation_oracle(fn, phi, eval_grid):
+    ratios, curve = curve_oracle(fn, eval_grid.points)
+    quad = mg.trapezoid_weights(eval_grid)
+    phi_vals = phi(fn._thetas)
+    return (curve(ratios * phi_vals[:, None]) @ quad) / (curve(ratios) @ quad)
+
+
+def toy_oracle_case():
+    model = mg.ToyBimodalModel(y=1.0, q=64.0, tau=16.0)
+    domain = mg.Domain(-2.0, 2.0)
+    grid = mg.make_regular_grid(domain, 64)
+    bank = mg.draw_sample_bank(model, grid, 256, master_seed=31)
+    fn = mg.FunctionalEstimate(mg.fit_emus(bank, model), model)
+    return fn, mg.make_regular_grid(domain, 97), lambda t: t**2
+
+
+def gp_oracle_case():
+    x, y = mg.make_synthetic_gp_dataset(16, 7)
+    model = mg.GpRegressionModel(x, y)
+    domain = mg.Domain([0.1, 0.1], [10.0, 10.0])
+    grid = mg.make_regular_grid(domain, [12, 12], scale="log")
+    bank = mg.draw_sample_bank(model, grid, 64, master_seed=5)
+    fn = mg.FunctionalEstimate(mg.fit_emus(bank, model), model)
+    return fn, mg.make_regular_grid(domain, [7, 7], scale="log"), lambda t: t[:, 0]
+
+
+@pytest.mark.parametrize("case", [toy_oracle_case, gp_oracle_case], ids=["toy-L64", "gp-12x12"])
+def test_one_product_matches_the_per_point_mean_route(case):
+    fn, eval_grid, phi = case()
+    ratios, curve = curve_oracle(fn, eval_grid.points)
+    expected = curve(ratios)
+    np.testing.assert_allclose(fn.marginal_many(eval_grid.points), expected,
+                               rtol=1e-13, atol=0)
+    assert fn.expectation(phi, eval_grid) == pytest.approx(
+        expectation_oracle(fn, phi, eval_grid), rel=1e-13, abs=0)
+    # the fit's own grid values come back through the same product
+    np.testing.assert_allclose(fn.marginal_many(fn.emus.grid.points),
+                               fn.emus.stationary, rtol=1e-11)
+
+
+def test_marginal_is_the_one_point_curve(toy_functional):
+    for lam in (-1.3, 0.0, 0.7, np.array([0.2])):
+        assert toy_functional.marginal(lam) == toy_functional.marginal_many([lam])[0]
+
+
+def test_flat_point_lists_are_one_dimensional_points(toy_functional):
+    fn = toy_functional
+    column = np.array([[0.1], [0.2], [0.3]])
+    values = fn.marginal_many(column)
+    assert values.shape == (3,)
+    np.testing.assert_array_equal(fn.marginal_many([0.1, 0.2, 0.3]), values)
+    np.testing.assert_array_equal(fn.marginal_many(np.array([0.1, 0.2, 0.3])), values)
+    np.testing.assert_array_equal(fn.marginal_many(0.1), fn.marginal_many([[0.1]]))
+    curve, grads = fn.curve_with_gradient([0.1, 0.2])
+    assert curve.shape == (2,) and grads.shape == (2, 1)
+    np.testing.assert_array_equal(curve, fn.marginal_many(column[:2]))
+    np.testing.assert_array_equal(grads, fn.curve_with_gradient(column[:2])[1])
+
+
+@pytest.mark.parametrize("points", [
+    [[0.1, 5.0]],
+    np.zeros((3, 2)),
+    np.zeros((2, 1, 1)),
+], ids=["one-2d-point", "width-2", "3d-array"])
+def test_query_points_of_the_wrong_width_are_rejected(toy_functional, points):
+    with pytest.raises(ValueError):
+        toy_functional.marginal_many(points)
+    with pytest.raises(ValueError):
+        toy_functional.curve_with_gradient(points)
+
+
+def test_flat_values_must_split_into_whole_points():
+    x, y = mg.make_synthetic_gp_dataset(n=5, seed=2)
+    model = mg.GpRegressionModel(x, y)
+    grid = mg.make_regular_grid(
+        mg.Domain([0.5, 0.5], [2.0, 2.0]), [2, 2], scale="log")
+    fn = mg.FunctionalEstimate(
+        mg.fit_emus(mg.draw_sample_bank(model, grid, 8, master_seed=9), model), model)
+    pair = fn.marginal_many([[1.0, 1.5], [0.8, 1.2]])
+    np.testing.assert_array_equal(fn.marginal_many([1.0, 1.5, 0.8, 1.2]), pair)
+    assert fn.marginal([1.0, 1.5]) == pair[0]
+    for bad in ([1.0, 1.5, 0.8], 1.0, [[1.0], [1.5]]):
+        with pytest.raises(ValueError):
+            fn.marginal_many(bad)
+
+
+def test_toy_log_weights_reject_multi_column_points(toy_model):
+    thetas = np.zeros(4)
+    with pytest.raises(ValueError):
+        toy_model.log_weight_matrix(thetas, [[0.1, 5.0]], np.zeros(1))
+    with pytest.raises(ValueError):
+        toy_model.log_weight_matrix(thetas, np.zeros((3, 2)), np.zeros(3))

@@ -96,7 +96,8 @@ def run_griddy_chains(model: Model, grid: HyperGrid, n_iter: int, rngs,
     noise = np.empty((len(rngs), L))
     for t in range(n_iter):
         thetas = model.sample_local_many(points[states], rngs)
-        logw = np.asarray(model.log_weight_matrix(thetas, points, log_priors), dtype=float)
+        logw = np.ascontiguousarray(model.log_weight_matrix(thetas, points, log_priors),
+                                    dtype=float)
         dead = np.flatnonzero(~np.isfinite(logw).any(axis=1))
         if dead.size:
             raise DegenerateWeightError(

@@ -49,16 +49,15 @@ def _require_subset(sim_grid: HyperGrid, eval_grid: HyperGrid) -> np.ndarray:
     sim, ev = sim_grid.points, eval_grid.points
     if sim.shape[1] != ev.shape[1]:
         raise GridError("simulation and evaluation grids differ in dimension")
-    idx = np.empty(sim.shape[0], dtype=int)
-    for i, lam in enumerate(sim):
-        hits = np.nonzero(np.all(np.abs(ev - lam[None, :]) <= 1e-12, axis=1))[0]
-        if hits.size == 0:
-            raise GridError(
-                f"simulation point {i} is not on the evaluation grid; the "
-                "reweighting identities need the simulation grid to be a subset"
-            )
-        idx[i] = hits[0]
-    return idx
+    hits = np.all(np.abs(ev[None] - sim[:, None]) <= 1e-12, axis=2)
+    found = hits.any(axis=1)
+    if not found.all():
+        i = int(np.argmin(found))
+        raise GridError(
+            f"simulation point {i} is not on the evaluation grid; the "
+            "reweighting identities need the simulation grid to be a subset"
+        )
+    return np.argmax(hits, axis=1)
 
 
 @dataclass

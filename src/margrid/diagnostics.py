@@ -136,7 +136,8 @@ def weight_ratio_variances(estimate: EmusEstimate) -> np.ndarray:
     single draw are unavailable and reported as NaN, never as zero.
     """
     cache = estimate.cache
-    return segment_var(np.exp(cache.logw - cache.lse[:, None]), cache.offsets)
+    ratios = np.subtract(cache.logw, cache.lse[:, None])
+    return segment_var(np.exp(ratios, out=ratios), cache.offsets)
 
 
 def _bound_terms(R: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -234,8 +235,10 @@ def pointwise_variance_bound(functional, lam, diagnostics: VarianceDiagnostics |
     if not np.all(np.isfinite(grid_part)):
         # NaN for single-draw points, otherwise infinite
         return float(np.sum(grid_part))
-    r = functional.kernel_ratio_variances(lam)
-    u_lam = functional.marginal(lam)
+    # one kernel column serves both the per-point variances and the curve
+    ratios = functional._ratio_matrix([lam])
+    r = segment_var(ratios[:, 0], functional._offsets)
+    u_lam = float(functional._curve(ratios)[0])
     if not u_lam > 0:
         return float("inf")
     point_part = (est.stationary**2 / u_lam**2) * r

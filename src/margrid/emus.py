@@ -132,7 +132,7 @@ def compute_log_weights(bank: SampleBank, model: Model) -> LogWeightCache:
     thetas, offsets = bank.flattened()
     points = bank.grid.points
     log_priors = np.array([model.log_prior(lam) for lam in points])
-    logw = np.asarray(model.log_weight_matrix(thetas, points, log_priors), dtype=float)
+    logw = np.ascontiguousarray(model.log_weight_matrix(thetas, points, log_priors), dtype=float)
     row_max = np.max(logw, axis=1)
     bad = ~np.isfinite(row_max)
     if np.any(bad):
@@ -180,7 +180,9 @@ def estimate_transition_matrix(bank: SampleBank, model: Model):
     (F, cache) : (ndarray of shape (L, L), LogWeightCache)
     """
     cache = compute_log_weights(bank, model)
-    ratios = np.exp(cache.logw - cache.lse[:, None])
+    # one fresh buffer: the cached log-weights stay as they are
+    ratios = np.subtract(cache.logw, cache.lse[:, None])
+    np.exp(ratios, out=ratios)
     return segment_mean(ratios, cache.offsets), cache
 
 

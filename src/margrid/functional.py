@@ -63,10 +63,11 @@ class FunctionalEstimate:
         """Kernel weights for many values at once, shape (samples, M)."""
         points = self._query_points(points)
         log_priors = np.array([self.model.log_prior(lam) for lam in points])
-        logw = np.asarray(
+        ratios = np.ascontiguousarray(
             self.model.log_weight_matrix(self._thetas, points, log_priors), dtype=float
         )
-        return np.exp(logw - self.emus.cache.lse[:, None])
+        ratios -= self.emus.cache.lse[:, None]
+        return np.exp(ratios, out=ratios)
 
     def _curve(self, summands) -> np.ndarray:
         """The one product c @ summands, c_s = u_i / N_i: every curve is this."""

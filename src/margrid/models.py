@@ -26,7 +26,10 @@ class loops over ``log_psi``; every bundled model overrides it with one
 batched evaluation.  ``ToyBimodalModel`` broadcasts, ``DiscreteModel``
 gathers table columns, and ``GpRegressionModel`` shares one Cholesky
 factor and one whitening solve among all columns with the same length
-scale, with ``log_psi`` as its one-column case.
+scale, with ``log_psi`` as its one-column case; all columns then take
+one gather and five in-place passes over the (N, M) output.  The toy
+model likewise works in place on one outer difference.  No bundled model
+writes a column on its own.
 """
 
 from __future__ import annotations
@@ -106,8 +109,11 @@ class Model:
     def log_weight_matrix(self, thetas, points, log_priors):
         """Matrix of log(psi_lam_j(theta_n) p(lam_j)), shape (N, L).
 
-        The default loops over grid columns; models override this when a
-        fully broadcast evaluation is cheaper.
+        The result is a fresh C-ordered float array, which the caller may
+        overwrite; the estimators read it through ``np.ascontiguousarray``,
+        so a model returning another layout costs a copy but changes no
+        result bit.  The default loops over grid columns; models override
+        this when a fully broadcast evaluation is cheaper.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         out = np.empty((len(thetas), points.shape[0]))
@@ -253,10 +259,17 @@ class ToyBimodalModel(Model):
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if points.ndim != 2 or points.shape[1] != 1:
             raise ValueError("the toy model has a one-dimensional hyperparameter")
-        lams = points[:, 0]
-        base = self._log_mixture(thetas)[:, None]
-        local = _gauss_logpdf(thetas[:, None], lams[None, :], 1.0 / self.tau)
-        return base + local + np.asarray(log_priors)[None, :]
+        var = 1.0 / self.tau
+        # _log_mixture + _gauss_logpdf(theta, lam, var) + log prior, as
+        # in-place passes over one (N, M) buffer
+        out = np.subtract.outer(thetas, points[:, 0])
+        np.square(out, out=out)
+        out /= var
+        out += _LOG_2PI + np.log(var)
+        out *= -0.5
+        out += self._log_mixture(thetas)[:, None]
+        out += np.asarray(log_priors, dtype=float)
+        return out
 
     def grad_log_psi_prior(self, thetas, lam):
         lam = _as_lambda(lam)
@@ -324,9 +337,10 @@ class GpRegressionModel(Model):
     squares theta' B^{-1} theta of a batch of draws serve every tau1 at
     that tau2.  An absolute jitter would not scale with tau1 and would
     break the split.  ``log_weight_matrix`` therefore factors B once per
-    distinct tau2 among its points.  The per-value factorization of
-    C_lam, cached by ``_entry``, serves the sampler, the gradients and
-    the exact marginal.
+    distinct tau2 among its points, then fills all columns with one gather
+    and five in-place passes over the (N, M) output.  The per-value
+    factorization of C_lam, cached by ``_entry``, serves the sampler, the
+    gradients and the exact marginal.
     """
 
     def __init__(self, x, y, noise_var: float = 1.0 / 16.0, jitter_scale: float = 1e-9):
@@ -394,9 +408,10 @@ class GpRegressionModel(Model):
         """Matrix of log(psi_lam_j(theta_n) p(lam_j)), shape (N, M).
 
         Columns that share tau2 share one Cholesky factor of B(tau2) and
-        one whitening solve of all draws (see the class docstring); each
-        column then costs O(N).  A column depends only on its own point,
-        never on which other points share the call.
+        one whitening solve of all draws (see the class docstring); filling
+        the (N, M) output then takes one gather and five in-place passes
+        over it.  A column depends only on its own point, never on which
+        other points share the call.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if points.ndim != 2 or points.shape[1] != 2 or np.any(points <= 0):
@@ -410,19 +425,28 @@ class GpRegressionModel(Model):
                       + np.sum(resid * resid, axis=1) / self.noise_var)
         draws = np.asfortranarray(thetas)
         tau2s, group = np.unique(points[:, 1], return_inverse=True)
-        out = np.empty((thetas.shape[0], points.shape[0]))
+        logdets = np.empty(tau2s.size)
+        qs = np.empty((thetas.shape[0], tau2s.size))
         for g, tau2 in enumerate(tau2s):
             base = np.exp(-tau2 * self._sqdist) + self.jitter_scale * np.eye(n)
             chol = cholesky(base, lower=True)
-            logdet = 2.0 * np.sum(np.log(np.diag(chol)))
+            logdets[g] = 2.0 * np.sum(np.log(np.diag(chol)))
             # rows of the solution are L^{-1} theta_k: X L^T = Theta
             white = dtrsm(1.0, chol, draws, side=1, lower=1, trans_a=1)
-            q = np.sum(white * white, axis=1)
-            for j in np.flatnonzero(group == g):
-                scale = points[j, 0] / tau2
-                out[:, j] = (obs - 0.5 * (n * (_LOG_2PI + math.log(scale)) + logdet
-                                          + q / scale)
-                             + log_priors[j])
+            qs[:, g] = np.sum(white * white, axis=1)
+        scales = points[:, 0] / tau2s[group]
+        consts = [n * (_LOG_2PI + math.log(scale)) + logdets[g]
+                  for scale, g in zip(scales, group)]
+        # obs - 0.5 (const + q / scale) + log prior, as in-place passes
+        # over one C-ordered buffer; a - 0.5 x == a + (-0.5 x) exactly
+        out = np.empty((thetas.shape[0], points.shape[0]))
+        # group is in range; mode="clip" keeps take from buffering out
+        np.take(qs, group, axis=1, out=out, mode="clip")
+        out /= scales
+        out += consts
+        out *= -0.5
+        out += obs[:, None]
+        out += np.asarray(log_priors, dtype=float)
         return out
 
     def log_prior(self, lam) -> float:

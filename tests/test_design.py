@@ -72,6 +72,56 @@ def test_extension_requires_sim_subset(asym_model, toy_model, toy_grid):
         extend_to_eval_grid(fn, off)
 
 
+def require_subset_loop(sim_grid, eval_grid):
+    """The per-point search that _require_subset replaces."""
+    sim, ev = sim_grid.points, eval_grid.points
+    idx = np.empty(sim.shape[0], dtype=int)
+    for i, lam in enumerate(sim):
+        hits = np.nonzero(np.all(np.abs(ev - lam[None, :]) <= 1e-12, axis=1))[0]
+        if hits.size == 0:
+            raise mg.GridError(
+                f"simulation point {i} is not on the evaluation grid; the "
+                "reweighting identities need the simulation grid to be a subset"
+            )
+        idx[i] = hits[0]
+    return idx
+
+
+def subset_cases():
+    line = mg.Domain(-2.0, 2.0)
+    square = mg.Domain([0.1, 0.1], [10.0, 10.0])
+    sim_2d = mg.make_regular_grid(square, [4, 4], "log")
+    ev_2d = mg.make_regular_grid(square, [8, 8], "log")
+    # a repeated evaluation point: the first copy is the hit
+    ev_repeat = mg.HyperGrid(square, np.vstack([ev_2d.points, ev_2d.points[:10]])[::-1])
+    # one simulation point (index 5) left out of the evaluation grid
+    keep = ~np.all(np.abs(ev_2d.points - sim_2d.points[5]) <= 1e-12, axis=1)
+    ev_missing = mg.HyperGrid(square, ev_2d.points[keep])
+    return [
+        (mg.make_regular_grid(line, 8), mg.make_regular_grid(line, 16)),
+        (sim_2d, ev_2d),
+        (sim_2d, ev_repeat),
+        (sim_2d, ev_missing),
+        (mg.make_regular_grid(line, 8), mg.make_regular_grid(line, 15)),
+    ]
+
+
+@pytest.mark.parametrize("case", range(5), ids=["1-d", "2-d", "2-d-repeat", "2-d-missing", "1-d-off"])
+def test_subset_indices_match_the_per_point_search(case):
+    sim_grid, eval_grid = subset_cases()[case]
+    try:
+        expected = require_subset_loop(sim_grid, eval_grid)
+    except mg.GridError as err:
+        with pytest.raises(mg.GridError) as got:
+            design._require_subset(sim_grid, eval_grid)
+        assert str(got.value) == str(err)
+        assert case >= 3
+    else:
+        np.testing.assert_array_equal(design._require_subset(sim_grid, eval_grid), expected)
+        np.testing.assert_array_equal(eval_grid.points[expected], sim_grid.points)
+        assert case < 3
+
+
 def extension_oracle(functional, eval_grid):
     """(a, u, local, F) rebuilt from the model, as the extension once did.
 

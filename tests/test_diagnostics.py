@@ -214,6 +214,24 @@ def test_grid_terms_are_computed_once_and_read_everywhere(toy_fit, toy_model):
         assert math.isinf(mg.pointwise_variance_bound(fn, lam, infinite))
 
 
+def test_pointwise_bound_evaluates_one_kernel_column(toy_fit, toy_model, monkeypatch):
+    diag = mg.variance_diagnostics(toy_fit)
+    fn = mg.FunctionalEstimate(toy_fit, toy_model)
+    shapes = []
+    evaluate = toy_model.log_weight_matrix
+
+    def counted(thetas, points, log_priors):
+        out = evaluate(thetas, points, log_priors)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(toy_model, "log_weight_matrix", counted)
+    for lam in (0.3, -1.1):
+        shapes.clear()
+        assert math.isfinite(mg.pointwise_variance_bound(fn, lam, diag))
+        assert shapes == [(toy_fit.bank.total, 1)]
+
+
 def test_well_conditioned_fit_has_no_out_of_range_probabilities(toy_fit_l64):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)

@@ -340,3 +340,26 @@ def test_toy_log_weights_reject_multi_column_points(toy_model):
         toy_model.log_weight_matrix(thetas, [[0.1, 5.0]], np.zeros(1))
     with pytest.raises(ValueError):
         toy_model.log_weight_matrix(thetas, np.zeros((3, 2)), np.zeros(3))
+
+
+class FortranToy(mg.ToyBimodalModel):
+    """The toy model handing back its log-weights in Fortran order."""
+
+    def log_weight_matrix(self, thetas, points, log_priors):
+        return np.asfortranarray(super().log_weight_matrix(thetas, points, log_priors))
+
+
+def test_fortran_ordered_log_weights_change_no_bit():
+    # reductions along a row of a Fortran-ordered array add in another
+    # order, so the callers take the log-weights in C order first
+    models = [cls(y=1.0, q=64.0, tau=16.0) for cls in (mg.ToyBimodalModel, FortranToy)]
+    grid = mg.make_regular_grid(mg.Domain(-2.0, 2.0), 64)
+    eval_points = np.linspace(-2.0, 2.0, 256)
+    fits = []
+    for model in models:
+        est = mg.fit_emus(mg.draw_sample_bank(model, grid, 64, master_seed=3), model)
+        fits.append((est, mg.FunctionalEstimate(est, model).marginal_many(eval_points)))
+    (plain, curve), (fortran, fortran_curve) = fits
+    np.testing.assert_array_equal(fortran.transition, plain.transition)
+    np.testing.assert_array_equal(fortran.stationary, plain.stationary)
+    np.testing.assert_array_equal(fortran_curve, curve)

@@ -6,9 +6,11 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.linalg import solve_triangular
+from scipy.linalg import cholesky, solve_triangular
+from scipy.linalg.blas import dtrsm
 
 import margrid as mg
+from margrid.models import _LOG_2PI
 
 from conftest import ASYM_TABLE
 
@@ -84,7 +86,7 @@ def test_toy_log_weight_matrix_matches_columnwise(toy_model, toy_grid):
     slow = mg.models.Model.log_weight_matrix(
         toy_model, thetas, toy_grid.points, log_priors
     )
-    np.testing.assert_allclose(fast, slow, atol=1e-12)
+    np.testing.assert_array_equal(fast, slow)
 
 
 def test_toy_rejects_nonpositive_precisions():
@@ -153,6 +155,57 @@ def gp_draws_and_points(model, seed):
     thetas, _ = mg.draw_sample_bank(model, grid, 16, master_seed=seed).flattened()
     extra = np.array([[0.7, grid.axes[1][0]], [2.2, grid.axes[1][2]], [1.3, 0.45], [0.4, 2.6]])
     return thetas, np.vstack([grid.points, extra])
+
+
+def gp_log_weight_columnwise(model, thetas, points, log_priors):
+    """The per-column fill of the shared-factor kernel: the bit-exact
+    reference for the whole-array passes of log_weight_matrix."""
+    n = model.y.size
+    resid = model.y[None, :] - thetas
+    obs = -0.5 * (n * (_LOG_2PI + np.log(model.noise_var))
+                  + np.sum(resid * resid, axis=1) / model.noise_var)
+    draws = np.asfortranarray(thetas)
+    tau2s, group = np.unique(points[:, 1], return_inverse=True)
+    out = np.empty((thetas.shape[0], points.shape[0]))
+    for g, tau2 in enumerate(tau2s):
+        base = np.exp(-tau2 * model._sqdist) + model.jitter_scale * np.eye(n)
+        chol = cholesky(base, lower=True)
+        logdet = 2.0 * np.sum(np.log(np.diag(chol)))
+        white = dtrsm(1.0, chol, draws, side=1, lower=1, trans_a=1)
+        q = np.sum(white * white, axis=1)
+        for j in np.flatnonzero(group == g):
+            scale = points[j, 0] / tau2
+            out[:, j] = (obs - 0.5 * (n * (_LOG_2PI + math.log(scale)) + logdet
+                                      + q / scale)
+                         + log_priors[j])
+    return out
+
+
+def gp_surface_case():
+    """The benchmark's GP surface: 64 draws at each point of a 12x12 log
+    grid against the 24x24 evaluation grid."""
+    x, y = mg.make_synthetic_gp_dataset(16, 7)
+    model = mg.GpRegressionModel(x, y)
+    domain = mg.Domain([0.1, 0.1], [10.0, 10.0])
+    grid = mg.make_regular_grid(domain, [12, 12], "log")
+    thetas, _ = mg.draw_sample_bank(model, grid, 64, master_seed=7).flattened()
+    return model, thetas, mg.make_regular_grid(domain, [24, 24], "log").points
+
+
+def gp_small_case():
+    x, y = mg.make_synthetic_gp_dataset(n=8, seed=3)
+    model = mg.GpRegressionModel(x, y)
+    return (model,) + gp_draws_and_points(model, 4)
+
+
+@pytest.mark.parametrize("case", [gp_small_case, gp_surface_case], ids=["3x3+4", "gp-surface"])
+def test_gp_log_weight_matrix_is_the_columnwise_fill(case):
+    model, thetas, points = case()
+    log_priors = np.array([model.log_prior(p) for p in points])
+    fast = model.log_weight_matrix(thetas, points, log_priors)
+    assert fast.flags.c_contiguous
+    np.testing.assert_array_equal(
+        fast, gp_log_weight_columnwise(model, thetas, points, log_priors))
 
 
 @pytest.mark.parametrize("n,seed,jitter_scale", [(5, 2, 1e-9), (8, 3, 1e-9), (16, 7, 1e-4)])
@@ -349,6 +402,19 @@ def test_discrete_log_weight_matrix_matches_columnwise():
         np.testing.assert_array_equal(model.log_psi(thetas, p), col)
     with pytest.raises(mg.GridError):
         model.log_weight_matrix(thetas, [[0.0], [0.25]], np.zeros(2))
+
+
+def test_bundled_log_weight_matrices_are_c_ordered(asym_model, toy_model, gp_model):
+    # the callers' np.ascontiguousarray is then free: no copy is made
+    gp_thetas, gp_points = gp_draws_and_points(gp_model, 2)
+    cases = [(asym_model, np.array([0, 4, 2, 1]), asym_model.grid().points),
+             (toy_model, np.linspace(-2.0, 2.0, 7), np.linspace(-1.0, 1.0, 5)[:, None]),
+             (gp_model, gp_thetas, gp_points)]
+    for model, thetas, points in cases:
+        logw = model.log_weight_matrix(thetas, points, np.zeros(len(points)))
+        assert logw.shape == (len(thetas), len(points))
+        assert logw.dtype == float and logw.flags.c_contiguous
+        assert np.ascontiguousarray(logw, dtype=float) is logw
 
 
 def test_discrete_grid_subsets(asym_model):

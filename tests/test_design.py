@@ -88,38 +88,38 @@ def require_subset_loop(sim_grid, eval_grid):
 
 
 def subset_cases():
+    """(simulation grid, evaluation grid, first missing point or None) by id."""
     line = mg.Domain(-2.0, 2.0)
     square = mg.Domain([0.1, 0.1], [10.0, 10.0])
     sim_2d = mg.make_regular_grid(square, [4, 4], "log")
     ev_2d = mg.make_regular_grid(square, [8, 8], "log")
-    # a repeated evaluation point: the first copy is the hit
-    ev_repeat = mg.HyperGrid(square, np.vstack([ev_2d.points, ev_2d.points[:10]])[::-1])
     # one simulation point (index 5) left out of the evaluation grid
     keep = ~np.all(np.abs(ev_2d.points - sim_2d.points[5]) <= 1e-12, axis=1)
-    ev_missing = mg.HyperGrid(square, ev_2d.points[keep])
-    return [
-        (mg.make_regular_grid(line, 8), mg.make_regular_grid(line, 16)),
-        (sim_2d, ev_2d),
-        (sim_2d, ev_repeat),
-        (sim_2d, ev_missing),
-        (mg.make_regular_grid(line, 8), mg.make_regular_grid(line, 15)),
-    ]
+    return {
+        "1-d": (mg.make_regular_grid(line, 8), mg.make_regular_grid(line, 16), None),
+        "2-d": (sim_2d, ev_2d, None),
+        # repeated evaluation points: the first copy is the hit
+        "2-d-repeat": (sim_2d, mg.HyperGrid(
+            square, np.vstack([ev_2d.points, ev_2d.points[:10]])[::-1]), None),
+        "2-d-missing": (sim_2d, mg.HyperGrid(square, ev_2d.points[keep]), 5),
+        "1-d-off": (mg.make_regular_grid(line, 8), mg.make_regular_grid(line, 15), 0),
+    }
 
 
-@pytest.mark.parametrize("case", range(5), ids=["1-d", "2-d", "2-d-repeat", "2-d-missing", "1-d-off"])
+@pytest.mark.parametrize("case", list(subset_cases()))
 def test_subset_indices_match_the_per_point_search(case):
-    sim_grid, eval_grid = subset_cases()[case]
-    try:
+    sim_grid, eval_grid, missing = subset_cases()[case]
+    if missing is None:
         expected = require_subset_loop(sim_grid, eval_grid)
-    except mg.GridError as err:
-        with pytest.raises(mg.GridError) as got:
-            design._require_subset(sim_grid, eval_grid)
-        assert str(got.value) == str(err)
-        assert case >= 3
-    else:
         np.testing.assert_array_equal(design._require_subset(sim_grid, eval_grid), expected)
         np.testing.assert_array_equal(eval_grid.points[expected], sim_grid.points)
-        assert case < 3
+        return
+    with pytest.raises(mg.GridError) as want:
+        require_subset_loop(sim_grid, eval_grid)
+    with pytest.raises(mg.GridError) as got:
+        design._require_subset(sim_grid, eval_grid)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith(f"simulation point {missing} ")
 
 
 def extension_oracle(functional, eval_grid):

@@ -21,7 +21,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DegenerateWeightError, NoOverlapError, ReducibleChainError
 from .grids import HyperGrid
@@ -144,7 +143,10 @@ def compute_log_weights(bank: SampleBank, model: Model) -> LogWeightCache:
             "inconsistent or all weights underflowed"
         )
     logw[logw < (row_max[:, None] - LOG_WEIGHT_FLOOR)] = -np.inf
-    lse = logsumexp(logw, axis=1)
+    # log-sum-exp through one (S, L) buffer, shifted by the row maximum
+    shifted = np.subtract(logw, row_max[:, None])
+    np.exp(shifted, out=shifted)
+    lse = row_max + np.log(np.sum(shifted, axis=1))
     return LogWeightCache(logw=logw, lse=lse, offsets=offsets)
 
 

@@ -107,15 +107,17 @@ class FunctionalEstimate:
         """Values and gradients along a set of points: (M,), (M, p).
 
         One ratio matrix serves both: its columns average into the curve
-        values and, weighted by the model's gradients, into the gradients.
+        values and, multiplied into the model's (samples, M, p) gradient
+        matrix, into the gradients.
         """
         points = self._query_points(points)
         ratios = self._ratio_matrix(points)
-        grads = np.empty(points.shape)
-        for m, lam in enumerate(points):
-            g = np.asarray(self.model.grad_log_psi_prior(self._thetas, lam))
-            grads[m] = self._curve(ratios[:, m, None] * g)
-        return self._curve(ratios), grads
+        grads = np.ascontiguousarray(
+            self.model.grad_log_weight_matrix(self._thetas, points), dtype=float
+        )
+        grads *= ratios[:, :, None]
+        flat = grads.reshape(ratios.shape[0], -1)
+        return self._curve(ratios), self._curve(flat).reshape(points.shape)
 
     # -- expectations over the hyperparameter -------------------------------
 
@@ -138,8 +140,10 @@ class FunctionalEstimate:
         phi_vals = np.asarray(phi(self._thetas), dtype=float)
         if phi_vals.shape != (ratios.shape[0],):
             raise ValueError("phi must map the sample array to one value per sample")
-        numerator = self._curve(ratios * phi_vals[:, None]) @ quad_weights
         denominator = self._curve(ratios) @ quad_weights
+        # phi weights the same ratio matrix in place: no second (samples, M) array
+        ratios *= phi_vals[:, None]
+        numerator = self._curve(ratios) @ quad_weights
         if not denominator > 0:
             raise DegenerateWeightError(
                 "quadrature normalizer of the curve is not positive; the "

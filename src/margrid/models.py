@@ -13,9 +13,13 @@ Every model provides, for hyperparameter values lam in its domain:
   and the toy and discrete models override it with batched arithmetic
   (the griddy Gibbs chains of :mod:`margrid.baselines` call it once per
   lockstep iteration),
-- optionally ``grad_log_psi_prior`` (hyperparameter gradients) and
-  ``exact_log_u`` (a closed form for log z(lam) p(lam), used as an
-  oracle by diagnostics and experiments).
+- optionally ``grad_log_psi_prior(thetas, lam)`` (hyperparameter
+  gradients of log(psi_lam p(lam)), shape (N, p)) and
+  ``grad_log_weight_matrix(thetas, points)``, the same for many values
+  at once, shape (N, M, p); the base class loops over the first, and
+  every bundled model with gradients overrides the second,
+- optionally ``exact_log_u`` (a closed form for log z(lam) p(lam), used
+  as an oracle by diagnostics and experiments).
 
 The marginal quantity of interest is always u(lam) = z(lam) p(lam)
 up to a lam-independent constant.
@@ -29,7 +33,11 @@ factor and one whitening solve among all columns with the same length
 scale, with ``log_psi`` as its one-column case; all columns then take
 one gather and five in-place passes over the (N, M) output.  The toy
 model likewise works in place on one outer difference.  No bundled model
-writes a column on its own.
+writes a column on its own.  ``grad_log_weight_matrix`` follows the same
+pattern: the GP model shares one factor and two triangular solves of the
+draws among all points with the same length scale, with
+``grad_log_psi_prior`` as its one-point case, and the toy model takes one
+outer difference.
 """
 
 from __future__ import annotations
@@ -119,6 +127,20 @@ class Model:
         out = np.empty((len(thetas), points.shape[0]))
         for j, lam in enumerate(points):
             out[:, j] = self.log_psi(thetas, lam) + log_priors[j]
+        return out
+
+    def grad_log_weight_matrix(self, thetas, points):
+        """Gradients of log(psi_lam_m(theta_n) p(lam_m)), shape (N, M, p).
+
+        The gradient analogue of ``log_weight_matrix``, under the same
+        contract: a fresh C-ordered float array.  The default loops over
+        ``grad_log_psi_prior``; models override this when a batched
+        evaluation is cheaper.
+        """
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        out = np.empty((len(thetas),) + points.shape)
+        for m, lam in enumerate(points):
+            out[:, m] = self.grad_log_psi_prior(thetas, lam)
         return out
 
 
@@ -254,11 +276,16 @@ class ToyBimodalModel(Model):
     def log_prior(self, lam) -> float:
         return 0.0
 
-    def log_weight_matrix(self, thetas, points, log_priors):
-        thetas = np.asarray(thetas, dtype=float).ravel()
+    @staticmethod
+    def _points(points) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if points.ndim != 2 or points.shape[1] != 1:
             raise ValueError("the toy model has a one-dimensional hyperparameter")
+        return points
+
+    def log_weight_matrix(self, thetas, points, log_priors):
+        thetas = np.asarray(thetas, dtype=float).ravel()
+        points = self._points(points)
         var = 1.0 / self.tau
         # _log_mixture + _gauss_logpdf(theta, lam, var) + log prior, as
         # in-place passes over one (N, M) buffer
@@ -271,10 +298,14 @@ class ToyBimodalModel(Model):
         out += np.asarray(log_priors, dtype=float)
         return out
 
+    def grad_log_weight_matrix(self, thetas, points):
+        # tau (theta - lam) from one (N, M, 1) outer difference
+        out = np.subtract.outer(np.asarray(thetas, dtype=float).ravel(), self._points(points))
+        out *= self.tau
+        return out
+
     def grad_log_psi_prior(self, thetas, lam):
-        lam = _as_lambda(lam)
-        thetas = np.asarray(thetas, dtype=float).ravel()
-        return (self.tau * (thetas - lam[0]))[:, None]
+        return self.grad_log_weight_matrix(thetas, _as_lambda(lam)[None, :])[:, 0]
 
     def _local_mixture(self, lams):
         """Weight of the + component, the two means and the common
@@ -338,9 +369,10 @@ class GpRegressionModel(Model):
     that tau2.  An absolute jitter would not scale with tau1 and would
     break the split.  ``log_weight_matrix`` therefore factors B once per
     distinct tau2 among its points, then fills all columns with one gather
-    and five in-place passes over the (N, M) output.  The per-value
-    factorization of C_lam, cached by ``_entry``, serves the sampler, the
-    gradients and the exact marginal.
+    and five in-place passes over the (N, M) output;
+    ``grad_log_weight_matrix`` shares the same factor.  The per-value
+    factorization of C_lam, cached by ``_entry``, serves the sampler and
+    the exact marginal.
     """
 
     def __init__(self, x, y, noise_var: float = 1.0 / 16.0, jitter_scale: float = 1e-9):
@@ -404,6 +436,24 @@ class GpRegressionModel(Model):
     def log_psi(self, thetas, lam):
         return self.log_weight_matrix(thetas, _as_lambda(lam)[None, :], np.zeros(1))[:, 0]
 
+    @staticmethod
+    def _points(points) -> np.ndarray:
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        if points.ndim != 2 or points.shape[1] != 2 or np.any(points <= 0):
+            raise ValueError("lam must be a positive pair (tau1, tau2)")
+        return points
+
+    @staticmethod
+    def _draws(thetas) -> np.ndarray:
+        thetas = np.asarray(thetas, dtype=float)
+        return thetas[None, :] if thetas.ndim == 1 else thetas
+
+    def _factor(self, tau2):
+        """exp(-tau2 D) for the squared distances D, and the lower Cholesky
+        factor of B(tau2)."""
+        decay = np.exp(-tau2 * self._sqdist)
+        return decay, cholesky(decay + self.jitter_scale * np.eye(self.y.size), lower=True)
+
     def log_weight_matrix(self, thetas, points, log_priors):
         """Matrix of log(psi_lam_j(theta_n) p(lam_j)), shape (N, M).
 
@@ -413,12 +463,8 @@ class GpRegressionModel(Model):
         over it.  A column depends only on its own point, never on which
         other points share the call.
         """
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        if points.ndim != 2 or points.shape[1] != 2 or np.any(points <= 0):
-            raise ValueError("lam must be a positive pair (tau1, tau2)")
-        thetas = np.asarray(thetas, dtype=float)
-        if thetas.ndim == 1:
-            thetas = thetas[None, :]
+        points = self._points(points)
+        thetas = self._draws(thetas)
         n = self.y.size
         resid = self.y[None, :] - thetas
         obs = -0.5 * (n * (_LOG_2PI + np.log(self.noise_var))
@@ -428,8 +474,7 @@ class GpRegressionModel(Model):
         logdets = np.empty(tau2s.size)
         qs = np.empty((thetas.shape[0], tau2s.size))
         for g, tau2 in enumerate(tau2s):
-            base = np.exp(-tau2 * self._sqdist) + self.jitter_scale * np.eye(n)
-            chol = cholesky(base, lower=True)
+            chol = self._factor(tau2)[1]
             logdets[g] = 2.0 * np.sum(np.log(np.diag(chol)))
             # rows of the solution are L^{-1} theta_k: X L^T = Theta
             white = dtrsm(1.0, chol, draws, side=1, lower=1, trans_a=1)
@@ -453,27 +498,54 @@ class GpRegressionModel(Model):
         lam = _as_lambda(lam)
         return float(-np.log(lam[0]) - np.log(lam[1]))
 
-    def grad_log_psi_prior(self, thetas, lam):
-        # d log N(theta; 0, K)/d tau_r = -tr(K^-1 dK)/2 + theta' K^-1 dK K^-1 theta / 2
-        # with dK/dtau1 = K/tau1 and dK/dtau2 = -K/tau2 - kernel * sqdist
-        # (the relative jitter folds into K for both derivatives).
-        entry = self._entry(lam)
-        tau1, tau2 = entry["tau"]
-        thetas = np.asarray(thetas, dtype=float)
-        if thetas.ndim == 1:
-            thetas = thetas[None, :]
+    def grad_log_weight_matrix(self, thetas, points):
+        """Gradients of log(psi_lam_m(theta_n) p(lam_m)) in (tau1, tau2),
+        shape (N, M, 2).
+
+        With K = scale B(tau2), scale = tau1/tau2, dK/dtau1 = K/tau1 and
+        dK/dtau2 = -K/tau2 - scale E, E = exp(-tau2 D) .* D (the relative
+        jitter folds into K for both derivatives),
+
+            d/dtau1 = -n/(2 tau1) + quad_K/(2 tau1) - 1/tau1
+            d/dtau2 = n/(2 tau2) + tr(B^{-1} E)/2 - quad_K/(2 tau2)
+                      - quad_E/2 - 1/tau2
+
+        where quad_K = theta' K^{-1} theta = q_B/scale, quad_E =
+        theta' K^{-1} (scale E) K^{-1} theta = q_E/scale, and the last
+        terms are the flat prior on (log tau1, log tau2).  Points that
+        share tau2 share one factor of B, the whitened draws W = Theta L^{-T}
+        (q_B = rowsum W^2) and V = W L^{-1} (q_E = rowsum V .* (V E)); each
+        point then fills its two columns elementwise, so, as for
+        ``log_weight_matrix``, a column never depends on its companions.
+        """
+        points = self._points(points)
+        draws = np.asfortranarray(self._draws(thetas))
         n = self.y.size
-        chol = entry["chol"]
-        v = cho_solve((chol, True), thetas.T)          # K^{-1} theta, (n, N)
-        quad_k = np.sum(thetas.T * v, axis=0)          # theta' K^{-1} theta
-        cd = entry["kernel"] * self._sqdist            # kernel .* sqdist
-        kinv_cd = cho_solve((chol, True), cd)
-        tr_kinv_cd = float(np.trace(kinv_cd))
-        quad_cd = np.sum(v * (cd @ v), axis=0)         # v' (kernel.*sqdist) v
-        g1 = -0.5 * n / tau1 + 0.5 * quad_k / tau1 - 1.0 / tau1
-        g2 = (0.5 * n / tau2 + 0.5 * tr_kinv_cd
-              - 0.5 * quad_k / tau2 - 0.5 * quad_cd - 1.0 / tau2)
-        return np.stack([g1, g2], axis=1)
+        tau2s, group = np.unique(points[:, 1], return_inverse=True)
+        q_b = np.empty((draws.shape[0], tau2s.size))
+        q_e = np.empty_like(q_b)
+        traces = np.empty(tau2s.size)
+        for g, tau2 in enumerate(tau2s):
+            decay, chol = self._factor(tau2)
+            E = decay * self._sqdist
+            traces[g] = np.trace(cho_solve((chol, True), E))
+            white = dtrsm(1.0, chol, draws, side=1, lower=1, trans_a=1)
+            q_b[:, g] = np.einsum("ij,ij->i", white, white)
+            # rows of V are (B^{-1} theta_k)': X L = W
+            v = dtrsm(1.0, chol, white, side=1, lower=1)
+            q_e[:, g] = np.einsum("ij,ij->i", v, v @ E)
+        tau1, tau2 = points[:, 0], points[:, 1]
+        scales = tau1 / tau2
+        quad_k = q_b[:, group] / scales
+        quad_e = q_e[:, group] / scales
+        out = np.empty((draws.shape[0], points.shape[0], 2))
+        out[:, :, 0] = -0.5 * n / tau1 + 0.5 * quad_k / tau1 - 1.0 / tau1
+        out[:, :, 1] = (0.5 * n / tau2 + 0.5 * traces[group]
+                        - 0.5 * quad_k / tau2 - 0.5 * quad_e - 1.0 / tau2)
+        return out
+
+    def grad_log_psi_prior(self, thetas, lam):
+        return self.grad_log_weight_matrix(thetas, _as_lambda(lam)[None, :])[:, 0]
 
     def sample_local(self, lam, rng, size: int):
         entry = self._entry(lam)

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 import margrid as mg
 
@@ -246,6 +247,31 @@ def test_log_weight_floor_drops_tiny_columns(toy_model):
     assert np.all(
         np.isneginf(cache.logw) | (cache.logw >= cache.logw.max(axis=1)[:, None]
                                    - mg.emus.LOG_WEIGHT_FLOOR))
+
+
+def _lse_case(name):
+    """A model and its bank: a toy fit, a toy fit on grid points 10 apart
+    (each row keeps a few finite entries and floors the far columns to
+    -inf), and the benchmark's GP surface, whose rows span hundreds of nats."""
+    if name == "gp-surface":
+        x, y = mg.make_synthetic_gp_dataset(16, 7)
+        model = mg.GpRegressionModel(x, y)
+        grid = mg.make_regular_grid(mg.Domain([0.1, 0.1], [10.0, 10.0]), [12, 12], "log")
+        return model, mg.draw_sample_bank(model, grid, 16, 7)
+    model = mg.ToyBimodalModel(1.0, 2.0, 2.0)
+    half_width, L = (2.0, 8) if name == "toy" else (40.0, 9)
+    grid = mg.make_regular_grid(mg.Domain(-half_width, half_width), L)
+    return model, mg.draw_sample_bank(model, grid, 16, 3)
+
+
+@pytest.mark.parametrize("name", ["toy", "toy-floored", "gp-surface"])
+def test_log_sum_exp_matches_scipy(name):
+    model, bank = _lse_case(name)
+    cache = mg.compute_log_weights(bank, model)
+    if name != "toy":
+        assert np.isneginf(cache.logw).any()
+        assert np.all(np.sum(np.isfinite(cache.logw), axis=1) > 1)
+    np.testing.assert_allclose(cache.lse, logsumexp(cache.logw, axis=1), rtol=0, atol=1e-13)
 
 
 def test_child_rng_is_keyed_and_reproducible():

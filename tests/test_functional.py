@@ -119,6 +119,18 @@ def test_expectation_matches_closed_form_on_window(toy_model):
     assert got == pytest.approx(exact, abs=0.03)
 
 
+def test_expectation_weights_the_ratio_matrix_in_place(toy_functional):
+    # phi multiplied into the ratio matrix in place forms the same
+    # products as a second (samples, M) array, so no bit moves
+    fn = toy_functional
+    eval_grid = mg.make_regular_grid(mg.Domain(-2.0, 2.0), 16)
+    D = mg.trapezoid_weights(eval_grid)
+    ratios = fn._ratio_matrix(eval_grid.points)
+    phi = fn._thetas ** 2
+    expected = (fn._curve(ratios * phi[:, None]) @ D) / (fn._curve(ratios) @ D)
+    assert fn.expectation(lambda t: t ** 2, eval_grid) == float(expected)
+
+
 def test_expectation_rejects_bad_phi_and_empty_support(toy_functional):
     eval_grid = mg.make_regular_grid(mg.Domain(-2.0, 2.0), 8)
     with pytest.raises(ValueError):
@@ -166,6 +178,64 @@ def test_batched_gradients_match_the_per_point_formula(toy_functional, toy_model
         expected = fn.emus.stationary @ mg.emus.segment_mean(r[:, None] * g, fn._offsets)
         np.testing.assert_allclose(grad, expected, rtol=1e-12)
         np.testing.assert_allclose(fn.gradient(lam), expected, rtol=1e-12)
+
+
+class PointwiseToy(mg.models.Model):
+    """A model that defines gradients only through grad_log_psi_prior, so
+    its log-weights and gradient matrices come from the base-class loops."""
+
+    def __init__(self, toy):
+        self.toy = toy
+
+    def log_psi(self, thetas, lam):
+        return self.toy.log_psi(thetas, lam)
+
+    def log_prior(self, lam):
+        return self.toy.log_prior(lam)
+
+    def sample_local(self, lam, rng, size):
+        return self.toy.sample_local(lam, rng, size)
+
+    def grad_log_psi_prior(self, thetas, lam):
+        return self.toy.grad_log_psi_prior(thetas, lam)
+
+
+def test_pointwise_gradient_models_use_the_base_class_loop(toy_fit, toy_model):
+    stub = PointwiseToy(toy_model)
+    assert stub.has_gradient
+    points = np.linspace(-1.9, 1.9, 9)[:, None]
+    thetas = toy_fit.bank.flattened()[0]
+    grads = stub.grad_log_weight_matrix(thetas, points)
+    assert grads.shape == (len(thetas), 9, 1) and grads.flags.c_contiguous
+    expected = mg.FunctionalEstimate(toy_fit, toy_model).curve_with_gradient(points)
+    got = mg.FunctionalEstimate(toy_fit, stub).curve_with_gradient(points)
+    np.testing.assert_array_equal(got[0], expected[0])
+    np.testing.assert_array_equal(got[1], expected[1])
+
+
+def test_discrete_curves_have_no_gradient(asym_model):
+    bank = mg.exhaustive_discrete_bank(asym_model)
+    fn = mg.FunctionalEstimate(mg.fit_emus(bank, asym_model), asym_model)
+    with pytest.raises(mg.GradientUnavailableError):
+        fn.curve_with_gradient(asym_model.grid().points)
+    with pytest.raises(mg.GradientUnavailableError):
+        fn.gradient(1.0)
+
+
+def test_gp_gradients_leave_the_factor_cache_alone():
+    # the sampler caches one factorization per grid value; curves and
+    # gradients at other values add none
+    x, y = mg.make_synthetic_gp_dataset(n=5, seed=2)
+    model = mg.GpRegressionModel(x, y)
+    grid = mg.make_regular_grid(mg.Domain([0.5, 0.5], [2.0, 2.0]), [3, 3], scale="log")
+    fn = mg.FunctionalEstimate(
+        mg.fit_emus(mg.draw_sample_bank(model, grid, 8, master_seed=9), model), model)
+    cached = len(model._cache)
+    off_grid = np.array([[0.6, 0.8], [1.1, 0.9], [1.9, 1.3]])
+    fn.curve_with_gradient(off_grid)
+    fn.gradient(off_grid[1])
+    fn.gradient([0.7, 1.7])
+    assert len(model._cache) == cached
 
 
 def test_curve_with_gradient_shapes(toy_functional):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.linalg import cholesky, solve_triangular
+from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.linalg.blas import dtrsm
 
 import margrid as mg
@@ -89,6 +89,19 @@ def test_toy_log_weight_matrix_matches_columnwise(toy_model, toy_grid):
     np.testing.assert_array_equal(fast, slow)
 
 
+def test_toy_grad_log_weight_matrix_is_the_per_point_gradient(toy_model, toy_grid):
+    thetas = np.linspace(-2.0, 2.0, 11)
+    points = np.vstack([toy_grid.points, [[0.3], [-1.7]]])
+    fast = toy_model.grad_log_weight_matrix(thetas, points)
+    assert fast.shape == (11, len(points), 1)
+    np.testing.assert_array_equal(
+        fast, mg.models.Model.grad_log_weight_matrix(toy_model, thetas, points))
+    for m, lam in enumerate(points):
+        np.testing.assert_array_equal(fast[:, m, 0], toy_model.tau * (thetas - lam[0]))
+    with pytest.raises(ValueError):
+        toy_model.grad_log_weight_matrix(thetas, [[0.1, 5.0]])
+
+
 def test_toy_rejects_nonpositive_precisions():
     with pytest.raises(ValueError):
         mg.ToyBimodalModel(q=0.0)
@@ -122,23 +135,71 @@ def gp_log_psi_oracle(model, thetas, lam):
     return obs - 0.5 * (n * math.log(2 * math.pi) + logdet + np.sum(white * white, axis=0))
 
 
-def gp_log_psi_long_double(model, thetas, lam):
-    """The same log density in extended precision: Cholesky and forward
-    substitution written out in np.longdouble."""
+def gp_grad_oracle(model, thetas, lam):
+    """Gradient of log(psi_lam(theta) p(lam)) in (tau1, tau2), one factor
+    of C_lam per call: the per-point formula that grad_log_weight_matrix
+    batches.
+
+    d log N(theta; 0, K)/d tau_r = -tr(K^-1 dK)/2 + theta' K^-1 dK K^-1 theta / 2
+    with dK/dtau1 = K/tau1 and dK/dtau2 = -K/tau2 - kernel * sqdist (the
+    relative jitter folds into K for both derivatives).
+    """
+    entry = model._entry(lam)
+    tau1, tau2 = entry["tau"]
+    thetas = np.atleast_2d(thetas)
+    n = model.y.size
+    chol = entry["chol"]
+    v = cho_solve((chol, True), thetas.T)          # K^{-1} theta, (n, N)
+    quad_k = np.sum(thetas.T * v, axis=0)          # theta' K^{-1} theta
+    cd = entry["kernel"] * model._sqdist           # kernel .* sqdist
+    tr_kinv_cd = float(np.trace(cho_solve((chol, True), cd)))
+    quad_cd = np.sum(v * (cd @ v), axis=0)         # v' (kernel.*sqdist) v
+    g1 = -0.5 * n / tau1 + 0.5 * quad_k / tau1 - 1.0 / tau1
+    g2 = (0.5 * n / tau2 + 0.5 * tr_kinv_cd
+          - 0.5 * quad_k / tau2 - 0.5 * quad_cd - 1.0 / tau2)
+    return np.stack([g1, g2], axis=1)
+
+
+def _long_double_cov_factor(model, lam):
+    """K = C_lam + relative jitter, its kernel part and its Cholesky factor,
+    all in np.longdouble."""
     ld = np.longdouble
     tau1, tau2 = ld(lam[0]), ld(lam[1])
     n = model.y.size
-    cov = (tau1 / tau2) * (np.exp(-tau2 * model._sqdist.astype(ld))
-                           + ld(model.jitter_scale) * np.eye(n, dtype=ld))
+    decay = np.exp(-tau2 * model._sqdist.astype(ld))
+    cov = (tau1 / tau2) * (decay + ld(model.jitter_scale) * np.eye(n, dtype=ld))
     chol = np.zeros((n, n), dtype=ld)
     for j in range(n):
         chol[j, j] = np.sqrt(cov[j, j] - np.sum(chol[j, :j] ** 2))
         for i in range(j + 1, n):
             chol[i, j] = (cov[i, j] - np.sum(chol[i, :j] * chol[j, :j])) / chol[j, j]
+    return (tau1 / tau2) * decay, chol
+
+
+def _long_double_forward(chol, rhs):
+    """L^{-1} rhs for rhs of shape (n, k), by forward substitution."""
+    out = np.zeros_like(rhs)
+    for i in range(chol.shape[0]):
+        out[i] = (rhs[i] - chol[i, :i] @ out[:i]) / chol[i, i]
+    return out
+
+
+def _long_double_backward(chol, rhs):
+    """L^{-T} rhs for rhs of shape (n, k), by backward substitution."""
+    out = np.zeros_like(rhs)
+    for i in range(chol.shape[0] - 1, -1, -1):
+        out[i] = (rhs[i] - chol[i + 1:, i] @ out[i + 1:]) / chol[i, i]
+    return out
+
+
+def gp_log_psi_long_double(model, thetas, lam):
+    """The same log density in extended precision: Cholesky and forward
+    substitution written out in np.longdouble."""
+    ld = np.longdouble
+    n = model.y.size
+    chol = _long_double_cov_factor(model, lam)[1]
     th = thetas.astype(ld)
-    white = np.zeros_like(th)
-    for i in range(n):
-        white[:, i] = (th[:, i] - white[:, :i] @ chol[i, :i]) / chol[i, i]
+    white = _long_double_forward(chol, th.T).T
     log_2pi = np.log(2 * np.arccos(ld(-1)))
     noise = ld(model.noise_var)
     resid = model.y.astype(ld)[None, :] - th
@@ -146,6 +207,24 @@ def gp_log_psi_long_double(model, thetas, lam):
     prior = -(n * log_2pi + 2 * np.sum(np.log(np.diag(chol)))
               + np.sum(white * white, axis=1)) / 2
     return obs + prior
+
+
+def gp_grad_long_double(model, thetas, lam):
+    """gp_grad_oracle in extended precision, with the factor and both
+    substitutions written out in np.longdouble."""
+    ld = np.longdouble
+    tau1, tau2 = ld(lam[0]), ld(lam[1])
+    n = model.y.size
+    kernel, chol = _long_double_cov_factor(model, lam)
+    th = thetas.astype(ld).T
+    v = _long_double_backward(chol, _long_double_forward(chol, th))
+    quad_k = np.sum(th * v, axis=0)
+    cd = kernel * model._sqdist.astype(ld)
+    tr = np.trace(_long_double_backward(chol, _long_double_forward(chol, cd)))
+    quad_cd = np.sum(v * (cd @ v), axis=0)
+    g1 = -n / (2 * tau1) + quad_k / (2 * tau1) - 1 / tau1
+    g2 = n / (2 * tau2) + tr / 2 - quad_k / (2 * tau2) - quad_cd / 2 - 1 / tau2
+    return np.stack([g1, g2], axis=1)
 
 
 def gp_draws_and_points(model, seed):
@@ -247,6 +326,63 @@ def test_gp_log_weights_no_worse_than_the_oracle_in_extended_precision():
             np.abs(gp_log_psi_oracle(model, thetas, lam) - ref) / scale)))
     assert err_fast <= 1.25 * err_oracle
     assert err_fast < 1e-4
+
+
+@pytest.mark.parametrize("n,seed", [(5, 2), (8, 3)])
+def test_gp_grad_log_weight_matrix_matches_the_oracle(n, seed):
+    # well-conditioned data: one factor of B(tau2) per length scale agrees
+    # with one factor of C_lam per point
+    x, y = mg.make_synthetic_gp_dataset(n=n, seed=seed)
+    model = mg.GpRegressionModel(x, y)
+    thetas, points = gp_draws_and_points(model, seed)
+    fast = model.grad_log_weight_matrix(thetas, points)
+    assert fast.shape == (len(thetas), len(points), 2)
+    slow = np.stack([gp_grad_oracle(model, thetas, p) for p in points], axis=1)
+    np.testing.assert_allclose(fast, slow, rtol=1e-9)
+
+
+def test_gp_gradients_no_worse_than_the_oracle_in_extended_precision():
+    # On the benchmark's GP configuration (cond(C) ~ 1e10) neither path is
+    # exact.  Against a long-double reference, over every grid point, the
+    # batched gradients must be as accurate as the per-point ones.  An
+    # entry's error is relative to the largest |reference| of its point and
+    # component: single gradients cancel to near zero, where a plain
+    # relative error means nothing.
+    x, y = mg.make_synthetic_gp_dataset(16, 7)
+    model = mg.GpRegressionModel(x, y)
+    grid = mg.make_regular_grid(mg.Domain([0.1, 0.1], [10.0, 10.0]), [12, 12], "log")
+    thetas, _ = mg.draw_sample_bank(model, grid, 64, master_seed=11).flattened()
+    rng = np.random.default_rng(0)
+    thetas = thetas[np.sort(rng.choice(thetas.shape[0], 1024, replace=False))]
+    fast = model.grad_log_weight_matrix(thetas, grid.points)
+    err_fast = err_oracle = 0.0
+    for j, lam in enumerate(grid.points):
+        ref = gp_grad_long_double(model, thetas, lam)
+        scale = np.max(np.abs(ref), axis=0)
+        err_fast = max(err_fast, float(np.max(np.abs(fast[:, j] - ref) / scale)))
+        err_oracle = max(err_oracle, float(np.max(
+            np.abs(gp_grad_oracle(model, thetas, lam) - ref) / scale)))
+    assert err_fast <= 1.25 * err_oracle
+    assert err_fast < 1e-5
+
+
+def test_gp_grad_columns_do_not_depend_on_their_companions(gp_model):
+    thetas, points = gp_draws_and_points(gp_model, 6)
+    matrix = gp_model.grad_log_weight_matrix(thetas, points)
+    for j, lam in enumerate(points):
+        np.testing.assert_array_equal(gp_model.grad_log_psi_prior(thetas, lam), matrix[:, j])
+    perm = np.random.default_rng(1).permutation(len(points))
+    np.testing.assert_array_equal(
+        gp_model.grad_log_weight_matrix(thetas, points[perm]), matrix[:, perm])
+    repeat = np.r_[np.arange(len(points)), [0, 4, 4, len(points) - 1]]
+    np.testing.assert_array_equal(
+        gp_model.grad_log_weight_matrix(thetas, points[repeat]), matrix[:, repeat])
+    # every tau2 distinct: one factorization per point
+    scattered = points + np.arange(len(points))[:, None] * np.array([0.0, 1e-3])
+    separate = np.stack([gp_model.grad_log_weight_matrix(thetas, p[None, :])[:, 0]
+                         for p in scattered], axis=1)
+    np.testing.assert_array_equal(
+        gp_model.grad_log_weight_matrix(thetas, scattered), separate)
 
 
 def test_gp_log_psi_is_its_log_weight_matrix_column(gp_model):
@@ -417,6 +553,17 @@ def test_bundled_log_weight_matrices_are_c_ordered(asym_model, toy_model, gp_mod
         assert np.ascontiguousarray(logw, dtype=float) is logw
 
 
+def test_bundled_grad_matrices_are_c_ordered(toy_model, gp_model):
+    gp_thetas, gp_points = gp_draws_and_points(gp_model, 2)
+    cases = [(toy_model, np.linspace(-2.0, 2.0, 7), np.linspace(-1.0, 1.0, 5)[:, None]),
+             (gp_model, gp_thetas, gp_points)]
+    for model, thetas, points in cases:
+        grads = model.grad_log_weight_matrix(thetas, points)
+        assert grads.shape == (len(thetas),) + points.shape
+        assert grads.dtype == float and grads.flags.c_contiguous
+        assert np.ascontiguousarray(grads, dtype=float) is grads
+
+
 def test_discrete_grid_subsets(asym_model):
     full = asym_model.grid()
     assert full.points.tolist() == [[0.0], [1.0]]
@@ -438,6 +585,8 @@ def test_gradient_flags():
     assert not disc.has_gradient
     with pytest.raises(mg.GradientUnavailableError):
         disc.grad_log_psi_prior(np.array([0]), 0.0)
+    with pytest.raises(mg.GradientUnavailableError):
+        disc.grad_log_weight_matrix(np.array([0]), [[0.0], [1.0]])
 
 
 # -- dataset and table serialization ------------------------------------

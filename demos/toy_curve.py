@@ -39,7 +39,7 @@ for lam, u_hat, u in zip(grid.points[:, 0], estimate.stationary, exact):
 # between; its maximizer should sit near a mode.
 fn = mg.FunctionalEstimate(estimate, model)
 dense = mg.make_regular_grid(mg.Domain(-2.0, 2.0), 200)
-peak, value, _ = fn.argmax_on(dense)
+peak, value, _ = mg.argmax_on(fn.marginal_many(dense.points), dense)
 print(f"\ncurve maximum {value:.4f} at lam = {peak[0]:.3f} (modes sit near +-1)")
 
 # Expectations of latent functions come from the same samples: E[theta]

@@ -76,7 +76,7 @@ from .experiments import (
     run_estimate,
     run_rate_study,
 )
-from .functional import FunctionalEstimate
+from .functional import FunctionalEstimate, argmax_on, profile
 from .grids import (
     Domain,
     HyperGrid,
@@ -110,7 +110,7 @@ __all__ = [
     "hitting_probabilities", "weight_ratio_variances", "relative_variance_bound",
     "pointwise_variance_bound", "VarianceDiagnostics", "variance_diagnostics",
     "group_inverse", "spectral_gap",
-    "FunctionalEstimate",
+    "FunctionalEstimate", "profile", "argmax_on",
     "GibbsTrace", "run_griddy_gibbs", "run_griddy_chains", "nearest_neighbor_extrapolate",
     "EvalExtension", "extend_to_eval_grid", "optimal_weights",
     "incremental_weights",

@@ -29,7 +29,7 @@ from .baselines import run_griddy_chains
 from .design import run_design_loop, design_history_to_csv
 from .emus import child_rng, draw_sample_bank, fit_emus
 from .errors import GridError, MargridError
-from .functional import FunctionalEstimate
+from .functional import FunctionalEstimate, argmax_on, profile
 from .grids import Domain, HyperGrid, make_regular_grid, trapezoid_weights
 from .models import (
     DiscreteModel,
@@ -379,12 +379,11 @@ def run_estimate(config: ExperimentConfig, out_dir: str, *, seed=None,
     def one(r: int):
         bank = draw_sample_bank(model, sim_grid, counts, master, spawn_prefix=(r,))
         emus = fit_emus(bank, model)
-        fn = FunctionalEstimate(emus, model)
-        curve = fn.marginal_many(eval_grid.points)
-        return emus, fn, curve
+        return emus, FunctionalEstimate(emus, model).marginal_many(eval_grid.points)
 
     results = [one(r) for r in range(reps)]
-    emus0, fn0, curve0 = results[0]
+    # profiles and the argmax are reductions of replicate 0's one curve
+    emus0, curve0 = results[0]
     comments = _comments(config, master)
     have_exact = model.has_exact_log_u
 
@@ -402,7 +401,7 @@ def run_estimate(config: ExperimentConfig, out_dir: str, *, seed=None,
     profile_files = []
     if eval_grid.axes is not None:
         for axis in range(eval_grid.points.shape[1]):
-            values, prof = fn0.profile(eval_grid, axis)
+            values, prof = profile(curve0, eval_grid, axis)
             name = f"profile_axis{axis}.csv"
             _write_csv(os.path.join(out_dir, name),
                        [f"dim{axis}", "u_profile"],
@@ -424,7 +423,7 @@ def run_estimate(config: ExperimentConfig, out_dir: str, *, seed=None,
         "equal_allocation": diag.eq_sample,
         "total_draws": int(counts.sum()),
     }
-    argmax_point, argmax_value, argmax_index = fn0.argmax_on(eval_grid)
+    argmax_point, argmax_value, argmax_index = argmax_on(curve0, eval_grid)
     summary["argmax"] = {
         "point": list(argmax_point),
         "value": argmax_value,
@@ -434,7 +433,7 @@ def run_estimate(config: ExperimentConfig, out_dir: str, *, seed=None,
     if have_exact:
         exact_sim = exact_stationary(model, sim_grid)
         err_rows = []
-        for r, (emus, _fn, curve) in enumerate(results):
+        for r, (emus, curve) in enumerate(results):
             err_rows.append((
                 r,
                 mean_abs_error(emus.stationary, exact_sim),

@@ -12,6 +12,17 @@ grid value (the kernel column coincides with the transition column); the
 hyperparameter gradient (differentiating through the exponential) and
 the ratio estimators of posterior expectations apply the same product to
 other summands.
+
+A curve is reduced block by block: the model yields its log-weights in
+column blocks (``Model.log_weight_blocks``; one block per length scale
+for the GP model, one block of all columns by default), and each block
+is turned into kernel weights in place, reduced into the values,
+gradients or expectation sums of its columns, and dropped.  No
+(samples, points) array outlives its block.  Callers that need the whole
+kernel matrix (the design loop's evaluation-grid extension, the
+per-point variances) read it from ``_ratio_matrix``.  Profiles and the
+argmax over an evaluation grid are reductions of curve values already
+computed, so one curve serves all of them.
 """
 
 from __future__ import annotations
@@ -23,7 +34,7 @@ from .errors import DegenerateWeightError
 from .grids import HyperGrid, trapezoid_weights
 from .models import Model
 
-__all__ = ["FunctionalEstimate"]
+__all__ = ["FunctionalEstimate", "argmax_on", "profile"]
 
 
 class FunctionalEstimate:
@@ -70,8 +81,49 @@ class FunctionalEstimate:
         return np.exp(ratios, out=ratios)
 
     def _curve(self, summands) -> np.ndarray:
-        """The one product c @ summands, c_s = u_i / N_i: every curve is this."""
+        """The one product c @ summands, c_s = u_i / N_i: every curve is this.
+
+        It is a BLAS matrix-vector product, whose rounding depends on the
+        width of ``summands``: OpenBLAS adds the columns past the last
+        multiple of 4 in another order, which moves a value by a few units
+        in the last place (2e-15 to 4.3e-15 relative measured at widths 1,
+        2, 3 and 7).  So a GP curve value, reduced in the block of its
+        length scale, may differ in its last bits with how many points share
+        that block; models reduced in one block see only the point count.
+        """
         return self._weights @ summands
+
+    def _reduce(self, points, grads: bool = False, phi_vals=None):
+        """Curve values at points, reduced one log-weight block at a time.
+
+        Each block of ``model.log_weight_blocks`` becomes its kernel weights
+        in place and is reduced into the values c @ B, with ``grads`` into
+        the gradients c @ (G * B), and with ``phi_vals`` into the
+        phi-weighted values c @ (B * phi); then it is dropped.  Returns
+        (values, gradients or None, weighted values or None).
+        """
+        points = self._query_points(points)
+        log_priors = np.array([self.model.log_prior(lam) for lam in points])
+        lse = self.emus.cache.lse[:, None]
+        values = np.empty(len(points))
+        gradients = np.empty(points.shape) if grads else None
+        weighted = np.empty(len(points)) if phi_vals is not None else None
+        blocks = self.model.log_weight_blocks(self._thetas, points, log_priors, grads)
+        for cols, block, grad in blocks:
+            block = np.ascontiguousarray(block, dtype=float)
+            block -= lse
+            np.exp(block, out=block)
+            values[cols] = self._curve(block)
+            if grads:
+                grad = np.ascontiguousarray(grad, dtype=float)
+                grad *= block[:, :, None]
+                gradients[cols] = self._curve(grad.reshape(len(block), -1)).reshape(
+                    -1, points.shape[1])
+            if phi_vals is not None:
+                # phi weights the block in place: no second block-sized array
+                block *= phi_vals[:, None]
+                weighted[cols] = self._curve(block)
+        return values, gradients, weighted
 
     def kernel_values(self, lam) -> np.ndarray:
         """Mean kernel weight per grid point, shape (L,).
@@ -93,7 +145,7 @@ class FunctionalEstimate:
 
     def marginal_many(self, points) -> np.ndarray:
         """Curve values at many hyperparameter points, shape (M,)."""
-        return self._curve(self._ratio_matrix(points))
+        return self._reduce(points)[0]
 
     def gradient(self, lam) -> np.ndarray:
         """Hyperparameter gradient of the curve at lam, shape (p,).
@@ -106,18 +158,12 @@ class FunctionalEstimate:
     def curve_with_gradient(self, points):
         """Values and gradients along a set of points: (M,), (M, p).
 
-        One ratio matrix serves both: its columns average into the curve
-        values and, multiplied into the model's (samples, M, p) gradient
-        matrix, into the gradients.
+        Each block of kernel weights serves both: its columns average into
+        the curve values and, multiplied into the model's gradient block,
+        into the gradients.
         """
-        points = self._query_points(points)
-        ratios = self._ratio_matrix(points)
-        grads = np.ascontiguousarray(
-            self.model.grad_log_weight_matrix(self._thetas, points), dtype=float
-        )
-        grads *= ratios[:, :, None]
-        flat = grads.reshape(ratios.shape[0], -1)
-        return self._curve(ratios), self._curve(flat).reshape(points.shape)
+        values, gradients, _ = self._reduce(points, grads=True)
+        return values, gradients
 
     # -- expectations over the hyperparameter -------------------------------
 
@@ -136,14 +182,12 @@ class FunctionalEstimate:
         """
         if quad_weights is None:
             quad_weights = trapezoid_weights(eval_grid)
-        ratios = self._ratio_matrix(eval_grid.points)
         phi_vals = np.asarray(phi(self._thetas), dtype=float)
-        if phi_vals.shape != (ratios.shape[0],):
+        if phi_vals.shape != (len(self._thetas),):
             raise ValueError("phi must map the sample array to one value per sample")
-        denominator = self._curve(ratios) @ quad_weights
-        # phi weights the same ratio matrix in place: no second (samples, M) array
-        ratios *= phi_vals[:, None]
-        numerator = self._curve(ratios) @ quad_weights
+        values, _, weighted = self._reduce(eval_grid.points, phi_vals=phi_vals)
+        denominator = values @ quad_weights
+        numerator = weighted @ quad_weights
         if not denominator > 0:
             raise DegenerateWeightError(
                 "quadrature normalizer of the curve is not positive; the "
@@ -162,30 +206,31 @@ class FunctionalEstimate:
             raise DegenerateWeightError("curve integrates to a nonpositive value")
         return values / total
 
-    # -- summaries over evaluation grids ------------------------------------
 
-    def profile(self, eval_grid: HyperGrid, axis: int):
-        """Profile along one axis: max of the curve over the other axes.
+# -- summaries of a curve over an evaluation grid ------------------------------
 
-        Returns (axis_values, profile_values).  Needs a tensor-product
-        evaluation grid.
-        """
-        if eval_grid.axes is None:
-            raise ValueError("profiles need a tensor-product evaluation grid")
-        values = self.marginal_many(eval_grid.points)
-        shape = tuple(a.size for a in eval_grid.axes)
-        cube = values.reshape(shape)
-        other = tuple(d for d in range(len(shape)) if d != axis)
-        profile = cube.max(axis=other) if other else cube
-        return eval_grid.axes[axis], profile
 
-    def argmax_on(self, eval_grid: HyperGrid):
-        """Highest curve value over an evaluation grid.
+def profile(values, eval_grid: HyperGrid, axis: int):
+    """Profile along one axis: max of the curve values over the other axes.
 
-        Returns (point, value, flat_index); ties resolve to the first
-        occurrence, which is the lexicographically smallest point under
-        the grid's ordering.
-        """
-        values = self.marginal_many(eval_grid.points)
-        idx = int(np.argmax(values))
-        return eval_grid.points[idx], float(values[idx]), idx
+    ``values`` holds the curve at ``eval_grid.points``, for example from
+    ``FunctionalEstimate.marginal_many``.  Returns (axis_values,
+    profile_values).  Needs a tensor-product evaluation grid.
+    """
+    if eval_grid.axes is None:
+        raise ValueError("profiles need a tensor-product evaluation grid")
+    shape = tuple(a.size for a in eval_grid.axes)
+    cube = np.asarray(values, dtype=float).reshape(shape)
+    other = tuple(d for d in range(len(shape)) if d != axis)
+    return eval_grid.axes[axis], cube.max(axis=other) if other else cube
+
+
+def argmax_on(values, eval_grid: HyperGrid):
+    """Highest of the curve values at ``eval_grid.points``.
+
+    Returns (point, value, flat_index); ties resolve to the first
+    occurrence, which is the lexicographically smallest point under
+    the grid's ordering.
+    """
+    idx = int(np.argmax(values))
+    return eval_grid.points[idx], float(values[idx]), idx

@@ -18,6 +18,10 @@ Every model provides, for hyperparameter values lam in its domain:
   ``grad_log_weight_matrix(thetas, points)``, the same for many values
   at once, shape (N, M, p); the base class loops over the first, and
   every bundled model with gradients overrides the second,
+- optionally ``log_weight_blocks(thetas, points, log_priors, grads)``:
+  the columns of ``log_weight_matrix`` (and, with ``grads``, of
+  ``grad_log_weight_matrix``) in blocks; the base class yields one block
+  of both whole matrices, and the GP model one block per length scale,
 - optionally ``exact_log_u`` (a closed form for log z(lam) p(lam), used
   as an oracle by diagnostics and experiments).
 
@@ -38,6 +42,16 @@ pattern: the GP model shares one factor and two triangular solves of the
 draws among all points with the same length scale, with
 ``grad_log_psi_prior`` as its one-point case, and the toy model takes one
 outer difference.
+
+Curves read both matrices through ``log_weight_blocks(thetas, points,
+log_priors, grads=False)``, which yields ``(cols, logw, grad)`` column
+blocks that the curve reduces and drops one at a time.  The default
+yields one block, ``log_weight_matrix`` (and ``grad_log_weight_matrix``
+with ``grads``), which the toy and discrete models use.  The GP model
+yields one block per distinct length scale, whose log-weights and
+gradients share one factor and one whitening of the draws; its three
+routes run the same per-length-scale kernel, so a block entry is
+bit-equal to the matching whole-matrix entry.
 """
 
 from __future__ import annotations
@@ -142,6 +156,21 @@ class Model:
         for m, lam in enumerate(points):
             out[:, m] = self.grad_log_psi_prior(thetas, lam)
         return out
+
+    def log_weight_blocks(self, thetas, points, log_priors, grads: bool = False):
+        """Log-weights in column blocks: yields ``(cols, logw, grad)``.
+
+        ``logw`` holds the ``log_weight_matrix`` columns ``cols`` of the
+        points, as a fresh array the caller may overwrite; with ``grads``,
+        ``grad`` holds the matching ``grad_log_weight_matrix`` columns, and
+        otherwise None.  Curves reduce each block and drop it, so the whole
+        (N, M) matrix need never exist.  The default yields one block of all
+        columns; models override this when columns share work that is
+        cheaper to do one block at a time.
+        """
+        logw = self.log_weight_matrix(thetas, points, log_priors)
+        grad = self.grad_log_weight_matrix(thetas, points) if grads else None
+        yield np.arange(len(log_priors)), logw, grad
 
 
 def _as_lambda(lam) -> np.ndarray:
@@ -370,7 +399,9 @@ class GpRegressionModel(Model):
     break the split.  ``log_weight_matrix`` therefore factors B once per
     distinct tau2 among its points, then fills all columns with one gather
     and five in-place passes over the (N, M) output;
-    ``grad_log_weight_matrix`` shares the same factor.  The per-value
+    ``grad_log_weight_matrix`` shares the same factor, and
+    ``log_weight_blocks`` yields the columns of one tau2 at a time from one
+    factor and one whitening for both.  The per-value
     factorization of C_lam, cached by ``_entry``, serves the sampler and
     the exact marginal.
     """
@@ -454,6 +485,64 @@ class GpRegressionModel(Model):
         decay = np.exp(-tau2 * self._sqdist)
         return decay, cholesky(decay + self.jitter_scale * np.eye(self.y.size), lower=True)
 
+    def _whiten(self, draws, tau2, grads: bool):
+        """The per-tau2 kernel: one factor of B(tau2), one whitening of the
+        Fortran-ordered draws.
+
+        Returns log det B, the whitened squares q_B = theta' B^{-1} theta per
+        draw, and with ``grads`` also tr(B^{-1} E) and q_E (see
+        ``grad_log_weight_matrix``), whose solve reuses the whitened draws.
+        """
+        decay, chol = self._factor(tau2)
+        logdet = 2.0 * np.sum(np.log(np.diag(chol)))
+        # rows of the solution are L^{-1} theta_k: X L^T = Theta
+        white = dtrsm(1.0, chol, draws, side=1, lower=1, trans_a=1)
+        q_b = np.sum(white * white, axis=1)
+        if not grads:
+            return logdet, q_b, None
+        E = decay * self._sqdist
+        trace = np.trace(cho_solve((chol, True), E))
+        # rows of V are (B^{-1} theta_k)': X L = W
+        v = dtrsm(1.0, chol, white, side=1, lower=1)
+        return logdet, q_b, (trace, np.einsum("ij,ij->i", v, v @ E))
+
+    def _observation(self, thetas):
+        """log N(y; theta, noise_var I) per draw, the lam-free part of log psi."""
+        resid = self.y[None, :] - thetas
+        return -0.5 * (self.y.size * (_LOG_2PI + np.log(self.noise_var))
+                       + np.sum(resid * resid, axis=1) / self.noise_var)
+
+    def _fill_log_weights(self, out, q, points, logdets, obs, log_priors):
+        """Write the log-weights of the q_B columns ``q`` into ``out``.
+
+        obs - 0.5 (const + q / scale) + log prior, as passes over one
+        C-ordered buffer; a - 0.5 x == a + (-0.5 x) exactly.  ``q`` may be
+        ``out`` itself or broadcast to it; every entry sees the same
+        operands whatever buffer holds it.
+        """
+        n = self.y.size
+        scales = points[:, 0] / points[:, 1]
+        np.divide(q, scales, out=out)
+        out += [n * (_LOG_2PI + math.log(scale)) + logdet
+                for scale, logdet in zip(scales, logdets)]
+        out *= -0.5
+        out += obs[:, None]
+        out += np.asarray(log_priors, dtype=float)
+        return out
+
+    def _fill_grads(self, q_b, q_e, traces, points):
+        """Gradients (N, M, 2) from the per-column q_B, q_E and traces."""
+        n = self.y.size
+        tau1, tau2 = points[:, 0], points[:, 1]
+        scales = tau1 / tau2
+        quad_k = q_b / scales
+        quad_e = q_e / scales
+        out = np.empty(quad_k.shape + (2,))
+        out[:, :, 0] = -0.5 * n / tau1 + 0.5 * quad_k / tau1 - 1.0 / tau1
+        out[:, :, 1] = (0.5 * n / tau2 + 0.5 * traces
+                        - 0.5 * quad_k / tau2 - 0.5 * quad_e - 1.0 / tau2)
+        return out
+
     def log_weight_matrix(self, thetas, points, log_priors):
         """Matrix of log(psi_lam_j(theta_n) p(lam_j)), shape (N, M).
 
@@ -465,34 +554,44 @@ class GpRegressionModel(Model):
         """
         points = self._points(points)
         thetas = self._draws(thetas)
-        n = self.y.size
-        resid = self.y[None, :] - thetas
-        obs = -0.5 * (n * (_LOG_2PI + np.log(self.noise_var))
-                      + np.sum(resid * resid, axis=1) / self.noise_var)
         draws = np.asfortranarray(thetas)
         tau2s, group = np.unique(points[:, 1], return_inverse=True)
         logdets = np.empty(tau2s.size)
         qs = np.empty((thetas.shape[0], tau2s.size))
         for g, tau2 in enumerate(tau2s):
-            chol = self._factor(tau2)[1]
-            logdets[g] = 2.0 * np.sum(np.log(np.diag(chol)))
-            # rows of the solution are L^{-1} theta_k: X L^T = Theta
-            white = dtrsm(1.0, chol, draws, side=1, lower=1, trans_a=1)
-            qs[:, g] = np.sum(white * white, axis=1)
-        scales = points[:, 0] / tau2s[group]
-        consts = [n * (_LOG_2PI + math.log(scale)) + logdets[g]
-                  for scale, g in zip(scales, group)]
-        # obs - 0.5 (const + q / scale) + log prior, as in-place passes
-        # over one C-ordered buffer; a - 0.5 x == a + (-0.5 x) exactly
+            logdets[g], qs[:, g], _ = self._whiten(draws, tau2, False)
         out = np.empty((thetas.shape[0], points.shape[0]))
         # group is in range; mode="clip" keeps take from buffering out
         np.take(qs, group, axis=1, out=out, mode="clip")
-        out /= scales
-        out += consts
-        out *= -0.5
-        out += obs[:, None]
-        out += np.asarray(log_priors, dtype=float)
-        return out
+        return self._fill_log_weights(out, out, points, logdets[group],
+                                      self._observation(thetas), log_priors)
+
+    def log_weight_blocks(self, thetas, points, log_priors, grads: bool = False):
+        """One block per distinct tau2 among the points, in increasing tau2.
+
+        Each block comes from one factor and one whitening of the draws,
+        shared by its log-weights and, with ``grads``, its gradients; its
+        entries are bit-equal to the matching columns of
+        ``log_weight_matrix`` and ``grad_log_weight_matrix``.
+        """
+        points = self._points(points)
+        thetas = self._draws(thetas)
+        log_priors = np.asarray(log_priors, dtype=float)
+        draws = np.asfortranarray(thetas)
+        obs = self._observation(thetas)
+        tau2s, group = np.unique(points[:, 1], return_inverse=True)
+        for g, tau2 in enumerate(tau2s):
+            cols = np.flatnonzero(group == g)
+            logdet, q_b, extra = self._whiten(draws, tau2, grads)
+            block = self._fill_log_weights(np.empty((thetas.shape[0], cols.size)),
+                                           q_b[:, None], points[cols],
+                                           np.full(cols.size, logdet), obs, log_priors[cols])
+            grad_block = None
+            if grads:
+                trace, q_e = extra
+                grad_block = self._fill_grads(q_b[:, None], q_e[:, None], trace,
+                                              points[cols])
+            yield cols, block, grad_block
 
     def log_prior(self, lam) -> float:
         lam = _as_lambda(lam)
@@ -520,29 +619,13 @@ class GpRegressionModel(Model):
         """
         points = self._points(points)
         draws = np.asfortranarray(self._draws(thetas))
-        n = self.y.size
         tau2s, group = np.unique(points[:, 1], return_inverse=True)
         q_b = np.empty((draws.shape[0], tau2s.size))
         q_e = np.empty_like(q_b)
         traces = np.empty(tau2s.size)
         for g, tau2 in enumerate(tau2s):
-            decay, chol = self._factor(tau2)
-            E = decay * self._sqdist
-            traces[g] = np.trace(cho_solve((chol, True), E))
-            white = dtrsm(1.0, chol, draws, side=1, lower=1, trans_a=1)
-            q_b[:, g] = np.einsum("ij,ij->i", white, white)
-            # rows of V are (B^{-1} theta_k)': X L = W
-            v = dtrsm(1.0, chol, white, side=1, lower=1)
-            q_e[:, g] = np.einsum("ij,ij->i", v, v @ E)
-        tau1, tau2 = points[:, 0], points[:, 1]
-        scales = tau1 / tau2
-        quad_k = q_b[:, group] / scales
-        quad_e = q_e[:, group] / scales
-        out = np.empty((draws.shape[0], points.shape[0], 2))
-        out[:, :, 0] = -0.5 * n / tau1 + 0.5 * quad_k / tau1 - 1.0 / tau1
-        out[:, :, 1] = (0.5 * n / tau2 + 0.5 * traces[group]
-                        - 0.5 * quad_k / tau2 - 0.5 * quad_e - 1.0 / tau2)
-        return out
+            _, q_b[:, g], (traces[g], q_e[:, g]) = self._whiten(draws, tau2, True)
+        return self._fill_grads(q_b[:, group], q_e[:, group], traces[group], points)
 
     def grad_log_psi_prior(self, thetas, lam):
         return self.grad_log_weight_matrix(thetas, _as_lambda(lam)[None, :])[:, 0]

@@ -1,6 +1,7 @@
 """Curve evaluation off the simulation grid, gradients, expectations."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -266,20 +267,20 @@ def test_profile_is_axis_max():
     fn = mg.FunctionalEstimate(mg.fit_emus(bank, model), model)
     eval_grid = mg.make_regular_grid(
         mg.Domain([0.5, 0.5], [2.0, 2.0]), [4, 5], scale="log")
-    axis_vals, prof = fn.profile(eval_grid, axis=0)
+    values = fn.marginal_many(eval_grid.points)
+    axis_vals, prof = mg.profile(values, eval_grid, axis=0)
     assert axis_vals.shape == (4,) and prof.shape == (4,)
-    cube = fn.marginal_many(eval_grid.points).reshape(4, 5)
-    np.testing.assert_allclose(prof, cube.max(axis=1))
+    np.testing.assert_allclose(prof, values.reshape(4, 5).max(axis=1))
     with pytest.raises(ValueError):
         scattered = mg.HyperGrid(eval_grid.domain, eval_grid.points)
-        fn.profile(scattered, axis=0)
+        mg.profile(values, scattered, axis=0)
 
 
 def test_argmax_reports_first_of_ties(asym_model):
     bank = mg.exhaustive_discrete_bank(asym_model)
     emus = mg.fit_emus(bank, asym_model)
     fn = mg.FunctionalEstimate(emus, asym_model)
-    point, value, idx = fn.argmax_on(emus.grid)
+    point, value, idx = mg.argmax_on(fn.marginal_many(emus.grid.points), emus.grid)
     assert idx == 0
     assert point.tolist() == [0.0]
     assert value == pytest.approx(8.0 / 7.0)
@@ -433,3 +434,117 @@ def test_fortran_ordered_log_weights_change_no_bit():
     np.testing.assert_array_equal(fortran.transition, plain.transition)
     np.testing.assert_array_equal(fortran.stationary, plain.stationary)
     np.testing.assert_array_equal(fortran_curve, curve)
+
+
+# -- curves reduced one log-weight block at a time -----------------------------
+
+
+@pytest.fixture(scope="module")
+def gp_surface_fit():
+    """The benchmark's GP surface: 64 draws at each point of a 12x12 log
+    grid, with its 24x24 evaluation grid."""
+    x, y = mg.make_synthetic_gp_dataset(16, 7)
+    model = mg.GpRegressionModel(x, y)
+    domain = mg.Domain([0.1, 0.1], [10.0, 10.0])
+    grid = mg.make_regular_grid(domain, [12, 12], scale="log")
+    fn = mg.FunctionalEstimate(
+        mg.fit_emus(mg.draw_sample_bank(model, grid, 64, master_seed=7), model), model)
+    return fn, mg.make_regular_grid(domain, [24, 24], scale="log")
+
+
+def uneven_tau2_points():
+    """GP points whose tau2 blocks are 1, 2, 3 and 7 wide, in mixed order."""
+    rng = np.random.default_rng(5)
+    tau2 = np.repeat([0.35, 0.9, 2.5, 6.0], [1, 2, 3, 7])
+    points = np.column_stack([np.exp(rng.uniform(np.log(0.1), np.log(10.0), tau2.size)), tau2])
+    return points[rng.permutation(tau2.size)]
+
+
+def test_gp_block_curves_hold_the_whole_matrix_product(gp_surface_fit):
+    # a block of w columns is one BLAS product of width w, which rounds its
+    # last columns by the width, so only the last bits may move
+    fn, _ = gp_surface_fit
+    points = uneven_tau2_points()
+    ratios = fn._ratio_matrix(points)
+    np.testing.assert_allclose(fn.marginal_many(points), fn._curve(ratios), rtol=1e-13, atol=0)
+    grads = fn.model.grad_log_weight_matrix(fn._thetas, points) * ratios[:, :, None]
+    values, got = fn.curve_with_gradient(points)
+    np.testing.assert_allclose(values, fn._curve(ratios), rtol=1e-13, atol=0)
+    np.testing.assert_allclose(got, fn._curve(grads.reshape(len(ratios), -1)).reshape(-1, 2),
+                               rtol=1e-13, atol=0)
+
+
+def test_toy_block_curves_are_the_whole_matrix_product(toy_functional):
+    fn = toy_functional
+    points = np.linspace(-1.9, 1.9, 7)[:, None]
+    ratios = fn._ratio_matrix(points)
+    np.testing.assert_array_equal(fn.marginal_many(points), fn._curve(ratios))
+
+
+def test_pointwise_models_reduce_through_the_default_block(toy_fit, toy_model):
+    # a model with only the pointwise interface gets its curves, gradients
+    # and expectations from one default block: the whole-matrix arithmetic
+    fn = mg.FunctionalEstimate(toy_fit, PointwiseToy(toy_model))
+    eval_grid = mg.make_regular_grid(mg.Domain(-2.0, 2.0), 11)
+    points = eval_grid.points
+    ratios = fn._ratio_matrix(points)
+    grads = np.ascontiguousarray(fn.model.grad_log_weight_matrix(fn._thetas, points))
+    grads *= ratios[:, :, None]
+    values, gradients = fn.curve_with_gradient(points)
+    np.testing.assert_array_equal(fn.marginal_many(points), fn._curve(ratios))
+    np.testing.assert_array_equal(values, fn._curve(ratios))
+    np.testing.assert_array_equal(gradients, fn._curve(grads.reshape(len(ratios), -1))
+                                  .reshape(points.shape))
+    phi = fn._thetas ** 2
+    quad = mg.trapezoid_weights(eval_grid)
+    expected = (fn._curve(ratios * phi[:, None]) @ quad) / (fn._curve(ratios) @ quad)
+    assert fn.expectation(lambda t: t ** 2, eval_grid) == float(expected)
+
+
+def test_gp_curves_leave_the_factor_cache_alone(gp_surface_fit):
+    fn, eval_grid = gp_surface_fit
+    cached = len(fn.model._cache)
+    fn.marginal_many(eval_grid.points)
+    fn.curve_with_gradient(uneven_tau2_points())
+    fn.expectation(lambda t: t[:, 0], eval_grid)
+    assert len(fn.model._cache) == cached
+
+
+def test_gp_curve_never_holds_a_samples_by_points_buffer(gp_surface_fit):
+    # 9216 draws x 576 points: one (S, M) float64 buffer is 42.5 MB, and the
+    # curve must peak below half of it
+    fn, eval_grid = gp_surface_fit
+    whole = 8 * len(fn._thetas) * len(eval_grid)
+    tracemalloc.start()
+    try:
+        fn.marginal_many(eval_grid.points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert whole > 42e6
+    assert peak < whole / 2
+
+
+def test_gp_curves_factor_each_length_scale_once(gp_surface_fit, monkeypatch):
+    # the block route, never the whole-matrix one: no log_weight_matrix or
+    # gradient-matrix call, and one factor per distinct tau2
+    fn, eval_grid = gp_surface_fit
+    model = fn.model
+    factored = []
+    factor = model._factor
+
+    def counting_factor(tau2):
+        factored.append(float(tau2))
+        return factor(tau2)
+
+    def whole_matrix(*args, **kwargs):
+        raise AssertionError("a curve asked for a whole log-weight matrix")
+
+    monkeypatch.setattr(model, "_factor", counting_factor)
+    monkeypatch.setattr(model, "log_weight_matrix", whole_matrix)
+    monkeypatch.setattr(model, "grad_log_weight_matrix", whole_matrix)
+    for call, points in ((fn.marginal_many, eval_grid.points),
+                         (fn.curve_with_gradient, uneven_tau2_points())):
+        factored.clear()
+        call(points)
+        assert sorted(factored) == sorted(set(points[:, 1].tolist()))

@@ -413,6 +413,66 @@ def test_gp_log_weight_columns_do_not_depend_on_their_companions(gp_model):
         gp_model.log_weight_matrix(thetas, scattered, slp), separate)
 
 
+def gather_blocks(model, thetas, points, log_priors, grads):
+    """Scatter the blocks of ``log_weight_blocks`` back into whole matrices,
+    checking that each block is a fresh C-ordered array and that the
+    blocks cover every column once; returns (log-weights, gradients or
+    None, number of blocks)."""
+    logw = np.full((len(thetas), len(points)), np.nan)
+    grad = np.full((len(thetas), len(points), points.shape[1]), np.nan) if grads else None
+    seen, count = [], 0
+    for cols, block, grad_block in model.log_weight_blocks(thetas, points, log_priors, grads):
+        assert block.flags.c_contiguous and block.shape == (len(thetas), len(cols))
+        logw[:, cols] = block
+        if grads:
+            assert grad_block.shape == (len(thetas), len(cols), points.shape[1])
+            grad[:, cols] = grad_block
+        else:
+            assert grad_block is None
+        seen.extend(cols)
+        count += 1
+    assert sorted(seen) == list(range(len(points)))
+    return logw, grad, count
+
+
+@pytest.mark.parametrize("order", ["given", "permuted", "repeats", "distinct-tau2"])
+def test_gp_log_weight_blocks_are_the_whole_matrix_columns(gp_model, order):
+    thetas, points = gp_draws_and_points(gp_model, 6)
+    if order == "permuted":
+        points = points[np.random.default_rng(1).permutation(len(points))]
+    elif order == "repeats":
+        points = points[np.r_[np.arange(len(points)), [0, 4, 4, len(points) - 1]]]
+    elif order == "distinct-tau2":
+        points = points + np.arange(len(points))[:, None] * np.array([0.0, 1e-3])
+    lp = np.array([gp_model.log_prior(p) for p in points])
+    matrix = gp_model.log_weight_matrix(thetas, points, lp)
+    grads = gp_model.grad_log_weight_matrix(thetas, points)
+    logw, _, count = gather_blocks(gp_model, thetas, points, lp, grads=False)
+    # one block per distinct tau2
+    assert count == np.unique(points[:, 1]).size
+    np.testing.assert_array_equal(logw, matrix)
+    fused_logw, fused_grads, _ = gather_blocks(gp_model, thetas, points, lp, grads=True)
+    np.testing.assert_array_equal(fused_logw, matrix)
+    np.testing.assert_array_equal(fused_grads, grads)
+
+
+def test_default_log_weight_blocks_are_the_whole_matrices(toy_model, toy_grid, asym_model):
+    thetas = np.linspace(-2.0, 2.0, 11)
+    points = toy_grid.points[::-1]
+    lp = np.zeros(len(points))
+    logw, grads, count = gather_blocks(toy_model, thetas, points, lp, grads=True)
+    assert count == 1
+    np.testing.assert_array_equal(logw, toy_model.log_weight_matrix(thetas, points, lp))
+    np.testing.assert_array_equal(grads, toy_model.grad_log_weight_matrix(thetas, points))
+    atoms = np.array([0, 2, 4, 3])
+    disc_points = asym_model.grid().points
+    disc_lp = np.log(asym_model.prior)
+    logw, _, count = gather_blocks(asym_model, atoms, disc_points, disc_lp, grads=False)
+    assert count == 1
+    np.testing.assert_array_equal(
+        logw, asym_model.log_weight_matrix(atoms, disc_points, disc_lp))
+
+
 @pytest.mark.parametrize("lam", [(1.0, -1.0), (0.0, 1.0), (1.0,), (1.0, 1.0, 1.0)])
 def test_gp_log_weights_reject_a_bad_lambda(gp_model, lam):
     thetas = np.zeros((2, gp_model.y.size))

@@ -1,21 +1,26 @@
 """Sequential allocation of sampling effort over an evaluation grid.
 
 The curve estimator's accuracy depends on where samples were taken.
-Reweighting extends a fitted estimate to a denser evaluation grid: the
-fitted curve's kernel summands at the evaluation columns, row-normalized,
-are the normalized weights a, and the grid matrix on that grid is the
-curve's own sample average of a under each point's local density.  The
-asymptotic-variance calculus then scores each candidate point by
+Reweighting extends a fitted estimate to a denser evaluation grid.  The
+fitted curve's kernel summands b at the evaluation columns, divided by
+their row sums r, are the normalized weights a; each sample carries the
+mass k = c r, c_s = u_i/N_i.  With u = a'k, the fitted curve on the
+evaluation grid, the grid matrix there is F = diag(1/u) Y'Y with
+Y = diag(sqrt(k)) a: a symmetric product, so F is reversible with
+respect to u and u'F = u' holds to rounding, with no stationary
+solve.
+The asymptotic-variance calculus then scores each candidate point by
 u_m sqrt(tr(G' Xi_m G)), with G the group inverse of I - F on the
 evaluation grid and Xi_m the covariance of the normalized weights under
 the local density of m.
 Only those traces are needed, and each is read off the same sample
-averages as E_m[a' H a] - f_m' H f_m with H = G G', so scoring costs
-O(S M^2) for S samples and M evaluation points and the grid size has
-no cap.  The incremental rule converts the scores into next-batch
-weights given what has already been spent, and a pivotal draw turns
-weights into integer allocations with exactly the requested batch size
-and the prescribed inclusion probabilities.
+averages as E_m[a' H a] - f_m' H f_m with H = G G', where E_m weights
+sample s by k_s a_sm / u_m, so scoring costs O(S M^2) for S samples and
+M evaluation points and the grid size has no cap.  The incremental rule
+converts the scores into next-batch weights given what has already been
+spent, and a pivotal draw turns weights into integer allocations with
+exactly the requested batch size and the prescribed inclusion
+probabilities.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diagnostics import group_inverse
-from .emus import SampleBank, child_rng, fit_emus, stationary_vector
+from .emus import SampleBank, child_rng, fit_emus
 from .errors import GridError, MargridError
 from .functional import FunctionalEstimate
 from .grids import HyperGrid, _path_or_buffer
@@ -62,14 +67,19 @@ def _require_subset(sim_grid: HyperGrid, eval_grid: HyperGrid) -> np.ndarray:
 
 @dataclass
 class EvalExtension:
-    """Grid matrix and curve values reweighted onto an evaluation grid."""
+    """Grid matrix and curve values reweighted onto an evaluation grid.
+
+    ``transition`` is F = diag(1/u) Y'Y with Y = diag(sqrt(k)) a and u the
+    ``stationary_values``, so u_m F_mj = u_j F_jm and u'F = u' hold to
+    rounding: u is F's stationary vector without a solve.
+    """
 
     eval_grid: HyperGrid
     transition: np.ndarray
     stationary_values: np.ndarray
     sim_indices: np.ndarray
-    _eval_ratios: np.ndarray = field(repr=False)  # a: row-normalized weights
-    _local: np.ndarray = field(repr=False)        # c b_m / u_m per sample
+    _eval_ratios: np.ndarray = field(repr=False)  # a: row-normalized weights, (S, M)
+    _mass: np.ndarray = field(repr=False)         # k = c r: per-sample mass, (S,)
 
 
 def extend_to_eval_grid(functional: FunctionalEstimate,
@@ -77,11 +87,15 @@ def extend_to_eval_grid(functional: FunctionalEstimate,
     """Estimate the grid matrix of a finer evaluation grid by reweighting.
 
     The fitted curve supplies b, each cached sample's kernel summands at
-    the evaluation columns, and u, its values there.  Row-normalizing b
-    gives the normalized weights a (the simulation columns are among b's,
-    so every row sums to at least 1); local = c b_m / u_m, c = u_hat/N
-    per sample, averages under the local density of point m, and
-    F = local' a is row-stochastic, with no new sampling or log-weights.
+    the evaluation columns, and u = c'b, its values there.  Dividing b in
+    place by its row sums r gives the normalized weights a (the
+    simulation columns are among b's, so every row sums to at least 1),
+    and k = c r is each sample's mass, so u = a'k.  The expectation under
+    the local density of point m weights sample s by k_s a_sm / u_m, and
+    F_mj = sum_s k_s a_sm a_sj / u_m is one symmetric product Y'Y,
+    Y = diag(sqrt(k)) a, scaled by 1/u: row-stochastic and reversible
+    with respect to u, with no new sampling, log-weights or stationary
+    solve.  Beside the (S, M) weights a, only Y is held while F is formed.
     """
     sim_idx = _require_subset(functional.emus.grid, eval_grid)
     b = functional._ratio_matrix(eval_grid.points)
@@ -91,31 +105,36 @@ def extend_to_eval_grid(functional: FunctionalEstimate,
             "the reweighted curve vanishes at some evaluation points; the "
             "evaluation grid reaches beyond the samples' support"
         )
-    a = b / b.sum(axis=1, keepdims=True)
-    local = functional._weights[:, None] * b / u_eval
+    r = b.sum(axis=1)
+    k = functional._weights * r
+    a = np.divide(b, r[:, None], out=b)
+    y = a * np.sqrt(k)[:, None]
+    # y' y is one symmetric rank-S update (BLAS syrk), exactly symmetric
+    F = y.T @ y
+    F /= u_eval[:, None]
     return EvalExtension(
         eval_grid=eval_grid,
-        transition=local.T @ a,
+        transition=F,
         stationary_values=u_eval,
         sim_indices=sim_idx,
         _eval_ratios=a,
-        _local=local,
+        _mass=k,
     )
 
 
-def _traces(a: np.ndarray, local: np.ndarray, F: np.ndarray,
+def _traces(a: np.ndarray, k: np.ndarray, F: np.ndarray,
             G: np.ndarray) -> np.ndarray:
     """t_m = tr(G' Xi_m G) as E_m[a' H a] - f_m' H f_m, H = G G'."""
     H = G @ G.T
     # the quadratic form a' H a per sample is shared by every point m
     aH = a @ H
     aH *= a
-    first = local.T @ aH.sum(axis=1)
+    first = a.T @ (k * aH.sum(axis=1)) / (a.T @ k)
     second = np.sum((F @ H) * F, axis=1)
     return first - second
 
 
-def trace_weights(a: np.ndarray, local: np.ndarray, F: np.ndarray,
+def trace_weights(a: np.ndarray, k: np.ndarray, F: np.ndarray,
                   u: np.ndarray, G: np.ndarray):
     """Allocation weights w_m proportional to u_m sqrt(t_m) from trace scores.
 
@@ -123,9 +142,10 @@ def trace_weights(a: np.ndarray, local: np.ndarray, F: np.ndarray,
     E_m[a a'] - f_m f_m' is evaluated as E_m[a' H a] - f_m' H f_m with
     H = G G', so no M x M x M moment tensor is formed.  ``a`` holds the
     normalized evaluation-grid weights per sample (or quadrature node),
-    shape (S, M); column m of ``local`` holds the weights that turn a
-    per-sample quantity into its expectation under the local density of
-    point m; row m of ``F`` is f_m.  Work is O(S M^2).
+    shape (S, M), and ``k`` the mass of each, shape (S,): the expectation
+    under the local density of point m weights sample s by
+    k_s a_sm / (a'k)_m, so no (S, M) matrix of local weights is formed.
+    Row m of ``F`` is f_m.  Work is O(S M^2).
 
     Negative trace estimates (rounding far from the samples) are clipped
     to zero; if every trace vanishes the weights degenerate to uniform
@@ -135,7 +155,7 @@ def trace_weights(a: np.ndarray, local: np.ndarray, F: np.ndarray,
     -------
     (w, degenerate) : (ndarray (M,), bool)
     """
-    traces = np.clip(_traces(a, local, F, G), 0.0, None)
+    traces = np.clip(_traces(a, k, F, G), 0.0, None)
     scores = u * np.sqrt(traces)
     total = scores.sum()
     if total <= 0:
@@ -147,28 +167,21 @@ def optimal_weights(extension: EvalExtension):
     """Variance-optimal sampling fractions over the evaluation grid.
 
     Scores each point by u_m sqrt(tr(G' Xi_m G)), G the group inverse of
-    I - F on the evaluation grid (computed by the direct fundamental-
-    matrix route, since an estimated matrix is reversible only in
-    expectation), through :func:`trace_weights`.  Expectations under the
-    local density of point m weight each sample by c b_m / u_m, the same
-    reweighting that built the extended grid matrix.  The group inverse
-    needs the exact stationary vector of the estimated matrix, which is
-    re-solved here (the reweighted curve values only agree with it in
-    expectation); provisional fits on weakly connected grids are
-    tolerated by clamping.  The evaluation grid has no size cap: work
-    grows as S M^2 for S cached samples.
+    I - F on the evaluation grid (by the direct fundamental-matrix
+    route), through :func:`trace_weights`.  The extension's curve values
+    u are F's stationary vector to rounding, because F is built
+    reversible with respect to them, so G is formed from u with no
+    stationary solve and no clamping.  The evaluation grid has no size
+    cap: work grows as S M^2 for S cached samples.
 
     Returns
     -------
     (w, degenerate) : (ndarray (M,), bool)
     """
     F = extension.transition
-    u = np.asarray(extension.stationary_values, dtype=float)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        v = stationary_vector(F, on_degenerate="truncate")
-    G = group_inverse(F, v, method="direct")
-    return trace_weights(extension._eval_ratios, extension._local, F, u, G)
+    u = extension.stationary_values
+    G = group_inverse(F, u, method="direct")
+    return trace_weights(extension._eval_ratios, extension._mass, F, u, G)
 
 
 def incremental_weights(w_hat: np.ndarray, counts: np.ndarray, budget: int,
@@ -319,7 +332,14 @@ def run_design_loop(model: Model, eval_grid: HyperGrid, iterations: int,
     -------
     (state, functional) : (DesignState, FunctionalEstimate)
         The allocation record and the fit after the final iteration.
+
+    Raises
+    ------
+    ValueError
+        If ``iterations`` is below 1: there would be no fit to return.
     """
+    if iterations < 1:
+        raise ValueError(f"iterations must be at least 1, got {iterations}")
     M = len(eval_grid)
     state = DesignState(
         eval_grid=eval_grid,

@@ -154,13 +154,12 @@ def quadrature_optimal_weights(model: Model, eval_grid: HyperGrid, theta_nodes):
 
     all by quadrature, scoring through the same trace identity as the
     sampled design loop (:func:`margrid.design.trace_weights`) with theta
-    nodes in place of samples.  Returns (w, F, u).
+    nodes in place of samples, each of mass mix * quad.  Returns (w, F, u).
     """
     A, mix, quad = _quadrature_weight_table(model, eval_grid, theta_nodes)
-    F, u = _overlap_to_transition(A.T @ (A * (mix * quad)[:, None]))
+    # node mass: the local density of column m weights node t by k_t A_tm
+    k = mix * quad
+    F, u = _overlap_to_transition(A.T @ (A * k[:, None]))
     G = group_inverse(F, u, method="eigen")
-    # local density weights per column: psi_m(theta) d(theta), normalized
-    local = A * (mix * quad)[:, None]
-    local = local / local.sum(axis=0, keepdims=True)
-    w, _ = trace_weights(A, local, F, u, G)
+    w, _ = trace_weights(A, k, F, u, G)
     return w, F, u

@@ -668,9 +668,12 @@ def run_design_study(config: ExperimentConfig, out_dir: str, *, seed=None,
     probes = config.floats("design", "probe_points", fallback=())
     reps = _resolve_replicates(config, replicates, 2 if probes else 1,
                                " with [design] probe_points")
-    iterations = config.getint("design", "iterations", fallback=8)
-    blocks = config.getint("design", "blocks_per_iteration", fallback=8)
-    per_block = config.getint("design", "samples_per_block", fallback=8)
+    iterations = _at_least(config.getint("design", "iterations", fallback=8),
+                           "[design] iterations")
+    blocks = _at_least(config.getint("design", "blocks_per_iteration", fallback=8),
+                       "[design] blocks_per_iteration")
+    per_block = _at_least(config.getint("design", "samples_per_block", fallback=8),
+                          "[design] samples_per_block")
     stabilize = config.getboolean("design", "stabilize", fallback=True)
     comments = _comments(config, master)
 

@@ -160,6 +160,12 @@ _COUNTS_BELOW_ONE = [
 ] + [
     pytest.param("rate-study", (), ("dense_replicates = 2", "dense_replicates = 0"),
                  "[rate] dense_replicates", id="rate-study-dense-zero"),
+] + [
+    pytest.param("design", (), (f"{name} = {was}", f"{name} = {value}"),
+                 f"[design] {name}", id=f"design-{name}-{value}")
+    for name, was, value in (("iterations", 2, 0), ("iterations", 2, -1),
+                             ("blocks_per_iteration", 4, 0),
+                             ("samples_per_block", 4, 0))
 ])
 def test_replicate_counts_below_one_fail_cleanly(tmp_path, capsys, command,
                                                  override, edit, key):
@@ -175,6 +181,17 @@ def test_replicate_counts_below_one_fail_cleanly(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert key in err
+
+
+def test_design_without_iterations_writes_nothing(tmp_path, capsys):
+    # without probe_points this once exited 0 with an empty design.csv
+    path = tmp_path / "exp.ini"
+    path.write_text(SMALL_TOY.replace("iterations = 2", "iterations = 0"))
+    out = tmp_path / "x"
+    assert run_cli("design", "--config", str(path), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [design] iterations must be at least 1, got 0")
+    assert not (out / "design.csv").exists()
 
 
 @pytest.mark.parametrize("override,edit,key", [

@@ -1,5 +1,6 @@
 """Evaluation-grid extension, allocation weights, and the design loop."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -166,6 +167,12 @@ def gp_extension_case():
     return mg.FunctionalEstimate(emus, model), eval_grid
 
 
+def local_weights(extension):
+    """The (S, M) weights a k / (a'k) of each sample under each local density."""
+    a, k = extension._eval_ratios, extension._mass
+    return a * k[:, None] / (a.T @ k)
+
+
 @pytest.mark.parametrize("case", [toy_extension_case, gp_extension_case],
                          ids=["toy-129", "gp-11x11"])
 def test_extension_reads_the_fitted_curve(case):
@@ -174,9 +181,18 @@ def test_extension_reads_the_fitted_curve(case):
     a, u, local, F = extension_oracle(fn, eval_grid)
     assert np.max(np.abs(ext._eval_ratios - a)) <= 1e-14
     np.testing.assert_allclose(ext.stationary_values, u, rtol=1e-13, atol=0)
-    np.testing.assert_array_equal(ext._local, local)
+    # subnormal entries (GP weights far from a point) carry no relative
+    # precision, so they are held to the smallest normal number instead
+    np.testing.assert_allclose(local_weights(ext), local, rtol=1e-13,
+                               atol=np.finfo(float).tiny)
     assert np.max(np.abs(ext.transition - F)) <= 1e-13
     np.testing.assert_allclose(ext.transition.sum(axis=1), 1.0, atol=1e-13)
+    # the curve values are the extension's stationary vector, and F is
+    # reversible with respect to them, so scoring needs no stationary solve
+    F_ext, u_ext = ext.transition, ext.stationary_values
+    assert np.max(np.abs(F_ext.T @ u_ext - u_ext)) <= 1e-13 * u_ext.max()
+    flow = u_ext[:, None] * F_ext
+    assert np.max(np.abs(flow - flow.T)) <= 1e-14
 
 
 # -- cross moments ---------------------------------------------------------
@@ -189,7 +205,7 @@ def cross_moments_oracle(extension):
     symmetrized by transpose averaging.
     """
     a = extension._eval_ratios
-    local = extension._local
+    local = local_weights(extension)
     F = extension.transition
     M = F.shape[0]
     xi = np.empty((M, M, M))
@@ -201,13 +217,28 @@ def cross_moments_oracle(extension):
 
 
 def scoring_inputs(extension):
-    """(a, local, F, G) exactly as ``optimal_weights`` builds them."""
+    """(a, k, F, G) exactly as ``optimal_weights`` builds them."""
+    F = extension.transition
+    G = mg.group_inverse(F, extension.stationary_values, method="direct")
+    return extension._eval_ratios, extension._mass, F, G
+
+
+def optimal_weights_oracle(extension):
+    """The scoring route before the (a, k) form: F's stationary vector
+    solved again, and the explicit (S, M) matrix of local weights."""
     F = extension.transition
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         v = mg.stationary_vector(F, on_degenerate="truncate")
     G = mg.group_inverse(F, v, method="direct")
-    return extension._eval_ratios, extension._local, F, G
+    H = G @ G.T
+    a = extension._eval_ratios
+    first = local_weights(extension).T @ np.sum((a @ H) * a, axis=1)
+    traces = np.clip(first - np.sum((F @ H) * F, axis=1), 0.0, None)
+    scores = extension.stationary_values * np.sqrt(traces)
+    if scores.sum() <= 0:
+        return np.full(F.shape[0], 1.0 / F.shape[0]), True
+    return scores / scores.sum(), False
 
 
 def test_cross_moments_match_direct_summation():
@@ -215,9 +246,9 @@ def test_cross_moments_match_direct_summation():
     fn = exhaustive_functional(model, [0, 2])
     eval_grid = model.grid()
     ext = extend_to_eval_grid(fn, eval_grid)
-    a_s, local, F, G = scoring_inputs(ext)
+    a_s, k, F, G = scoring_inputs(ext)
     H = G @ G.T
-    traces = _traces(a_s, local, F, G)
+    traces = _traces(a_s, k, F, G)
 
     # Exact second moments by summation: a_j(k) = psi_j(k) / T(k) with T
     # the total eval mass at atom k, expectations under pi_m.
@@ -253,6 +284,50 @@ def test_sampled_scores_match_the_cube_oracle_at_m128():
     assert np.max(np.abs(w - scores / scores.sum())) <= 1e-9
 
 
+def design_m128_case():
+    model = mg.ToyBimodalModel(y=1.0, q=64.0, tau=16.0)
+    return model, mg.make_regular_grid(mg.Domain(-2.0, 2.0), 128)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_design_allocations_match_the_re_solving_scorer(seed, monkeypatch):
+    # 8 rounds of 32 blocks of 16 draws on 128 points
+    model, eval_grid = design_m128_case()
+    args = (model, eval_grid, 8, 32, 16, seed)
+    state, _ = run_design_loop(*args)
+    monkeypatch.setattr(design, "optimal_weights", optimal_weights_oracle)
+    oracle, _ = run_design_loop(*args)
+    for got, want in zip(state.history, oracle.history, strict=True):
+        np.testing.assert_array_equal(got["blocks"], want["blocks"])
+        np.testing.assert_allclose(got["weights"], want["weights"], rtol=0, atol=1e-10)
+
+
+def test_scoring_holds_under_three_samples_by_points_buffers():
+    # 16 x 256 = 4096 draws, 128 points: one (S, M) float64 buffer is 4 MiB;
+    # the extension and its scoring hold a and Y, or a and a H, at once
+    model, eval_grid = design_m128_case()
+    sim_grid = mg.HyperGrid(domain=eval_grid.domain,
+                            points=eval_grid.points[::8], scale=eval_grid.scale)
+    bank = mg.draw_sample_bank(model, sim_grid, 256, 3)
+    fn = mg.FunctionalEstimate(mg.fit_emus(bank, model, on_degenerate="truncate"), model)
+    whole = 8 * bank.total * len(eval_grid)
+    tracemalloc.start()
+    try:
+        optimal_weights(extend_to_eval_grid(fn, eval_grid))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bank.total == 4096
+    assert peak < 3 * whole
+
+
+def test_design_loop_needs_an_iteration(toy_model):
+    eval_grid = mg.make_regular_grid(mg.Domain(-2.0, 2.0), 4)
+    for iterations in (0, -1):
+        with pytest.raises(ValueError, match="iterations must be at least 1"):
+            run_design_loop(toy_model, eval_grid, iterations, 4, 2, 5)
+
+
 def test_design_loop_runs_past_the_old_grid_cap(toy_model):
     # Scoring once refused evaluation grids beyond 128 points.
     eval_grid = mg.make_regular_grid(mg.Domain(-2.0, 2.0), 160)
@@ -272,7 +347,7 @@ def test_optimal_weights_uniform_when_moments_vanish(asym_model, monkeypatch):
     fn = exhaustive_functional(asym_model)
     ext = extend_to_eval_grid(fn, fn.emus.grid)
     monkeypatch.setattr(design, "_traces",
-                        lambda a, local, F, G: np.zeros(F.shape[0]))
+                        lambda a, k, F, G: np.zeros(F.shape[0]))
     w, degenerate = optimal_weights(ext)
     np.testing.assert_allclose(w, [0.5, 0.5])
     assert degenerate

@@ -11,8 +11,8 @@ respect to u and u'F = u' holds to rounding, with no stationary
 solve.
 The asymptotic-variance calculus then scores each candidate point by
 u_m sqrt(tr(G' Xi_m G)), with G the group inverse of I - F on the
-evaluation grid and Xi_m the covariance of the normalized weights under
-the local density of m.
+evaluation grid (one fundamental-matrix solve from u) and Xi_m the
+covariance of the normalized weights under the local density of m.
 Only those traces are needed, and each is read off the same sample
 averages as E_m[a' H a] - f_m' H f_m with H = G G', where E_m weights
 sample s by k_s a_sm / u_m, so scoring costs O(S M^2) for S samples and
@@ -134,11 +134,12 @@ def _traces(a: np.ndarray, k: np.ndarray, F: np.ndarray,
     return first - second
 
 
-def trace_weights(a: np.ndarray, k: np.ndarray, F: np.ndarray,
-                  u: np.ndarray, G: np.ndarray):
+def trace_weights(a: np.ndarray, k: np.ndarray, F: np.ndarray, u: np.ndarray):
     """Allocation weights w_m proportional to u_m sqrt(t_m) from trace scores.
 
-    The trace t_m = tr(G' Xi_m G) of the weight covariance Xi_m =
+    G is the group inverse of I - F, formed from u, F's stationary
+    vector (:func:`margrid.diagnostics.group_inverse`).  The trace
+    t_m = tr(G' Xi_m G) of the weight covariance Xi_m =
     E_m[a a'] - f_m f_m' is evaluated as E_m[a' H a] - f_m' H f_m with
     H = G G', so no M x M x M moment tensor is formed.  ``a`` holds the
     normalized evaluation-grid weights per sample (or quadrature node),
@@ -155,7 +156,7 @@ def trace_weights(a: np.ndarray, k: np.ndarray, F: np.ndarray,
     -------
     (w, degenerate) : (ndarray (M,), bool)
     """
-    traces = np.clip(_traces(a, k, F, G), 0.0, None)
+    traces = np.clip(_traces(a, k, F, group_inverse(F, u)), 0.0, None)
     scores = u * np.sqrt(traces)
     total = scores.sum()
     if total <= 0:
@@ -167,21 +168,18 @@ def optimal_weights(extension: EvalExtension):
     """Variance-optimal sampling fractions over the evaluation grid.
 
     Scores each point by u_m sqrt(tr(G' Xi_m G)), G the group inverse of
-    I - F on the evaluation grid (by the direct fundamental-matrix
-    route), through :func:`trace_weights`.  The extension's curve values
-    u are F's stationary vector to rounding, because F is built
-    reversible with respect to them, so G is formed from u with no
-    stationary solve and no clamping.  The evaluation grid has no size
-    cap: work grows as S M^2 for S cached samples.
+    I - F on the evaluation grid, through :func:`trace_weights`.  The
+    extension's curve values u are F's stationary vector to rounding,
+    because F is built reversible with respect to them, so G is formed
+    from u with no stationary solve and no clamping.  The evaluation
+    grid has no size cap: work grows as S M^2 for S cached samples.
 
     Returns
     -------
     (w, degenerate) : (ndarray (M,), bool)
     """
-    F = extension.transition
-    u = extension.stationary_values
-    G = group_inverse(F, u, method="direct")
-    return trace_weights(extension._eval_ratios, extension._mass, F, u, G)
+    return trace_weights(extension._eval_ratios, extension._mass,
+                         extension.transition, extension.stationary_values)
 
 
 def incremental_weights(w_hat: np.ndarray, counts: np.ndarray, budget: int,

@@ -5,14 +5,15 @@ are both computable from the fitted object: the per-row sampling
 variances of the normalized weights, and how strongly the grid chain
 connects each pair of points.  The latter enters through first-visit
 probabilities (probability that the chain started at i reaches j before
-returning to i) and, for reversible matrices, through the spectral gap
-and the group inverse of I - F.  The first-visit probabilities into
-state i come from one inverse, the fundamental matrix of the chain
-killed at i (Kemeny and Snell, Finite Markov Chains, ch. 3), computed
-from the chain's off-diagonal entries and killing masses without a
-single subtraction (the triplet representation of Alfa, Xue and Ye,
-Math. Comp. 71, 2002), so Q is accurate entry by entry and lies in
-[0, 1] up to the rounding of F's row sums.
+returning to i), through the group inverse of I - F (one
+fundamental-matrix solve, for any irreducible matrix) and, for
+reversible matrices, through the spectral gap.  The first-visit
+probabilities into state i come from one inverse, the fundamental
+matrix of the chain killed at i (Kemeny and Snell, Finite Markov
+Chains, ch. 3), computed from the chain's off-diagonal entries and
+killing masses without a single subtraction (the triplet representation
+of Alfa, Xue and Ye, Math. Comp. 71, 2002), so Q is accurate entry by
+entry and lies in [0, 1] up to the rounding of F's row sums.
 """
 
 from __future__ import annotations
@@ -245,89 +246,78 @@ def pointwise_variance_bound(functional, lam, diagnostics: VarianceDiagnostics |
     return float(2.0 * np.sum((grid_part + point_part) / diagnostics.sampling_fractions))
 
 
-def _reversible_eigens(F: np.ndarray, v: np.ndarray):
-    """Eigendecomposition through the detailed-balance similarity.
+def group_inverse(transition: np.ndarray, stationary: np.ndarray | None = None) -> np.ndarray:
+    """Group inverse A^# of A = I - F for an irreducible row-stochastic F.
 
-    For a matrix in detailed balance with the probability vector v,
-    D^{1/2} F D^{-1/2} (D = diag(v)) is symmetric, so F has a real
-    orthogonal eigensystem in the D-weighted geometry.
+    One route for every irreducible matrix, reversible or not: the
+    fundamental-matrix identity A^# = (I - F + 1 v^T)^{-1} - 1 v^T, with
+    v the stationary probability vector (Kemeny and Snell, Finite Markov
+    Chains, ch. 4; Meyer, SIAM Rev. 17, 1975).  A^# is the unique matrix
+    with A A^# A = A, A^# A A^# = A^# and A A^# = A^# A, and it satisfies
+    v^T A^# = 0 and A^# 1 = 0.  ``stationary`` defaults to
+    :func:`stationary_vector` of the matrix; any positive scaling of it
+    is accepted.  Cost is one dense O(L^3) solve.
+
+    Raises
+    ------
+    ValueError
+        If the matrix is not square and row-stochastic (NaN entries
+        included), or ``stationary`` does not have one entry per state.
+    ReducibleChainError
+        If ``stationary`` has a nonpositive entry, or I - F + 1 v^T is
+        singular (the matrix is not irreducible).
     """
+    F = _row_stochastic(transition)
+    n = F.shape[0]
+    v = stationary_vector(F) if stationary is None else np.asarray(stationary, dtype=float)
+    if v.shape != (n,):
+        raise ValueError(
+            f"stationary vector has shape {v.shape}; the matrix has {n} states"
+        )
+    if np.any(v <= 0):
+        raise ReducibleChainError("stationary vector must be strictly positive")
+    v = v / v.sum()
+    E = np.outer(np.ones(n), v)
+    try:
+        inv = np.linalg.solve(np.eye(n) - F + E, np.eye(n))
+    except np.linalg.LinAlgError as exc:
+        raise ReducibleChainError(
+            "I - F + 1 v^T is singular; the matrix is not irreducible"
+        ) from exc
+    return inv - E
+
+
+def spectral_gap(transition: np.ndarray, stationary: np.ndarray | None = None) -> float:
+    """1 minus the second-largest eigenvalue magnitude of a reversible F.
+
+    For F in detailed balance with its stationary probability vector v,
+    D^{1/2} F D^{-1/2} (D = diag(v)) is symmetric, so F's eigenvalues
+    are real and come from one symmetric eigensolve; the largest is the
+    unit eigenvalue.  ``stationary`` defaults to
+    :func:`stationary_vector` of the matrix.  A one-state chain has gap 1.
+
+    Raises
+    ------
+    NotReversibleError
+        If detailed balance is violated: max|v_i F_ij - v_j F_ji| exceeds
+        DETAILED_BALANCE_TOL.
+    """
+    F = np.asarray(transition, dtype=float)
+    if stationary is None:
+        stationary = stationary_vector(F)
+    v = np.asarray(stationary, dtype=float)
+    v = v / v.sum()
     imbalance = np.max(np.abs(v[:, None] * F - (v[:, None] * F).T))
     if imbalance > DETAILED_BALANCE_TOL:
         raise NotReversibleError(
             f"detailed balance violated by {imbalance:.3e} "
             f"(> {DETAILED_BALANCE_TOL:.1e}); "
-            "the similarity route needs a reversible matrix"
+            "the spectral gap needs a reversible matrix"
         )
     d = np.sqrt(v)
     S = (d[:, None] * F) / d[None, :]
-    S = 0.5 * (S + S.T)
-    eigvals, W = np.linalg.eigh(S)
-    return eigvals, W, d
-
-
-def group_inverse(transition: np.ndarray, stationary: np.ndarray | None = None,
-                  method: str = "eigen") -> np.ndarray:
-    """Group inverse of I - F for an irreducible row-stochastic F.
-
-    method="eigen" (default) uses the detailed-balance similarity: with
-    D = diag(v), D^{1/2} F D^{-1/2} is symmetric, F = D^{-1/2} W E W^T D^{1/2}
-    with orthogonal W, and the group inverse replaces each eigenvalue
-    1 - e by its reciprocal, with 0 kept for the unit eigenvalue.  This
-    route errors if detailed balance is violated beyond
-    DETAILED_BALANCE_TOL.
-
-    method="direct" works for any irreducible matrix through the
-    fundamental-matrix identity (I - F)^# = (I - F + 1 v^T)^{-1} - 1 v^T
-    with v the stationary probability vector.
-    """
-    F = np.asarray(transition, dtype=float)
-    n = F.shape[0]
-    if stationary is None:
-        stationary = stationary_vector(F)
-    v = np.asarray(stationary, dtype=float)
-    if np.any(v <= 0):
-        raise ReducibleChainError("stationary vector must be strictly positive")
-    v = v / v.sum()
-
-    if method == "direct":
-        E = np.outer(np.ones(n), v)
-        try:
-            inv = np.linalg.solve(np.eye(n) - F + E, np.eye(n))
-        except np.linalg.LinAlgError as exc:
-            raise ReducibleChainError(
-                "I - F + 1 v^T is singular; the matrix is not irreducible"
-            ) from exc
-        return inv - E
-    if method != "eigen":
-        raise ValueError(f"unknown method {method!r}")
-
-    eigvals, W, d = _reversible_eigens(F, v)
-    unit = int(np.argmax(eigvals))
-    if abs(eigvals[unit] - 1.0) > 1e-8:
-        raise ReducibleChainError("no unit eigenvalue found; F is not stochastic")
-    others = np.delete(eigvals, unit)
-    if others.size and np.max(others) > 1.0 - 1e-12:
-        raise ReducibleChainError(
-            "the unit eigenvalue is not simple; the matrix is reducible"
-        )
-    recip = np.zeros(n)
-    mask = np.arange(n) != unit
-    recip[mask] = 1.0 / (1.0 - eigvals[mask])
-    core = (W * recip[None, :]) @ W.T
-    return (core / d[:, None]) * d[None, :]
-
-
-def spectral_gap(transition: np.ndarray, stationary: np.ndarray | None = None) -> float:
-    """1 minus the second-largest eigenvalue magnitude of a reversible F."""
-    F = np.asarray(transition, dtype=float)
-    if stationary is None:
-        stationary = stationary_vector(F)
-    v = np.asarray(stationary, dtype=float)
-    v = v / v.sum()
-    eigvals, _, _ = _reversible_eigens(F, v)
-    unit = int(np.argmax(eigvals))
-    others = np.delete(eigvals, unit)
-    if others.size == 0:
+    # ascending: the last eigenvalue is the unit one
+    eigvals = np.linalg.eigvalsh(0.5 * (S + S.T))
+    if eigvals.size == 1:
         return 1.0
-    return float(1.0 - np.max(np.abs(others)))
+    return float(1.0 - np.max(np.abs(eigvals[:-1])))

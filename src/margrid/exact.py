@@ -10,7 +10,8 @@ from the symmetric overlap form
 whose row sums recover u on the grid and whose row normalization
 recovers the transition matrix, so detailed balance u_i F_ij = u_j F_ji
 holds exactly by construction.  These serve as oracles for the Monte
-Carlo estimators and as inputs to quadrature-computed design weights.
+Carlo estimators, and the quadrature (F, u) feed the design scorer for
+exact optimal allocation weights.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 import numpy as np
 
 from .design import trace_weights
-from .diagnostics import group_inverse
 from .emus import SampleBank
 from .grids import HyperGrid
 from .models import DiscreteModel, Model
@@ -147,19 +147,18 @@ def quadrature_transition_matrix(model: Model, grid: HyperGrid, theta_nodes):
 def quadrature_optimal_weights(model: Model, eval_grid: HyperGrid, theta_nodes):
     """Exact optimal sampling weights on an evaluation grid (scalar theta).
 
-    Computes the grid matrix, its group inverse through the reversible
-    route, and the allocation rule
+    Computes the grid matrix by quadrature and the allocation rule
 
         w_m proportional to u_m sqrt( tr( G^T Xi_m G ) ),  G = (I - F)^#,
 
-    all by quadrature, scoring through the same trace identity as the
-    sampled design loop (:func:`margrid.design.trace_weights`) with theta
-    nodes in place of samples, each of mass mix * quad.  Returns (w, F, u).
+    through the same scorer as the sampled design loop
+    (:func:`margrid.design.trace_weights`, which forms G from u by the
+    fundamental-matrix solve) with theta nodes in place of samples, each
+    of mass mix * quad.  Returns (w, F, u).
     """
     A, mix, quad = _quadrature_weight_table(model, eval_grid, theta_nodes)
     # node mass: the local density of column m weights node t by k_t A_tm
     k = mix * quad
     F, u = _overlap_to_transition(A.T @ (A * k[:, None]))
-    G = group_inverse(F, u, method="eigen")
-    w, _ = trace_weights(A, k, F, u, G)
+    w, _ = trace_weights(A, k, F, u)
     return w, F, u

@@ -402,8 +402,8 @@ class GpRegressionModel(Model):
     ``grad_log_weight_matrix`` shares the same factor, and
     ``log_weight_blocks`` yields the columns of one tau2 at a time from one
     factor and one whitening for both.  The per-value
-    factorization of C_lam, cached by ``_entry``, serves the sampler and
-    the exact marginal.
+    factorization of C_lam + noise_var I, cached by ``_entry`` with C_lam,
+    serves the sampler and the exact marginal.
     """
 
     def __init__(self, x, y, noise_var: float = 1.0 / 16.0, jitter_scale: float = 1e-9):
@@ -436,14 +436,10 @@ class GpRegressionModel(Model):
             kernel = (tau1 / tau2) * np.exp(-tau2 * self._sqdist)
             jitter = self.jitter_scale * (tau1 / tau2)
             cov = kernel + jitter * np.eye(self.y.size)
-            chol = cholesky(cov, lower=True)
             noisy = cov + self.noise_var * np.eye(self.y.size)
             chol_noisy = cho_factor(noisy, lower=True)
             entry = {
-                "tau": (tau1, tau2),
-                "kernel": kernel,
                 "cov": cov,
-                "chol": chol,
                 "chol_noisy": chol_noisy,
                 "logdet_noisy": 2.0 * np.sum(np.log(np.diag(chol_noisy[0]))),
             }

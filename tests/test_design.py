@@ -219,7 +219,7 @@ def cross_moments_oracle(extension):
 def scoring_inputs(extension):
     """(a, k, F, G) exactly as ``optimal_weights`` builds them."""
     F = extension.transition
-    G = mg.group_inverse(F, extension.stationary_values, method="direct")
+    G = mg.group_inverse(F, extension.stationary_values)
     return extension._eval_ratios, extension._mass, F, G
 
 
@@ -230,7 +230,7 @@ def optimal_weights_oracle(extension):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         v = mg.stationary_vector(F, on_degenerate="truncate")
-    G = mg.group_inverse(F, v, method="direct")
+    G = mg.group_inverse(F, v)
     H = G @ G.T
     a = extension._eval_ratios
     first = local_weights(extension).T @ np.sum((a @ H) * a, axis=1)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import margrid as mg
+from margrid.exact import _overlap_to_transition, _quadrature_weight_table
 
 
 def random_reversible_chain(rng, n):
@@ -278,8 +279,6 @@ def test_group_inverse_two_state_closed_form():
     F = np.array([[0.5, 0.5], [0.5, 0.5]])
     expected = np.array([[0.5, -0.5], [-0.5, 0.5]])
     np.testing.assert_allclose(mg.group_inverse(F), expected, atol=1e-12)
-    np.testing.assert_allclose(mg.group_inverse(F, method="direct"), expected,
-                               atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [3, 5, 9])
@@ -291,8 +290,6 @@ def test_group_inverse_defining_properties(n):
     np.testing.assert_allclose(A @ G @ A, A, atol=1e-10)
     np.testing.assert_allclose(G @ A @ G, G, atol=1e-10)
     np.testing.assert_allclose(A @ G, G @ A, atol=1e-10)
-    # Both construction routes agree for reversible matrices.
-    np.testing.assert_allclose(G, mg.group_inverse(F, method="direct"), atol=1e-9)
 
 
 def test_group_inverse_annihilates_stationary_direction():
@@ -303,17 +300,44 @@ def test_group_inverse_annihilates_stationary_direction():
     np.testing.assert_allclose(G @ np.ones(6), np.zeros(6), atol=1e-10)
 
 
-def test_group_inverse_rejects_nonreversible():
+def test_nonreversible_chain_has_a_group_inverse_but_no_spectral_gap():
     F = np.array([
         [0.1, 0.8, 0.1],
         [0.1, 0.1, 0.8],
         [0.8, 0.1, 0.1],
     ])
     with pytest.raises(mg.NotReversibleError):
-        mg.group_inverse(F)
-    G = mg.group_inverse(F, method="direct")
+        mg.spectral_gap(F)
+    G = mg.group_inverse(F)
     A = np.eye(3) - F
     np.testing.assert_allclose(A @ G @ A, A, atol=1e-10)
+
+
+def test_group_inverse_checks_its_inputs():
+    with pytest.raises(ValueError, match="row-stochastic"):
+        mg.group_inverse([[0.5, 0.7], [0.5, 0.5]], [0.5, 0.5])
+    F = np.full((3, 3), 1.0 / 3.0)
+    for v in ([0.5, 0.5], np.ones(4), np.ones((3, 1))):
+        with pytest.raises(ValueError, match="stationary vector has shape"):
+            mg.group_inverse(F, v)
+
+
+def test_group_inverse_is_exact_on_the_quadrature_chain_of_criterion_11():
+    # 48 points on [-6, 6], q = tau = 32, 4001 nodes: u spans 1e-86 to 9.6
+    # and the true max|G| is about 1.5e3
+    model = mg.ToyBimodalModel(y=1.0, q=32.0, tau=32.0)
+    ev = mg.make_regular_grid(mg.Domain(-6.0, 6.0), 48)
+    a, mix, quad = _quadrature_weight_table(model, ev, np.linspace(-4.0, 4.0, 4001))
+    F, u = _overlap_to_transition(a.T @ (a * (mix * quad)[:, None]))
+    assert u.min() < 1e-80
+    G = mg.group_inverse(F, u)
+    A = np.eye(48) - F
+    assert np.max(np.abs(A @ G @ A - A)) <= 1e-10
+    scale = np.max(np.abs(G))
+    assert scale < 1e4
+    v = u / u.sum()
+    assert np.max(np.abs(v @ G)) <= 1e-10 * scale
+    assert np.max(np.abs(G @ np.ones(48))) <= 1e-10 * scale
 
 
 def test_spectral_gap_uniform_chain_is_one():

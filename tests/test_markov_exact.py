@@ -1,11 +1,14 @@
 """Stationary vector and first-visit probabilities against exact rational
-arithmetic on small chains whose entries span twenty orders of magnitude.
+arithmetic on small chains whose entries span twenty orders of magnitude,
+and the group inverse of I - F on acceptance criterion 09's reversible
+chains.
 
 The chain is the one given by F's off-diagonal entries; its diagonal is
 1 minus their row sum, so F's stored diagonal only carries the rounding
-of that sum.  Both quantities depend on the off-diagonals alone, and the
-reference is exact, so every entry must come out to working precision
-relative to itself, however small it is.
+of that sum.  The stationary vector and first-visit probabilities depend
+on the off-diagonals alone, and the reference is exact, so every entry
+must come out to working precision relative to itself, however small it
+is.  The group inverse is held to working precision in max norm.
 """
 
 from fractions import Fraction
@@ -72,6 +75,25 @@ def exact_hitting(P):
     return Q
 
 
+def exact_group_inverse(P):
+    """(I - P)^# = (I - P + 1 v^T)^{-1} - 1 v^T over the rationals, column
+    by column, with v the exact stationary probability vector."""
+    n = len(P)
+    v = [x / n for x in exact_stationary(P)]
+    A = [[int(i == j) - P[i][j] + v[j] for j in range(n)] for i in range(n)]
+    cols = [solve_exact(A, [Fraction(int(i == j)) for i in range(n)]) for j in range(n)]
+    return [[cols[j][i] - v[j] for j in range(n)] for i in range(n)]
+
+
+def reversible_chain(rng, n):
+    """Criterion 09's chains: a symmetric positive kernel, row-normalized,
+    and its stationary probability vector (the normalized row sums)."""
+    base = rng.random((n, n)) + 0.1
+    kernel = base + base.T
+    row = kernel.sum(axis=1)
+    return kernel / row[:, None], row / row.sum()
+
+
 def max_relative_error(approx, exact):
     pairs = zip(np.ravel(approx), np.ravel(np.array(exact, dtype=object)))
     return float(max(abs(Fraction(float(a)) - e) / e for a, e in pairs))
@@ -92,3 +114,28 @@ def test_hitting_probabilities_are_exact_to_working_precision(n, seed):
     F = spread_chain(np.random.default_rng(1000 * n + seed), n)
     Q = mg.hitting_probabilities(F)
     assert max_relative_error(Q, exact_hitting(exact_chain(F))) <= 1e-13
+
+
+def test_exact_group_inverse_has_the_defining_properties():
+    P = exact_chain(reversible_chain(np.random.default_rng(3), 4)[0])
+    n = len(P)
+    A = [[int(i == j) - P[i][j] for j in range(n)] for i in range(n)]
+    G = exact_group_inverse(P)
+
+    def mul(X, Y):
+        return [[sum(X[i][k] * Y[k][j] for k in range(n)) for j in range(n)]
+                for i in range(n)]
+
+    assert mul(mul(A, G), A) == A
+    assert mul(mul(G, A), G) == G
+    assert mul(A, G) == mul(G, A)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_group_inverse_is_exact_to_working_precision(n):
+    F, v = reversible_chain(np.random.default_rng(2000 + n), n)
+    G = mg.group_inverse(F, v)
+    exact = exact_group_inverse(exact_chain(F))
+    err = max(abs(Fraction(float(G[i, j])) - exact[i][j])
+              for i in range(n) for j in range(n))
+    assert float(err / max(abs(x) for row in exact for x in row)) <= 1e-13

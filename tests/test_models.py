@@ -129,7 +129,7 @@ def gp_log_psi_oracle(model, thetas, lam):
     resid = model.y[None, :] - thetas
     obs = -0.5 * (n * (math.log(2 * math.pi) + math.log(model.noise_var))
                   + np.sum(resid * resid, axis=1) / model.noise_var)
-    chol = model._entry(lam)["chol"]
+    chol = cholesky(model._entry(lam)["cov"], lower=True)
     logdet = 2.0 * np.sum(np.log(np.diag(chol)))
     white = solve_triangular(chol, thetas.T, lower=True)
     return obs - 0.5 * (n * math.log(2 * math.pi) + logdet + np.sum(white * white, axis=0))
@@ -144,14 +144,15 @@ def gp_grad_oracle(model, thetas, lam):
     with dK/dtau1 = K/tau1 and dK/dtau2 = -K/tau2 - kernel * sqdist (the
     relative jitter folds into K for both derivatives).
     """
-    entry = model._entry(lam)
-    tau1, tau2 = entry["tau"]
+    cov = model._entry(lam)["cov"]
+    tau1, tau2 = map(float, lam)
     thetas = np.atleast_2d(thetas)
     n = model.y.size
-    chol = entry["chol"]
+    chol = cholesky(cov, lower=True)
     v = cho_solve((chol, True), thetas.T)          # K^{-1} theta, (n, N)
     quad_k = np.sum(thetas.T * v, axis=0)          # theta' K^{-1} theta
-    cd = entry["kernel"] * model._sqdist           # kernel .* sqdist
+    # kernel .* sqdist: sqdist has a zero diagonal, so the jitter drops out
+    cd = cov * model._sqdist
     tr_kinv_cd = float(np.trace(cho_solve((chol, True), cd)))
     quad_cd = np.sum(v * (cd @ v), axis=0)         # v' (kernel.*sqdist) v
     g1 = -0.5 * n / tau1 + 0.5 * quad_k / tau1 - 1.0 / tau1

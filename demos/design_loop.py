@@ -12,8 +12,6 @@ pivotal sampling from those scores.
 Run:  python3 demos/design_loop.py
 """
 
-import warnings
-
 import numpy as np
 
 import margrid as mg
@@ -21,16 +19,11 @@ import margrid as mg
 model = mg.ToyBimodalModel(y=1.0, q=32.0, tau=32.0)
 ev = mg.make_regular_grid(mg.Domain(-6.0, 6.0), 48)
 
-# Eight rounds of eight blocks of eight draws: 512 draws total.  Early
-# provisional fits on a handful of pilot points are expected to be
-# crude; the loop clamps those solves and repairs them with later
-# rounds, so the warnings are silenced here.
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore", RuntimeWarning)
-    state, fn = mg.run_design_loop(
-        model, ev, iterations=8, blocks_per_iteration=8,
-        samples_per_block=8, master_seed=31,
-    )
+# Eight rounds of eight blocks of eight draws: 512 draws total.
+state, fn = mg.run_design_loop(
+    model, ev, iterations=8, blocks_per_iteration=8,
+    samples_per_block=8, master_seed=31,
+)
 
 # Where did the effort go?  Print the rounds against the grid, marking
 # each allocated block.
@@ -60,17 +53,15 @@ def density_at_mode(estimate):
 
 
 designed_runs, uniform_runs = [], []
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore", RuntimeWarning)
-    for r in range(8):
-        _, fr = mg.run_design_loop(model, ev, 8, 8, 8, master_seed=31 + 100 * r)
-        designed_runs.append(density_at_mode(fr))
-        bank = mg.draw_sample_bank(model, uniform, 64, master_seed=31,
-                                   spawn_prefix=(r,))
-        flat = mg.FunctionalEstimate(
-            mg.fit_emus(bank, model, on_degenerate="truncate"), model
-        )
-        uniform_runs.append(density_at_mode(flat))
+for r in range(8):
+    _, fr = mg.run_design_loop(model, ev, 8, 8, 8, master_seed=31 + 100 * r)
+    designed_runs.append(density_at_mode(fr))
+    bank = mg.draw_sample_bank(model, uniform, 64, master_seed=31,
+                               spawn_prefix=(r,))
+    flat = mg.FunctionalEstimate(
+        mg.fit_emus(bank, model, on_degenerate="truncate"), model
+    )
+    uniform_runs.append(density_at_mode(flat))
 
 exact = np.exp([model.exact_log_u(p) for p in ev.points])
 exact /= exact @ quad

@@ -25,7 +25,6 @@ probabilities.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -183,20 +182,21 @@ def optimal_weights(extension: EvalExtension):
 
 
 def incremental_weights(w_hat: np.ndarray, counts: np.ndarray, budget: int,
-                        stabilize: bool = True):
+                        stabilize: bool = True) -> np.ndarray:
     """Next-batch weights given target fractions and effort already spent.
 
     The target w_hat describes where the TOTAL effort should sit; with
     counts already placed and ``budget`` units to place now, the raw
     next-batch scores are (budget + sum(counts)) w - counts, clipped at
-    zero.  By default w is the square-root stabilization of w_hat
-    (sqrt(w_hat) renormalized to sum 1), which tempers extreme fractions
-    estimated early.  If clipping removes everything the stabilized
-    weights themselves are used, with a warning.
+    zero and normalized.  By default w is the square-root stabilization
+    of w_hat (sqrt(w_hat) renormalized to sum 1), which tempers extreme
+    fractions estimated early.  The unclipped scores sum to the budget
+    when w sums to 1, so only a w_hat sum off 1 by more than rounding can
+    leave no positive total, which raises ValueError.
 
     Returns
     -------
-    (w_bar, used_fallback) : (ndarray (M,), bool)
+    w_bar : ndarray (M,)
     """
     w_hat = np.asarray(w_hat, dtype=float)
     counts = np.asarray(counts, dtype=float)
@@ -212,13 +212,11 @@ def incremental_weights(w_hat: np.ndarray, counts: np.ndarray, budget: int,
     scores = np.clip((budget + counts.sum()) * w - counts, 0.0, None)
     total = scores.sum()
     if total <= 0:
-        warnings.warn(
-            "every point is already over-allocated relative to the target; "
-            "falling back to the target weights for this batch",
-            RuntimeWarning,
+        raise ValueError(
+            f"every point is already over-allocated: w_hat sums to "
+            f"{w_hat.sum()!r}, too far below 1 for the spent effort"
         )
-        return w.copy(), True
-    return scores / total, False
+    return scores / total
 
 
 def pivotal_sample(expected_counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -324,7 +322,10 @@ def run_design_loop(model: Model, eval_grid: HyperGrid, iterations: int,
     draws), draws them, refits, and re-scores.  The first iteration has
     nothing to score and spreads its blocks uniformly over the grid.
     Draw streams are keyed by (iteration, point), the pivotal stream by
-    (iteration,), all under ``master_seed``.
+    (iteration,), all under ``master_seed``.  Refits clamp a degenerate
+    stationary solve, since later rounds add overlap; the rounds whose
+    fit was clamped are listed in ``state.meta["truncated_iterations"]``,
+    absent when there are none.
 
     Returns
     -------
@@ -357,12 +358,10 @@ def run_design_loop(model: Model, eval_grid: HyperGrid, iterations: int,
                 extension = extend_to_eval_grid(functional, eval_grid)
                 w_hat, degenerate = optimal_weights(extension)
                 state.w_hat, state.degenerate = w_hat, degenerate
-                w_bar, fallback = incremental_weights(
+                w_bar = incremental_weights(
                     w_hat, state.block_counts, blocks_per_iteration,
                     stabilize=stabilize,
                 )
-                if fallback:
-                    state.meta.setdefault("fallback_iterations", []).append(it)
                 alloc = pivotal_sample(
                     blocks_per_iteration * w_bar, child_rng(master_seed, it)
                 )
@@ -385,9 +384,9 @@ def run_design_loop(model: Model, eval_grid: HyperGrid, iterations: int,
             samples = [np.concatenate(stash[m], axis=0) for m in occupied]
             counts = np.array([s.shape[0] for s in samples])
             bank = SampleBank(grid=sim_grid, samples=samples, counts=counts)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                emus = fit_emus(bank, model, on_degenerate="truncate")
+            emus = fit_emus(bank, model, on_degenerate="truncate")
+            if emus.truncated:
+                state.meta.setdefault("truncated_iterations", []).append(it)
             functional = FunctionalEstimate(emus, model)
         except MargridError as exc:
             raise type(exc)(f"design iteration {it}: {exc}") from exc

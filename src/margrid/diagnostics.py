@@ -18,7 +18,6 @@ entry and lies in [0, 1] up to the rounding of F's row sums.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,9 +135,7 @@ def weight_ratio_variances(estimate: EmusEstimate) -> np.ndarray:
     quantity whose row means form the transition matrix.  Rows with a
     single draw are unavailable and reported as NaN, never as zero.
     """
-    cache = estimate.cache
-    ratios = np.subtract(cache.logw, cache.lse[:, None])
-    return segment_var(np.exp(ratios, out=ratios), cache.offsets)
+    return segment_var(estimate.cache.ratios, estimate.cache.offsets)
 
 
 def _bound_terms(R: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -146,7 +143,7 @@ def _bound_terms(R: np.ndarray, Q: np.ndarray) -> np.ndarray:
 
     Pairs with zero weight variance contribute nothing.  Rows whose R is
     NaN (single-draw points) are NaN; a zero Q_ij against a positive
-    R_ij makes its row infinite, with a warning.
+    R_ij makes its row infinite.  The infinite entry is the only signal.
     """
     R = np.asarray(R, dtype=float)
     n = R.shape[0]
@@ -154,12 +151,6 @@ def _bound_terms(R: np.ndarray, Q: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = n * np.where(off & (R > 0), R / Q**2, 0.0).sum(axis=1)
     terms[np.isnan(R).any(axis=1)] = np.nan
-    if np.any(np.isinf(terms)):
-        warnings.warn(
-            "a pair with positive weight variance has zero first-visit "
-            "probability; the variance bound is infinite",
-            RuntimeWarning,
-        )
     return terms
 
 
@@ -173,7 +164,7 @@ def relative_variance_bound(transition: np.ndarray, R: np.ndarray,
     the squared relative error of any single grid value.
 
     A zero Q_ij against a positive R_ij makes the bound infinite, which
-    is returned as such with a warning; NaN rows in R (single-draw
+    is returned as such and not warned; NaN rows in R (single-draw
     points) make the bound NaN.
     """
     Q = hitting_probabilities(transition)

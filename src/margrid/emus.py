@@ -2,8 +2,8 @@
 
 Monte Carlo samples are drawn independently at each grid point from the
 normalized local density pi_i.  For each sample the vector of log-weights
-log(psi_j(theta) p(lam_j)) over all grid columns j is cached together
-with its log-sum-exp.  Averaging the normalized weights row by row gives
+log(psi_j(theta) p(lam_j)) over all grid columns j is normalized by its
+log-sum-exp and cached.  Averaging the normalized weights row by row gives
 a row-stochastic matrix whose stationary vector, rescaled to sum L,
 estimates the marginal u(lam_l) = z(lam_l) p(lam_l) on the grid up to a
 common constant.
@@ -17,7 +17,6 @@ precision relative to itself.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,21 +112,22 @@ def draw_sample_bank(model: Model, grid: HyperGrid, counts, master_seed: int,
 
 @dataclass
 class LogWeightCache:
-    """Cached log-weights of every sample against every grid column.
+    """Cached normalized weights of every sample against every grid column.
 
-    ``logw[s, j]`` is log(psi_j(theta_s) p(lam_j)) floored to -inf when
-    more than LOG_WEIGHT_FLOOR below the sample's own maximum; ``lse``
-    is the per-sample log-sum-exp over columns.  ``offsets`` delimits
-    the sample segments of each grid point.
+    ``ratios[s, j]`` is psi_j(theta_s) p(lam_j) / sum_l psi_l(theta_s) p(lam_l),
+    exactly 0 where the log-weight is more than LOG_WEIGHT_FLOOR below
+    the sample's own maximum; ``lse`` is the per-sample log-sum-exp of
+    the log-weights over columns.  ``offsets`` delimits the sample
+    segments of each grid point.
     """
 
-    logw: np.ndarray
+    ratios: np.ndarray
     lse: np.ndarray
     offsets: np.ndarray
 
 
 def compute_log_weights(bank: SampleBank, model: Model) -> LogWeightCache:
-    """Evaluate and cache all sample-against-column log-weights."""
+    """Evaluate all sample-against-column log-weights; cache them normalized."""
     thetas, offsets = bank.flattened()
     points = bank.grid.points
     log_priors = np.array([model.log_prior(lam) for lam in points])
@@ -147,7 +147,10 @@ def compute_log_weights(bank: SampleBank, model: Model) -> LogWeightCache:
     shifted = np.subtract(logw, row_max[:, None])
     np.exp(shifted, out=shifted)
     lse = row_max + np.log(np.sum(shifted, axis=1))
-    return LogWeightCache(logw=logw, lse=lse, offsets=offsets)
+    # normalized in place; floored entries become exp(-inf) = 0 exactly
+    np.subtract(logw, lse[:, None], out=logw)
+    np.exp(logw, out=logw)
+    return LogWeightCache(ratios=logw, lse=lse, offsets=offsets)
 
 
 def segment_mean(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -182,14 +185,10 @@ def estimate_transition_matrix(bank: SampleBank, model: Model):
     (F, cache) : (ndarray of shape (L, L), LogWeightCache)
     """
     cache = compute_log_weights(bank, model)
-    # one fresh buffer: the cached log-weights stay as they are
-    ratios = np.subtract(cache.logw, cache.lse[:, None])
-    np.exp(ratios, out=ratios)
-    return segment_mean(ratios, cache.offsets), cache
+    return segment_mean(cache.ratios, cache.offsets), cache
 
 
-def stationary_vector(transition: np.ndarray,
-                      on_degenerate: str = "raise") -> np.ndarray:
+def stationary_vector(transition: np.ndarray) -> np.ndarray:
     """Left stationary vector of a row-stochastic matrix, scaled to sum L.
 
     Solves u = F^T u by GTH elimination.  States L-1, ..., 1 are censored
@@ -207,18 +206,15 @@ def stationary_vector(transition: np.ndarray,
     means states k..L-1 hold a closed class; back substitution then
     starts from u_k = 1 with zeros below k, an exact stationary vector of
     the reducible chain, and states its class never enters get zero
-    inflow.  With ``on_degenerate="raise"`` (default) any zero entry
-    raises; with ``"truncate"`` entries below a factor of machine epsilon
-    under the largest one are clamped to that floor and a RuntimeWarning
-    is emitted, which callers that can self-correct (sequential designs
-    accumulating overlap) use for provisional fits.  An inaccurate solve
-    (residual above STATIONARY_RESIDUAL_TOL) always raises.
+    inflow.  Any zero entry raises, and so does an inaccurate solve
+    (residual above STATIONARY_RESIDUAL_TOL).  Fits that may clamp a
+    degenerate solve instead go through :func:`fit_emus`.
 
     Raises
     ------
     ReducibleChainError
     """
-    return _solve_stationary(transition, on_degenerate)[0]
+    return _solve_stationary(transition, "raise")[0]
 
 
 def _row_stochastic(transition) -> np.ndarray:
@@ -234,7 +230,7 @@ def _row_stochastic(transition) -> np.ndarray:
 
 
 def _solve_stationary(transition, on_degenerate):
-    """Worker behind stationary_vector; also reports whether it clamped."""
+    """Stationary vector and whether it was clamped; modes as in fit_emus."""
     if on_degenerate not in ("raise", "truncate"):
         raise ValueError(f"unknown on_degenerate mode {on_degenerate!r}")
     F = _row_stochastic(transition)
@@ -274,11 +270,6 @@ def _solve_stationary(transition, on_degenerate):
         u = np.where(u < floor, floor, u)
         u = u * (n / u.sum())
         truncated = True
-        warnings.warn(
-            "stationary vector is degenerate at working precision; entries "
-            "below resolution were clamped to a positive floor",
-            RuntimeWarning,
-        )
     return u, truncated
 
 
@@ -300,7 +291,7 @@ class EmusEstimate:
     cache: LogWeightCache
     transition: np.ndarray
     stationary: np.ndarray
-    #: True when a degenerate solve was clamped (on_degenerate="truncate")
+    #: True when fit_emus clamped a degenerate solve; the only record of it
     truncated: bool = False
 
     @property
@@ -314,7 +305,16 @@ class EmusEstimate:
 
 def fit_emus(bank: SampleBank, model: Model,
              on_degenerate: str = "raise") -> EmusEstimate:
-    """Estimate the transition matrix and its stationary vector."""
+    """Estimate the transition matrix and its stationary vector.
+
+    With ``on_degenerate="raise"`` (default) a stationary vector with a
+    zero entry (some grid points unreachable) raises ReducibleChainError.
+    With ``"truncate"`` entries below a factor of machine epsilon under
+    the largest one are clamped to that floor and the estimate's
+    ``truncated`` flag is set, with no warning: callers that can
+    self-correct (sequential designs accumulating overlap) use this for
+    provisional fits.  An inaccurate solve always raises.
+    """
     F, cache = estimate_transition_matrix(bank, model)
     u, truncated = _solve_stationary(F, on_degenerate)
     return EmusEstimate(bank=bank, cache=cache, transition=F, stationary=u,

@@ -20,7 +20,6 @@ import hashlib
 import json
 import math
 import os
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -499,14 +498,12 @@ def run_compare(config: ExperimentConfig, out_dir: str, *, seed=None,
         # stop overlapping, so fit in the clamping mode and report how
         # often it fired instead of aborting the study
         grid_l1, truncated = [], []
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            for r in range(reps):
-                bank = draw_sample_bank(model, sim_grid, counts, master,
-                                        spawn_prefix=(s, r, 0))
-                emus = fit_emus(bank, model, on_degenerate="truncate")
-                grid_l1.append(mean_abs_error(emus.stationary, exact_sim))
-                truncated.append(emus.truncated)
+        for r in range(reps):
+            bank = draw_sample_bank(model, sim_grid, counts, master,
+                                    spawn_prefix=(s, r, 0))
+            emus = fit_emus(bank, model, on_degenerate="truncate")
+            grid_l1.append(mean_abs_error(emus.stationary, exact_sim))
+            truncated.append(emus.truncated)
         traces = run_griddy_chains(model, sim_grid, n_iter,
                                    [child_rng(master, s, r, 1) for r in range(reps)],
                                    burn_in=burn_in)
@@ -652,7 +649,9 @@ def run_design_study(config: ExperimentConfig, out_dir: str, *, seed=None,
     """Sequential allocation run plus a variance comparison at equal effort.
 
     Writes ``design.csv`` (per-iteration ``iteration,point,weight,
-    allocated`` history of one run under the master seed).  When the
+    allocated`` history of one run under the master seed); the manifest
+    lists the rounds of that run whose fit clamped a degenerate
+    stationary solve as ``truncated_iterations``.  When the
     ``[design]`` section lists ``probe_points``, also reruns the loop
     ``replicates`` times against a uniform fixed-site baseline of equal
     total effort and writes ``design_variance.csv`` with the
@@ -689,8 +688,8 @@ def run_design_study(config: ExperimentConfig, out_dir: str, *, seed=None,
         "total_draws": state.total_draws,
         "stabilize": stabilize,
         "degenerate_score": state.degenerate,
-        "fallback_iterations": state.meta.get("fallback_iterations", []),
         "points_visited": int(np.count_nonzero(state.block_counts)),
+        "truncated_iterations": state.meta.get("truncated_iterations", []),
     }
     outputs = ["design.csv"]
 
@@ -731,10 +730,8 @@ def run_design_study(config: ExperimentConfig, out_dir: str, *, seed=None,
             except MargridError:
                 return np.full(len(probe_idx), np.nan)
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            design_vals = np.array([one_design(r) for r in range(reps)])
-            uniform_vals = np.array([one_uniform(r) for r in range(reps)])
+        design_vals = np.array([one_design(r) for r in range(reps)])
+        uniform_vals = np.array([one_uniform(r) for r in range(reps)])
 
         ok_d = ~np.isnan(design_vals).any(axis=1)
         ok_u = ~np.isnan(uniform_vals).any(axis=1)

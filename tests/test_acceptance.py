@@ -7,7 +7,6 @@ informational only and never asserted.  Everything runs from fixed
 seeds, so the whole suite is deterministic.
 """
 
-import warnings
 
 import numpy as np
 from conftest import record_note
@@ -173,9 +172,7 @@ def test_criterion_05_grid_estimator_beats_single_chain():
         bank = mg.draw_sample_bank(
             model, grid, 16, master_seed=SEED, spawn_prefix=(0, r)
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            est = mg.fit_emus(bank, model, on_degenerate="truncate")
+        est = mg.fit_emus(bank, model, on_degenerate="truncate")
         emus_err.append(mg.mean_abs_error(est.stationary, exact))
         trace = mg.run_griddy_gibbs(model, grid, n_iter, mg.child_rng(SEED, 1, r))
         gibbs_err.append(mg.mean_abs_error(trace.stationary_estimate(), exact))
@@ -392,15 +389,13 @@ def test_criterion_11_adaptive_allocation_reduces_mode_variance():
                 1, np.uint64
             )[0]
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            _, fn = mg.run_design_loop(model, ev, 8, 8, 8, master_seed=sub)
-            designed.append(density_at_probes(fn))
-            bank = mg.draw_sample_bank(
-                model, uniform, 64, master_seed=SEED, spawn_prefix=(3, r)
-            )
-            est = mg.fit_emus(bank, model, on_degenerate="truncate")
-            flat.append(density_at_probes(mg.FunctionalEstimate(est, model)))
+        _, fn = mg.run_design_loop(model, ev, 8, 8, 8, master_seed=sub)
+        designed.append(density_at_probes(fn))
+        bank = mg.draw_sample_bank(
+            model, uniform, 64, master_seed=SEED, spawn_prefix=(3, r)
+        )
+        est = mg.fit_emus(bank, model, on_degenerate="truncate")
+        flat.append(density_at_probes(mg.FunctionalEstimate(est, model)))
     var_designed = np.var(np.array(designed), axis=0, ddof=1)
     var_uniform = np.var(np.array(flat), axis=0, ddof=1)
     reduction = 1.0 - var_designed / var_uniform

@@ -1,7 +1,6 @@
 """Evaluation-grid extension, allocation weights, and the design loop."""
 
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -227,9 +226,7 @@ def optimal_weights_oracle(extension):
     """The scoring route before the (a, k) form: F's stationary vector
     solved again, and the explicit (S, M) matrix of local weights."""
     F = extension.transition
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        v = mg.stationary_vector(F, on_degenerate="truncate")
+    v, _ = mg.emus._solve_stationary(F, "truncate")
     G = mg.group_inverse(F, v)
     H = G @ G.T
     a = extension._eval_ratios
@@ -374,10 +371,9 @@ def test_optimal_weights_are_a_probability_vector():
 
 def test_incremental_weights_from_scratch():
     w_hat = np.array([0.64, 0.16, 0.16, 0.04])
-    w, fallback = incremental_weights(w_hat, np.zeros(4), 10, stabilize=False)
+    w = incremental_weights(w_hat, np.zeros(4), 10, stabilize=False)
     np.testing.assert_allclose(w, w_hat)
-    assert not fallback
-    w_s, _ = incremental_weights(w_hat, np.zeros(4), 10, stabilize=True)
+    w_s = incremental_weights(w_hat, np.zeros(4), 10, stabilize=True)
     expected = np.sqrt(w_hat) / np.sqrt(w_hat).sum()
     np.testing.assert_allclose(w_s, expected)
 
@@ -385,16 +381,15 @@ def test_incremental_weights_from_scratch():
 def test_incremental_weights_subtract_spent_effort():
     # Target is an even split, one point already has all ten draws: the
     # whole next batch goes to the other point.
-    w, fallback = incremental_weights(
+    w = incremental_weights(
         np.array([0.5, 0.5]), np.array([10.0, 0.0]), 2, stabilize=False)
     np.testing.assert_allclose(w, [0.0, 1.0])
-    assert not fallback
 
 
 def test_incremental_weights_preserve_zeros():
     w_hat = np.array([0.5, 0.0, 0.5])
     for stab in (False, True):
-        w, _ = incremental_weights(w_hat, np.zeros(3), 4, stabilize=stab)
+        w = incremental_weights(w_hat, np.zeros(3), 4, stabilize=stab)
         assert w[1] == 0.0
 
 
@@ -403,6 +398,36 @@ def test_incremental_weights_validate_inputs():
         incremental_weights(np.array([0.7, 0.7]), np.zeros(2), 4)
     with pytest.raises(ValueError):
         incremental_weights(np.array([0.5, 0.5]), np.zeros(2), 0)
+
+
+@given(
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20),
+    st.data(),
+    st.integers(1, 64),
+    st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_incremental_weights_are_a_probability_vector(raw, data, budget, stabilize):
+    # Before clipping the scores sum to the budget for any probability
+    # vector, and clipping only raises entries, so there is always a
+    # positive total to normalize by.
+    raw = np.array(raw)
+    if raw.sum() == 0:
+        raw[0] = 1.0
+    w_hat = raw / raw.sum()
+    counts = np.array(data.draw(st.lists(st.integers(0, 10_000), min_size=raw.size,
+                                         max_size=raw.size)), dtype=float)
+    w = incremental_weights(w_hat, counts, budget, stabilize=stabilize)
+    assert np.all(w >= 0)
+    assert abs(w.sum() - 1.0) <= 1e-12
+
+
+def test_incremental_weights_raise_when_nothing_is_left_to_place():
+    # w_hat sums to 1 - 5e-6: inside np.isclose, but far enough below 1
+    # that two million spent units swamp a one-unit budget.
+    w_hat = 0.5 * (1.0 - 5e-6) * np.ones(2)
+    with pytest.raises(ValueError, match="sums to"):
+        incremental_weights(w_hat, np.array([1e6, 1e6]), 1, stabilize=False)
 
 
 # -- pivotal allocation ------------------------------------------------------
@@ -504,6 +529,21 @@ def test_design_loop_accounting_and_reproducibility(toy_model):
 
     again, _ = run_design_loop(toy_model, eval_grid, **kwargs)
     np.testing.assert_array_equal(state.block_counts, again.block_counts)
+
+
+def test_design_loop_records_truncated_rounds():
+    # The two atoms never overlap, so the fit on both points is reducible
+    # and gets clamped; the round is recorded, and nothing is warned
+    # (pytest turns any RuntimeWarning into an error).
+    disconnected = mg.DiscreteModel(np.array([
+        [1.0, 0.0],
+        [0.0, 1.0],
+    ]))
+    state, fn = run_design_loop(
+        disconnected, disconnected.grid(), iterations=1,
+        blocks_per_iteration=2, samples_per_block=4, master_seed=5)
+    assert fn.emus.truncated is True
+    assert state.meta["truncated_iterations"] == [0]
 
 
 def test_design_loop_never_allocates_on_zero_weight_points():

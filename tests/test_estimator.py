@@ -82,7 +82,7 @@ def test_stationary_rejects_non_stochastic_input():
     with pytest.raises(ValueError):
         mg.stationary_vector(np.array([0.5, 0.5]))
     with pytest.raises(ValueError):
-        mg.stationary_vector(np.eye(2), on_degenerate="clip")
+        mg.emus._solve_stationary(np.eye(2), "clip")
     # GTH never reads the diagonal, so a NaN there must fail validation
     with pytest.raises(ValueError):
         mg.stationary_vector(np.array([[np.nan, 0.5], [0.5, 0.5]]))
@@ -139,8 +139,7 @@ def test_stationary_flags_states_no_other_state_enters(transient):
     transient = np.array(transient)
     with pytest.raises(mg.ReducibleChainError):
         mg.stationary_vector(transient)
-    with pytest.warns(RuntimeWarning):
-        u, truncated = mg.emus._solve_stationary(transient, "truncate")
+    u, truncated = mg.emus._solve_stationary(transient, "truncate")
     assert truncated is True
     assert np.all(u > 0)
 
@@ -156,8 +155,7 @@ def test_stationary_truncate_mode_keeps_the_closed_class_of_a_transient_root():
     ])
     with pytest.raises(mg.ReducibleChainError):
         mg.stationary_vector(F)
-    with pytest.warns(RuntimeWarning):
-        u, truncated = mg.emus._solve_stationary(F, "truncate")
+    u, truncated = mg.emus._solve_stationary(F, "truncate")
     assert truncated is True
     np.testing.assert_allclose(u, [0.0, 1.5, 1.5], atol=1e-15)
     assert u[0] > 0
@@ -169,8 +167,8 @@ def test_stationary_truncate_mode_recovers():
         [0.0, 0.5, 0.5],
         [0.0, 0.5, 0.5],
     ])
-    with pytest.warns(RuntimeWarning):
-        u = mg.stationary_vector(F, on_degenerate="truncate")
+    u, truncated = mg.emus._solve_stationary(F, "truncate")
+    assert truncated is True
     assert np.all(u > 0)
     assert u.sum() == pytest.approx(3.0)
 
@@ -186,8 +184,7 @@ def test_fit_emus_truncated_flag(asym_model):
     bank2 = mg.exhaustive_discrete_bank(disconnected)
     with pytest.raises(mg.ReducibleChainError):
         mg.fit_emus(bank2, disconnected)
-    with pytest.warns(RuntimeWarning):
-        emus2 = mg.fit_emus(bank2, disconnected, on_degenerate="truncate")
+    emus2 = mg.fit_emus(bank2, disconnected, on_degenerate="truncate")
     assert emus2.truncated is True
 
 
@@ -238,15 +235,26 @@ def test_sampled_fit_converges_to_enumeration(asym_model):
     np.testing.assert_allclose(emus.stationary, [8.0 / 7.0, 6.0 / 7.0], atol=0.02)
 
 
+def _floored_log_weights(bank, model):
+    """The model's log-weights of the bank, floored as the cache floors them."""
+    thetas, _ = bank.flattened()
+    points = bank.grid.points
+    log_priors = np.array([model.log_prior(lam) for lam in points])
+    logw = np.array(model.log_weight_matrix(thetas, points, log_priors), dtype=float)
+    logw[logw < logw.max(axis=1)[:, None] - mg.emus.LOG_WEIGHT_FLOOR] = -np.inf
+    return logw
+
+
 def test_log_weight_floor_drops_tiny_columns(toy_model):
     # Entries more than the floor below their row maximum are cut to
-    # exact zeros in the normalized ratios.
+    # exact zeros in the normalized ratios; the rest stay positive.
     grid = mg.make_regular_grid(mg.Domain(-60.0, 60.0), 2)
     bank = mg.draw_sample_bank(toy_model, grid, [4, 4], master_seed=3)
     cache = mg.compute_log_weights(bank, toy_model)
-    assert np.all(
-        np.isneginf(cache.logw) | (cache.logw >= cache.logw.max(axis=1)[:, None]
-                                   - mg.emus.LOG_WEIGHT_FLOOR))
+    floored = np.isneginf(_floored_log_weights(bank, toy_model))
+    assert floored.any()
+    assert np.all(cache.ratios[floored] == 0.0)
+    assert np.all(cache.ratios[~floored] > 0.0)
 
 
 def _lse_case(name):
@@ -268,10 +276,15 @@ def _lse_case(name):
 def test_log_sum_exp_matches_scipy(name):
     model, bank = _lse_case(name)
     cache = mg.compute_log_weights(bank, model)
+    logw = _floored_log_weights(bank, model)
     if name != "toy":
-        assert np.isneginf(cache.logw).any()
-        assert np.all(np.sum(np.isfinite(cache.logw), axis=1) > 1)
-    np.testing.assert_allclose(cache.lse, logsumexp(cache.logw, axis=1), rtol=0, atol=1e-13)
+        assert (cache.ratios == 0.0).any()
+        assert np.all(np.sum(cache.ratios > 0.0, axis=1) > 1)
+    np.testing.assert_allclose(cache.lse, logsumexp(logw, axis=1), rtol=0, atol=1e-13)
+    # the cached ratios are the normalized weights, rows summing to 1
+    np.testing.assert_allclose(cache.ratios, np.exp(logw - cache.lse[:, None]),
+                               rtol=1e-12, atol=0)
+    np.testing.assert_allclose(cache.ratios.sum(axis=1), 1.0, rtol=0, atol=1e-13)
 
 
 def test_child_rng_is_keyed_and_reproducible():

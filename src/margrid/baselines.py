@@ -18,7 +18,7 @@ does; the toy and discrete models batch it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,13 +32,12 @@ __all__ = ["GibbsTrace", "run_griddy_gibbs", "run_griddy_chains",
 
 @dataclass
 class GibbsTrace:
-    """Visit counts and run metadata of one griddy Gibbs chain."""
+    """Visit counts and run settings of one griddy Gibbs chain."""
 
     visits: np.ndarray
     n_iter: int
     burn_in: int
     init_state: int
-    meta: dict = field(default_factory=dict)
 
     @property
     def kept(self) -> int:
@@ -70,8 +69,8 @@ def run_griddy_chains(model: Model, grid: HyperGrid, n_iter: int, rngs,
     the first ``burn_in`` iterations are counted, so the kept effort is
     n_iter - burn_in latent draws (burn_in defaults to 0 to keep effort
     comparisons exact).  Every chain starts at the grid midpoint state
-    unless ``init_state`` says otherwise; the start is recorded in the
-    trace metadata.
+    unless ``init_state`` says otherwise; the start is recorded as the
+    trace's ``init_state``.
 
     Chain r runs on ``rngs[r]`` alone.  The chains advance in lockstep,
     one batched local draw, one (R, L) log-weight matrix and one row-wise
@@ -89,15 +88,13 @@ def run_griddy_chains(model: Model, grid: HyperGrid, n_iter: int, rngs,
     if len(rngs) == 0:
         raise ValueError("need at least one chain generator")
     points = grid.points
-    log_priors = np.array([model.log_prior(lam) for lam in points])
     states = np.full(len(rngs), start)
     chains = np.arange(len(rngs))
     visits = np.zeros((len(rngs), L), dtype=int)
     noise = np.empty((len(rngs), L))
     for t in range(n_iter):
         thetas = model.sample_local_many(points[states], rngs)
-        logw = np.ascontiguousarray(model.log_weight_matrix(thetas, points, log_priors),
-                                    dtype=float)
+        logw = np.ascontiguousarray(model.log_weight_matrix(thetas, points), dtype=float)
         dead = np.flatnonzero(~np.isfinite(logw).any(axis=1))
         if dead.size:
             raise DegenerateWeightError(
@@ -109,12 +106,8 @@ def run_griddy_chains(model: Model, grid: HyperGrid, n_iter: int, rngs,
         states = np.argmax(logw + noise, axis=1)
         if t >= burn_in:
             visits[chains, states] += 1
-    rule = "midpoint" if init_state is None else "explicit"
-    return [
-        GibbsTrace(visits=v, n_iter=n_iter, burn_in=burn_in, init_state=start,
-                   meta={"init_rule": rule})
-        for v in visits
-    ]
+    return [GibbsTrace(visits=v, n_iter=n_iter, burn_in=burn_in, init_state=start)
+            for v in visits]
 
 
 def nearest_neighbor_extrapolate(values: np.ndarray, sim_grid: HyperGrid,

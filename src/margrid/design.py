@@ -287,7 +287,8 @@ class DesignState:
     history: list = field(default_factory=list)
     w_hat: np.ndarray | None = None
     degenerate: bool = False
-    meta: dict = field(default_factory=dict)
+    #: design rounds whose refit clamped a degenerate stationary solve
+    truncated_iterations: list = field(default_factory=list)
 
     @property
     def draw_counts(self) -> np.ndarray:
@@ -324,8 +325,7 @@ def run_design_loop(model: Model, eval_grid: HyperGrid, iterations: int,
     Draw streams are keyed by (iteration, point), the pivotal stream by
     (iteration,), all under ``master_seed``.  Refits clamp a degenerate
     stationary solve, since later rounds add overlap; the rounds whose
-    fit was clamped are listed in ``state.meta["truncated_iterations"]``,
-    absent when there are none.
+    fit was clamped are listed in ``state.truncated_iterations``.
 
     Returns
     -------
@@ -344,8 +344,6 @@ def run_design_loop(model: Model, eval_grid: HyperGrid, iterations: int,
         eval_grid=eval_grid,
         samples_per_block=int(samples_per_block),
         block_counts=np.zeros(M, dtype=int),
-        meta={"stabilize": bool(stabilize), "master_seed": int(master_seed),
-              "blocks_per_iteration": int(blocks_per_iteration)},
     )
     stash = [[] for _ in range(M)]
     functional = None
@@ -386,7 +384,7 @@ def run_design_loop(model: Model, eval_grid: HyperGrid, iterations: int,
             bank = SampleBank(grid=sim_grid, samples=samples, counts=counts)
             emus = fit_emus(bank, model, on_degenerate="truncate")
             if emus.truncated:
-                state.meta.setdefault("truncated_iterations", []).append(it)
+                state.truncated_iterations.append(it)
             functional = FunctionalEstimate(emus, model)
         except MargridError as exc:
             raise type(exc)(f"design iteration {it}: {exc}") from exc

@@ -130,8 +130,7 @@ def compute_log_weights(bank: SampleBank, model: Model) -> LogWeightCache:
     """Evaluate all sample-against-column log-weights; cache them normalized."""
     thetas, offsets = bank.flattened()
     points = bank.grid.points
-    log_priors = np.array([model.log_prior(lam) for lam in points])
-    logw = np.ascontiguousarray(model.log_weight_matrix(thetas, points, log_priors), dtype=float)
+    logw = np.ascontiguousarray(model.log_weight_matrix(thetas, points), dtype=float)
     row_max = np.max(logw, axis=1)
     bad = ~np.isfinite(row_max)
     if np.any(bad):
@@ -143,14 +142,13 @@ def compute_log_weights(bank: SampleBank, model: Model) -> LogWeightCache:
             "inconsistent or all weights underflowed"
         )
     logw[logw < (row_max[:, None] - LOG_WEIGHT_FLOOR)] = -np.inf
-    # log-sum-exp through one (S, L) buffer, shifted by the row maximum
-    shifted = np.subtract(logw, row_max[:, None])
-    np.exp(shifted, out=shifted)
-    lse = row_max + np.log(np.sum(shifted, axis=1))
-    # normalized in place; floored entries become exp(-inf) = 0 exactly
-    np.subtract(logw, lse[:, None], out=logw)
+    # exp(logw - row_max) in place, normalized by its row sums: one (S, L)
+    # buffer and one exp pass; floored entries become exp(-inf) = 0 exactly
+    logw -= row_max[:, None]
     np.exp(logw, out=logw)
-    return LogWeightCache(ratios=logw, lse=lse, offsets=offsets)
+    sums = np.sum(logw, axis=1)
+    logw /= sums[:, None]
+    return LogWeightCache(ratios=logw, lse=row_max + np.log(sums), offsets=offsets)
 
 
 def segment_mean(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:

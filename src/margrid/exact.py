@@ -120,8 +120,7 @@ def _quadrature_weight_table(model: Model, grid: HyperGrid, theta_nodes: np.ndar
     quad are trapezoid weights on the theta nodes.
     """
     theta_nodes = np.asarray(theta_nodes, dtype=float).ravel()
-    log_priors = np.array([model.log_prior(lam) for lam in grid.points])
-    W = np.asarray(model.log_weight_matrix(theta_nodes, grid.points, log_priors))
+    W = np.asarray(model.log_weight_matrix(theta_nodes, grid.points))
     lse = np.logaddexp.reduce(W, axis=1)
     A = np.exp(W - lse[:, None])
     mix = np.exp(lse - lse.max())

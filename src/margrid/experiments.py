@@ -689,7 +689,7 @@ def run_design_study(config: ExperimentConfig, out_dir: str, *, seed=None,
         "stabilize": stabilize,
         "degenerate_score": state.degenerate,
         "points_visited": int(np.count_nonzero(state.block_counts)),
-        "truncated_iterations": state.meta.get("truncated_iterations", []),
+        "truncated_iterations": state.truncated_iterations,
     }
     outputs = ["design.csv"]
 

@@ -73,9 +73,8 @@ class FunctionalEstimate:
     def _ratio_matrix(self, points) -> np.ndarray:
         """Kernel weights for many values at once, shape (samples, M)."""
         points = self._query_points(points)
-        log_priors = np.array([self.model.log_prior(lam) for lam in points])
         ratios = np.ascontiguousarray(
-            self.model.log_weight_matrix(self._thetas, points, log_priors), dtype=float
+            self.model.log_weight_matrix(self._thetas, points), dtype=float
         )
         ratios -= self.emus.cache.lse[:, None]
         return np.exp(ratios, out=ratios)
@@ -103,12 +102,11 @@ class FunctionalEstimate:
         (values, gradients or None, weighted values or None).
         """
         points = self._query_points(points)
-        log_priors = np.array([self.model.log_prior(lam) for lam in points])
         lse = self.emus.cache.lse[:, None]
         values = np.empty(len(points))
         gradients = np.empty(points.shape) if grads else None
         weighted = np.empty(len(points)) if phi_vals is not None else None
-        blocks = self.model.log_weight_blocks(self._thetas, points, log_priors, grads)
+        blocks = self.model.log_weight_blocks(self._thetas, points, grads)
         for cols, block, grad in blocks:
             block = np.ascontiguousarray(block, dtype=float)
             block -= lse

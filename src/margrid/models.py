@@ -1,6 +1,7 @@
 """Statistical models exposing local densities over a hyperparameter.
 
-Every model provides, for hyperparameter values lam in its domain:
+Every model provides three hooks, for hyperparameter values lam in its
+domain, and may override the defaults of five more:
 
 - ``log_psi(thetas, lam)``: log of the unnormalized local density
   psi_lam(theta) evaluated at a batch of latent states,
@@ -13,13 +14,15 @@ Every model provides, for hyperparameter values lam in its domain:
   and the toy and discrete models override it with batched arithmetic
   (the griddy Gibbs chains of :mod:`margrid.baselines` call it once per
   lockstep iteration),
-- optionally ``grad_log_psi_prior(thetas, lam)`` (hyperparameter
-  gradients of log(psi_lam p(lam)), shape (N, p)) and
-  ``grad_log_weight_matrix(thetas, points)``, the same for many values
-  at once, shape (N, M, p); the base class loops over the first, and
-  every bundled model with gradients overrides the second,
-- optionally ``log_weight_blocks(thetas, points, log_priors, grads)``:
-  the columns of ``log_weight_matrix`` (and, with ``grads``, of
+- optionally ``log_weight_matrix(thetas, points)``: the log-weights
+  log(psi_lam(theta) p(lam)) of many values at once, shape (N, M), prior
+  included; the base class loops over ``log_psi`` and ``log_prior``, and
+  every bundled model overrides it with one batched evaluation,
+- optionally ``grad_log_weight_matrix(thetas, points)``: their
+  hyperparameter gradients, shape (N, M, p); the base class raises
+  ``GradientUnavailableError``, and the toy and GP models override it,
+- optionally ``log_weight_blocks(thetas, points, grads)``: the columns of
+  ``log_weight_matrix`` (and, with ``grads``, of
   ``grad_log_weight_matrix``) in blocks; the base class yields one block
   of both whole matrices, and the GP model one block per length scale,
 - optionally ``exact_log_u`` (a closed form for log z(lam) p(lam), used
@@ -29,22 +32,20 @@ The marginal quantity of interest is always u(lam) = z(lam) p(lam)
 up to a lam-independent constant.
 
 The estimators evaluate log-weights through ``log_weight_matrix(thetas,
-points, log_priors)``, one column per hyperparameter value.  The base
-class loops over ``log_psi``; every bundled model overrides it with one
-batched evaluation.  ``ToyBimodalModel`` broadcasts, ``DiscreteModel``
-gathers table columns, and ``GpRegressionModel`` shares one Cholesky
-factor and one whitening solve among all columns with the same length
-scale, with ``log_psi`` as its one-column case; all columns then take
-one gather and five in-place passes over the (N, M) output.  The toy
-model likewise works in place on one outer difference.  No bundled model
-writes a column on its own.  ``grad_log_weight_matrix`` follows the same
-pattern: the GP model shares one factor and two triangular solves of the
-draws among all points with the same length scale, with
-``grad_log_psi_prior`` as its one-point case, and the toy model takes one
-outer difference.
+points)``, one column per hyperparameter value.  ``ToyBimodalModel``
+broadcasts (its prior is flat), ``DiscreteModel`` gathers table columns
+and the prior entries of the same columns, and ``GpRegressionModel``
+shares one Cholesky factor and one whitening solve among all columns
+with the same length scale, with ``log_psi`` as its prior-free
+one-column case; all columns then take one gather and five in-place
+passes over the (N, M) output.  The toy model likewise works in place on
+one outer difference.  No bundled model writes a column on its own.
+``grad_log_weight_matrix`` follows the same pattern: the GP model shares
+one factor and two triangular solves of the draws among all points with
+the same length scale, and the toy model takes one outer difference.
 
 Curves read both matrices through ``log_weight_blocks(thetas, points,
-log_priors, grads=False)``, which yields ``(cols, logw, grad)`` column
+grads=False)``, which yields ``(cols, logw, grad)`` column
 blocks that the curve reduces and drops one at a time.  The default
 yields one block, ``log_weight_matrix`` (and ``grad_log_weight_matrix``
 with ``grads``), which the toy and discrete models use.  The GP model
@@ -111,15 +112,6 @@ class Model:
         return np.concatenate([self.sample_local(lam, g, 1) for lam, g in zip(points, rngs)])
 
     @property
-    def has_gradient(self) -> bool:
-        return type(self).grad_log_psi_prior is not Model.grad_log_psi_prior
-
-    def grad_log_psi_prior(self, thetas, lam):
-        raise GradientUnavailableError(
-            f"{type(self).__name__} does not implement hyperparameter gradients"
-        )
-
-    @property
     def has_exact_log_u(self) -> bool:
         return type(self).exact_log_u is not Model.exact_log_u
 
@@ -128,7 +120,7 @@ class Model:
             f"{type(self).__name__} has no closed form for the marginal"
         )
 
-    def log_weight_matrix(self, thetas, points, log_priors):
+    def log_weight_matrix(self, thetas, points):
         """Matrix of log(psi_lam_j(theta_n) p(lam_j)), shape (N, L).
 
         The result is a fresh C-ordered float array, which the caller may
@@ -140,24 +132,21 @@ class Model:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         out = np.empty((len(thetas), points.shape[0]))
         for j, lam in enumerate(points):
-            out[:, j] = self.log_psi(thetas, lam) + log_priors[j]
+            out[:, j] = self.log_psi(thetas, lam) + self.log_prior(lam)
         return out
 
     def grad_log_weight_matrix(self, thetas, points):
         """Gradients of log(psi_lam_m(theta_n) p(lam_m)), shape (N, M, p).
 
         The gradient analogue of ``log_weight_matrix``, under the same
-        contract: a fresh C-ordered float array.  The default loops over
-        ``grad_log_psi_prior``; models override this when a batched
-        evaluation is cheaper.
+        contract: a fresh C-ordered float array.  Models with
+        hyperparameter gradients override this; the default raises.
         """
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.empty((len(thetas),) + points.shape)
-        for m, lam in enumerate(points):
-            out[:, m] = self.grad_log_psi_prior(thetas, lam)
-        return out
+        raise GradientUnavailableError(
+            f"{type(self).__name__} does not implement hyperparameter gradients"
+        )
 
-    def log_weight_blocks(self, thetas, points, log_priors, grads: bool = False):
+    def log_weight_blocks(self, thetas, points, grads: bool = False):
         """Log-weights in column blocks: yields ``(cols, logw, grad)``.
 
         ``logw`` holds the ``log_weight_matrix`` columns ``cols`` of the
@@ -168,9 +157,9 @@ class Model:
         columns; models override this when columns share work that is
         cheaper to do one block at a time.
         """
-        logw = self.log_weight_matrix(thetas, points, log_priors)
+        logw = self.log_weight_matrix(thetas, points)
         grad = self.grad_log_weight_matrix(thetas, points) if grads else None
-        yield np.arange(len(log_priors)), logw, grad
+        yield np.arange(logw.shape[1]), logw, grad
 
 
 def _as_lambda(lam) -> np.ndarray:
@@ -240,16 +229,18 @@ class DiscreteModel(Model):
         return HyperGrid(Domain(lo, hi), vals[:, None])
 
     def log_psi(self, thetas, lam):
-        return self.log_weight_matrix(thetas, _as_lambda(lam)[None, :], np.zeros(1))[:, 0]
+        idx = np.asarray(thetas, dtype=int).ravel()
+        with np.errstate(divide="ignore"):
+            return np.log(self.psi_table[idx, self.column_of(lam)])
 
     def log_prior(self, lam) -> float:
         return float(np.log(self.prior[self.column_of(lam)]))
 
-    def log_weight_matrix(self, thetas, points, log_priors):
+    def log_weight_matrix(self, thetas, points):
         cols = self._columns(points)
         idx = np.asarray(thetas, dtype=int).ravel()
         with np.errstate(divide="ignore"):
-            return np.log(self.psi_table[np.ix_(idx, cols)]) + np.asarray(log_priors)[None, :]
+            return np.log(self.psi_table[np.ix_(idx, cols)]) + np.log(self.prior[cols])
 
     def sample_local(self, lam, rng, size: int):
         col = self.column_of(lam)
@@ -312,19 +303,18 @@ class ToyBimodalModel(Model):
             raise ValueError("the toy model has a one-dimensional hyperparameter")
         return points
 
-    def log_weight_matrix(self, thetas, points, log_priors):
+    def log_weight_matrix(self, thetas, points):
         thetas = np.asarray(thetas, dtype=float).ravel()
         points = self._points(points)
         var = 1.0 / self.tau
-        # _log_mixture + _gauss_logpdf(theta, lam, var) + log prior, as
-        # in-place passes over one (N, M) buffer
+        # _log_mixture + _gauss_logpdf(theta, lam, var), as in-place passes
+        # over one (N, M) buffer; the flat prior adds nothing
         out = np.subtract.outer(thetas, points[:, 0])
         np.square(out, out=out)
         out /= var
         out += _LOG_2PI + np.log(var)
         out *= -0.5
         out += self._log_mixture(thetas)[:, None]
-        out += np.asarray(log_priors, dtype=float)
         return out
 
     def grad_log_weight_matrix(self, thetas, points):
@@ -332,9 +322,6 @@ class ToyBimodalModel(Model):
         out = np.subtract.outer(np.asarray(thetas, dtype=float).ravel(), self._points(points))
         out *= self.tau
         return out
-
-    def grad_log_psi_prior(self, thetas, lam):
-        return self.grad_log_weight_matrix(thetas, _as_lambda(lam)[None, :])[:, 0]
 
     def _local_mixture(self, lams):
         """Weight of the + component, the two means and the common
@@ -461,7 +448,8 @@ class GpRegressionModel(Model):
     # -- Model interface ------------------------------------------------
 
     def log_psi(self, thetas, lam):
-        return self.log_weight_matrix(thetas, _as_lambda(lam)[None, :], np.zeros(1))[:, 0]
+        return self._log_weights(thetas, self._points(_as_lambda(lam)[None, :]),
+                                 np.zeros(1))[:, 0]
 
     @staticmethod
     def _points(points) -> np.ndarray:
@@ -523,7 +511,7 @@ class GpRegressionModel(Model):
                 for scale, logdet in zip(scales, logdets)]
         out *= -0.5
         out += obs[:, None]
-        out += np.asarray(log_priors, dtype=float)
+        out += log_priors
         return out
 
     def _fill_grads(self, q_b, q_e, traces, points):
@@ -539,7 +527,12 @@ class GpRegressionModel(Model):
                         - 0.5 * quad_k / tau2 - 0.5 * quad_e - 1.0 / tau2)
         return out
 
-    def log_weight_matrix(self, thetas, points, log_priors):
+    @staticmethod
+    def _log_priors(points):
+        """log p(lam) = -log tau1 - log tau2 for every row of points."""
+        return -np.log(points[:, 0]) - np.log(points[:, 1])
+
+    def log_weight_matrix(self, thetas, points):
         """Matrix of log(psi_lam_j(theta_n) p(lam_j)), shape (N, M).
 
         Columns that share tau2 share one Cholesky factor of B(tau2) and
@@ -549,6 +542,11 @@ class GpRegressionModel(Model):
         other points share the call.
         """
         points = self._points(points)
+        return self._log_weights(thetas, points, self._log_priors(points))
+
+    def _log_weights(self, thetas, points, log_priors):
+        """``log_weight_matrix`` with the given log priors in place of
+        p(lam); ``log_psi`` passes zeros."""
         thetas = self._draws(thetas)
         draws = np.asfortranarray(thetas)
         tau2s, group = np.unique(points[:, 1], return_inverse=True)
@@ -562,7 +560,7 @@ class GpRegressionModel(Model):
         return self._fill_log_weights(out, out, points, logdets[group],
                                       self._observation(thetas), log_priors)
 
-    def log_weight_blocks(self, thetas, points, log_priors, grads: bool = False):
+    def log_weight_blocks(self, thetas, points, grads: bool = False):
         """One block per distinct tau2 among the points, in increasing tau2.
 
         Each block comes from one factor and one whitening of the draws,
@@ -572,7 +570,7 @@ class GpRegressionModel(Model):
         """
         points = self._points(points)
         thetas = self._draws(thetas)
-        log_priors = np.asarray(log_priors, dtype=float)
+        log_priors = self._log_priors(points)
         draws = np.asfortranarray(thetas)
         obs = self._observation(thetas)
         tau2s, group = np.unique(points[:, 1], return_inverse=True)
@@ -590,8 +588,7 @@ class GpRegressionModel(Model):
             yield cols, block, grad_block
 
     def log_prior(self, lam) -> float:
-        lam = _as_lambda(lam)
-        return float(-np.log(lam[0]) - np.log(lam[1]))
+        return float(self._log_priors(_as_lambda(lam)[None, :])[0])
 
     def grad_log_weight_matrix(self, thetas, points):
         """Gradients of log(psi_lam_m(theta_n) p(lam_m)) in (tau1, tau2),
@@ -622,9 +619,6 @@ class GpRegressionModel(Model):
         for g, tau2 in enumerate(tau2s):
             _, q_b[:, g], (traces[g], q_e[:, g]) = self._whiten(draws, tau2, True)
         return self._fill_grads(q_b[:, group], q_e[:, group], traces[group], points)
-
-    def grad_log_psi_prior(self, thetas, lam):
-        return self.grad_log_weight_matrix(thetas, _as_lambda(lam)[None, :])[:, 0]
 
     def sample_local(self, lam, rng, size: int):
         entry = self._entry(lam)

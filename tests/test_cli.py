@@ -99,6 +99,71 @@ def test_design_subcommand(config_path, tmp_path):
     assert "versions" in manifest and "margrid" in manifest["versions"]
 
 
+SMALL_GP = """
+[model]
+kind = gp
+n_data = 8
+
+[domain]
+lower = 0.25 0.25
+upper = 16 16
+scale = log
+
+[grids]
+sim_counts = 6 6
+eval_counts = 7 7
+
+[sampling]
+samples_per_point = 8
+master_seed = 5
+replicates = 2
+
+[rate]
+n_sweep = 8 16
+l_sweep = 4 6
+fixed_n = 8
+dense_replicates = 2
+"""
+
+SMALL_DISCRETE = """
+[model]
+kind = discrete
+table = table.csv
+
+[sampling]
+samples_per_point = 8
+master_seed = 5
+replicates = 2
+
+[rate]
+n_sweep = 8 16
+"""
+
+# a 5x4 psi-table: every theta-atom weighs on every lambda-atom
+SMALL_TABLE = "1,2,1,1\n2,1,1,2\n1,1,2,1\n3,1,1,1\n1,2,3,2\n"
+
+ESTIMATE_OUTPUTS = ("curve.csv", "diagnostics.csv", "errors.csv", "manifest.json")
+
+
+@pytest.mark.parametrize("kind,text,command,outputs", [
+    ("gp", SMALL_GP, "estimate", ESTIMATE_OUTPUTS + ("profile_axis0.csv", "profile_axis1.csv")),
+    ("gp", SMALL_GP, "rate-study", ("rates.csv", "manifest.json")),
+    ("discrete", SMALL_DISCRETE, "estimate", ESTIMATE_OUTPUTS),
+    ("discrete", SMALL_DISCRETE, "rate-study", ("rates.csv", "manifest.json")),
+], ids=["gp-estimate", "gp-rate-study", "discrete-estimate", "discrete-rate-study"])
+def test_gp_and_discrete_studies_run_end_to_end(tmp_path, kind, text, command, outputs):
+    (tmp_path / "table.csv").write_text(SMALL_TABLE)
+    path = tmp_path / f"{kind}.ini"
+    path.write_text(text)
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run_cli(command, "--config", str(path), "--out", str(a)) == 0
+    assert run_cli(command, "--config", str(path), "--out", str(b)) == 0
+    assert sorted(p.name for p in a.iterdir()) == sorted(outputs)
+    for name in outputs:
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+    assert json.loads((a / "manifest.json").read_text())["command"] == command
+
+
 def test_missing_config_file_fails_cleanly(tmp_path, capsys):
     code = run_cli("estimate", "--config", str(tmp_path / "nope.ini"),
                    "--out", str(tmp_path / "x"))

@@ -132,8 +132,7 @@ def extension_oracle(functional, eval_grid):
     emus, model = functional.emus, functional.model
     thetas, _ = emus.bank.flattened()
     points = eval_grid.points
-    log_priors = np.array([model.log_prior(lam) for lam in points])
-    loga = np.asarray(model.log_weight_matrix(thetas, points, log_priors))
+    loga = np.asarray(model.log_weight_matrix(thetas, points))
     a = np.exp(loga - logsumexp(loga, axis=1)[:, None])
     b = np.exp(loga - emus.cache.lse[:, None])
     c = np.repeat(emus.stationary / emus.counts, emus.counts)
@@ -543,7 +542,7 @@ def test_design_loop_records_truncated_rounds():
         disconnected, disconnected.grid(), iterations=1,
         blocks_per_iteration=2, samples_per_block=4, master_seed=5)
     assert fn.emus.truncated is True
-    assert state.meta["truncated_iterations"] == [0]
+    assert state.truncated_iterations == [0]
 
 
 def test_design_loop_never_allocates_on_zero_weight_points():

@@ -220,8 +220,8 @@ def test_pointwise_bound_evaluates_one_kernel_column(toy_fit, toy_model, monkeyp
     shapes = []
     evaluate = toy_model.log_weight_matrix
 
-    def counted(thetas, points, log_priors):
-        out = evaluate(thetas, points, log_priors)
+    def counted(thetas, points):
+        out = evaluate(thetas, points)
         shapes.append(out.shape)
         return out
 

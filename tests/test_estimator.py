@@ -1,6 +1,7 @@
 """Transition-matrix estimator and stationary solve, checked against
 exact enumeration on small discrete models."""
 
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -239,8 +240,7 @@ def _floored_log_weights(bank, model):
     """The model's log-weights of the bank, floored as the cache floors them."""
     thetas, _ = bank.flattened()
     points = bank.grid.points
-    log_priors = np.array([model.log_prior(lam) for lam in points])
-    logw = np.array(model.log_weight_matrix(thetas, points, log_priors), dtype=float)
+    logw = np.array(model.log_weight_matrix(thetas, points), dtype=float)
     logw[logw < logw.max(axis=1)[:, None] - mg.emus.LOG_WEIGHT_FLOOR] = -np.inf
     return logw
 
@@ -255,6 +255,23 @@ def test_log_weight_floor_drops_tiny_columns(toy_model):
     assert floored.any()
     assert np.all(cache.ratios[floored] == 0.0)
     assert np.all(cache.ratios[~floored] > 0.0)
+
+
+def test_log_weight_cache_is_the_only_samples_by_columns_buffer():
+    # toy fit, L = 64, S = 16384: the log-weights are normalized in place,
+    # so the traced peak stays below 1.5 times the cached ratios
+    model = mg.ToyBimodalModel(1.0, 64.0, 16.0)
+    bank = mg.draw_sample_bank(model, mg.make_regular_grid(mg.Domain(-2.0, 2.0), 64), 256, 3)
+    tracemalloc.start()
+    try:
+        cache = mg.compute_log_weights(bank, model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * cache.ratios.nbytes
+    expected = np.exp(_floored_log_weights(bank, model) - cache.lse[:, None])
+    np.testing.assert_array_equal(cache.ratios == 0.0, expected == 0.0)
+    np.testing.assert_allclose(cache.ratios, expected, rtol=2e-13, atol=0)
 
 
 def _lse_case(name):

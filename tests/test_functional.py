@@ -175,15 +175,17 @@ def test_batched_gradients_match_the_per_point_formula(toy_functional, toy_model
     for lam, grad in zip(points, grads):
         r = np.exp(toy_model.log_psi(fn._thetas, lam) + toy_model.log_prior(lam)
                    - fn.emus.cache.lse)
-        g = toy_model.grad_log_psi_prior(fn._thetas, lam)
-        expected = fn.emus.stationary @ mg.emus.segment_mean(r[:, None] * g, fn._offsets)
+        # d/dlam log psi_lam(theta) = tau (theta - lam); the prior is flat
+        g = toy_model.tau * (fn._thetas - lam[0])
+        expected = fn.emus.stationary @ mg.emus.segment_mean((r * g)[:, None], fn._offsets)
         np.testing.assert_allclose(grad, expected, rtol=1e-12)
         np.testing.assert_allclose(fn.gradient(lam), expected, rtol=1e-12)
 
 
 class PointwiseToy(mg.models.Model):
-    """A model that defines gradients only through grad_log_psi_prior, so
-    its log-weights and gradient matrices come from the base-class loops."""
+    """A model with only the required hooks and the gradient matrix, so its
+    log-weights come from the base-class loop and its blocks from the
+    default."""
 
     def __init__(self, toy):
         self.toy = toy
@@ -197,21 +199,8 @@ class PointwiseToy(mg.models.Model):
     def sample_local(self, lam, rng, size):
         return self.toy.sample_local(lam, rng, size)
 
-    def grad_log_psi_prior(self, thetas, lam):
-        return self.toy.grad_log_psi_prior(thetas, lam)
-
-
-def test_pointwise_gradient_models_use_the_base_class_loop(toy_fit, toy_model):
-    stub = PointwiseToy(toy_model)
-    assert stub.has_gradient
-    points = np.linspace(-1.9, 1.9, 9)[:, None]
-    thetas = toy_fit.bank.flattened()[0]
-    grads = stub.grad_log_weight_matrix(thetas, points)
-    assert grads.shape == (len(thetas), 9, 1) and grads.flags.c_contiguous
-    expected = mg.FunctionalEstimate(toy_fit, toy_model).curve_with_gradient(points)
-    got = mg.FunctionalEstimate(toy_fit, stub).curve_with_gradient(points)
-    np.testing.assert_array_equal(got[0], expected[0])
-    np.testing.assert_array_equal(got[1], expected[1])
+    def grad_log_weight_matrix(self, thetas, points):
+        return self.toy.grad_log_weight_matrix(thetas, points)
 
 
 def test_discrete_curves_have_no_gradient(asym_model):
@@ -312,9 +301,7 @@ def curve_oracle(fn, points):
     The ratios come straight from the model, not from the functional.
     """
     model, emus = fn.model, fn.emus
-    log_priors = np.array([model.log_prior(lam) for lam in points])
-    ratios = np.exp(model.log_weight_matrix(fn._thetas, points, log_priors)
-                    - emus.cache.lse[:, None])
+    ratios = np.exp(model.log_weight_matrix(fn._thetas, points) - emus.cache.lse[:, None])
     return ratios, lambda summands: emus.stationary @ mg.emus.segment_mean(
         summands, fn._offsets)
 
@@ -408,16 +395,16 @@ def test_flat_values_must_split_into_whole_points():
 def test_toy_log_weights_reject_multi_column_points(toy_model):
     thetas = np.zeros(4)
     with pytest.raises(ValueError):
-        toy_model.log_weight_matrix(thetas, [[0.1, 5.0]], np.zeros(1))
+        toy_model.log_weight_matrix(thetas, [[0.1, 5.0]])
     with pytest.raises(ValueError):
-        toy_model.log_weight_matrix(thetas, np.zeros((3, 2)), np.zeros(3))
+        toy_model.log_weight_matrix(thetas, np.zeros((3, 2)))
 
 
 class FortranToy(mg.ToyBimodalModel):
     """The toy model handing back its log-weights in Fortran order."""
 
-    def log_weight_matrix(self, thetas, points, log_priors):
-        return np.asfortranarray(super().log_weight_matrix(thetas, points, log_priors))
+    def log_weight_matrix(self, thetas, points):
+        return np.asfortranarray(super().log_weight_matrix(thetas, points))
 
 
 def test_fortran_ordered_log_weights_change_no_bit():

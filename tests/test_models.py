@@ -79,23 +79,13 @@ def test_toy_sampler_is_reproducible(toy_model):
     np.testing.assert_array_equal(a, b)
 
 
-def test_toy_log_weight_matrix_matches_columnwise(toy_model, toy_grid):
-    thetas = np.linspace(-2.0, 2.0, 11)
-    log_priors = np.array([toy_model.log_prior(p) for p in toy_grid.points])
-    fast = toy_model.log_weight_matrix(thetas, toy_grid.points, log_priors)
-    slow = mg.models.Model.log_weight_matrix(
-        toy_model, thetas, toy_grid.points, log_priors
-    )
-    np.testing.assert_array_equal(fast, slow)
-
-
 def test_toy_grad_log_weight_matrix_is_the_per_point_gradient(toy_model, toy_grid):
     thetas = np.linspace(-2.0, 2.0, 11)
     points = np.vstack([toy_grid.points, [[0.3], [-1.7]]])
     fast = toy_model.grad_log_weight_matrix(thetas, points)
     assert fast.shape == (11, len(points), 1)
-    np.testing.assert_array_equal(
-        fast, mg.models.Model.grad_log_weight_matrix(toy_model, thetas, points))
+    np.testing.assert_array_equal(fast, np.stack(
+        [toy_model.grad_log_weight_matrix(thetas, lam[None, :])[:, 0] for lam in points], axis=1))
     for m, lam in enumerate(points):
         np.testing.assert_array_equal(fast[:, m, 0], toy_model.tau * (thetas - lam[0]))
     with pytest.raises(ValueError):
@@ -237,7 +227,7 @@ def gp_draws_and_points(model, seed):
     return thetas, np.vstack([grid.points, extra])
 
 
-def gp_log_weight_columnwise(model, thetas, points, log_priors):
+def gp_log_weight_columnwise(model, thetas, points):
     """The per-column fill of the shared-factor kernel: the bit-exact
     reference for the whole-array passes of log_weight_matrix."""
     n = model.y.size
@@ -257,7 +247,7 @@ def gp_log_weight_columnwise(model, thetas, points, log_priors):
             scale = points[j, 0] / tau2
             out[:, j] = (obs - 0.5 * (n * (_LOG_2PI + math.log(scale)) + logdet
                                       + q / scale)
-                         + log_priors[j])
+                         + model.log_prior(points[j]))
     return out
 
 
@@ -281,11 +271,9 @@ def gp_small_case():
 @pytest.mark.parametrize("case", [gp_small_case, gp_surface_case], ids=["3x3+4", "gp-surface"])
 def test_gp_log_weight_matrix_is_the_columnwise_fill(case):
     model, thetas, points = case()
-    log_priors = np.array([model.log_prior(p) for p in points])
-    fast = model.log_weight_matrix(thetas, points, log_priors)
+    fast = model.log_weight_matrix(thetas, points)
     assert fast.flags.c_contiguous
-    np.testing.assert_array_equal(
-        fast, gp_log_weight_columnwise(model, thetas, points, log_priors))
+    np.testing.assert_array_equal(fast, gp_log_weight_columnwise(model, thetas, points))
 
 
 @pytest.mark.parametrize("n,seed,jitter_scale", [(5, 2, 1e-9), (8, 3, 1e-9), (16, 7, 1e-4)])
@@ -297,10 +285,9 @@ def test_gp_log_weight_matrix_matches_the_oracle(n, seed, jitter_scale):
     x, y = mg.make_synthetic_gp_dataset(n=n, seed=seed)
     model = mg.GpRegressionModel(x, y, jitter_scale=jitter_scale)
     thetas, points = gp_draws_and_points(model, seed)
-    log_priors = np.array([model.log_prior(p) for p in points])
-    fast = model.log_weight_matrix(thetas, points, log_priors)
-    slow = np.stack([gp_log_psi_oracle(model, thetas, p) + lp
-                     for p, lp in zip(points, log_priors)], axis=1)
+    fast = model.log_weight_matrix(thetas, points)
+    slow = np.stack([gp_log_psi_oracle(model, thetas, p) + model.log_prior(p)
+                     for p in points], axis=1)
     np.testing.assert_allclose(fast, slow, rtol=1e-9, atol=1e-9)
 
 
@@ -317,7 +304,7 @@ def test_gp_log_weights_no_worse_than_the_oracle_in_extended_precision():
     thetas, _ = mg.draw_sample_bank(model, grid, 64, master_seed=11).flattened()
     rng = np.random.default_rng(0)
     thetas = thetas[np.sort(rng.choice(thetas.shape[0], 2048, replace=False))]
-    fast = model.log_weight_matrix(thetas, grid.points, np.zeros(len(grid)))
+    fast = np.stack([model.log_psi(thetas, lam) for lam in grid.points], axis=1)
     err_fast = err_oracle = 0.0
     for j, lam in enumerate(grid.points):
         ref = gp_log_psi_long_double(model, thetas, lam)
@@ -371,7 +358,8 @@ def test_gp_grad_columns_do_not_depend_on_their_companions(gp_model):
     thetas, points = gp_draws_and_points(gp_model, 6)
     matrix = gp_model.grad_log_weight_matrix(thetas, points)
     for j, lam in enumerate(points):
-        np.testing.assert_array_equal(gp_model.grad_log_psi_prior(thetas, lam), matrix[:, j])
+        np.testing.assert_array_equal(
+            gp_model.grad_log_weight_matrix(thetas, lam[None, :])[:, 0], matrix[:, j])
     perm = np.random.default_rng(1).permutation(len(points))
     np.testing.assert_array_equal(
         gp_model.grad_log_weight_matrix(thetas, points[perm]), matrix[:, perm])
@@ -386,35 +374,23 @@ def test_gp_grad_columns_do_not_depend_on_their_companions(gp_model):
         gp_model.grad_log_weight_matrix(thetas, scattered), separate)
 
 
-def test_gp_log_psi_is_its_log_weight_matrix_column(gp_model):
-    thetas, points = gp_draws_and_points(gp_model, 5)
-    log_priors = np.array([gp_model.log_prior(p) for p in points])
-    matrix = gp_model.log_weight_matrix(thetas, points, log_priors)
-    for j, lam in enumerate(points):
-        np.testing.assert_array_equal(
-            gp_model.log_psi(thetas, lam) + gp_model.log_prior(lam), matrix[:, j])
-
-
 def test_gp_log_weight_columns_do_not_depend_on_their_companions(gp_model):
     thetas, points = gp_draws_and_points(gp_model, 6)
-    lp = np.array([gp_model.log_prior(p) for p in points])
-    matrix = gp_model.log_weight_matrix(thetas, points, lp)
+    matrix = gp_model.log_weight_matrix(thetas, points)
     perm = np.random.default_rng(1).permutation(len(points))
     np.testing.assert_array_equal(
-        gp_model.log_weight_matrix(thetas, points[perm], lp[perm]), matrix[:, perm])
+        gp_model.log_weight_matrix(thetas, points[perm]), matrix[:, perm])
     repeat = np.r_[np.arange(len(points)), [0, 4, 4, len(points) - 1]]
     np.testing.assert_array_equal(
-        gp_model.log_weight_matrix(thetas, points[repeat], lp[repeat]), matrix[:, repeat])
+        gp_model.log_weight_matrix(thetas, points[repeat]), matrix[:, repeat])
     # every tau2 distinct: one factorization per column
     scattered = points + np.arange(len(points))[:, None] * np.array([0.0, 1e-3])
-    slp = np.array([gp_model.log_prior(p) for p in scattered])
-    separate = np.stack([gp_model.log_weight_matrix(thetas, p[None, :], slp[[j]])[:, 0]
-                         for j, p in enumerate(scattered)], axis=1)
-    np.testing.assert_array_equal(
-        gp_model.log_weight_matrix(thetas, scattered, slp), separate)
+    separate = np.stack([gp_model.log_weight_matrix(thetas, p[None, :])[:, 0]
+                         for p in scattered], axis=1)
+    np.testing.assert_array_equal(gp_model.log_weight_matrix(thetas, scattered), separate)
 
 
-def gather_blocks(model, thetas, points, log_priors, grads):
+def gather_blocks(model, thetas, points, grads):
     """Scatter the blocks of ``log_weight_blocks`` back into whole matrices,
     checking that each block is a fresh C-ordered array and that the
     blocks cover every column once; returns (log-weights, gradients or
@@ -422,7 +398,7 @@ def gather_blocks(model, thetas, points, log_priors, grads):
     logw = np.full((len(thetas), len(points)), np.nan)
     grad = np.full((len(thetas), len(points), points.shape[1]), np.nan) if grads else None
     seen, count = [], 0
-    for cols, block, grad_block in model.log_weight_blocks(thetas, points, log_priors, grads):
+    for cols, block, grad_block in model.log_weight_blocks(thetas, points, grads):
         assert block.flags.c_contiguous and block.shape == (len(thetas), len(cols))
         logw[:, cols] = block
         if grads:
@@ -445,33 +421,57 @@ def test_gp_log_weight_blocks_are_the_whole_matrix_columns(gp_model, order):
         points = points[np.r_[np.arange(len(points)), [0, 4, 4, len(points) - 1]]]
     elif order == "distinct-tau2":
         points = points + np.arange(len(points))[:, None] * np.array([0.0, 1e-3])
-    lp = np.array([gp_model.log_prior(p) for p in points])
-    matrix = gp_model.log_weight_matrix(thetas, points, lp)
+    matrix = gp_model.log_weight_matrix(thetas, points)
     grads = gp_model.grad_log_weight_matrix(thetas, points)
-    logw, _, count = gather_blocks(gp_model, thetas, points, lp, grads=False)
+    logw, _, count = gather_blocks(gp_model, thetas, points, grads=False)
     # one block per distinct tau2
     assert count == np.unique(points[:, 1]).size
     np.testing.assert_array_equal(logw, matrix)
-    fused_logw, fused_grads, _ = gather_blocks(gp_model, thetas, points, lp, grads=True)
+    fused_logw, fused_grads, _ = gather_blocks(gp_model, thetas, points, grads=True)
     np.testing.assert_array_equal(fused_logw, matrix)
     np.testing.assert_array_equal(fused_grads, grads)
 
 
-def test_default_log_weight_blocks_are_the_whole_matrices(toy_model, toy_grid, asym_model):
-    thetas = np.linspace(-2.0, 2.0, 11)
-    points = toy_grid.points[::-1]
-    lp = np.zeros(len(points))
-    logw, grads, count = gather_blocks(toy_model, thetas, points, lp, grads=True)
-    assert count == 1
-    np.testing.assert_array_equal(logw, toy_model.log_weight_matrix(thetas, points, lp))
-    np.testing.assert_array_equal(grads, toy_model.grad_log_weight_matrix(thetas, points))
-    atoms = np.array([0, 2, 4, 3])
-    disc_points = asym_model.grid().points
-    disc_lp = np.log(asym_model.prior)
-    logw, _, count = gather_blocks(asym_model, atoms, disc_points, disc_lp, grads=False)
-    assert count == 1
-    np.testing.assert_array_equal(
-        logw, asym_model.log_weight_matrix(atoms, disc_points, disc_lp))
+def toy_case():
+    """Toy draws against a reversed 8-point grid and two off-grid values."""
+    model = mg.ToyBimodalModel(y=1.0, q=2.0, tau=2.0)
+    points = np.vstack([mg.make_regular_grid(mg.Domain(-2.0, 2.0), 8).points[::-1],
+                        [[0.3], [-1.7]]])
+    return model, np.linspace(-2.0, 2.0, 11), points
+
+
+def discrete_case():
+    """A table with zero entries and a nonflat prior, atoms repeated and
+    out of order."""
+    model = mg.DiscreteModel(ASYM_TABLE[:, [0, 1, 0]] + [[0, 0, 1]] * 5,
+                             atom_values=[0.0, 0.5, 1.0], prior=[1.0, 2.0, 3.0])
+    return model, np.array([0, 4, 2, 1, 3, 0, 2, 4]), np.array([[1.0], [0.0], [0.5], [1.0], [0.0]])
+
+
+def gp_grid_case():
+    """The gp-surface evaluation grid against every eighth of its draws."""
+    model, thetas, points = gp_surface_case()
+    return model, thetas[::8], points
+
+
+@pytest.mark.parametrize("case", [toy_case, discrete_case, gp_small_case, gp_grid_case],
+                         ids=["toy", "discrete", "gp-3x3+4", "gp-24x24"])
+def test_log_weights_are_log_psi_plus_log_prior(case):
+    # the model contract: every bundled model adds its own log prior, bit
+    # for bit as the scalar hooks do, and its blocks (with gradients where
+    # it has them) scatter back into the whole matrices
+    model, thetas, points = case()
+    matrix = model.log_weight_matrix(thetas, points)
+    for j, lam in enumerate(points):
+        np.testing.assert_array_equal(
+            matrix[:, j], model.log_psi(thetas, lam) + model.log_prior(lam))
+    grads = not isinstance(model, mg.DiscreteModel)
+    logw, grad, count = gather_blocks(model, thetas, points, grads=grads)
+    if not isinstance(model, mg.GpRegressionModel):
+        assert count == 1
+    np.testing.assert_array_equal(logw, matrix)
+    if grads:
+        np.testing.assert_array_equal(grad, model.grad_log_weight_matrix(thetas, points))
 
 
 @pytest.mark.parametrize("lam", [(1.0, -1.0), (0.0, 1.0), (1.0,), (1.0, 1.0, 1.0)])
@@ -480,7 +480,7 @@ def test_gp_log_weights_reject_a_bad_lambda(gp_model, lam):
     with pytest.raises(ValueError):
         gp_model.log_psi(thetas, lam)
     with pytest.raises(ValueError):
-        gp_model.log_weight_matrix(thetas, [(1.0, 1.0), lam], np.zeros(2))
+        gp_model.log_weight_matrix(thetas, [(1.0, 1.0), lam])
 
 
 def test_gp_single_point_marginal_closed_form():
@@ -505,7 +505,7 @@ def test_gp_gradient_matches_finite_differences(gp_model):
     def logp(t, l):
         return gp_model.log_psi(t, l) + gp_model.log_prior(l)
 
-    grad = gp_model.grad_log_psi_prior(thetas, lam)
+    grad = gp_model.grad_log_weight_matrix(thetas, lam[None, :])[:, 0]
     for r in range(2):
         step = np.zeros(2)
         step[r] = h
@@ -581,24 +581,20 @@ def test_discrete_sampler_frequencies(asym_model):
 
 
 def test_discrete_log_weight_matrix_matches_columnwise():
-    model = mg.DiscreteModel(ASYM_TABLE[:, [0, 1, 0]] + [[0, 0, 1]] * 5,
-                             atom_values=[0.0, 0.5, 1.0], prior=[1.0, 2.0, 3.0])
-    thetas = np.array([0, 4, 2, 1, 3, 0, 2, 4])
-    points = np.array([[1.0], [0.0], [0.5], [1.0], [0.0]])
-    log_priors = np.array([model.log_prior(p) for p in points])
-    fast = model.log_weight_matrix(thetas, points, log_priors)
-    slow = mg.models.Model.log_weight_matrix(model, thetas, points, log_priors)
-    np.testing.assert_array_equal(fast, slow)
+    model, thetas, points = discrete_case()
+    fast = model.log_weight_matrix(thetas, points)
     assert np.isneginf(fast).any()
-    # against the table itself, and log_psi as the one-column case
+    # against the table and the prior themselves, and log_psi as the
+    # table column
     cols = [2, 0, 1, 2, 0]
     with np.errstate(divide="ignore"):
         direct = [np.log(model.psi_table[thetas, c]) for c in cols]
-    np.testing.assert_array_equal(fast, np.stack(direct, axis=1) + log_priors)
+    np.testing.assert_array_equal(
+        fast, np.stack(direct, axis=1) + np.log(model.prior[cols]))
     for p, col in zip(points, direct):
         np.testing.assert_array_equal(model.log_psi(thetas, p), col)
     with pytest.raises(mg.GridError):
-        model.log_weight_matrix(thetas, [[0.0], [0.25]], np.zeros(2))
+        model.log_weight_matrix(thetas, [[0.0], [0.25]])
 
 
 def test_bundled_log_weight_matrices_are_c_ordered(asym_model, toy_model, gp_model):
@@ -608,7 +604,7 @@ def test_bundled_log_weight_matrices_are_c_ordered(asym_model, toy_model, gp_mod
              (toy_model, np.linspace(-2.0, 2.0, 7), np.linspace(-1.0, 1.0, 5)[:, None]),
              (gp_model, gp_thetas, gp_points)]
     for model, thetas, points in cases:
-        logw = model.log_weight_matrix(thetas, points, np.zeros(len(points)))
+        logw = model.log_weight_matrix(thetas, points)
         assert logw.shape == (len(thetas), len(points))
         assert logw.dtype == float and logw.flags.c_contiguous
         assert np.ascontiguousarray(logw, dtype=float) is logw
@@ -640,14 +636,13 @@ def test_discrete_requires_positive_mass_per_atom():
 
 
 def test_gradient_flags():
-    assert mg.ToyBimodalModel().has_gradient
-    assert mg.GpRegressionModel([0.0], [1.0]).has_gradient
+    # a model without hyperparameter gradients says so by raising from its
+    # one gradient hook, also when blocks ask for gradients
     disc = mg.DiscreteModel(ASYM_TABLE)
-    assert not disc.has_gradient
-    with pytest.raises(mg.GradientUnavailableError):
-        disc.grad_log_psi_prior(np.array([0]), 0.0)
     with pytest.raises(mg.GradientUnavailableError):
         disc.grad_log_weight_matrix(np.array([0]), [[0.0], [1.0]])
+    with pytest.raises(mg.GradientUnavailableError):
+        list(disc.log_weight_blocks(np.array([0]), [[0.0], [1.0]], grads=True))
 
 
 # -- dataset and table serialization ------------------------------------

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .emus import EmusEstimate, segment_mean, segment_var
+from .emus import EmusEstimate
 from .errors import DegenerateWeightError
 from .grids import HyperGrid, trapezoid_weights
 from .models import Model
@@ -65,10 +65,6 @@ class FunctionalEstimate:
         if points.ndim > 2 or wrong_width or points.size % dim:
             raise ValueError(f"points of shape {points.shape} do not fit grid dimension {dim}")
         return points.reshape(-1, dim)
-
-    def _ratios(self, lam) -> np.ndarray:
-        """Per-sample kernel weights exp(log psi p - lse) at one value."""
-        return self._ratio_matrix([lam])[:, 0]
 
     def _ratio_matrix(self, points) -> np.ndarray:
         """Kernel weights for many values at once, shape (samples, M)."""
@@ -122,18 +118,6 @@ class FunctionalEstimate:
                 block *= phi_vals[:, None]
                 weighted[cols] = self._curve(block)
         return values, gradients, weighted
-
-    def kernel_values(self, lam) -> np.ndarray:
-        """Mean kernel weight per grid point, shape (L,).
-
-        At a simulation grid point this is the corresponding transition
-        matrix column.
-        """
-        return segment_mean(self._ratios(lam), self._offsets)
-
-    def kernel_ratio_variances(self, lam) -> np.ndarray:
-        """Unbiased per-point variances of the kernel weights at lam."""
-        return segment_var(self._ratios(lam), self._offsets)
 
     # -- the curve ---------------------------------------------------------
 

@@ -32,17 +32,31 @@ The marginal quantity of interest is always u(lam) = z(lam) p(lam)
 up to a lam-independent constant.
 
 The estimators evaluate log-weights through ``log_weight_matrix(thetas,
-points)``, one column per hyperparameter value.  ``ToyBimodalModel``
-broadcasts (its prior is flat), ``DiscreteModel`` gathers table columns
-and the prior entries of the same columns, and ``GpRegressionModel``
-shares one Cholesky factor and one whitening solve among all columns
-with the same length scale, with ``log_psi`` as its prior-free
-one-column case; all columns then take one gather and five in-place
-passes over the (N, M) output.  The toy model likewise works in place on
-one outer difference.  No bundled model writes a column on its own.
-``grad_log_weight_matrix`` follows the same pattern: the GP model shares
-one factor and two triangular solves of the draws among all points with
-the same length scale, and the toy model takes one outer difference.
+points)``, one column per hyperparameter value.  ``DiscreteModel``
+gathers table columns and the prior entries of the same columns.  The
+two continuous models write the (N, M) matrix as one product
+``stats @ coefs`` of an (N, k) matrix of per-draw statistics and a
+(k, M) matrix of per-point coefficients (``_stats_times_coefs``):
+
+- ``ToyBimodalModel``: -tau (theta - lam)^2 / 2 = -tau theta^2 / 2
+  + tau theta lam - tau lam^2 / 2, so the statistics are
+  [theta, mixture(theta) - tau theta^2 / 2, 1] and the coefficients
+  [tau lam; 1; -tau lam^2 / 2 - log(2 pi / tau) / 2] (its prior is flat);
+- ``GpRegressionModel``: per length scale, one Cholesky factor and one
+  whitening solve give the whitened squares q_B of all draws, the
+  statistics are [q_B, obs, 1, 1] and the coefficients
+  [-1 / (2 scale); 1; c0; log p(lam)], the log prior last.
+
+Every term past the first is a product with 1, so it is exact, and
+dgemm, which adds the terms of an entry in order, rounds the product
+exactly as the elementwise sum ((s0 c0 + s1) + c2) + ... does, with or
+without FMA.  A one-row or one-column product would go to gemv instead,
+which rounds differently on FMA kernels, so those take the elementwise
+sum.  A column therefore never depends on its companions: ``log_psi`` is
+the prior-free one-column case of the same arithmetic, and no bundled
+model writes a column on its own.  ``grad_log_weight_matrix`` shares the
+GP factor and two triangular solves of the draws among all points with
+the same length scale; the toy model takes one outer difference.
 
 Curves read both matrices through ``log_weight_blocks(thetas, points,
 grads=False)``, which yields ``(cols, logw, grad)`` column
@@ -51,14 +65,15 @@ yields one block, ``log_weight_matrix`` (and ``grad_log_weight_matrix``
 with ``grads``), which the toy and discrete models use.  The GP model
 yields one block per distinct length scale, whose log-weights and
 gradients share one factor and one whitening of the draws; its three
-routes run the same per-length-scale kernel, so a block entry is
-bit-equal to the matching whole-matrix entry.
+routes run the same per-length-scale kernel and the same sum, so a block
+entry is bit-equal to the matching whole-matrix entry.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from collections import OrderedDict
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, cholesky
@@ -81,10 +96,30 @@ __all__ = [
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
+#: hyperparameter values whose GP factorizations are kept, least recently used dropped
+GP_CACHE_SIZE = 1024
+
 
 def _gauss_logpdf(x, mean, var):
     """Elementwise scalar Gaussian log density."""
     return -0.5 * (_LOG_2PI + np.log(var) + (x - mean) ** 2 / var)
+
+
+def _stats_times_coefs(stats, coefs):
+    """The (N, M) product of (N, k) per-draw statistics and (k, M)
+    per-point coefficients, as a fresh C-ordered array.
+
+    Every term of an entry past the first is a product with 1.  dgemm
+    then rounds each entry as the elementwise sum ((s0 c0 + s1 c1) + ...)
+    in order; a product with one row or one column would go to gemv,
+    which rounds differently on FMA kernels, so it takes that sum here.
+    """
+    if stats.shape[0] > 1 and coefs.shape[1] > 1:
+        return stats @ coefs
+    out = stats[:, :1] * coefs[:1]
+    for k in range(1, coefs.shape[0]):
+        out += stats[:, k:k + 1] * coefs[k:k + 1]
+    return out
 
 
 class Model:
@@ -289,9 +324,7 @@ class ToyBimodalModel(Model):
         return np.logaddexp(a, b) + np.log(0.5)
 
     def log_psi(self, thetas, lam):
-        lam = _as_lambda(lam)
-        thetas = np.asarray(thetas, dtype=float).ravel()
-        return self._log_mixture(thetas) + _gauss_logpdf(thetas, lam[0], 1.0 / self.tau)
+        return self.log_weight_matrix(thetas, _as_lambda(lam)[None, :])[:, 0]
 
     def log_prior(self, lam) -> float:
         return 0.0
@@ -304,18 +337,18 @@ class ToyBimodalModel(Model):
         return points
 
     def log_weight_matrix(self, thetas, points):
+        """_log_mixture + _gauss_logpdf(theta, lam, 1/tau), shape (N, M),
+        as [theta, mixture - tau theta^2/2, 1] @ [tau lam; 1; c2] with
+        c2 = -tau lam^2/2 - log(2 pi/tau)/2; the flat prior adds nothing."""
         thetas = np.asarray(thetas, dtype=float).ravel()
-        points = self._points(points)
-        var = 1.0 / self.tau
-        # _log_mixture + _gauss_logpdf(theta, lam, var), as in-place passes
-        # over one (N, M) buffer; the flat prior adds nothing
-        out = np.subtract.outer(thetas, points[:, 0])
-        np.square(out, out=out)
-        out /= var
-        out += _LOG_2PI + np.log(var)
-        out *= -0.5
-        out += self._log_mixture(thetas)[:, None]
-        return out
+        lams = self._points(points)[:, 0]
+        stats = np.ones((thetas.size, 3))
+        stats[:, 0] = thetas
+        stats[:, 1] = self._log_mixture(thetas) - 0.5 * self.tau * thetas * thetas
+        coefs = np.ones((3, lams.size))
+        coefs[0] = self.tau * lams
+        coefs[2] = -0.5 * (self.tau * lams * lams + _LOG_2PI - math.log(self.tau))
+        return _stats_times_coefs(stats, coefs)
 
     def grad_log_weight_matrix(self, thetas, points):
         # tau (theta - lam) from one (N, M, 1) outer difference
@@ -384,9 +417,20 @@ class GpRegressionModel(Model):
     squares theta' B^{-1} theta of a batch of draws serve every tau1 at
     that tau2.  An absolute jitter would not scale with tau1 and would
     break the split.  ``log_weight_matrix`` therefore factors B once per
-    distinct tau2 among its points, then fills all columns with one gather
-    and five in-place passes over the (N, M) output;
-    ``grad_log_weight_matrix`` shares the same factor, and
+    distinct tau2 among its points.  A log-weight is then affine in three
+    per-draw statistics, the whitened square q_B, the observation term
+    obs and 1:
+
+        log psi_lam(theta) + log p(lam)
+            = [q_B, obs, 1, 1] @ [-1/(2 scale); 1; c0; log p(lam)],
+        c0 = -(n log 2 pi + n log scale + log det B) / 2,
+
+    with the log prior last.  A block of columns sharing tau2 is that one
+    product, and the whole matrix gathers q_B per column and adds the
+    same terms in the same order, so both routes give the same bits; a
+    one-column call (``log_psi``, or a lone tau2) takes the elementwise
+    sum (see ``_stats_times_coefs``).  ``grad_log_weight_matrix`` shares
+    the same factor, and
     ``log_weight_blocks`` yields the columns of one tau2 at a time from one
     factor and one whitening for both.  The per-value
     factorization of C_lam + noise_var I, cached by ``_entry`` with C_lam,
@@ -408,17 +452,21 @@ class GpRegressionModel(Model):
         diff = x[:, None, :] - x[None, :, :]
         self._sqdist = np.sum(diff * diff, axis=-1)
         self.theta_shape = (self.y.size,)
-        self._cache: dict = {}
+        self._cache: OrderedDict = OrderedDict()
 
     # -- kernel factorizations, cached per hyperparameter value --------
 
     def _entry(self, lam):
+        """The factorizations at lam, from an LRU cache of ``GP_CACHE_SIZE``
+        values; an evicted value is factored again to the same bits."""
         lam = _as_lambda(lam)
         if lam.size != 2 or np.any(lam <= 0):
             raise ValueError("lam must be a positive pair (tau1, tau2)")
         key = (float(lam[0]), float(lam[1]))
         entry = self._cache.get(key)
-        if entry is None:
+        if entry is not None:
+            self._cache.move_to_end(key)
+        else:
             tau1, tau2 = key
             kernel = (tau1 / tau2) * np.exp(-tau2 * self._sqdist)
             jitter = self.jitter_scale * (tau1 / tau2)
@@ -431,6 +479,8 @@ class GpRegressionModel(Model):
                 "logdet_noisy": 2.0 * np.sum(np.log(np.diag(chol_noisy[0]))),
             }
             self._cache[key] = entry
+            if len(self._cache) > GP_CACHE_SIZE:
+                self._cache.popitem(last=False)
         return entry
 
     def _posterior(self, entry):
@@ -496,23 +546,16 @@ class GpRegressionModel(Model):
         return -0.5 * (self.y.size * (_LOG_2PI + np.log(self.noise_var))
                        + np.sum(resid * resid, axis=1) / self.noise_var)
 
-    def _fill_log_weights(self, out, q, points, logdets, obs, log_priors):
-        """Write the log-weights of the q_B columns ``q`` into ``out``.
-
-        obs - 0.5 (const + q / scale) + log prior, as passes over one
-        C-ordered buffer; a - 0.5 x == a + (-0.5 x) exactly.  ``q`` may be
-        ``out`` itself or broadcast to it; every entry sees the same
-        operands whatever buffer holds it.
-        """
-        n = self.y.size
+    def _coefs(self, points, logdets, log_priors):
+        """Coefficients (4, M) of the per-draw statistics [q_B, obs, 1, 1]:
+        -1/(2 scale), 1, c0 = -(n log 2 pi + n log scale + log det B)/2 and
+        the log prior, given log det B(tau2) per point."""
         scales = points[:, 0] / points[:, 1]
-        np.divide(q, scales, out=out)
-        out += [n * (_LOG_2PI + math.log(scale)) + logdet
-                for scale, logdet in zip(scales, logdets)]
-        out *= -0.5
-        out += obs[:, None]
-        out += log_priors
-        return out
+        coefs = np.ones((4, points.shape[0]))
+        coefs[0] = -0.5 / scales
+        coefs[2] = -0.5 * (self.y.size * (_LOG_2PI + np.log(scales)) + logdets)
+        coefs[3] = log_priors
+        return coefs
 
     def _fill_grads(self, q_b, q_e, traces, points):
         """Gradients (N, M, 2) from the per-column q_B, q_E and traces."""
@@ -536,10 +579,10 @@ class GpRegressionModel(Model):
         """Matrix of log(psi_lam_j(theta_n) p(lam_j)), shape (N, M).
 
         Columns that share tau2 share one Cholesky factor of B(tau2) and
-        one whitening solve of all draws (see the class docstring); filling
-        the (N, M) output then takes one gather and five in-place passes
-        over it.  A column depends only on its own point, never on which
-        other points share the call.
+        one whitening solve of all draws (see the class docstring); the
+        (N, M) output then takes one gather of q_B and four in-place passes.
+        A column depends only on its own point, never on which other points
+        share the call.
         """
         points = self._points(points)
         return self._log_weights(thetas, points, self._log_priors(points))
@@ -554,17 +597,24 @@ class GpRegressionModel(Model):
         qs = np.empty((thetas.shape[0], tau2s.size))
         for g, tau2 in enumerate(tau2s):
             logdets[g], qs[:, g], _ = self._whiten(draws, tau2, False)
+        coefs = self._coefs(points, logdets[group], log_priors)
         out = np.empty((thetas.shape[0], points.shape[0]))
         # group is in range; mode="clip" keeps take from buffering out
         np.take(qs, group, axis=1, out=out, mode="clip")
-        return self._fill_log_weights(out, out, points, logdets[group],
-                                      self._observation(thetas), log_priors)
+        # the sum of _stats_times_coefs over [q_B, obs, 1, 1], term by term,
+        # so that every entry is bit-equal to its log_weight_blocks entry
+        out *= coefs[0]
+        out += self._observation(thetas)[:, None]
+        out += coefs[2]
+        out += coefs[3]
+        return out
 
     def log_weight_blocks(self, thetas, points, grads: bool = False):
         """One block per distinct tau2 among the points, in increasing tau2.
 
         Each block comes from one factor and one whitening of the draws,
         shared by its log-weights and, with ``grads``, its gradients; its
+        log-weights are the product [q_B, obs, 1, 1] @ coefficients, whose
         entries are bit-equal to the matching columns of
         ``log_weight_matrix`` and ``grad_log_weight_matrix``.
         """
@@ -572,14 +622,15 @@ class GpRegressionModel(Model):
         thetas = self._draws(thetas)
         log_priors = self._log_priors(points)
         draws = np.asfortranarray(thetas)
-        obs = self._observation(thetas)
+        stats = np.ones((thetas.shape[0], 4))
+        stats[:, 1] = self._observation(thetas)
         tau2s, group = np.unique(points[:, 1], return_inverse=True)
         for g, tau2 in enumerate(tau2s):
             cols = np.flatnonzero(group == g)
             logdet, q_b, extra = self._whiten(draws, tau2, grads)
-            block = self._fill_log_weights(np.empty((thetas.shape[0], cols.size)),
-                                           q_b[:, None], points[cols],
-                                           np.full(cols.size, logdet), obs, log_priors[cols])
+            stats[:, 0] = q_b
+            block = _stats_times_coefs(stats, self._coefs(
+                points[cols], np.full(cols.size, logdet), log_priors[cols]))
             grad_block = None
             if grads:
                 trace, q_e = extra

@@ -205,7 +205,8 @@ def test_grid_terms_are_computed_once_and_read_everywhere(toy_fit, toy_model):
     fn = mg.FunctionalEstimate(toy_fit, toy_model)
     lam = np.array([0.3])
     u_lam = fn.marginal(lam)
-    point = (toy_fit.stationary**2 / u_lam**2) * fn.kernel_ratio_variances(lam)
+    r = mg.emus.segment_var(fn._ratio_matrix([lam])[:, 0], fn._offsets)
+    point = (toy_fit.stationary**2 / u_lam**2) * r
     expected = 2.0 * np.sum((terms + point) / diag.sampling_fractions)
     assert mg.pointwise_variance_bound(fn, lam, diag) == expected
     infinite = dataclasses.replace(diag, grid_terms=np.full(terms.shape, np.inf))

@@ -29,11 +29,16 @@ def toy_functional(toy_fit, toy_model):
     return mg.FunctionalEstimate(toy_fit, toy_model)
 
 
+def kernel_values(fn, lam):
+    """Mean kernel weight per grid point at lam, shape (L,)."""
+    return mg.emus.segment_mean(fn._ratio_matrix([lam])[:, 0], fn._offsets)
+
+
 def test_kernel_at_grid_point_is_transition_column(toy_fit, toy_model):
     fn = mg.FunctionalEstimate(toy_fit, toy_model)
     for j, lam in enumerate(toy_fit.grid.points):
         np.testing.assert_allclose(
-            fn.kernel_values(lam), toy_fit.transition[:, j], atol=1e-12)
+            kernel_values(fn, lam), toy_fit.transition[:, j], atol=1e-12)
 
 
 def test_curve_reproduces_grid_values(toy_fit, toy_model, asym_model):
@@ -59,7 +64,7 @@ def test_off_grid_kernel_matches_enumeration(wide_model):
     target = 1.0  # the held-out middle atom
     kernel_exact, u_target_raw = mg.enumerate_discrete_kernel(
         wide_model, columns, target)
-    np.testing.assert_allclose(fn.kernel_values(target), kernel_exact, atol=1e-12)
+    np.testing.assert_allclose(kernel_values(fn, target), kernel_exact, atol=1e-12)
 
     # The curve at the target sits on the grid normalization: stationary
     # entries are z p rescaled to sum L over the simulation columns.
@@ -281,8 +286,9 @@ def test_kernel_ratio_variances_at_grid_point(toy_fit, toy_model):
     fn = mg.FunctionalEstimate(toy_fit, toy_model)
     R = mg.weight_ratio_variances(toy_fit)
     j = 3
+    ratios = fn._ratio_matrix([toy_fit.grid.points[j]])[:, 0]
     np.testing.assert_allclose(
-        fn.kernel_ratio_variances(toy_fit.grid.points[j]), R[:, j], atol=1e-14)
+        mg.emus.segment_var(ratios, fn._offsets), R[:, j], atol=1e-14)
 
 
 def test_pointwise_bound_consistency(toy_fit, toy_model):

@@ -92,6 +92,26 @@ def test_toy_grad_log_weight_matrix_is_the_per_point_gradient(toy_model, toy_gri
         toy_model.grad_log_weight_matrix(thetas, [[0.1, 5.0]])
 
 
+@pytest.mark.parametrize("half_width", [2.0, 10.0])
+@pytest.mark.parametrize("tau", [16.0, 100.0, 1000.0])
+def test_toy_factor_form_matches_the_direct_form(tau, half_width):
+    # The statistics-times-coefficients product expands -tau (theta - lam)^2/2
+    # into tau theta lam and the terms -tau theta^2/2 and -tau lam^2/2, so its
+    # rounding scales with those terms, not with the result.  Against the
+    # direct form (mixture plus the Gaussian log density of theta - lam), it
+    # must stay within 32 eps of 1 + tau (theta^2 + lam^2)/2 everywhere on
+    # the domain, for compare's tau_sweep and the benchmark's tau.
+    model = mg.ToyBimodalModel(y=1.0, q=64.0, tau=tau)
+    rng = np.random.default_rng(int(tau + half_width))
+    thetas = np.r_[rng.uniform(-half_width, half_width, 2048), -half_width, 0.0, half_width]
+    lams = np.linspace(-half_width, half_width, 257)
+    got = model.log_weight_matrix(thetas, lams[:, None])
+    direct = model._log_mixture(thetas)[:, None] + mg.models._gauss_logpdf(
+        thetas[:, None], lams[None, :], 1.0 / tau)
+    scale = 1.0 + tau * (thetas[:, None] ** 2 + lams[None, :] ** 2) / 2.0
+    assert np.max(np.abs(got - direct) / scale) <= 32 * np.finfo(float).eps
+
+
 def test_toy_rejects_nonpositive_precisions():
     with pytest.raises(ValueError):
         mg.ToyBimodalModel(q=0.0)
@@ -228,8 +248,9 @@ def gp_draws_and_points(model, seed):
 
 
 def gp_log_weight_columnwise(model, thetas, points):
-    """The per-column fill of the shared-factor kernel: the bit-exact
-    reference for the whole-array passes of log_weight_matrix."""
+    """The per-column sum of the shared-factor kernel's terms, in the order
+    q_B * (-1/(2 scale)), + obs, + c0, + log prior: the bit-exact reference
+    for the gathered passes and the per-block products of log_weight_matrix."""
     n = model.y.size
     resid = model.y[None, :] - thetas
     obs = -0.5 * (n * (_LOG_2PI + np.log(model.noise_var))
@@ -245,9 +266,8 @@ def gp_log_weight_columnwise(model, thetas, points):
         q = np.sum(white * white, axis=1)
         for j in np.flatnonzero(group == g):
             scale = points[j, 0] / tau2
-            out[:, j] = (obs - 0.5 * (n * (_LOG_2PI + math.log(scale)) + logdet
-                                      + q / scale)
-                         + model.log_prior(points[j]))
+            c0 = -0.5 * (n * (_LOG_2PI + np.log(scale)) + logdet)
+            out[:, j] = ((q * (-0.5 / scale) + obs) + c0) + model.log_prior(points[j])
     return out
 
 
@@ -530,6 +550,27 @@ def test_gp_sampler_mean_matches_posterior(gp_model):
     draws = gp_model.sample_local(lam, np.random.default_rng(2), 40_000)
     sd = draws.std(axis=0)
     assert np.all(np.abs(draws.mean(axis=0) - mean) < 4 * sd / math.sqrt(40_000))
+
+
+def test_gp_factor_cache_is_a_bounded_lru():
+    # gp-surface touches 720 values at set-up and 144 per op: all must fit
+    assert mg.models.GP_CACHE_SIZE >= 1024
+    x, y = mg.make_synthetic_gp_dataset(n=4, seed=1)
+    model = mg.GpRegressionModel(x, y)
+    first, kept = (0.5, 0.7), (2.0, 3.0)
+    before = model.sample_local(first, np.random.default_rng(3), 5)
+    log_z = model.log_marginal_likelihood(kept)
+    lams = np.exp(np.random.default_rng(4).uniform(-3.0, 3.0, (2000, 2)))
+    for i, lam in enumerate(lams):
+        model.log_marginal_likelihood(lam)
+        if i % 100 == 0:
+            model.sample_local(kept, np.random.default_rng(i), 1)
+    assert len(model._cache) <= mg.models.GP_CACHE_SIZE
+    # the least recently used value was dropped, the recently used one kept
+    assert first not in model._cache and kept in model._cache
+    np.testing.assert_array_equal(
+        model.sample_local(first, np.random.default_rng(3), 5), before)
+    assert model.log_marginal_likelihood(kept) == log_z
 
 
 def test_gp_exact_log_u_adds_hyperprior(gp_model):

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DegenerateWeightError, NoOverlapError, ReducibleChainError
 from .grids import HyperGrid
-from .models import Model
+from .models import TILE_BYTES, Model
 
 __all__ = [
     "SampleBank",
@@ -152,8 +152,25 @@ def compute_log_weights(bank: SampleBank, model: Model) -> LogWeightCache:
 
 
 def segment_mean(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Mean of each offset-delimited segment along axis 0."""
-    sums = np.add.reduceat(values, offsets[:-1], axis=0)
+    """Mean of each offset-delimited segment along axis 0.
+
+    The segments are summed in row tiles of whole segments, each at most
+    ``TILE_BYTES`` (a segment larger than that is a tile of its own), so a
+    tile stays in cache while ``np.add.reduceat`` walks its columns; it
+    sums each segment on its own, so the tiles change no bit.
+    """
+    starts = offsets[:-1]
+    if values.nbytes <= TILE_BYTES:
+        sums = np.add.reduceat(values, starts, axis=0)
+    else:
+        rows = max(1, TILE_BYTES * len(values) // values.nbytes)
+        sums = np.empty((starts.size,) + values.shape[1:], dtype=values.dtype)
+        a = 0
+        while a < starts.size:
+            b = max(a + 1, int(np.searchsorted(offsets, starts[a] + rows, side="right")) - 1)
+            lo, hi = offsets[a], offsets[b]
+            sums[a:b] = np.add.reduceat(values[lo:hi], starts[a:b] - lo, axis=0)
+            a = b
     counts = np.diff(offsets).astype(float)
     shape = (-1,) + (1,) * (values.ndim - 1)
     return sums / counts.reshape(shape)

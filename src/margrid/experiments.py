@@ -656,7 +656,10 @@ def run_design_study(config: ExperimentConfig, out_dir: str, *, seed=None,
     ``replicates`` times against a uniform fixed-site baseline of equal
     total effort and writes ``design_variance.csv`` with the
     density values at the probes; the manifest then carries the
-    replicate variances and their reduction ratios.  Replicate seeds
+    replicate variances, their reduction ratios, and the counts of
+    replicates whose density came from a clamped fit
+    (``truncated_design_runs``: the final fit of a design run;
+    ``truncated_uniform_runs``: the one baseline fit).  Replicate seeds
     derive from the master via spawn keys (2, r) for design runs and
     (3, r) for baseline banks.
     """
@@ -710,6 +713,8 @@ def run_design_study(config: ExperimentConfig, out_dir: str, *, seed=None,
                              points=eval_grid.points[site_idx],
                              scale=eval_grid.scale)
 
+        failed = (np.full(len(probe_idx), np.nan), False)
+
         def one_design(r: int):
             rep_master = int(np.random.SeedSequence(
                 master, spawn_key=(2, r)).generate_state(1, dtype=np.uint64)[0])
@@ -717,21 +722,23 @@ def run_design_study(config: ExperimentConfig, out_dir: str, *, seed=None,
                 _, fn = run_design_loop(model, eval_grid, iterations, blocks,
                                         per_block, rep_master,
                                         stabilize=stabilize)
-                return fn.density(eval_grid, quad)[probe_idx]
+                return fn.density(eval_grid, quad)[probe_idx], fn.emus.truncated
             except MargridError:
-                return np.full(len(probe_idx), np.nan)
+                return failed
 
         def one_uniform(r: int):
             bank = draw_sample_bank(model, sub_grid, base_counts, master,
                                     spawn_prefix=(3, r))
             try:
                 emus = fit_emus(bank, model, on_degenerate="truncate")
-                return FunctionalEstimate(emus, model).density(eval_grid, quad)[probe_idx]
+                return (FunctionalEstimate(emus, model).density(eval_grid, quad)[probe_idx],
+                        emus.truncated)
             except MargridError:
-                return np.full(len(probe_idx), np.nan)
+                return failed
 
-        design_vals = np.array([one_design(r) for r in range(reps)])
-        uniform_vals = np.array([one_uniform(r) for r in range(reps)])
+        design_vals, design_clamped = zip(*[one_design(r) for r in range(reps)])
+        uniform_vals, uniform_clamped = zip(*[one_uniform(r) for r in range(reps)])
+        design_vals, uniform_vals = np.array(design_vals), np.array(uniform_vals)
 
         ok_d = ~np.isnan(design_vals).any(axis=1)
         ok_u = ~np.isnan(uniform_vals).any(axis=1)
@@ -761,6 +768,8 @@ def run_design_study(config: ExperimentConfig, out_dir: str, *, seed=None,
             "variance_reduction": 1.0 - var_d / var_u,
             "failed_design_runs": int((~ok_d).sum()),
             "failed_uniform_runs": int((~ok_u).sum()),
+            "truncated_design_runs": sum(design_clamped),
+            "truncated_uniform_runs": sum(uniform_clamped),
         }
 
     manifest["summary"] = summary

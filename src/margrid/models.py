@@ -24,7 +24,8 @@ domain, and may override the defaults of five more:
 - optionally ``log_weight_blocks(thetas, points, grads)``: the columns of
   ``log_weight_matrix`` (and, with ``grads``, of
   ``grad_log_weight_matrix``) in blocks; the base class yields one block
-  of both whole matrices, and the GP model one block per length scale,
+  of both whole matrices, the GP model one block per length scale, and
+  the toy model cache-sized tiles,
 - optionally ``exact_log_u`` (a closed form for log z(lam) p(lam), used
   as an oracle by diagnostics and experiments).
 
@@ -62,11 +63,15 @@ Curves read both matrices through ``log_weight_blocks(thetas, points,
 grads=False)``, which yields ``(cols, logw, grad)`` column
 blocks that the curve reduces and drops one at a time.  The default
 yields one block, ``log_weight_matrix`` (and ``grad_log_weight_matrix``
-with ``grads``), which the toy and discrete models use.  The GP model
+with ``grads``), which the discrete model uses.  The GP model
 yields one block per distinct length scale, whose log-weights and
 gradients share one factor and one whitening of the draws; its three
 routes run the same per-length-scale kernel and the same sum, so a block
-entry is bit-equal to the matching whole-matrix entry.
+entry is bit-equal to the matching whole-matrix entry.  The toy model
+computes its statistics once and yields the product in column tiles of
+about ``TILE_BYTES`` (``_column_tiles``), so a curve's passes over a
+tile (exponential, product, gradient) run in cache; each tile is the
+same ``dgemm`` sum, so its entries are the whole-matrix bits too.
 """
 
 from __future__ import annotations
@@ -99,6 +104,10 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 #: hyperparameter values whose GP factorizations are kept, least recently used dropped
 GP_CACHE_SIZE = 1024
 
+#: bytes of one cache-sized tile: a toy log-weight block, or the rows that
+#: ``emus.segment_mean`` sums in one call
+TILE_BYTES = 1 << 20
+
 
 def _gauss_logpdf(x, mean, var):
     """Elementwise scalar Gaussian log density."""
@@ -120,6 +129,23 @@ def _stats_times_coefs(stats, coefs):
     for k in range(1, coefs.shape[0]):
         out += stats[:, k:k + 1] * coefs[k:k + 1]
     return out
+
+
+def _column_tiles(stats, coefs):
+    """``_stats_times_coefs`` in cache-sized column tiles: yields
+    ``(cols, block)``.
+
+    Tiles start at multiples of T = 16 max(1, TILE_BYTES // (128 N))
+    columns (16 columns of N draws take 128 N bytes), and the last tile
+    takes the remaining columns, so it is T to 2T - 1 wide.  A column then
+    sits in the same lane of a matrix-vector product over a tile as over
+    the whole matrix, and no narrow last tile is rounded apart.
+    """
+    n, m = stats.shape[0], coefs.shape[1]
+    width = 16 * max(1, TILE_BYTES // (128 * n))
+    bounds = list(range(0, width * max(1, m // width), width)) + [m]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        yield np.arange(lo, hi), _stats_times_coefs(stats, coefs[:, lo:hi])
 
 
 class Model:
@@ -336,10 +362,10 @@ class ToyBimodalModel(Model):
             raise ValueError("the toy model has a one-dimensional hyperparameter")
         return points
 
-    def log_weight_matrix(self, thetas, points):
-        """_log_mixture + _gauss_logpdf(theta, lam, 1/tau), shape (N, M),
-        as [theta, mixture - tau theta^2/2, 1] @ [tau lam; 1; c2] with
-        c2 = -tau lam^2/2 - log(2 pi/tau)/2; the flat prior adds nothing."""
+    def _stats_coefs(self, thetas, points):
+        """Statistics [theta, mixture - tau theta^2/2, 1] per draw and
+        coefficients [tau lam; 1; c2] per point, c2 = -tau lam^2/2
+        - log(2 pi/tau)/2; the flat prior adds nothing."""
         thetas = np.asarray(thetas, dtype=float).ravel()
         lams = self._points(points)[:, 0]
         stats = np.ones((thetas.size, 3))
@@ -348,7 +374,23 @@ class ToyBimodalModel(Model):
         coefs = np.ones((3, lams.size))
         coefs[0] = self.tau * lams
         coefs[2] = -0.5 * (self.tau * lams * lams + _LOG_2PI - math.log(self.tau))
-        return _stats_times_coefs(stats, coefs)
+        return stats, coefs
+
+    def log_weight_matrix(self, thetas, points):
+        """_log_mixture + _gauss_logpdf(theta, lam, 1/tau), shape (N, M),
+        as the product of ``_stats_coefs``."""
+        return _stats_times_coefs(*self._stats_coefs(thetas, points))
+
+    def log_weight_blocks(self, thetas, points, grads: bool = False):
+        """Cache-sized column tiles of ``log_weight_matrix`` (see
+        ``_column_tiles``), from statistics computed once; with ``grads``,
+        each tile's gradients tau (theta - lam).  Every entry is bit-equal
+        to its whole-matrix entry."""
+        points = self._points(points)
+        stats, coefs = self._stats_coefs(thetas, points)
+        for cols, block in _column_tiles(stats, coefs):
+            grad = self.grad_log_weight_matrix(thetas, points[cols]) if grads else None
+            yield cols, block, grad
 
     def grad_log_weight_matrix(self, thetas, points):
         # tau (theta - lam) from one (N, M, 1) outer difference

@@ -304,6 +304,21 @@ def test_log_sum_exp_matches_scipy(name):
     np.testing.assert_allclose(cache.ratios.sum(axis=1), 1.0, rtol=0, atol=1e-13)
 
 
+def test_segment_mean_tiles_are_the_whole_array_sums():
+    # rows of 64 columns, summed in tiles of whole segments: single-row
+    # segments, one segment larger than a tile, and runs of segments whose
+    # boundaries straddle the tile limit; reduceat sums each segment on its
+    # own, so the tiles must give the whole-array sums bit for bit
+    rows = mg.models.TILE_BYTES // (8 * 64)
+    counts = np.array([1, 1, 1, rows + 5, 1, rows // 2, rows // 2 + 3, rows - 1, 1,
+                       2, rows // 3, rows // 3, rows // 3 + 1, 1, 7])
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    values = np.random.default_rng(11).random((offsets[-1], 64))
+    assert values.nbytes > 4 * mg.models.TILE_BYTES
+    expected = np.add.reduceat(values, offsets[:-1], axis=0) / counts[:, None]
+    np.testing.assert_array_equal(mg.emus.segment_mean(values, offsets), expected)
+
+
 def test_child_rng_is_keyed_and_reproducible():
     a = mg.child_rng(12, 0, 1).random(4)
     b = mg.child_rng(12, 0, 1).random(4)

@@ -385,3 +385,55 @@ samples_per_block = 8
         it, point, weight, allocated = row.split(",")
         placed[it] = placed.get(it, 0) + int(allocated)
     assert all(v == 4 * 8 for v in placed.values())
+
+
+def test_design_variance_study_counts_clamped_fits(tmp_path, monkeypatch):
+    # Clamp the fit of design replicate 1 and of uniform replicate 0 (the
+    # flag a degenerate stationary solve sets); each count reads 1.
+    import margrid.experiments as experiments
+
+    real_loop, real_fit = experiments.run_design_loop, experiments.fit_emus
+    loops, fits = [], []
+
+    def clamping_loop(*args, **kwargs):
+        state, fn = real_loop(*args, **kwargs)
+        loops.append(None)
+        fn.emus.truncated = len(loops) == 3  # the master run, then replicates 0, 1
+        return state, fn
+
+    def clamping_fit(*args, **kwargs):
+        emus = real_fit(*args, **kwargs)
+        fits.append(None)
+        emus.truncated = len(fits) == 1
+        return emus
+
+    monkeypatch.setattr(experiments, "run_design_loop", clamping_loop)
+    monkeypatch.setattr(experiments, "fit_emus", clamping_fit)
+    text = """
+[model]
+kind = toy
+
+[domain]
+lower = -2.0
+upper = 2.0
+
+[grids]
+sim_counts = 8
+
+[sampling]
+master_seed = 3
+replicates = 3
+
+[design]
+iterations = 2
+blocks_per_iteration = 4
+samples_per_block = 8
+probe_points = -1 1
+"""
+    out = tmp_path / "design"
+    mg.run_design_study(mg.ExperimentConfig.from_text(text), str(out))
+    study = read_manifest(out)["summary"]["variance_study"]
+    assert (len(loops), len(fits)) == (4, 3)
+    assert study["truncated_design_runs"] == 1
+    assert study["truncated_uniform_runs"] == 1
+    assert study["failed_design_runs"] == study["failed_uniform_runs"] == 0

@@ -1,6 +1,9 @@
 """Curve evaluation off the simulation grid, gradients, expectations."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -445,6 +448,61 @@ def gp_surface_fit():
     return fn, mg.make_regular_grid(domain, [24, 24], scale="log")
 
 
+def toy_diagnose_functional():
+    """The benchmark's toy fit: 256 draws at each of 64 points, with its
+    256-point evaluation grid; its curves come in 16-column tiles."""
+    model = mg.ToyBimodalModel(y=1.0, q=64.0, tau=16.0)
+    domain = mg.Domain(-2.0, 2.0)
+    grid = mg.make_regular_grid(domain, 64)
+    fn = mg.FunctionalEstimate(
+        mg.fit_emus(mg.draw_sample_bank(model, grid, 256, master_seed=7), model), model)
+    return fn, mg.make_regular_grid(domain, 256)
+
+
+@pytest.fixture(scope="module")
+def toy_diagnose_fit():
+    return toy_diagnose_functional()
+
+
+def check_toy_tiles_round_as_one_wide_product():
+    """Curves, gradients and expectations of the tiled toy curve equal one
+    wide product over all points, bit for bit, at M = 17 (one tile with a
+    ragged end), 33 (a last tile of 17), 250 and 256."""
+    fn, _ = toy_diagnose_functional()
+    thetas, c = fn._thetas, fn._weights
+    phi = thetas ** 2
+    for m in (17, 33, 250, 256):
+        eval_grid = mg.make_regular_grid(mg.Domain(-2.0, 2.0), m)
+        points = eval_grid.points
+        tiles = len(list(fn.model.log_weight_blocks(thetas, points)))
+        assert tiles == max(1, m // 16), (m, tiles)
+        ratios = np.exp(fn.model.log_weight_matrix(thetas, points) - fn.emus.cache.lse[:, None])
+        grads = fn.model.tau * np.subtract.outer(thetas, points) * ratios[:, :, None]
+        values, gradients = fn.curve_with_gradient(points)
+        np.testing.assert_array_equal(fn.marginal_many(points), c @ ratios)
+        np.testing.assert_array_equal(values, c @ ratios)
+        np.testing.assert_array_equal(gradients, (c @ grads.reshape(len(thetas), -1))
+                                      .reshape(points.shape))
+        quad = mg.trapezoid_weights(eval_grid)
+        expected = ((c @ (ratios * phi[:, None])) @ quad) / ((c @ ratios) @ quad)
+        assert fn.expectation(lambda t: t ** 2, eval_grid) == float(expected)
+
+
+def test_toy_tiles_round_as_one_wide_product():
+    # A tile starts at a multiple of 16 columns and is at least 16 wide, so
+    # each column keeps its lane of the matrix-vector product.  The
+    # reference, one wide product, moves its last bits with the BLAS thread
+    # count (see FunctionalEstimate._curve), so the check runs in a process
+    # pinned to one thread.
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    code = ("import runpy; runpy.run_path({!r})"
+            "['check_toy_tiles_round_as_one_wide_product']()".format(__file__))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
 def uneven_tau2_points():
     """GP points whose tau2 blocks are 1, 2, 3 and 7 wide, in mixed order."""
     rng = np.random.default_rng(5)
@@ -503,10 +561,13 @@ def test_gp_curves_leave_the_factor_cache_alone(gp_surface_fit):
     assert len(fn.model._cache) == cached
 
 
-def test_gp_curve_never_holds_a_samples_by_points_buffer(gp_surface_fit):
-    # 9216 draws x 576 points: one (S, M) float64 buffer is 42.5 MB, and the
-    # curve must peak below half of it
-    fn, eval_grid = gp_surface_fit
+@pytest.mark.parametrize("fit,size", [("gp_surface_fit", 42.5e6), ("toy_diagnose_fit", 33.5e6)],
+                         ids=["gp-surface", "toy-diagnose"])
+def test_curve_never_holds_a_samples_by_points_buffer(request, fit, size):
+    # gp-surface: 9216 draws x 576 points, one (S, M) float64 buffer is
+    # 42.5 MB; toy-diagnose: 16384 x 256, 33.5 MB.  The curve must peak
+    # below half of it.
+    fn, eval_grid = request.getfixturevalue(fit)
     whole = 8 * len(fn._thetas) * len(eval_grid)
     tracemalloc.start()
     try:
@@ -514,7 +575,7 @@ def test_gp_curve_never_holds_a_samples_by_points_buffer(gp_surface_fit):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert whole > 42e6
+    assert whole == pytest.approx(size, rel=1e-2)
     assert peak < whole / 2
 
 

@@ -2,6 +2,7 @@
 
 import io
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -460,6 +461,18 @@ def toy_case():
     return model, np.linspace(-2.0, 2.0, 11), points
 
 
+#: draws of the toy-diagnose fit (64 points, 256 draws each): enough that
+#: its log-weights come in several cache-sized tiles
+TOY_TILED_DRAWS = 16384
+
+
+def toy_tiled_case(m):
+    """The toy-diagnose model's draws against an m-point grid."""
+    model = mg.ToyBimodalModel(y=1.0, q=64.0, tau=16.0)
+    thetas = np.random.default_rng(3).normal(0.0, 1.5, TOY_TILED_DRAWS)
+    return model, thetas, mg.make_regular_grid(mg.Domain(-2.0, 2.0), m).points
+
+
 def discrete_case():
     """A table with zero entries and a nonflat prior, atoms repeated and
     out of order."""
@@ -474,8 +487,11 @@ def gp_grid_case():
     return model, thetas[::8], points
 
 
-@pytest.mark.parametrize("case", [toy_case, discrete_case, gp_small_case, gp_grid_case],
-                         ids=["toy", "discrete", "gp-3x3+4", "gp-24x24"])
+@pytest.mark.parametrize("case", [toy_case, partial(toy_tiled_case, 33),
+                                  partial(toy_tiled_case, 256), discrete_case,
+                                  gp_small_case, gp_grid_case],
+                         ids=["toy", "toy-tiles-33", "toy-tiles-256", "discrete",
+                              "gp-3x3+4", "gp-24x24"])
 def test_log_weights_are_log_psi_plus_log_prior(case):
     # the model contract: every bundled model adds its own log prior, bit
     # for bit as the scalar hooks do, and its blocks (with gradients where
@@ -487,7 +503,9 @@ def test_log_weights_are_log_psi_plus_log_prior(case):
             matrix[:, j], model.log_psi(thetas, lam) + model.log_prior(lam))
     grads = not isinstance(model, mg.DiscreteModel)
     logw, grad, count = gather_blocks(model, thetas, points, grads=grads)
-    if not isinstance(model, mg.GpRegressionModel):
+    if len(thetas) == TOY_TILED_DRAWS:
+        assert count > 1
+    elif not isinstance(model, mg.GpRegressionModel):
         assert count == 1
     np.testing.assert_array_equal(logw, matrix)
     if grads:

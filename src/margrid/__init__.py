@@ -30,7 +30,6 @@ from .diagnostics import (
     group_inverse,
     hitting_probabilities,
     pointwise_variance_bound,
-    relative_variance_bound,
     spectral_gap,
     variance_diagnostics,
     weight_ratio_variances,
@@ -80,8 +79,6 @@ from .functional import FunctionalEstimate, argmax_on, profile
 from .grids import (
     Domain,
     HyperGrid,
-    grid_from_csv,
-    grid_to_csv,
     make_regular_grid,
     trapezoid_weights,
 )
@@ -100,14 +97,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Domain", "HyperGrid", "make_regular_grid", "trapezoid_weights",
-    "grid_to_csv", "grid_from_csv",
     "Model", "DiscreteModel", "ToyBimodalModel", "GpRegressionModel",
     "make_synthetic_gp_dataset", "gp_dataset_to_csv", "gp_dataset_from_csv",
     "discrete_table_from_csv",
     "SampleBank", "LogWeightCache", "EmusEstimate", "child_rng",
     "draw_sample_bank", "compute_log_weights", "estimate_transition_matrix",
     "stationary_vector", "fit_emus", "bridge_ratio",
-    "hitting_probabilities", "weight_ratio_variances", "relative_variance_bound",
+    "hitting_probabilities", "weight_ratio_variances",
     "pointwise_variance_bound", "VarianceDiagnostics", "variance_diagnostics",
     "group_inverse", "spectral_gap",
     "FunctionalEstimate", "profile", "argmax_on",

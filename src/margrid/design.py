@@ -181,18 +181,17 @@ def optimal_weights(extension: EvalExtension):
                          extension.transition, extension.stationary_values)
 
 
-def incremental_weights(w_hat: np.ndarray, counts: np.ndarray, budget: int,
-                        stabilize: bool = True) -> np.ndarray:
+def incremental_weights(w_hat: np.ndarray, counts: np.ndarray, budget: int) -> np.ndarray:
     """Next-batch weights given target fractions and effort already spent.
 
     The target w_hat describes where the TOTAL effort should sit; with
     counts already placed and ``budget`` units to place now, the raw
     next-batch scores are (budget + sum(counts)) w - counts, clipped at
-    zero and normalized.  By default w is the square-root stabilization
-    of w_hat (sqrt(w_hat) renormalized to sum 1), which tempers extreme
-    fractions estimated early.  The unclipped scores sum to the budget
-    when w sums to 1, so only a w_hat sum off 1 by more than rounding can
-    leave no positive total, which raises ValueError.
+    zero and normalized.  w is the square-root stabilization of w_hat
+    (sqrt(w_hat) renormalized to sum 1), which tempers extreme fractions
+    estimated early.  The unclipped scores sum to the budget up to
+    rounding, so only a budget lost to the rounding of the spent effort
+    can leave no positive total, which raises ValueError.
 
     Returns
     -------
@@ -204,17 +203,14 @@ def incremental_weights(w_hat: np.ndarray, counts: np.ndarray, budget: int,
         raise ValueError("w_hat must be a probability vector")
     if budget <= 0:
         raise ValueError("budget must be positive")
-    if stabilize:
-        w = np.sqrt(w_hat)
-        w = w / w.sum()
-    else:
-        w = w_hat
+    w = np.sqrt(w_hat)
+    w = w / w.sum()
     scores = np.clip((budget + counts.sum()) * w - counts, 0.0, None)
     total = scores.sum()
     if total <= 0:
         raise ValueError(
-            f"every point is already over-allocated: w_hat sums to "
-            f"{w_hat.sum()!r}, too far below 1 for the spent effort"
+            f"every point is already over-allocated: a budget of {budget} "
+            f"is lost to rounding against {counts.sum():g} units already spent"
         )
     return scores / total
 
@@ -315,7 +311,7 @@ def _bootstrap_allocation(M: int, blocks: int) -> np.ndarray:
 
 def run_design_loop(model: Model, eval_grid: HyperGrid, iterations: int,
                     blocks_per_iteration: int, samples_per_block: int,
-                    master_seed: int, stabilize: bool = True):
+                    master_seed: int):
     """Alternate estimation and allocation for a fixed number of rounds.
 
     Each iteration allocates ``blocks_per_iteration`` blocks over the
@@ -356,10 +352,7 @@ def run_design_loop(model: Model, eval_grid: HyperGrid, iterations: int,
                 extension = extend_to_eval_grid(functional, eval_grid)
                 w_hat, degenerate = optimal_weights(extension)
                 state.w_hat, state.degenerate = w_hat, degenerate
-                w_bar = incremental_weights(
-                    w_hat, state.block_counts, blocks_per_iteration,
-                    stabilize=stabilize,
-                )
+                w_bar = incremental_weights(w_hat, state.block_counts, blocks_per_iteration)
                 alloc = pivotal_sample(
                     blocks_per_iteration * w_bar, child_rng(master_seed, it)
                 )

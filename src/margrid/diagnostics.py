@@ -28,7 +28,6 @@ from .errors import NotReversibleError, ReducibleChainError
 __all__ = [
     "hitting_probabilities",
     "weight_ratio_variances",
-    "relative_variance_bound",
     "pointwise_variance_bound",
     "VarianceDiagnostics",
     "variance_diagnostics",
@@ -152,23 +151,6 @@ def _bound_terms(R: np.ndarray, Q: np.ndarray) -> np.ndarray:
         terms = n * np.where(off & (R > 0), R / Q**2, 0.0).sum(axis=1)
     terms[np.isnan(R).any(axis=1)] = np.nan
     return terms
-
-
-def relative_variance_bound(transition: np.ndarray, R: np.ndarray,
-                            sampling_fractions: np.ndarray) -> float:
-    """Bound on the worst-case asymptotic relative variance of the grid values.
-
-    Computes L * sum_i w_i^{-1} sum_{j != i} R_ij / Q_ij^2 where w are the
-    sampling fractions N_i / N and Q the first-visit probabilities of the
-    supplied matrix.  Dividing by the total sample count N approximates
-    the squared relative error of any single grid value.
-
-    A zero Q_ij against a positive R_ij makes the bound infinite, which
-    is returned as such and not warned; NaN rows in R (single-draw
-    points) make the bound NaN.
-    """
-    Q = hitting_probabilities(transition)
-    return float(np.sum(_bound_terms(R, Q) / np.asarray(sampling_fractions, dtype=float)))
 
 
 @dataclass

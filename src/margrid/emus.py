@@ -160,17 +160,14 @@ def segment_mean(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     sums each segment on its own, so the tiles change no bit.
     """
     starts = offsets[:-1]
-    if values.nbytes <= TILE_BYTES:
-        sums = np.add.reduceat(values, starts, axis=0)
-    else:
-        rows = max(1, TILE_BYTES * len(values) // values.nbytes)
-        sums = np.empty((starts.size,) + values.shape[1:], dtype=values.dtype)
-        a = 0
-        while a < starts.size:
-            b = max(a + 1, int(np.searchsorted(offsets, starts[a] + rows, side="right")) - 1)
-            lo, hi = offsets[a], offsets[b]
-            sums[a:b] = np.add.reduceat(values[lo:hi], starts[a:b] - lo, axis=0)
-            a = b
+    rows = max(1, TILE_BYTES * len(values) // values.nbytes)
+    sums = np.empty((starts.size,) + values.shape[1:], dtype=values.dtype)
+    a = 0
+    while a < starts.size:
+        b = max(a + 1, int(np.searchsorted(offsets, starts[a] + rows, side="right")) - 1)
+        lo, hi = offsets[a], offsets[b]
+        sums[a:b] = np.add.reduceat(values[lo:hi], starts[a:b] - lo, axis=0)
+        a = b
     counts = np.diff(offsets).astype(float)
     shape = (-1,) + (1,) * (values.ndim - 1)
     return sums / counts.reshape(shape)

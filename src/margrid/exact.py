@@ -20,7 +20,7 @@ import numpy as np
 
 from .design import trace_weights
 from .emus import SampleBank
-from .grids import HyperGrid
+from .grids import HyperGrid, _axis_trapezoid
 from .models import DiscreteModel, Model
 
 __all__ = [
@@ -124,11 +124,7 @@ def _quadrature_weight_table(model: Model, grid: HyperGrid, theta_nodes: np.ndar
     lse = np.logaddexp.reduce(W, axis=1)
     A = np.exp(W - lse[:, None])
     mix = np.exp(lse - lse.max())
-    quad = np.empty_like(theta_nodes)
-    quad[0] = 0.5 * (theta_nodes[1] - theta_nodes[0])
-    quad[-1] = 0.5 * (theta_nodes[-1] - theta_nodes[-2])
-    quad[1:-1] = 0.5 * (theta_nodes[2:] - theta_nodes[:-2])
-    return A, mix, quad
+    return A, mix, _axis_trapezoid(theta_nodes)
 
 
 def quadrature_transition_matrix(model: Model, grid: HyperGrid, theta_nodes):

@@ -652,7 +652,8 @@ def run_design_study(config: ExperimentConfig, out_dir: str, *, seed=None,
     allocated`` history of one run under the master seed); the manifest
     lists the rounds of that run whose fit clamped a degenerate
     stationary solve as ``truncated_iterations``.  When the
-    ``[design]`` section lists ``probe_points``, also reruns the loop
+    ``[design]`` section lists ``probe_points`` (values in the domain of
+    a one-dimensional grid), also reruns the loop
     ``replicates`` times against a uniform fixed-site baseline of equal
     total effort and writes ``design_variance.csv`` with the
     density values at the probes; the manifest then carries the
@@ -667,7 +668,19 @@ def run_design_study(config: ExperimentConfig, out_dir: str, *, seed=None,
     model = build_model(config)
     _, eval_grid = build_grids(config, model)
     master = _resolve_seed(config, seed)
+    if config.get("design", "stabilize") is not None:
+        raise GridError("[design] stabilize is not a key: the square-root rule always applies")
     probes = config.floats("design", "probe_points", fallback=())
+    if probes:
+        # a probe is looked up on the grid's one axis, in its working scale
+        if eval_grid.dim != 1:
+            raise GridError(f"[design] probe_points need a one-dimensional grid, "
+                            f"got {eval_grid.dim} dimensions")
+        lo, hi = float(eval_grid.domain.lower[0]), float(eval_grid.domain.upper[0])
+        outside = [p for p in probes if not lo <= p <= hi]
+        if outside:
+            raise GridError(f"[design] probe_points {outside[0]!r} lies outside the "
+                            f"domain [{lo!r}, {hi!r}]")
     reps = _resolve_replicates(config, replicates, 2 if probes else 1,
                                " with [design] probe_points")
     iterations = _at_least(config.getint("design", "iterations", fallback=8),
@@ -676,20 +689,16 @@ def run_design_study(config: ExperimentConfig, out_dir: str, *, seed=None,
                        "[design] blocks_per_iteration")
     per_block = _at_least(config.getint("design", "samples_per_block", fallback=8),
                           "[design] samples_per_block")
-    stabilize = config.getboolean("design", "stabilize", fallback=True)
     comments = _comments(config, master)
 
-    state, functional = run_design_loop(
-        model, eval_grid, iterations, blocks, per_block, master,
-        stabilize=stabilize,
-    )
+    state, functional = run_design_loop(model, eval_grid, iterations, blocks, per_block,
+                                        master)
     design_history_to_csv(state, os.path.join(out_dir, "design.csv"),
                           header_lines=comments)
 
     manifest = _manifest_skeleton("design", config, master, reps)
     summary: dict = {
         "total_draws": state.total_draws,
-        "stabilize": stabilize,
         "degenerate_score": state.degenerate,
         "points_visited": int(np.count_nonzero(state.block_counts)),
         "truncated_iterations": state.truncated_iterations,
@@ -699,7 +708,7 @@ def run_design_study(config: ExperimentConfig, out_dir: str, *, seed=None,
     if probes:
         quad = trapezoid_weights(eval_grid)
         working = eval_grid.working_points()
-        probe_pts = np.asarray(probes, dtype=float).reshape(len(probes), -1)
+        probe_pts = np.array(probes)[:, None]
         probe_work = np.log(probe_pts) if eval_grid.scale == "log" else probe_pts
         probe_idx = [
             int(np.argmin(((working - pw) ** 2).sum(axis=1))) for pw in probe_work
@@ -720,8 +729,7 @@ def run_design_study(config: ExperimentConfig, out_dir: str, *, seed=None,
                 master, spawn_key=(2, r)).generate_state(1, dtype=np.uint64)[0])
             try:
                 _, fn = run_design_loop(model, eval_grid, iterations, blocks,
-                                        per_block, rep_master,
-                                        stabilize=stabilize)
+                                        per_block, rep_master)
                 return fn.density(eval_grid, quad)[probe_idx], fn.emus.truncated
             except MargridError:
                 return failed

@@ -24,8 +24,6 @@ __all__ = [
     "HyperGrid",
     "make_regular_grid",
     "trapezoid_weights",
-    "grid_to_csv",
-    "grid_from_csv",
 ]
 
 
@@ -245,28 +243,3 @@ def _read_csv_table(path_or_buf, what: str):
         raise ValueError(
             f"{what} header names {len(header)} columns but rows have {data.shape[1]}")
     return header, data
-
-
-def grid_to_csv(grid: HyperGrid, path_or_buf) -> None:
-    """Write grid points as CSV with header dim0,...,dim{p-1}."""
-    with _path_or_buffer(path_or_buf, "w") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"dim{d}" for d in range(grid.dim)])
-        for row in grid.points:
-            writer.writerow([repr(float(v)) for v in row])
-
-
-def grid_from_csv(path_or_buf, domain: Domain | None = None, scale: str = "linear") -> HyperGrid:
-    """Read an explicit grid from CSV (columns dim0..dim{p-1}).
-
-    When no domain is given, the bounding box of the points (padded by
-    zero width checks) is used.
-    """
-    header, pts = _read_csv_table(path_or_buf, "grid CSV")
-    if header is None or not all(h.startswith("dim") for h in header):
-        raise GridError("grid CSV header must be dim0,dim1,...")
-    if domain is None:
-        lo, hi = pts.min(axis=0), pts.max(axis=0)
-        pad = np.where(hi - lo > 0, 0.0, 1.0)
-        domain = Domain(lo - pad, hi + pad)
-    return HyperGrid(domain=domain, points=pts, scale=scale)

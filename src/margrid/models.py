@@ -1,7 +1,7 @@
 """Statistical models exposing local densities over a hyperparameter.
 
 Every model provides three hooks, for hyperparameter values lam in its
-domain, and may override the defaults of five more:
+domain, and may override the defaults of four more:
 
 - ``log_psi(thetas, lam)``: log of the unnormalized local density
   psi_lam(theta) evaluated at a batch of latent states,
@@ -18,14 +18,12 @@ domain, and may override the defaults of five more:
   log(psi_lam(theta) p(lam)) of many values at once, shape (N, M), prior
   included; the base class loops over ``log_psi`` and ``log_prior``, and
   every bundled model overrides it with one batched evaluation,
-- optionally ``grad_log_weight_matrix(thetas, points)``: their
-  hyperparameter gradients, shape (N, M, p); the base class raises
-  ``GradientUnavailableError``, and the toy and GP models override it,
 - optionally ``log_weight_blocks(thetas, points, grads)``: the columns of
-  ``log_weight_matrix`` (and, with ``grads``, of
-  ``grad_log_weight_matrix``) in blocks; the base class yields one block
-  of both whole matrices, the GP model one block per length scale, and
-  the toy model cache-sized tiles,
+  ``log_weight_matrix`` in blocks, each with, when ``grads`` is set, its
+  hyperparameter gradients (the only place gradients come from); the
+  base class yields one block of the whole matrix and raises
+  ``GradientUnavailableError`` for gradients, the GP model yields one
+  block per length scale and the toy model cache-sized tiles,
 - optionally ``exact_log_u`` (a closed form for log z(lam) p(lam), used
   as an oracle by diagnostics and experiments).
 
@@ -55,23 +53,22 @@ without FMA.  A one-row or one-column product would go to gemv instead,
 which rounds differently on FMA kernels, so those take the elementwise
 sum.  A column therefore never depends on its companions: ``log_psi`` is
 the prior-free one-column case of the same arithmetic, and no bundled
-model writes a column on its own.  ``grad_log_weight_matrix`` shares the
-GP factor and two triangular solves of the draws among all points with
-the same length scale; the toy model takes one outer difference.
+model writes a column on its own.
 
-Curves read both matrices through ``log_weight_blocks(thetas, points,
-grads=False)``, which yields ``(cols, logw, grad)`` column
+Curves read log-weights and gradients through ``log_weight_blocks(thetas,
+points, grads=False)``, which yields ``(cols, logw, grad)`` column
 blocks that the curve reduces and drops one at a time.  The default
-yields one block, ``log_weight_matrix`` (and ``grad_log_weight_matrix``
-with ``grads``), which the discrete model uses.  The GP model
-yields one block per distinct length scale, whose log-weights and
-gradients share one factor and one whitening of the draws; its three
-routes run the same per-length-scale kernel and the same sum, so a block
-entry is bit-equal to the matching whole-matrix entry.  The toy model
-computes its statistics once and yields the product in column tiles of
-about ``TILE_BYTES`` (``_column_tiles``), so a curve's passes over a
-tile (exponential, product, gradient) run in cache; each tile is the
-same ``dgemm`` sum, so its entries are the whole-matrix bits too.
+yields one block, ``log_weight_matrix``, which the discrete model uses;
+it has no gradients.  The GP model yields one block per distinct length
+scale, whose log-weights and gradients share one factor and two
+triangular solves of the draws; both its routes run the same
+per-length-scale kernel and the same sum, so a block entry is bit-equal
+to the matching ``log_weight_matrix`` entry.  The toy model computes its
+statistics once and yields the product in column tiles of about
+``TILE_BYTES`` (``_column_tiles``), with gradient tiles from one outer
+difference, so a curve's passes over a tile (exponential, product,
+gradient) run in cache; each tile is the same ``dgemm`` sum, so its
+entries are the whole-matrix bits too.
 """
 
 from __future__ import annotations
@@ -196,31 +193,25 @@ class Model:
             out[:, j] = self.log_psi(thetas, lam) + self.log_prior(lam)
         return out
 
-    def grad_log_weight_matrix(self, thetas, points):
-        """Gradients of log(psi_lam_m(theta_n) p(lam_m)), shape (N, M, p).
-
-        The gradient analogue of ``log_weight_matrix``, under the same
-        contract: a fresh C-ordered float array.  Models with
-        hyperparameter gradients override this; the default raises.
-        """
-        raise GradientUnavailableError(
-            f"{type(self).__name__} does not implement hyperparameter gradients"
-        )
-
     def log_weight_blocks(self, thetas, points, grads: bool = False):
         """Log-weights in column blocks: yields ``(cols, logw, grad)``.
 
         ``logw`` holds the ``log_weight_matrix`` columns ``cols`` of the
         points, as a fresh array the caller may overwrite; with ``grads``,
-        ``grad`` holds the matching ``grad_log_weight_matrix`` columns, and
-        otherwise None.  Curves reduce each block and drop it, so the whole
-        (N, M) matrix need never exist.  The default yields one block of all
-        columns; models override this when columns share work that is
-        cheaper to do one block at a time.
+        ``grad`` holds their hyperparameter gradients, shape
+        (N, len(cols), p), as a fresh C-ordered array, and otherwise None.
+        Curves reduce each block and drop it, so the whole (N, M) matrix
+        need never exist.  The default yields one block of all columns and
+        raises ``GradientUnavailableError`` for gradients; models override
+        this when columns share work that is cheaper to do one block at a
+        time, or when they have gradients.
         """
+        if grads:
+            raise GradientUnavailableError(
+                f"{type(self).__name__} does not implement hyperparameter gradients"
+            )
         logw = self.log_weight_matrix(thetas, points)
-        grad = self.grad_log_weight_matrix(thetas, points) if grads else None
-        yield np.arange(logw.shape[1]), logw, grad
+        yield np.arange(logw.shape[1]), logw, None
 
 
 def _as_lambda(lam) -> np.ndarray:
@@ -384,19 +375,14 @@ class ToyBimodalModel(Model):
     def log_weight_blocks(self, thetas, points, grads: bool = False):
         """Cache-sized column tiles of ``log_weight_matrix`` (see
         ``_column_tiles``), from statistics computed once; with ``grads``,
-        each tile's gradients tau (theta - lam).  Every entry is bit-equal
-        to its whole-matrix entry."""
+        each tile's gradients tau (theta - lam), shape (N, len(cols), 1),
+        from one outer difference.  Every entry is bit-equal to its
+        whole-matrix entry."""
         points = self._points(points)
         stats, coefs = self._stats_coefs(thetas, points)
         for cols, block in _column_tiles(stats, coefs):
-            grad = self.grad_log_weight_matrix(thetas, points[cols]) if grads else None
+            grad = self.tau * np.subtract.outer(stats[:, 0], points[cols]) if grads else None
             yield cols, block, grad
-
-    def grad_log_weight_matrix(self, thetas, points):
-        # tau (theta - lam) from one (N, M, 1) outer difference
-        out = np.subtract.outer(np.asarray(thetas, dtype=float).ravel(), self._points(points))
-        out *= self.tau
-        return out
 
     def _local_mixture(self, lams):
         """Weight of the + component, the two means and the common
@@ -471,10 +457,9 @@ class GpRegressionModel(Model):
     product, and the whole matrix gathers q_B per column and adds the
     same terms in the same order, so both routes give the same bits; a
     one-column call (``log_psi``, or a lone tau2) takes the elementwise
-    sum (see ``_stats_times_coefs``).  ``grad_log_weight_matrix`` shares
-    the same factor, and
-    ``log_weight_blocks`` yields the columns of one tau2 at a time from one
-    factor and one whitening for both.  The per-value
+    sum (see ``_stats_times_coefs``).  ``log_weight_blocks`` yields the
+    columns of one tau2 at a time, with their gradients from the same
+    factor and whitening (``_fill_grads``).  The per-value
     factorization of C_lam + noise_var I, cached by ``_entry`` with C_lam,
     serves the sampler and the exact marginal.
     """
@@ -567,7 +552,7 @@ class GpRegressionModel(Model):
 
         Returns log det B, the whitened squares q_B = theta' B^{-1} theta per
         draw, and with ``grads`` also tr(B^{-1} E) and q_E (see
-        ``grad_log_weight_matrix``), whose solve reuses the whitened draws.
+        ``_fill_grads``), whose solve reuses the whitened draws.
         """
         decay, chol = self._factor(tau2)
         logdet = 2.0 * np.sum(np.log(np.diag(chol)))
@@ -600,7 +585,25 @@ class GpRegressionModel(Model):
         return coefs
 
     def _fill_grads(self, q_b, q_e, traces, points):
-        """Gradients (N, M, 2) from the per-column q_B, q_E and traces."""
+        """Gradients of log(psi_lam_m(theta_n) p(lam_m)) in (tau1, tau2),
+        shape (N, M, 2), from the per-column q_B, q_E and traces.
+
+        With K = scale B(tau2), scale = tau1/tau2, dK/dtau1 = K/tau1 and
+        dK/dtau2 = -K/tau2 - scale E, E = exp(-tau2 D) .* D (the relative
+        jitter folds into K for both derivatives),
+
+            d/dtau1 = -n/(2 tau1) + quad_K/(2 tau1) - 1/tau1
+            d/dtau2 = n/(2 tau2) + tr(B^{-1} E)/2 - quad_K/(2 tau2)
+                      - quad_E/2 - 1/tau2
+
+        where quad_K = theta' K^{-1} theta = q_B/scale, quad_E =
+        theta' K^{-1} (scale E) K^{-1} theta = q_E/scale, and the last
+        terms are the flat prior on (log tau1, log tau2).  ``_whiten``
+        gives q_B = rowsum W^2 from the whitened draws W = Theta L^{-T} and
+        q_E = rowsum V .* (V E) from V = W L^{-1}; each point then fills its
+        two columns elementwise, so a column never depends on its
+        companions.
+        """
         n = self.y.size
         tau1, tau2 = points[:, 0], points[:, 1]
         scales = tau1 / tau2
@@ -658,7 +661,7 @@ class GpRegressionModel(Model):
         shared by its log-weights and, with ``grads``, its gradients; its
         log-weights are the product [q_B, obs, 1, 1] @ coefficients, whose
         entries are bit-equal to the matching columns of
-        ``log_weight_matrix`` and ``grad_log_weight_matrix``.
+        ``log_weight_matrix``; its gradients come from ``_fill_grads``.
         """
         points = self._points(points)
         thetas = self._draws(thetas)
@@ -682,36 +685,6 @@ class GpRegressionModel(Model):
 
     def log_prior(self, lam) -> float:
         return float(self._log_priors(_as_lambda(lam)[None, :])[0])
-
-    def grad_log_weight_matrix(self, thetas, points):
-        """Gradients of log(psi_lam_m(theta_n) p(lam_m)) in (tau1, tau2),
-        shape (N, M, 2).
-
-        With K = scale B(tau2), scale = tau1/tau2, dK/dtau1 = K/tau1 and
-        dK/dtau2 = -K/tau2 - scale E, E = exp(-tau2 D) .* D (the relative
-        jitter folds into K for both derivatives),
-
-            d/dtau1 = -n/(2 tau1) + quad_K/(2 tau1) - 1/tau1
-            d/dtau2 = n/(2 tau2) + tr(B^{-1} E)/2 - quad_K/(2 tau2)
-                      - quad_E/2 - 1/tau2
-
-        where quad_K = theta' K^{-1} theta = q_B/scale, quad_E =
-        theta' K^{-1} (scale E) K^{-1} theta = q_E/scale, and the last
-        terms are the flat prior on (log tau1, log tau2).  Points that
-        share tau2 share one factor of B, the whitened draws W = Theta L^{-T}
-        (q_B = rowsum W^2) and V = W L^{-1} (q_E = rowsum V .* (V E)); each
-        point then fills its two columns elementwise, so, as for
-        ``log_weight_matrix``, a column never depends on its companions.
-        """
-        points = self._points(points)
-        draws = np.asfortranarray(self._draws(thetas))
-        tau2s, group = np.unique(points[:, 1], return_inverse=True)
-        q_b = np.empty((draws.shape[0], tau2s.size))
-        q_e = np.empty_like(q_b)
-        traces = np.empty(tau2s.size)
-        for g, tau2 in enumerate(tau2s):
-            _, q_b[:, g], (traces[g], q_e[:, g]) = self._whiten(draws, tau2, True)
-        return self._fill_grads(q_b[:, group], q_e[:, group], traces[group], points)
 
     def sample_local(self, lam, rng, size: int):
         entry = self._entry(lam)

@@ -147,11 +147,17 @@ ESTIMATE_OUTPUTS = ("curve.csv", "diagnostics.csv", "errors.csv", "manifest.json
 
 @pytest.mark.parametrize("kind,text,command,outputs", [
     ("gp", SMALL_GP, "estimate", ESTIMATE_OUTPUTS + ("profile_axis0.csv", "profile_axis1.csv")),
+    ("gp", SMALL_GP, "compare", ("compare.csv", "manifest.json")),
     ("gp", SMALL_GP, "rate-study", ("rates.csv", "manifest.json")),
+    ("gp", SMALL_GP, "design", ("design.csv", "manifest.json")),
     ("discrete", SMALL_DISCRETE, "estimate", ESTIMATE_OUTPUTS),
+    ("discrete", SMALL_DISCRETE, "compare", ("compare.csv", "manifest.json")),
     ("discrete", SMALL_DISCRETE, "rate-study", ("rates.csv", "manifest.json")),
-], ids=["gp-estimate", "gp-rate-study", "discrete-estimate", "discrete-rate-study"])
+    ("discrete", SMALL_DISCRETE, "design", ("design.csv", "manifest.json")),
+], ids=["gp-estimate", "gp-compare", "gp-rate-study", "gp-design", "discrete-estimate",
+        "discrete-compare", "discrete-rate-study", "discrete-design"])
 def test_gp_and_discrete_studies_run_end_to_end(tmp_path, kind, text, command, outputs):
+    # every command, twice, under pyproject's error::RuntimeWarning filter
     (tmp_path / "table.csv").write_text(SMALL_TABLE)
     path = tmp_path / f"{kind}.ini"
     path.write_text(text)
@@ -212,31 +218,47 @@ def test_unknown_subcommand_is_a_usage_error(config_path, tmp_path):
 
 
 _COUNTS_BELOW_ONE = [
-    ("flag-zero", ("--replicates", "0"), None, "--replicates"),
-    ("flag-negative", ("--replicates", "-1"), None, "--replicates"),
-    ("config-zero", (), ("\nreplicates = 2", "\nreplicates = 0"), "[sampling] replicates"),
+    ("flag-zero", ("--replicates", "0"), (), "--replicates"),
+    ("flag-negative", ("--replicates", "-1"), (), "--replicates"),
+    ("config-zero", (), (("\nreplicates = 2", "\nreplicates = 0"),), "[sampling] replicates"),
+]
+
+# probe_points that no grid point stands for: on a 2-D GP grid (once read
+# as the diagonal points (p, p)), and at or below 0 on a log-scale axis
+_BAD_PROBES = [
+    ("2d", (("kind = toy", "kind = gp\nn_data = 8"),
+            ("lower = -2.0\nupper = 2.0", "lower = 0.25 0.25\nupper = 16 16\nscale = log"),
+            ("probe_points = -1 1", "probe_points = 1.0 3.0 2.0"))),
+    ("log-nonpositive", (("lower = -2.0", "lower = 0.25\nscale = log"),)),
 ]
 
 
-@pytest.mark.parametrize("command,override,edit,key", [
-    pytest.param(command, override, edit, key, id=f"{command}-{name}")
+@pytest.mark.parametrize("command,override,edits,key", [
+    pytest.param(command, override, edits, key, id=f"{command}-{name}")
     for command in ("estimate", "compare", "rate-study", "design")
-    for name, override, edit, key in _COUNTS_BELOW_ONE
+    for name, override, edits, key in _COUNTS_BELOW_ONE
 ] + [
-    pytest.param("rate-study", (), ("dense_replicates = 2", "dense_replicates = 0"),
+    pytest.param("rate-study", (), (("dense_replicates = 2", "dense_replicates = 0"),),
                  "[rate] dense_replicates", id="rate-study-dense-zero"),
 ] + [
-    pytest.param("design", (), (f"{name} = {was}", f"{name} = {value}"),
+    pytest.param("design", (), ((f"{name} = {was}", f"{name} = {value}"),),
                  f"[design] {name}", id=f"design-{name}-{value}")
     for name, was, value in (("iterations", 2, 0), ("iterations", 2, -1),
                              ("blocks_per_iteration", 4, 0),
                              ("samples_per_block", 4, 0))
+] + [
+    pytest.param("design", (), edits, "[design] probe_points", id=f"design-probe-points-{name}")
+    for name, edits in _BAD_PROBES
+] + [
+    # the square-root rule always applies; the old switch is not ignored
+    pytest.param("design", (), (("[design]", "[design]\nstabilize = false"),),
+                 "[design] stabilize", id="design-stabilize-key"),
 ])
 def test_replicate_counts_below_one_fail_cleanly(tmp_path, capsys, command,
-                                                 override, edit, key):
+                                                 override, edits, key):
     # probe_points make design run its replicate study too
     text = SMALL_TOY.replace("[design]", "[design]\nprobe_points = -1 1")
-    if edit is not None:
+    for edit in edits:
         text = text.replace(*edit)
     path = tmp_path / "exp.ini"
     path.write_text(text)

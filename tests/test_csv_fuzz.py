@@ -22,7 +22,6 @@ CSV_TEXT = st.one_of(
 )
 
 READERS = {
-    "grid": (mg.grid_from_csv, (ValueError, mg.GridError)),
     "dataset": (mg.gp_dataset_from_csv, ValueError),
     "table": (mg.discrete_table_from_csv, ValueError),
 }

@@ -369,27 +369,22 @@ def test_optimal_weights_are_a_probability_vector():
 
 
 def test_incremental_weights_from_scratch():
+    # with nothing spent, the weights are the square-root rule itself
     w_hat = np.array([0.64, 0.16, 0.16, 0.04])
-    w = incremental_weights(w_hat, np.zeros(4), 10, stabilize=False)
-    np.testing.assert_allclose(w, w_hat)
-    w_s = incremental_weights(w_hat, np.zeros(4), 10, stabilize=True)
-    expected = np.sqrt(w_hat) / np.sqrt(w_hat).sum()
-    np.testing.assert_allclose(w_s, expected)
+    w = incremental_weights(w_hat, np.zeros(4), 10)
+    np.testing.assert_allclose(w, np.sqrt(w_hat) / np.sqrt(w_hat).sum())
 
 
 def test_incremental_weights_subtract_spent_effort():
     # Target is an even split, one point already has all ten draws: the
     # whole next batch goes to the other point.
-    w = incremental_weights(
-        np.array([0.5, 0.5]), np.array([10.0, 0.0]), 2, stabilize=False)
+    w = incremental_weights(np.array([0.5, 0.5]), np.array([10.0, 0.0]), 2)
     np.testing.assert_allclose(w, [0.0, 1.0])
 
 
 def test_incremental_weights_preserve_zeros():
-    w_hat = np.array([0.5, 0.0, 0.5])
-    for stab in (False, True):
-        w = incremental_weights(w_hat, np.zeros(3), 4, stabilize=stab)
-        assert w[1] == 0.0
+    w = incremental_weights(np.array([0.5, 0.0, 0.5]), np.zeros(3), 4)
+    assert w[1] == 0.0
 
 
 def test_incremental_weights_validate_inputs():
@@ -403,30 +398,29 @@ def test_incremental_weights_validate_inputs():
     st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20),
     st.data(),
     st.integers(1, 64),
-    st.booleans(),
 )
 @settings(max_examples=200, deadline=None)
-def test_incremental_weights_are_a_probability_vector(raw, data, budget, stabilize):
+def test_incremental_weights_are_a_probability_vector(raw, data, budget):
     # Before clipping the scores sum to the budget for any probability
-    # vector, and clipping only raises entries, so there is always a
-    # positive total to normalize by.
+    # vector, up to rounding, and clipping only raises entries, so there is
+    # a positive total to normalize by whenever the budget is not lost to
+    # the rounding of the spent effort.
     raw = np.array(raw)
     if raw.sum() == 0:
         raw[0] = 1.0
     w_hat = raw / raw.sum()
     counts = np.array(data.draw(st.lists(st.integers(0, 10_000), min_size=raw.size,
                                          max_size=raw.size)), dtype=float)
-    w = incremental_weights(w_hat, counts, budget, stabilize=stabilize)
+    w = incremental_weights(w_hat, counts, budget)
     assert np.all(w >= 0)
     assert abs(w.sum() - 1.0) <= 1e-12
 
 
 def test_incremental_weights_raise_when_nothing_is_left_to_place():
-    # w_hat sums to 1 - 5e-6: inside np.isclose, but far enough below 1
-    # that two million spent units swamp a one-unit budget.
-    w_hat = 0.5 * (1.0 - 5e-6) * np.ones(2)
-    with pytest.raises(ValueError, match="sums to"):
-        incremental_weights(w_hat, np.array([1e6, 1e6]), 1, stabilize=False)
+    # 2e17 spent units: 2e17 + 1 rounds to 2e17, so the one-unit budget is
+    # lost and every score is 0.
+    with pytest.raises(ValueError, match="lost to rounding"):
+        incremental_weights(np.array([0.5, 0.5]), np.array([1e17, 1e17]), 1)
 
 
 # -- pivotal allocation ------------------------------------------------------

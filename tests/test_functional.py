@@ -191,9 +191,9 @@ def test_batched_gradients_match_the_per_point_formula(toy_functional, toy_model
 
 
 class PointwiseToy(mg.models.Model):
-    """A model with only the required hooks and the gradient matrix, so its
-    log-weights come from the base-class loop and its blocks from the
-    default."""
+    """A model with only the required hooks, so its log-weights come from
+    the base-class loop and its blocks from the default, which has no
+    gradients."""
 
     def __init__(self, toy):
         self.toy = toy
@@ -206,9 +206,6 @@ class PointwiseToy(mg.models.Model):
 
     def sample_local(self, lam, rng, size):
         return self.toy.sample_local(lam, rng, size)
-
-    def grad_log_weight_matrix(self, thetas, points):
-        return self.toy.grad_log_weight_matrix(thetas, points)
 
 
 def test_discrete_curves_have_no_gradient(asym_model):
@@ -518,7 +515,9 @@ def test_gp_block_curves_hold_the_whole_matrix_product(gp_surface_fit):
     points = uneven_tau2_points()
     ratios = fn._ratio_matrix(points)
     np.testing.assert_allclose(fn.marginal_many(points), fn._curve(ratios), rtol=1e-13, atol=0)
-    grads = fn.model.grad_log_weight_matrix(fn._thetas, points) * ratios[:, :, None]
+    grads = np.empty(ratios.shape + (2,))
+    for cols, _, grad in fn.model.log_weight_blocks(fn._thetas, points, grads=True):
+        grads[:, cols] = grad * ratios[:, cols, None]
     values, got = fn.curve_with_gradient(points)
     np.testing.assert_allclose(values, fn._curve(ratios), rtol=1e-13, atol=0)
     np.testing.assert_allclose(got, fn._curve(grads.reshape(len(ratios), -1)).reshape(-1, 2),
@@ -533,19 +532,16 @@ def test_toy_block_curves_are_the_whole_matrix_product(toy_functional):
 
 
 def test_pointwise_models_reduce_through_the_default_block(toy_fit, toy_model):
-    # a model with only the pointwise interface gets its curves, gradients
-    # and expectations from one default block: the whole-matrix arithmetic
+    # a model with only the pointwise interface gets its curves and
+    # expectations from one default block, the whole-matrix arithmetic,
+    # and no gradients
     fn = mg.FunctionalEstimate(toy_fit, PointwiseToy(toy_model))
     eval_grid = mg.make_regular_grid(mg.Domain(-2.0, 2.0), 11)
     points = eval_grid.points
     ratios = fn._ratio_matrix(points)
-    grads = np.ascontiguousarray(fn.model.grad_log_weight_matrix(fn._thetas, points))
-    grads *= ratios[:, :, None]
-    values, gradients = fn.curve_with_gradient(points)
     np.testing.assert_array_equal(fn.marginal_many(points), fn._curve(ratios))
-    np.testing.assert_array_equal(values, fn._curve(ratios))
-    np.testing.assert_array_equal(gradients, fn._curve(grads.reshape(len(ratios), -1))
-                                  .reshape(points.shape))
+    with pytest.raises(mg.GradientUnavailableError):
+        fn.curve_with_gradient(points)
     phi = fn._thetas ** 2
     quad = mg.trapezoid_weights(eval_grid)
     expected = (fn._curve(ratios * phi[:, None]) @ quad) / (fn._curve(ratios) @ quad)
@@ -580,8 +576,8 @@ def test_curve_never_holds_a_samples_by_points_buffer(request, fit, size):
 
 
 def test_gp_curves_factor_each_length_scale_once(gp_surface_fit, monkeypatch):
-    # the block route, never the whole-matrix one: no log_weight_matrix or
-    # gradient-matrix call, and one factor per distinct tau2
+    # the block route, never the whole-matrix one: no log_weight_matrix
+    # call, and one factor per distinct tau2
     fn, eval_grid = gp_surface_fit
     model = fn.model
     factored = []
@@ -596,7 +592,6 @@ def test_gp_curves_factor_each_length_scale_once(gp_surface_fit, monkeypatch):
 
     monkeypatch.setattr(model, "_factor", counting_factor)
     monkeypatch.setattr(model, "log_weight_matrix", whole_matrix)
-    monkeypatch.setattr(model, "grad_log_weight_matrix", whole_matrix)
     for call, points in ((fn.marginal_many, eval_grid.points),
                          (fn.curve_with_gradient, uneven_tau2_points())):
         factored.clear()

@@ -1,10 +1,7 @@
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-import margrid as mg
 from margrid import Domain, GridError, HyperGrid, make_regular_grid, trapezoid_weights
 
 
@@ -94,22 +91,3 @@ def test_trapezoid_weights_sum_to_span(n):
     span = g.points.max() - g.points.min()
     assert np.all(w > 0)
     assert np.isclose(w.sum(), span if n > 1 else 1.0)
-
-
-def test_grid_csv_round_trip(tmp_path):
-    g = make_regular_grid(Domain([0.0, -1.0], [1.0, 1.0]), (3, 4))
-    path = tmp_path / "grid.csv"
-    mg.grid_to_csv(g, path)
-    back = mg.grid_from_csv(path)
-    assert np.array_equal(back.points, g.points)
-
-
-def test_grid_csv_comment_lines_skipped():
-    buf = io.StringIO("# note\ndim0\n0.5\n1.0\n")
-    g = mg.grid_from_csv(buf)
-    assert np.array_equal(g.points.ravel(), [0.5, 1.0])
-
-
-def test_grid_csv_header_must_name_every_column():
-    with pytest.raises(ValueError, match="header names 1 columns but rows have 2"):
-        mg.grid_from_csv(io.StringIO("dim0\n1,2\n3,4\n"))

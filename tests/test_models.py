@@ -81,16 +81,15 @@ def test_toy_sampler_is_reproducible(toy_model):
 
 
 def test_toy_grad_log_weight_matrix_is_the_per_point_gradient(toy_model, toy_grid):
+    # the toy gradient blocks: tau (theta - lam) per point, bit for bit
     thetas = np.linspace(-2.0, 2.0, 11)
     points = np.vstack([toy_grid.points, [[0.3], [-1.7]]])
-    fast = toy_model.grad_log_weight_matrix(thetas, points)
+    fast = block_grads(toy_model, thetas, points)
     assert fast.shape == (11, len(points), 1)
-    np.testing.assert_array_equal(fast, np.stack(
-        [toy_model.grad_log_weight_matrix(thetas, lam[None, :])[:, 0] for lam in points], axis=1))
     for m, lam in enumerate(points):
         np.testing.assert_array_equal(fast[:, m, 0], toy_model.tau * (thetas - lam[0]))
     with pytest.raises(ValueError):
-        toy_model.grad_log_weight_matrix(thetas, [[0.1, 5.0]])
+        block_grads(toy_model, thetas, np.array([[0.1, 5.0]]))
 
 
 @pytest.mark.parametrize("half_width", [2.0, 10.0])
@@ -148,8 +147,8 @@ def gp_log_psi_oracle(model, thetas, lam):
 
 def gp_grad_oracle(model, thetas, lam):
     """Gradient of log(psi_lam(theta) p(lam)) in (tau1, tau2), one factor
-    of C_lam per call: the per-point formula that grad_log_weight_matrix
-    batches.
+    of C_lam per call: the per-point formula that the gradient blocks
+    batch.
 
     d log N(theta; 0, K)/d tau_r = -tr(K^-1 dK)/2 + theta' K^-1 dK K^-1 theta / 2
     with dK/dtau1 = K/tau1 and dK/dtau2 = -K/tau2 - kernel * sqdist (the
@@ -344,7 +343,7 @@ def test_gp_grad_log_weight_matrix_matches_the_oracle(n, seed):
     x, y = mg.make_synthetic_gp_dataset(n=n, seed=seed)
     model = mg.GpRegressionModel(x, y)
     thetas, points = gp_draws_and_points(model, seed)
-    fast = model.grad_log_weight_matrix(thetas, points)
+    fast = block_grads(model, thetas, points)
     assert fast.shape == (len(thetas), len(points), 2)
     slow = np.stack([gp_grad_oracle(model, thetas, p) for p in points], axis=1)
     np.testing.assert_allclose(fast, slow, rtol=1e-9)
@@ -363,7 +362,7 @@ def test_gp_gradients_no_worse_than_the_oracle_in_extended_precision():
     thetas, _ = mg.draw_sample_bank(model, grid, 64, master_seed=11).flattened()
     rng = np.random.default_rng(0)
     thetas = thetas[np.sort(rng.choice(thetas.shape[0], 1024, replace=False))]
-    fast = model.grad_log_weight_matrix(thetas, grid.points)
+    fast = block_grads(model, thetas, grid.points)
     err_fast = err_oracle = 0.0
     for j, lam in enumerate(grid.points):
         ref = gp_grad_long_double(model, thetas, lam)
@@ -377,22 +376,21 @@ def test_gp_gradients_no_worse_than_the_oracle_in_extended_precision():
 
 def test_gp_grad_columns_do_not_depend_on_their_companions(gp_model):
     thetas, points = gp_draws_and_points(gp_model, 6)
-    matrix = gp_model.grad_log_weight_matrix(thetas, points)
+    matrix = block_grads(gp_model, thetas, points)
     for j, lam in enumerate(points):
         np.testing.assert_array_equal(
-            gp_model.grad_log_weight_matrix(thetas, lam[None, :])[:, 0], matrix[:, j])
+            block_grads(gp_model, thetas, lam[None, :])[:, 0], matrix[:, j])
     perm = np.random.default_rng(1).permutation(len(points))
     np.testing.assert_array_equal(
-        gp_model.grad_log_weight_matrix(thetas, points[perm]), matrix[:, perm])
+        block_grads(gp_model, thetas, points[perm]), matrix[:, perm])
     repeat = np.r_[np.arange(len(points)), [0, 4, 4, len(points) - 1]]
     np.testing.assert_array_equal(
-        gp_model.grad_log_weight_matrix(thetas, points[repeat]), matrix[:, repeat])
+        block_grads(gp_model, thetas, points[repeat]), matrix[:, repeat])
     # every tau2 distinct: one factorization per point
     scattered = points + np.arange(len(points))[:, None] * np.array([0.0, 1e-3])
-    separate = np.stack([gp_model.grad_log_weight_matrix(thetas, p[None, :])[:, 0]
+    separate = np.stack([block_grads(gp_model, thetas, p[None, :])[:, 0]
                          for p in scattered], axis=1)
-    np.testing.assert_array_equal(
-        gp_model.grad_log_weight_matrix(thetas, scattered), separate)
+    np.testing.assert_array_equal(block_grads(gp_model, thetas, scattered), separate)
 
 
 def test_gp_log_weight_columns_do_not_depend_on_their_companions(gp_model):
@@ -433,6 +431,12 @@ def gather_blocks(model, thetas, points, grads):
     return logw, grad, count
 
 
+def block_grads(model, thetas, points):
+    """The gradients of ``log_weight_blocks``, scattered back into one
+    (N, M, p) array."""
+    return gather_blocks(model, thetas, points, grads=True)[1]
+
+
 @pytest.mark.parametrize("order", ["given", "permuted", "repeats", "distinct-tau2"])
 def test_gp_log_weight_blocks_are_the_whole_matrix_columns(gp_model, order):
     thetas, points = gp_draws_and_points(gp_model, 6)
@@ -443,14 +447,12 @@ def test_gp_log_weight_blocks_are_the_whole_matrix_columns(gp_model, order):
     elif order == "distinct-tau2":
         points = points + np.arange(len(points))[:, None] * np.array([0.0, 1e-3])
     matrix = gp_model.log_weight_matrix(thetas, points)
-    grads = gp_model.grad_log_weight_matrix(thetas, points)
     logw, _, count = gather_blocks(gp_model, thetas, points, grads=False)
     # one block per distinct tau2
     assert count == np.unique(points[:, 1]).size
     np.testing.assert_array_equal(logw, matrix)
-    fused_logw, fused_grads, _ = gather_blocks(gp_model, thetas, points, grads=True)
+    fused_logw, _, _ = gather_blocks(gp_model, thetas, points, grads=True)
     np.testing.assert_array_equal(fused_logw, matrix)
-    np.testing.assert_array_equal(fused_grads, grads)
 
 
 def toy_case():
@@ -494,8 +496,9 @@ def gp_grid_case():
                               "gp-3x3+4", "gp-24x24"])
 def test_log_weights_are_log_psi_plus_log_prior(case):
     # the model contract: every bundled model adds its own log prior, bit
-    # for bit as the scalar hooks do, and its blocks (with gradients where
-    # it has them) scatter back into the whole matrices
+    # for bit as the scalar hooks do, its blocks scatter back into the
+    # whole matrix, and its fused gradient blocks (where it has them) are
+    # the bits of one-point blocks
     model, thetas, points = case()
     matrix = model.log_weight_matrix(thetas, points)
     for j, lam in enumerate(points):
@@ -509,7 +512,8 @@ def test_log_weights_are_log_psi_plus_log_prior(case):
         assert count == 1
     np.testing.assert_array_equal(logw, matrix)
     if grads:
-        np.testing.assert_array_equal(grad, model.grad_log_weight_matrix(thetas, points))
+        np.testing.assert_array_equal(grad, np.stack(
+            [block_grads(model, thetas, lam[None, :])[:, 0] for lam in points], axis=1))
 
 
 @pytest.mark.parametrize("lam", [(1.0, -1.0), (0.0, 1.0), (1.0,), (1.0, 1.0, 1.0)])
@@ -543,7 +547,7 @@ def test_gp_gradient_matches_finite_differences(gp_model):
     def logp(t, l):
         return gp_model.log_psi(t, l) + gp_model.log_prior(l)
 
-    grad = gp_model.grad_log_weight_matrix(thetas, lam[None, :])[:, 0]
+    grad = block_grads(gp_model, thetas, lam[None, :])[:, 0]
     for r in range(2):
         step = np.zeros(2)
         step[r] = h
@@ -670,14 +674,15 @@ def test_bundled_log_weight_matrices_are_c_ordered(asym_model, toy_model, gp_mod
 
 
 def test_bundled_grad_matrices_are_c_ordered(toy_model, gp_model):
+    # every gradient block is a fresh C-ordered float array
     gp_thetas, gp_points = gp_draws_and_points(gp_model, 2)
     cases = [(toy_model, np.linspace(-2.0, 2.0, 7), np.linspace(-1.0, 1.0, 5)[:, None]),
              (gp_model, gp_thetas, gp_points)]
     for model, thetas, points in cases:
-        grads = model.grad_log_weight_matrix(thetas, points)
-        assert grads.shape == (len(thetas),) + points.shape
-        assert grads.dtype == float and grads.flags.c_contiguous
-        assert np.ascontiguousarray(grads, dtype=float) is grads
+        for cols, _, grads in model.log_weight_blocks(thetas, points, grads=True):
+            assert grads.shape == (len(thetas), len(cols), points.shape[1])
+            assert grads.dtype == float and grads.flags.c_contiguous
+            assert np.ascontiguousarray(grads, dtype=float) is grads
 
 
 def test_discrete_grid_subsets(asym_model):
@@ -695,11 +700,9 @@ def test_discrete_requires_positive_mass_per_atom():
 
 
 def test_gradient_flags():
-    # a model without hyperparameter gradients says so by raising from its
-    # one gradient hook, also when blocks ask for gradients
+    # a model without hyperparameter gradients says so by raising when
+    # blocks ask for gradients
     disc = mg.DiscreteModel(ASYM_TABLE)
-    with pytest.raises(mg.GradientUnavailableError):
-        disc.grad_log_weight_matrix(np.array([0]), [[0.0], [1.0]])
     with pytest.raises(mg.GradientUnavailableError):
         list(disc.log_weight_blocks(np.array([0]), [[0.0], [1.0]], grads=True))
 
@@ -717,6 +720,7 @@ def test_gp_dataset_csv_round_trip(tmp_path):
 
 
 def test_discrete_table_from_csv():
-    text = "psi0,psi1\n2,0\n1,0\n1,1\n0,1\n0,1\n"
+    # comment lines are skipped, wherever they sit
+    text = "# note\npsi0,psi1\n2,0\n1,0\n# another\n1,1\n0,1\n0,1\n"
     table = mg.discrete_table_from_csv(io.StringIO(text))
     np.testing.assert_array_equal(table, ASYM_TABLE)

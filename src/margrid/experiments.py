@@ -59,6 +59,19 @@ __all__ = [
 # --------------------------------------------------------------------------
 # configuration
 
+#: the keys each config section may hold: exactly the keys the runners read
+CONFIG_KEYS = {
+    "model": {"kind", "y", "q", "tau", "table", "dataset", "n_data", "dataset_seed",
+              "noise_var", "jitter_scale"},
+    "domain": {"lower", "upper", "scale"},
+    "grids": {"sim_counts", "eval_counts", "sim_columns"},
+    "sampling": {"samples_per_point", "master_seed", "replicates"},
+    "compare": {"tau_sweep", "burn_in"},
+    "rate": {"n_sweep", "l_sweep", "fixed_n", "dense_replicates"},
+    "design": {"iterations", "blocks_per_iteration", "samples_per_block",
+               "probe_points", "baseline_points"},
+}
+
 
 @dataclass
 class ExperimentConfig:
@@ -68,8 +81,9 @@ class ExperimentConfig:
     common ones are ``[model]`` (kind and its parameters), ``[domain]``
     (lower/upper/scale), ``[grids]`` (per-axis point counts) and
     ``[sampling]`` (samples per point, master seed, replicate count).
-    Paths inside the file resolve relative to the file itself and are
-    checked at load time.
+    Any section or key outside ``CONFIG_KEYS`` fails at load time, and a
+    ``[DEFAULT]`` key counts as a key of every section.  Paths inside the
+    file resolve relative to the file itself and are checked at load time.
     """
 
     parser: configparser.ConfigParser
@@ -94,6 +108,7 @@ class ExperimentConfig:
             sha256=hashlib.sha256(text.encode("utf-8")).hexdigest(),
             base_dir=base_dir,
         )
+        cfg._check_keys()
         cfg._check_paths()
         return cfg
 
@@ -107,9 +122,6 @@ class ExperimentConfig:
 
     def getfloat(self, section: str, key: str, fallback=None):
         return self.parser.getfloat(section, key, fallback=fallback)
-
-    def getboolean(self, section: str, key: str, fallback=None):
-        return self.parser.getboolean(section, key, fallback=fallback)
 
     def floats(self, section: str, key: str, fallback=None):
         raw = self.get(section, key)
@@ -132,6 +144,15 @@ class ExperimentConfig:
 
     def echo(self) -> dict:
         return {s: dict(self.parser.items(s)) for s in self.parser.sections()}
+
+    def _check_keys(self) -> None:
+        for section in self.parser.sections():
+            if section not in CONFIG_KEYS:
+                raise GridError(f"[{section}] is not a config section")
+            # options() includes the [DEFAULT] keys
+            for key in self.parser.options(section):
+                if key not in CONFIG_KEYS[section]:
+                    raise GridError(f"[{section}] {key} is not a config key")
 
     def _check_paths(self) -> None:
         for key in ("table", "dataset"):
@@ -668,8 +689,6 @@ def run_design_study(config: ExperimentConfig, out_dir: str, *, seed=None,
     model = build_model(config)
     _, eval_grid = build_grids(config, model)
     master = _resolve_seed(config, seed)
-    if config.get("design", "stabilize") is not None:
-        raise GridError("[design] stabilize is not a key: the square-root rule always applies")
     probes = config.floats("design", "probe_points", fallback=())
     if probes:
         # a probe is looked up on the grid's one axis, in its working scale

@@ -103,10 +103,6 @@ class HyperGrid:
     def dim(self) -> int:
         return self.points.shape[1]
 
-    @property
-    def is_regular(self) -> bool:
-        return self.axes is not None
-
     def working_points(self) -> np.ndarray:
         """Points in the grid's working scale (log coordinates for log grids).
 

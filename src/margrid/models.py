@@ -1,23 +1,21 @@
 """Statistical models exposing local densities over a hyperparameter.
 
-Every model provides three hooks, for hyperparameter values lam in its
-domain, and may override the defaults of four more:
+Every model provides two hooks, for hyperparameter values lam in its
+domain, and may override the defaults of three more; the estimators use
+the local density psi_lam and the prior p(lam) only as their product:
 
-- ``log_psi(thetas, lam)``: log of the unnormalized local density
-  psi_lam(theta) evaluated at a batch of latent states,
-- ``log_prior(lam)``: log prior density over the hyperparameter,
 - ``sample_local(lam, rng, size)``: exact draws from the normalized
   local density pi_lam = psi_lam / z(lam),
+- ``log_weight_matrix(thetas, points)``: the log-weights
+  log(psi_lam(theta) p(lam)) of a batch of latent states against many
+  values at once, shape (N, M), prior included; every bundled model
+  writes it with one batched evaluation,
 - optionally ``sample_local_many(points, rngs)``: one draw per row of
   points, row r from ``rngs[r]``, consuming each generator exactly as
   ``sample_local(points[r], rngs[r], 1)`` does; the base class loops,
   and the toy and discrete models override it with batched arithmetic
   (the griddy Gibbs chains of :mod:`margrid.baselines` call it once per
   lockstep iteration),
-- optionally ``log_weight_matrix(thetas, points)``: the log-weights
-  log(psi_lam(theta) p(lam)) of many values at once, shape (N, M), prior
-  included; the base class loops over ``log_psi`` and ``log_prior``, and
-  every bundled model overrides it with one batched evaluation,
 - optionally ``log_weight_blocks(thetas, points, grads)``: the columns of
   ``log_weight_matrix`` in blocks, each with, when ``grads`` is set, its
   hyperparameter gradients (the only place gradients come from); the
@@ -51,9 +49,8 @@ dgemm, which adds the terms of an entry in order, rounds the product
 exactly as the elementwise sum ((s0 c0 + s1) + c2) + ... does, with or
 without FMA.  A one-row or one-column product would go to gemv instead,
 which rounds differently on FMA kernels, so those take the elementwise
-sum.  A column therefore never depends on its companions: ``log_psi`` is
-the prior-free one-column case of the same arithmetic, and no bundled
-model writes a column on its own.
+sum.  A column therefore never depends on its companions: a one-point
+call gives the bits of the same column in any wider call.
 
 Curves read log-weights and gradients through ``log_weight_blocks(thetas,
 points, grads=False)``, which yields ``(cols, logw, grad)`` column
@@ -148,15 +145,6 @@ def _column_tiles(stats, coefs):
 class Model:
     """Interface shared by the model families; see the module docstring."""
 
-    #: shape of one latent draw; () for scalar states
-    theta_shape: tuple = ()
-
-    def log_psi(self, thetas, lam):
-        raise NotImplementedError
-
-    def log_prior(self, lam) -> float:
-        raise NotImplementedError
-
     def sample_local(self, lam, rng, size: int):
         raise NotImplementedError
 
@@ -184,14 +172,9 @@ class Model:
         The result is a fresh C-ordered float array, which the caller may
         overwrite; the estimators read it through ``np.ascontiguousarray``,
         so a model returning another layout costs a copy but changes no
-        result bit.  The default loops over grid columns; models override
-        this when a fully broadcast evaluation is cheaper.
+        result bit.
         """
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.empty((len(thetas), points.shape[0]))
-        for j, lam in enumerate(points):
-            out[:, j] = self.log_psi(thetas, lam) + self.log_prior(lam)
-        return out
+        raise NotImplementedError
 
     def log_weight_blocks(self, thetas, points, grads: bool = False):
         """Log-weights in column blocks: yields ``(cols, logw, grad)``.
@@ -280,14 +263,6 @@ class DiscreteModel(Model):
         lo, hi = self.atom_values.min() - 1.0, self.atom_values.max() + 1.0
         return HyperGrid(Domain(lo, hi), vals[:, None])
 
-    def log_psi(self, thetas, lam):
-        idx = np.asarray(thetas, dtype=int).ravel()
-        with np.errstate(divide="ignore"):
-            return np.log(self.psi_table[idx, self.column_of(lam)])
-
-    def log_prior(self, lam) -> float:
-        return float(np.log(self.prior[self.column_of(lam)]))
-
     def log_weight_matrix(self, thetas, points):
         cols = self._columns(points)
         idx = np.asarray(thetas, dtype=int).ravel()
@@ -339,12 +314,6 @@ class ToyBimodalModel(Model):
         a = _gauss_logpdf(self.y, thetas, 1.0 / self.q)
         b = _gauss_logpdf(self.y, -thetas, 1.0 / self.q)
         return np.logaddexp(a, b) + np.log(0.5)
-
-    def log_psi(self, thetas, lam):
-        return self.log_weight_matrix(thetas, _as_lambda(lam)[None, :])[:, 0]
-
-    def log_prior(self, lam) -> float:
-        return 0.0
 
     @staticmethod
     def _points(points) -> np.ndarray:
@@ -456,8 +425,8 @@ class GpRegressionModel(Model):
     with the log prior last.  A block of columns sharing tau2 is that one
     product, and the whole matrix gathers q_B per column and adds the
     same terms in the same order, so both routes give the same bits; a
-    one-column call (``log_psi``, or a lone tau2) takes the elementwise
-    sum (see ``_stats_times_coefs``).  ``log_weight_blocks`` yields the
+    one-point call, or a block of a lone tau2, takes the elementwise sum
+    (see ``_stats_times_coefs``).  ``log_weight_blocks`` yields the
     columns of one tau2 at a time, with their gradients from the same
     factor and whitening (``_fill_grads``).  The per-value
     factorization of C_lam + noise_var I, cached by ``_entry`` with C_lam,
@@ -478,7 +447,6 @@ class GpRegressionModel(Model):
         self.jitter_scale = float(jitter_scale)
         diff = x[:, None, :] - x[None, :, :]
         self._sqdist = np.sum(diff * diff, axis=-1)
-        self.theta_shape = (self.y.size,)
         self._cache: OrderedDict = OrderedDict()
 
     # -- kernel factorizations, cached per hyperparameter value --------
@@ -523,10 +491,6 @@ class GpRegressionModel(Model):
         return entry["post_mean"], entry["post_chol"]
 
     # -- Model interface ------------------------------------------------
-
-    def log_psi(self, thetas, lam):
-        return self._log_weights(thetas, self._points(_as_lambda(lam)[None, :]),
-                                 np.zeros(1))[:, 0]
 
     @staticmethod
     def _points(points) -> np.ndarray:
@@ -573,7 +537,7 @@ class GpRegressionModel(Model):
         return -0.5 * (self.y.size * (_LOG_2PI + np.log(self.noise_var))
                        + np.sum(resid * resid, axis=1) / self.noise_var)
 
-    def _coefs(self, points, logdets, log_priors):
+    def _coefs(self, points, logdets):
         """Coefficients (4, M) of the per-draw statistics [q_B, obs, 1, 1]:
         -1/(2 scale), 1, c0 = -(n log 2 pi + n log scale + log det B)/2 and
         the log prior, given log det B(tau2) per point."""
@@ -581,7 +545,7 @@ class GpRegressionModel(Model):
         coefs = np.ones((4, points.shape[0]))
         coefs[0] = -0.5 / scales
         coefs[2] = -0.5 * (self.y.size * (_LOG_2PI + np.log(scales)) + logdets)
-        coefs[3] = log_priors
+        coefs[3] = self._log_priors(points)
         return coefs
 
     def _fill_grads(self, q_b, q_e, traces, points):
@@ -630,11 +594,6 @@ class GpRegressionModel(Model):
         share the call.
         """
         points = self._points(points)
-        return self._log_weights(thetas, points, self._log_priors(points))
-
-    def _log_weights(self, thetas, points, log_priors):
-        """``log_weight_matrix`` with the given log priors in place of
-        p(lam); ``log_psi`` passes zeros."""
         thetas = self._draws(thetas)
         draws = np.asfortranarray(thetas)
         tau2s, group = np.unique(points[:, 1], return_inverse=True)
@@ -642,7 +601,7 @@ class GpRegressionModel(Model):
         qs = np.empty((thetas.shape[0], tau2s.size))
         for g, tau2 in enumerate(tau2s):
             logdets[g], qs[:, g], _ = self._whiten(draws, tau2, False)
-        coefs = self._coefs(points, logdets[group], log_priors)
+        coefs = self._coefs(points, logdets[group])
         out = np.empty((thetas.shape[0], points.shape[0]))
         # group is in range; mode="clip" keeps take from buffering out
         np.take(qs, group, axis=1, out=out, mode="clip")
@@ -665,7 +624,6 @@ class GpRegressionModel(Model):
         """
         points = self._points(points)
         thetas = self._draws(thetas)
-        log_priors = self._log_priors(points)
         draws = np.asfortranarray(thetas)
         stats = np.ones((thetas.shape[0], 4))
         stats[:, 1] = self._observation(thetas)
@@ -674,17 +632,14 @@ class GpRegressionModel(Model):
             cols = np.flatnonzero(group == g)
             logdet, q_b, extra = self._whiten(draws, tau2, grads)
             stats[:, 0] = q_b
-            block = _stats_times_coefs(stats, self._coefs(
-                points[cols], np.full(cols.size, logdet), log_priors[cols]))
+            block = _stats_times_coefs(
+                stats, self._coefs(points[cols], np.full(cols.size, logdet)))
             grad_block = None
             if grads:
                 trace, q_e = extra
                 grad_block = self._fill_grads(q_b[:, None], q_e[:, None], trace,
                                               points[cols])
             yield cols, block, grad_block
-
-    def log_prior(self, lam) -> float:
-        return float(self._log_priors(_as_lambda(lam)[None, :])[0])
 
     def sample_local(self, lam, rng, size: int):
         entry = self._entry(lam)
@@ -700,7 +655,8 @@ class GpRegressionModel(Model):
         return float(-0.5 * (n * _LOG_2PI + entry["logdet_noisy"] + self.y @ alpha))
 
     def exact_log_u(self, lam) -> float:
-        return self.log_marginal_likelihood(lam) + self.log_prior(lam)
+        return self.log_marginal_likelihood(lam) + float(
+            self._log_priors(_as_lambda(lam)[None, :])[0])
 
 
 def make_synthetic_gp_dataset(n: int = 16, seed: int = 7, noise_var: float = 1.0 / 16.0):

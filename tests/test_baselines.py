@@ -153,9 +153,6 @@ class _DeadAboveCutoff(mg.Model):
     def __init__(self, cutoff):
         self.cutoff = cutoff
 
-    def log_prior(self, lam):
-        return 0.0
-
     def sample_local(self, lam, rng, size):
         return rng.random(size)
 

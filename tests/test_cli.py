@@ -1,10 +1,12 @@
 """End-to-end command line runs: flags, outputs, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from margrid.cli import main
+from margrid.experiments import ExperimentConfig
 
 SMALL_TOY = """
 [model]
@@ -268,6 +270,31 @@ def test_replicate_counts_below_one_fail_cleanly(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert key in err
+
+
+@pytest.mark.parametrize("command", ["estimate", "compare", "rate-study", "design"])
+@pytest.mark.parametrize("edit,named", [
+    (("iterations = 2", "iteratons = 2"), "[design] iteratons"),
+    (("[design]", "[desgin]"), "[desgin]"),
+    (("[model]", "[DEFAULT]\nreplicates = 2\n\n[model]"), "[model] replicates"),
+], ids=["misspelled-key", "unknown-section", "default-key"])
+def test_unknown_config_keys_fail_before_any_file(tmp_path, capsys, command, edit, named):
+    # a key no runner reads is an error, not a silent default; a [DEFAULT]
+    # key is a key of every section
+    path = tmp_path / "exp.ini"
+    path.write_text(SMALL_TOY.replace(*edit))
+    out = tmp_path / "x"
+    assert run_cli(command, "--config", str(path), "--out", str(out)) == 1
+    assert capsys.readouterr().err.startswith(f"error: {named} is not a config ")
+    assert not out.exists()
+
+
+def test_shipped_and_test_configs_load(tmp_path):
+    (tmp_path / "table.csv").write_text(SMALL_TABLE)
+    for text in (SMALL_TOY, SMALL_GP, SMALL_DISCRETE):
+        ExperimentConfig.from_text(text, base_dir=str(tmp_path))
+    bench = Path(__file__).resolve().parents[1] / "bench" / "study.ini"
+    assert ExperimentConfig.load(bench).get("design", "probe_points") == "-1 1"
 
 
 def test_design_without_iterations_writes_nothing(tmp_path, capsys):

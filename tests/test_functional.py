@@ -181,7 +181,7 @@ def test_batched_gradients_match_the_per_point_formula(toy_functional, toy_model
     points = np.linspace(-1.9, 1.9, 9)[:, None]
     _, grads = fn.curve_with_gradient(points)
     for lam, grad in zip(points, grads):
-        r = np.exp(toy_model.log_psi(fn._thetas, lam) + toy_model.log_prior(lam)
+        r = np.exp(toy_model.log_weight_matrix(fn._thetas, lam[None])[:, 0]
                    - fn.emus.cache.lse)
         # d/dlam log psi_lam(theta) = tau (theta - lam); the prior is flat
         g = toy_model.tau * (fn._thetas - lam[0])
@@ -190,19 +190,16 @@ def test_batched_gradients_match_the_per_point_formula(toy_functional, toy_model
         np.testing.assert_allclose(fn.gradient(lam), expected, rtol=1e-12)
 
 
-class PointwiseToy(mg.models.Model):
-    """A model with only the required hooks, so its log-weights come from
-    the base-class loop and its blocks from the default, which has no
-    gradients."""
+class TwoHookToy(mg.models.Model):
+    """The toy model behind only the two required hooks, so its batched
+    draws come from the base-class loop and its blocks from the default,
+    which has no gradients."""
 
     def __init__(self, toy):
         self.toy = toy
 
-    def log_psi(self, thetas, lam):
-        return self.toy.log_psi(thetas, lam)
-
-    def log_prior(self, lam):
-        return self.toy.log_prior(lam)
+    def log_weight_matrix(self, thetas, points):
+        return self.toy.log_weight_matrix(thetas, points)
 
     def sample_local(self, lam, rng, size):
         return self.toy.sample_local(lam, rng, size)
@@ -531,21 +528,28 @@ def test_toy_block_curves_are_the_whole_matrix_product(toy_functional):
     np.testing.assert_array_equal(fn.marginal_many(points), fn._curve(ratios))
 
 
-def test_pointwise_models_reduce_through_the_default_block(toy_fit, toy_model):
-    # a model with only the pointwise interface gets its curves and
-    # expectations from one default block, the whole-matrix arithmetic,
-    # and no gradients
-    fn = mg.FunctionalEstimate(toy_fit, PointwiseToy(toy_model))
+def test_pointwise_models_reduce_through_the_default_block(toy_model, toy_grid):
+    # a model with only the two required hooks runs the whole pipeline to
+    # the toy's bits: the griddy chains draw through the base-class loop,
+    # and curves and expectations reduce one default block, which is the
+    # toy's one tile at 11 points; it has no gradients
     eval_grid = mg.make_regular_grid(mg.Domain(-2.0, 2.0), 11)
-    points = eval_grid.points
-    ratios = fn._ratio_matrix(points)
-    np.testing.assert_array_equal(fn.marginal_many(points), fn._curve(ratios))
-    with pytest.raises(mg.GradientUnavailableError):
-        fn.curve_with_gradient(points)
-    phi = fn._thetas ** 2
-    quad = mg.trapezoid_weights(eval_grid)
-    expected = (fn._curve(ratios * phi[:, None]) @ quad) / (fn._curve(ratios) @ quad)
-    assert fn.expectation(lambda t: t ** 2, eval_grid) == float(expected)
+    runs = []
+    for model in (toy_model, TwoHookToy(toy_model)):
+        bank = mg.draw_sample_bank(model, toy_grid, 32, master_seed=404)
+        fit = mg.fit_emus(bank, model)
+        diag = mg.variance_diagnostics(fit)
+        chains = mg.run_griddy_chains(model, toy_grid, 300,
+                                      [np.random.default_rng(s) for s in (5, 6)], burn_in=10)
+        fn = mg.FunctionalEstimate(fit, model)
+        runs.append([bank.flattened()[0], fit.transition, fit.stationary, diag.R, diag.Q,
+                     diag.rel_var_bound, *[trace.visits for trace in chains],
+                     fn.marginal_many(eval_grid.points),
+                     fn.expectation(lambda t: t ** 2, eval_grid)])
+    for toy_bits, two_hook_bits in zip(*runs):
+        np.testing.assert_array_equal(two_hook_bits, toy_bits)
+    with pytest.raises(mg.GradientUnavailableError):  # the two-hook model's curve
+        fn.curve_with_gradient(eval_grid.points)
 
 
 def test_gp_curves_leave_the_factor_cache_alone(gp_surface_fit):

@@ -31,7 +31,7 @@ def test_toy_marginal_matches_quadrature(toy_model):
     # over theta numerically and compare in log space.
     for lam in (-1.5, 0.0, 0.4, 2.0):
         val, err = quad(
-            lambda th: math.exp(toy_model.log_psi(np.array([th]), lam)[0]),
+            lambda th: math.exp(toy_model.log_weight_matrix([th], [[lam]])[0, 0]),
             -12.0,
             12.0,
             limit=200,
@@ -126,6 +126,12 @@ def test_toy_rejects_nonpositive_precisions():
 def gp_model():
     x, y = mg.make_synthetic_gp_dataset(n=8, seed=3)
     return mg.GpRegressionModel(x, y)
+
+
+def gp_log_prior(points):
+    """log p(lam) = -log tau1 - log tau2 for every row of points: the flat
+    prior on (log tau1, log tau2)."""
+    return -np.log(points[:, 0]) - np.log(points[:, 1])
 
 
 def gp_log_psi_oracle(model, thetas, lam):
@@ -257,6 +263,7 @@ def gp_log_weight_columnwise(model, thetas, points):
                   + np.sum(resid * resid, axis=1) / model.noise_var)
     draws = np.asfortranarray(thetas)
     tau2s, group = np.unique(points[:, 1], return_inverse=True)
+    log_priors = gp_log_prior(points)
     out = np.empty((thetas.shape[0], points.shape[0]))
     for g, tau2 in enumerate(tau2s):
         base = np.exp(-tau2 * model._sqdist) + model.jitter_scale * np.eye(n)
@@ -267,7 +274,7 @@ def gp_log_weight_columnwise(model, thetas, points):
         for j in np.flatnonzero(group == g):
             scale = points[j, 0] / tau2
             c0 = -0.5 * (n * (_LOG_2PI + np.log(scale)) + logdet)
-            out[:, j] = ((q * (-0.5 / scale) + obs) + c0) + model.log_prior(points[j])
+            out[:, j] = ((q * (-0.5 / scale) + obs) + c0) + log_priors[j]
     return out
 
 
@@ -306,8 +313,8 @@ def test_gp_log_weight_matrix_matches_the_oracle(n, seed, jitter_scale):
     model = mg.GpRegressionModel(x, y, jitter_scale=jitter_scale)
     thetas, points = gp_draws_and_points(model, seed)
     fast = model.log_weight_matrix(thetas, points)
-    slow = np.stack([gp_log_psi_oracle(model, thetas, p) + model.log_prior(p)
-                     for p in points], axis=1)
+    slow = np.stack([gp_log_psi_oracle(model, thetas, p) for p in points],
+                    axis=1) + gp_log_prior(points)
     np.testing.assert_allclose(fast, slow, rtol=1e-9, atol=1e-9)
 
 
@@ -315,23 +322,26 @@ def test_gp_log_weights_no_worse_than_the_oracle_in_extended_precision():
     # The benchmark's GP configuration reaches cond(C) ~ 1e10, where
     # neither path is exact.  Against a long-double reference, over every
     # grid column, the batched path must be as accurate as the per-column
-    # one.  Errors are relative to max(|ref|, 1): log-weights near zero
-    # make a plain relative error meaningless.  The maximum is taken over
-    # all 144 columns because over a dozen it swings by 2x either way.
+    # one; both add the prior, the reference in long double.  Errors are
+    # relative to max(|ref|, 1): log-weights near zero make a plain
+    # relative error meaningless.  The maximum is taken over all 144
+    # columns because over a dozen it swings by 2x either way.
     x, y = mg.make_synthetic_gp_dataset(16, 7)
     model = mg.GpRegressionModel(x, y)
     grid = mg.make_regular_grid(mg.Domain([0.1, 0.1], [10.0, 10.0]), [12, 12], "log")
     thetas, _ = mg.draw_sample_bank(model, grid, 64, master_seed=11).flattened()
     rng = np.random.default_rng(0)
     thetas = thetas[np.sort(rng.choice(thetas.shape[0], 2048, replace=False))]
-    fast = np.stack([model.log_psi(thetas, lam) for lam in grid.points], axis=1)
+    fast = model.log_weight_matrix(thetas, grid.points)
+    log_priors = gp_log_prior(grid.points)
     err_fast = err_oracle = 0.0
     for j, lam in enumerate(grid.points):
-        ref = gp_log_psi_long_double(model, thetas, lam)
+        ref = (gp_log_psi_long_double(model, thetas, lam)
+               - np.log(np.longdouble(lam[0])) - np.log(np.longdouble(lam[1])))
         scale = np.maximum(np.abs(ref), 1)
         err_fast = max(err_fast, float(np.max(np.abs(fast[:, j] - ref) / scale)))
-        err_oracle = max(err_oracle, float(np.max(
-            np.abs(gp_log_psi_oracle(model, thetas, lam) - ref) / scale)))
+        oracle = gp_log_psi_oracle(model, thetas, lam) + log_priors[j]
+        err_oracle = max(err_oracle, float(np.max(np.abs(oracle - ref) / scale)))
     assert err_fast <= 1.25 * err_oracle
     assert err_fast < 1e-4
 
@@ -494,16 +504,16 @@ def gp_grid_case():
                                   gp_small_case, gp_grid_case],
                          ids=["toy", "toy-tiles-33", "toy-tiles-256", "discrete",
                               "gp-3x3+4", "gp-24x24"])
-def test_log_weights_are_log_psi_plus_log_prior(case):
-    # the model contract: every bundled model adds its own log prior, bit
-    # for bit as the scalar hooks do, its blocks scatter back into the
-    # whole matrix, and its fused gradient blocks (where it has them) are
-    # the bits of one-point blocks
+def test_log_weight_columns_are_one_point_calls(case):
+    # the model contract: every column of the wide matrix is the bits of a
+    # one-point call, its blocks scatter back into the whole matrix, and
+    # its fused gradient blocks (where it has them) are the bits of
+    # one-point blocks
     model, thetas, points = case()
     matrix = model.log_weight_matrix(thetas, points)
     for j, lam in enumerate(points):
         np.testing.assert_array_equal(
-            matrix[:, j], model.log_psi(thetas, lam) + model.log_prior(lam))
+            matrix[:, j], model.log_weight_matrix(thetas, lam[None])[:, 0])
     grads = not isinstance(model, mg.DiscreteModel)
     logw, grad, count = gather_blocks(model, thetas, points, grads=grads)
     if len(thetas) == TOY_TILED_DRAWS:
@@ -520,7 +530,7 @@ def test_log_weights_are_log_psi_plus_log_prior(case):
 def test_gp_log_weights_reject_a_bad_lambda(gp_model, lam):
     thetas = np.zeros((2, gp_model.y.size))
     with pytest.raises(ValueError):
-        gp_model.log_psi(thetas, lam)
+        gp_model.log_weight_matrix(thetas, [lam])
     with pytest.raises(ValueError):
         gp_model.log_weight_matrix(thetas, [(1.0, 1.0), lam])
 
@@ -545,7 +555,7 @@ def test_gp_gradient_matches_finite_differences(gp_model):
     h = 1e-6
 
     def logp(t, l):
-        return gp_model.log_psi(t, l) + gp_model.log_prior(l)
+        return gp_model.log_weight_matrix(t, l[None, :])[:, 0]
 
     grad = block_grads(gp_model, thetas, lam[None, :])[:, 0]
     for r in range(2):
@@ -647,15 +657,14 @@ def test_discrete_log_weight_matrix_matches_columnwise():
     model, thetas, points = discrete_case()
     fast = model.log_weight_matrix(thetas, points)
     assert np.isneginf(fast).any()
-    # against the table and the prior themselves, and log_psi as the
-    # table column
+    # against the table and the prior themselves, and one-point calls
+    # as the same columns
     cols = [2, 0, 1, 2, 0]
     with np.errstate(divide="ignore"):
-        direct = [np.log(model.psi_table[thetas, c]) for c in cols]
-    np.testing.assert_array_equal(
-        fast, np.stack(direct, axis=1) + np.log(model.prior[cols]))
+        direct = [np.log(model.psi_table[thetas, c]) + np.log(model.prior[c]) for c in cols]
+    np.testing.assert_array_equal(fast, np.stack(direct, axis=1))
     for p, col in zip(points, direct):
-        np.testing.assert_array_equal(model.log_psi(thetas, p), col)
+        np.testing.assert_array_equal(model.log_weight_matrix(thetas, p[None])[:, 0], col)
     with pytest.raises(mg.GridError):
         model.log_weight_matrix(thetas, [[0.0], [0.25]])
 

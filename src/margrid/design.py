@@ -97,12 +97,13 @@ def extend_to_eval_grid(functional: FunctionalEstimate,
     solve.  Beside the (S, M) weights a, only Y is held while F is formed.
     """
     sim_idx = _require_subset(functional.emus.grid, eval_grid)
-    b = functional._ratio_matrix(eval_grid.points)
+    with np.errstate(over="ignore"):  # an overflowing weight makes u infinite
+        b = functional._ratio_matrix(eval_grid.points)
     u_eval = functional._curve(b)
-    if np.any(u_eval <= 0):
+    if not np.all((u_eval > 0) & (u_eval < np.inf)):
         raise MargridError(
-            "the reweighted curve vanishes at some evaluation points; the "
-            "evaluation grid reaches beyond the samples' support"
+            "the reweighted curve vanishes or overflows at some evaluation "
+            "points; the evaluation grid reaches beyond the samples' support"
         )
     r = b.sum(axis=1)
     k = functional._weights * r
@@ -295,17 +296,16 @@ class DesignState:
         return int(self.draw_counts.sum())
 
 
+def _even_indices(n: int, k: int) -> np.ndarray:
+    """k evenly spread indices into n points; distinct for k <= n, spaced >= 1."""
+    return np.round(np.linspace(0, n - 1, k)).astype(int)
+
+
 def _bootstrap_allocation(M: int, blocks: int) -> np.ndarray:
     """Evenly spread first-iteration allocation over the evaluation grid."""
     base, rem = divmod(int(blocks), M)
     alloc = np.full(M, base, dtype=int)
-    if rem:
-        idx = np.unique(np.round(np.linspace(0, M - 1, rem)).astype(int))
-        alloc[idx] += 1
-        short = rem - idx.size
-        if short > 0:
-            order = np.argsort(alloc, kind="stable")
-            alloc[order[:short]] += 1
+    alloc[_even_indices(M, rem)] += 1
     return alloc
 
 
@@ -341,7 +341,7 @@ def run_design_loop(model: Model, eval_grid: HyperGrid, iterations: int,
         samples_per_block=int(samples_per_block),
         block_counts=np.zeros(M, dtype=int),
     )
-    stash = [[] for _ in range(M)]
+    stash = [[] for _ in range(M)]  # the draws of each point, round by round
     functional = None
     for it in range(int(iterations)):
         try:
@@ -372,9 +372,10 @@ def run_design_loop(model: Model, eval_grid: HyperGrid, iterations: int,
                 points=eval_grid.points[occupied],
                 scale=eval_grid.scale,
             )
-            samples = [np.concatenate(stash[m], axis=0) for m in occupied]
-            counts = np.array([s.shape[0] for s in samples])
-            bank = SampleBank(grid=sim_grid, samples=samples, counts=counts)
+            # unvisited points stash nothing, so this is grid order over occupied
+            thetas = np.concatenate([d for drawn in stash for d in drawn], axis=0)
+            bank = SampleBank(grid=sim_grid, thetas=thetas,
+                              counts=state.draw_counts[occupied])
             emus = fit_emus(bank, model, on_degenerate="truncate")
             if emus.truncated:
                 state.truncated_iterations.append(it)

@@ -134,7 +134,7 @@ def weight_ratio_variances(estimate: EmusEstimate) -> np.ndarray:
     quantity whose row means form the transition matrix.  Rows with a
     single draw are unavailable and reported as NaN, never as zero.
     """
-    return segment_var(estimate.cache.ratios, estimate.cache.offsets)
+    return segment_var(estimate.cache.ratios, estimate.bank.offsets)
 
 
 def _bound_terms(R: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -211,7 +211,7 @@ def pointwise_variance_bound(functional, lam, diagnostics: VarianceDiagnostics |
         return float(np.sum(grid_part))
     # one kernel column serves both the per-point variances and the curve
     ratios = functional._ratio_matrix([lam])
-    r = segment_var(ratios[:, 0], functional._offsets)
+    r = segment_var(ratios[:, 0], est.bank.offsets)
     u_lam = float(functional._curve(ratios)[0])
     if not u_lam > 0:
         return float("inf")

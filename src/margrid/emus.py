@@ -1,7 +1,8 @@
 """Core estimator: reweighting local samples into a stationary vector.
 
 Monte Carlo samples are drawn independently at each grid point from the
-normalized local density pi_i.  For each sample the vector of log-weights
+normalized local density pi_i and pooled: a :class:`SampleBank` stacks
+every draw once, in grid order.  For each sample the vector of log-weights
 log(psi_j(theta) p(lam_j)) over all grid columns j is normalized by its
 log-sum-exp and cached.  Averaging the normalized weights row by row gives
 a row-stochastic matrix whose stationary vector, rescaled to sum L,
@@ -58,40 +59,40 @@ def child_rng(master_seed: int, *key: int) -> np.random.Generator:
 
 @dataclass
 class SampleBank:
-    """Local samples grouped by grid point.
+    """Local samples of every grid point, stacked in one array.
 
     Parameters
     ----------
     grid : HyperGrid
-    samples : list of ndarray
-        One array per grid point, leading axis of length counts[i].
+    thetas : ndarray
+        All draws stacked on axis 0 in grid order: point i's draws are
+        the rows ``offsets[i]:offsets[i + 1]``.
     counts : ndarray of int
         Draws per point, all >= 1.
     """
 
     grid: HyperGrid
-    samples: list
+    thetas: np.ndarray
     counts: np.ndarray
 
     def __post_init__(self):
+        self.thetas = np.asarray(self.thetas)
         self.counts = np.asarray(self.counts, dtype=int)
-        if len(self.samples) != len(self.grid) or self.counts.size != len(self.grid):
-            raise ValueError("need one sample block and count per grid point")
+        if self.counts.shape != (len(self.grid),):
+            raise ValueError("need one count per grid point")
         if np.any(self.counts < 1):
             raise ValueError("every grid point needs at least one sample")
-        for i, block in enumerate(self.samples):
-            if np.asarray(block).shape[0] != self.counts[i]:
-                raise ValueError(f"sample block {i} does not match its count")
+        if self.thetas.shape[:1] != (self.total,):
+            raise ValueError("the stacked draws do not match the counts")
 
     @property
     def total(self) -> int:
         return int(self.counts.sum())
 
-    def flattened(self):
-        """All samples stacked on axis 0, plus segment offsets (L+1,)."""
-        stacked = np.concatenate([np.asarray(b) for b in self.samples], axis=0)
-        offsets = np.concatenate([[0], np.cumsum(self.counts)])
-        return stacked, offsets
+    @property
+    def offsets(self) -> np.ndarray:
+        """Segment offsets (L+1,): point i's draws are rows offsets[i]:offsets[i+1]."""
+        return np.concatenate([[0], np.cumsum(self.counts)])
 
 
 def draw_sample_bank(model: Model, grid: HyperGrid, counts, master_seed: int,
@@ -103,11 +104,9 @@ def draw_sample_bank(model: Model, grid: HyperGrid, counts, master_seed: int,
     replicates independent.
     """
     counts = np.broadcast_to(np.asarray(counts, dtype=int), (len(grid),)).copy()
-    samples = []
-    for i, lam in enumerate(grid.points):
-        rng = child_rng(master_seed, *spawn_prefix, i)
-        samples.append(np.asarray(model.sample_local(lam, rng, int(counts[i]))))
-    return SampleBank(grid=grid, samples=samples, counts=counts)
+    draws = [model.sample_local(lam, child_rng(master_seed, *spawn_prefix, i), int(counts[i]))
+             for i, lam in enumerate(grid.points)]
+    return SampleBank(grid=grid, thetas=np.concatenate(draws, axis=0), counts=counts)
 
 
 @dataclass
@@ -117,24 +116,22 @@ class LogWeightCache:
     ``ratios[s, j]`` is psi_j(theta_s) p(lam_j) / sum_l psi_l(theta_s) p(lam_l),
     exactly 0 where the log-weight is more than LOG_WEIGHT_FLOOR below
     the sample's own maximum; ``lse`` is the per-sample log-sum-exp of
-    the log-weights over columns.  ``offsets`` delimits the sample
-    segments of each grid point.
+    the log-weights over columns.  Rows follow the bank's stacked draws.
     """
 
     ratios: np.ndarray
     lse: np.ndarray
-    offsets: np.ndarray
 
 
 def compute_log_weights(bank: SampleBank, model: Model) -> LogWeightCache:
     """Evaluate all sample-against-column log-weights; cache them normalized."""
-    thetas, offsets = bank.flattened()
-    points = bank.grid.points
-    logw = np.ascontiguousarray(model.log_weight_matrix(thetas, points), dtype=float)
+    logw = np.ascontiguousarray(model.log_weight_matrix(bank.thetas, bank.grid.points),
+                                dtype=float)
     row_max = np.max(logw, axis=1)
     bad = ~np.isfinite(row_max)
     if np.any(bad):
         s = int(np.argmax(bad))
+        offsets = bank.offsets
         point = int(np.searchsorted(offsets, s, side="right") - 1)
         raise DegenerateWeightError(
             f"sample {s - offsets[point]} at grid point {point} has zero weight "
@@ -148,7 +145,7 @@ def compute_log_weights(bank: SampleBank, model: Model) -> LogWeightCache:
     np.exp(logw, out=logw)
     sums = np.sum(logw, axis=1)
     logw /= sums[:, None]
-    return LogWeightCache(ratios=logw, lse=row_max + np.log(sums), offsets=offsets)
+    return LogWeightCache(ratios=logw, lse=row_max + np.log(sums))
 
 
 def segment_mean(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -197,7 +194,7 @@ def estimate_transition_matrix(bank: SampleBank, model: Model):
     (F, cache) : (ndarray of shape (L, L), LogWeightCache)
     """
     cache = compute_log_weights(bank, model)
-    return segment_mean(cache.ratios, cache.offsets), cache
+    return segment_mean(cache.ratios, bank.offsets), cache
 
 
 def stationary_vector(transition: np.ndarray) -> np.ndarray:

@@ -95,21 +95,14 @@ def exhaustive_discrete_bank(model: DiscreteModel, columns=None) -> SampleBank:
     sums against pi_i and the sampled estimators must reproduce the
     enumerated ones to rounding.
     """
-    columns = np.asarray(
-        np.arange(model.atom_values.size) if columns is None else columns, dtype=int
-    )
+    columns, _ = _discrete_parts(model, columns)
     table = model.psi_table[:, columns]
     if not np.allclose(table, np.round(table)):
         raise ValueError("exhaustive banks need integer psi-table entries")
-    grid = model.grid(columns)
-    samples, counts = [], []
-    atoms = np.arange(table.shape[0])
-    for i in range(columns.size):
-        reps = np.round(table[:, i]).astype(int)
-        block = np.repeat(atoms, reps)
-        samples.append(block)
-        counts.append(block.size)
-    return SampleBank(grid=grid, samples=samples, counts=np.asarray(counts))
+    reps = np.round(table.T).astype(int)  # row i: how often column i draws each atom
+    atoms = np.tile(np.arange(table.shape[0]), columns.size)
+    return SampleBank(grid=model.grid(columns), thetas=np.repeat(atoms, reps.ravel()),
+                      counts=reps.sum(axis=1))
 
 
 def _quadrature_weight_table(model: Model, grid: HyperGrid, theta_nodes: np.ndarray):

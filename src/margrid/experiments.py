@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import run_griddy_chains
-from .design import run_design_loop, design_history_to_csv
+from .design import _even_indices, design_history_to_csv, run_design_loop
 from .emus import child_rng, draw_sample_bank, fit_emus
 from .errors import GridError, MargridError
 from .functional import FunctionalEstimate, argmax_on, profile
@@ -118,7 +118,8 @@ class ExperimentConfig:
         return self.parser.get(section, key, fallback=fallback)
 
     def getint(self, section: str, key: str, fallback=None):
-        return self.parser.getint(section, key, fallback=fallback)
+        raw = self.get(section, key)
+        return fallback if raw is None else _int64(section, key, raw)
 
     def getfloat(self, section: str, key: str, fallback=None):
         return self.parser.getfloat(section, key, fallback=fallback)
@@ -137,7 +138,7 @@ class ExperimentConfig:
             if fallback is None:
                 raise GridError(f"config needs [{section}] {key}")
             return list(fallback)
-        return [int(tok) for tok in raw.replace(",", " ").split()]
+        return [_int64(section, key, tok) for tok in raw.replace(",", " ").split()]
 
     def resolve_path(self, value: str) -> str:
         return value if os.path.isabs(value) else os.path.join(self.base_dir, value)
@@ -164,10 +165,19 @@ class ExperimentConfig:
                 raise FileNotFoundError(f"[model] {key} = {value}: no such file")
 
 
+def _int64(section: str, key: str, token: str) -> int:
+    """An integer config value that numpy can hold, or GridError naming its key."""
+    try:
+        return int(np.int64(int(token)))
+    except (ValueError, OverflowError):
+        raise GridError(f"[{section}] {key} = {token!r} is not a 64-bit integer") from None
+
+
 def _resolve_seed(config: ExperimentConfig, seed) -> int:
     if seed is not None:
         return int(seed)
-    return config.getint("sampling", "master_seed", fallback=0)
+    # a seed is any nonnegative integer: SeedSequence takes them unbounded
+    return config.parser.getint("sampling", "master_seed", fallback=0)
 
 
 def _at_least(value: int, key: str, least: int = 1, why: str = "") -> int:
@@ -194,15 +204,17 @@ def build_model(config: ExperimentConfig) -> Model:
             tau=config.getfloat("model", "tau", fallback=2.0),
         )
     if kind == "discrete":
-        table = discrete_table_from_csv(config.resolve_path(config.get("model", "table")))
-        return DiscreteModel(table)
+        table = config.get("model", "table")
+        if table is None:
+            raise GridError("config needs [model] table")
+        return DiscreteModel(discrete_table_from_csv(config.resolve_path(table)))
     if kind in ("gp-regression", "gp"):
         noise_var = config.getfloat("model", "noise_var", fallback=1.0 / 16.0)
         dataset = config.get("model", "dataset", fallback="synthetic")
         if dataset == "synthetic":
             x, y = make_synthetic_gp_dataset(
                 n=config.getint("model", "n_data", fallback=16),
-                seed=config.getint("model", "dataset_seed", fallback=7),
+                seed=config.parser.getint("model", "dataset_seed", fallback=7),
                 noise_var=noise_var,
             )
         else:
@@ -289,8 +301,10 @@ def exact_reference(model: Model, eval_grid: HyperGrid, sim_grid: HyperGrid) -> 
     log_s = _exact_logs(model, sim_grid.points)
     shift = max(log_e.max(), log_s.max())
     z_e = np.exp(log_e - shift)
-    z_s = np.exp(log_s - shift)
-    return z_e * (len(sim_grid) / z_s.sum())
+    total = np.exp(log_s - shift).sum()
+    if total == 0.0:
+        raise MargridError("the exact curve underflows on the whole simulation grid")
+    return z_e * (len(sim_grid) / total)
 
 
 # --------------------------------------------------------------------------
@@ -619,7 +633,8 @@ def run_rate_study(config: ExperimentConfig, out_dir: str, *, seed=None,
         rows.append(("fixed-grid", n_per, reps, errs.mean(), float(np.median(errs))))
 
     half = len(n_sweep) // 2
-    if len(n_sweep) - half >= 2:
+    # a zero mean error has no logarithm, so it leaves the slope undefined
+    if len(n_sweep) - half >= 2 and min(fixed_means[half:]) > 0:
         slope = float(np.polyfit(np.log(np.asarray(n_sweep[half:], dtype=float)),
                                  np.log(np.asarray(fixed_means[half:])), 1)[0])
     else:
@@ -659,10 +674,6 @@ def run_rate_study(config: ExperimentConfig, out_dir: str, *, seed=None,
     }
     manifest["outputs"] = ["rates.csv"]
     return _write_manifest(out_dir, manifest)
-
-
-def _uniform_baseline_indices(n_points: int, n_sites: int) -> np.ndarray:
-    return np.unique(np.round(np.linspace(0, n_points - 1, min(n_sites, n_points))).astype(int))
 
 
 def run_design_study(config: ExperimentConfig, out_dir: str, *, seed=None,
@@ -708,6 +719,8 @@ def run_design_study(config: ExperimentConfig, out_dir: str, *, seed=None,
                        "[design] blocks_per_iteration")
     per_block = _at_least(config.getint("design", "samples_per_block", fallback=8),
                           "[design] samples_per_block")
+    n_sites = _at_least(config.getint("design", "baseline_points", fallback=blocks),
+                        "[design] baseline_points")
     comments = _comments(config, master)
 
     state, functional = run_design_loop(model, eval_grid, iterations, blocks, per_block,
@@ -733,8 +746,7 @@ def run_design_study(config: ExperimentConfig, out_dir: str, *, seed=None,
             int(np.argmin(((working - pw) ** 2).sum(axis=1))) for pw in probe_work
         ]
         total = state.total_draws
-        n_sites = config.getint("design", "baseline_points", fallback=blocks)
-        site_idx = _uniform_baseline_indices(len(eval_grid), n_sites)
+        site_idx = _even_indices(len(eval_grid), min(n_sites, len(eval_grid)))
         base_counts = np.full(site_idx.size, total // site_idx.size, dtype=int)
         base_counts[: total - base_counts.sum()] += 1
         sub_grid = HyperGrid(domain=eval_grid.domain,

@@ -52,7 +52,6 @@ class FunctionalEstimate:
     def __init__(self, emus: EmusEstimate, model: Model):
         self.emus = emus
         self.model = model
-        self._thetas, self._offsets = emus.bank.flattened()
         # c_s = u_i / N_i for every draw s at grid point i
         self._weights = np.repeat(emus.stationary / emus.counts, emus.counts)
 
@@ -71,7 +70,7 @@ class FunctionalEstimate:
         """Kernel weights for many values at once, shape (samples, M)."""
         points = self._query_points(points)
         ratios = np.ascontiguousarray(
-            self.model.log_weight_matrix(self._thetas, points), dtype=float
+            self.model.log_weight_matrix(self.emus.bank.thetas, points), dtype=float
         )
         ratios -= self.emus.cache.lse[:, None]
         return np.exp(ratios, out=ratios)
@@ -111,7 +110,7 @@ class FunctionalEstimate:
         values = np.empty(len(points))
         gradients = np.empty(points.shape) if grads else None
         weighted = np.empty(len(points)) if phi_vals is not None else None
-        blocks = self.model.log_weight_blocks(self._thetas, points, grads)
+        blocks = self.model.log_weight_blocks(self.emus.bank.thetas, points, grads)
         for cols, block, grad in blocks:
             block = np.ascontiguousarray(block, dtype=float)
             block -= lse
@@ -173,8 +172,8 @@ class FunctionalEstimate:
         """
         if quad_weights is None:
             quad_weights = trapezoid_weights(eval_grid)
-        phi_vals = np.asarray(phi(self._thetas), dtype=float)
-        if phi_vals.shape != (len(self._thetas),):
+        phi_vals = np.asarray(phi(self.emus.bank.thetas), dtype=float)
+        if phi_vals.shape != (self.emus.bank.total,):
             raise ValueError("phi must map the sample array to one value per sample")
         values, _, weighted = self._reduce(eval_grid.points, phi_vals=phi_vals)
         denominator = values @ quad_weights

@@ -235,11 +235,8 @@ class DiscreteModel(Model):
         if self.prior.shape != (n_atoms,) or np.any(self.prior <= 0):
             raise ValueError("prior must be a positive vector over lambda-atoms")
         # per-column CDFs formed as Generator.choice(p=w / w.sum()) forms them
-        self._cdfs = np.empty((n_atoms, table.shape[0]))
-        for a in range(n_atoms):
-            w = table[:, a]
-            self._cdfs[a] = np.cumsum(w / w.sum())
-            self._cdfs[a] /= self._cdfs[a, -1]
+        self._cdfs = np.array([np.cumsum(w / w.sum()) for w in table.T])
+        self._cdfs /= self._cdfs[:, -1:]
 
     def _columns(self, points) -> np.ndarray:
         """Table columns of many hyperparameter values, one per row of points."""
@@ -270,12 +267,11 @@ class DiscreteModel(Model):
             return np.log(self.psi_table[np.ix_(idx, cols)]) + np.log(self.prior[cols])
 
     def sample_local(self, lam, rng, size: int):
-        col = self.column_of(lam)
-        w = self.psi_table[:, col]
-        return rng.choice(w.size, size=size, p=w / w.sum())
+        # the inverse-CDF lookup of Generator.choice(p=w / w.sum())
+        return self._cdfs[self.column_of(lam)].searchsorted(rng.random(size), side="right")
 
     def sample_local_many(self, points, rngs):
-        # the inverse-CDF lookup of Generator.choice, one uniform per row
+        # sample_local's lookup, one uniform per row
         cdfs = self._cdfs[self._columns(points)]
         return np.array([cdf.searchsorted(g.random(), side="right")
                          for cdf, g in zip(cdfs, rngs)])
@@ -301,8 +297,8 @@ class ToyBimodalModel(Model):
     """
 
     def __init__(self, y: float = 1.0, q: float = 2.0, tau: float = 2.0):
-        if q <= 0 or tau <= 0:
-            raise ValueError("precisions q and tau must be positive")
+        if not (np.isfinite(y) and 0 < q < np.inf and 0 < tau < np.inf):
+            raise ValueError("y must be finite and the precisions q and tau finite and positive")
         self.y = float(y)
         self.q = float(q)
         self.tau = float(tau)
@@ -441,8 +437,8 @@ class GpRegressionModel(Model):
         self.y = np.asarray(y, dtype=float).ravel()
         if self.y.size != x.shape[0]:
             raise ValueError("x and y must have matching lengths")
-        if noise_var <= 0:
-            raise ValueError("noise_var must be positive")
+        if not 0 < noise_var < np.inf:
+            raise ValueError("noise_var must be finite and positive")
         self.noise_var = float(noise_var)
         self.jitter_scale = float(jitter_scale)
         diff = x[:, None, :] - x[None, :, :]

@@ -159,7 +159,7 @@ ESTIMATE_OUTPUTS = ("curve.csv", "diagnostics.csv", "errors.csv", "manifest.json
 ], ids=["gp-estimate", "gp-compare", "gp-rate-study", "gp-design", "discrete-estimate",
         "discrete-compare", "discrete-rate-study", "discrete-design"])
 def test_gp_and_discrete_studies_run_end_to_end(tmp_path, kind, text, command, outputs):
-    # every command, twice, under pyproject's error::RuntimeWarning filter
+    # every command, twice, under pyproject's warnings-as-errors filter
     (tmp_path / "table.csv").write_text(SMALL_TABLE)
     path = tmp_path / f"{kind}.ini"
     path.write_text(text)
@@ -179,13 +179,24 @@ def test_missing_config_file_fails_cleanly(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+# an integer numpy cannot hold: int64 ends at 2**63 - 1
+TOO_BIG = "99999999999999999999"
+
+
 def test_incomplete_config_fails_cleanly(tmp_path, capsys):
-    path = tmp_path / "bad.ini"
-    path.write_text("[model]\nkind = toy\n")
-    code = run_cli("estimate", "--config", str(path),
-                   "--out", str(tmp_path / "x"))
-    assert code == 1
-    assert "config needs" in capsys.readouterr().err
+    domain = "[domain]\nlower = -2\nupper = 2\n"
+    for text, named in (
+        ("[model]\nkind = toy\n", "config needs [domain] lower"),
+        ("[model]\nkind = discrete\n", "config needs [model] table"),
+        (f"{domain}[grids]\nsim_counts = {TOO_BIG}\n", "[grids] sim_counts"),
+    ):
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        out = tmp_path / "x"
+        code = run_cli("estimate", "--config", str(path), "--out", str(out))
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {named}")
+        assert not list(out.glob("*"))
 
 
 @pytest.mark.parametrize("kind,key,text,what", [
@@ -249,12 +260,28 @@ _BAD_PROBES = [
                              ("blocks_per_iteration", 4, 0),
                              ("samples_per_block", 4, 0))
 ] + [
+    pytest.param("design", (), (("[design]", f"[design]\nbaseline_points = {value}"),),
+                 "[design] baseline_points", id=f"design-baseline_points-{value}")
+    for value in (0, -1)
+] + [
     pytest.param("design", (), edits, "[design] probe_points", id=f"design-probe-points-{name}")
     for name, edits in _BAD_PROBES
 ] + [
     # the square-root rule always applies; the old switch is not ignored
     pytest.param("design", (), (("[design]", "[design]\nstabilize = false"),),
                  "[design] stabilize", id="design-stabilize-key"),
+] + [
+    pytest.param(command, (), (("kind = toy", "kind = discrete"),), "[model] table",
+                 id=f"{command}-discrete-without-table")
+    for command in ("estimate", "compare", "rate-study", "design")
+] + [
+    pytest.param(command, (), ((f"{name} = {was}", f"{name} = {TOO_BIG}"),),
+                 f"[{section}] {name}", id=f"{command}-{name}-too-big")
+    for command, section, name, was in (
+        ("estimate", "grids", "sim_counts", 4), ("estimate", "grids", "eval_counts", 8),
+        ("compare", "sampling", "samples_per_point", 16),
+        ("rate-study", "rate", "n_sweep", "16 32 64"), ("rate-study", "rate", "l_sweep", "4 8"),
+        ("rate-study", "rate", "fixed_n", 8), ("design", "design", "samples_per_block", 4))
 ])
 def test_replicate_counts_below_one_fail_cleanly(tmp_path, capsys, command,
                                                  override, edits, key):
@@ -270,6 +297,7 @@ def test_replicate_counts_below_one_fail_cleanly(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert key in err
+    assert not list((tmp_path / "x").glob("*"))
 
 
 @pytest.mark.parametrize("command", ["estimate", "compare", "rate-study", "design"])

@@ -130,7 +130,7 @@ def extension_oracle(functional, eval_grid):
     cached one over the simulation columns.
     """
     emus, model = functional.emus, functional.model
-    thetas, _ = emus.bank.flattened()
+    thetas = emus.bank.thetas
     points = eval_grid.points
     loga = np.asarray(model.log_weight_matrix(thetas, points))
     a = np.exp(loga - logsumexp(loga, axis=1)[:, None])
@@ -483,14 +483,18 @@ def test_pivotal_inclusion_probabilities():
 # -- the sequential loop ------------------------------------------------------
 
 
-@pytest.mark.parametrize("M,blocks", [(10, 4), (3, 7), (5, 5), (4, 13), (6, 1)])
+@pytest.mark.parametrize("M,blocks", [(10, 4), (3, 7), (5, 5), (4, 13), (6, 1), (8, 15)])
 def test_bootstrap_allocation_places_every_block(M, blocks):
-    alloc = _bootstrap_allocation(M, blocks)
-    assert alloc.sum() == blocks
-    assert alloc.shape == (M,)
-    assert np.all(alloc >= 0)
-    # Even spreading: point loads differ by at most one block.
-    assert alloc.max() - alloc.min() <= 1
+    # the case's blocks per point, at every grid size up to 600: the spread
+    # remainder lands on distinct points, or some block would be lost
+    for m in range(1, 601):
+        b = blocks * m // M
+        alloc = _bootstrap_allocation(m, b)
+        assert alloc.sum() == b
+        assert alloc.shape == (m,)
+        assert np.all(alloc >= 0)
+        # Even spreading: point loads differ by at most one block.
+        assert alloc.max() - alloc.min() <= 1
 
 
 def test_design_loop_single_iteration_is_uniform(toy_model):

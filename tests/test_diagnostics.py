@@ -210,7 +210,7 @@ def test_grid_terms_are_computed_once_and_read_everywhere(toy_fit, toy_model):
     fn = mg.FunctionalEstimate(toy_fit, toy_model)
     lam = np.array([0.3])
     u_lam = fn.marginal(lam)
-    r = mg.emus.segment_var(fn._ratio_matrix([lam])[:, 0], fn._offsets)
+    r = mg.emus.segment_var(fn._ratio_matrix([lam])[:, 0], fn.emus.bank.offsets)
     point = (toy_fit.stationary**2 / u_lam**2) * r
     expected = 2.0 * np.sum((terms + point) / diag.sampling_fractions)
     assert mg.pointwise_variance_bound(fn, lam, diag) == expected
@@ -271,7 +271,7 @@ def test_weight_ratio_variances_match_numpy(toy_fit):
     R = mg.weight_ratio_variances(toy_fit)
     cache = toy_fit.cache
     ratios = cache.ratios
-    lo, hi = cache.offsets[2], cache.offsets[3]
+    lo, hi = toy_fit.bank.offsets[2], toy_fit.bank.offsets[3]
     np.testing.assert_allclose(R[2], np.var(ratios[lo:hi], axis=0, ddof=1))
     assert np.all(R[np.isfinite(R)] >= 0)
 

@@ -238,7 +238,7 @@ def test_sampled_fit_converges_to_enumeration(asym_model):
 
 def _floored_log_weights(bank, model):
     """The model's log-weights of the bank, floored as the cache floors them."""
-    thetas, _ = bank.flattened()
+    thetas = bank.thetas
     points = bank.grid.points
     logw = np.array(model.log_weight_matrix(thetas, points), dtype=float)
     logw[logw < logw.max(axis=1)[:, None] - mg.emus.LOG_WEIGHT_FLOOR] = -np.inf
@@ -328,11 +328,36 @@ def test_child_rng_is_keyed_and_reproducible():
 
 
 def test_sample_bank_validates_shapes(toy_model, toy_grid):
-    with pytest.raises(ValueError):
-        mg.SampleBank(grid=toy_grid, samples=[np.zeros(3)] * 7,
-                      counts=np.full(8, 3))
+    for thetas, counts in ((np.zeros(21), np.full(7, 3)),   # a count per point
+                           (np.zeros(21), [3] * 7 + [0]),   # every count >= 1
+                           (np.zeros(23), np.full(8, 3))):  # one row per draw
+        with pytest.raises(ValueError):
+            mg.SampleBank(grid=toy_grid, thetas=thetas, counts=counts)
     bank = mg.draw_sample_bank(toy_model, toy_grid, 5, master_seed=2)
     assert bank.total == 40
-    thetas, offsets = bank.flattened()
-    assert thetas.shape[0] == 40
-    assert offsets.tolist() == list(range(0, 45, 5))
+    assert bank.thetas.shape[0] == 40
+    assert bank.offsets.tolist() == list(range(0, 45, 5))
+
+
+def test_fit_and_curves_read_the_banks_own_draws(toy_model, toy_grid):
+    # the bank's stacked array is the only copy of the draws: the fit's
+    # log-weights and every curve query are handed that array itself
+    seen = []
+
+    class Recording(mg.ToyBimodalModel):
+        def log_weight_matrix(self, thetas, points):
+            seen.append(thetas)
+            return super().log_weight_matrix(thetas, points)
+
+        def log_weight_blocks(self, thetas, points, grads=False):
+            seen.append(thetas)
+            return super().log_weight_blocks(thetas, points, grads)
+
+    model = Recording(y=toy_model.y, q=toy_model.q, tau=toy_model.tau)
+    bank = mg.draw_sample_bank(model, toy_grid, 16, master_seed=5)
+    fn = mg.FunctionalEstimate(mg.fit_emus(bank, model), model)
+    fn.curve_with_gradient(toy_grid.points)
+    fn.expectation(lambda thetas: seen.append(thetas) or thetas, toy_grid)
+    fn._ratio_matrix([0.3])
+    assert len(seen) == 5
+    assert all(np.shares_memory(thetas, bank.thetas) for thetas in seen)

@@ -34,7 +34,7 @@ def toy_functional(toy_fit, toy_model):
 
 def kernel_values(fn, lam):
     """Mean kernel weight per grid point at lam, shape (L,)."""
-    return mg.emus.segment_mean(fn._ratio_matrix([lam])[:, 0], fn._offsets)
+    return mg.emus.segment_mean(fn._ratio_matrix([lam])[:, 0], fn.emus.bank.offsets)
 
 
 def test_kernel_at_grid_point_is_transition_column(toy_fit, toy_model):
@@ -135,7 +135,7 @@ def test_expectation_weights_the_ratio_matrix_in_place(toy_functional):
     eval_grid = mg.make_regular_grid(mg.Domain(-2.0, 2.0), 16)
     D = mg.trapezoid_weights(eval_grid)
     ratios = fn._ratio_matrix(eval_grid.points)
-    phi = fn._thetas ** 2
+    phi = fn.emus.bank.thetas ** 2
     expected = (fn._curve(ratios * phi[:, None]) @ D) / (fn._curve(ratios) @ D)
     assert fn.expectation(lambda t: t ** 2, eval_grid) == float(expected)
 
@@ -181,11 +181,11 @@ def test_batched_gradients_match_the_per_point_formula(toy_functional, toy_model
     points = np.linspace(-1.9, 1.9, 9)[:, None]
     _, grads = fn.curve_with_gradient(points)
     for lam, grad in zip(points, grads):
-        r = np.exp(toy_model.log_weight_matrix(fn._thetas, lam[None])[:, 0]
+        r = np.exp(toy_model.log_weight_matrix(fn.emus.bank.thetas, lam[None])[:, 0]
                    - fn.emus.cache.lse)
         # d/dlam log psi_lam(theta) = tau (theta - lam); the prior is flat
-        g = toy_model.tau * (fn._thetas - lam[0])
-        expected = fn.emus.stationary @ mg.emus.segment_mean((r * g)[:, None], fn._offsets)
+        g = toy_model.tau * (fn.emus.bank.thetas - lam[0])
+        expected = fn.emus.stationary @ mg.emus.segment_mean((r * g)[:, None], fn.emus.bank.offsets)
         np.testing.assert_allclose(grad, expected, rtol=1e-12)
         np.testing.assert_allclose(fn.gradient(lam), expected, rtol=1e-12)
 
@@ -285,7 +285,7 @@ def test_kernel_ratio_variances_at_grid_point(toy_fit, toy_model):
     j = 3
     ratios = fn._ratio_matrix([toy_fit.grid.points[j]])[:, 0]
     np.testing.assert_allclose(
-        mg.emus.segment_var(ratios, fn._offsets), R[:, j], atol=1e-14)
+        mg.emus.segment_var(ratios, fn.emus.bank.offsets), R[:, j], atol=1e-14)
 
 
 def test_pointwise_bound_consistency(toy_fit, toy_model):
@@ -304,15 +304,15 @@ def curve_oracle(fn, points):
     The ratios come straight from the model, not from the functional.
     """
     model, emus = fn.model, fn.emus
-    ratios = np.exp(model.log_weight_matrix(fn._thetas, points) - emus.cache.lse[:, None])
+    ratios = np.exp(model.log_weight_matrix(fn.emus.bank.thetas, points) - emus.cache.lse[:, None])
     return ratios, lambda summands: emus.stationary @ mg.emus.segment_mean(
-        summands, fn._offsets)
+        summands, fn.emus.bank.offsets)
 
 
 def expectation_oracle(fn, phi, eval_grid):
     ratios, curve = curve_oracle(fn, eval_grid.points)
     quad = mg.trapezoid_weights(eval_grid)
-    phi_vals = phi(fn._thetas)
+    phi_vals = phi(fn.emus.bank.thetas)
     return (curve(ratios * phi_vals[:, None]) @ quad) / (curve(ratios) @ quad)
 
 
@@ -463,7 +463,7 @@ def check_toy_tiles_round_as_one_wide_product():
     wide product over all points, bit for bit, at M = 17 (one tile with a
     ragged end), 33 (a last tile of 17), 250 and 256."""
     fn, _ = toy_diagnose_functional()
-    thetas, c = fn._thetas, fn._weights
+    thetas, c = fn.emus.bank.thetas, fn._weights
     phi = thetas ** 2
     for m in (17, 33, 250, 256):
         eval_grid = mg.make_regular_grid(mg.Domain(-2.0, 2.0), m)
@@ -513,7 +513,7 @@ def test_gp_block_curves_hold_the_whole_matrix_product(gp_surface_fit):
     ratios = fn._ratio_matrix(points)
     np.testing.assert_allclose(fn.marginal_many(points), fn._curve(ratios), rtol=1e-13, atol=0)
     grads = np.empty(ratios.shape + (2,))
-    for cols, _, grad in fn.model.log_weight_blocks(fn._thetas, points, grads=True):
+    for cols, _, grad in fn.model.log_weight_blocks(fn.emus.bank.thetas, points, grads=True):
         grads[:, cols] = grad * ratios[:, cols, None]
     values, got = fn.curve_with_gradient(points)
     np.testing.assert_allclose(values, fn._curve(ratios), rtol=1e-13, atol=0)
@@ -542,7 +542,7 @@ def test_pointwise_models_reduce_through_the_default_block(toy_model, toy_grid):
         chains = mg.run_griddy_chains(model, toy_grid, 300,
                                       [np.random.default_rng(s) for s in (5, 6)], burn_in=10)
         fn = mg.FunctionalEstimate(fit, model)
-        runs.append([bank.flattened()[0], fit.transition, fit.stationary, diag.R, diag.Q,
+        runs.append([bank.thetas, fit.transition, fit.stationary, diag.R, diag.Q,
                      diag.rel_var_bound, *[trace.visits for trace in chains],
                      fn.marginal_many(eval_grid.points),
                      fn.expectation(lambda t: t ** 2, eval_grid)])
@@ -568,7 +568,7 @@ def test_curve_never_holds_a_samples_by_points_buffer(request, fit, size):
     # 42.5 MB; toy-diagnose: 16384 x 256, 33.5 MB.  The curve must peak
     # below half of it.
     fn, eval_grid = request.getfixturevalue(fit)
-    whole = 8 * len(fn._thetas) * len(eval_grid)
+    whole = 8 * len(fn.emus.bank.thetas) * len(eval_grid)
     tracemalloc.start()
     try:
         fn.marginal_many(eval_grid.points)

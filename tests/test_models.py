@@ -113,10 +113,11 @@ def test_toy_factor_form_matches_the_direct_form(tau, half_width):
 
 
 def test_toy_rejects_nonpositive_precisions():
-    with pytest.raises(ValueError):
-        mg.ToyBimodalModel(q=0.0)
-    with pytest.raises(ValueError):
-        mg.ToyBimodalModel(tau=-1.0)
+    # nan and inf, too, which a config can spell as `q = nan` or `y = 1e400`
+    for bad in ({"q": 0.0}, {"tau": -1.0}, {"q": np.inf}, {"tau": np.nan},
+                {"y": np.inf}, {"y": np.nan}):
+        with pytest.raises(ValueError):
+            mg.ToyBimodalModel(**bad)
 
 
 # -- Gaussian process regression model ---------------------------------
@@ -248,7 +249,7 @@ def gp_draws_and_points(model, seed):
     """Draws from a 3x3 log grid plus off-grid points sharing and not
     sharing its tau2 values."""
     grid = mg.make_regular_grid(mg.Domain([0.3, 0.3], [3.0, 3.0]), [3, 3], "log")
-    thetas, _ = mg.draw_sample_bank(model, grid, 16, master_seed=seed).flattened()
+    thetas = mg.draw_sample_bank(model, grid, 16, master_seed=seed).thetas
     extra = np.array([[0.7, grid.axes[1][0]], [2.2, grid.axes[1][2]], [1.3, 0.45], [0.4, 2.6]])
     return thetas, np.vstack([grid.points, extra])
 
@@ -285,7 +286,7 @@ def gp_surface_case():
     model = mg.GpRegressionModel(x, y)
     domain = mg.Domain([0.1, 0.1], [10.0, 10.0])
     grid = mg.make_regular_grid(domain, [12, 12], "log")
-    thetas, _ = mg.draw_sample_bank(model, grid, 64, master_seed=7).flattened()
+    thetas = mg.draw_sample_bank(model, grid, 64, master_seed=7).thetas
     return model, thetas, mg.make_regular_grid(domain, [24, 24], "log").points
 
 
@@ -329,7 +330,7 @@ def test_gp_log_weights_no_worse_than_the_oracle_in_extended_precision():
     x, y = mg.make_synthetic_gp_dataset(16, 7)
     model = mg.GpRegressionModel(x, y)
     grid = mg.make_regular_grid(mg.Domain([0.1, 0.1], [10.0, 10.0]), [12, 12], "log")
-    thetas, _ = mg.draw_sample_bank(model, grid, 64, master_seed=11).flattened()
+    thetas = mg.draw_sample_bank(model, grid, 64, master_seed=11).thetas
     rng = np.random.default_rng(0)
     thetas = thetas[np.sort(rng.choice(thetas.shape[0], 2048, replace=False))]
     fast = model.log_weight_matrix(thetas, grid.points)
@@ -369,7 +370,7 @@ def test_gp_gradients_no_worse_than_the_oracle_in_extended_precision():
     x, y = mg.make_synthetic_gp_dataset(16, 7)
     model = mg.GpRegressionModel(x, y)
     grid = mg.make_regular_grid(mg.Domain([0.1, 0.1], [10.0, 10.0]), [12, 12], "log")
-    thetas, _ = mg.draw_sample_bank(model, grid, 64, master_seed=11).flattened()
+    thetas = mg.draw_sample_bank(model, grid, 64, master_seed=11).thetas
     rng = np.random.default_rng(0)
     thetas = thetas[np.sort(rng.choice(thetas.shape[0], 1024, replace=False))]
     fast = block_grads(model, thetas, grid.points)
@@ -614,8 +615,9 @@ def test_gp_exact_log_u_adds_hyperprior(gp_model):
 def test_gp_rejects_bad_inputs():
     with pytest.raises(ValueError):
         mg.GpRegressionModel([0.0, 1.0], [1.0])
-    with pytest.raises(ValueError):
-        mg.GpRegressionModel([0.0], [1.0], noise_var=0.0)
+    for noise_var in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            mg.GpRegressionModel([0.0], [1.0], noise_var=noise_var)
     model = mg.GpRegressionModel([0.0], [1.0])
     with pytest.raises(ValueError):
         model.log_marginal_likelihood((1.0, -1.0))
@@ -651,6 +653,26 @@ def test_discrete_sampler_frequencies(asym_model):
     p = ASYM_TABLE[:, 0] / ASYM_TABLE[:, 0].sum()
     se = np.sqrt(p * (1 - p) / n)
     assert np.all(np.abs(freq - p) <= 4 * se + 1e-12)
+
+
+def test_discrete_sampler_is_generator_choice():
+    # the inverse-CDF lookup draws what Generator.choice draws, bit for bit,
+    # and leaves the generator in the same state
+    tables = np.random.default_rng(0)
+    for case in range(200):
+        k = int(tables.integers(1, 9))
+        table = tables.random((k, 3)) * (tables.random((k, 3)) < 0.7)  # some zero atoms
+        table[0] += 0.5  # every column has mass
+        model = mg.DiscreteModel(table)
+        col = case % 3
+        w = model.psi_table[:, col]
+        size = int(tables.integers(1, 50))
+        rng, oracle = np.random.default_rng(case), np.random.default_rng(case)
+        draws = model.sample_local(float(col), rng, size)
+        expected = oracle.choice(w.size, size=size, p=w / w.sum())
+        assert draws.dtype == expected.dtype
+        np.testing.assert_array_equal(draws, expected)
+        assert rng.bit_generator.state == oracle.bit_generator.state
 
 
 def test_discrete_log_weight_matrix_matches_columnwise():

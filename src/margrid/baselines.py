@@ -9,11 +9,12 @@ subject to mixing failure when the local densities are concentrated:
 moves between well-separated modes require intermediate latent states
 that the sampler never visits.
 
-Replicate chains run in lockstep through :func:`run_griddy_chains`, each
-on its own generator.  Its local draws go through the model's
-``sample_local_many(points, rngs)``, an optional override of a loop over
-``sample_local`` that must consume each generator exactly as that loop
-does; the toy and discrete models batch it.
+Replicate chains run side by side through :func:`run_griddy_chains`,
+all on one generator.  Its local draws go through the model's
+``sample_local_many(points, rng)``, an optional override of a loop over
+``sample_local``; the toy and discrete models batch it.  A one-row call
+consumes the generator as ``sample_local`` does, so one chain's visits
+are those of the plain per-iteration loop.
 """
 
 from __future__ import annotations
@@ -54,12 +55,12 @@ def run_griddy_gibbs(model: Model, grid: HyperGrid, n_iter: int,
                      rng: np.random.Generator, burn_in: int = 0,
                      init_state: int | None = None) -> GibbsTrace:
     """One griddy Gibbs chain: the one-chain case of :func:`run_griddy_chains`."""
-    return run_griddy_chains(model, grid, n_iter, [rng], burn_in=burn_in,
+    return run_griddy_chains(model, grid, n_iter, rng, 1, burn_in=burn_in,
                              init_state=init_state)[0]
 
 
-def run_griddy_chains(model: Model, grid: HyperGrid, n_iter: int, rngs,
-                      burn_in: int = 0,
+def run_griddy_chains(model: Model, grid: HyperGrid, n_iter: int,
+                      rng: np.random.Generator, n_chains: int, burn_in: int = 0,
                       init_state: int | None = None) -> list[GibbsTrace]:
     """Alternate local draws and categorical grid moves; count visits.
 
@@ -72,12 +73,12 @@ def run_griddy_chains(model: Model, grid: HyperGrid, n_iter: int, rngs,
     unless ``init_state`` says otherwise; the start is recorded as the
     trace's ``init_state``.
 
-    Chain r runs on ``rngs[r]`` alone.  The chains advance in lockstep,
-    one batched local draw, one (R, L) log-weight matrix and one row-wise
-    argmax per iteration for all of them, while each generator is
-    consumed in the order a lone chain consumes it (one local draw, then
-    L Gumbel variates), so every chain's visits are those it would have
-    on its own.
+    The R = ``n_chains`` chains share ``rng``: per iteration, one batched
+    local draw, one (R, L) log-weight matrix, one (R, L) Gumbel draw and
+    one row-wise argmax for all of them.  The chains are independent,
+    since no chain's move reads another's draws; one chain consumes
+    ``rng`` as the plain per-iteration loop does (one local draw, then L
+    Gumbel variates).
     """
     L = len(grid)
     if not 0 <= burn_in < n_iter:
@@ -85,15 +86,14 @@ def run_griddy_chains(model: Model, grid: HyperGrid, n_iter: int, rngs,
     start = L // 2 if init_state is None else int(init_state)
     if not 0 <= start < L:
         raise ValueError("init_state outside the grid")
-    if len(rngs) == 0:
-        raise ValueError("need at least one chain generator")
+    if n_chains < 1:
+        raise ValueError("need at least one chain")
     points = grid.points
-    states = np.full(len(rngs), start)
-    chains = np.arange(len(rngs))
-    visits = np.zeros((len(rngs), L), dtype=int)
-    noise = np.empty((len(rngs), L))
+    states = np.full(n_chains, start)
+    chains = np.arange(n_chains)
+    visits = np.zeros((n_chains, L), dtype=int)
     for t in range(n_iter):
-        thetas = model.sample_local_many(points[states], rngs)
+        thetas = model.sample_local_many(points[states], rng)
         logw = np.ascontiguousarray(model.log_weight_matrix(thetas, points), dtype=float)
         dead = np.flatnonzero(~np.isfinite(logw).any(axis=1))
         if dead.size:
@@ -101,9 +101,7 @@ def run_griddy_chains(model: Model, grid: HyperGrid, n_iter: int, rngs,
                 f"iteration {t}, chain {dead[0]}: the latent draw has zero "
                 "weight against every grid value"
             )
-        for r, g in enumerate(rngs):
-            noise[r] = g.gumbel(size=L)
-        states = np.argmax(logw + noise, axis=1)
+        states = np.argmax(logw + rng.gumbel(size=(n_chains, L)), axis=1)
         if t >= burn_in:
             visits[chains, states] += 1
     return [GibbsTrace(visits=v, n_iter=n_iter, burn_in=burn_in, init_state=start)

@@ -46,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, help="experiment config file")
         cmd.add_argument("--out", required=True, help="output directory")
         cmd.add_argument("--seed", type=int, default=None,
-                         help="master seed override (unsigned 64-bit)")
+                         help="master seed override (any nonnegative integer)")
         cmd.add_argument("--replicates", type=int, default=None,
                          help="replicate count override")
         cmd.set_defaults(runner=runner)

@@ -118,27 +118,33 @@ class ExperimentConfig:
         return self.parser.get(section, key, fallback=fallback)
 
     def getint(self, section: str, key: str, fallback=None):
-        raw = self.get(section, key)
-        return fallback if raw is None else _int64(section, key, raw)
+        return self._one(section, key, fallback, _INT64)
 
     def getfloat(self, section: str, key: str, fallback=None):
-        return self.parser.getfloat(section, key, fallback=fallback)
+        return self._one(section, key, fallback, _FLOAT)
+
+    def getseed(self, section: str, key: str, fallback=None):
+        # a seed is any nonnegative integer: SeedSequence takes them unbounded
+        return _at_least(self._one(section, key, fallback, (int, "an integer")),
+                         f"[{section}] {key}", 0)
 
     def floats(self, section: str, key: str, fallback=None):
-        raw = self.get(section, key)
-        if raw is None:
-            if fallback is None:
-                raise GridError(f"config needs [{section}] {key}")
-            return list(fallback)
-        return [float(tok) for tok in raw.replace(",", " ").split()]
+        return self._many(section, key, fallback, _FLOAT)
 
     def ints(self, section: str, key: str, fallback=None):
+        return self._many(section, key, fallback, _INT64)
+
+    def _one(self, section: str, key: str, fallback, kind):
+        raw = self.get(section, key)
+        return fallback if raw is None else _parse(section, key, raw, kind)
+
+    def _many(self, section: str, key: str, fallback, kind):
         raw = self.get(section, key)
         if raw is None:
             if fallback is None:
                 raise GridError(f"config needs [{section}] {key}")
             return list(fallback)
-        return [_int64(section, key, tok) for tok in raw.replace(",", " ").split()]
+        return [_parse(section, key, tok, kind) for tok in raw.replace(",", " ").split()]
 
     def resolve_path(self, value: str) -> str:
         return value if os.path.isabs(value) else os.path.join(self.base_dir, value)
@@ -165,19 +171,24 @@ class ExperimentConfig:
                 raise FileNotFoundError(f"[model] {key} = {value}: no such file")
 
 
-def _int64(section: str, key: str, token: str) -> int:
-    """An integer config value that numpy can hold, or GridError naming its key."""
+#: config value types, each a parser of one token and what it expects
+_INT64 = (lambda token: int(np.int64(int(token))), "a 64-bit integer")
+_FLOAT = (float, "a number")
+
+
+def _parse(section: str, key: str, token: str, kind):
+    """One config token read as ``kind``, or GridError naming its key."""
+    parse, what = kind
     try:
-        return int(np.int64(int(token)))
+        return parse(token)
     except (ValueError, OverflowError):
-        raise GridError(f"[{section}] {key} = {token!r} is not a 64-bit integer") from None
+        raise GridError(f"[{section}] {key} = {token!r} is not {what}") from None
 
 
 def _resolve_seed(config: ExperimentConfig, seed) -> int:
     if seed is not None:
-        return int(seed)
-    # a seed is any nonnegative integer: SeedSequence takes them unbounded
-    return config.parser.getint("sampling", "master_seed", fallback=0)
+        return _at_least(int(seed), "--seed", 0)
+    return config.getseed("sampling", "master_seed", fallback=0)
 
 
 def _at_least(value: int, key: str, least: int = 1, why: str = "") -> int:
@@ -214,7 +225,7 @@ def build_model(config: ExperimentConfig) -> Model:
         if dataset == "synthetic":
             x, y = make_synthetic_gp_dataset(
                 n=config.getint("model", "n_data", fallback=16),
-                seed=config.parser.getint("model", "dataset_seed", fallback=7),
+                seed=config.getseed("model", "dataset_seed", fallback=7),
                 noise_var=noise_var,
             )
         else:
@@ -499,8 +510,8 @@ def run_compare(config: ExperimentConfig, out_dir: str, *, seed=None,
     the manifest).  For toy models a ``tau_sweep`` list in the
     ``[compare]`` section repeats the study across prior precisions.
     Spawn keys: bank (sweep, replicate, 0, point), chain stream
-    (sweep, replicate, 1).  All replicate chains of a sweep run in
-    lockstep, each on its own stream.
+    (sweep, 1).  All replicate chains of a sweep run side by side on
+    that one stream.
     """
     os.makedirs(out_dir, exist_ok=True)
     base_model = build_model(config)
@@ -516,13 +527,8 @@ def run_compare(config: ExperimentConfig, out_dir: str, *, seed=None,
 
     kind = config.get("model", "kind", fallback="toy")
     sweep = config.floats("compare", "tau_sweep", fallback=()) if kind == "toy" else []
-    if sweep:
-        models = [
-            (tau, ToyBimodalModel(y=base_model.y, q=base_model.q, tau=tau))
-            for tau in sweep
-        ]
-    else:
-        models = [(float("nan"), base_model)]
+    models = ([(tau, ToyBimodalModel(y=base_model.y, q=base_model.q, tau=tau)) for tau in sweep]
+              or [(float("nan"), base_model)])
 
     first_axis = sim_grid.points[:, 0]
     rows = []
@@ -539,8 +545,7 @@ def run_compare(config: ExperimentConfig, out_dir: str, *, seed=None,
             emus = fit_emus(bank, model, on_degenerate="truncate")
             grid_l1.append(mean_abs_error(emus.stationary, exact_sim))
             truncated.append(emus.truncated)
-        traces = run_griddy_chains(model, sim_grid, n_iter,
-                                   [child_rng(master, s, r, 1) for r in range(reps)],
+        traces = run_griddy_chains(model, sim_grid, n_iter, child_rng(master, s, 1), reps,
                                    burn_in=burn_in)
         sweep_rows = []
         for r, trace in enumerate(traces):

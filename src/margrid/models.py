@@ -10,12 +10,12 @@ the local density psi_lam and the prior p(lam) only as their product:
   log(psi_lam(theta) p(lam)) of a batch of latent states against many
   values at once, shape (N, M), prior included; every bundled model
   writes it with one batched evaluation,
-- optionally ``sample_local_many(points, rngs)``: one draw per row of
-  points, row r from ``rngs[r]``, consuming each generator exactly as
-  ``sample_local(points[r], rngs[r], 1)`` does; the base class loops,
-  and the toy and discrete models override it with batched arithmetic
-  (the griddy Gibbs chains of :mod:`margrid.baselines` call it once per
-  lockstep iteration),
+- optionally ``sample_local_many(points, rng)``: one draw per row of
+  points, all from ``rng``; a one-row call consumes ``rng`` exactly as
+  ``sample_local(points[0], rng, 1)`` does.  The base class loops, and
+  the toy and discrete models override it with batched arithmetic (the
+  griddy Gibbs chains of :mod:`margrid.baselines` call it once per
+  iteration for all chains),
 - optionally ``log_weight_blocks(thetas, points, grads)``: the columns of
   ``log_weight_matrix`` in blocks, each with, when ``grads`` is set, its
   hyperparameter gradients (the only place gradients come from); the
@@ -148,14 +148,14 @@ class Model:
     def sample_local(self, lam, rng, size: int):
         raise NotImplementedError
 
-    def sample_local_many(self, points, rngs):
-        """One local draw per row of points, row r drawn from ``rngs[r]``.
+    def sample_local_many(self, points, rng):
+        """One local draw per row of points, all from ``rng``.
 
-        Each generator is consumed exactly as by
-        ``sample_local(points[r], rngs[r], 1)``, so the draws are the same
+        A one-row call consumes ``rng`` exactly as
+        ``sample_local(points[0], rng, 1)`` does, so it gives the same
         bits; models override this when a batched evaluation is cheaper.
         """
-        return np.concatenate([self.sample_local(lam, g, 1) for lam, g in zip(points, rngs)])
+        return np.concatenate([self.sample_local(lam, rng, 1) for lam in points])
 
     @property
     def has_exact_log_u(self) -> bool:
@@ -237,6 +237,7 @@ class DiscreteModel(Model):
         # per-column CDFs formed as Generator.choice(p=w / w.sum()) forms them
         self._cdfs = np.array([np.cumsum(w / w.sum()) for w in table.T])
         self._cdfs /= self._cdfs[:, -1:]
+        self._grid_memo = (None, None)
 
     def _columns(self, points) -> np.ndarray:
         """Table columns of many hyperparameter values, one per row of points."""
@@ -261,7 +262,13 @@ class DiscreteModel(Model):
         return HyperGrid(Domain(lo, hi), vals[:, None])
 
     def log_weight_matrix(self, thetas, points):
-        cols = self._columns(points)
+        # the last points' columns are kept, keyed on their shape and bytes,
+        # so a griddy Gibbs run looks its grid up once
+        points = np.asarray(points, dtype=float)
+        key = (points.shape, points.tobytes())
+        if self._grid_memo[0] != key:
+            self._grid_memo = (key, self._columns(points))
+        cols = self._grid_memo[1]
         idx = np.asarray(thetas, dtype=int).ravel()
         with np.errstate(divide="ignore"):
             return np.log(self.psi_table[np.ix_(idx, cols)]) + np.log(self.prior[cols])
@@ -270,11 +277,10 @@ class DiscreteModel(Model):
         # the inverse-CDF lookup of Generator.choice(p=w / w.sum())
         return self._cdfs[self.column_of(lam)].searchsorted(rng.random(size), side="right")
 
-    def sample_local_many(self, points, rngs):
-        # sample_local's lookup, one uniform per row
-        cdfs = self._cdfs[self._columns(points)]
-        return np.array([cdf.searchsorted(g.random(), side="right")
-                         for cdf, g in zip(cdfs, rngs)])
+    def sample_local_many(self, points, rng):
+        # sample_local's searchsorted(side="right"): the CDF entries <= u
+        u = rng.random(len(points))
+        return (self._cdfs[self._columns(points)] <= u[:, None]).sum(axis=1)
 
     def exact_log_u(self, lam) -> float:
         col = self.column_of(lam)
@@ -365,17 +371,12 @@ class ToyBimodalModel(Model):
         return w_plus, m_plus, m_minus, np.sqrt(1.0 / (self.q + self.tau))
 
     def sample_local(self, lam, rng, size: int):
-        w_plus, m_plus, m_minus, sd = self._local_mixture(_as_lambda(lam)[0])
-        pick_plus = rng.random(size) < w_plus
-        means = np.where(pick_plus, m_plus, m_minus)
-        return means + sd * rng.standard_normal(size)
+        return self.sample_local_many(np.repeat(_as_lambda(lam)[None, :], size, axis=0), rng)
 
-    def sample_local_many(self, points, rngs):
-        w_plus, m_plus, m_minus, sd = self._local_mixture(
-            np.atleast_2d(np.asarray(points, dtype=float))[:, 0])
-        # per generator, the uniform and then the normal that sample_local draws
-        u, z = np.array([(g.random(), g.standard_normal()) for g in rngs]).T
-        return np.where(u < w_plus, m_plus, m_minus) + sd * z
+    def sample_local_many(self, points, rng):
+        w_plus, m_plus, m_minus, sd = self._local_mixture(self._points(points)[:, 0])
+        pick_plus = rng.random(w_plus.size) < w_plus
+        return np.where(pick_plus, m_plus, m_minus) + sd * rng.standard_normal(w_plus.size)
 
     def exact_log_u(self, lam) -> float:
         lam = _as_lambda(lam)[0]
@@ -440,6 +441,8 @@ class GpRegressionModel(Model):
         if not 0 < noise_var < np.inf:
             raise ValueError("noise_var must be finite and positive")
         self.noise_var = float(noise_var)
+        if not 0 <= jitter_scale < np.inf:
+            raise ValueError("jitter_scale must be finite and nonnegative")
         self.jitter_scale = float(jitter_scale)
         diff = x[:, None, :] - x[None, :, :]
         self._sqdist = np.sum(diff * diff, axis=-1)

@@ -10,8 +10,9 @@ def griddy_gibbs_oracle(model, grid, n_iter, rng, burn_in=0, init_state=None):
     """One griddy Gibbs chain, one unbatched draw and grid move per iteration.
 
     Per iteration: ``sample_local(point, rng, 1)``, a one-row log-weight
-    matrix, then ``rng.gumbel(size=L)`` and the Gumbel-max move.  The
-    lockstep chains must reproduce these visits exactly.
+    matrix, then ``rng.gumbel(size=L)`` and the Gumbel-max move.  One
+    chain of :func:`margrid.run_griddy_chains` must reproduce these
+    visits exactly.
     """
     L = len(grid)
     points = grid.points
@@ -62,8 +63,7 @@ def test_gibbs_burn_in_accounting(toy_model, toy_grid):
                                     np.random.default_rng(1), **kwargs)]
 
     def three_chains(n_iter, **kwargs):
-        return mg.run_griddy_chains(toy_model, toy_grid, n_iter,
-                                    [np.random.default_rng(s) for s in (1, 2, 3)],
+        return mg.run_griddy_chains(toy_model, toy_grid, n_iter, np.random.default_rng(1), 3,
                                     **kwargs)
 
     for run, n_traces in ((one_chain, 1), (three_chains, 3)):
@@ -78,7 +78,7 @@ def test_gibbs_burn_in_accounting(toy_model, toy_grid):
         with pytest.raises(ValueError):
             run(10, init_state=99)
     with pytest.raises(ValueError):
-        mg.run_griddy_chains(toy_model, toy_grid, 10, [])
+        mg.run_griddy_chains(toy_model, toy_grid, 10, np.random.default_rng(1), 0)
 
 
 def test_gibbs_is_reproducible(toy_model, toy_grid):
@@ -115,36 +115,84 @@ def test_gibbs_traps_in_one_mode_when_local_densities_separate():
 
 @pytest.mark.parametrize("case", ["toy-tau100", "toy-tau1000", "asym", "gp-2x2"])
 def test_lockstep_chains_match_the_one_chain_oracle(case, request):
-    # the GP model keeps the default, looping sample_local_many
+    # one chain draws as the unbatched loop does, bit for bit and to the
+    # generator state; the GP model keeps the default, looping
+    # sample_local_many
     model, grid = _equivalence_case(case, request)
     n_iter = 40 if case == "gp-2x2" else 300
-    seeds = (5, 6, 7)
-    rngs = [np.random.default_rng(s) for s in seeds]
-    traces = mg.run_griddy_chains(model, grid, n_iter, rngs, burn_in=10)
-    for seed, rng, trace in zip(seeds, rngs, traces):
-        ref_rng = np.random.default_rng(seed)
+    for seed in (5, 6, 7):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        one = mg.run_griddy_gibbs(model, grid, n_iter, rng, burn_in=10)
         ref = griddy_gibbs_oracle(model, grid, n_iter, ref_rng, burn_in=10)
-        np.testing.assert_array_equal(trace.visits, ref.visits)
+        np.testing.assert_array_equal(one.visits, ref.visits)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
-    one = mg.run_griddy_gibbs(model, grid, n_iter, np.random.default_rng(seeds[0]),
-                              burn_in=10)
-    np.testing.assert_array_equal(one.visits, traces[0].visits)
+    # chains sharing one stream each count their own kept iterations
+    traces = mg.run_griddy_chains(model, grid, n_iter, np.random.default_rng(5), 3,
+                                  burn_in=10)
+    assert [trace.visits.sum() for trace in traces] == [n_iter - 10] * 3
+    if case == "asym":
+        # the chain-averaged visits approach the exact law (8/7, 6/7): 32
+        # chains x 2000 kept iterations, whose standard error is below 0.01
+        traces = mg.run_griddy_chains(model, grid, 2100, np.random.default_rng(3), 32,
+                                      burn_in=100)
+        assert len({tuple(trace.visits) for trace in traces}) > 1  # not one chain 32 times
+        visits = np.sum([trace.visits for trace in traces], axis=0)
+        np.testing.assert_allclose(visits * (2 / visits.sum()), [8 / 7, 6 / 7], atol=0.05)
+
+
+def _toy_row_law(model, points):
+    """Mean and variance of pi_lam per row of points, from ``_local_mixture``."""
+    w, m_plus, m_minus, sd = model._local_mixture(points[:, 0])
+    mean = w * m_plus + (1 - w) * m_minus
+    return mean, sd ** 2 + w * (1 - w) * (m_plus - m_minus) ** 2
 
 
 @pytest.mark.parametrize("case", ["toy-tau100", "asym", "discrete-6x5"])
 def test_sample_local_many_is_the_per_row_draw(case, request):
     model, grid = _equivalence_case(case, request)
-    points = grid.points[np.random.default_rng(1).integers(len(grid), size=300)]
-    many_rngs = [np.random.default_rng(s) for s in range(points.shape[0])]
-    one_rngs = [np.random.default_rng(s) for s in range(points.shape[0])]
-    for _ in range(3):
-        many = model.sample_local_many(points, many_rngs)
-        one = np.concatenate([model.sample_local(p, g, 1)
-                              for p, g in zip(points, one_rngs)])
-        assert many.dtype == one.dtype
-        np.testing.assert_array_equal(many, one)
-    for a, b in zip(many_rngs, one_rngs):
-        assert a.bit_generator.state == b.bit_generator.state
+    # (a) a one-row call is sample_local's draw: the same bits, and the
+    # generator left in the same state
+    rng, ref_rng = np.random.default_rng(1), np.random.default_rng(1)
+    for p in grid.points:
+        one = model.sample_local_many(p[None, :], rng)
+        ref = model.sample_local(p, ref_rng, 1)
+        assert one.dtype == ref.dtype
+        np.testing.assert_array_equal(one, ref)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    # (b) many rows, in shuffled order: each row follows its own local law,
+    # checked within 5 Monte Carlo standard errors per grid point
+    n = 4000
+    rows = np.random.default_rng(2).permutation(np.repeat(np.arange(len(grid)), n))
+    draws = model.sample_local_many(grid.points[rows], np.random.default_rng(3))
+    assert draws.shape == (rows.size,)
+    if case.startswith("toy"):
+        mean, var = _toy_row_law(model, grid.points)
+        for i in range(len(grid)):
+            x = draws[rows == i]
+            dev = x - x.mean()
+            se_var = np.sqrt((np.mean(dev ** 4) - np.mean(dev ** 2) ** 2) / n)
+            assert abs(x.mean() - mean[i]) < 5 * np.sqrt(var[i] / n)
+            assert abs(x.var() - var[i]) < 5 * se_var
+    else:
+        for i, col in enumerate(model._columns(grid.points)):
+            law = model.psi_table[:, col] / model.psi_table[:, col].sum()
+            freq = np.bincount(draws[rows == i], minlength=law.size) / n
+            assert np.all(np.abs(freq - law) <= 5 * np.sqrt(law * (1 - law) / n))
+
+
+def test_discrete_chains_look_their_grid_up_once(asym_model, monkeypatch):
+    # per iteration one lookup of the 4 chain states; the 2-point grid's
+    # lookup is kept from the first iteration on
+    looked_up = []
+    columns = asym_model._columns
+
+    def counting(points):
+        looked_up.append(len(points))
+        return columns(points)
+
+    monkeypatch.setattr(asym_model, "_columns", counting)
+    mg.run_griddy_chains(asym_model, asym_model.grid(), 50, np.random.default_rng(0), 4)
+    assert looked_up == [4, 2] + [4] * 49
 
 
 class _DeadAboveCutoff(mg.Model):
@@ -164,19 +212,20 @@ class _DeadAboveCutoff(mg.Model):
 def test_lockstep_degenerate_draw_names_iteration_and_chain():
     model = _DeadAboveCutoff(0.97)
     grid = mg.make_regular_grid(mg.Domain(0.0, 1.0), 4)
-    seeds = (27, 28, 29)
-    first = []
-    for seed in seeds:
-        with pytest.raises(mg.DegenerateWeightError) as err:
-            griddy_gibbs_oracle(model, grid, 200, np.random.default_rng(seed))
-        first.append(int(str(err.value).split()[1]))
-    t = min(first)
-    r = first.index(t)
+    n_chains, seed = 3, 3
+    # replay the one stream: per iteration, one uniform per chain (the
+    # base-class loop over sample_local), then the (R, L) Gumbel variates
+    rng = np.random.default_rng(seed)
+    for t in range(200):
+        dead = np.flatnonzero(rng.random(n_chains) >= model.cutoff)
+        if dead.size:
+            break
+        rng.gumbel(size=(n_chains, len(grid)))
+    r = dead[0]
     assert r > 0  # the error must not just report chain 0
     with pytest.raises(mg.DegenerateWeightError,
                        match=rf"^iteration {t}, chain {r}: .*zero weight"):
-        mg.run_griddy_chains(model, grid, 200,
-                             [np.random.default_rng(s) for s in seeds])
+        mg.run_griddy_chains(model, grid, 200, np.random.default_rng(seed), n_chains)
 
 
 def test_nearest_neighbor_identity_on_same_grid(toy_grid):

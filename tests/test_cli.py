@@ -62,11 +62,15 @@ def test_estimate_subcommand(config_path, tmp_path, capsys):
         assert (out / name).exists()
 
 
-def test_reruns_are_byte_identical(config_path, tmp_path):
+@pytest.mark.parametrize("command", ["estimate", "compare", "rate-study", "design"])
+def test_reruns_are_byte_identical(config_path, tmp_path, command):
     a, b = tmp_path / "a", tmp_path / "b"
-    assert run_cli("estimate", "--config", config_path, "--out", str(a)) == 0
-    assert run_cli("estimate", "--config", config_path, "--out", str(b)) == 0
-    for name in ("curve.csv", "diagnostics.csv", "errors.csv", "manifest.json"):
+    assert run_cli(command, "--config", config_path, "--out", str(a)) == 0
+    assert run_cli(command, "--config", config_path, "--out", str(b)) == 0
+    names = sorted(p.name for p in a.iterdir())
+    assert "manifest.json" in names and len(names) > 1
+    assert names == sorted(p.name for p in b.iterdir())
+    for name in names:
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
@@ -105,6 +109,7 @@ SMALL_GP = """
 [model]
 kind = gp
 n_data = 8
+jitter_scale = 1e-9
 
 [domain]
 lower = 0.25 0.25
@@ -234,6 +239,9 @@ _COUNTS_BELOW_ONE = [
     ("flag-zero", ("--replicates", "0"), (), "--replicates"),
     ("flag-negative", ("--replicates", "-1"), (), "--replicates"),
     ("config-zero", (), (("\nreplicates = 2", "\nreplicates = 0"),), "[sampling] replicates"),
+    ("seed-flag-negative", ("--seed", "-1"), (), "--seed"),
+    ("seed-negative", (), (("master_seed = 21", "master_seed = -1"),), "[sampling] master_seed"),
+    ("seed-word", (), (("master_seed = 21", "master_seed = word"),), "[sampling] master_seed"),
 ]
 
 # probe_points that no grid point stands for: on a 2-D GP grid (once read
@@ -282,6 +290,16 @@ _BAD_PROBES = [
         ("compare", "sampling", "samples_per_point", 16),
         ("rate-study", "rate", "n_sweep", "16 32 64"), ("rate-study", "rate", "l_sweep", "4 8"),
         ("rate-study", "rate", "fixed_n", 8), ("design", "design", "samples_per_block", 4))
+] + [
+    # a value that does not parse names its key, whichever reader fails
+    pytest.param(command, (), ((f"{name} = {was}", f"{name} = {value}"),),
+                 f"[{section}] {name}", id=f"{command}-{name}-not-a-number")
+    for command, section, name, was, value in (
+        ("estimate", "domain", "lower", "-2.0", "word"),
+        ("estimate", "model", "q", "2.0", "word"),
+        ("estimate", "grids", "sim_counts", "4", "word"),
+        ("rate-study", "rate", "n_sweep", "16 32 64", "16 word"),
+        ("design", "design", "probe_points", "-1 1", "-1 word"))
 ])
 def test_replicate_counts_below_one_fail_cleanly(tmp_path, capsys, command,
                                                  override, edits, key):
@@ -315,6 +333,17 @@ def test_unknown_config_keys_fail_before_any_file(tmp_path, capsys, command, edi
     assert run_cli(command, "--config", str(path), "--out", str(out)) == 1
     assert capsys.readouterr().err.startswith(f"error: {named} is not a config ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_gp_jitter_scale_must_be_finite_and_nonnegative(tmp_path, capsys, value):
+    path = tmp_path / "gp.ini"
+    path.write_text(SMALL_GP.replace("jitter_scale = 1e-9", f"jitter_scale = {value}"))
+    out = tmp_path / "x"
+    assert run_cli("estimate", "--config", str(path), "--out", str(out)) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: jitter_scale must be finite and nonnegative")
+    assert not list(out.glob("*"))
 
 
 def test_shipped_and_test_configs_load(tmp_path):

@@ -42,6 +42,8 @@ FUZZ = settings(max_examples=25, deadline=None, database=None, derandomize=True,
 # past int64 an OverflowError from numpy
 @example(case=("toy", [(("model", "kind"), "discrete")]))
 @example(case=("toy", [(("grids", "sim_counts"), str(2**63))]))
+# a negative GP jitter once failed inside the Cholesky factorization
+@example(case=("gp", [(("model", "jitter_scale"), "-1")]))
 def test_every_command_runs_or_fails_with_an_error_line(tmp_path, capsys, case):
     name, edits = case
     parser = configparser.ConfigParser()

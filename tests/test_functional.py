@@ -530,17 +530,18 @@ def test_toy_block_curves_are_the_whole_matrix_product(toy_functional):
 
 def test_pointwise_models_reduce_through_the_default_block(toy_model, toy_grid):
     # a model with only the two required hooks runs the whole pipeline to
-    # the toy's bits: the griddy chains draw through the base-class loop,
-    # and curves and expectations reduce one default block, which is the
-    # toy's one tile at 11 points; it has no gradients
+    # the toy's bits: a griddy chain draws through the base-class loop (one
+    # chain, since the toy's batched draw orders a shared stream's variates
+    # differently for more), and curves and expectations reduce one default
+    # block, which is the toy's one tile at 11 points; it has no gradients
     eval_grid = mg.make_regular_grid(mg.Domain(-2.0, 2.0), 11)
     runs = []
     for model in (toy_model, TwoHookToy(toy_model)):
         bank = mg.draw_sample_bank(model, toy_grid, 32, master_seed=404)
         fit = mg.fit_emus(bank, model)
         diag = mg.variance_diagnostics(fit)
-        chains = mg.run_griddy_chains(model, toy_grid, 300,
-                                      [np.random.default_rng(s) for s in (5, 6)], burn_in=10)
+        chains = mg.run_griddy_chains(model, toy_grid, 300, np.random.default_rng(5), 1,
+                                      burn_in=10)
         fn = mg.FunctionalEstimate(fit, model)
         runs.append([bank.thetas, fit.transition, fit.stationary, diag.R, diag.Q,
                      diag.rel_var_bound, *[trace.visits for trace in chains],

@@ -618,6 +618,9 @@ def test_gp_rejects_bad_inputs():
     for noise_var in (0.0, np.inf, np.nan):
         with pytest.raises(ValueError):
             mg.GpRegressionModel([0.0], [1.0], noise_var=noise_var)
+    for jitter_scale in (-1e-9, np.inf, np.nan):
+        with pytest.raises(ValueError, match="jitter_scale"):
+            mg.GpRegressionModel([0.0], [1.0], jitter_scale=jitter_scale)
     model = mg.GpRegressionModel([0.0], [1.0])
     with pytest.raises(ValueError):
         model.log_marginal_likelihood((1.0, -1.0))

@@ -711,6 +711,10 @@ def run_design_study(config: ExperimentConfig, out_dir: str, *, seed=None,
         if eval_grid.dim != 1:
             raise GridError(f"[design] probe_points need a one-dimensional grid, "
                             f"got {eval_grid.dim} dimensions")
+        # on one point every density is 1, so both variances are 0
+        if len(eval_grid) < 2:
+            raise GridError("[design] probe_points need at least 2 evaluation points, "
+                            f"got [grids] eval_counts = {len(eval_grid)}")
         lo, hi = float(eval_grid.domain.lower[0]), float(eval_grid.domain.upper[0])
         outside = [p for p in probes if not lo <= p <= hi]
         if outside:

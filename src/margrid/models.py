@@ -66,6 +66,12 @@ statistics once and yields the product in column tiles of about
 difference, so a curve's passes over a tile (exponential, product,
 gradient) run in cache; each tile is the same ``dgemm`` sum, so its
 entries are the whole-matrix bits too.
+
+Only the GP model uses scipy: its methods that factor and solve import
+``scipy.linalg`` on first use.  The toy and discrete models need numpy
+alone (the toy component weight is scipy's ``expit`` formula written in
+numpy), so a process that runs only them never pays for importing
+scipy's linear algebra.
 """
 
 from __future__ import annotations
@@ -75,9 +81,6 @@ import math
 from collections import OrderedDict
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cholesky
-from scipy.linalg.blas import dtrsm
-from scipy.special import expit
 
 from .errors import DegenerateWeightError, GradientUnavailableError, GridError
 from .grids import Domain, HyperGrid, _path_or_buffer, _read_csv_table
@@ -365,7 +368,12 @@ class ToyBimodalModel(Model):
         weights proportional to N(y; +-lam, s), s = 1/q + 1/tau.
         """
         s = 1.0 / self.q + 1.0 / self.tau
-        w_plus = expit(_gauss_logpdf(self.y, lams, s) - _gauss_logpdf(self.y, -lams, s))
+        # expit(d) of d = log N(y; lam, s) - log N(y; -lam, s), by scipy's
+        # formula 1 / (1 + exp(-d)) in numpy so that the toy model loads no
+        # scipy; -d is the reversed difference, bit for bit, the cap keeps
+        # exp finite, and past it expit(d) is below 1.3e-308 either way
+        neg_d = _gauss_logpdf(self.y, -lams, s) - _gauss_logpdf(self.y, lams, s)
+        w_plus = 1.0 / (1.0 + np.exp(np.minimum(neg_d, 709.0)))
         m_plus = (self.q * self.y + self.tau * lams) / (self.q + self.tau)
         m_minus = (self.tau * lams - self.q * self.y) / (self.q + self.tau)
         return w_plus, m_plus, m_minus, np.sqrt(1.0 / (self.q + self.tau))
@@ -428,6 +436,10 @@ class GpRegressionModel(Model):
     factor and whitening (``_fill_grads``).  The per-value
     factorization of C_lam + noise_var I, cached by ``_entry`` with C_lam,
     serves the sampler and the exact marginal.
+
+    The factors and triangular solves come from ``scipy.linalg``, which
+    each method that needs them imports on first use, so importing this
+    module loads no scipy.
     """
 
     def __init__(self, x, y, noise_var: float = 1.0 / 16.0, jitter_scale: float = 1e-9):
@@ -461,6 +473,8 @@ class GpRegressionModel(Model):
         if entry is not None:
             self._cache.move_to_end(key)
         else:
+            from scipy.linalg import cho_factor
+
             tau1, tau2 = key
             kernel = (tau1 / tau2) * np.exp(-tau2 * self._sqdist)
             jitter = self.jitter_scale * (tau1 / tau2)
@@ -479,6 +493,8 @@ class GpRegressionModel(Model):
 
     def _posterior(self, entry):
         if "post_chol" not in entry:
+            from scipy.linalg import cho_solve, cholesky
+
             cov = entry["cov"]
             gain = cho_solve(entry["chol_noisy"], cov)  # (C + s2 I)^{-1} C
             mean = gain.T @ self.y
@@ -506,29 +522,37 @@ class GpRegressionModel(Model):
     def _factor(self, tau2):
         """exp(-tau2 D) for the squared distances D, and the lower Cholesky
         factor of B(tau2)."""
+        from scipy.linalg import cholesky
+
         decay = np.exp(-tau2 * self._sqdist)
         return decay, cholesky(decay + self.jitter_scale * np.eye(self.y.size), lower=True)
 
-    def _whiten(self, draws, tau2, grads: bool):
+    def _whiten(self, draws, work, tau2, grads: bool):
         """The per-tau2 kernel: one factor of B(tau2), one whitening of the
-        Fortran-ordered draws.
+        Fortran-ordered draws, solved in ``work``, a Fortran-ordered array of
+        their shape that the caller allocates once and this overwrites.
 
         Returns log det B, the whitened squares q_B = theta' B^{-1} theta per
         draw, and with ``grads`` also tr(B^{-1} E) and q_E (see
         ``_fill_grads``), whose solve reuses the whitened draws.
         """
+        from scipy.linalg import cho_solve
+        from scipy.linalg.blas import dtrsm
+
         decay, chol = self._factor(tau2)
         logdet = 2.0 * np.sum(np.log(np.diag(chol)))
+        np.copyto(work, draws)
         # rows of the solution are L^{-1} theta_k: X L^T = Theta
-        white = dtrsm(1.0, chol, draws, side=1, lower=1, trans_a=1)
-        q_b = np.sum(white * white, axis=1)
-        if not grads:
-            return logdet, q_b, None
-        E = decay * self._sqdist
-        trace = np.trace(cho_solve((chol, True), E))
-        # rows of V are (B^{-1} theta_k)': X L = W
-        v = dtrsm(1.0, chol, white, side=1, lower=1)
-        return logdet, q_b, (trace, np.einsum("ij,ij->i", v, v @ E))
+        white = dtrsm(1.0, chol, work, side=1, lower=1, trans_a=1, overwrite_b=1)
+        extra = None
+        if grads:
+            E = decay * self._sqdist
+            trace = np.trace(cho_solve((chol, True), E))
+            # rows of V are (B^{-1} theta_k)': X L = W, before W is squared
+            v = dtrsm(1.0, chol, white, side=1, lower=1)
+            extra = (trace, np.einsum("ij,ij->i", v, v @ E))
+        q_b = np.multiply(white, white, out=white).sum(axis=1)
+        return logdet, q_b, extra
 
     def _observation(self, thetas):
         """log N(y; theta, noise_var I) per draw, the lam-free part of log psi."""
@@ -595,11 +619,12 @@ class GpRegressionModel(Model):
         points = self._points(points)
         thetas = self._draws(thetas)
         draws = np.asfortranarray(thetas)
+        work = np.empty_like(draws, order="F")
         tau2s, group = np.unique(points[:, 1], return_inverse=True)
         logdets = np.empty(tau2s.size)
         qs = np.empty((thetas.shape[0], tau2s.size))
         for g, tau2 in enumerate(tau2s):
-            logdets[g], qs[:, g], _ = self._whiten(draws, tau2, False)
+            logdets[g], qs[:, g], _ = self._whiten(draws, work, tau2, False)
         coefs = self._coefs(points, logdets[group])
         out = np.empty((thetas.shape[0], points.shape[0]))
         # group is in range; mode="clip" keeps take from buffering out
@@ -624,12 +649,13 @@ class GpRegressionModel(Model):
         points = self._points(points)
         thetas = self._draws(thetas)
         draws = np.asfortranarray(thetas)
+        work = np.empty_like(draws, order="F")
         stats = np.ones((thetas.shape[0], 4))
         stats[:, 1] = self._observation(thetas)
         tau2s, group = np.unique(points[:, 1], return_inverse=True)
         for g, tau2 in enumerate(tau2s):
             cols = np.flatnonzero(group == g)
-            logdet, q_b, extra = self._whiten(draws, tau2, grads)
+            logdet, q_b, extra = self._whiten(draws, work, tau2, grads)
             stats[:, 0] = q_b
             block = _stats_times_coefs(
                 stats, self._coefs(points[cols], np.full(cols.size, logdet)))
@@ -648,6 +674,8 @@ class GpRegressionModel(Model):
 
     def log_marginal_likelihood(self, lam) -> float:
         """log N(y; 0, C_lam + noise_var I), the exact log z(lam)."""
+        from scipy.linalg import cho_solve
+
         entry = self._entry(lam)
         n = self.y.size
         alpha = cho_solve(entry["chol_noisy"], self.y)

@@ -1,6 +1,9 @@
 """End-to-end command line runs: flags, outputs, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -177,6 +180,47 @@ def test_gp_and_discrete_studies_run_end_to_end(tmp_path, kind, text, command, o
     assert json.loads((a / "manifest.json").read_text())["command"] == command
 
 
+_SCIPY_FREE_RUN = """
+import sys
+
+import numpy as np
+
+import margrid as mg
+import margrid.cli
+
+toy = mg.ToyBimodalModel()
+grid = mg.make_regular_grid(mg.Domain(-2.0, 2.0), 8)
+fit = mg.fit_emus(mg.draw_sample_bank(toy, grid, 32, master_seed=1), toy)
+mg.variance_diagnostics(fit)
+fn = mg.FunctionalEstimate(fit, toy)
+fn.marginal_many(grid.points)
+fn.expectation(lambda t: t * t, grid)
+table = mg.DiscreteModel(np.loadtxt(sys.argv[2], delimiter=","))
+mg.fit_emus(mg.draw_sample_bank(table, table.grid(), 16, master_seed=1), table)
+assert margrid.cli.main(["estimate", "--config", sys.argv[1], "--out", sys.argv[3]]) == 0
+loaded = {"scipy.linalg", "scipy.special"} & set(sys.modules)
+assert not loaded, sorted(loaded)
+mg.GpRegressionModel(*mg.make_synthetic_gp_dataset(n=4)).exact_log_u([1.0, 1.0])
+assert "scipy.linalg" in sys.modules
+"""
+
+
+def test_toy_and_discrete_runs_load_no_scipy(tmp_path):
+    # only the GP model needs scipy.linalg, which it imports on first use,
+    # so a toy or discrete process never pays for importing it
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    (tmp_path / "toy.ini").write_text(SMALL_TOY)
+    (tmp_path / "table.csv").write_text(SMALL_TABLE)
+    result = subprocess.run(
+        [sys.executable, "-W", "error", "-c", _SCIPY_FREE_RUN, str(tmp_path / "toy.ini"),
+         str(tmp_path / "table.csv"), str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+
+
 def test_missing_config_file_fails_cleanly(tmp_path, capsys):
     code = run_cli("estimate", "--config", str(tmp_path / "nope.ini"),
                    "--out", str(tmp_path / "x"))
@@ -274,6 +318,10 @@ _BAD_PROBES = [
 ] + [
     pytest.param("design", (), edits, "[design] probe_points", id=f"design-probe-points-{name}")
     for name, edits in _BAD_PROBES
+] + [
+    # one evaluation point gives every replicate density 1 and a 0/0 reduction
+    pytest.param("design", (), (("eval_counts = 8", "eval_counts = 1"),),
+                 "[grids] eval_counts", id="design-probe-points-one-eval-point"),
 ] + [
     # the square-root rule always applies; the old switch is not ignored
     pytest.param("design", (), (("[design]", "[design]\nstabilize = false"),),

@@ -2,6 +2,7 @@
 
 import io
 import math
+import warnings
 from functools import partial
 
 import numpy as np
@@ -72,6 +73,28 @@ def test_toy_sampler_matches_mixture_moments(toy_model):
 
     draws = toy_model.sample_local(lam, np.random.default_rng(5), n)
     assert abs(draws.mean() - mean) < 3 * sd / math.sqrt(n)
+
+
+def test_toy_mixture_weight_is_expit_to_four_ulp():
+    # w_plus is scipy's expit formula 1 / (1 + exp(-d)) written in numpy with
+    # the exponent capped, so its last bits follow numpy's exp, not libm's
+    from scipy.special import expit
+
+    model = mg.ToyBimodalModel(y=1.0, q=2.0, tau=2.0)
+    s = 1.0 / model.q + 1.0 / model.tau
+    # d = 2 y lam / s spans +-800, past where exp(-d) overflows
+    lams = np.linspace(-400.0, 400.0, 200_001)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w_plus = model._local_mixture(lams)[0]
+    d = mg.models._gauss_logpdf(model.y, lams, s) - mg.models._gauss_logpdf(model.y, -lams, s)
+    ref = expit(d)
+    assert np.all((w_plus >= 0.0) & (w_plus <= 1.0))
+    normal = ref >= 1e-300
+    assert normal.any() and not normal.all()
+    ulps = np.abs(w_plus[normal] - ref[normal]) / np.spacing(ref[normal])
+    assert ulps.max() <= 4
+    assert np.all(w_plus[~normal] <= 1e-300)
 
 
 def test_toy_sampler_is_reproducible(toy_model):

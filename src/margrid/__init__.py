@@ -17,9 +17,6 @@ from .baselines import (
 )
 from .design import (
     DesignState,
-    EvalExtension,
-    design_history_to_csv,
-    extend_to_eval_grid,
     incremental_weights,
     optimal_weights,
     pivotal_sample,
@@ -108,9 +105,8 @@ __all__ = [
     "group_inverse", "spectral_gap",
     "FunctionalEstimate", "profile", "argmax_on",
     "GibbsTrace", "run_griddy_gibbs", "run_griddy_chains", "nearest_neighbor_extrapolate",
-    "EvalExtension", "extend_to_eval_grid", "optimal_weights",
-    "incremental_weights",
-    "pivotal_sample", "DesignState", "run_design_loop", "design_history_to_csv",
+    "optimal_weights", "incremental_weights",
+    "pivotal_sample", "DesignState", "run_design_loop",
     "enumerate_discrete_transition", "enumerate_discrete_kernel",
     "exhaustive_discrete_bank", "quadrature_transition_matrix",
     "quadrature_optimal_weights",

@@ -1,7 +1,8 @@
 """Sequential allocation of sampling effort over an evaluation grid.
 
 The curve estimator's accuracy depends on where samples were taken.
-Reweighting extends a fitted estimate to a denser evaluation grid.  The
+:func:`optimal_weights` scores a fit over a denser evaluation grid in
+one call: it reweights the fit onto that grid, then scores.  The
 fitted curve's kernel summands b at the evaluation columns, divided by
 their row sums r, are the normalized weights a; each sample carries the
 mass k = c r, c_s = u_i/N_i.  With u = a'k, the fitted curve on the
@@ -33,23 +34,21 @@ from .diagnostics import group_inverse
 from .emus import SampleBank, child_rng, fit_emus
 from .errors import GridError, MargridError
 from .functional import FunctionalEstimate
-from .grids import HyperGrid, _path_or_buffer
+from .grids import HyperGrid
 from .models import Model
 
 __all__ = [
-    "EvalExtension",
-    "extend_to_eval_grid",
     "trace_weights",
     "optimal_weights",
     "incremental_weights",
     "pivotal_sample",
     "DesignState",
     "run_design_loop",
-    "design_history_to_csv",
 ]
 
-def _require_subset(sim_grid: HyperGrid, eval_grid: HyperGrid) -> np.ndarray:
-    """Indices of the simulation points inside the evaluation grid."""
+
+def _require_subset(sim_grid: HyperGrid, eval_grid: HyperGrid) -> None:
+    """Raise GridError naming the first simulation point off the evaluation grid."""
     sim, ev = sim_grid.points, eval_grid.points
     if sim.shape[1] != ev.shape[1]:
         raise GridError("simulation and evaluation grids differ in dimension")
@@ -61,29 +60,10 @@ def _require_subset(sim_grid: HyperGrid, eval_grid: HyperGrid) -> np.ndarray:
             f"simulation point {i} is not on the evaluation grid; the "
             "reweighting identities need the simulation grid to be a subset"
         )
-    return np.argmax(hits, axis=1)
 
 
-@dataclass
-class EvalExtension:
-    """Grid matrix and curve values reweighted onto an evaluation grid.
-
-    ``transition`` is F = diag(1/u) Y'Y with Y = diag(sqrt(k)) a and u the
-    ``stationary_values``, so u_m F_mj = u_j F_jm and u'F = u' hold to
-    rounding: u is F's stationary vector without a solve.
-    """
-
-    eval_grid: HyperGrid
-    transition: np.ndarray
-    stationary_values: np.ndarray
-    sim_indices: np.ndarray
-    _eval_ratios: np.ndarray = field(repr=False)  # a: row-normalized weights, (S, M)
-    _mass: np.ndarray = field(repr=False)         # k = c r: per-sample mass, (S,)
-
-
-def extend_to_eval_grid(functional: FunctionalEstimate,
-                        eval_grid: HyperGrid) -> EvalExtension:
-    """Estimate the grid matrix of a finer evaluation grid by reweighting.
+def _eval_grid_matrix(functional: FunctionalEstimate, eval_grid: HyperGrid):
+    """(a, k, F, u): a fit reweighted onto a finer evaluation grid.
 
     The fitted curve supplies b, each cached sample's kernel summands at
     the evaluation columns, and u = c'b, its values there.  Dividing b in
@@ -93,10 +73,11 @@ def extend_to_eval_grid(functional: FunctionalEstimate,
     the local density of point m weights sample s by k_s a_sm / u_m, and
     F_mj = sum_s k_s a_sm a_sj / u_m is one symmetric product Y'Y,
     Y = diag(sqrt(k)) a, scaled by 1/u: row-stochastic and reversible
-    with respect to u, with no new sampling, log-weights or stationary
-    solve.  Beside the (S, M) weights a, only Y is held while F is formed.
+    with respect to u, so u'F = u' holds to rounding, with no new
+    sampling, log-weights or stationary solve.  Beside the (S, M)
+    weights a, only Y is held while F is formed.
     """
-    sim_idx = _require_subset(functional.emus.grid, eval_grid)
+    _require_subset(functional.emus.grid, eval_grid)
     with np.errstate(over="ignore"):  # an overflowing weight makes u infinite
         b = functional._ratio_matrix(eval_grid.points)
     u_eval = functional._curve(b)
@@ -112,14 +93,7 @@ def extend_to_eval_grid(functional: FunctionalEstimate,
     # y' y is one symmetric rank-S update (BLAS syrk), exactly symmetric
     F = y.T @ y
     F /= u_eval[:, None]
-    return EvalExtension(
-        eval_grid=eval_grid,
-        transition=F,
-        stationary_values=u_eval,
-        sim_indices=sim_idx,
-        _eval_ratios=a,
-        _mass=k,
-    )
+    return a, k, F, u_eval
 
 
 def _traces(a: np.ndarray, k: np.ndarray, F: np.ndarray,
@@ -164,12 +138,13 @@ def trace_weights(a: np.ndarray, k: np.ndarray, F: np.ndarray, u: np.ndarray):
     return scores / total, False
 
 
-def optimal_weights(extension: EvalExtension):
-    """Variance-optimal sampling fractions over the evaluation grid.
+def optimal_weights(functional: FunctionalEstimate, eval_grid: HyperGrid):
+    """Variance-optimal sampling fractions of a fit over an evaluation grid.
 
-    Scores each point by u_m sqrt(tr(G' Xi_m G)), G the group inverse of
-    I - F on the evaluation grid, through :func:`trace_weights`.  The
-    extension's curve values u are F's stationary vector to rounding,
+    The fit is reweighted onto ``eval_grid``, which must contain the
+    simulation grid, and each point is scored by u_m sqrt(tr(G' Xi_m G)),
+    G the group inverse of I - F there, through :func:`trace_weights`.
+    The reweighted curve values u are F's stationary vector to rounding,
     because F is built reversible with respect to them, so G is formed
     from u with no stationary solve and no clamping.  The evaluation
     grid has no size cap: work grows as S M^2 for S cached samples.
@@ -178,8 +153,7 @@ def optimal_weights(extension: EvalExtension):
     -------
     (w, degenerate) : (ndarray (M,), bool)
     """
-    return trace_weights(extension._eval_ratios, extension._mass,
-                         extension.transition, extension.stationary_values)
+    return trace_weights(*_eval_grid_matrix(functional, eval_grid))
 
 
 def incremental_weights(w_hat: np.ndarray, counts: np.ndarray, budget: int) -> np.ndarray:
@@ -349,8 +323,7 @@ def run_design_loop(model: Model, eval_grid: HyperGrid, iterations: int,
                 alloc = _bootstrap_allocation(M, blocks_per_iteration)
                 w_used = np.full(M, 1.0 / M)
             else:
-                extension = extend_to_eval_grid(functional, eval_grid)
-                w_hat, degenerate = optimal_weights(extension)
+                w_hat, degenerate = optimal_weights(functional, eval_grid)
                 state.w_hat, state.degenerate = w_hat, degenerate
                 w_bar = incremental_weights(w_hat, state.block_counts, blocks_per_iteration)
                 alloc = pivotal_sample(
@@ -383,22 +356,3 @@ def run_design_loop(model: Model, eval_grid: HyperGrid, iterations: int,
         except MargridError as exc:
             raise type(exc)(f"design iteration {it}: {exc}") from exc
     return state, functional
-
-
-def design_history_to_csv(state: DesignState, path_or_buf, header_lines=()) -> None:
-    """Write the allocation history as ``iteration,point,weight,allocated``.
-
-    One row per (iteration, evaluation-grid point).  ``weight`` is the
-    allocation-weight estimate that drove the iteration (uniform for the
-    bootstrap round), ``allocated`` counts latent draws (blocks times
-    samples per block) that the iteration placed at the point.
-    """
-    with _path_or_buffer(path_or_buf, "w") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("iteration,point,weight,allocated\n")
-        for it, record in enumerate(state.history):
-            draws = record["blocks"] * state.samples_per_block
-            weights = record["weights"]
-            for m in range(len(state.eval_grid)):
-                fh.write(f"{it},{m},{float(weights[m])!r},{int(draws[m])}\n")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import run_griddy_chains
-from .design import _even_indices, design_history_to_csv, run_design_loop
+from .design import _even_indices, run_design_loop
 from .emus import child_rng, draw_sample_bank, fit_emus
 from .errors import GridError, MargridError
 from .functional import FunctionalEstimate, argmax_on, profile
@@ -332,13 +332,15 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _write_csv(path, header, rows, comments=()) -> None:
-    with open(path, "w", newline="") as fh:
+def _write_csv(outputs: list, out_dir: str, name: str, header, rows, comments) -> None:
+    """Write ``out_dir/name`` and record ``name`` in the runner's ``outputs``."""
+    with open(os.path.join(out_dir, name), "w", newline="") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_cell(v) for v in row) + "\n")
+    outputs.append(name)
 
 
 def _comments(config: ExperimentConfig, master_seed: int):
@@ -431,27 +433,25 @@ def run_estimate(config: ExperimentConfig, out_dir: str, *, seed=None,
     emus0, curve0 = results[0]
     comments = _comments(config, master)
     have_exact = model.has_exact_log_u
+    outputs = []
 
     point_cols = _point_header(eval_grid)
     if have_exact:
         reference = exact_reference(model, eval_grid, sim_grid)
         rows = [(*p, c, e) for p, c, e in zip(eval_grid.points, curve0, reference)]
-        _write_csv(os.path.join(out_dir, "curve.csv"),
+        _write_csv(outputs, out_dir, "curve.csv",
                    point_cols + ["u_hat", "u_exact"], rows, comments)
     else:
         rows = [(*p, c) for p, c in zip(eval_grid.points, curve0)]
-        _write_csv(os.path.join(out_dir, "curve.csv"),
+        _write_csv(outputs, out_dir, "curve.csv",
                    point_cols + ["u_hat"], rows, comments)
 
-    profile_files = []
     if eval_grid.axes is not None:
         for axis in range(eval_grid.points.shape[1]):
             values, prof = profile(curve0, eval_grid, axis)
-            name = f"profile_axis{axis}.csv"
-            _write_csv(os.path.join(out_dir, name),
+            _write_csv(outputs, out_dir, f"profile_axis{axis}.csv",
                        [f"dim{axis}", "u_profile"],
                        list(zip(values, prof)), comments)
-            profile_files.append(name)
 
     diag = variance_diagnostics(emus0)
     per_point = diag.grid_terms / diag.sampling_fractions
@@ -459,7 +459,7 @@ def run_estimate(config: ExperimentConfig, out_dir: str, *, seed=None,
         (i, *sim_grid.points[i], counts[i], emus0.stationary[i], per_point[i])
         for i in range(len(sim_grid))
     ]
-    _write_csv(os.path.join(out_dir, "diagnostics.csv"),
+    _write_csv(outputs, out_dir, "diagnostics.csv",
                ["point"] + _point_header(sim_grid) + ["n_draws", "u_hat", "bound_term"],
                diag_rows, comments)
 
@@ -484,7 +484,7 @@ def run_estimate(config: ExperimentConfig, out_dir: str, *, seed=None,
                 mean_abs_error(emus.stationary, exact_sim),
                 normalized_l2_error(curve, reference),
             ))
-        _write_csv(os.path.join(out_dir, "errors.csv"),
+        _write_csv(outputs, out_dir, "errors.csv",
                    ["replicate", "l1_sim_grid", "normalized_l2_eval_grid"],
                    err_rows, comments)
         errs = np.array([(r[1], r[2]) for r in err_rows])
@@ -493,10 +493,7 @@ def run_estimate(config: ExperimentConfig, out_dir: str, *, seed=None,
 
     manifest = _manifest_skeleton("estimate", config, master, reps)
     manifest["summary"] = summary
-    manifest["outputs"] = sorted(
-        ["curve.csv", "diagnostics.csv"] + profile_files
-        + (["errors.csv"] if have_exact else [])
-    )
+    manifest["outputs"] = sorted(outputs)
     return _write_manifest(out_dir, manifest)
 
 
@@ -568,7 +565,8 @@ def run_compare(config: ExperimentConfig, out_dir: str, *, seed=None,
             "truncated_fit_fraction": float(np.mean(truncated)),
         })
 
-    _write_csv(os.path.join(out_dir, "compare.csv"),
+    outputs = []
+    _write_csv(outputs, out_dir, "compare.csv",
                ["tau", "replicate", "emus_l1", "gibbs_l1",
                 "gibbs_neg_visits", "gibbs_pos_visits"],
                rows, _comments(config, master))
@@ -582,7 +580,7 @@ def run_compare(config: ExperimentConfig, out_dir: str, *, seed=None,
             "parity": True,
         },
     }
-    manifest["outputs"] = ["compare.csv"]
+    manifest["outputs"] = sorted(outputs)
     return _write_manifest(out_dir, manifest)
 
 
@@ -657,7 +655,8 @@ def run_rate_study(config: ExperimentConfig, out_dir: str, *, seed=None,
             dense_medians.append(med)
             rows.append(("dense-grid", L, dense_reps, errs.mean(), med))
 
-    _write_csv(os.path.join(out_dir, "rates.csv"),
+    outputs = []
+    _write_csv(outputs, out_dir, "rates.csv",
                ["regime", "sweep_value", "n_replicates", "error_mean", "error_median"],
                rows, _comments(config, master))
 
@@ -677,7 +676,7 @@ def run_rate_study(config: ExperimentConfig, out_dir: str, *, seed=None,
             "fixed_n": fixed_n,
         },
     }
-    manifest["outputs"] = ["rates.csv"]
+    manifest["outputs"] = sorted(outputs)
     return _write_manifest(out_dir, manifest)
 
 
@@ -707,6 +706,10 @@ def run_design_study(config: ExperimentConfig, out_dir: str, *, seed=None,
     master = _resolve_seed(config, seed)
     probes = config.floats("design", "probe_points", fallback=())
     if probes:
+        # the probe densities integrate the curve with trapezoid weights
+        if eval_grid.axes is None:
+            raise GridError("[design] probe_points need a tensor-product evaluation "
+                            "grid; this model's grid is not one")
         # a probe is looked up on the grid's one axis, in its working scale
         if eval_grid.dim != 1:
             raise GridError(f"[design] probe_points need a one-dimensional grid, "
@@ -734,8 +737,13 @@ def run_design_study(config: ExperimentConfig, out_dir: str, *, seed=None,
 
     state, functional = run_design_loop(model, eval_grid, iterations, blocks, per_block,
                                         master)
-    design_history_to_csv(state, os.path.join(out_dir, "design.csv"),
-                          header_lines=comments)
+    outputs = []
+    history_rows = [
+        (it, m, record["weights"][m], record["blocks"][m] * per_block)
+        for it, record in enumerate(state.history) for m in range(len(eval_grid))
+    ]
+    _write_csv(outputs, out_dir, "design.csv",
+               ["iteration", "point", "weight", "allocated"], history_rows, comments)
 
     manifest = _manifest_skeleton("design", config, master, reps)
     summary: dict = {
@@ -744,7 +752,6 @@ def run_design_study(config: ExperimentConfig, out_dir: str, *, seed=None,
         "points_visited": int(np.count_nonzero(state.block_counts)),
         "truncated_iterations": state.truncated_iterations,
     }
-    outputs = ["design.csv"]
 
     if probes:
         quad = trapezoid_weights(eval_grid)
@@ -801,10 +808,9 @@ def run_design_study(config: ExperimentConfig, out_dir: str, *, seed=None,
                 var_rows.append(("design", r, probe, value))
             for probe, value in zip(probes, uniform_vals[r]):
                 var_rows.append(("uniform", r, probe, value))
-        _write_csv(os.path.join(out_dir, "design_variance.csv"),
+        _write_csv(outputs, out_dir, "design_variance.csv",
                    ["method", "replicate", "probe", "density"],
                    var_rows, comments)
-        outputs.append("design_variance.csv")
 
         var_d = design_vals[ok_d].var(axis=0, ddof=1)
         var_u = uniform_vals[ok_u].var(axis=0, ddof=1)

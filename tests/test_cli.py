@@ -102,7 +102,18 @@ def test_design_subcommand(config_path, tmp_path):
     assert run_cli("design", "--config", config_path, "--out", str(out)) == 0
     rows = (out / "design.csv").read_text().splitlines()
     assert rows[0].startswith("# config_sha256=")
+    assert rows[1] == "# master_seed=21"
     assert rows[2] == "iteration,point,weight,allocated"
+    # one row per (round, evaluation point): 2 rounds of 4 blocks of 4 draws
+    # over 8 points
+    body = [line.split(",") for line in rows[3:]]
+    assert len(body) == 2 * 8
+    for it in range(2):
+        block = body[it * 8:(it + 1) * 8]
+        assert [r[0] for r in block] == [str(it)] * 8
+        assert [int(r[1]) for r in block] == list(range(8))
+        assert sum(int(r[3]) for r in block) == 4 * 4
+        assert sum(float(r[2]) for r in block) == pytest.approx(1.0)
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "design"
     assert "versions" in manifest and "margrid" in manifest["versions"]
@@ -364,6 +375,19 @@ def test_replicate_counts_below_one_fail_cleanly(tmp_path, capsys, command,
     assert err.startswith("error: ")
     assert key in err
     assert not list((tmp_path / "x").glob("*"))
+
+
+def test_design_probe_points_on_a_discrete_grid_fail_cleanly(tmp_path, capsys):
+    # the probe densities need a tensor-product grid, which a discrete
+    # model's atoms are not; the key is named before design.csv is written
+    (tmp_path / "table.csv").write_text(SMALL_TABLE)
+    path = tmp_path / "discrete.ini"
+    path.write_text(SMALL_DISCRETE + "\n[design]\nprobe_points = 1\n")
+    out = tmp_path / "x"
+    assert run_cli("design", "--config", str(path), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [design] probe_points ")
+    assert not list(out.glob("*"))
 
 
 @pytest.mark.parametrize("command", ["estimate", "compare", "rate-study", "design"])

@@ -1,4 +1,4 @@
-"""Evaluation-grid extension, allocation weights, and the design loop."""
+"""Evaluation-grid reweighting, allocation weights, and the design loop."""
 
 import tracemalloc
 
@@ -12,9 +12,8 @@ import margrid as mg
 from margrid import design
 from margrid.design import (
     _bootstrap_allocation,
+    _eval_grid_matrix,
     _traces,
-    design_history_to_csv,
-    extend_to_eval_grid,
     incremental_weights,
     optimal_weights,
     pivotal_sample,
@@ -45,35 +44,33 @@ def exhaustive_functional(model, columns=None):
 
 def test_extension_to_the_same_grid_is_identity(asym_model):
     fn = exhaustive_functional(asym_model)
-    ext = extend_to_eval_grid(fn, fn.emus.grid)
-    np.testing.assert_allclose(ext.transition, fn.emus.transition, atol=1e-12)
-    np.testing.assert_allclose(ext.stationary_values, fn.emus.stationary,
-                               atol=1e-12)
-    np.testing.assert_array_equal(ext.sim_indices, [0, 1])
+    _, _, F, u = _eval_grid_matrix(fn, fn.emus.grid)
+    np.testing.assert_allclose(F, fn.emus.transition, atol=1e-12)
+    np.testing.assert_allclose(u, fn.emus.stationary, atol=1e-12)
 
 
 def test_extension_recovers_held_out_column_exactly():
     model = mg.DiscreteModel(WIDE_TABLE)
     fn = exhaustive_functional(model, [0, 2])
-    eval_grid = model.grid()
-    ext = extend_to_eval_grid(fn, eval_grid)
+    _, _, F, u = _eval_grid_matrix(fn, model.grid())
 
     F_exact, u_exact = mg.enumerate_discrete_transition(model)
-    np.testing.assert_allclose(ext.transition, F_exact, atol=1e-12)
+    np.testing.assert_allclose(F, F_exact, atol=1e-12)
     # Reweighted values are on the raw scale of the fit; compare shapes.
-    ratio = ext.stationary_values / u_exact
+    ratio = u / u_exact
     np.testing.assert_allclose(ratio, ratio[0], rtol=1e-12)
 
 
-def test_extension_requires_sim_subset(asym_model, toy_model, toy_grid):
+def test_extension_requires_sim_subset(asym_model):
+    # the scorer's one entry point checks the subset before any weight
     fn = exhaustive_functional(asym_model)
-    off = mg.make_regular_grid(mg.Domain(-2.0, 2.0), 4)
-    with pytest.raises(mg.GridError):
-        extend_to_eval_grid(fn, off)
+    off = mg.HyperGrid(fn.emus.grid.domain, np.array([[0.0], [0.5]]))
+    with pytest.raises(mg.GridError, match="simulation point 1 is not on"):
+        optimal_weights(fn, off)
 
 
 def require_subset_loop(sim_grid, eval_grid):
-    """The per-point search that _require_subset replaces."""
+    """The per-point search that _require_subset replaces: each point's index."""
     sim, ev = sim_grid.points, eval_grid.points
     idx = np.empty(sim.shape[0], dtype=int)
     for i, lam in enumerate(sim):
@@ -110,9 +107,10 @@ def subset_cases():
 def test_subset_indices_match_the_per_point_search(case):
     sim_grid, eval_grid, missing = subset_cases()[case]
     if missing is None:
+        # both searches pass: every simulation point has an index
         expected = require_subset_loop(sim_grid, eval_grid)
-        np.testing.assert_array_equal(design._require_subset(sim_grid, eval_grid), expected)
         np.testing.assert_array_equal(eval_grid.points[expected], sim_grid.points)
+        design._require_subset(sim_grid, eval_grid)
         return
     with pytest.raises(mg.GridError) as want:
         require_subset_loop(sim_grid, eval_grid)
@@ -165,9 +163,8 @@ def gp_extension_case():
     return mg.FunctionalEstimate(emus, model), eval_grid
 
 
-def local_weights(extension):
+def local_weights(a, k):
     """The (S, M) weights a k / (a'k) of each sample under each local density."""
-    a, k = extension._eval_ratios, extension._mass
     return a * k[:, None] / (a.T @ k)
 
 
@@ -175,19 +172,21 @@ def local_weights(extension):
                          ids=["toy-129", "gp-11x11"])
 def test_extension_reads_the_fitted_curve(case):
     fn, eval_grid = case()
-    ext = extend_to_eval_grid(fn, eval_grid)
+    a_ext, k, F_ext, u_ext = _eval_grid_matrix(fn, eval_grid)
     a, u, local, F = extension_oracle(fn, eval_grid)
-    assert np.max(np.abs(ext._eval_ratios - a)) <= 1e-14
-    np.testing.assert_allclose(ext.stationary_values, u, rtol=1e-13, atol=0)
+    assert np.max(np.abs(a_ext - a)) <= 1e-14
+    np.testing.assert_allclose(u_ext, u, rtol=1e-13, atol=0)
+    # u is the fitted curve itself, as the block-wise query reduces it
+    np.testing.assert_allclose(u_ext, fn.marginal_many(eval_grid.points),
+                               rtol=1e-13, atol=0)
     # subnormal entries (GP weights far from a point) carry no relative
     # precision, so they are held to the smallest normal number instead
-    np.testing.assert_allclose(local_weights(ext), local, rtol=1e-13,
+    np.testing.assert_allclose(local_weights(a_ext, k), local, rtol=1e-13,
                                atol=np.finfo(float).tiny)
-    assert np.max(np.abs(ext.transition - F)) <= 1e-13
-    np.testing.assert_allclose(ext.transition.sum(axis=1), 1.0, atol=1e-13)
-    # the curve values are the extension's stationary vector, and F is
-    # reversible with respect to them, so scoring needs no stationary solve
-    F_ext, u_ext = ext.transition, ext.stationary_values
+    assert np.max(np.abs(F_ext - F)) <= 1e-13
+    np.testing.assert_allclose(F_ext.sum(axis=1), 1.0, atol=1e-13)
+    # the curve values are F's stationary vector, and F is reversible with
+    # respect to them, so scoring needs no stationary solve
     assert np.max(np.abs(F_ext.T @ u_ext - u_ext)) <= 1e-13 * u_ext.max()
     flow = u_ext[:, None] * F_ext
     assert np.max(np.abs(flow - flow.T)) <= 1e-14
@@ -196,15 +195,13 @@ def test_extension_reads_the_fitted_curve(case):
 # -- cross moments ---------------------------------------------------------
 
 
-def cross_moments_oracle(extension):
+def cross_moments_oracle(a, k, F):
     """Reference Xi_m = E_m[a a'] - f_m f_m' per point, as a dense M^3 cube.
 
     The loop that scoring used before the trace identity; each matrix is
     symmetrized by transpose averaging.
     """
-    a = extension._eval_ratios
-    local = local_weights(extension)
-    F = extension.transition
+    local = local_weights(a, k)
     M = F.shape[0]
     xi = np.empty((M, M, M))
     for m in range(M):
@@ -214,24 +211,16 @@ def cross_moments_oracle(extension):
     return xi
 
 
-def scoring_inputs(extension):
-    """(a, k, F, G) exactly as ``optimal_weights`` builds them."""
-    F = extension.transition
-    G = mg.group_inverse(F, extension.stationary_values)
-    return extension._eval_ratios, extension._mass, F, G
-
-
-def optimal_weights_oracle(extension):
+def optimal_weights_oracle(functional, eval_grid):
     """The scoring route before the (a, k) form: F's stationary vector
     solved again, and the explicit (S, M) matrix of local weights."""
-    F = extension.transition
+    a, k, F, u = _eval_grid_matrix(functional, eval_grid)
     v, _ = mg.emus._solve_stationary(F, "truncate")
     G = mg.group_inverse(F, v)
     H = G @ G.T
-    a = extension._eval_ratios
-    first = local_weights(extension).T @ np.sum((a @ H) * a, axis=1)
+    first = local_weights(a, k).T @ np.sum((a @ H) * a, axis=1)
     traces = np.clip(first - np.sum((F @ H) * F, axis=1), 0.0, None)
-    scores = extension.stationary_values * np.sqrt(traces)
+    scores = u * np.sqrt(traces)
     if scores.sum() <= 0:
         return np.full(F.shape[0], 1.0 / F.shape[0]), True
     return scores / scores.sum(), False
@@ -240,9 +229,8 @@ def optimal_weights_oracle(extension):
 def test_cross_moments_match_direct_summation():
     model = mg.DiscreteModel(WIDE_TABLE)
     fn = exhaustive_functional(model, [0, 2])
-    eval_grid = model.grid()
-    ext = extend_to_eval_grid(fn, eval_grid)
-    a_s, k, F, G = scoring_inputs(ext)
+    a_s, k, F, u = _eval_grid_matrix(fn, model.grid())
+    G = mg.group_inverse(F, u)
     H = G @ G.T
     traces = _traces(a_s, k, F, G)
 
@@ -251,7 +239,7 @@ def test_cross_moments_match_direct_summation():
     T = WIDE_TABLE.sum(axis=1)
     a = WIDE_TABLE / T[:, None]
     z = WIDE_TABLE.sum(axis=0)
-    xi_oracle = cross_moments_oracle(ext)
+    xi_oracle = cross_moments_oracle(a_s, k, F)
     for m in range(3):
         pi_m = WIDE_TABLE[:, m] / z[m]
         second = (a * pi_m[:, None]).T @ a
@@ -267,15 +255,15 @@ def test_sampled_scores_match_the_cube_oracle_at_m128():
     sim_grid = mg.HyperGrid(domain=eval_grid.domain,
                             points=eval_grid.points[::8], scale=eval_grid.scale)
     bank = mg.draw_sample_bank(model, sim_grid, np.full(16, 64), 3)
-    emus = mg.fit_emus(bank, model, on_degenerate="truncate")
-    ext = extend_to_eval_grid(mg.FunctionalEstimate(emus, model), eval_grid)
-    w, degenerate = optimal_weights(ext)
+    fn = mg.FunctionalEstimate(mg.fit_emus(bank, model, on_degenerate="truncate"), model)
+    w, degenerate = optimal_weights(fn, eval_grid)
 
-    _, _, _, G = scoring_inputs(ext)
+    a, k, F, u = _eval_grid_matrix(fn, eval_grid)
+    G = mg.group_inverse(F, u)
     H = G @ G.T
-    xi = cross_moments_oracle(ext)
+    xi = cross_moments_oracle(a, k, F)
     traces = np.clip(np.einsum("mij,ij->m", xi, H), 0.0, None)
-    scores = ext.stationary_values * np.sqrt(traces)
+    scores = u * np.sqrt(traces)
     assert not degenerate
     assert np.max(np.abs(w - scores / scores.sum())) <= 1e-9
 
@@ -300,7 +288,7 @@ def test_design_allocations_match_the_re_solving_scorer(seed, monkeypatch):
 
 def test_scoring_holds_under_three_samples_by_points_buffers():
     # 16 x 256 = 4096 draws, 128 points: one (S, M) float64 buffer is 4 MiB;
-    # the extension and its scoring hold a and Y, or a and a H, at once
+    # the reweighting and its scoring hold a and Y, or a and a H, at once
     model, eval_grid = design_m128_case()
     sim_grid = mg.HyperGrid(domain=eval_grid.domain,
                             points=eval_grid.points[::8], scale=eval_grid.scale)
@@ -309,7 +297,7 @@ def test_scoring_holds_under_three_samples_by_points_buffers():
     whole = 8 * bank.total * len(eval_grid)
     tracemalloc.start()
     try:
-        optimal_weights(extend_to_eval_grid(fn, eval_grid))
+        optimal_weights(fn, eval_grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -341,10 +329,9 @@ def test_design_loop_runs_past_the_old_grid_cap(toy_model):
 
 def test_optimal_weights_uniform_when_moments_vanish(asym_model, monkeypatch):
     fn = exhaustive_functional(asym_model)
-    ext = extend_to_eval_grid(fn, fn.emus.grid)
     monkeypatch.setattr(design, "_traces",
                         lambda a, k, F, G: np.zeros(F.shape[0]))
-    w, degenerate = optimal_weights(ext)
+    w, degenerate = optimal_weights(fn, fn.emus.grid)
     np.testing.assert_allclose(w, [0.5, 0.5])
     assert degenerate
 
@@ -352,8 +339,7 @@ def test_optimal_weights_uniform_when_moments_vanish(asym_model, monkeypatch):
 def test_optimal_weights_symmetric_model_splits_evenly():
     model = mg.DiscreteModel(SYM_TABLE)
     fn = exhaustive_functional(model)
-    ext = extend_to_eval_grid(fn, fn.emus.grid)
-    w, degenerate = optimal_weights(ext)
+    w, degenerate = optimal_weights(fn, fn.emus.grid)
     assert not degenerate
     np.testing.assert_allclose(w, [0.5, 0.5], atol=1e-12)
 
@@ -361,8 +347,7 @@ def test_optimal_weights_symmetric_model_splits_evenly():
 def test_optimal_weights_are_a_probability_vector():
     model = mg.DiscreteModel(WIDE_TABLE)
     fn = exhaustive_functional(model, [0, 2])
-    ext = extend_to_eval_grid(fn, model.grid())
-    w, degenerate = optimal_weights(ext)
+    w, degenerate = optimal_weights(fn, model.grid())
     assert not degenerate
     assert np.all(w >= 0)
     assert w.sum() == pytest.approx(1.0)
@@ -567,26 +552,3 @@ def test_design_loop_decorates_errors():
                         samples_per_block=4, master_seed=1)
     assert "design iteration 0" in str(err.value)
 
-
-def test_design_history_csv_layout(toy_model):
-    eval_grid = mg.make_regular_grid(mg.Domain(-2.0, 2.0), 4)
-    state, _ = run_design_loop(
-        toy_model, eval_grid, iterations=2, blocks_per_iteration=4,
-        samples_per_block=2, master_seed=5)
-    import io
-
-    buf = io.StringIO()
-    design_history_to_csv(state, buf, header_lines=("alpha=1",))
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "# alpha=1"
-    assert lines[1] == "iteration,point,weight,allocated"
-    body = lines[2:]
-    assert len(body) == 2 * 4
-    for it in range(2):
-        rows = [line.split(",") for line in body[it * 4:(it + 1) * 4]]
-        assert [r[0] for r in rows] == [str(it)] * 4
-        assert [int(r[1]) for r in rows] == [0, 1, 2, 3]
-        placed = sum(int(r[3]) for r in rows)
-        assert placed == 4 * 2  # blocks times samples per block
-        total_w = sum(float(r[2]) for r in rows)
-        assert total_w == pytest.approx(1.0)

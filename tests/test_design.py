@@ -552,3 +552,49 @@ def test_design_loop_decorates_errors():
                         samples_per_block=4, master_seed=1)
     assert "design iteration 0" in str(err.value)
 
+
+
+TOY_DESIGN_CONFIG = """
+[model]
+kind = toy
+y = 1.0
+q = 2.0
+tau = 2.0
+
+[domain]
+lower = -2.0
+upper = 2.0
+
+[grids]
+sim_counts = 4
+eval_counts = 4
+
+[sampling]
+master_seed = 5
+
+[design]
+iterations = 2
+blocks_per_iteration = 4
+samples_per_block = 2
+"""
+
+
+def test_design_history_csv_layout(tmp_path):
+    from margrid.experiments import ExperimentConfig, run_design_study
+
+    config = ExperimentConfig.from_text(TOY_DESIGN_CONFIG)
+    run_design_study(config, str(tmp_path))
+    lines = (tmp_path / "design.csv").read_text().splitlines()
+    assert lines[0] == f"# config_sha256={config.sha256}"
+    assert lines[1] == "# master_seed=5"
+    assert lines[2] == "iteration,point,weight,allocated"
+    body = lines[3:]
+    assert len(body) == 2 * 4
+    for it in range(2):
+        rows = [line.split(",") for line in body[it * 4:(it + 1) * 4]]
+        assert [r[0] for r in rows] == [str(it)] * 4
+        assert [int(r[1]) for r in rows] == [0, 1, 2, 3]
+        placed = sum(int(r[3]) for r in rows)
+        assert placed == 4 * 2  # blocks times samples per block
+        total_w = sum(float(r[2]) for r in rows)
+        assert total_w == pytest.approx(1.0)

@@ -224,7 +224,7 @@ def build_model(config: ExperimentConfig) -> Model:
         dataset = config.get("model", "dataset", fallback="synthetic")
         if dataset == "synthetic":
             x, y = make_synthetic_gp_dataset(
-                n=config.getint("model", "n_data", fallback=16),
+                n=_at_least(config.getint("model", "n_data", fallback=16), "[model] n_data"),
                 seed=config.getseed("model", "dataset_seed", fallback=7),
                 noise_var=noise_var,
             )
@@ -249,6 +249,10 @@ def build_grids(config: ExperimentConfig, model: Model | None = None):
         if model is None:
             model = build_model(config)
         columns = config.ints("grids", "sim_columns", fallback=())
+        n_atoms = model.atom_values.size
+        if len(set(columns)) < len(columns) or not set(columns) <= set(range(n_atoms)):
+            raise GridError(f"[grids] sim_columns must be distinct columns in [0, {n_atoms}), "
+                            f"got {columns}")
         grid = model.grid(columns if columns else None)
         return grid, grid
     lower = config.floats("domain", "lower")
@@ -415,6 +419,11 @@ def run_estimate(config: ExperimentConfig, out_dir: str, *, seed=None,
     (per simulation point), ``errors.csv`` (per-replicate error metrics
     against the exact reference), and ``manifest.json``.  Replicate r
     draws its bank with spawn keys (r, point_index).
+
+    Replicates are fitted one at a time and each fit is dropped once its
+    errors are taken; replicate 0 also keeps its curve, stationary vector
+    and diagnostics.  Files are written after the last replicate, so a
+    failed fit leaves none.
     """
     os.makedirs(out_dir, exist_ok=True)
     model = build_model(config)
@@ -422,29 +431,31 @@ def run_estimate(config: ExperimentConfig, out_dir: str, *, seed=None,
     counts = _sample_counts(config, len(sim_grid))
     master = _resolve_seed(config, seed)
     reps = _resolve_replicates(config, replicates)
-
-    def one(r: int):
-        bank = draw_sample_bank(model, sim_grid, counts, master, spawn_prefix=(r,))
-        emus = fit_emus(bank, model)
-        return emus, FunctionalEstimate(emus, model).marginal_many(eval_grid.points)
-
-    results = [one(r) for r in range(reps)]
-    # profiles and the argmax are reductions of replicate 0's one curve
-    emus0, curve0 = results[0]
-    comments = _comments(config, master)
     have_exact = model.has_exact_log_u
-    outputs = []
-
-    point_cols = _point_header(eval_grid)
     if have_exact:
         reference = exact_reference(model, eval_grid, sim_grid)
-        rows = [(*p, c, e) for p, c, e in zip(eval_grid.points, curve0, reference)]
-        _write_csv(outputs, out_dir, "curve.csv",
-                   point_cols + ["u_hat", "u_exact"], rows, comments)
-    else:
-        rows = [(*p, c) for p, c in zip(eval_grid.points, curve0)]
-        _write_csv(outputs, out_dir, "curve.csv",
-                   point_cols + ["u_hat"], rows, comments)
+        exact_sim = exact_stationary(model, sim_grid)
+
+    err_rows = []
+    for r in range(reps):
+        bank = draw_sample_bank(model, sim_grid, counts, master, spawn_prefix=(r,))
+        emus = fit_emus(bank, model)
+        curve = FunctionalEstimate(emus, model).marginal_many(eval_grid.points)
+        if r == 0:
+            # profiles, the argmax and the diagnostics read replicate 0 only
+            curve0, u0, diag = curve, emus.stationary, variance_diagnostics(emus)
+        if have_exact:
+            err_rows.append((r, mean_abs_error(emus.stationary, exact_sim),
+                             normalized_l2_error(curve, reference)))
+        del bank, emus  # before the next replicate draws
+
+    comments = _comments(config, master)
+    outputs = []
+    columns = {"u_hat": curve0}
+    if have_exact:
+        columns["u_exact"] = reference
+    _write_csv(outputs, out_dir, "curve.csv", _point_header(eval_grid) + list(columns),
+               [(*p, *v) for p, *v in zip(eval_grid.points, *columns.values())], comments)
 
     if eval_grid.axes is not None:
         for axis in range(eval_grid.points.shape[1]):
@@ -453,10 +464,9 @@ def run_estimate(config: ExperimentConfig, out_dir: str, *, seed=None,
                        [f"dim{axis}", "u_profile"],
                        list(zip(values, prof)), comments)
 
-    diag = variance_diagnostics(emus0)
     per_point = diag.grid_terms / diag.sampling_fractions
     diag_rows = [
-        (i, *sim_grid.points[i], counts[i], emus0.stationary[i], per_point[i])
+        (i, *sim_grid.points[i], counts[i], u0[i], per_point[i])
         for i in range(len(sim_grid))
     ]
     _write_csv(outputs, out_dir, "diagnostics.csv",
@@ -476,14 +486,6 @@ def run_estimate(config: ExperimentConfig, out_dir: str, *, seed=None,
     }
 
     if have_exact:
-        exact_sim = exact_stationary(model, sim_grid)
-        err_rows = []
-        for r, (emus, curve) in enumerate(results):
-            err_rows.append((
-                r,
-                mean_abs_error(emus.stationary, exact_sim),
-                normalized_l2_error(curve, reference),
-            ))
         _write_csv(outputs, out_dir, "errors.csv",
                    ["replicate", "l1_sim_grid", "normalized_l2_eval_grid"],
                    err_rows, comments)
@@ -735,8 +737,7 @@ def run_design_study(config: ExperimentConfig, out_dir: str, *, seed=None,
                         "[design] baseline_points")
     comments = _comments(config, master)
 
-    state, functional = run_design_loop(model, eval_grid, iterations, blocks, per_block,
-                                        master)
+    state, _ = run_design_loop(model, eval_grid, iterations, blocks, per_block, master)
     outputs = []
     history_rows = [
         (it, m, record["weights"][m], record["blocks"][m] * per_block)

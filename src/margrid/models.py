@@ -277,11 +277,10 @@ class DiscreteModel(Model):
             return np.log(self.psi_table[np.ix_(idx, cols)]) + np.log(self.prior[cols])
 
     def sample_local(self, lam, rng, size: int):
-        # the inverse-CDF lookup of Generator.choice(p=w / w.sum())
-        return self._cdfs[self.column_of(lam)].searchsorted(rng.random(size), side="right")
+        return self.sample_local_many(np.repeat(_as_lambda(lam)[None, :], size, axis=0), rng)
 
     def sample_local_many(self, points, rng):
-        # sample_local's searchsorted(side="right"): the CDF entries <= u
+        # the inverse-CDF lookup of Generator.choice(p=w / w.sum()): CDF entries <= u
         u = rng.random(len(points))
         return (self._cdfs[self._columns(points)] <= u[:, None]).sum(axis=1)
 
@@ -692,6 +691,10 @@ def make_synthetic_gp_dataset(n: int = 16, seed: int = 7, noise_var: float = 1.0
     Inputs on a regular design in [-2, 2]; responses are a smooth curve
     plus Gaussian noise with the model's observation variance.
     """
+    if n < 1:
+        raise ValueError(f"a synthetic dataset needs n >= 1 points, got {n}")
+    if not 0 < noise_var < np.inf:
+        raise ValueError("noise_var must be finite and positive")
     rng = np.random.default_rng(seed)
     x = np.linspace(-2.0, 2.0, n)
     f = np.sin(2.0 * x) + 0.5 * x

@@ -407,6 +407,40 @@ def test_gp_jitter_scale_must_be_finite_and_nonnegative(tmp_path, capsys, value)
     assert not list(out.glob("*"))
 
 
+@pytest.mark.parametrize("command", ["estimate", "compare", "rate-study", "design"])
+@pytest.mark.parametrize("edit,message", [
+    ("n_data = 0", "error: [model] n_data must be at least 1, got 0"),
+    ("noise_var = -1", "error: noise_var must be finite and positive"),
+    ("noise_var = nan", "error: noise_var must be finite and positive"),
+], ids=["n_data-0", "noise_var-negative", "noise_var-nan"])
+def test_gp_synthetic_dataset_values_are_checked_before_use(tmp_path, capsys, command,
+                                                            edit, message):
+    # n_data = 0 once ran estimate to exit 0 on a model with no observations,
+    # and noise_var = -1 once warned from the dataset's noise draw
+    path = tmp_path / "gp.ini"
+    path.write_text(SMALL_GP.replace("n_data = 8", edit))
+    out = tmp_path / "x"
+    assert run_cli(command, "--config", str(path), "--out", str(out)) == 1
+    assert capsys.readouterr().err.startswith(message)
+    assert not list(out.glob("*"))
+
+
+@pytest.mark.parametrize("command", ["estimate", "compare", "rate-study", "design"])
+@pytest.mark.parametrize("value", ["9", "-1", "0 0"])
+def test_discrete_sim_columns_must_be_distinct_table_columns(tmp_path, capsys, command,
+                                                             value):
+    # 9 once raised IndexError, -1 picked the last column and 0 0 repeated
+    # a grid point
+    (tmp_path / "table.csv").write_text(SMALL_TABLE)
+    path = tmp_path / "discrete.ini"
+    path.write_text(SMALL_DISCRETE + f"\n[grids]\nsim_columns = {value}\n")
+    out = tmp_path / "x"
+    assert run_cli(command, "--config", str(path), "--out", str(out)) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: [grids] sim_columns must be distinct columns in [0, 4)")
+    assert not list(out.glob("*"))
+
+
 def test_shipped_and_test_configs_load(tmp_path):
     (tmp_path / "table.csv").write_text(SMALL_TABLE)
     for text in (SMALL_TOY, SMALL_GP, SMALL_DISCRETE):

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -218,6 +219,24 @@ def test_run_estimate_seed_override(tmp_path):
     manifest = read_manifest(out)
     assert manifest["master_seed"] == 77
     assert manifest["replicates"] == 2
+
+
+def test_run_estimate_holds_one_fit_at_a_time(tmp_path):
+    # 32 points x 256 draws: one fit's (S, L) weight cache is 2 MiB, so a
+    # run that kept its 6 fits would peak past 12 MiB
+    text = (TOY_TEXT.replace("sim_counts = 6", "sim_counts = 32")
+            .replace("samples_per_point = 32", "samples_per_point = 256")
+            .replace("replicates = 3", "replicates = 6"))
+    cfg = mg.ExperimentConfig.from_text(text)
+    cache_bytes = 32 * 256 * 32 * 8
+    mg.run_estimate(cfg, str(tmp_path / "warm"))
+    tracemalloc.start()
+    try:
+        mg.run_estimate(cfg, str(tmp_path / "est"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * cache_bytes, peak / cache_bytes
 
 
 class NoClosedFormToy(mg.ToyBimodalModel):

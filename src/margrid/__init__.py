@@ -33,11 +33,9 @@ from .diagnostics import (
 )
 from .emus import (
     EmusEstimate,
-    LogWeightCache,
     SampleBank,
     bridge_ratio,
     child_rng,
-    compute_log_weights,
     draw_sample_bank,
     estimate_transition_matrix,
     fit_emus,
@@ -97,8 +95,8 @@ __all__ = [
     "Model", "DiscreteModel", "ToyBimodalModel", "GpRegressionModel",
     "make_synthetic_gp_dataset", "gp_dataset_to_csv", "gp_dataset_from_csv",
     "discrete_table_from_csv",
-    "SampleBank", "LogWeightCache", "EmusEstimate", "child_rng",
-    "draw_sample_bank", "compute_log_weights", "estimate_transition_matrix",
+    "SampleBank", "EmusEstimate", "child_rng",
+    "draw_sample_bank", "estimate_transition_matrix",
     "stationary_vector", "fit_emus", "bridge_ratio",
     "hitting_probabilities", "weight_ratio_variances",
     "pointwise_variance_bound", "VarianceDiagnostics", "variance_diagnostics",

@@ -132,9 +132,12 @@ def weight_ratio_variances(estimate: EmusEstimate) -> np.ndarray:
     R[i, j] is the sample variance (denominator N_i - 1) over the draws
     at grid point i of the normalized weight against column j, i.e. the
     quantity whose row means form the transition matrix.  Rows with a
-    single draw are unavailable and reported as NaN, never as zero.
+    single draw are unavailable and reported as NaN, never as zero.  The
+    fit computes R in the same tiled pass as the matrix
+    (:func:`margrid.emus.estimate_transition_matrix`), and this returns
+    the R the estimate holds.
     """
-    return segment_var(estimate.cache.ratios, estimate.bank.offsets)
+    return estimate.ratio_variances
 
 
 def _bound_terms(R: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -211,7 +214,7 @@ def pointwise_variance_bound(functional, lam, diagnostics: VarianceDiagnostics |
         return float(np.sum(grid_part))
     # one kernel column serves both the per-point variances and the curve
     ratios = functional._ratio_matrix([lam])
-    r = segment_var(ratios[:, 0], est.bank.offsets)
+    r = segment_var(ratios[:, 0].copy(), est.bank.offsets)
     u_lam = float(functional._curve(ratios)[0])
     if not u_lam > 0:
         return float("inf")

@@ -4,10 +4,14 @@ Monte Carlo samples are drawn independently at each grid point from the
 normalized local density pi_i and pooled: a :class:`SampleBank` stacks
 every draw once, in grid order.  For each sample the vector of log-weights
 log(psi_j(theta) p(lam_j)) over all grid columns j is normalized by its
-log-sum-exp and cached.  Averaging the normalized weights row by row gives
-a row-stochastic matrix whose stationary vector, rescaled to sum L,
-estimates the marginal u(lam_l) = z(lam_l) p(lam_l) on the grid up to a
-common constant.
+log-sum-exp, which the fit keeps.  Averaging the normalized weights row
+by row gives a row-stochastic matrix whose stationary vector, rescaled to
+sum L, estimates the marginal u(lam_l) = z(lam_l) p(lam_l) on the grid up
+to a common constant.  The fit walks the bank in row tiles of whole point
+segments (``Model.log_weight_rows``): each tile is normalized in place,
+gives its rows of the matrix, of the weights' variances R and of the
+log-sum-exps, and is dropped, so the (S, L) matrix of normalized weights
+never exists whole.
 
 The stationary vector is computed by Grassmann-Taksar-Heyman state
 reduction (Oper. Res. 33, 1985): states are censored out one at a time,
@@ -28,11 +32,9 @@ from .models import TILE_BYTES, Model
 
 __all__ = [
     "SampleBank",
-    "LogWeightCache",
     "EmusEstimate",
     "child_rng",
     "draw_sample_bank",
-    "compute_log_weights",
     "estimate_transition_matrix",
     "stationary_vector",
     "fit_emus",
@@ -109,29 +111,20 @@ def draw_sample_bank(model: Model, grid: HyperGrid, counts, master_seed: int,
     return SampleBank(grid=grid, thetas=np.concatenate(draws, axis=0), counts=counts)
 
 
-@dataclass
-class LogWeightCache:
-    """Cached normalized weights of every sample against every grid column.
+def _normalize(logw: np.ndarray, offsets: np.ndarray, first: int) -> np.ndarray:
+    """Normalize rows of log-weights in place into weights; returns their
+    log-sum-exps.
 
-    ``ratios[s, j]`` is psi_j(theta_s) p(lam_j) / sum_l psi_l(theta_s) p(lam_l),
-    exactly 0 where the log-weight is more than LOG_WEIGHT_FLOOR below
-    the sample's own maximum; ``lse`` is the per-sample log-sum-exp of
-    the log-weights over columns.  Rows follow the bank's stacked draws.
+    ``logw`` holds the bank's rows from ``first`` on, ``offsets`` the bank's
+    segment offsets, which name a degenerate row's point.  Entries more
+    than LOG_WEIGHT_FLOOR below their row's maximum become exactly 0; the
+    rest become psi_j(theta) p(lam_j) / sum_l psi_l(theta) p(lam_l).  Every
+    step is per row, so a row's bits do not depend on the rows beside it.
     """
-
-    ratios: np.ndarray
-    lse: np.ndarray
-
-
-def compute_log_weights(bank: SampleBank, model: Model) -> LogWeightCache:
-    """Evaluate all sample-against-column log-weights; cache them normalized."""
-    logw = np.ascontiguousarray(model.log_weight_matrix(bank.thetas, bank.grid.points),
-                                dtype=float)
     row_max = np.max(logw, axis=1)
     bad = ~np.isfinite(row_max)
     if np.any(bad):
-        s = int(np.argmax(bad))
-        offsets = bank.offsets
+        s = first + int(np.argmax(bad))
         point = int(np.searchsorted(offsets, s, side="right") - 1)
         raise DegenerateWeightError(
             f"sample {s - offsets[point]} at grid point {point} has zero weight "
@@ -139,62 +132,105 @@ def compute_log_weights(bank: SampleBank, model: Model) -> LogWeightCache:
             "inconsistent or all weights underflowed"
         )
     logw[logw < (row_max[:, None] - LOG_WEIGHT_FLOOR)] = -np.inf
-    # exp(logw - row_max) in place, normalized by its row sums: one (S, L)
-    # buffer and one exp pass; floored entries become exp(-inf) = 0 exactly
+    # exp(logw - row_max) in place, normalized by its row sums: one exp
+    # pass; floored entries become exp(-inf) = 0 exactly
     logw -= row_max[:, None]
     np.exp(logw, out=logw)
     sums = np.sum(logw, axis=1)
     logw /= sums[:, None]
-    return LogWeightCache(ratios=logw, lse=row_max + np.log(sums))
+    return row_max + np.log(sums)
+
+
+def _row_tiles(offsets: np.ndarray, row_bytes: int) -> list:
+    """Segment bounds of row tiles of whole segments: tile t holds segments
+    ``bounds[t]:bounds[t + 1]``.
+
+    A tile is at most ``TILE_BYTES`` of rows of ``row_bytes`` each, so it
+    stays in cache through every pass over it; a segment larger than that
+    is a tile of its own.  Segments are never split, so the tiles change
+    no bit of a segment's mean.
+    """
+    starts = offsets[:-1]
+    rows = max(1, TILE_BYTES // row_bytes)
+    bounds = [0]
+    while bounds[-1] < starts.size:
+        a = bounds[-1]
+        b = int(np.searchsorted(offsets, starts[a] + rows, side="right")) - 1
+        bounds.append(max(a + 1, b))
+    return bounds
 
 
 def segment_mean(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Mean of each offset-delimited segment along axis 0.
 
-    The segments are summed in row tiles of whole segments, each at most
-    ``TILE_BYTES`` (a segment larger than that is a tile of its own), so a
-    tile stays in cache while ``np.add.reduceat`` walks its columns; it
-    sums each segment on its own, so the tiles change no bit.
+    ``np.add.reduceat`` sums each segment on its own, row after row, so a
+    segment's mean has the same bits in any array that holds it whole.
     """
-    starts = offsets[:-1]
-    rows = max(1, TILE_BYTES * len(values) // values.nbytes)
-    sums = np.empty((starts.size,) + values.shape[1:], dtype=values.dtype)
-    a = 0
-    while a < starts.size:
-        b = max(a + 1, int(np.searchsorted(offsets, starts[a] + rows, side="right")) - 1)
-        lo, hi = offsets[a], offsets[b]
-        sums[a:b] = np.add.reduceat(values[lo:hi], starts[a:b] - lo, axis=0)
-        a = b
     counts = np.diff(offsets).astype(float)
     shape = (-1,) + (1,) * (values.ndim - 1)
-    return sums / counts.reshape(shape)
+    return np.add.reduceat(values, offsets[:-1], axis=0) / counts.reshape(shape)
 
 
-def segment_var(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Unbiased (ddof=1) variance of each offset-delimited segment along axis 0.
+def segment_var(values: np.ndarray, offsets: np.ndarray,
+                means: np.ndarray | None = None) -> np.ndarray:
+    """Unbiased (ddof=1) variance of each offset-delimited segment along
+    axis 0, computed in place: ``values`` is overwritten.
 
+    Whole-array: ``values`` is cut into blocks of g rows, g the greatest
+    common divisor of the segment sizes, so no block straddles two
+    segments; each block has the means of its segment (``means``, by
+    default :func:`segment_mean`) subtracted in place, one ``einsum`` sums
+    every block's squares, and ``np.add.reduceat`` sums the blocks of each
+    segment.  Nothing of the size of ``values`` is allocated unless g is 1.
     Single-draw segments have no variance and are NaN, never zero.
     """
-    out = np.full((offsets.size - 1,) + values.shape[1:], np.nan)
-    for i, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
-        if hi - lo > 1:
-            out[i] = np.var(values[lo:hi], axis=0, ddof=1)
-    return out
+    if means is None:
+        means = segment_mean(values, offsets)
+    counts = np.diff(offsets)
+    g = int(np.gcd.reduce(counts))
+    blocks = values.reshape((-1, g) + values.shape[1:])
+    blocks -= np.repeat(means, counts // g, axis=0)[:, None]
+    squares = np.einsum("ij...,ij...->i...", blocks, blocks)
+    # 0 / NaN is a quiet NaN: single-draw segments raise no warning
+    denom = np.where(counts > 1, counts - 1.0, np.nan)
+    shape = (-1,) + (1,) * (values.ndim - 1)
+    return np.add.reduceat(squares, offsets[:-1] // g, axis=0) / denom.reshape(shape)
 
 
 def estimate_transition_matrix(bank: SampleBank, model: Model):
-    """Row-stochastic matrix of mean normalized weights.
+    """Mean normalized weights, their variances and every draw's log-sum-exp,
+    from one pass over the bank in row tiles.
 
-    Entry (i, j) averages psi_j(theta) p(lam_j) / sum_l psi_l(theta) p(lam_l)
-    over the samples drawn at grid point i; rows sum to 1 up to floating
-    point by construction.
+    Entry (i, j) of F averages psi_j(theta) p(lam_j) / sum_l psi_l(theta)
+    p(lam_l) over the samples drawn at grid point i, so rows sum to 1 up to
+    floating point; R[i, j] is the unbiased variance of the same weights
+    (:func:`segment_var`).  The bank is walked in ``_row_tiles`` of whole
+    point segments, each from ``model.log_weight_rows``: a tile is
+    normalized in place (``_normalize``), its rows of F, R and the
+    log-sum-exp are written, and it is dropped, so no (S, L) array exists.
+    F and the log-sum-exps are the bits of the whole-matrix computation.
 
     Returns
     -------
-    (F, cache) : (ndarray of shape (L, L), LogWeightCache)
+    (F, R, lse) : (ndarray (L, L), ndarray (L, L), ndarray (S,))
     """
-    cache = compute_log_weights(bank, model)
-    return segment_mean(cache.ratios, bank.offsets), cache
+    offsets = bank.offsets
+    L = len(bank.grid)
+    F = np.empty((L, L))
+    R = np.empty((L, L))
+    lse = np.empty(bank.total)
+    bounds = _row_tiles(offsets, 8 * L)
+    tiles = model.log_weight_rows(bank.thetas, bank.grid.points, offsets[bounds])
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        lo = offsets[a]
+        logw = np.ascontiguousarray(next(tiles), dtype=float)
+        lse[lo:offsets[b]] = _normalize(logw, offsets, lo)
+        local = offsets[a:b + 1] - lo
+        F[a:b] = segment_mean(logw, local)
+        R[a:b] = segment_var(logw, local, F[a:b])
+        # dropped before the model builds the next tile
+        del logw
+    return F, R, lse
 
 
 def stationary_vector(transition: np.ndarray) -> np.ndarray:
@@ -289,17 +325,22 @@ class EmusEstimate:
     Fields
     ------
     bank : SampleBank
-    cache : LogWeightCache
     transition : ndarray (L, L)
         Row-stochastic matrix of mean normalized weights.
     stationary : ndarray (L,)
         Estimated u(lam_l) up to a common constant, normalized to sum L.
+    ratio_variances : ndarray (L, L)
+        R, the per-row unbiased variances of the normalized weights (NaN
+        rows for single-draw points).
+    lse : ndarray (S,)
+        Per-draw log-sum-exp of the log-weights over the grid columns.
     """
 
     bank: SampleBank
-    cache: LogWeightCache
     transition: np.ndarray
     stationary: np.ndarray
+    ratio_variances: np.ndarray
+    lse: np.ndarray
     #: True when fit_emus clamped a degenerate solve; the only record of it
     truncated: bool = False
 
@@ -323,11 +364,15 @@ def fit_emus(bank: SampleBank, model: Model,
     ``truncated`` flag is set, with no warning: callers that can
     self-correct (sequential designs accumulating overlap) use this for
     provisional fits.  An inaccurate solve always raises.
+
+    The fit keeps F, R and the per-draw log-sum-exps from one tiled pass
+    (:func:`estimate_transition_matrix`), never the (S, L) matrix of
+    normalized weights, so its memory grows as L^2 + S, not S L.
     """
-    F, cache = estimate_transition_matrix(bank, model)
+    F, R, lse = estimate_transition_matrix(bank, model)
     u, truncated = _solve_stationary(F, on_degenerate)
-    return EmusEstimate(bank=bank, cache=cache, transition=F, stationary=u,
-                        truncated=truncated)
+    return EmusEstimate(bank=bank, transition=F, stationary=u, ratio_variances=R,
+                        lse=lse, truncated=truncated)
 
 
 def bridge_ratio(transition: np.ndarray, i: int, j: int) -> float:

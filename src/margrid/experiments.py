@@ -422,8 +422,10 @@ def run_estimate(config: ExperimentConfig, out_dir: str, *, seed=None,
 
     Replicates are fitted one at a time and each fit is dropped once its
     errors are taken; replicate 0 also keeps its curve, stationary vector
-    and diagnostics.  Files are written after the last replicate, so a
-    failed fit leaves none.
+    and diagnostics.  A model without an exact reference has no errors to
+    take, so only replicate 0 is drawn and fitted, and the manifest's
+    ``replicates`` counts the replicates fitted.  Files are written after
+    the last replicate, so a failed fit leaves none.
     """
     os.makedirs(out_dir, exist_ok=True)
     model = build_model(config)
@@ -436,6 +438,9 @@ def run_estimate(config: ExperimentConfig, out_dir: str, *, seed=None,
         reference = exact_reference(model, eval_grid, sim_grid)
         exact_sim = exact_stationary(model, sim_grid)
 
+    # replicates past 0 only feed errors.csv, which needs the reference
+    if not have_exact:
+        reps = 1
     err_rows = []
     for r in range(reps):
         bank = draw_sample_bank(model, sim_grid, counts, master, spawn_prefix=(r,))

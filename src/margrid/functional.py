@@ -72,7 +72,7 @@ class FunctionalEstimate:
         ratios = np.ascontiguousarray(
             self.model.log_weight_matrix(self.emus.bank.thetas, points), dtype=float
         )
-        ratios -= self.emus.cache.lse[:, None]
+        ratios -= self.emus.lse[:, None]
         return np.exp(ratios, out=ratios)
 
     def _curve(self, summands) -> np.ndarray:
@@ -106,7 +106,7 @@ class FunctionalEstimate:
         (values, gradients or None, weighted values or None).
         """
         points = self._query_points(points)
-        lse = self.emus.cache.lse[:, None]
+        lse = self.emus.lse[:, None]
         values = np.empty(len(points))
         gradients = np.empty(points.shape) if grads else None
         weighted = np.empty(len(points)) if phi_vals is not None else None
@@ -125,6 +125,8 @@ class FunctionalEstimate:
                 # phi weights the block in place: no second block-sized array
                 block *= phi_vals[:, None]
                 weighted[cols] = self._curve(block)
+            # dropped before the model builds the next block
+            del block, grad
         return values, gradients, weighted
 
     # -- the curve ---------------------------------------------------------

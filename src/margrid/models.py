@@ -1,7 +1,7 @@
 """Statistical models exposing local densities over a hyperparameter.
 
 Every model provides two hooks, for hyperparameter values lam in its
-domain, and may override the defaults of three more; the estimators use
+domain, and may override the defaults of four more; the estimators use
 the local density psi_lam and the prior p(lam) only as their product:
 
 - ``sample_local(lam, rng, size)``: exact draws from the normalized
@@ -16,6 +16,11 @@ the local density psi_lam and the prior p(lam) only as their product:
   the toy and discrete models override it with batched arithmetic (the
   griddy Gibbs chains of :mod:`margrid.baselines` call it once per
   iteration for all chains),
+- optionally ``log_weight_rows(thetas, points, bounds)``: the rows of
+  ``log_weight_matrix`` in the ranges ``bounds[t]:bounds[t + 1]``, which a
+  fit reads tile by tile; the base class evaluates each range on its own,
+  the toy model computes its statistics once and the GP model whitens
+  all draws once, each then assembling one range at a time,
 - optionally ``log_weight_blocks(thetas, points, grads)``: the columns of
   ``log_weight_matrix`` in blocks, each with, when ``grads`` is set, its
   hyperparameter gradients (the only place gradients come from); the
@@ -50,7 +55,12 @@ exactly as the elementwise sum ((s0 c0 + s1) + c2) + ... does, with or
 without FMA.  A one-row or one-column product would go to gemv instead,
 which rounds differently on FMA kernels, so those take the elementwise
 sum.  A column therefore never depends on its companions: a one-point
-call gives the bits of the same column in any wider call.
+call gives the bits of the same column in any wider call.  Nor does a
+row: fits read log-weights through ``log_weight_rows(thetas, points,
+bounds)`` in row tiles, and the toy and GP models take the per-draw and
+per-point work (statistics, coefficients, factors, whitened squares)
+once for all draws and assemble each range with the same sum, so a
+range holds the bits of the same rows of the whole matrix.
 
 Curves read log-weights and gradients through ``log_weight_blocks(thetas,
 points, grads=False)``, which yields ``(cols, logw, grad)`` column
@@ -101,8 +111,9 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 #: hyperparameter values whose GP factorizations are kept, least recently used dropped
 GP_CACHE_SIZE = 1024
 
-#: bytes of one cache-sized tile: a toy log-weight block, or the rows that
-#: ``emus.segment_mean`` sums in one call
+#: bytes of one cache-sized tile: a toy log-weight block, or the rows of
+#: whole point segments that a fit normalizes and reduces at once
+#: (``emus._row_tiles``)
 TILE_BYTES = 1 << 20
 
 
@@ -178,6 +189,21 @@ class Model:
         result bit.
         """
         raise NotImplementedError
+
+    def log_weight_rows(self, thetas, points, bounds):
+        """Log-weights in row ranges: yields the ``log_weight_matrix`` rows
+        ``bounds[t]:bounds[t + 1]`` of the draws, in order.
+
+        Each range comes as a fresh C-ordered array the caller may
+        overwrite.  A fit walks its bank in row tiles through this hook and
+        drops each tile, so the whole (N, M) matrix need never exist.  The
+        default evaluates each range's draws on their own; models override
+        it when per-point or per-draw work is cheaper done once for all
+        ranges, and every range must hold the bits of the same rows of one
+        whole-matrix call.
+        """
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            yield self.log_weight_matrix(thetas[lo:hi], points)
 
     def log_weight_blocks(self, thetas, points, grads: bool = False):
         """Log-weights in column blocks: yields ``(cols, logw, grad)``.
@@ -345,17 +371,30 @@ class ToyBimodalModel(Model):
         as the product of ``_stats_coefs``."""
         return _stats_times_coefs(*self._stats_coefs(thetas, points))
 
+    def log_weight_rows(self, thetas, points, bounds):
+        """Row ranges of ``log_weight_matrix``: ``_stats_coefs`` once, then
+        one ``_stats_times_coefs`` per range, whose entries are the
+        whole-matrix bits (see the module docstring)."""
+        stats, coefs = self._stats_coefs(thetas, points)
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            yield _stats_times_coefs(stats[lo:hi], coefs)
+
     def log_weight_blocks(self, thetas, points, grads: bool = False):
         """Cache-sized column tiles of ``log_weight_matrix`` (see
         ``_column_tiles``), from statistics computed once; with ``grads``,
         each tile's gradients tau (theta - lam), shape (N, len(cols), 1),
-        from one outer difference.  Every entry is bit-equal to its
-        whole-matrix entry."""
+        one outer difference scaled in place.  Every entry is bit-equal to
+        its whole-matrix entry."""
         points = self._points(points)
         stats, coefs = self._stats_coefs(thetas, points)
         for cols, block in _column_tiles(stats, coefs):
-            grad = self.tau * np.subtract.outer(stats[:, 0], points[cols]) if grads else None
+            grad = None
+            if grads:
+                grad = np.subtract.outer(stats[:, 0], points[cols])
+                grad *= self.tau
             yield cols, block, grad
+            # the caller holds the tile now: drop it before the next one
+            del block, grad
 
     def _local_mixture(self, lams):
         """Weight of the + component, the two means and the common
@@ -607,13 +646,25 @@ class GpRegressionModel(Model):
         return -np.log(points[:, 0]) - np.log(points[:, 1])
 
     def log_weight_matrix(self, thetas, points):
-        """Matrix of log(psi_lam_j(theta_n) p(lam_j)), shape (N, M).
+        """Matrix of log(psi_lam_j(theta_n) p(lam_j)), shape (N, M): the
+        one range of ``log_weight_rows`` that holds every draw.
 
-        Columns that share tau2 share one Cholesky factor of B(tau2) and
-        one whitening solve of all draws (see the class docstring); the
-        (N, M) output then takes one gather of q_B and four in-place passes.
         A column depends only on its own point, never on which other points
         share the call.
+        """
+        thetas = self._draws(thetas)
+        return next(self.log_weight_rows(thetas, points, (0, thetas.shape[0])))
+
+    def log_weight_rows(self, thetas, points, bounds):
+        """Row ranges of ``log_weight_matrix``, from one pass over the draws.
+
+        Columns that share tau2 share one Cholesky factor of B(tau2), and
+        one whitening solve of all draws gives their q_B (see the class
+        docstring), so B is factored once per distinct tau2 and every draw
+        is whitened once per call, however many ranges it asks for.  Each
+        (hi - lo, M) range then takes one gather of q_B and four in-place
+        passes, elementwise, so a range holds the bits of the same rows of
+        the whole matrix.
         """
         points = self._points(points)
         thetas = self._draws(thetas)
@@ -624,14 +675,24 @@ class GpRegressionModel(Model):
         qs = np.empty((thetas.shape[0], tau2s.size))
         for g, tau2 in enumerate(tau2s):
             logdets[g], qs[:, g], _ = self._whiten(draws, work, tau2, False)
+        del draws, work
         coefs = self._coefs(points, logdets[group])
-        out = np.empty((thetas.shape[0], points.shape[0]))
+        obs = self._observation(thetas)[:, None]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            yield self._assemble(qs[lo:hi], obs[lo:hi], group, coefs)
+
+    @staticmethod
+    def _assemble(qs, obs, group, coefs):
+        """Log-weights of some draws from their q_B per distinct tau2
+        (``qs``), their observation terms and the points' coefficients: one
+        gather and four in-place passes."""
+        out = np.empty((qs.shape[0], group.size))
         # group is in range; mode="clip" keeps take from buffering out
         np.take(qs, group, axis=1, out=out, mode="clip")
         # the sum of _stats_times_coefs over [q_B, obs, 1, 1], term by term,
         # so that every entry is bit-equal to its log_weight_blocks entry
         out *= coefs[0]
-        out += self._observation(thetas)[:, None]
+        out += obs
         out += coefs[2]
         out += coefs[3]
         return out
@@ -664,6 +725,8 @@ class GpRegressionModel(Model):
                 grad_block = self._fill_grads(q_b[:, None], q_e[:, None], trace,
                                               points[cols])
             yield cols, block, grad_block
+            # the caller holds the block now: drop it before the next one
+            del block, grad_block
 
     def sample_local(self, lam, rng, size: int):
         entry = self._entry(lam)

@@ -132,7 +132,7 @@ def extension_oracle(functional, eval_grid):
     points = eval_grid.points
     loga = np.asarray(model.log_weight_matrix(thetas, points))
     a = np.exp(loga - logsumexp(loga, axis=1)[:, None])
-    b = np.exp(loga - emus.cache.lse[:, None])
+    b = np.exp(loga - emus.lse[:, None])
     c = np.repeat(emus.stationary / emus.counts, emus.counts)
     u = b.T @ c
     F = (b * c[:, None]).T @ a / u[:, None]

@@ -267,10 +267,12 @@ def test_hitting_probabilities_do_not_depend_on_the_batch_size(toy_fit_l64, monk
     np.testing.assert_array_equal(mg.hitting_probabilities(F), batched)
 
 
-def test_weight_ratio_variances_match_numpy(toy_fit):
+def test_weight_ratio_variances_match_numpy(toy_fit, toy_model):
     R = mg.weight_ratio_variances(toy_fit)
-    cache = toy_fit.cache
-    ratios = cache.ratios
+    bank = toy_fit.bank
+    # the normalized weights, built here from the model's whole matrix
+    logw = np.array(toy_model.log_weight_matrix(bank.thetas, bank.grid.points), dtype=float)
+    ratios = np.exp(logw - toy_fit.lse[:, None])
     lo, hi = toy_fit.bank.offsets[2], toy_fit.bank.offsets[3]
     np.testing.assert_allclose(R[2], np.var(ratios[lo:hi], axis=0, ddof=1))
     assert np.all(R[np.isfinite(R)] >= 0)

@@ -25,7 +25,7 @@ def test_exhaustive_bank_reproduces_enumeration(asym_model):
     # An exhaustive bank turns the sample means into exact sums, so the
     # estimated matrix must match direct enumeration to rounding.
     bank = mg.exhaustive_discrete_bank(asym_model)
-    F_hat, _ = mg.estimate_transition_matrix(bank, asym_model)
+    F_hat = mg.estimate_transition_matrix(bank, asym_model)[0]
     F_exact, _ = mg.enumerate_discrete_transition(asym_model)
     np.testing.assert_allclose(F_hat, F_exact, atol=1e-12)
 
@@ -221,9 +221,31 @@ def test_degenerate_weight_error_names_the_sample():
     model = BrokenModel(table)
     bank = mg.draw_sample_bank(model, model.grid(), [3, 3], master_seed=1)
     with pytest.raises(mg.DegenerateWeightError) as err:
-        mg.compute_log_weights(bank, model)
+        mg.estimate_transition_matrix(bank, model)
     assert "grid point 0" in str(err.value)
     assert "sample 0" in str(err.value)
+
+
+def test_degenerate_weight_error_names_a_later_tiles_sample(monkeypatch):
+    # only point 1's draws have zero weight everywhere; with one segment per
+    # tile they sit in the second tile, and the error still names them by
+    # their place in the bank
+    class BrokenModel(mg.DiscreteModel):
+        def sample_local(self, lam, rng, size):
+            return np.full(size, 4 if lam[0] == 1.0 else 1)
+
+    table = np.array([
+        [1.0, 0.0],
+        [1.0, 1.0],
+        [0.0, 1.0],
+        [0.0, 0.0],
+        [0.0, 0.0],
+    ])
+    model = BrokenModel(table)
+    bank = mg.draw_sample_bank(model, model.grid(), [3, 2], master_seed=1)
+    monkeypatch.setattr(mg.emus, "TILE_BYTES", 1)
+    with pytest.raises(mg.DegenerateWeightError, match="sample 0 at grid point 1"):
+        mg.fit_emus(bank, model)
 
 
 def test_sampled_fit_converges_to_enumeration(asym_model):
@@ -237,7 +259,7 @@ def test_sampled_fit_converges_to_enumeration(asym_model):
 
 
 def _floored_log_weights(bank, model):
-    """The model's log-weights of the bank, floored as the cache floors them."""
+    """The model's log-weights of the bank, floored as the fit floors them."""
     thetas = bank.thetas
     points = bank.grid.points
     logw = np.array(model.log_weight_matrix(thetas, points), dtype=float)
@@ -245,33 +267,48 @@ def _floored_log_weights(bank, model):
     return logw
 
 
+def _normalized_weights(bank, model):
+    """The bank's whole (S, L) matrix of normalized weights and their
+    log-sum-exps, by the normalization the fit applies to each of its row
+    tiles; the fit's own F and log-sum-exps must be their bits."""
+    ratios = np.array(model.log_weight_matrix(bank.thetas, bank.grid.points), dtype=float)
+    lse = mg.emus._normalize(ratios, bank.offsets, 0)
+    F, _, fit_lse = mg.estimate_transition_matrix(bank, model)
+    np.testing.assert_array_equal(fit_lse, lse)
+    np.testing.assert_array_equal(F, mg.emus.segment_mean(ratios, bank.offsets))
+    return ratios, lse
+
+
 def test_log_weight_floor_drops_tiny_columns(toy_model):
     # Entries more than the floor below their row maximum are cut to
     # exact zeros in the normalized ratios; the rest stay positive.
     grid = mg.make_regular_grid(mg.Domain(-60.0, 60.0), 2)
     bank = mg.draw_sample_bank(toy_model, grid, [4, 4], master_seed=3)
-    cache = mg.compute_log_weights(bank, toy_model)
+    ratios, _ = _normalized_weights(bank, toy_model)
     floored = np.isneginf(_floored_log_weights(bank, toy_model))
     assert floored.any()
-    assert np.all(cache.ratios[floored] == 0.0)
-    assert np.all(cache.ratios[~floored] > 0.0)
+    assert np.all(ratios[floored] == 0.0)
+    assert np.all(ratios[~floored] > 0.0)
 
 
-def test_log_weight_cache_is_the_only_samples_by_columns_buffer():
-    # toy fit, L = 64, S = 16384: the log-weights are normalized in place,
-    # so the traced peak stays below 1.5 times the cached ratios
+def test_fit_peak_is_a_fraction_of_one_weight_matrix():
+    # toy fit, L = 64, S = 16384: the fit walks the bank in row tiles and
+    # drops each one, so its traced peak (2.6 MB) stays below half of the
+    # 8 MB (S, L) matrix of normalized weights that it never holds
     model = mg.ToyBimodalModel(1.0, 64.0, 16.0)
     bank = mg.draw_sample_bank(model, mg.make_regular_grid(mg.Domain(-2.0, 2.0), 64), 256, 3)
     tracemalloc.start()
     try:
-        cache = mg.compute_log_weights(bank, model)
+        mg.fit_emus(bank, model)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * cache.ratios.nbytes
-    expected = np.exp(_floored_log_weights(bank, model) - cache.lse[:, None])
-    np.testing.assert_array_equal(cache.ratios == 0.0, expected == 0.0)
-    np.testing.assert_allclose(cache.ratios, expected, rtol=2e-13, atol=0)
+    ratios, lse = _normalized_weights(bank, model)
+    assert peak < 1.5 * ratios.nbytes
+    assert peak < ratios.nbytes / 2
+    expected = np.exp(_floored_log_weights(bank, model) - lse[:, None])
+    np.testing.assert_array_equal(ratios == 0.0, expected == 0.0)
+    np.testing.assert_allclose(ratios, expected, rtol=2e-13, atol=0)
 
 
 def _lse_case(name):
@@ -292,23 +329,23 @@ def _lse_case(name):
 @pytest.mark.parametrize("name", ["toy", "toy-floored", "gp-surface"])
 def test_log_sum_exp_matches_scipy(name):
     model, bank = _lse_case(name)
-    cache = mg.compute_log_weights(bank, model)
+    ratios, lse = _normalized_weights(bank, model)
     logw = _floored_log_weights(bank, model)
     if name != "toy":
-        assert (cache.ratios == 0.0).any()
-        assert np.all(np.sum(cache.ratios > 0.0, axis=1) > 1)
-    np.testing.assert_allclose(cache.lse, logsumexp(logw, axis=1), rtol=0, atol=1e-13)
-    # the cached ratios are the normalized weights, rows summing to 1
-    np.testing.assert_allclose(cache.ratios, np.exp(logw - cache.lse[:, None]),
+        assert (ratios == 0.0).any()
+        assert np.all(np.sum(ratios > 0.0, axis=1) > 1)
+    np.testing.assert_allclose(lse, logsumexp(logw, axis=1), rtol=0, atol=1e-13)
+    # the ratios are the normalized weights, rows summing to 1
+    np.testing.assert_allclose(ratios, np.exp(logw - lse[:, None]),
                                rtol=1e-12, atol=0)
-    np.testing.assert_allclose(cache.ratios.sum(axis=1), 1.0, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(ratios.sum(axis=1), 1.0, rtol=0, atol=1e-13)
 
 
 def test_segment_mean_tiles_are_the_whole_array_sums():
-    # rows of 64 columns, summed in tiles of whole segments: single-row
-    # segments, one segment larger than a tile, and runs of segments whose
-    # boundaries straddle the tile limit; reduceat sums each segment on its
-    # own, so the tiles must give the whole-array sums bit for bit
+    # rows of 64 columns, cut by a fit's tiles of whole segments into
+    # single-row segments, one segment larger than a tile, and runs of
+    # segments whose boundaries straddle the tile limit; reduceat sums each
+    # segment on its own, so every segment gets the whole-array sum's bits
     rows = mg.models.TILE_BYTES // (8 * 64)
     counts = np.array([1, 1, 1, rows + 5, 1, rows // 2, rows // 2 + 3, rows - 1, 1,
                        2, rows // 3, rows // 3, rows // 3 + 1, 1, 7])
@@ -317,6 +354,108 @@ def test_segment_mean_tiles_are_the_whole_array_sums():
     assert values.nbytes > 4 * mg.models.TILE_BYTES
     expected = np.add.reduceat(values, offsets[:-1], axis=0) / counts[:, None]
     np.testing.assert_array_equal(mg.emus.segment_mean(values, offsets), expected)
+    bounds = mg.emus._row_tiles(offsets, 8 * 64)
+    assert len(bounds) > 5
+    tiled = [mg.emus.segment_mean(values[offsets[a]:offsets[b]], offsets[a:b + 1] - offsets[a])
+             for a, b in zip(bounds[:-1], bounds[1:])]
+    np.testing.assert_array_equal(np.concatenate(tiled), expected)
+
+
+def _whole_matrix_oracle(bank, model):
+    """F, R and the log-sum-exps of a bank from its whole (S, L) matrix of
+    normalized weights: F by one reduceat over the whole matrix, R by
+    np.var segment by segment."""
+    logw = np.ascontiguousarray(model.log_weight_matrix(bank.thetas, bank.grid.points),
+                                dtype=float)
+    row_max = np.max(logw, axis=1)
+    logw[logw < (row_max[:, None] - mg.emus.LOG_WEIGHT_FLOOR)] = -np.inf
+    logw -= row_max[:, None]
+    np.exp(logw, out=logw)
+    sums = np.sum(logw, axis=1)
+    logw /= sums[:, None]
+    offsets = bank.offsets
+    counts = np.diff(offsets)
+    F = np.add.reduceat(logw, offsets[:-1], axis=0) / counts[:, None]
+    R = np.full(F.shape, np.nan)
+    for i, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
+        if hi - lo > 1:
+            R[i] = np.var(logw[lo:hi], axis=0, ddof=1)
+    return F, R, row_max + np.log(sums)
+
+
+def _tile_case(name):
+    """A model and its bank: the benchmark's toy (S = 16384, 8 default
+    tiles) and GP surface (12x12), an exhaustive discrete bank, a design
+    loop's bank with unequal counts, and a toy bank of ragged counts with
+    single-draw points."""
+    toy = mg.ToyBimodalModel(1.0, 64.0, 16.0)
+    domain = mg.Domain(-2.0, 2.0)
+    if name == "toy":
+        return toy, mg.draw_sample_bank(toy, mg.make_regular_grid(domain, 64), 256, 3)
+    if name == "gp":
+        x, y = mg.make_synthetic_gp_dataset(16, 7)
+        model = mg.GpRegressionModel(x, y)
+        grid = mg.make_regular_grid(mg.Domain([0.1, 0.1], [10.0, 10.0]), [12, 12], "log")
+        return model, mg.draw_sample_bank(model, grid, 64, 3)
+    if name == "discrete":
+        table = np.random.default_rng(5).integers(0, 5, size=(9, 6)).astype(float)
+        table[np.arange(6), np.arange(6)] += 1.0
+        model = mg.DiscreteModel(table)
+        return model, mg.exhaustive_discrete_bank(model)
+    if name == "design":
+        _, fn = mg.run_design_loop(toy, mg.make_regular_grid(domain, 32), 4, 16, 4, 9)
+        return toy, fn.emus.bank
+    counts = np.array([1, 5, 2, 1, 7, 3, 1, 4, 9, 2, 1, 6])
+    return toy, mg.draw_sample_bank(toy, mg.make_regular_grid(domain, counts.size), counts, 3)
+
+
+@pytest.mark.parametrize("tiles", ["default", "per-segment"])
+@pytest.mark.parametrize("name", ["toy", "gp", "discrete", "design", "ragged"])
+def test_tiled_pass_matches_the_whole_matrix(name, tiles, monkeypatch):
+    # F and the log-sum-exps are the bits of the whole-matrix computation,
+    # whatever the tiles; R sums in another order than np.var
+    model, bank = _tile_case(name)
+    F_whole, R_whole, lse_whole = _whole_matrix_oracle(bank, model)
+    if tiles == "per-segment":
+        monkeypatch.setattr(mg.emus, "TILE_BYTES", 1)
+    seen = []
+    rows = model.log_weight_rows
+
+    def recording(thetas, points, bounds):
+        seen.append(np.array(bounds))
+        return rows(thetas, points, bounds)
+
+    monkeypatch.setattr(model, "log_weight_rows", recording)
+    F, R, lse = mg.estimate_transition_matrix(bank, model)
+    if tiles == "per-segment":
+        np.testing.assert_array_equal(seen[0], bank.offsets)
+    elif name == "toy":
+        assert len(seen[0]) == 9
+    np.testing.assert_array_equal(F, F_whole)
+    np.testing.assert_array_equal(lse, lse_whole)
+    np.testing.assert_array_equal(np.isnan(R), np.isnan(R_whole))
+    np.testing.assert_allclose(R, R_whole, rtol=1e-13, atol=0)
+    if name == "ragged":
+        assert np.isnan(R[bank.counts == 1]).all()
+
+
+def test_fit_at_l576_holds_no_samples_by_columns_array():
+    # toy, L = 576, 64 draws per point: a whole (S, L) matrix would be
+    # 170 MB, while F, R and the tile in hand stay under 16 MB
+    model = mg.ToyBimodalModel(1.0, 64.0, 16.0)
+    grid = mg.make_regular_grid(mg.Domain(-2.0, 2.0), 576)
+    bank = mg.draw_sample_bank(model, grid, 64, 3)
+    tracemalloc.start()
+    try:
+        est = mg.fit_emus(bank, model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak / 2**20
+    shapes = [v.shape for v in vars(est).values() if isinstance(v, np.ndarray)]
+    assert (bank.total, len(grid)) not in shapes
+    assert est.ratio_variances.shape == (576, 576)
+    assert est.lse.shape == (bank.total,)
 
 
 def test_child_rng_is_keyed_and_reproducible():
@@ -341,13 +480,17 @@ def test_sample_bank_validates_shapes(toy_model, toy_grid):
 
 def test_fit_and_curves_read_the_banks_own_draws(toy_model, toy_grid):
     # the bank's stacked array is the only copy of the draws: the fit's
-    # log-weights and every curve query are handed that array itself
+    # row tiles and every curve query are handed that array itself
     seen = []
 
     class Recording(mg.ToyBimodalModel):
         def log_weight_matrix(self, thetas, points):
             seen.append(thetas)
             return super().log_weight_matrix(thetas, points)
+
+        def log_weight_rows(self, thetas, points, bounds):
+            seen.append(thetas)
+            return super().log_weight_rows(thetas, points, bounds)
 
         def log_weight_blocks(self, thetas, points, grads=False):
             seen.append(thetas)

@@ -222,8 +222,8 @@ def test_run_estimate_seed_override(tmp_path):
 
 
 def test_run_estimate_holds_one_fit_at_a_time(tmp_path):
-    # 32 points x 256 draws: one fit's (S, L) weight cache is 2 MiB, so a
-    # run that kept its 6 fits would peak past 12 MiB
+    # 32 points x 256 draws: one fit's (S, L) weight matrix would be 2 MiB,
+    # so a run that kept its 6 fits would peak past 12 MiB
     text = (TOY_TEXT.replace("sim_counts = 6", "sim_counts = 32")
             .replace("samples_per_point = 32", "samples_per_point = 256")
             .replace("replicates = 3", "replicates = 6"))
@@ -264,6 +264,29 @@ def test_runners_respect_models_without_an_exact_reference(tmp_path, monkeypatch
     assert len(curve) == 3 + 12
     assert "errors.csv" not in manifest["outputs"]
     assert not (out / "errors.csv").exists()
+
+
+def test_run_estimate_without_a_reference_fits_replicate_0_only(tmp_path, monkeypatch):
+    # with no exact curve only replicate 0 reaches an output, so it is the
+    # only replicate drawn and fitted, and the manifest counts that one
+    model = NoClosedFormToy()
+    monkeypatch.setattr(mg.experiments, "build_model", lambda config: model)
+    cfg = mg.ExperimentConfig.from_text(TOY_TEXT)
+    mg.run_estimate(cfg, str(tmp_path / "one"), replicates=1)
+    fits = []
+    fit = mg.experiments.fit_emus
+
+    def counted(bank, model, **kwargs):
+        fits.append(bank)
+        return fit(bank, model, **kwargs)
+
+    monkeypatch.setattr(mg.experiments, "fit_emus", counted)
+    manifest = mg.run_estimate(cfg, str(tmp_path / "four"), replicates=4)
+    assert len(fits) == 1
+    assert manifest["replicates"] == 1
+    assert read_manifest(tmp_path / "four")["replicates"] == 1
+    for name in ("curve.csv", "diagnostics.csv"):
+        assert (tmp_path / "four" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
 
 
 def test_run_compare_single_point_grid_agrees(tmp_path):

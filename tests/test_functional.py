@@ -182,7 +182,7 @@ def test_batched_gradients_match_the_per_point_formula(toy_functional, toy_model
     _, grads = fn.curve_with_gradient(points)
     for lam, grad in zip(points, grads):
         r = np.exp(toy_model.log_weight_matrix(fn.emus.bank.thetas, lam[None])[:, 0]
-                   - fn.emus.cache.lse)
+                   - fn.emus.lse)
         # d/dlam log psi_lam(theta) = tau (theta - lam); the prior is flat
         g = toy_model.tau * (fn.emus.bank.thetas - lam[0])
         expected = fn.emus.stationary @ mg.emus.segment_mean((r * g)[:, None], fn.emus.bank.offsets)
@@ -304,7 +304,7 @@ def curve_oracle(fn, points):
     The ratios come straight from the model, not from the functional.
     """
     model, emus = fn.model, fn.emus
-    ratios = np.exp(model.log_weight_matrix(fn.emus.bank.thetas, points) - emus.cache.lse[:, None])
+    ratios = np.exp(model.log_weight_matrix(fn.emus.bank.thetas, points) - emus.lse[:, None])
     return ratios, lambda summands: emus.stationary @ mg.emus.segment_mean(
         summands, fn.emus.bank.offsets)
 
@@ -470,7 +470,7 @@ def check_toy_tiles_round_as_one_wide_product():
         points = eval_grid.points
         tiles = len(list(fn.model.log_weight_blocks(thetas, points)))
         assert tiles == max(1, m // 16), (m, tiles)
-        ratios = np.exp(fn.model.log_weight_matrix(thetas, points) - fn.emus.cache.lse[:, None])
+        ratios = np.exp(fn.model.log_weight_matrix(thetas, points) - fn.emus.lse[:, None])
         grads = fn.model.tau * np.subtract.outer(thetas, points) * ratios[:, :, None]
         values, gradients = fn.curve_with_gradient(points)
         np.testing.assert_array_equal(fn.marginal_many(points), c @ ratios)
@@ -480,6 +480,25 @@ def check_toy_tiles_round_as_one_wide_product():
         quad = mg.trapezoid_weights(eval_grid)
         expected = ((c @ (ratios * phi[:, None])) @ quad) / ((c @ ratios) @ quad)
         assert fn.expectation(lambda t: t ** 2, eval_grid) == float(expected)
+
+
+def test_curves_hold_one_tile_at_a_time():
+    # toy-diagnose size: a column tile of 16384 draws x 16 columns is 2 MiB,
+    # and so is its gradient tile; a curve, or the model's generator, that
+    # kept the last tile while the next one is built would peak a tile higher
+    model = mg.ToyBimodalModel(1.0, 64.0, 16.0)
+    grid = mg.make_regular_grid(mg.Domain(-2.0, 2.0), 64)
+    fn = mg.FunctionalEstimate(mg.fit_emus(mg.draw_sample_bank(model, grid, 256, 3), model),
+                               model)
+    tile = 16384 * 16 * 8
+    for curve, tiles in ((fn.marginal_many, 1.5), (fn.curve_with_gradient, 2.75)):
+        tracemalloc.start()
+        try:
+            curve(grid.points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < tiles * tile, (curve.__name__, peak / tile)
 
 
 def test_toy_tiles_round_as_one_wide_product():

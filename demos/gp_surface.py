@@ -49,7 +49,9 @@ print(f"surface maximum {value:.4f} at (tau1, tau2) = ({peak[0]:.3f}, {peak[1]:.
 print(f"exact maximizer on the same grid:           ({ex_peak[0]:.3f}, {ex_peak[1]:.3f})")
 
 # How wrong would nearest-neighbor extension of the grid values be,
-# compared to reweighting the samples properly?
-nn = mg.nearest_neighbor_extrapolate(estimate.stationary, sim, ev)
+# compared to reweighting the samples properly?  Each evaluation point
+# takes the value of the nearest simulation point in log coordinates.
+d2 = np.sum((np.log(ev.points)[:, None] - np.log(sim.points)[None]) ** 2, axis=-1)
+nn = estimate.stationary[np.argmin(d2, axis=1)]
 print(f"nearest-neighbor extension error for comparison: "
       f"{mg.normalized_l2_error(nn, u_ref):.4f}")

@@ -11,7 +11,6 @@ new sampling effort round out the toolkit.
 
 from .baselines import (
     GibbsTrace,
-    nearest_neighbor_extrapolate,
     run_griddy_chains,
     run_griddy_gibbs,
 )
@@ -34,7 +33,6 @@ from .diagnostics import (
 from .emus import (
     EmusEstimate,
     SampleBank,
-    bridge_ratio,
     child_rng,
     draw_sample_bank,
     estimate_transition_matrix,
@@ -46,7 +44,6 @@ from .errors import (
     GradientUnavailableError,
     GridError,
     MargridError,
-    NoOverlapError,
     NotReversibleError,
     ReducibleChainError,
 )
@@ -80,6 +77,7 @@ from .grids import (
 from .models import (
     DiscreteModel,
     GpRegressionModel,
+    GridSampler,
     Model,
     ToyBimodalModel,
     discrete_table_from_csv,
@@ -92,17 +90,17 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Domain", "HyperGrid", "make_regular_grid", "trapezoid_weights",
-    "Model", "DiscreteModel", "ToyBimodalModel", "GpRegressionModel",
+    "Model", "GridSampler", "DiscreteModel", "ToyBimodalModel", "GpRegressionModel",
     "make_synthetic_gp_dataset", "gp_dataset_to_csv", "gp_dataset_from_csv",
     "discrete_table_from_csv",
     "SampleBank", "EmusEstimate", "child_rng",
     "draw_sample_bank", "estimate_transition_matrix",
-    "stationary_vector", "fit_emus", "bridge_ratio",
+    "stationary_vector", "fit_emus",
     "hitting_probabilities", "weight_ratio_variances",
     "pointwise_variance_bound", "VarianceDiagnostics", "variance_diagnostics",
     "group_inverse", "spectral_gap",
     "FunctionalEstimate", "profile", "argmax_on",
-    "GibbsTrace", "run_griddy_gibbs", "run_griddy_chains", "nearest_neighbor_extrapolate",
+    "GibbsTrace", "run_griddy_gibbs", "run_griddy_chains",
     "optimal_weights", "incremental_weights",
     "pivotal_sample", "DesignState", "run_design_loop",
     "enumerate_discrete_transition", "enumerate_discrete_kernel",
@@ -112,6 +110,6 @@ __all__ = [
     "mean_abs_error", "normalized_l2_error", "exact_stationary",
     "exact_reference", "run_estimate", "run_compare", "run_rate_study",
     "run_design_study",
-    "MargridError", "GridError", "ReducibleChainError", "NoOverlapError",
+    "MargridError", "GridError", "ReducibleChainError",
     "NotReversibleError", "DegenerateWeightError", "GradientUnavailableError",
 ]

@@ -1,4 +1,4 @@
-"""Baselines: griddy Gibbs sampling and nearest-neighbor extrapolation.
+"""Baseline: griddy Gibbs sampling over the simulation grid.
 
 The griddy Gibbs sampler alternates one exact draw from the local
 density at the current grid value with a categorical redraw of the grid
@@ -10,11 +10,11 @@ moves between well-separated modes require intermediate latent states
 that the sampler never visits.
 
 Replicate chains run side by side through :func:`run_griddy_chains`,
-all on one generator.  Its local draws go through the model's
-``sample_local_many(points, rng)``, an optional override of a loop over
-``sample_local``; the toy and discrete models batch it.  A one-row call
-consumes the generator as ``sample_local`` does, so one chain's visits
-are those of the plain per-iteration loop.
+all on one generator.  Per iteration their local draws come from one
+``draw_rows(states, rng)`` call on the grid's sampler
+(``Model.sampler``); the toy and discrete samplers batch the rows.  A
+one-row call consumes the generator as the sampler's ``draw`` does, so
+one chain's visits are those of the plain per-iteration loop.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ from .errors import DegenerateWeightError
 from .grids import HyperGrid
 from .models import Model
 
-__all__ = ["GibbsTrace", "run_griddy_gibbs", "run_griddy_chains",
-           "nearest_neighbor_extrapolate"]
+__all__ = ["GibbsTrace", "run_griddy_gibbs", "run_griddy_chains"]
 
 
 @dataclass
@@ -89,11 +88,12 @@ def run_griddy_chains(model: Model, grid: HyperGrid, n_iter: int,
     if n_chains < 1:
         raise ValueError("need at least one chain")
     points = grid.points
+    sampler = model.sampler(grid)
     states = np.full(n_chains, start)
     chains = np.arange(n_chains)
     visits = np.zeros((n_chains, L), dtype=int)
     for t in range(n_iter):
-        thetas = model.sample_local_many(points[states], rng)
+        thetas = sampler.draw_rows(states, rng)
         logw = np.ascontiguousarray(model.log_weight_matrix(thetas, points), dtype=float)
         dead = np.flatnonzero(~np.isfinite(logw).any(axis=1))
         if dead.size:
@@ -106,23 +106,3 @@ def run_griddy_chains(model: Model, grid: HyperGrid, n_iter: int,
             visits[chains, states] += 1
     return [GibbsTrace(visits=v, n_iter=n_iter, burn_in=burn_in, init_state=start)
             for v in visits]
-
-
-def nearest_neighbor_extrapolate(values: np.ndarray, sim_grid: HyperGrid,
-                                 eval_grid: HyperGrid) -> np.ndarray:
-    """Piecewise-constant extension of grid values to an evaluation grid.
-
-    Each evaluation point takes the value of the Euclidean-nearest
-    simulation point in the grid's working scale (log coordinates for
-    log grids); ties resolve to the smallest simulation index.  This is
-    the crude baseline against which the kernel-based curve is compared.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.shape != (len(sim_grid),):
-        raise ValueError("need one value per simulation point")
-    sim = sim_grid.working_points()
-    ev = eval_grid.working_points() if eval_grid.scale == sim_grid.scale else None
-    if ev is None or sim.shape[1] != eval_grid.dim:
-        raise ValueError("simulation and evaluation grids must share scale and dimension")
-    d2 = np.sum((ev[:, None, :] - sim[None, :, :]) ** 2, axis=-1)
-    return values[np.argmin(d2, axis=1)]

@@ -320,6 +320,7 @@ def run_design_loop(model: Model, eval_grid: HyperGrid, iterations: int,
     for it in range(int(iterations)):
         try:
             if it == 0:
+                sampler = model.sampler(eval_grid)  # bound once, for every round
                 alloc = _bootstrap_allocation(M, blocks_per_iteration)
                 w_used = np.full(M, 1.0 / M)
             else:
@@ -332,10 +333,7 @@ def run_design_loop(model: Model, eval_grid: HyperGrid, iterations: int,
                 w_used = w_hat
             for m in np.nonzero(alloc)[0]:
                 rng = child_rng(master_seed, it, int(m))
-                draws = model.sample_local(
-                    eval_grid.points[m], rng, int(alloc[m]) * samples_per_block,
-                )
-                stash[m].append(np.asarray(draws))
+                stash[m].append(sampler.draw(m, rng, int(alloc[m]) * samples_per_block))
             state.block_counts = state.block_counts + alloc
             state.history.append({"blocks": alloc, "weights": w_used})
 

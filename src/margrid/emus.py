@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateWeightError, NoOverlapError, ReducibleChainError
+from .errors import DegenerateWeightError, ReducibleChainError
 from .grids import HyperGrid
 from .models import TILE_BYTES, Model
 
@@ -38,7 +38,6 @@ __all__ = [
     "estimate_transition_matrix",
     "stationary_vector",
     "fit_emus",
-    "bridge_ratio",
 ]
 
 #: log-weights this far below a sample's maximum are floored to -inf
@@ -103,11 +102,12 @@ def draw_sample_bank(model: Model, grid: HyperGrid, counts, master_seed: int,
 
     The stream for point i is ``child_rng(master_seed, *spawn_prefix, i)``,
     so banks are reproducible point by point and replicate prefixes keep
-    replicates independent.
+    replicates independent.  The draws come from ``model.sampler(grid)``.
     """
     counts = np.broadcast_to(np.asarray(counts, dtype=int), (len(grid),)).copy()
-    draws = [model.sample_local(lam, child_rng(master_seed, *spawn_prefix, i), int(counts[i]))
-             for i, lam in enumerate(grid.points)]
+    sampler = model.sampler(grid)
+    draws = [sampler.draw(i, child_rng(master_seed, *spawn_prefix, i), int(counts[i]))
+             for i in range(len(grid))]
     return SampleBank(grid=grid, thetas=np.concatenate(draws, axis=0), counts=counts)
 
 
@@ -373,21 +373,3 @@ def fit_emus(bank: SampleBank, model: Model,
     u, truncated = _solve_stationary(F, on_degenerate)
     return EmusEstimate(bank=bank, transition=F, stationary=u, ratio_variances=R,
                         lse=lse, truncated=truncated)
-
-
-def bridge_ratio(transition: np.ndarray, i: int, j: int) -> float:
-    """Pairwise estimate of u(lam_j)/u(lam_i) from one matrix entry pair.
-
-    Detailed balance gives u_i F_ij = u_j F_ji, so F_ij / F_ji estimates
-    u_j / u_i without solving the eigenproblem.  Only sensible when the
-    two local densities overlap.
-    """
-    if i == j:
-        return 1.0
-    F = np.asarray(transition, dtype=float)
-    if F[j, i] == 0.0:
-        raise NoOverlapError(
-            f"no overlap observed between grid points {i} and {j}: entry "
-            f"({j}, {i}) is zero, the pairwise ratio is undefined"
-        )
-    return float(F[i, j] / F[j, i])

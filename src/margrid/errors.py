@@ -6,7 +6,6 @@ __all__ = [
     "MargridError",
     "GridError",
     "ReducibleChainError",
-    "NoOverlapError",
     "NotReversibleError",
     "DegenerateWeightError",
     "GradientUnavailableError",
@@ -30,11 +29,6 @@ class ReducibleChainError(MargridError):
     pairwise-overlapping local densities.  Typical causes are grid spacing
     too wide for the local density width, or too few samples per point.
     """
-
-
-class NoOverlapError(MargridError):
-    """A pairwise ratio was requested between grid points whose samples
-    never land in each other's region, so the ratio is undefined."""
 
 
 class NotReversibleError(MargridError):

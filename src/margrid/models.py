@@ -1,21 +1,22 @@
 """Statistical models exposing local densities over a hyperparameter.
 
-Every model provides two hooks, for hyperparameter values lam in its
-domain, and may override the defaults of four more; the estimators use
-the local density psi_lam and the prior p(lam) only as their product:
+Every model provides two hooks and may override the defaults of three
+more; the estimators use the local density psi_lam and the prior p(lam)
+only as their product:
 
-- ``sample_local(lam, rng, size)``: exact draws from the normalized
-  local density pi_lam = psi_lam / z(lam),
+- ``sampler(grid)``: a :class:`GridSampler` bound to the points of one
+  grid, the only values at which the pipeline draws (banks, design blocks
+  and griddy Gibbs states).  It holds each point's state, computed once:
+  the toy mixture, the discrete CDF row, the GP posterior mean and factor.
+  Its ``draw(i, rng, size)`` gives exact draws at point i from the
+  normalized local density pi_lam = psi_lam / z(lam), for banks and design
+  blocks; its ``draw_rows(rows, rng)`` gives one draw per grid index, all
+  from ``rng``, for the chains of :mod:`margrid.baselines`, and a one-row
+  call consumes ``rng`` exactly as ``draw(rows[0], rng, 1)`` does,
 - ``log_weight_matrix(thetas, points)``: the log-weights
   log(psi_lam(theta) p(lam)) of a batch of latent states against many
   values at once, shape (N, M), prior included; every bundled model
   writes it with one batched evaluation,
-- optionally ``sample_local_many(points, rng)``: one draw per row of
-  points, all from ``rng``; a one-row call consumes ``rng`` exactly as
-  ``sample_local(points[0], rng, 1)`` does.  The base class loops, and
-  the toy and discrete models override it with batched arithmetic (the
-  griddy Gibbs chains of :mod:`margrid.baselines` call it once per
-  iteration for all chains),
 - optionally ``log_weight_rows(thetas, points, bounds)``: the rows of
   ``log_weight_matrix`` in the ranges ``bounds[t]:bounds[t + 1]``, which a
   fit reads tile by tile; the base class evaluates each range on its own,
@@ -88,7 +89,6 @@ from __future__ import annotations
 
 import csv
 import math
-from collections import OrderedDict
 
 import numpy as np
 
@@ -97,6 +97,7 @@ from .grids import Domain, HyperGrid, _path_or_buffer, _read_csv_table
 
 __all__ = [
     "Model",
+    "GridSampler",
     "DiscreteModel",
     "ToyBimodalModel",
     "GpRegressionModel",
@@ -107,9 +108,6 @@ __all__ = [
 ]
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
-
-#: hyperparameter values whose GP factorizations are kept, least recently used dropped
-GP_CACHE_SIZE = 1024
 
 #: bytes of one cache-sized tile: a toy log-weight block, or the rows of
 #: whole point segments that a fit normalizes and reduces at once
@@ -156,20 +154,29 @@ def _column_tiles(stats, coefs):
         yield np.arange(lo, hi), _stats_times_coefs(stats, coefs[:, lo:hi])
 
 
+class GridSampler:
+    """Exact local draws at the points of one grid (``Model.sampler``).
+
+    Subclasses hold each point's state and supply ``draw_rows``; the
+    default ``draw`` is ``draw_rows`` over ``size`` copies of one index.
+    """
+
+    def draw(self, i: int, rng, size: int):
+        """``size`` draws from pi_lam at grid point ``i``, from ``rng``."""
+        return self.draw_rows(np.full(size, i), rng)
+
+    def draw_rows(self, rows, rng):
+        """One draw per grid index in ``rows``, all from ``rng``; a one-row
+        call consumes ``rng`` exactly as ``draw(rows[0], rng, 1)`` does."""
+        raise NotImplementedError
+
+
 class Model:
     """Interface shared by the model families; see the module docstring."""
 
-    def sample_local(self, lam, rng, size: int):
+    def sampler(self, grid: HyperGrid) -> GridSampler:
+        """The :class:`GridSampler` of ``grid``'s points."""
         raise NotImplementedError
-
-    def sample_local_many(self, points, rng):
-        """One local draw per row of points, all from ``rng``.
-
-        A one-row call consumes ``rng`` exactly as
-        ``sample_local(points[0], rng, 1)`` does, so it gives the same
-        bits; models override this when a batched evaluation is cheaper.
-        """
-        return np.concatenate([self.sample_local(lam, rng, 1) for lam in points])
 
     @property
     def has_exact_log_u(self) -> bool:
@@ -266,7 +273,6 @@ class DiscreteModel(Model):
         # per-column CDFs formed as Generator.choice(p=w / w.sum()) forms them
         self._cdfs = np.array([np.cumsum(w / w.sum()) for w in table.T])
         self._cdfs /= self._cdfs[:, -1:]
-        self._grid_memo = (None, None)
 
     def _columns(self, points) -> np.ndarray:
         """Table columns of many hyperparameter values, one per row of points."""
@@ -291,28 +297,28 @@ class DiscreteModel(Model):
         return HyperGrid(Domain(lo, hi), vals[:, None])
 
     def log_weight_matrix(self, thetas, points):
-        # the last points' columns are kept, keyed on their shape and bytes,
-        # so a griddy Gibbs run looks its grid up once
-        points = np.asarray(points, dtype=float)
-        key = (points.shape, points.tobytes())
-        if self._grid_memo[0] != key:
-            self._grid_memo = (key, self._columns(points))
-        cols = self._grid_memo[1]
+        cols = self._columns(points)
         idx = np.asarray(thetas, dtype=int).ravel()
         with np.errstate(divide="ignore"):
             return np.log(self.psi_table[np.ix_(idx, cols)]) + np.log(self.prior[cols])
 
-    def sample_local(self, lam, rng, size: int):
-        return self.sample_local_many(np.repeat(_as_lambda(lam)[None, :], size, axis=0), rng)
-
-    def sample_local_many(self, points, rng):
-        # the inverse-CDF lookup of Generator.choice(p=w / w.sum()): CDF entries <= u
-        u = rng.random(len(points))
-        return (self._cdfs[self._columns(points)] <= u[:, None]).sum(axis=1)
+    def sampler(self, grid):
+        """Inverse-CDF draws from the CDF rows of ``grid``'s columns."""
+        return _CdfSampler(self._cdfs[self._columns(grid.points)])
 
     def exact_log_u(self, lam) -> float:
         col = self.column_of(lam)
         return float(np.log(self.psi_table[:, col].sum()) + np.log(self.prior[col]))
+
+
+class _CdfSampler(GridSampler):
+    def __init__(self, cdfs):
+        self.cdfs = cdfs  # one CDF row per grid point
+
+    def draw_rows(self, rows, rng):
+        # the inverse-CDF lookup of Generator.choice(p=w / w.sum()): CDF entries <= u
+        u = rng.random(len(rows))
+        return (self.cdfs[rows] <= u[:, None]).sum(axis=1)
 
 
 class ToyBimodalModel(Model):
@@ -416,13 +422,9 @@ class ToyBimodalModel(Model):
         m_minus = (self.tau * lams - self.q * self.y) / (self.q + self.tau)
         return w_plus, m_plus, m_minus, np.sqrt(1.0 / (self.q + self.tau))
 
-    def sample_local(self, lam, rng, size: int):
-        return self.sample_local_many(np.repeat(_as_lambda(lam)[None, :], size, axis=0), rng)
-
-    def sample_local_many(self, points, rng):
-        w_plus, m_plus, m_minus, sd = self._local_mixture(self._points(points)[:, 0])
-        pick_plus = rng.random(w_plus.size) < w_plus
-        return np.where(pick_plus, m_plus, m_minus) + sd * rng.standard_normal(w_plus.size)
+    def sampler(self, grid):
+        """Draws from the mixtures of ``grid``'s points, each computed once."""
+        return _MixtureSampler(*self._local_mixture(self._points(grid.points)[:, 0]))
 
     def exact_log_u(self, lam) -> float:
         lam = _as_lambda(lam)[0]
@@ -431,6 +433,17 @@ class ToyBimodalModel(Model):
             np.log(0.5)
             + np.logaddexp(_gauss_logpdf(self.y, lam, s), _gauss_logpdf(self.y, -lam, s))
         )
+
+
+class _MixtureSampler(GridSampler):
+    def __init__(self, w_plus, m_plus, m_minus, sd):
+        # ToyBimodalModel._local_mixture per grid point
+        self.w_plus, self.m_plus, self.m_minus, self.sd = w_plus, m_plus, m_minus, sd
+
+    def draw_rows(self, rows, rng):
+        pick_plus = rng.random(len(rows)) < self.w_plus[rows]
+        return (np.where(pick_plus, self.m_plus[rows], self.m_minus[rows])
+                + self.sd * rng.standard_normal(len(rows)))
 
 
 class GpRegressionModel(Model):
@@ -472,8 +485,10 @@ class GpRegressionModel(Model):
     (see ``_stats_times_coefs``).  ``log_weight_blocks`` yields the
     columns of one tau2 at a time, with their gradients from the same
     factor and whitening (``_fill_grads``).  The per-value
-    factorization of C_lam + noise_var I, cached by ``_entry`` with C_lam,
-    serves the sampler and the exact marginal.
+    factorization of C_lam + noise_var I (``_cov_factor``) serves the
+    sampler, which factors each grid point's posterior on its first draw,
+    and the exact marginal.  The model keeps its last grid's sampler, so
+    repeated banks on one grid factor each point once.
 
     The factors and triangular solves come from ``scipy.linalg``, which
     each method that needs them imports on first use, so importing this
@@ -496,52 +511,34 @@ class GpRegressionModel(Model):
         self.jitter_scale = float(jitter_scale)
         diff = x[:, None, :] - x[None, :, :]
         self._sqdist = np.sum(diff * diff, axis=-1)
-        self._cache: OrderedDict = OrderedDict()
+        self._sampler = None
 
-    # -- kernel factorizations, cached per hyperparameter value --------
+    # -- kernel factorizations at one hyperparameter value --------------
 
-    def _entry(self, lam):
-        """The factorizations at lam, from an LRU cache of ``GP_CACHE_SIZE``
-        values; an evicted value is factored again to the same bits."""
+    def _cov_factor(self, lam):
+        """C_lam and the ``cho_factor`` of C_lam + noise_var I."""
+        from scipy.linalg import cho_factor
+
         lam = _as_lambda(lam)
         if lam.size != 2 or np.any(lam <= 0):
             raise ValueError("lam must be a positive pair (tau1, tau2)")
-        key = (float(lam[0]), float(lam[1]))
-        entry = self._cache.get(key)
-        if entry is not None:
-            self._cache.move_to_end(key)
-        else:
-            from scipy.linalg import cho_factor
+        tau1, tau2 = float(lam[0]), float(lam[1])
+        kernel = (tau1 / tau2) * np.exp(-tau2 * self._sqdist)
+        jitter = self.jitter_scale * (tau1 / tau2)
+        cov = kernel + jitter * np.eye(self.y.size)
+        return cov, cho_factor(cov + self.noise_var * np.eye(self.y.size), lower=True)
 
-            tau1, tau2 = key
-            kernel = (tau1 / tau2) * np.exp(-tau2 * self._sqdist)
-            jitter = self.jitter_scale * (tau1 / tau2)
-            cov = kernel + jitter * np.eye(self.y.size)
-            noisy = cov + self.noise_var * np.eye(self.y.size)
-            chol_noisy = cho_factor(noisy, lower=True)
-            entry = {
-                "cov": cov,
-                "chol_noisy": chol_noisy,
-                "logdet_noisy": 2.0 * np.sum(np.log(np.diag(chol_noisy[0]))),
-            }
-            self._cache[key] = entry
-            if len(self._cache) > GP_CACHE_SIZE:
-                self._cache.popitem(last=False)
-        return entry
+    def _posterior(self, lam):
+        """Mean and lower Cholesky factor of the posterior of theta at lam."""
+        from scipy.linalg import cho_solve, cholesky
 
-    def _posterior(self, entry):
-        if "post_chol" not in entry:
-            from scipy.linalg import cho_solve, cholesky
-
-            cov = entry["cov"]
-            gain = cho_solve(entry["chol_noisy"], cov)  # (C + s2 I)^{-1} C
-            mean = gain.T @ self.y
-            post = cov - cov @ gain
-            post = 0.5 * (post + post.T)
-            bump = 1e-12 * max(np.trace(post) / post.shape[0], 1.0)
-            entry["post_mean"] = mean
-            entry["post_chol"] = cholesky(post + bump * np.eye(post.shape[0]), lower=True)
-        return entry["post_mean"], entry["post_chol"]
+        cov, chol_noisy = self._cov_factor(lam)
+        gain = cho_solve(chol_noisy, cov)  # (C + s2 I)^{-1} C
+        mean = gain.T @ self.y
+        post = cov - cov @ gain
+        post = 0.5 * (post + post.T)
+        bump = 1e-12 * max(np.trace(post) / post.shape[0], 1.0)
+        return mean, cholesky(post + bump * np.eye(post.shape[0]), lower=True)
 
     # -- Model interface ------------------------------------------------
 
@@ -728,24 +725,45 @@ class GpRegressionModel(Model):
             # the caller holds the block now: drop it before the next one
             del block, grad_block
 
-    def sample_local(self, lam, rng, size: int):
-        entry = self._entry(lam)
-        mean, chol_post = self._posterior(entry)
-        z = rng.standard_normal((size, self.y.size))
-        return mean[None, :] + z @ chol_post.T
+    def sampler(self, grid):
+        """Posterior draws at ``grid``'s points.  The last grid's sampler is
+        kept and served again for the same points, with its factors."""
+        points = self._points(grid.points)
+        if self._sampler is None or not np.array_equal(self._sampler.points, points):
+            self._sampler = _PosteriorSampler(self, points.copy())
+        return self._sampler
 
     def log_marginal_likelihood(self, lam) -> float:
         """log N(y; 0, C_lam + noise_var I), the exact log z(lam)."""
         from scipy.linalg import cho_solve
 
-        entry = self._entry(lam)
+        chol_noisy = self._cov_factor(lam)[1]
         n = self.y.size
-        alpha = cho_solve(entry["chol_noisy"], self.y)
-        return float(-0.5 * (n * _LOG_2PI + entry["logdet_noisy"] + self.y @ alpha))
+        alpha = cho_solve(chol_noisy, self.y)
+        logdet_noisy = 2.0 * np.sum(np.log(np.diag(chol_noisy[0])))
+        return float(-0.5 * (n * _LOG_2PI + logdet_noisy + self.y @ alpha))
 
     def exact_log_u(self, lam) -> float:
         return self.log_marginal_likelihood(lam) + float(
             self._log_priors(_as_lambda(lam)[None, :])[0])
+
+
+class _PosteriorSampler(GridSampler):
+    def __init__(self, model, points):
+        self.model, self.points = model, points
+        self.posteriors = [None] * len(points)  # (mean, factor), on first draw
+
+    def draw(self, i, rng, size):
+        if self.posteriors[i] is None:
+            self.posteriors[i] = self.model._posterior(self.points[i])
+        mean, chol_post = self.posteriors[i]
+        z = rng.standard_normal((size, mean.size))
+        return mean[None, :] + z @ chol_post.T
+
+    def draw_rows(self, rows, rng):
+        # one product per row: rows stacked into one product round apart
+        # on some BLAS kernels
+        return np.concatenate([self.draw(i, rng, 1) for i in rows])
 
 
 def make_synthetic_gp_dataset(n: int = 16, seed: int = 7, noise_var: float = 1.0 / 16.0):

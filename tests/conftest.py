@@ -63,6 +63,32 @@ SYM_TABLE = np.array([
 ])
 
 
+def point_draws(model, lam, rng, size):
+    """``size`` local draws at one hyperparameter value, through the sampler
+    of a one-point grid."""
+    lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    grid = mg.HyperGrid(mg.Domain(lam - 1.0, lam + 1.0), lam[None, :])
+    return model.sampler(grid).draw(0, rng, size)
+
+
+@pytest.fixture
+def count_posteriors(monkeypatch):
+    """Called with a GP model, returns the list of values at which the model
+    then factors a posterior, one entry per factorization."""
+    def count(model):
+        factored = []
+        posterior = model._posterior
+
+        def counting(lam):
+            factored.append(tuple(lam))
+            return posterior(lam)
+
+        monkeypatch.setattr(model, "_posterior", counting)
+        return factored
+
+    return count
+
+
 @pytest.fixture
 def asym_model():
     return mg.DiscreteModel(ASYM_TABLE)

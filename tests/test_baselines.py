@@ -1,4 +1,4 @@
-"""Griddy Gibbs chain and nearest-neighbor curve baseline."""
+"""Griddy Gibbs chain baseline and the grid samplers it draws from."""
 
 import numpy as np
 import pytest
@@ -9,8 +9,8 @@ import margrid as mg
 def griddy_gibbs_oracle(model, grid, n_iter, rng, burn_in=0, init_state=None):
     """One griddy Gibbs chain, one unbatched draw and grid move per iteration.
 
-    Per iteration: ``sample_local(point, rng, 1)``, a one-row log-weight
-    matrix, then ``rng.gumbel(size=L)`` and the Gumbel-max move.  One
+    Per iteration: the grid sampler's ``draw(state, rng, 1)``, a one-row
+    log-weight matrix, then ``rng.gumbel(size=L)`` and the Gumbel-max move.  One
     chain of :func:`margrid.run_griddy_chains` must reproduce these
     visits exactly.
     """
@@ -18,9 +18,10 @@ def griddy_gibbs_oracle(model, grid, n_iter, rng, burn_in=0, init_state=None):
     points = grid.points
     start = L // 2 if init_state is None else int(init_state)
     state = start
+    sampler = model.sampler(grid)
     visits = np.zeros(L, dtype=int)
     for t in range(n_iter):
-        theta = model.sample_local(points[state], rng, 1)
+        theta = sampler.draw(state, rng, 1)
         logw = np.asarray(model.log_weight_matrix(theta, points), dtype=float).ravel()
         if not np.any(np.isfinite(logw)):
             raise mg.DegenerateWeightError(f"iteration {t}")
@@ -116,8 +117,7 @@ def test_gibbs_traps_in_one_mode_when_local_densities_separate():
 @pytest.mark.parametrize("case", ["toy-tau100", "toy-tau1000", "asym", "gp-2x2"])
 def test_lockstep_chains_match_the_one_chain_oracle(case, request):
     # one chain draws as the unbatched loop does, bit for bit and to the
-    # generator state; the GP model keeps the default, looping
-    # sample_local_many
+    # generator state; the GP sampler's draw_rows takes one draw per row
     model, grid = _equivalence_case(case, request)
     n_iter = 40 if case == "gp-2x2" else 300
     for seed in (5, 6, 7):
@@ -148,14 +148,15 @@ def _toy_row_law(model, points):
 
 
 @pytest.mark.parametrize("case", ["toy-tau100", "asym", "discrete-6x5"])
-def test_sample_local_many_is_the_per_row_draw(case, request):
+def test_draw_rows_is_the_per_row_draw(case, request):
     model, grid = _equivalence_case(case, request)
-    # (a) a one-row call is sample_local's draw: the same bits, and the
-    # generator left in the same state
+    sampler = model.sampler(grid)
+    # (a) a one-row call is draw's one draw at that point: the same bits, and
+    # the generator left in the same state
     rng, ref_rng = np.random.default_rng(1), np.random.default_rng(1)
-    for p in grid.points:
-        one = model.sample_local_many(p[None, :], rng)
-        ref = model.sample_local(p, ref_rng, 1)
+    for i in range(len(grid)):
+        one = sampler.draw_rows(np.array([i]), rng)
+        ref = sampler.draw(i, ref_rng, 1)
         assert one.dtype == ref.dtype
         np.testing.assert_array_equal(one, ref)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -163,7 +164,7 @@ def test_sample_local_many_is_the_per_row_draw(case, request):
     # checked within 5 Monte Carlo standard errors per grid point
     n = 4000
     rows = np.random.default_rng(2).permutation(np.repeat(np.arange(len(grid)), n))
-    draws = model.sample_local_many(grid.points[rows], np.random.default_rng(3))
+    draws = sampler.draw_rows(rows, np.random.default_rng(3))
     assert draws.shape == (rows.size,)
     if case.startswith("toy"):
         mean, var = _toy_row_law(model, grid.points)
@@ -180,9 +181,24 @@ def test_sample_local_many_is_the_per_row_draw(case, request):
             assert np.all(np.abs(freq - law) <= 5 * np.sqrt(law * (1 - law) / n))
 
 
-def test_discrete_chains_look_their_grid_up_once(asym_model, monkeypatch):
-    # per iteration one lookup of the 4 chain states; the 2-point grid's
-    # lookup is kept from the first iteration on
+def test_gp_draw_rows_is_one_draw_per_row(request):
+    # many rows give the bits of one draw per row: several rows in one
+    # product would round apart on some BLAS kernels, and the lockstep
+    # chains must match the one-chain oracle on every kernel
+    model, grid = _equivalence_case("gp-2x2", request)
+    sampler = model.sampler(grid)
+    rows = np.random.default_rng(2).integers(0, len(grid), 12)
+    rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+    draws = sampler.draw_rows(rows, rng)
+    ref = np.concatenate([sampler.draw(i, ref_rng, 1) for i in rows])
+    np.testing.assert_array_equal(draws, ref)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_discrete_chains_never_look_a_state_up(asym_model, monkeypatch):
+    # the 2-point grid is looked up once for its sampler and once per
+    # iteration for its log-weights; the 4 chain states are grid indices,
+    # never looked up
     looked_up = []
     columns = asym_model._columns
 
@@ -192,7 +208,12 @@ def test_discrete_chains_look_their_grid_up_once(asym_model, monkeypatch):
 
     monkeypatch.setattr(asym_model, "_columns", counting)
     mg.run_griddy_chains(asym_model, asym_model.grid(), 50, np.random.default_rng(0), 4)
-    assert looked_up == [4, 2] + [4] * 49
+    assert looked_up == [2] * 51
+
+
+class _UniformSampler(mg.GridSampler):
+    def draw_rows(self, rows, rng):
+        return rng.random(len(rows))
 
 
 class _DeadAboveCutoff(mg.Model):
@@ -201,8 +222,8 @@ class _DeadAboveCutoff(mg.Model):
     def __init__(self, cutoff):
         self.cutoff = cutoff
 
-    def sample_local(self, lam, rng, size):
-        return rng.random(size)
+    def sampler(self, grid):
+        return _UniformSampler()
 
     def log_weight_matrix(self, thetas, points):
         alive = np.asarray(thetas)[:, None] < self.cutoff
@@ -213,8 +234,8 @@ def test_lockstep_degenerate_draw_names_iteration_and_chain():
     model = _DeadAboveCutoff(0.97)
     grid = mg.make_regular_grid(mg.Domain(0.0, 1.0), 4)
     n_chains, seed = 3, 3
-    # replay the one stream: per iteration, one uniform per chain (the
-    # base-class loop over sample_local), then the (R, L) Gumbel variates
+    # replay the one stream: per iteration, one uniform per chain, then the
+    # (R, L) Gumbel variates
     rng = np.random.default_rng(seed)
     for t in range(200):
         dead = np.flatnonzero(rng.random(n_chains) >= model.cutoff)
@@ -226,37 +247,3 @@ def test_lockstep_degenerate_draw_names_iteration_and_chain():
     with pytest.raises(mg.DegenerateWeightError,
                        match=rf"^iteration {t}, chain {r}: .*zero weight"):
         mg.run_griddy_chains(model, grid, 200, np.random.default_rng(seed), n_chains)
-
-
-def test_nearest_neighbor_identity_on_same_grid(toy_grid):
-    values = np.arange(8.0)
-    out = mg.nearest_neighbor_extrapolate(values, toy_grid, toy_grid)
-    np.testing.assert_array_equal(out, values)
-
-
-def test_nearest_neighbor_hand_table():
-    # 4 simulation points at 0.5, 1.0, 1.5, 2.0 extended to 8 evaluation
-    # points at 0.25k; midpoints tie to the smaller simulation index.
-    sim = mg.make_regular_grid(mg.Domain(0.0, 2.0), 4)
-    ev = mg.make_regular_grid(mg.Domain(0.0, 2.0), 8)
-    values = np.array([10.0, 20.0, 30.0, 40.0])
-    out = mg.nearest_neighbor_extrapolate(values, sim, ev)
-    np.testing.assert_array_equal(
-        out, [10.0, 10.0, 10.0, 20.0, 20.0, 30.0, 30.0, 40.0])
-
-
-def test_nearest_neighbor_log_scale_uses_working_coordinates():
-    sim = mg.make_regular_grid(mg.Domain(1.0, 16.0), 2, scale="log")  # 4, 16
-    ev = mg.make_regular_grid(mg.Domain(1.0, 16.0), 4, scale="log")  # 2,4,8,16
-    values = np.array([1.0, 2.0])
-    out = mg.nearest_neighbor_extrapolate(values, sim, ev)
-    # log-midpoint of 4 and 16 is 8; ties go to the lower index.
-    np.testing.assert_array_equal(out, [1.0, 1.0, 1.0, 2.0])
-
-
-def test_nearest_neighbor_validates_inputs(toy_grid):
-    with pytest.raises(ValueError):
-        mg.nearest_neighbor_extrapolate(np.arange(3.0), toy_grid, toy_grid)
-    log_ev = mg.make_regular_grid(mg.Domain(0.5, 2.0), 4, scale="log")
-    with pytest.raises(ValueError):
-        mg.nearest_neighbor_extrapolate(np.arange(8.0), toy_grid, log_ev)

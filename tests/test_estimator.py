@@ -189,27 +189,21 @@ def test_fit_emus_truncated_flag(asym_model):
     assert emus2.truncated is True
 
 
-def test_bridge_ratio_cases(asym_model, sym_model):
-    F_asym, _ = mg.enumerate_discrete_transition(asym_model)
-    assert mg.bridge_ratio(F_asym, 0, 1) == pytest.approx(0.75)
-    assert mg.bridge_ratio(F_asym, 0, 0) == 1.0
-    F_sym, _ = mg.enumerate_discrete_transition(sym_model)
-    assert mg.bridge_ratio(F_sym, 0, 1) == pytest.approx(1.0)
-    with pytest.raises(mg.NoOverlapError):
-        mg.bridge_ratio(np.array([[1.0, 0.0], [0.0, 1.0]]), 0, 1)
+class FixedDraws(mg.GridSampler):
+    """Always draws the latent atom ``atoms[i]`` at grid point i."""
 
+    def __init__(self, atoms):
+        self.atoms = atoms
 
-def test_bridge_ratio_consistent_with_stationary(asym_model):
-    F, _ = mg.enumerate_discrete_transition(asym_model)
-    u = mg.stationary_vector(F)
-    assert mg.bridge_ratio(F, 0, 1) == pytest.approx(u[1] / u[0], rel=1e-12)
+    def draw_rows(self, rows, rng):
+        return self.atoms[rows]
 
 
 def test_degenerate_weight_error_names_the_sample():
     # A sampler whose draws fall where every grid column has zero mass.
     class BrokenModel(mg.DiscreteModel):
-        def sample_local(self, lam, rng, size):
-            return np.full(size, 4)
+        def sampler(self, grid):
+            return FixedDraws(np.full(len(grid), 4))
 
     table = np.array([
         [1.0, 0.0],
@@ -231,8 +225,8 @@ def test_degenerate_weight_error_names_a_later_tiles_sample(monkeypatch):
     # tile they sit in the second tile, and the error still names them by
     # their place in the bank
     class BrokenModel(mg.DiscreteModel):
-        def sample_local(self, lam, rng, size):
-            return np.full(size, 4 if lam[0] == 1.0 else 1)
+        def sampler(self, grid):
+            return FixedDraws(np.where(grid.points[:, 0] == 1.0, 4, 1))
 
     table = np.array([
         [1.0, 0.0],

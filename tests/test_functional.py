@@ -191,9 +191,8 @@ def test_batched_gradients_match_the_per_point_formula(toy_functional, toy_model
 
 
 class TwoHookToy(mg.models.Model):
-    """The toy model behind only the two required hooks, so its batched
-    draws come from the base-class loop and its blocks from the default,
-    which has no gradients."""
+    """The toy model behind only the two required hooks, so its row ranges
+    and blocks come from the defaults, which have no gradients."""
 
     def __init__(self, toy):
         self.toy = toy
@@ -201,8 +200,8 @@ class TwoHookToy(mg.models.Model):
     def log_weight_matrix(self, thetas, points):
         return self.toy.log_weight_matrix(thetas, points)
 
-    def sample_local(self, lam, rng, size):
-        return self.toy.sample_local(lam, rng, size)
+    def sampler(self, grid):
+        return self.toy.sampler(grid)
 
 
 def test_discrete_curves_have_no_gradient(asym_model):
@@ -214,20 +213,22 @@ def test_discrete_curves_have_no_gradient(asym_model):
         fn.gradient(1.0)
 
 
-def test_gp_gradients_leave_the_factor_cache_alone():
-    # the sampler caches one factorization per grid value; curves and
-    # gradients at other values add none
+def test_gp_gradients_leave_the_factor_cache_alone(count_posteriors):
+    # the bank's grid sampler factors each grid value's posterior; curves and
+    # gradients at other values factor none and keep that sampler
     x, y = mg.make_synthetic_gp_dataset(n=5, seed=2)
     model = mg.GpRegressionModel(x, y)
     grid = mg.make_regular_grid(mg.Domain([0.5, 0.5], [2.0, 2.0]), [3, 3], scale="log")
     fn = mg.FunctionalEstimate(
         mg.fit_emus(mg.draw_sample_bank(model, grid, 8, master_seed=9), model), model)
-    cached = len(model._cache)
+    sampler = model.sampler(grid)
+    factored = count_posteriors(model)
     off_grid = np.array([[0.6, 0.8], [1.1, 0.9], [1.9, 1.3]])
     fn.curve_with_gradient(off_grid)
     fn.gradient(off_grid[1])
     fn.gradient([0.7, 1.7])
-    assert len(model._cache) == cached
+    assert factored == []
+    assert model.sampler(grid) is sampler
 
 
 def test_curve_with_gradient_shapes(toy_functional):
@@ -572,13 +573,15 @@ def test_pointwise_models_reduce_through_the_default_block(toy_model, toy_grid):
         fn.curve_with_gradient(eval_grid.points)
 
 
-def test_gp_curves_leave_the_factor_cache_alone(gp_surface_fit):
+def test_gp_curves_leave_the_factor_cache_alone(gp_surface_fit, count_posteriors):
     fn, eval_grid = gp_surface_fit
-    cached = len(fn.model._cache)
+    sampler = fn.model.sampler(fn.emus.grid)
+    factored = count_posteriors(fn.model)
     fn.marginal_many(eval_grid.points)
     fn.curve_with_gradient(uneven_tau2_points())
     fn.expectation(lambda t: t[:, 0], eval_grid)
-    assert len(fn.model._cache) == cached
+    assert factored == []
+    assert fn.model.sampler(fn.emus.grid) is sampler
 
 
 @pytest.mark.parametrize("fit,size", [("gp_surface_fit", 42.5e6), ("toy_diagnose_fit", 33.5e6)],

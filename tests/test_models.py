@@ -14,7 +14,7 @@ from scipy.linalg.blas import dtrsm
 import margrid as mg
 from margrid.models import _LOG_2PI
 
-from conftest import ASYM_TABLE
+from conftest import ASYM_TABLE, point_draws
 
 
 # -- toy bimodal model -------------------------------------------------
@@ -54,7 +54,7 @@ def test_toy_modes_sit_near_plus_minus_y():
 
 
 def test_toy_sampler_matches_mixture_moments(toy_model):
-    # sample_local is an exact conjugate draw; compare its first moment
+    # the sampler draws exactly from the conjugate mixture; compare its first moment
     # against the analytic two-component mixture mean.
     lam, n = 0.7, 200_000
     q, tau, y = toy_model.q, toy_model.tau, toy_model.y
@@ -71,7 +71,7 @@ def test_toy_sampler_matches_mixture_moments(toy_model):
     second = w_plus * (v + m_plus**2) + (1 - w_plus) * (v + m_minus**2)
     sd = math.sqrt(second - mean**2)
 
-    draws = toy_model.sample_local(lam, np.random.default_rng(5), n)
+    draws = point_draws(toy_model, lam, np.random.default_rng(5), n)
     assert abs(draws.mean() - mean) < 3 * sd / math.sqrt(n)
 
 
@@ -98,8 +98,8 @@ def test_toy_mixture_weight_is_expit_to_four_ulp():
 
 
 def test_toy_sampler_is_reproducible(toy_model):
-    a = toy_model.sample_local(0.4, np.random.default_rng(99), 64)
-    b = toy_model.sample_local(0.4, np.random.default_rng(99), 64)
+    a = point_draws(toy_model, 0.4, np.random.default_rng(99), 64)
+    b = point_draws(toy_model, 0.4, np.random.default_rng(99), 64)
     np.testing.assert_array_equal(a, b)
 
 
@@ -169,7 +169,7 @@ def gp_log_psi_oracle(model, thetas, lam):
     resid = model.y[None, :] - thetas
     obs = -0.5 * (n * (math.log(2 * math.pi) + math.log(model.noise_var))
                   + np.sum(resid * resid, axis=1) / model.noise_var)
-    chol = cholesky(model._entry(lam)["cov"], lower=True)
+    chol = cholesky(model._cov_factor(lam)[0], lower=True)
     logdet = 2.0 * np.sum(np.log(np.diag(chol)))
     white = solve_triangular(chol, thetas.T, lower=True)
     return obs - 0.5 * (n * math.log(2 * math.pi) + logdet + np.sum(white * white, axis=0))
@@ -184,7 +184,7 @@ def gp_grad_oracle(model, thetas, lam):
     with dK/dtau1 = K/tau1 and dK/dtau2 = -K/tau2 - kernel * sqdist (the
     relative jitter folds into K for both derivatives).
     """
-    cov = model._entry(lam)["cov"]
+    cov = model._cov_factor(lam)[0]
     tau1, tau2 = map(float, lam)
     thetas = np.atleast_2d(thetas)
     n = model.y.size
@@ -575,7 +575,7 @@ def test_gp_single_point_marginal_closed_form():
 def test_gp_gradient_matches_finite_differences(gp_model):
     rng = np.random.default_rng(11)
     lam = np.array([1.3, 0.7])
-    thetas = gp_model.sample_local(lam, rng, 3)
+    thetas = point_draws(gp_model, lam, rng, 3)
     h = 1e-6
 
     def logp(t, l):
@@ -592,7 +592,7 @@ def test_gp_gradient_matches_finite_differences(gp_model):
 def test_gp_huge_noise_pulls_posterior_to_prior():
     x, y = mg.make_synthetic_gp_dataset(n=6, seed=1)
     model = mg.GpRegressionModel(x, y, noise_var=1e8)
-    draws = model.sample_local((1.0, 1.0), np.random.default_rng(0), 50_000)
+    draws = point_draws(model, (1.0, 1.0), np.random.default_rng(0), 50_000)
     # Prior mean is zero and the data carry almost no information, so the
     # sampler mean must vanish within Monte Carlo error.
     prior_sd = math.sqrt(1.0)
@@ -601,32 +601,33 @@ def test_gp_huge_noise_pulls_posterior_to_prior():
 
 def test_gp_sampler_mean_matches_posterior(gp_model):
     lam = (1.0, 1.0)
-    entry = gp_model._entry(lam)
-    mean, _ = gp_model._posterior(entry)
-    draws = gp_model.sample_local(lam, np.random.default_rng(2), 40_000)
+    mean, _ = gp_model._posterior(lam)
+    draws = point_draws(gp_model, lam, np.random.default_rng(2), 40_000)
     sd = draws.std(axis=0)
     assert np.all(np.abs(draws.mean(axis=0) - mean) < 4 * sd / math.sqrt(40_000))
 
 
-def test_gp_factor_cache_is_a_bounded_lru():
-    # gp-surface touches 720 values at set-up and 144 per op: all must fit
-    assert mg.models.GP_CACHE_SIZE >= 1024
+def test_gp_banks_factor_each_point_once_per_grid(count_posteriors):
+    # the first bank on a grid factors each point's posterior once, a second
+    # bank on the same grid none, and a bank on another grid its points again
     x, y = mg.make_synthetic_gp_dataset(n=4, seed=1)
     model = mg.GpRegressionModel(x, y)
-    first, kept = (0.5, 0.7), (2.0, 3.0)
-    before = model.sample_local(first, np.random.default_rng(3), 5)
-    log_z = model.log_marginal_likelihood(kept)
-    lams = np.exp(np.random.default_rng(4).uniform(-3.0, 3.0, (2000, 2)))
-    for i, lam in enumerate(lams):
-        model.log_marginal_likelihood(lam)
-        if i % 100 == 0:
-            model.sample_local(kept, np.random.default_rng(i), 1)
-    assert len(model._cache) <= mg.models.GP_CACHE_SIZE
-    # the least recently used value was dropped, the recently used one kept
-    assert first not in model._cache and kept in model._cache
-    np.testing.assert_array_equal(
-        model.sample_local(first, np.random.default_rng(3), 5), before)
-    assert model.log_marginal_likelihood(kept) == log_z
+    factored = count_posteriors(model)
+    domain = mg.Domain([0.5, 0.5], [2.0, 2.0])
+    grid = mg.make_regular_grid(domain, (2, 2), scale="log")
+    other = mg.make_regular_grid(domain, (3, 2), scale="log")
+    first = mg.draw_sample_bank(model, grid, 5, master_seed=3)
+    assert factored == [tuple(p) for p in grid.points]
+    again = mg.draw_sample_bank(model, grid, 5, master_seed=3)
+    assert len(factored) == len(grid)
+    np.testing.assert_array_equal(again.thetas, first.thetas)
+    mg.draw_sample_bank(model, other, 5, master_seed=3)
+    assert factored[len(grid):] == [tuple(p) for p in other.points]
+    # the kept sampler is matched by its points, so an equal grid built anew
+    # reuses its factors
+    mg.draw_sample_bank(model, mg.make_regular_grid(domain, (3, 2), scale="log"), 5,
+                        master_seed=4)
+    assert len(factored) == len(grid) + len(other)
 
 
 def test_gp_exact_log_u_adds_hyperprior(gp_model):
@@ -674,7 +675,7 @@ def test_discrete_exact_log_u(asym_model):
 
 def test_discrete_sampler_frequencies(asym_model):
     n = 100_000
-    draws = asym_model.sample_local(0.0, np.random.default_rng(8), n)
+    draws = point_draws(asym_model, 0.0, np.random.default_rng(8), n)
     freq = np.bincount(draws, minlength=5) / n
     p = ASYM_TABLE[:, 0] / ASYM_TABLE[:, 0].sum()
     se = np.sqrt(p * (1 - p) / n)
@@ -694,7 +695,7 @@ def test_discrete_sampler_is_generator_choice():
         w = model.psi_table[:, col]
         size = int(tables.integers(1, 50))
         rng, oracle = np.random.default_rng(case), np.random.default_rng(case)
-        draws = model.sample_local(float(col), rng, size)
+        draws = model.sampler(model.grid([col])).draw(0, rng, size)
         expected = oracle.choice(w.size, size=size, p=w / w.sum())
         assert draws.dtype == expected.dtype
         np.testing.assert_array_equal(draws, expected)

@@ -74,18 +74,27 @@ def hitting_probabilities(transition: np.ndarray) -> np.ndarray:
     Q = np.ones((n, n))
     if n == 1:
         return Q
+    m = n - 1
+    states = np.arange(m)
+    # one stack of killed chains and one of their inverses for every batch
+    G_stack = np.empty((min(KILLED_BATCH, n), m, m))
+    N_stack = np.empty_like(G_stack)
     for lo in range(0, n, KILLED_BATCH):
         cols = np.arange(lo, min(lo + KILLED_BATCH, n))
+        G, N = G_stack[:cols.size], N_stack[:cols.size]
+        for b, c in enumerate(cols):
+            # the chain killed at c: F without row and column c
+            G[b, :c, :c], G[b, :c, c:] = F[:c, :c], F[:c, c + 1:]
+            G[b, c:, :c], G[b, c:, c:] = F[c + 1:, :c], F[c + 1:, c + 1:]
+        G[:, states, states] = 0.0
         # keep[b] lists the states of the chain killed at cols[b]
-        keep = np.arange(n - 1) + (np.arange(n - 1) >= cols[:, None])
-        G = F[keep[:, :, None], keep[:, None, :]]
-        G[:, np.arange(n - 1), np.arange(n - 1)] = 0.0
-        N = _killed_inverse(G, F[keep, cols[:, None]])
+        keep = states + (states >= cols[:, None])
+        _killed_inverse(G, F[keep, cols[:, None]], N)
         Q[keep, cols[:, None]] = 1.0 / np.diagonal(N, axis1=1, axis2=2)
     return Q
 
 
-def _killed_inverse(G: np.ndarray, kill: np.ndarray) -> np.ndarray:
+def _killed_inverse(G: np.ndarray, kill: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Stacked (I - P)^{-1} of killed chains given as triplets, subtraction-free.
 
     ``G`` (b, m, m) holds the off-diagonal transition probabilities (zero
@@ -98,22 +107,29 @@ def _killed_inverse(G: np.ndarray, kill: np.ndarray) -> np.ndarray:
     the inverse is a product of nonnegative matrices.  A lone state that
     is never killed has an infinite inverse; in a larger chain such a
     state raises ReducibleChainError.
+
+    The inverse is written into ``out`` (b, m, m), which is returned: N1
+    and N2 recurse into its diagonal blocks, N12 and N21 are written into
+    its off-diagonal blocks, and N11 = N1 + N12 G21 N1 is updated in
+    place, so no level assembles a new array.
     """
     m = kill.shape[1]
     if m == 1:
         with np.errstate(divide="ignore"):
-            return 1.0 / kill[:, :, None]
+            return np.divide(1.0, kill[:, :, None], out=out)
     h = m // 2
     G12, G21 = G[:, :h, h:], G[:, h:, :h]
-    N1 = _finite(_killed_inverse(G[:, :h, :h], kill[:, :h] + G12.sum(axis=2)))
+    N1 = _finite(_killed_inverse(G[:, :h, :h], kill[:, :h] + G12.sum(axis=2),
+                                 out[:, :h, :h]))
     G21N1 = G21 @ N1
     H = G[:, h:, h:] + G21N1 @ G12
     H[:, np.arange(m - h), np.arange(m - h)] = 0.0
-    N2 = _finite(_killed_inverse(H, kill[:, h:] + (G21N1 @ kill[:, :h, None])[:, :, 0]))
-    N12 = N1 @ G12 @ N2
-    N21 = N2 @ G21N1
-    N11 = N1 + N12 @ G21N1
-    return np.block([[N11, N12], [N21, N2]])
+    N2 = _finite(_killed_inverse(H, kill[:, h:] + (G21N1 @ kill[:, :h, None])[:, :, 0],
+                                 out[:, h:, h:]))
+    N12 = np.matmul(N1 @ G12, N2, out=out[:, :h, h:])
+    np.matmul(N2, G21N1, out=out[:, h:, :h])
+    N1 += N12 @ G21N1
+    return out
 
 
 def _finite(N: np.ndarray) -> np.ndarray:

@@ -76,7 +76,13 @@ statistics once and yields the product in column tiles of about
 ``TILE_BYTES`` (``_column_tiles``), with gradient tiles from one outer
 difference, so a curve's passes over a tile (exponential, product,
 gradient) run in cache; each tile is the same ``dgemm`` sum, so its
-entries are the whole-matrix bits too.
+entries are the whole-matrix bits too.  A call writes its tiles into one
+block buffer (and one gradient buffer) sized for its widest tile, and
+its row ranges into one buffer sized for the largest, so the memory is
+allocated once per call and not faulted in again for every tile.  The
+hooks' contract allows this for every model: a yielded tile or range is
+valid only until the next one is requested, and a caller that keeps one
+copies it.
 
 Only the GP model uses scipy: its methods that factor and solve import
 ``scipy.linalg`` on first use.  The toy and discrete models need numpy
@@ -120,9 +126,10 @@ def _gauss_logpdf(x, mean, var):
     return -0.5 * (_LOG_2PI + np.log(var) + (x - mean) ** 2 / var)
 
 
-def _stats_times_coefs(stats, coefs):
+def _stats_times_coefs(stats, coefs, out=None):
     """The (N, M) product of (N, k) per-draw statistics and (k, M)
-    per-point coefficients, as a fresh C-ordered array.
+    per-point coefficients, written into ``out`` (a C-ordered (N, M)
+    array) or into a fresh C-ordered array.
 
     Every term of an entry past the first is a product with 1.  dgemm
     then rounds each entry as the elementwise sum ((s0 c0 + s1 c1) + ...)
@@ -130,28 +137,45 @@ def _stats_times_coefs(stats, coefs):
     which rounds differently on FMA kernels, so it takes that sum here.
     """
     if stats.shape[0] > 1 and coefs.shape[1] > 1:
-        return stats @ coefs
-    out = stats[:, :1] * coefs[:1]
+        return np.matmul(stats, coefs, out=out)
+    out = np.multiply(stats[:, :1], coefs[:1], out=out)
     for k in range(1, coefs.shape[0]):
         out += stats[:, k:k + 1] * coefs[k:k + 1]
     return out
 
 
-def _column_tiles(stats, coefs):
+def _leading(buf, rows, cols):
+    """The C-ordered (rows, cols) view of the first rows * cols entries of
+    the flat ``buf``."""
+    return buf[:rows * cols].reshape(rows, cols)
+
+
+def _column_tiles(stats, coefs, grads: bool = False):
     """``_stats_times_coefs`` in cache-sized column tiles: yields
-    ``(cols, block)``.
+    ``(cols, block, grad)``.
 
     Tiles start at multiples of T = 16 max(1, TILE_BYTES // (128 N))
     columns (16 columns of N draws take 128 N bytes), and the last tile
     takes the remaining columns, so it is T to 2T - 1 wide.  A column then
     sits in the same lane of a matrix-vector product over a tile as over
     the whole matrix, and no narrow last tile is rounded apart.
+
+    Every block is a leading view of one buffer sized for the widest tile
+    (the last), so the call allocates its memory once and a block is valid
+    only until the next one is requested.  With ``grads``, ``grad`` is a
+    leading (N, len(cols)) view of a second such buffer, left for the
+    caller to fill with the tile's gradients, and otherwise None.
     """
     n, m = stats.shape[0], coefs.shape[1]
     width = 16 * max(1, TILE_BYTES // (128 * n))
     bounds = list(range(0, width * max(1, m // width), width)) + [m]
+    size = n * (m - bounds[-2])
+    buf = np.empty(size)
+    grad_buf = np.empty(size) if grads else None
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        yield np.arange(lo, hi), _stats_times_coefs(stats, coefs[:, lo:hi])
+        block = _stats_times_coefs(stats, coefs[:, lo:hi], _leading(buf, n, hi - lo))
+        yield (np.arange(lo, hi), block,
+               None if grad_buf is None else _leading(grad_buf, n, hi - lo))
 
 
 class GridSampler:
@@ -201,8 +225,10 @@ class Model:
         """Log-weights in row ranges: yields the ``log_weight_matrix`` rows
         ``bounds[t]:bounds[t + 1]`` of the draws, in order.
 
-        Each range comes as a fresh C-ordered array the caller may
-        overwrite.  A fit walks its bank in row tiles through this hook and
+        Each range comes as a C-ordered array the caller may overwrite,
+        valid until the next range is requested: a model may write every
+        range of one call into one buffer, so a caller copies a range it
+        keeps.  A fit walks its bank in row tiles through this hook and
         drops each tile, so the whole (N, M) matrix need never exist.  The
         default evaluates each range's draws on their own; models override
         it when per-point or per-draw work is cheaper done once for all
@@ -216,9 +242,11 @@ class Model:
         """Log-weights in column blocks: yields ``(cols, logw, grad)``.
 
         ``logw`` holds the ``log_weight_matrix`` columns ``cols`` of the
-        points, as a fresh array the caller may overwrite; with ``grads``,
-        ``grad`` holds their hyperparameter gradients, shape
-        (N, len(cols), p), as a fresh C-ordered array, and otherwise None.
+        points; with ``grads``, ``grad`` holds their hyperparameter
+        gradients, shape (N, len(cols), p), as a C-ordered array, and
+        otherwise None.  Both are arrays the caller may overwrite, valid
+        until the next block is requested: a model may write every block of
+        one call into one buffer, so a caller copies a block it keeps.
         Curves reduce each block and drop it, so the whole (N, M) matrix
         need never exist.  The default yields one block of all columns and
         raises ``GradientUnavailableError`` for gradients; models override
@@ -379,28 +407,30 @@ class ToyBimodalModel(Model):
 
     def log_weight_rows(self, thetas, points, bounds):
         """Row ranges of ``log_weight_matrix``: ``_stats_coefs`` once, then
-        one ``_stats_times_coefs`` per range, whose entries are the
-        whole-matrix bits (see the module docstring)."""
+        one ``_stats_times_coefs`` per range, written into one buffer sized
+        for the largest range, whose entries are the whole-matrix bits (see
+        the module docstring)."""
         stats, coefs = self._stats_coefs(thetas, points)
+        m = coefs.shape[1]
+        buf = np.empty(m * max(np.diff(bounds), default=0))
         for lo, hi in zip(bounds[:-1], bounds[1:]):
-            yield _stats_times_coefs(stats[lo:hi], coefs)
+            yield _stats_times_coefs(stats[lo:hi], coefs, _leading(buf, hi - lo, m))
 
     def log_weight_blocks(self, thetas, points, grads: bool = False):
         """Cache-sized column tiles of ``log_weight_matrix`` (see
         ``_column_tiles``), from statistics computed once; with ``grads``,
         each tile's gradients tau (theta - lam), shape (N, len(cols), 1),
-        one outer difference scaled in place.  Every entry is bit-equal to
-        its whole-matrix entry."""
+        one outer difference written into the tiles' second buffer and
+        scaled in place.  Every entry is bit-equal to its whole-matrix
+        entry."""
         points = self._points(points)
         stats, coefs = self._stats_coefs(thetas, points)
-        for cols, block in _column_tiles(stats, coefs):
-            grad = None
+        for cols, block, grad in _column_tiles(stats, coefs, grads):
             if grads:
-                grad = np.subtract.outer(stats[:, 0], points[cols])
+                np.subtract.outer(stats[:, 0], points[cols, 0], out=grad)
                 grad *= self.tau
+                grad = grad[:, :, None]
             yield cols, block, grad
-            # the caller holds the tile now: drop it before the next one
-            del block, grad
 
     def _local_mixture(self, lams):
         """Weight of the + component, the two means and the common

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -265,6 +266,58 @@ def test_hitting_probabilities_do_not_depend_on_the_batch_size(toy_fit_l64, monk
     assert F.shape[0] > mg.diagnostics.KILLED_BATCH
     monkeypatch.setattr(mg.diagnostics, "KILLED_BATCH", F.shape[0])
     np.testing.assert_array_equal(mg.hitting_probabilities(F), batched)
+
+
+def test_hitting_probabilities_reuse_one_stack_per_call():
+    # toy fit at L = 64, 32 draws per point: the killed chains and their
+    # inverses live in one stack each for all batches, and no level of the
+    # recursion assembles a new inverse, so Q peaks below 4 MiB; a new
+    # stack per batch and a new array per level take 5.64 MiB
+    model = mg.ToyBimodalModel(y=1.0, q=64.0, tau=16.0)
+    grid = mg.make_regular_grid(mg.Domain(-2.0, 2.0), 64)
+    F = mg.fit_emus(mg.draw_sample_bank(model, grid, 32, master_seed=3), model).transition
+    tracemalloc.start()
+    try:
+        mg.hitting_probabilities(F)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak / 2**20
+
+
+def killed_inverse_by_blocks(G, kill):
+    """The killed-chain inverse of ``diagnostics._killed_inverse``, each
+    level assembled as a new array with ``np.block``."""
+    m = kill.shape[1]
+    if m == 1:
+        with np.errstate(divide="ignore"):
+            return 1.0 / kill[:, :, None]
+    h = m // 2
+    G12, G21 = G[:, :h, h:], G[:, h:, :h]
+    N1 = killed_inverse_by_blocks(G[:, :h, :h], kill[:, :h] + G12.sum(axis=2))
+    G21N1 = G21 @ N1
+    H = G[:, h:, h:] + G21N1 @ G12
+    H[:, np.arange(m - h), np.arange(m - h)] = 0.0
+    N2 = killed_inverse_by_blocks(H, kill[:, h:] + (G21N1 @ kill[:, :h, None])[:, :, 0])
+    N12 = N1 @ G12 @ N2
+    N21 = N2 @ G21N1
+    N11 = N1 + N12 @ G21N1
+    return np.block([[N11, N12], [N21, N2]])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 7, 8, 31, 63])
+def test_killed_inverse_in_place_is_the_block_assembly(m):
+    # three random substochastic triplets: the inverse written into views
+    # of one output has the bits of the assembled one
+    rng = np.random.default_rng(m)
+    P = rng.random((3, m, m + 1))
+    P /= P.sum(axis=2, keepdims=True) * rng.uniform(1.0, 1.5, (3, m, 1))
+    G, kill = P[:, :, :m].copy(), P[:, :, m] + 1.0 - P.sum(axis=2)
+    G[:, np.arange(m), np.arange(m)] = 0.0
+    expected = killed_inverse_by_blocks(G.copy(), kill.copy())
+    out = np.full((3, m, m), np.nan)
+    assert mg.diagnostics._killed_inverse(G, kill, out) is out
+    np.testing.assert_array_equal(out, expected)
 
 
 def test_weight_ratio_variances_match_numpy(toy_fit, toy_model):

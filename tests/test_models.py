@@ -445,7 +445,8 @@ def test_gp_log_weight_columns_do_not_depend_on_their_companions(gp_model):
 
 def gather_blocks(model, thetas, points, grads):
     """Scatter the blocks of ``log_weight_blocks`` back into whole matrices,
-    checking that each block is a fresh C-ordered array and that the
+    each as it is yielded (a block is valid until the next one is
+    requested), checking that each block is a C-ordered array and that the
     blocks cover every column once; returns (log-weights, gradients or
     None, number of blocks)."""
     logw = np.full((len(thetas), len(points)), np.nan)
@@ -548,6 +549,31 @@ def test_log_weight_columns_are_one_point_calls(case):
     if grads:
         np.testing.assert_array_equal(grad, np.stack(
             [block_grads(model, thetas, lam[None, :])[:, 0] for lam in points], axis=1))
+
+
+@pytest.mark.parametrize("m", [64, 250])
+def test_toy_tiles_of_one_call_share_one_buffer(m):
+    # one call writes every column tile (and gradient tile) into one buffer
+    # and every row range into one buffer; each tile, copied as it is
+    # yielded, is still the bits of its whole-matrix columns or rows
+    model, thetas, points = toy_tiled_case(m)
+    matrix = model.log_weight_matrix(thetas, points)
+    grads = model.tau * np.subtract.outer(thetas, points[:, 0])
+    tiles = [(cols, block, grad, block.copy(), grad.copy())
+             for cols, block, grad in model.log_weight_blocks(thetas, points, grads=True)]
+    assert len(tiles) > 1
+    first, last = tiles[0], tiles[-1]
+    assert np.shares_memory(first[1], last[1])
+    assert np.shares_memory(first[2], last[2])
+    for cols, _, _, block, grad in tiles:
+        np.testing.assert_array_equal(block, matrix[:, cols])
+        np.testing.assert_array_equal(grad[:, :, 0], grads[:, cols])
+    bounds = np.array([0, 5000, 9000, 9001, TOY_TILED_DRAWS])
+    rows = list(model.log_weight_rows(thetas, points, bounds))
+    assert np.shares_memory(rows[0], rows[-1])
+    for lo, hi, tile in zip(bounds[:-1], bounds[1:],
+                            (r.copy() for r in model.log_weight_rows(thetas, points, bounds))):
+        np.testing.assert_array_equal(tile, matrix[lo:hi])
 
 
 @pytest.mark.parametrize("lam", [(1.0, -1.0), (0.0, 1.0), (1.0,), (1.0, 1.0, 1.0)])

@@ -13,17 +13,24 @@ hyperparameter gradient (differentiating through the exponential) and
 the ratio estimators of posterior expectations apply the same product to
 other summands.
 
-A curve is reduced block by block: the model yields its log-weights in
-column blocks (``Model.log_weight_blocks``; one block per length scale
-for the GP model, cache-sized tiles for the toy model, one block of all
-columns by default), and each block is turned into kernel weights in
-place, reduced into the values, gradients or expectation sums of its
-columns, and dropped.  No (samples, points) array outlives its block,
-and a tile stays in cache through all of its passes.  Callers that need
-the whole kernel matrix (the design loop's evaluation-grid extension,
-the per-point variances) read it from ``_ratio_matrix``.  Profiles and the
-argmax over an evaluation grid are reductions of curve values already
-computed, so one curve serves all of them.
+A curve is reduced block by block: the model yields its log-weights,
+already shifted by each draw's lse_s, in column blocks
+(``Model.log_weight_blocks``; one block per length scale for the GP
+model, cache-sized tiles for the toy model, one block of all columns by
+default), and each block is turned into kernel weights B by one ``exp``
+in place, reduced into the values, gradients or expectation sums of its
+columns, and dropped.  Every reduction is one matrix-vector product of a
+per-draw row and B: the values c @ B, the phi-weighted values
+(c * phi) @ B, and for the gradients, whose per-draw summands G are
+affine in per-draw statistics (G = dstats @ dcoefs), the moments
+(c * dstats[:, k]) @ B that the coefficients combine, as in Monte Carlo
+maximum likelihood (Geyer and Thompson 1992).  No (samples, points) array
+outlives its block, and no gradient array of that size is formed at
+all, so a tile stays in cache through all of its passes.  Callers that
+need the whole kernel matrix (the design loop's evaluation-grid
+extension, the per-point variances) read it from ``_ratio_matrix``.
+Profiles and the argmax over an evaluation grid are reductions of curve
+values already computed, so one curve serves all of them.
 """
 
 from __future__ import annotations
@@ -76,7 +83,9 @@ class FunctionalEstimate:
         return np.exp(ratios, out=ratios)
 
     def _curve(self, summands) -> np.ndarray:
-        """The one product c @ summands, c_s = u_i / N_i: every curve is this.
+        """The one product c @ summands, c_s = u_i / N_i: every curve is this,
+        and the gradient moments and phi-weighted values are the same
+        product with c times a per-draw row.
 
         It is a BLAS matrix-vector product, whose rounding depends on the
         width of ``summands``: OpenBLAS adds the columns past the last
@@ -99,32 +108,35 @@ class FunctionalEstimate:
     def _reduce(self, points, grads: bool = False, phi_vals=None):
         """Curve values at points, reduced one log-weight block at a time.
 
-        Each block of ``model.log_weight_blocks`` becomes its kernel weights
-        in place and is reduced into the values c @ B, with ``grads`` into
-        the gradients c @ (G * B), and with ``phi_vals`` into the
-        phi-weighted values c @ (B * phi); then it is dropped.  Returns
-        (values, gradients or None, weighted values or None).
+        ``model.log_weight_blocks`` yields each block already shifted by
+        the draws' log-sum-exps, so one ``exp`` in place makes its kernel
+        weights B, which reduce into the values c @ B; with ``phi_vals``
+        into the phi-weighted values (c * phi) @ B; and with ``grads``,
+        whose block gradients are dstats @ dcoefs, into the gradients
+        c @ (G * B) = sum_k dcoefs_k * ((c * dstats[:, k]) @ B), the
+        importance-weighted moments of the per-draw statistics.  Every
+        reduction is one matrix-vector product of a per-draw row and B
+        (see ``_curve`` for how its rounding depends on the block width).
+        Returns (values, gradients or None, weighted values or None).
         """
         points = self._query_points(points)
-        lse = self.emus.lse[:, None]
+        c = self._weights
         values = np.empty(len(points))
         gradients = np.empty(points.shape) if grads else None
         weighted = np.empty(len(points)) if phi_vals is not None else None
-        blocks = self.model.log_weight_blocks(self.emus.bank.thetas, points, grads)
+        c_phi = None if phi_vals is None else c * phi_vals
+        blocks = self.model.log_weight_blocks(self.emus.bank.thetas, points,
+                                              self.emus.lse, grads)
         for cols, block, grad in blocks:
             block = np.ascontiguousarray(block, dtype=float)
-            block -= lse
             np.exp(block, out=block)
             values[cols] = self._curve(block)
             if grads:
-                grad = np.ascontiguousarray(grad, dtype=float)
-                grad *= block[:, :, None]
-                gradients[cols] = self._curve(grad.reshape(len(block), -1)).reshape(
-                    -1, points.shape[1])
-            if phi_vals is not None:
-                # phi weights the block in place: no second block-sized array
-                block *= phi_vals[:, None]
-                weighted[cols] = self._curve(block)
+                dstats, dcoefs = grad
+                moments = np.stack([(c * stat) @ block for stat in dstats.T])
+                gradients[cols] = (moments[:, :, None] * dcoefs).sum(axis=0)
+            if c_phi is not None:
+                weighted[cols] = c_phi @ block
             # dropped before the model builds the next block
             del block, grad
         return values, gradients, weighted
@@ -151,8 +163,8 @@ class FunctionalEstimate:
         """Values and gradients along a set of points: (M,), (M, p).
 
         Each block of kernel weights serves both: its columns average into
-        the curve values and, multiplied into the model's gradient block,
-        into the gradients.
+        the curve values and, against the model's per-draw gradient
+        statistics, into the moments that make the gradients.
         """
         values, gradients, _ = self._reduce(points, grads=True)
         return values, gradients
@@ -207,11 +219,14 @@ def profile(values, eval_grid: HyperGrid, axis: int):
 
     ``values`` holds the curve at ``eval_grid.points``, for example from
     ``FunctionalEstimate.marginal_many``.  Returns (axis_values,
-    profile_values).  Needs a tensor-product evaluation grid.
+    profile_values).  Needs a tensor-product evaluation grid and an axis
+    in ``range(eval_grid.dim)``.
     """
     if eval_grid.axes is None:
         raise ValueError("profiles need a tensor-product evaluation grid")
     shape = tuple(a.size for a in eval_grid.axes)
+    if not 0 <= axis < len(shape):
+        raise ValueError(f"axis {axis} is not an axis of a {len(shape)}-dimensional grid")
     cube = np.asarray(values, dtype=float).reshape(shape)
     other = tuple(d for d in range(len(shape)) if d != axis)
     return eval_grid.axes[axis], cube.max(axis=other) if other else cube
@@ -224,5 +239,9 @@ def argmax_on(values, eval_grid: HyperGrid):
     occurrence, which is the lexicographically smallest point under
     the grid's ordering.
     """
+    values = np.asarray(values, dtype=float)
+    if values.shape != (len(eval_grid),):
+        raise ValueError(
+            f"values of shape {values.shape} do not fit a grid of {len(eval_grid)} points")
     idx = int(np.argmax(values))
     return eval_grid.points[idx], float(values[idx]), idx

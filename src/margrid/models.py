@@ -22,12 +22,14 @@ only as their product:
   fit reads tile by tile; the base class evaluates each range on its own,
   the toy model computes its statistics once and the GP model whitens
   all draws once, each then assembling one range at a time,
-- optionally ``log_weight_blocks(thetas, points, grads)``: the columns of
-  ``log_weight_matrix`` in blocks, each with, when ``grads`` is set, its
-  hyperparameter gradients (the only place gradients come from); the
-  base class yields one block of the whole matrix and raises
-  ``GradientUnavailableError`` for gradients, the GP model yields one
-  block per length scale and the toy model cache-sized tiles,
+- optionally ``log_weight_blocks(thetas, points, shift, grads)``: the
+  columns of ``log_weight_matrix`` minus a per-draw ``shift`` in blocks,
+  each with, when ``grads`` is set, its hyperparameter gradients as
+  per-draw statistics times per-point coefficients (the only place
+  gradients come from); the base class yields one block of the whole
+  matrix and raises ``GradientUnavailableError`` for gradients, the GP
+  model yields one block per length scale and the toy model cache-sized
+  tiles,
 - optionally ``exact_log_u`` (a closed form for log z(lam) p(lam), used
   as an oracle by diagnostics and experiments).
 
@@ -64,25 +66,36 @@ once for all draws and assemble each range with the same sum, so a
 range holds the bits of the same rows of the whole matrix.
 
 Curves read log-weights and gradients through ``log_weight_blocks(thetas,
-points, grads=False)``, which yields ``(cols, logw, grad)`` column
-blocks that the curve reduces and drops one at a time.  The default
-yields one block, ``log_weight_matrix``, which the discrete model uses;
-it has no gradients.  The GP model yields one block per distinct length
+points, shift, grads=False)``, which yields ``(cols, logw, grad)`` column
+blocks that the curve reduces and drops one at a time.  ``logw`` is the
+log-weights minus ``shift``, each draw's log-sum-exp in a curve, so the
+curve takes one ``exp`` of it; the toy and GP models append the
+statistic -shift with coefficient 1 to their product (``_with_shift``),
+and x + (-s) 1 rounds as x - s, so a shifted entry is the bits of its
+``log_weight_matrix`` entry minus the shift.  ``grad`` is the pair
+``(dstats, dcoefs)`` of an (N, k) matrix of per-draw statistics and a
+(k, len(cols), p) array of per-point coefficients whose product is the
+block's gradients, which are affine in per-draw statistics just as the
+log-weights are: [theta, 1] and [tau; -tau lam] for the toy model,
+[q_B, q_E, 1] and ``_grad_coefs`` for the GP model.  A curve never forms
+that product: it reduces each statistic against the block once (see
+``FunctionalEstimate._reduce``).  The default yields one block,
+``log_weight_matrix`` minus the shift, which the discrete model uses; it
+has no gradients.  The GP model yields one block per distinct length
 scale, whose log-weights and gradients share one factor and two
 triangular solves of the draws; both its routes run the same
 per-length-scale kernel and the same sum, so a block entry is bit-equal
-to the matching ``log_weight_matrix`` entry.  The toy model computes its
-statistics once and yields the product in column tiles of about
-``TILE_BYTES`` (``_column_tiles``), with gradient tiles from one outer
-difference, so a curve's passes over a tile (exponential, product,
-gradient) run in cache; each tile is the same ``dgemm`` sum, so its
-entries are the whole-matrix bits too.  A call writes its tiles into one
-block buffer (and one gradient buffer) sized for its widest tile, and
-its row ranges into one buffer sized for the largest, so the memory is
-allocated once per call and not faulted in again for every tile.  The
-hooks' contract allows this for every model: a yielded tile or range is
-valid only until the next one is requested, and a caller that keeps one
-copies it.
+to the matching ``log_weight_matrix`` entry minus the shift.  The toy
+model computes its statistics once and yields the product in column
+tiles of about ``TILE_BYTES`` (``_column_tiles``), so a curve's passes
+over a tile (exponential and one product per per-draw row) run in
+cache; each tile is the same ``dgemm`` sum, so its entries are the
+whole-matrix bits too.  A call writes its tiles into one block buffer
+sized for its widest tile, and its row ranges into one buffer sized for
+the largest, so the memory is allocated once per call and not faulted in
+again for every tile.  The hooks' contract allows this for every model:
+a yielded tile or range is valid only until the next one is requested,
+and a caller that keeps one copies it.
 
 Only the GP model uses scipy: its methods that factor and solve import
 ``scipy.linalg`` on first use.  The toy and discrete models need numpy
@@ -150,9 +163,9 @@ def _leading(buf, rows, cols):
     return buf[:rows * cols].reshape(rows, cols)
 
 
-def _column_tiles(stats, coefs, grads: bool = False):
+def _column_tiles(stats, coefs):
     """``_stats_times_coefs`` in cache-sized column tiles: yields
-    ``(cols, block, grad)``.
+    ``(cols, block)``.
 
     Tiles start at multiples of T = 16 max(1, TILE_BYTES // (128 N))
     columns (16 columns of N draws take 128 N bytes), and the last tile
@@ -162,20 +175,24 @@ def _column_tiles(stats, coefs, grads: bool = False):
 
     Every block is a leading view of one buffer sized for the widest tile
     (the last), so the call allocates its memory once and a block is valid
-    only until the next one is requested.  With ``grads``, ``grad`` is a
-    leading (N, len(cols)) view of a second such buffer, left for the
-    caller to fill with the tile's gradients, and otherwise None.
+    only until the next one is requested.
     """
     n, m = stats.shape[0], coefs.shape[1]
     width = 16 * max(1, TILE_BYTES // (128 * n))
     bounds = list(range(0, width * max(1, m // width), width)) + [m]
-    size = n * (m - bounds[-2])
-    buf = np.empty(size)
-    grad_buf = np.empty(size) if grads else None
+    buf = np.empty(n * (m - bounds[-2]))
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        block = _stats_times_coefs(stats, coefs[:, lo:hi], _leading(buf, n, hi - lo))
-        yield (np.arange(lo, hi), block,
-               None if grad_buf is None else _leading(grad_buf, n, hi - lo))
+        yield np.arange(lo, hi), _stats_times_coefs(stats, coefs[:, lo:hi],
+                                                    _leading(buf, n, hi - lo))
+
+
+def _with_shift(stats, coefs, shift):
+    """``stats`` and ``coefs`` with one more term, the statistic -shift
+    with coefficient 1, so that their product is the log-weights minus a
+    per-draw shift.  The term is exact, and x + (-s) 1 is x - s, so each
+    entry is the bits of the unshifted entry minus its draw's shift."""
+    stats = np.column_stack([stats, np.negative(shift)])
+    return stats, np.vstack([coefs, np.ones(coefs.shape[1])])
 
 
 class GridSampler:
@@ -238,17 +255,22 @@ class Model:
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             yield self.log_weight_matrix(thetas[lo:hi], points)
 
-    def log_weight_blocks(self, thetas, points, grads: bool = False):
-        """Log-weights in column blocks: yields ``(cols, logw, grad)``.
+    def log_weight_blocks(self, thetas, points, shift, grads: bool = False):
+        """Shifted log-weights in column blocks: yields ``(cols, logw, grad)``.
 
         ``logw`` holds the ``log_weight_matrix`` columns ``cols`` of the
-        points; with ``grads``, ``grad`` holds their hyperparameter
-        gradients, shape (N, len(cols), p), as a C-ordered array, and
-        otherwise None.  Both are arrays the caller may overwrite, valid
-        until the next block is requested: a model may write every block of
-        one call into one buffer, so a caller copies a block it keeps.
-        Curves reduce each block and drop it, so the whole (N, M) matrix
-        need never exist.  The default yields one block of all columns and
+        points minus ``shift``, one value per draw subtracted from its row
+        (a curve passes each draw's log-sum-exp; a zero shift gives the
+        log-weights' own bits).  With ``grads``, ``grad`` is the pair
+        ``(dstats, dcoefs)`` of per-draw statistics, shape (N, k), and
+        per-point coefficients, shape (k, len(cols), p), whose product
+        ``dstats @ dcoefs`` is the block's hyperparameter gradients, shape
+        (N, len(cols), p); otherwise it is None.  All are C-ordered arrays
+        the caller may overwrite, valid until the next block is requested:
+        a model may write every block of one call into one buffer, so a
+        caller copies a block it keeps.  Curves reduce each block and drop
+        it, so the whole (N, M) matrix need never exist.  The default
+        yields one block of all columns, subtracting the shift itself, and
         raises ``GradientUnavailableError`` for gradients; models override
         this when columns share work that is cheaper to do one block at a
         time, or when they have gradients.
@@ -257,7 +279,8 @@ class Model:
             raise GradientUnavailableError(
                 f"{type(self).__name__} does not implement hyperparameter gradients"
             )
-        logw = self.log_weight_matrix(thetas, points)
+        logw = np.ascontiguousarray(self.log_weight_matrix(thetas, points), dtype=float)
+        logw -= np.asarray(shift)[:, None]
         yield np.arange(logw.shape[1]), logw, None
 
 
@@ -416,20 +439,22 @@ class ToyBimodalModel(Model):
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             yield _stats_times_coefs(stats[lo:hi], coefs, _leading(buf, hi - lo, m))
 
-    def log_weight_blocks(self, thetas, points, grads: bool = False):
-        """Cache-sized column tiles of ``log_weight_matrix`` (see
-        ``_column_tiles``), from statistics computed once; with ``grads``,
-        each tile's gradients tau (theta - lam), shape (N, len(cols), 1),
-        one outer difference written into the tiles' second buffer and
-        scaled in place.  Every entry is bit-equal to its whole-matrix
-        entry."""
+    def log_weight_blocks(self, thetas, points, shift, grads: bool = False):
+        """Cache-sized column tiles of ``log_weight_matrix`` minus ``shift``
+        (see ``_column_tiles``), from statistics computed once, the shift
+        their last term (``_with_shift``); with ``grads``, each tile's
+        gradients tau (theta - lam) as the factors [theta, 1] and
+        [tau; -tau lam].  Every entry is bit-equal to its whole-matrix entry
+        minus its draw's shift."""
         points = self._points(points)
-        stats, coefs = self._stats_coefs(thetas, points)
-        for cols, block, grad in _column_tiles(stats, coefs, grads):
+        stats, coefs = _with_shift(*self._stats_coefs(thetas, points), shift)
+        dstats = np.ascontiguousarray(stats[:, [0, 2]]) if grads else None
+        for cols, block in _column_tiles(stats, coefs):
+            grad = None
             if grads:
-                np.subtract.outer(stats[:, 0], points[cols, 0], out=grad)
-                grad *= self.tau
-                grad = grad[:, :, None]
+                lams = points[cols, 0]
+                grad = dstats, np.stack([np.full_like(lams, self.tau),
+                                         -self.tau * lams])[:, :, None]
             yield cols, block, grad
 
     def _local_mixture(self, lams):
@@ -514,7 +539,7 @@ class GpRegressionModel(Model):
     one-point call, or a block of a lone tau2, takes the elementwise sum
     (see ``_stats_times_coefs``).  ``log_weight_blocks`` yields the
     columns of one tau2 at a time, with their gradients from the same
-    factor and whitening (``_fill_grads``).  The per-value
+    factor and whitening (``_grad_coefs``).  The per-value
     factorization of C_lam + noise_var I (``_cov_factor``) serves the
     sampler, which factors each grid point's posterior on its first draw,
     and the exact marginal.  The model keeps its last grid's sampler, so
@@ -599,7 +624,7 @@ class GpRegressionModel(Model):
 
         Returns log det B, the whitened squares q_B = theta' B^{-1} theta per
         draw, and with ``grads`` also tr(B^{-1} E) and q_E (see
-        ``_fill_grads``), whose solve reuses the whitened draws.
+        ``_grad_coefs``), whose solve reuses the whitened draws.
         """
         from scipy.linalg import cho_solve
         from scipy.linalg.blas import dtrsm
@@ -636,9 +661,10 @@ class GpRegressionModel(Model):
         coefs[3] = self._log_priors(points)
         return coefs
 
-    def _fill_grads(self, q_b, q_e, traces, points):
-        """Gradients of log(psi_lam_m(theta_n) p(lam_m)) in (tau1, tau2),
-        shape (N, M, 2), from the per-column q_B, q_E and traces.
+    def _grad_coefs(self, points, trace):
+        """Coefficients (3, M, 2) of the per-draw statistics [q_B, q_E, 1]
+        whose product is the gradient of log(psi_lam_m(theta_n) p(lam_m)) in
+        (tau1, tau2), for points that share one tau2 and so tr(B^{-1} E).
 
         With K = scale B(tau2), scale = tau1/tau2, dK/dtau1 = K/tau1 and
         dK/dtau2 = -K/tau2 - scale E, E = exp(-tau2 D) .* D (the relative
@@ -650,21 +676,21 @@ class GpRegressionModel(Model):
 
         where quad_K = theta' K^{-1} theta = q_B/scale, quad_E =
         theta' K^{-1} (scale E) K^{-1} theta = q_E/scale, and the last
-        terms are the flat prior on (log tau1, log tau2).  ``_whiten``
-        gives q_B = rowsum W^2 from the whitened draws W = Theta L^{-T} and
-        q_E = rowsum V .* (V E) from V = W L^{-1}; each point then fills its
-        two columns elementwise, so a column never depends on its
-        companions.
+        terms are the flat prior on (log tau1, log tau2).  Since
+        scale tau2 = tau1, the q_B coefficients are 1/(2 scale tau1) and
+        -1/(2 tau1).  ``_whiten`` gives q_B = rowsum W^2 from the whitened
+        draws W = Theta L^{-T} and q_E = rowsum V .* (V E) from
+        V = W L^{-1}.
         """
         n = self.y.size
         tau1, tau2 = points[:, 0], points[:, 1]
         scales = tau1 / tau2
-        quad_k = q_b / scales
-        quad_e = q_e / scales
-        out = np.empty(quad_k.shape + (2,))
-        out[:, :, 0] = -0.5 * n / tau1 + 0.5 * quad_k / tau1 - 1.0 / tau1
-        out[:, :, 1] = (0.5 * n / tau2 + 0.5 * traces
-                        - 0.5 * quad_k / tau2 - 0.5 * quad_e - 1.0 / tau2)
+        out = np.zeros((3, points.shape[0], 2))
+        out[0, :, 0] = 0.5 / (scales * tau1)
+        out[2, :, 0] = -(0.5 * n + 1.0) / tau1
+        out[0, :, 1] = -0.5 / tau1
+        out[1, :, 1] = -0.5 / scales
+        out[2, :, 1] = (0.5 * n - 1.0) / tau2 + 0.5 * trace
         return out
 
     @staticmethod
@@ -724,14 +750,15 @@ class GpRegressionModel(Model):
         out += coefs[3]
         return out
 
-    def log_weight_blocks(self, thetas, points, grads: bool = False):
+    def log_weight_blocks(self, thetas, points, shift, grads: bool = False):
         """One block per distinct tau2 among the points, in increasing tau2.
 
         Each block comes from one factor and one whitening of the draws,
         shared by its log-weights and, with ``grads``, its gradients; its
-        log-weights are the product [q_B, obs, 1, 1] @ coefficients, whose
-        entries are bit-equal to the matching columns of
-        ``log_weight_matrix``; its gradients come from ``_fill_grads``.
+        log-weights minus ``shift`` are the product [q_B, obs, 1, 1, -shift]
+        @ coefficients (``_with_shift``), whose entries are bit-equal to the
+        matching columns of ``log_weight_matrix`` minus each draw's shift;
+        its gradients are the factors [q_B, q_E, 1] and ``_grad_coefs``.
         """
         points = self._points(points)
         thetas = self._draws(thetas)
@@ -744,16 +771,16 @@ class GpRegressionModel(Model):
             cols = np.flatnonzero(group == g)
             logdet, q_b, extra = self._whiten(draws, work, tau2, grads)
             stats[:, 0] = q_b
-            block = _stats_times_coefs(
-                stats, self._coefs(points[cols], np.full(cols.size, logdet)))
-            grad_block = None
+            block = _stats_times_coefs(*_with_shift(
+                stats, self._coefs(points[cols], np.full(cols.size, logdet)), shift))
+            grad = None
             if grads:
                 trace, q_e = extra
-                grad_block = self._fill_grads(q_b[:, None], q_e[:, None], trace,
-                                              points[cols])
-            yield cols, block, grad_block
+                grad = (np.column_stack([q_b, q_e, np.ones_like(q_b)]),
+                        self._grad_coefs(points[cols], trace))
+            yield cols, block, grad
             # the caller holds the block now: drop it before the next one
-            del block, grad_block
+            del block, grad
 
     def sampler(self, grid):
         """Posterior draws at ``grid``'s points.  The last grid's sampler is

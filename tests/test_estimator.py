@@ -486,9 +486,9 @@ def test_fit_and_curves_read_the_banks_own_draws(toy_model, toy_grid):
             seen.append(thetas)
             return super().log_weight_rows(thetas, points, bounds)
 
-        def log_weight_blocks(self, thetas, points, grads=False):
+        def log_weight_blocks(self, thetas, points, shift, grads=False):
             seen.append(thetas)
-            return super().log_weight_blocks(thetas, points, grads)
+            return super().log_weight_blocks(thetas, points, shift, grads)
 
     model = Recording(y=toy_model.y, q=toy_model.q, tau=toy_model.tau)
     bank = mg.draw_sample_bank(model, toy_grid, 16, master_seed=5)

@@ -8,6 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
 
 import margrid as mg
 
@@ -128,15 +129,15 @@ def test_expectation_matches_closed_form_on_window(toy_model):
     assert got == pytest.approx(exact, abs=0.03)
 
 
-def test_expectation_weights_the_ratio_matrix_in_place(toy_functional):
-    # phi multiplied into the ratio matrix in place forms the same
-    # products as a second (samples, M) array, so no bit moves
+def test_expectation_weights_the_draw_weights_by_phi(toy_functional):
+    # the phi-weighted values are one product (c * phi) @ B per block, so
+    # no second (samples, M) array is formed
     fn = toy_functional
     eval_grid = mg.make_regular_grid(mg.Domain(-2.0, 2.0), 16)
     D = mg.trapezoid_weights(eval_grid)
     ratios = fn._ratio_matrix(eval_grid.points)
     phi = fn.emus.bank.thetas ** 2
-    expected = (fn._curve(ratios * phi[:, None]) @ D) / (fn._curve(ratios) @ D)
+    expected = (((fn._weights * phi) @ ratios) @ D) / (fn._curve(ratios) @ D)
     assert fn.expectation(lambda t: t ** 2, eval_grid) == float(expected)
 
 
@@ -266,6 +267,27 @@ def test_profile_is_axis_max():
     with pytest.raises(ValueError):
         scattered = mg.HyperGrid(eval_grid.domain, eval_grid.points)
         mg.profile(values, scattered, axis=0)
+
+
+@pytest.mark.parametrize("domain,counts", [(mg.Domain(0.5, 2.0), 8),
+                                           (mg.Domain([0.5, 0.5], [2.0, 2.0]), [4, 5])],
+                         ids=["1d", "2d"])
+@pytest.mark.parametrize("axis", [-1, 2])
+def test_profile_rejects_an_axis_off_the_grid(domain, counts, axis):
+    # a negative axis used to return the global max beside axes[-1], and
+    # an axis past the last an IndexError
+    eval_grid = mg.make_regular_grid(domain, counts)
+    values = np.arange(len(eval_grid), dtype=float)
+    with pytest.raises(ValueError, match="axis"):
+        mg.profile(values, eval_grid, axis)
+
+
+def test_argmax_rejects_values_of_another_grid():
+    eval_grid = mg.make_regular_grid(mg.Domain(-2.0, 2.0), 8)
+    for values in (np.array([0.0, 5.0, 9.0]), np.zeros(9), np.zeros((8, 1))):
+        with pytest.raises(ValueError, match="do not fit"):
+            mg.argmax_on(values, eval_grid)
+    assert mg.argmax_on(np.arange(8.0), eval_grid)[2] == 7
 
 
 def test_argmax_reports_first_of_ties(asym_model):
@@ -430,27 +452,32 @@ def test_fortran_ordered_log_weights_change_no_bit():
 # -- curves reduced one log-weight block at a time -----------------------------
 
 
-@pytest.fixture(scope="module")
-def gp_surface_fit():
+def gp_surface_functional(seed=7, model=None):
     """The benchmark's GP surface: 64 draws at each point of a 12x12 log
-    grid, with its 24x24 evaluation grid."""
-    x, y = mg.make_synthetic_gp_dataset(16, 7)
-    model = mg.GpRegressionModel(x, y)
+    grid, with its 24x24 evaluation grid; a model passed in is reused, with
+    its grid's posterior factors."""
+    if model is None:
+        model = mg.GpRegressionModel(*mg.make_synthetic_gp_dataset(16, 7))
     domain = mg.Domain([0.1, 0.1], [10.0, 10.0])
     grid = mg.make_regular_grid(domain, [12, 12], scale="log")
     fn = mg.FunctionalEstimate(
-        mg.fit_emus(mg.draw_sample_bank(model, grid, 64, master_seed=7), model), model)
+        mg.fit_emus(mg.draw_sample_bank(model, grid, 64, master_seed=seed), model), model)
     return fn, mg.make_regular_grid(domain, [24, 24], scale="log")
 
 
-def toy_diagnose_functional():
+@pytest.fixture(scope="module")
+def gp_surface_fit():
+    return gp_surface_functional()
+
+
+def toy_diagnose_functional(seed=7):
     """The benchmark's toy fit: 256 draws at each of 64 points, with its
     256-point evaluation grid; its curves come in 16-column tiles."""
     model = mg.ToyBimodalModel(y=1.0, q=64.0, tau=16.0)
     domain = mg.Domain(-2.0, 2.0)
     grid = mg.make_regular_grid(domain, 64)
     fn = mg.FunctionalEstimate(
-        mg.fit_emus(mg.draw_sample_bank(model, grid, 256, master_seed=7), model), model)
+        mg.fit_emus(mg.draw_sample_bank(model, grid, 256, master_seed=seed), model), model)
     return fn, mg.make_regular_grid(domain, 256)
 
 
@@ -461,38 +488,43 @@ def toy_diagnose_fit():
 
 def check_toy_tiles_round_as_one_wide_product():
     """Curves, gradients and expectations of the tiled toy curve equal one
-    wide product over all points, bit for bit, at M = 17 (one tile with a
-    ragged end), 33 (a last tile of 17), 250 and 256."""
+    wide product per per-draw row over all points, bit for bit, at M = 17
+    (one tile with a ragged end), 33 (a last tile of 17), 250 and 256: the
+    values c @ B, the gradient moments (c * theta) @ B and c @ B combined
+    with the coefficients [tau; -tau lam], and the phi-weighted values
+    (c * phi) @ B."""
     fn, _ = toy_diagnose_functional()
-    thetas, c = fn.emus.bank.thetas, fn._weights
+    thetas, c, tau = fn.emus.bank.thetas, fn._weights, fn.model.tau
     phi = thetas ** 2
     for m in (17, 33, 250, 256):
         eval_grid = mg.make_regular_grid(mg.Domain(-2.0, 2.0), m)
         points = eval_grid.points
-        tiles = len(list(fn.model.log_weight_blocks(thetas, points)))
+        tiles = len(list(fn.model.log_weight_blocks(thetas, points, fn.emus.lse)))
         assert tiles == max(1, m // 16), (m, tiles)
         ratios = np.exp(fn.model.log_weight_matrix(thetas, points) - fn.emus.lse[:, None])
-        grads = fn.model.tau * np.subtract.outer(thetas, points) * ratios[:, :, None]
+        curve = c @ ratios
+        moments = np.stack([(c * thetas) @ ratios, curve])
+        dcoefs = np.stack([np.full(m, tau), -tau * points[:, 0]])
         values, gradients = fn.curve_with_gradient(points)
-        np.testing.assert_array_equal(fn.marginal_many(points), c @ ratios)
-        np.testing.assert_array_equal(values, c @ ratios)
-        np.testing.assert_array_equal(gradients, (c @ grads.reshape(len(thetas), -1))
-                                      .reshape(points.shape))
+        np.testing.assert_array_equal(fn.marginal_many(points), curve)
+        np.testing.assert_array_equal(values, curve)
+        np.testing.assert_array_equal(gradients, (moments * dcoefs).sum(axis=0)[:, None])
         quad = mg.trapezoid_weights(eval_grid)
-        expected = ((c @ (ratios * phi[:, None])) @ quad) / ((c @ ratios) @ quad)
+        expected = (((c * phi) @ ratios) @ quad) / (curve @ quad)
         assert fn.expectation(lambda t: t ** 2, eval_grid) == float(expected)
 
 
 def test_curves_hold_one_tile_at_a_time():
     # toy-diagnose size: a column tile of 16384 draws x 16 columns is 2 MiB,
-    # and so is its gradient tile; a curve, or the model's generator, that
-    # kept the last tile while the next one is built would peak a tile higher
+    # and the gradients add only per-draw rows of 128 KiB; a curve, or the
+    # model's generator, that kept the last tile while the next one is built
+    # would peak a tile higher
     model = mg.ToyBimodalModel(1.0, 64.0, 16.0)
     grid = mg.make_regular_grid(mg.Domain(-2.0, 2.0), 64)
     fn = mg.FunctionalEstimate(mg.fit_emus(mg.draw_sample_bank(model, grid, 256, 3), model),
                                model)
     tile = 16384 * 16 * 8
-    for curve, tiles in ((fn.marginal_many, 1.5), (fn.curve_with_gradient, 2.75)):
+    for curve, tiles in ((fn.marginal_many, 1.5), (fn.curve_with_gradient, 1.5)):
         tracemalloc.start()
         try:
             curve(grid.points)
@@ -527,18 +559,22 @@ def uneven_tau2_points():
 
 def test_gp_block_curves_hold_the_whole_matrix_product(gp_surface_fit):
     # a block of w columns is one BLAS product of width w, which rounds its
-    # last columns by the width, so only the last bits may move
+    # last columns by the width, so only the last bits may move; the
+    # gradients are the moments of three statistics combined, which cancel
+    # where a component is small, so they are held to the largest
+    # gradient of their component
     fn, _ = gp_surface_fit
     points = uneven_tau2_points()
     ratios = fn._ratio_matrix(points)
     np.testing.assert_allclose(fn.marginal_many(points), fn._curve(ratios), rtol=1e-13, atol=0)
     grads = np.empty(ratios.shape + (2,))
-    for cols, _, grad in fn.model.log_weight_blocks(fn.emus.bank.thetas, points, grads=True):
-        grads[:, cols] = grad * ratios[:, cols, None]
+    blocks = fn.model.log_weight_blocks(fn.emus.bank.thetas, points, fn.emus.lse, grads=True)
+    for cols, _, (dstats, dcoefs) in blocks:
+        grads[:, cols] = np.einsum("nk,kcp->ncp", dstats, dcoefs) * ratios[:, cols, None]
     values, got = fn.curve_with_gradient(points)
     np.testing.assert_allclose(values, fn._curve(ratios), rtol=1e-13, atol=0)
-    np.testing.assert_allclose(got, fn._curve(grads.reshape(len(ratios), -1)).reshape(-1, 2),
-                               rtol=1e-13, atol=0)
+    expected = fn._curve(grads.reshape(len(ratios), -1)).reshape(-1, 2)
+    assert np.all(np.abs(got - expected) <= 1e-13 * np.abs(expected).max(axis=0))
 
 
 def test_toy_block_curves_are_the_whole_matrix_product(toy_functional):
@@ -624,3 +660,101 @@ def test_gp_curves_factor_each_length_scale_once(gp_surface_fit, monkeypatch):
         factored.clear()
         call(points)
         assert sorted(factored) == sorted(set(points[:, 1].tolist()))
+
+
+# -- accuracy of the moment reductions -----------------------------------------
+
+#: seeds of the toy-diagnose and gp-surface fits that the accuracy gates cover
+GATE_SEEDS = range(1, 21)
+
+
+def toy_gate_fits():
+    """Per seed: the toy-diagnose functional, its gradient points (the
+    grid), its evaluation grid and its test function."""
+    for seed in GATE_SEEDS:
+        fn, eval_grid = toy_diagnose_functional(seed)
+        yield fn, fn.emus.grid.points, eval_grid, lambda t: t ** 2
+
+
+def gp_gate_fits():
+    """Per seed: the gp-surface functional, the 16 grid points at which the
+    benchmark takes its gradients, a 7x7 evaluation grid (seven length
+    scales, where the benchmark's has 24) and a test function."""
+    model = mg.GpRegressionModel(*mg.make_synthetic_gp_dataset(16, 7))
+    domain = mg.Domain([0.1, 0.1], [10.0, 10.0])
+    eval_grid = mg.make_regular_grid(domain, [7, 7], scale="log")
+    for seed in GATE_SEEDS:
+        fn, _ = gp_surface_functional(seed, model)
+        idx = np.sort(np.random.default_rng(seed).choice(len(fn.emus.grid), 16, replace=False))
+        yield fn, fn.emus.grid.points[idx], eval_grid, lambda t: t[:, 0]
+
+
+@pytest.fixture(scope="module", params=[toy_gate_fits, gp_gate_fits],
+                ids=["toy-diagnose", "gp-surface"])
+def gate_fits(request):
+    return list(request.param())
+
+
+def long_double_gradients(fn, points):
+    """c @ (G * B) in np.longdouble: the per-draw gradients G of the
+    log-weights, from the double-precision draws and statistics, times the
+    kernel weights B, summed in extended precision."""
+    ld = np.longdouble
+    model, thetas = fn.model, fn.emus.bank.thetas
+    c = fn._weights.astype(ld)[:, None]
+    if isinstance(model, mg.ToyBimodalModel):
+        grads = ld(model.tau) * np.subtract.outer(thetas.astype(ld), points[:, 0].astype(ld))
+        return (c * grads * fn._ratio_matrix(points)).sum(axis=0)[:, None]
+    # the GP gradient formula of ``_grad_coefs`` per point, from the
+    # whitened squares q_B and q_E of each block and tr(B^{-1} E) of its
+    # length scale
+    n = model.y.size
+    out = np.empty(points.shape, dtype=ld)
+    blocks = model.log_weight_blocks(thetas, points, fn.emus.lse, grads=True)
+    for cols, block, (dstats, _) in blocks:
+        decay, chol = model._factor(points[cols[0], 1])
+        trace = ld(np.trace(cho_solve((chol, True), decay * model._sqdist)))
+        tau1, tau2 = points[cols, 0].astype(ld), ld(points[cols[0], 1])
+        quad_k = dstats[:, :1].astype(ld) * tau2 / tau1
+        quad_e = dstats[:, 1:2].astype(ld) * tau2 / tau1
+        weights = c * np.exp(block)
+        out[cols, 0] = (weights * ((quad_k - n - 2) / (2 * tau1))).sum(axis=0)
+        out[cols, 1] = (weights * ((n - quad_k - 2) / (2 * tau2)
+                                   + (trace - quad_e) / 2)).sum(axis=0)
+    return out
+
+
+def test_curve_gradients_hold_the_long_double_reference(gate_fits):
+    # the gradients combine importance-weighted moments of per-draw
+    # statistics, whose terms cancel: the toy's tau theta - tau lam where
+    # theta is near lam, the GP's q_E against tr(B^{-1} E) and q_B against
+    # n by up to 270x.  Measured as a share of the largest gradient of the
+    # call, on the default, Haswell and Sandybridge OpenBLAS kernels: toy
+    # 2.0e-13 to 5.7e-13, GP 3.6e-14 to 6.1e-14 (forming the product of G
+    # and B first reads 1.3e-14 and 4.8e-15)
+    bound = 2e-12 if isinstance(gate_fits[0][0].model, mg.ToyBimodalModel) else 1e-13
+    for fn, points, _, _ in gate_fits:
+        _, got = fn.curve_with_gradient(points)
+        ref = long_double_gradients(fn, points)
+        assert np.max(np.abs(got - ref)) <= bound * np.max(np.abs(ref))
+
+
+def phi_in_place_expectation(fn, phi, eval_grid):
+    """The expectation with phi multiplied into the kernel weights, c @ (B
+    * phi), in 64-column slices of the evaluation grid."""
+    c, phi_vals = fn._weights, phi(fn.emus.bank.thetas)
+    values, weighted = np.empty(len(eval_grid)), np.empty(len(eval_grid))
+    for lo in range(0, len(eval_grid), 64):
+        ratios = fn._ratio_matrix(eval_grid.points[lo:lo + 64])
+        values[lo:lo + 64] = c @ ratios
+        weighted[lo:lo + 64] = c @ (ratios * phi_vals[:, None])
+    quad = mg.trapezoid_weights(eval_grid)
+    return (weighted @ quad) / (values @ quad)
+
+
+def test_expectations_hold_the_phi_in_place_product(gate_fits):
+    # (c * phi) @ B rounds apart from c @ (B * phi) by a few units in the
+    # last place of each term; the ratio measured 2.2e-16 at worst
+    for fn, _, eval_grid, phi in gate_fits:
+        assert fn.expectation(phi, eval_grid) == pytest.approx(
+            phi_in_place_expectation(fn, phi, eval_grid), rel=1e-13, abs=0)

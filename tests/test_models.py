@@ -104,13 +104,23 @@ def test_toy_sampler_is_reproducible(toy_model):
 
 
 def test_toy_grad_log_weight_matrix_is_the_per_point_gradient(toy_model, toy_grid):
-    # the toy gradient blocks: tau (theta - lam) per point, bit for bit
+    # the toy gradient factors: [theta, 1] per draw and [tau; -tau lam] per
+    # point, bit for bit, whose product tau theta - tau lam is the gradient
+    # tau (theta - lam) to the rounding of its two terms
     thetas = np.linspace(-2.0, 2.0, 11)
     points = np.vstack([toy_grid.points, [[0.3], [-1.7]]])
+    tau = toy_model.tau
+    factors = gather_blocks(toy_model, thetas, points, grads=True)[1]
+    for dstats, _ in factors:
+        np.testing.assert_array_equal(dstats, np.column_stack([thetas, np.ones(11)]))
+    dcoefs = np.concatenate([f[1] for f in factors], axis=1)
+    np.testing.assert_array_equal(dcoefs[:, :, 0], [np.full(len(points), tau),
+                                                    -tau * points[:, 0]])
     fast = block_grads(toy_model, thetas, points)
     assert fast.shape == (11, len(points), 1)
-    for m, lam in enumerate(points):
-        np.testing.assert_array_equal(fast[:, m, 0], toy_model.tau * (thetas - lam[0]))
+    exact = tau * np.subtract.outer(thetas, points[:, 0])
+    scale = tau * np.add.outer(np.abs(thetas), np.abs(points[:, 0]))
+    assert np.all(np.abs(fast[:, :, 0] - exact) <= 2 * np.finfo(float).eps * scale)
     with pytest.raises(ValueError):
         block_grads(toy_model, thetas, np.array([[0.1, 5.0]]))
 
@@ -443,33 +453,53 @@ def test_gp_log_weight_columns_do_not_depend_on_their_companions(gp_model):
     np.testing.assert_array_equal(gp_model.log_weight_matrix(thetas, scattered), separate)
 
 
-def gather_blocks(model, thetas, points, grads):
-    """Scatter the blocks of ``log_weight_blocks`` back into whole matrices,
-    each as it is yielded (a block is valid until the next one is
-    requested), checking that each block is a C-ordered array and that the
-    blocks cover every column once; returns (log-weights, gradients or
-    None, number of blocks)."""
+def factor_product(dstats, dcoefs):
+    """The gradients dstats @ dcoefs of gradient factors, (N, k) by
+    (k, M, p), term by term in order, so that an entry depends only on its
+    own draw's statistics and its own point's coefficients."""
+    out = dstats[:, 0, None, None] * dcoefs[0]
+    for k in range(1, len(dcoefs)):
+        out += dstats[:, k, None, None] * dcoefs[k]
+    return out
+
+
+def gather_blocks(model, thetas, points, grads, shift=None):
+    """Scatter the blocks of ``log_weight_blocks`` (with a zero shift by
+    default) back into a whole matrix, each as it is yielded (a block is
+    valid until the next one is requested), checking that each block and
+    gradient factor is a C-ordered array of its shape and that the blocks
+    cover every column once; returns (shifted log-weights, per-column
+    gradient factors (dstats, dcoefs column) or None, number of blocks)."""
+    if shift is None:
+        shift = np.zeros(len(thetas))
     logw = np.full((len(thetas), len(points)), np.nan)
-    grad = np.full((len(thetas), len(points), points.shape[1]), np.nan) if grads else None
+    factors = [None] * len(points) if grads else None
     seen, count = [], 0
-    for cols, block, grad_block in model.log_weight_blocks(thetas, points, grads):
+    for cols, block, grad in model.log_weight_blocks(thetas, points, shift, grads):
         assert block.flags.c_contiguous and block.shape == (len(thetas), len(cols))
         logw[:, cols] = block
         if grads:
-            assert grad_block.shape == (len(thetas), len(cols), points.shape[1])
-            grad[:, cols] = grad_block
+            dstats, dcoefs = grad
+            assert dstats.flags.c_contiguous and dcoefs.flags.c_contiguous
+            assert dstats.dtype == float and dcoefs.dtype == float
+            assert dstats.shape == (len(thetas), len(dcoefs))
+            assert dcoefs.shape[1:] == (len(cols), points.shape[1])
+            dstats = dstats.copy()
+            for i, j in enumerate(cols):
+                factors[j] = dstats, dcoefs[:, i:i + 1].copy()
         else:
-            assert grad_block is None
+            assert grad is None
         seen.extend(cols)
         count += 1
     assert sorted(seen) == list(range(len(points)))
-    return logw, grad, count
+    return logw, factors, count
 
 
 def block_grads(model, thetas, points):
-    """The gradients of ``log_weight_blocks``, scattered back into one
-    (N, M, p) array."""
-    return gather_blocks(model, thetas, points, grads=True)[1]
+    """The gradients of ``log_weight_blocks``, the product of each column's
+    factors, as one (N, M, p) array."""
+    factors = gather_blocks(model, thetas, points, grads=True)[1]
+    return np.concatenate([factor_product(*f) for f in factors], axis=1)
 
 
 @pytest.mark.parametrize("order", ["given", "permuted", "repeats", "distinct-tau2"])
@@ -531,43 +561,45 @@ def gp_grid_case():
                               "gp-3x3+4", "gp-24x24"])
 def test_log_weight_columns_are_one_point_calls(case):
     # the model contract: every column of the wide matrix is the bits of a
-    # one-point call, its blocks scatter back into the whole matrix, and
-    # its fused gradient blocks (where it has them) are the bits of
-    # one-point blocks
+    # one-point call, its blocks scatter back into the whole matrix minus
+    # the shift, bit for bit, and the gradient factors of each column
+    # (where it has them) are the bits of one-point blocks
     model, thetas, points = case()
     matrix = model.log_weight_matrix(thetas, points)
     for j, lam in enumerate(points):
         np.testing.assert_array_equal(
             matrix[:, j], model.log_weight_matrix(thetas, lam[None])[:, 0])
     grads = not isinstance(model, mg.DiscreteModel)
-    logw, grad, count = gather_blocks(model, thetas, points, grads=grads)
+    logw, factors, count = gather_blocks(model, thetas, points, grads=grads)
     if len(thetas) == TOY_TILED_DRAWS:
         assert count > 1
     elif not isinstance(model, mg.GpRegressionModel):
         assert count == 1
     np.testing.assert_array_equal(logw, matrix)
+    shift = np.random.default_rng(2).normal(0.0, 10.0, len(thetas))
+    shifted = gather_blocks(model, thetas, points, grads=False, shift=shift)[0]
+    np.testing.assert_array_equal(shifted, matrix - shift[:, None])
     if grads:
-        np.testing.assert_array_equal(grad, np.stack(
-            [block_grads(model, thetas, lam[None, :])[:, 0] for lam in points], axis=1))
+        for (dstats, dcoefs), lam in zip(factors, points):
+            (one_stats, one_coefs), = gather_blocks(model, thetas, lam[None, :], grads=True)[1]
+            np.testing.assert_array_equal(dstats, one_stats)
+            np.testing.assert_array_equal(dcoefs, one_coefs)
 
 
 @pytest.mark.parametrize("m", [64, 250])
 def test_toy_tiles_of_one_call_share_one_buffer(m):
-    # one call writes every column tile (and gradient tile) into one buffer
-    # and every row range into one buffer; each tile, copied as it is
-    # yielded, is still the bits of its whole-matrix columns or rows
+    # one call writes every column tile into one buffer and every row range
+    # into one buffer; each tile, copied as it is yielded, is still the bits
+    # of its whole-matrix columns (minus the shift) or rows
     model, thetas, points = toy_tiled_case(m)
     matrix = model.log_weight_matrix(thetas, points)
-    grads = model.tau * np.subtract.outer(thetas, points[:, 0])
-    tiles = [(cols, block, grad, block.copy(), grad.copy())
-             for cols, block, grad in model.log_weight_blocks(thetas, points, grads=True)]
+    shift = np.linspace(-3.0, 3.0, len(thetas))
+    tiles = [(cols, block, block.copy())
+             for cols, block, _ in model.log_weight_blocks(thetas, points, shift)]
     assert len(tiles) > 1
-    first, last = tiles[0], tiles[-1]
-    assert np.shares_memory(first[1], last[1])
-    assert np.shares_memory(first[2], last[2])
-    for cols, _, _, block, grad in tiles:
-        np.testing.assert_array_equal(block, matrix[:, cols])
-        np.testing.assert_array_equal(grad[:, :, 0], grads[:, cols])
+    assert np.shares_memory(tiles[0][1], tiles[-1][1])
+    for cols, _, block in tiles:
+        np.testing.assert_array_equal(block, matrix[:, cols] - shift[:, None])
     bounds = np.array([0, 5000, 9000, 9001, TOY_TILED_DRAWS])
     rows = list(model.log_weight_rows(thetas, points, bounds))
     assert np.shares_memory(rows[0], rows[-1])
@@ -758,15 +790,19 @@ def test_bundled_log_weight_matrices_are_c_ordered(asym_model, toy_model, gp_mod
 
 
 def test_bundled_grad_matrices_are_c_ordered(toy_model, gp_model):
-    # every gradient block is a fresh C-ordered float array
+    # every gradient factor is a C-ordered float array of its shape
     gp_thetas, gp_points = gp_draws_and_points(gp_model, 2)
     cases = [(toy_model, np.linspace(-2.0, 2.0, 7), np.linspace(-1.0, 1.0, 5)[:, None]),
              (gp_model, gp_thetas, gp_points)]
     for model, thetas, points in cases:
-        for cols, _, grads in model.log_weight_blocks(thetas, points, grads=True):
-            assert grads.shape == (len(thetas), len(cols), points.shape[1])
-            assert grads.dtype == float and grads.flags.c_contiguous
-            assert np.ascontiguousarray(grads, dtype=float) is grads
+        shift = np.zeros(len(thetas))
+        for cols, _, (dstats, dcoefs) in model.log_weight_blocks(thetas, points, shift,
+                                                                 grads=True):
+            assert dstats.shape == (len(thetas), len(dcoefs))
+            assert dcoefs.shape == (len(dcoefs), len(cols), points.shape[1])
+            for factor in (dstats, dcoefs):
+                assert factor.dtype == float and factor.flags.c_contiguous
+                assert np.ascontiguousarray(factor, dtype=float) is factor
 
 
 def test_discrete_grid_subsets(asym_model):
@@ -788,7 +824,8 @@ def test_gradient_flags():
     # blocks ask for gradients
     disc = mg.DiscreteModel(ASYM_TABLE)
     with pytest.raises(mg.GradientUnavailableError):
-        list(disc.log_weight_blocks(np.array([0]), [[0.0], [1.0]], grads=True))
+        list(disc.log_weight_blocks(np.array([0]), [[0.0], [1.0]], np.zeros(1),
+                                   grads=True))
 
 
 # -- dataset and table serialization ------------------------------------

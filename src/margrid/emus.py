@@ -8,10 +8,11 @@ log-sum-exp, which the fit keeps.  Averaging the normalized weights row
 by row gives a row-stochastic matrix whose stationary vector, rescaled to
 sum L, estimates the marginal u(lam_l) = z(lam_l) p(lam_l) on the grid up
 to a common constant.  The fit walks the bank in row tiles of whole point
-segments (``Model.log_weight_rows``): each tile is normalized in place,
-gives its rows of the matrix, of the weights' variances R and of the
-log-sum-exps, and is dropped, so the (S, L) matrix of normalized weights
-never exists whole.
+segments, each evaluated by ``models.log_weight_tiles`` (from the model's
+factors where it has them): each tile is normalized in place, gives its
+rows of the matrix, of the weights' variances R and of the log-sum-exps,
+and is dropped, so the (S, L) matrix of normalized weights never exists
+whole.
 
 The stationary vector is computed by Grassmann-Taksar-Heyman state
 reduction (Oper. Res. 33, 1985): states are censored out one at a time,
@@ -28,7 +29,8 @@ import numpy as np
 
 from .errors import DegenerateWeightError, ReducibleChainError
 from .grids import HyperGrid
-from .models import TILE_BYTES, Model
+from . import models
+from .models import Model, log_weight_tiles
 
 __all__ = [
     "SampleBank",
@@ -145,13 +147,13 @@ def _row_tiles(offsets: np.ndarray, row_bytes: int) -> list:
     """Segment bounds of row tiles of whole segments: tile t holds segments
     ``bounds[t]:bounds[t + 1]``.
 
-    A tile is at most ``TILE_BYTES`` of rows of ``row_bytes`` each, so it
-    stays in cache through every pass over it; a segment larger than that
-    is a tile of its own.  Segments are never split, so the tiles change
+    A tile is at most ``models.TILE_BYTES`` of rows of ``row_bytes`` each,
+    so it stays in cache through every pass over it; a segment larger than
+    that is a tile of its own.  Segments are never split, so the tiles change
     no bit of a segment's mean.
     """
     starts = offsets[:-1]
-    rows = max(1, TILE_BYTES // row_bytes)
+    rows = max(1, models.TILE_BYTES // row_bytes)
     bounds = [0]
     while bounds[-1] < starts.size:
         a = bounds[-1]
@@ -205,7 +207,7 @@ def estimate_transition_matrix(bank: SampleBank, model: Model):
     p(lam_l) over the samples drawn at grid point i, so rows sum to 1 up to
     floating point; R[i, j] is the unbiased variance of the same weights
     (:func:`segment_var`).  The bank is walked in ``_row_tiles`` of whole
-    point segments, each from ``model.log_weight_rows``: a tile is
+    point segments, each from ``models.log_weight_tiles``: a tile is
     normalized in place (``_normalize``), its rows of F, R and the
     log-sum-exp are written, and it is dropped, so no (S, L) array exists.
     F and the log-sum-exps are the bits of the whole-matrix computation.
@@ -220,15 +222,15 @@ def estimate_transition_matrix(bank: SampleBank, model: Model):
     R = np.empty((L, L))
     lse = np.empty(bank.total)
     bounds = _row_tiles(offsets, 8 * L)
-    tiles = model.log_weight_rows(bank.thetas, bank.grid.points, offsets[bounds])
+    tiles = log_weight_tiles(model, bank.thetas, bank.grid.points, rows=offsets[bounds])
     for a, b in zip(bounds[:-1], bounds[1:]):
         lo = offsets[a]
-        logw = np.ascontiguousarray(next(tiles), dtype=float)
+        logw = next(tiles)
         lse[lo:offsets[b]] = _normalize(logw, offsets, lo)
         local = offsets[a:b + 1] - lo
         F[a:b] = segment_mean(logw, local)
         R[a:b] = segment_var(logw, local, F[a:b])
-        # dropped before the model builds the next tile
+        # dropped before the next tile is built
         del logw
     return F, R, lse
 

@@ -13,22 +13,22 @@ hyperparameter gradient (differentiating through the exponential) and
 the ratio estimators of posterior expectations apply the same product to
 other summands.
 
-A curve is reduced block by block: the model yields its log-weights,
-already shifted by each draw's lse_s, in column blocks
-(``Model.log_weight_blocks``; one block per length scale for the GP
-model, cache-sized tiles for the toy model, one block of all columns by
-default), and each block is turned into kernel weights B by one ``exp``
-in place, reduced into the values, gradients or expectation sums of its
-columns, and dropped.  Every reduction is one matrix-vector product of a
-per-draw row and B: the values c @ B, the phi-weighted values
-(c * phi) @ B, and for the gradients, whose per-draw summands G are
-affine in per-draw statistics (G = dstats @ dcoefs), the moments
-(c * dstats[:, k]) @ B that the coefficients combine, as in Monte Carlo
-maximum likelihood (Geyer and Thompson 1992).  No (samples, points) array
-outlives its block, and no gradient array of that size is formed at
-all, so a tile stays in cache through all of its passes.  Callers that
-need the whole kernel matrix (the design loop's evaluation-grid
-extension, the per-point variances) read it from ``_ratio_matrix``.
+A curve is reduced tile by tile: ``models.log_weight_tiles`` yields the
+log-weights, already shifted by each draw's lse_s, in column tiles
+(cache-sized tiles of each of the model's factor groups, one tile of all
+columns for a model without factors), and each tile is turned into
+kernel weights B by one ``exp`` in place, reduced into the values,
+gradients or expectation sums of its columns, and dropped.  Every
+reduction is one matrix-vector product of a per-draw row and B: the
+values c @ B, the phi-weighted values (c * phi) @ B, and for the
+gradients, whose per-draw summands G are affine in per-draw statistics
+(G = sum_k dstats[k] dcoefs[k]), the moments (c * dstats[k]) @ B that
+the coefficients combine, as in Monte Carlo maximum likelihood (Geyer
+and Thompson 1992).  No (samples, points) array outlives its tile, and
+no gradient array of that size is formed at all, so a tile stays in
+cache through all of its passes.  Callers that need the whole kernel
+matrix (the design loop's evaluation-grid extension, the per-point
+variances) read it from ``_ratio_matrix``.
 Profiles and the argmax over an evaluation grid are reductions of curve
 values already computed, so one curve serves all of them.
 """
@@ -40,7 +40,7 @@ import numpy as np
 from .emus import EmusEstimate
 from .errors import DegenerateWeightError
 from .grids import HyperGrid, trapezoid_weights
-from .models import Model
+from .models import Model, log_weight_tiles
 
 __all__ = ["FunctionalEstimate", "argmax_on", "profile"]
 
@@ -91,32 +91,34 @@ class FunctionalEstimate:
         width of ``summands``: OpenBLAS adds the columns past the last
         multiple of 4 in another order, which moves a value by a few units
         in the last place (2e-15 to 4.3e-15 relative measured at widths 1,
-        2, 3 and 7).  So a GP curve value, reduced in the block of its
-        length scale, may differ in its last bits with how many points share
-        that block.  The toy model's tiles start at multiples of 16 columns
-        and are at least 16 wide, so every column keeps the lane it has in
-        one wide product on one BLAS thread, and a tiled curve is the bits
-        of the untiled one; models reduced in one block see only the point
-        count.  A threaded BLAS may split a wide product between threads,
-        which moves its last bits with the thread count (an untiled
-        33-point toy curve of 16384 draws, OpenBLAS 0.3.31 on a 2-vCPU
-        x86-64 host: up to 9.1e-15 relative between 1 and 2 threads),
-        while the toy tiles measured the same bits on 1 to 4 threads.
+        2, 3 and 7).  So a GP curve value, reduced in the tiles of its
+        length scale's group, may differ in its last bits with how many
+        points share that group.  Within a group, tiles start at multiples
+        of 16 columns and are at least 16 wide (or the whole group), so
+        every column keeps the lane it has in one wide product of its group
+        on one BLAS thread, and a tiled curve is the bits of the untiled
+        one; a model without factors is reduced in one tile and sees only
+        the point count.  A threaded BLAS may split a wide product between
+        threads, which moves its last bits with the thread count (an
+        untiled 33-point toy curve of 16384 draws, OpenBLAS 0.3.31 on a
+        2-vCPU x86-64 host: up to 9.1e-15 relative between 1 and 2
+        threads), while the toy tiles measured the same bits on 1 to 4
+        threads.
         """
         return self._weights @ summands
 
     def _reduce(self, points, grads: bool = False, phi_vals=None):
-        """Curve values at points, reduced one log-weight block at a time.
+        """Curve values at points, reduced one log-weight tile at a time.
 
-        ``model.log_weight_blocks`` yields each block already shifted by
-        the draws' log-sum-exps, so one ``exp`` in place makes its kernel
-        weights B, which reduce into the values c @ B; with ``phi_vals``
-        into the phi-weighted values (c * phi) @ B; and with ``grads``,
-        whose block gradients are dstats @ dcoefs, into the gradients
-        c @ (G * B) = sum_k dcoefs_k * ((c * dstats[:, k]) @ B), the
+        ``log_weight_tiles`` yields each tile already shifted by the draws'
+        log-sum-exps, so one ``exp`` in place makes its kernel weights B,
+        which reduce into the values c @ B; with ``phi_vals`` into the
+        phi-weighted values (c * phi) @ B; and with ``grads``, whose tile
+        gradients are G = sum_k dstats[k] dcoefs[k], into the gradients
+        c @ (G * B) = sum_k dcoefs[k] * ((c * dstats[k]) @ B), the
         importance-weighted moments of the per-draw statistics.  Every
         reduction is one matrix-vector product of a per-draw row and B
-        (see ``_curve`` for how its rounding depends on the block width).
+        (see ``_curve`` for how its rounding depends on the tile width).
         Returns (values, gradients or None, weighted values or None).
         """
         points = self._query_points(points)
@@ -125,19 +127,18 @@ class FunctionalEstimate:
         gradients = np.empty(points.shape) if grads else None
         weighted = np.empty(len(points)) if phi_vals is not None else None
         c_phi = None if phi_vals is None else c * phi_vals
-        blocks = self.model.log_weight_blocks(self.emus.bank.thetas, points,
-                                              self.emus.lse, grads)
-        for cols, block, grad in blocks:
-            block = np.ascontiguousarray(block, dtype=float)
+        tiles = log_weight_tiles(self.model, self.emus.bank.thetas, points,
+                                 shift=self.emus.lse, grads=grads)
+        for cols, block, grad in tiles:
             np.exp(block, out=block)
             values[cols] = self._curve(block)
             if grads:
                 dstats, dcoefs = grad
-                moments = np.stack([(c * stat) @ block for stat in dstats.T])
+                moments = np.stack([(c * stat) @ block for stat in dstats])
                 gradients[cols] = (moments[:, :, None] * dcoefs).sum(axis=0)
             if c_phi is not None:
                 weighted[cols] = c_phi @ block
-            # dropped before the model builds the next block
+            # dropped before the next tile is built
             del block, grad
         return values, gradients, weighted
 
@@ -162,7 +163,7 @@ class FunctionalEstimate:
     def curve_with_gradient(self, points):
         """Values and gradients along a set of points: (M,), (M, p).
 
-        Each block of kernel weights serves both: its columns average into
+        Each tile of kernel weights serves both: its columns average into
         the curve values and, against the model's per-draw gradient
         statistics, into the moments that make the gradients.
         """

@@ -1,8 +1,7 @@
 """Statistical models exposing local densities over a hyperparameter.
 
-Every model provides two hooks and may override the defaults of three
-more; the estimators use the local density psi_lam and the prior p(lam)
-only as their product:
+Every model provides two hooks and may provide two more; the estimators
+use the local density psi_lam and the prior p(lam) only as their product:
 
 - ``sampler(grid)``: a :class:`GridSampler` bound to the points of one
   grid, the only values at which the pipeline draws (banks, design blocks
@@ -15,87 +14,58 @@ only as their product:
   call consumes ``rng`` exactly as ``draw(rows[0], rng, 1)`` does,
 - ``log_weight_matrix(thetas, points)``: the log-weights
   log(psi_lam(theta) p(lam)) of a batch of latent states against many
-  values at once, shape (N, M), prior included; every bundled model
-  writes it with one batched evaluation,
-- optionally ``log_weight_rows(thetas, points, bounds)``: the rows of
-  ``log_weight_matrix`` in the ranges ``bounds[t]:bounds[t + 1]``, which a
-  fit reads tile by tile; the base class evaluates each range on its own,
-  the toy model computes its statistics once and the GP model whitens
-  all draws once, each then assembling one range at a time,
-- optionally ``log_weight_blocks(thetas, points, shift, grads)``: the
-  columns of ``log_weight_matrix`` minus a per-draw ``shift`` in blocks,
-  each with, when ``grads`` is set, its hyperparameter gradients as
-  per-draw statistics times per-point coefficients (the only place
-  gradients come from); the base class yields one block of the whole
-  matrix and raises ``GradientUnavailableError`` for gradients, the GP
-  model yields one block per length scale and the toy model cache-sized
-  tiles,
+  values at once, shape (N, M), prior included,
+- optionally ``log_weight_factors(thetas, points, grads=False)``: the same
+  log-weights as per-draw statistics times per-point coefficients, the
+  Monte Carlo maximum likelihood form (Geyer and Thompson 1992).  It
+  yields ``(cols, stats, coefs)`` per group of columns: k per-draw
+  statistics, each N values, and a (k, len(cols)) matrix, whose product
+  is the log-weight columns ``cols``; with ``grads`` a group also yields
+  ``(dstats, dcoefs)``, k' per-draw statistics and a (k', len(cols), p)
+  array, whose product is those columns' hyperparameter gradients, the
+  only place gradients come from.  A model that defines it inherits
+  ``log_weight_matrix``,
 - optionally ``exact_log_u`` (a closed form for log z(lam) p(lam), used
   as an oracle by diagnostics and experiments).
 
 The marginal quantity of interest is always u(lam) = z(lam) p(lam)
 up to a lam-independent constant.
 
-The estimators evaluate log-weights through ``log_weight_matrix(thetas,
-points)``, one column per hyperparameter value.  ``DiscreteModel``
-gathers table columns and the prior entries of the same columns.  The
-two continuous models write the (N, M) matrix as one product
-``stats @ coefs`` of an (N, k) matrix of per-draw statistics and a
-(k, M) matrix of per-point coefficients (``_stats_times_coefs``):
+The pipeline reads log-weights only through :func:`log_weight_tiles`,
+which owns every tile: a fit's row ranges of whole point segments, a
+curve's column tiles shifted by each draw's log-sum-exp, and the whole
+matrix as one tile.  For a model with factors it forms each tile from
+the groups' products (``_stats_times_coefs``); for a model without
+(``DiscreteModel``, which gathers table columns and prior entries), it
+evaluates ``log_weight_matrix`` on each row range, or once over all
+columns for a curve, which then has no gradients.  The bundled factors:
 
-- ``ToyBimodalModel``: -tau (theta - lam)^2 / 2 = -tau theta^2 / 2
-  + tau theta lam - tau lam^2 / 2, so the statistics are
+- ``ToyBimodalModel``, one group: -tau (theta - lam)^2 / 2 = -tau
+  theta^2 / 2 + tau theta lam - tau lam^2 / 2, so the statistics are
   [theta, mixture(theta) - tau theta^2 / 2, 1] and the coefficients
   [tau lam; 1; -tau lam^2 / 2 - log(2 pi / tau) / 2] (its prior is flat);
-- ``GpRegressionModel``: per length scale, one Cholesky factor and one
-  whitening solve give the whitened squares q_B of all draws, the
-  statistics are [q_B, obs, 1, 1] and the coefficients
-  [-1 / (2 scale); 1; c0; log p(lam)], the log prior last.
+  the gradients tau (theta - lam) are [theta, 1] times [tau; -tau lam];
+- ``GpRegressionModel``, one group per length scale: one Cholesky factor
+  and one whitening solve give the whitened squares q_B of all draws, the
+  statistics are [q_B, obs, 1, 1] and the coefficients [-1 / (2 scale);
+  1; c0; log p(lam)], the log prior last; the gradients are [q_B, q_E, 1]
+  times ``_grad_coefs``.
 
-Every term past the first is a product with 1, so it is exact, and
-dgemm, which adds the terms of an entry in order, rounds the product
-exactly as the elementwise sum ((s0 c0 + s1) + c2) + ... does, with or
-without FMA.  A one-row or one-column product would go to gemv instead,
-which rounds differently on FMA kernels, so those take the elementwise
-sum.  A column therefore never depends on its companions: a one-point
-call gives the bits of the same column in any wider call.  Nor does a
-row: fits read log-weights through ``log_weight_rows(thetas, points,
-bounds)`` in row tiles, and the toy and GP models take the per-draw and
-per-point work (statistics, coefficients, factors, whitened squares)
-once for all draws and assemble each range with the same sum, so a
-range holds the bits of the same rows of the whole matrix.
-
-Curves read log-weights and gradients through ``log_weight_blocks(thetas,
-points, shift, grads=False)``, which yields ``(cols, logw, grad)`` column
-blocks that the curve reduces and drops one at a time.  ``logw`` is the
-log-weights minus ``shift``, each draw's log-sum-exp in a curve, so the
-curve takes one ``exp`` of it; the toy and GP models append the
-statistic -shift with coefficient 1 to their product (``_with_shift``),
-and x + (-s) 1 rounds as x - s, so a shifted entry is the bits of its
-``log_weight_matrix`` entry minus the shift.  ``grad`` is the pair
-``(dstats, dcoefs)`` of an (N, k) matrix of per-draw statistics and a
-(k, len(cols), p) array of per-point coefficients whose product is the
-block's gradients, which are affine in per-draw statistics just as the
-log-weights are: [theta, 1] and [tau; -tau lam] for the toy model,
-[q_B, q_E, 1] and ``_grad_coefs`` for the GP model.  A curve never forms
-that product: it reduces each statistic against the block once (see
-``FunctionalEstimate._reduce``).  The default yields one block,
-``log_weight_matrix`` minus the shift, which the discrete model uses; it
-has no gradients.  The GP model yields one block per distinct length
-scale, whose log-weights and gradients share one factor and two
-triangular solves of the draws; both its routes run the same
-per-length-scale kernel and the same sum, so a block entry is bit-equal
-to the matching ``log_weight_matrix`` entry minus the shift.  The toy
-model computes its statistics once and yields the product in column
-tiles of about ``TILE_BYTES`` (``_column_tiles``), so a curve's passes
-over a tile (exponential and one product per per-draw row) run in
-cache; each tile is the same ``dgemm`` sum, so its entries are the
-whole-matrix bits too.  A call writes its tiles into one block buffer
-sized for its widest tile, and its row ranges into one buffer sized for
-the largest, so the memory is allocated once per call and not faulted in
-again for every tile.  The hooks' contract allows this for every model:
-a yielded tile or range is valid only until the next one is requested,
-and a caller that keeps one copies it.
+One bit contract covers every tile.  Each term of a factor product past
+the first is a product with 1, so it is exact, and dgemm, which adds the
+terms of an entry in order, rounds the product exactly as the
+elementwise sum ((s0 c0 + s1) + c2) + ... does, with or without FMA.  A
+one-row or one-column product would go to gemv instead, which rounds
+differently on FMA kernels, so those take the elementwise sum.  An entry
+therefore depends only on its own draw's statistics and its own point's
+coefficients: a column holds the bits of a one-point call, a row range
+the bits of the same rows of the whole matrix, and a curve's tile, whose
+shift is one more statistic -shift with coefficient 1 (x + (-s) 1 rounds
+as x - s), the bits of the whole-matrix entries minus the shift.  A
+model's factors keep the contract when every statistic or coefficient
+past the first term is 1.  All tiles of one call are written into one
+buffer, so a yielded tile is valid only until the next one is
+requested, and a caller that keeps one copies it.
 
 Only the GP model uses scipy: its methods that factor and solve import
 ``scipy.linalg`` on first use.  The toy and discrete models need numpy
@@ -128,9 +98,9 @@ __all__ = [
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
-#: bytes of one cache-sized tile: a toy log-weight block, or the rows of
-#: whole point segments that a fit normalizes and reduces at once
-#: (``emus._row_tiles``)
+#: bytes of one cache-sized tile, read by both tilings: a curve's column
+#: tile of log-weights (``log_weight_tiles``) and a fit's row tile of whole
+#: point segments (``emus._row_tiles``)
 TILE_BYTES = 1 << 20
 
 
@@ -157,42 +127,82 @@ def _stats_times_coefs(stats, coefs, out=None):
     return out
 
 
-def _leading(buf, rows, cols):
-    """The C-ordered (rows, cols) view of the first rows * cols entries of
-    the flat ``buf``."""
-    return buf[:rows * cols].reshape(rows, cols)
+def log_weight_tiles(model, thetas, points, rows=None, shift=None, grads=False):
+    """The log-weights of ``thetas`` against ``points`` in tiles: the one
+    place the pipeline evaluates them (see the module docstring).
 
+    Without ``shift``, yields the rows ``rows[t]:rows[t + 1]`` against all
+    points, by default one range of every draw, the whole matrix; a fit
+    passes the bounds of its row tiles of whole point segments.  With
+    ``shift``, one value per draw, yields ``(cols, block, grad)``: column
+    tiles of the log-weights minus the shift (a curve passes each draw's
+    log-sum-exp) and, with ``grads``, the tile's gradient factors
+    ``(dstats, dcoefs)``, otherwise None.  Every block is a C-ordered float
+    array the caller may overwrite, valid until the next one is requested.
 
-def _column_tiles(stats, coefs):
-    """``_stats_times_coefs`` in cache-sized column tiles: yields
-    ``(cols, block)``.
-
-    Tiles start at multiples of T = 16 max(1, TILE_BYTES // (128 N))
-    columns (16 columns of N draws take 128 N bytes), and the last tile
-    takes the remaining columns, so it is T to 2T - 1 wide.  A column then
-    sits in the same lane of a matrix-vector product over a tile as over
-    the whole matrix, and no narrow last tile is rounded apart.
-
-    Every block is a leading view of one buffer sized for the widest tile
-    (the last), so the call allocates its memory once and a block is valid
-    only until the next one is requested.
+    For a model with factors, a row range is its groups' products, each
+    written into the columns of its group, and all ranges share one buffer
+    sized for the largest.  The groups' statistics are held as the model
+    gives them, so a statistic that groups share is held once, and each
+    range stacks its rows of them.  A curve's tiles append the statistic
+    -shift with coefficient 1 to each group's product.  Within a group,
+    tiles start at multiples of T = 16 max(1, TILE_BYTES // (128 N))
+    columns (16 columns of N draws take 128 N bytes) and the last takes
+    the remaining columns, so it is T to 2T - 1 wide: a column keeps its
+    lane of a curve's matrix-vector products, and no narrow last tile is
+    rounded apart.  The tiles share one buffer, reallocated only for a
+    wider group.  A model without factors evaluates ``log_weight_matrix``
+    on each row range, or once over all points for a curve, and raises
+    ``GradientUnavailableError`` for gradients.
     """
-    n, m = stats.shape[0], coefs.shape[1]
-    width = 16 * max(1, TILE_BYTES // (128 * n))
-    bounds = list(range(0, width * max(1, m // width), width)) + [m]
-    buf = np.empty(n * (m - bounds[-2]))
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        yield np.arange(lo, hi), _stats_times_coefs(stats, coefs[:, lo:hi],
-                                                    _leading(buf, n, hi - lo))
-
-
-def _with_shift(stats, coefs, shift):
-    """``stats`` and ``coefs`` with one more term, the statistic -shift
-    with coefficient 1, so that their product is the log-weights minus a
-    per-draw shift.  The term is exact, and x + (-s) 1 is x - s, so each
-    entry is the bits of the unshifted entry minus its draw's shift."""
-    stats = np.column_stack([stats, np.negative(shift)])
-    return stats, np.vstack([coefs, np.ones(coefs.shape[1])])
+    if not model.has_log_weight_factors:
+        if grads:
+            raise GradientUnavailableError(
+                f"{type(model).__name__} does not implement hyperparameter gradients"
+            )
+        if shift is not None:
+            logw = np.ascontiguousarray(model.log_weight_matrix(thetas, points), dtype=float)
+            logw -= np.asarray(shift)[:, None]
+            yield np.arange(logw.shape[1]), logw, None
+            return
+        bounds = (0, len(thetas)) if rows is None else rows
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            yield np.ascontiguousarray(model.log_weight_matrix(thetas[lo:hi], points),
+                                       dtype=float)
+        return
+    if shift is None:
+        groups = list(model.log_weight_factors(thetas, points))
+        n = len(groups[0][1][0]) if groups else len(thetas)
+        m = sum(cols.size for cols, _, _ in groups)
+        bounds = (0, n) if rows is None else rows
+        buf = np.empty((max((b - a for a, b in zip(bounds[:-1], bounds[1:])), default=0), m))
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            out = buf[:hi - lo]
+            for cols, stats, coefs in groups:
+                part = np.column_stack([stat[lo:hi] for stat in stats])
+                if cols.size == m:  # the one group, every column in order
+                    _stats_times_coefs(part, coefs, out)
+                else:
+                    out[:, cols] = _stats_times_coefs(part, coefs)
+            yield out
+        return
+    buf = np.empty(0)
+    for cols, stats, coefs, *grad in model.log_weight_factors(thetas, points, grads):
+        stats = np.column_stack([*stats, np.negative(shift)])
+        coefs = np.vstack([coefs, np.ones(cols.size)])
+        n = stats.shape[0]
+        width = 16 * max(1, TILE_BYTES // (128 * n))
+        bounds = list(range(0, width * max(1, cols.size // width), width)) + [cols.size]
+        if buf.size < n * (bounds[-1] - bounds[-2]):
+            # the narrower buffer, and the last tile's view of it, go first
+            buf = tile = None
+            buf = np.empty(n * (bounds[-1] - bounds[-2]))
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            tile = buf[:n * (hi - lo)].reshape(n, hi - lo)
+            yield (cols[lo:hi], _stats_times_coefs(stats, coefs[:, lo:hi], tile),
+                   (grad[0], grad[1][:, lo:hi]) if grads else None)
+        # dropped before the model forms the next group
+        del stats, grad
 
 
 class GridSampler:
@@ -228,60 +238,42 @@ class Model:
             f"{type(self).__name__} has no closed form for the marginal"
         )
 
+    @property
+    def has_log_weight_factors(self) -> bool:
+        return type(self).log_weight_factors is not Model.log_weight_factors
+
+    def log_weight_factors(self, thetas, points, grads: bool = False):
+        """The log-weights as per-draw statistics times per-point
+        coefficients: yields ``(cols, stats, coefs)`` per group of columns.
+
+        ``cols`` are increasing indices into ``points``, and the groups
+        together hold each point once.  ``stats`` is a sequence of k
+        per-draw statistics, float arrays of N values, and their product
+        sum_k stats[k][:, None] * coefs[k] with the C-ordered (k, len(cols))
+        ``coefs`` is the ``log_weight_matrix`` columns ``cols``; every term
+        past the first must be a product with 1 (see the module docstring).
+        A statistic that several groups share may be one array, which a
+        fit, holding every group at once, then holds once.  With ``grads``,
+        a group also yields ``dstats``, k' per-draw statistics, and the
+        C-ordered ``dcoefs`` (k', len(cols), p), whose product is the
+        columns' hyperparameter gradients, shape (N, len(cols), p).  A
+        model that defines this inherits ``log_weight_matrix``, and its
+        fits and curves read only this.
+        """
+        raise NotImplementedError(f"{type(self).__name__} has no log-weight factors")
+
     def log_weight_matrix(self, thetas, points):
-        """Matrix of log(psi_lam_j(theta_n) p(lam_j)), shape (N, L).
+        """Matrix of log(psi_lam_j(theta_n) p(lam_j)), shape (N, M).
 
         The result is a fresh C-ordered float array, which the caller may
         overwrite; the estimators read it through ``np.ascontiguousarray``,
         so a model returning another layout costs a copy but changes no
-        result bit.
+        result bit.  A model with factors gets it as the one tile of
+        :func:`log_weight_tiles`; a model without overrides it.
         """
-        raise NotImplementedError
-
-    def log_weight_rows(self, thetas, points, bounds):
-        """Log-weights in row ranges: yields the ``log_weight_matrix`` rows
-        ``bounds[t]:bounds[t + 1]`` of the draws, in order.
-
-        Each range comes as a C-ordered array the caller may overwrite,
-        valid until the next range is requested: a model may write every
-        range of one call into one buffer, so a caller copies a range it
-        keeps.  A fit walks its bank in row tiles through this hook and
-        drops each tile, so the whole (N, M) matrix need never exist.  The
-        default evaluates each range's draws on their own; models override
-        it when per-point or per-draw work is cheaper done once for all
-        ranges, and every range must hold the bits of the same rows of one
-        whole-matrix call.
-        """
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            yield self.log_weight_matrix(thetas[lo:hi], points)
-
-    def log_weight_blocks(self, thetas, points, shift, grads: bool = False):
-        """Shifted log-weights in column blocks: yields ``(cols, logw, grad)``.
-
-        ``logw`` holds the ``log_weight_matrix`` columns ``cols`` of the
-        points minus ``shift``, one value per draw subtracted from its row
-        (a curve passes each draw's log-sum-exp; a zero shift gives the
-        log-weights' own bits).  With ``grads``, ``grad`` is the pair
-        ``(dstats, dcoefs)`` of per-draw statistics, shape (N, k), and
-        per-point coefficients, shape (k, len(cols), p), whose product
-        ``dstats @ dcoefs`` is the block's hyperparameter gradients, shape
-        (N, len(cols), p); otherwise it is None.  All are C-ordered arrays
-        the caller may overwrite, valid until the next block is requested:
-        a model may write every block of one call into one buffer, so a
-        caller copies a block it keeps.  Curves reduce each block and drop
-        it, so the whole (N, M) matrix need never exist.  The default
-        yields one block of all columns, subtracting the shift itself, and
-        raises ``GradientUnavailableError`` for gradients; models override
-        this when columns share work that is cheaper to do one block at a
-        time, or when they have gradients.
-        """
-        if grads:
-            raise GradientUnavailableError(
-                f"{type(self).__name__} does not implement hyperparameter gradients"
-            )
-        logw = np.ascontiguousarray(self.log_weight_matrix(thetas, points), dtype=float)
-        logw -= np.asarray(shift)[:, None]
-        yield np.arange(logw.shape[1]), logw, None
+        if not self.has_log_weight_factors:
+            raise NotImplementedError
+        return next(log_weight_tiles(self, thetas, points))
 
 
 def _as_lambda(lam) -> np.ndarray:
@@ -349,7 +341,12 @@ class DiscreteModel(Model):
 
     def log_weight_matrix(self, thetas, points):
         cols = self._columns(points)
-        idx = np.asarray(thetas, dtype=int).ravel()
+        idx = np.asarray(thetas).ravel()
+        # floor, not a remainder: inf % 1 warns
+        if not np.all((idx >= 0) & (idx < self.psi_table.shape[0]) & (np.floor(idx) == idx)):
+            raise ValueError(
+                f"discrete latent states must be atom indices 0..{self.psi_table.shape[0] - 1}")
+        idx = idx.astype(int)
         with np.errstate(divide="ignore"):
             return np.log(self.psi_table[np.ix_(idx, cols)]) + np.log(self.prior[cols])
 
@@ -407,55 +404,33 @@ class ToyBimodalModel(Model):
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if points.ndim != 2 or points.shape[1] != 1:
             raise ValueError("the toy model has a one-dimensional hyperparameter")
+        if not np.isfinite(points).all():
+            raise ValueError("toy hyperparameter values must be finite")
         return points
 
-    def _stats_coefs(self, thetas, points):
+    def _stats_coefs(self, draws, lams):
         """Statistics [theta, mixture - tau theta^2/2, 1] per draw and
         coefficients [tau lam; 1; c2] per point, c2 = -tau lam^2/2
         - log(2 pi/tau)/2; the flat prior adds nothing."""
-        thetas = np.asarray(thetas, dtype=float).ravel()
-        lams = self._points(points)[:, 0]
-        stats = np.ones((thetas.size, 3))
-        stats[:, 0] = thetas
-        stats[:, 1] = self._log_mixture(thetas) - 0.5 * self.tau * thetas * thetas
+        stats = (draws, self._log_mixture(draws) - 0.5 * self.tau * draws * draws,
+                 np.ones_like(draws))
         coefs = np.ones((3, lams.size))
         coefs[0] = self.tau * lams
         coefs[2] = -0.5 * (self.tau * lams * lams + _LOG_2PI - math.log(self.tau))
         return stats, coefs
 
-    def log_weight_matrix(self, thetas, points):
-        """_log_mixture + _gauss_logpdf(theta, lam, 1/tau), shape (N, M),
-        as the product of ``_stats_coefs``."""
-        return _stats_times_coefs(*self._stats_coefs(thetas, points))
-
-    def log_weight_rows(self, thetas, points, bounds):
-        """Row ranges of ``log_weight_matrix``: ``_stats_coefs`` once, then
-        one ``_stats_times_coefs`` per range, written into one buffer sized
-        for the largest range, whose entries are the whole-matrix bits (see
-        the module docstring)."""
-        stats, coefs = self._stats_coefs(thetas, points)
-        m = coefs.shape[1]
-        buf = np.empty(m * max(np.diff(bounds), default=0))
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            yield _stats_times_coefs(stats[lo:hi], coefs, _leading(buf, hi - lo, m))
-
-    def log_weight_blocks(self, thetas, points, shift, grads: bool = False):
-        """Cache-sized column tiles of ``log_weight_matrix`` minus ``shift``
-        (see ``_column_tiles``), from statistics computed once, the shift
-        their last term (``_with_shift``); with ``grads``, each tile's
-        gradients tau (theta - lam) as the factors [theta, 1] and
-        [tau; -tau lam].  Every entry is bit-equal to its whole-matrix entry
-        minus its draw's shift."""
-        points = self._points(points)
-        stats, coefs = _with_shift(*self._stats_coefs(thetas, points), shift)
-        dstats = np.ascontiguousarray(stats[:, [0, 2]]) if grads else None
-        for cols, block in _column_tiles(stats, coefs):
-            grad = None
-            if grads:
-                lams = points[cols, 0]
-                grad = dstats, np.stack([np.full_like(lams, self.tau),
-                                         -self.tau * lams])[:, :, None]
-            yield cols, block, grad
+    def log_weight_factors(self, thetas, points, grads: bool = False):
+        """One group of every point: ``_stats_coefs``, whose product is
+        _log_mixture + _gauss_logpdf(theta, lam, 1/tau); with ``grads``, the
+        gradients tau (theta - lam) as [theta, 1] times [tau; -tau lam]."""
+        lams = self._points(points)[:, 0]
+        draws = np.asarray(thetas, dtype=float).ravel()
+        grad = ()
+        if grads:
+            grad = ((draws, np.ones_like(draws)),
+                    np.stack([np.full_like(lams, self.tau), -self.tau * lams])[:, :, None])
+        # formed in the yield, so that only the caller holds the statistics
+        yield (np.arange(lams.size), *self._stats_coefs(draws, lams), *grad)
 
     def _local_mixture(self, lams):
         """Weight of the + component, the two means and the common
@@ -524,7 +499,7 @@ class GpRegressionModel(Model):
     + log det B + theta' B^{-1} theta / (tau1/tau2)) / 2, and the whitened
     squares theta' B^{-1} theta of a batch of draws serve every tau1 at
     that tau2.  An absolute jitter would not scale with tau1 and would
-    break the split.  ``log_weight_matrix`` therefore factors B once per
+    break the split.  ``log_weight_factors`` therefore factors B once per
     distinct tau2 among its points.  A log-weight is then affine in three
     per-draw statistics, the whitened square q_B, the observation term
     obs and 1:
@@ -533,17 +508,12 @@ class GpRegressionModel(Model):
             = [q_B, obs, 1, 1] @ [-1/(2 scale); 1; c0; log p(lam)],
         c0 = -(n log 2 pi + n log scale + log det B) / 2,
 
-    with the log prior last.  A block of columns sharing tau2 is that one
-    product, and the whole matrix gathers q_B per column and adds the
-    same terms in the same order, so both routes give the same bits; a
-    one-point call, or a block of a lone tau2, takes the elementwise sum
-    (see ``_stats_times_coefs``).  ``log_weight_blocks`` yields the
-    columns of one tau2 at a time, with their gradients from the same
-    factor and whitening (``_grad_coefs``).  The per-value
-    factorization of C_lam + noise_var I (``_cov_factor``) serves the
-    sampler, which factors each grid point's posterior on its first draw,
-    and the exact marginal.  The model keeps its last grid's sampler, so
-    repeated banks on one grid factor each point once.
+    with the log prior last: one group of columns per tau2, whose
+    gradients come from the same factor and whitening (``_grad_coefs``).
+    The per-value factorization of C_lam + noise_var I (``_cov_factor``)
+    serves the sampler, which factors each grid point's posterior on its
+    first draw, and the exact marginal.  The model keeps its last grid's
+    sampler, so repeated banks on one grid factor each point once.
 
     The factors and triangular solves come from ``scipy.linalg``, which
     each method that needs them imports on first use, so importing this
@@ -575,8 +545,9 @@ class GpRegressionModel(Model):
         from scipy.linalg import cho_factor
 
         lam = _as_lambda(lam)
-        if lam.size != 2 or np.any(lam <= 0):
-            raise ValueError("lam must be a positive pair (tau1, tau2)")
+        # written so that NaN fails it too
+        if lam.size != 2 or not np.all((lam > 0) & (lam < np.inf)):
+            raise ValueError("lam must be a finite positive pair (tau1, tau2)")
         tau1, tau2 = float(lam[0]), float(lam[1])
         kernel = (tau1 / tau2) * np.exp(-tau2 * self._sqdist)
         jitter = self.jitter_scale * (tau1 / tau2)
@@ -600,8 +571,10 @@ class GpRegressionModel(Model):
     @staticmethod
     def _points(points) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        if points.ndim != 2 or points.shape[1] != 2 or np.any(points <= 0):
-            raise ValueError("lam must be a positive pair (tau1, tau2)")
+        # written so that NaN fails it too
+        if (points.ndim != 2 or points.shape[1] != 2
+                or not np.all((points > 0) & (points < np.inf))):
+            raise ValueError("lam must be a finite positive pair (tau1, tau2)")
         return points
 
     @staticmethod
@@ -698,89 +671,34 @@ class GpRegressionModel(Model):
         """log p(lam) = -log tau1 - log tau2 for every row of points."""
         return -np.log(points[:, 0]) - np.log(points[:, 1])
 
-    def log_weight_matrix(self, thetas, points):
-        """Matrix of log(psi_lam_j(theta_n) p(lam_j)), shape (N, M): the
-        one range of ``log_weight_rows`` that holds every draw.
+    def log_weight_factors(self, thetas, points, grads: bool = False):
+        """One group per distinct tau2 among the points, in increasing tau2.
 
-        A column depends only on its own point, never on which other points
-        share the call.
-        """
-        thetas = self._draws(thetas)
-        return next(self.log_weight_rows(thetas, points, (0, thetas.shape[0])))
-
-    def log_weight_rows(self, thetas, points, bounds):
-        """Row ranges of ``log_weight_matrix``, from one pass over the draws.
-
-        Columns that share tau2 share one Cholesky factor of B(tau2), and
-        one whitening solve of all draws gives their q_B (see the class
-        docstring), so B is factored once per distinct tau2 and every draw
-        is whitened once per call, however many ranges it asks for.  Each
-        (hi - lo, M) range then takes one gather of q_B and four in-place
-        passes, elementwise, so a range holds the bits of the same rows of
-        the whole matrix.
+        A group takes one factor of B(tau2) and one whitening of the draws
+        (``_whiten``), shared by its log-weights, the statistics [q_B, obs,
+        1, 1] times ``_coefs``, and with ``grads`` its gradients, [q_B, q_E,
+        1] times ``_grad_coefs``.  A column depends only on its own point,
+        never on which other points share the call.
         """
         points = self._points(points)
         thetas = self._draws(thetas)
+        # the observation terms and the ones are shared by every group;
+        # obs first, so that its temporaries are gone before the draws'
+        # copies come
+        obs = self._observation(thetas)
+        ones = np.ones_like(obs)
         draws = np.asfortranarray(thetas)
         work = np.empty_like(draws, order="F")
-        tau2s, group = np.unique(points[:, 1], return_inverse=True)
-        logdets = np.empty(tau2s.size)
-        qs = np.empty((thetas.shape[0], tau2s.size))
-        for g, tau2 in enumerate(tau2s):
-            logdets[g], qs[:, g], _ = self._whiten(draws, work, tau2, False)
-        del draws, work
-        coefs = self._coefs(points, logdets[group])
-        obs = self._observation(thetas)[:, None]
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            yield self._assemble(qs[lo:hi], obs[lo:hi], group, coefs)
-
-    @staticmethod
-    def _assemble(qs, obs, group, coefs):
-        """Log-weights of some draws from their q_B per distinct tau2
-        (``qs``), their observation terms and the points' coefficients: one
-        gather and four in-place passes."""
-        out = np.empty((qs.shape[0], group.size))
-        # group is in range; mode="clip" keeps take from buffering out
-        np.take(qs, group, axis=1, out=out, mode="clip")
-        # the sum of _stats_times_coefs over [q_B, obs, 1, 1], term by term,
-        # so that every entry is bit-equal to its log_weight_blocks entry
-        out *= coefs[0]
-        out += obs
-        out += coefs[2]
-        out += coefs[3]
-        return out
-
-    def log_weight_blocks(self, thetas, points, shift, grads: bool = False):
-        """One block per distinct tau2 among the points, in increasing tau2.
-
-        Each block comes from one factor and one whitening of the draws,
-        shared by its log-weights and, with ``grads``, its gradients; its
-        log-weights minus ``shift`` are the product [q_B, obs, 1, 1, -shift]
-        @ coefficients (``_with_shift``), whose entries are bit-equal to the
-        matching columns of ``log_weight_matrix`` minus each draw's shift;
-        its gradients are the factors [q_B, q_E, 1] and ``_grad_coefs``.
-        """
-        points = self._points(points)
-        thetas = self._draws(thetas)
-        draws = np.asfortranarray(thetas)
-        work = np.empty_like(draws, order="F")
-        stats = np.ones((thetas.shape[0], 4))
-        stats[:, 1] = self._observation(thetas)
         tau2s, group = np.unique(points[:, 1], return_inverse=True)
         for g, tau2 in enumerate(tau2s):
             cols = np.flatnonzero(group == g)
             logdet, q_b, extra = self._whiten(draws, work, tau2, grads)
-            stats[:, 0] = q_b
-            block = _stats_times_coefs(*_with_shift(
-                stats, self._coefs(points[cols], np.full(cols.size, logdet)), shift))
-            grad = None
+            grad = ()
             if grads:
                 trace, q_e = extra
-                grad = (np.column_stack([q_b, q_e, np.ones_like(q_b)]),
-                        self._grad_coefs(points[cols], trace))
-            yield cols, block, grad
-            # the caller holds the block now: drop it before the next one
-            del block, grad
+                grad = ((q_b, q_e, ones), self._grad_coefs(points[cols], trace))
+            yield (cols, (q_b, obs, ones, ones),
+                   self._coefs(points[cols], np.full(cols.size, logdet)), *grad)
 
     def sampler(self, grid):
         """Posterior draws at ``grid``'s points.  The last grid's sampler is

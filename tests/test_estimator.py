@@ -237,7 +237,7 @@ def test_degenerate_weight_error_names_a_later_tiles_sample(monkeypatch):
     ])
     model = BrokenModel(table)
     bank = mg.draw_sample_bank(model, model.grid(), [3, 2], master_seed=1)
-    monkeypatch.setattr(mg.emus, "TILE_BYTES", 1)
+    monkeypatch.setattr(mg.models, "TILE_BYTES", 1)
     with pytest.raises(mg.DegenerateWeightError, match="sample 0 at grid point 1"):
         mg.fit_emus(bank, model)
 
@@ -411,15 +411,15 @@ def test_tiled_pass_matches_the_whole_matrix(name, tiles, monkeypatch):
     model, bank = _tile_case(name)
     F_whole, R_whole, lse_whole = _whole_matrix_oracle(bank, model)
     if tiles == "per-segment":
-        monkeypatch.setattr(mg.emus, "TILE_BYTES", 1)
+        monkeypatch.setattr(mg.models, "TILE_BYTES", 1)
     seen = []
-    rows = model.log_weight_rows
+    tiled = mg.emus.log_weight_tiles
 
-    def recording(thetas, points, bounds):
-        seen.append(np.array(bounds))
-        return rows(thetas, points, bounds)
+    def recording(model, thetas, points, rows):
+        seen.append(np.array(rows))
+        return tiled(model, thetas, points, rows=rows)
 
-    monkeypatch.setattr(model, "log_weight_rows", recording)
+    monkeypatch.setattr(mg.emus, "log_weight_tiles", recording)
     F, R, lse = mg.estimate_transition_matrix(bank, model)
     if tiles == "per-segment":
         np.testing.assert_array_equal(seen[0], bank.offsets)
@@ -474,21 +474,14 @@ def test_sample_bank_validates_shapes(toy_model, toy_grid):
 
 def test_fit_and_curves_read_the_banks_own_draws(toy_model, toy_grid):
     # the bank's stacked array is the only copy of the draws: the fit's
-    # row tiles and every curve query are handed that array itself
+    # row tiles, every curve query and the whole matrix hand that array
+    # itself to the model's factors, once per call
     seen = []
 
     class Recording(mg.ToyBimodalModel):
-        def log_weight_matrix(self, thetas, points):
+        def log_weight_factors(self, thetas, points, grads=False):
             seen.append(thetas)
-            return super().log_weight_matrix(thetas, points)
-
-        def log_weight_rows(self, thetas, points, bounds):
-            seen.append(thetas)
-            return super().log_weight_rows(thetas, points, bounds)
-
-        def log_weight_blocks(self, thetas, points, shift, grads=False):
-            seen.append(thetas)
-            return super().log_weight_blocks(thetas, points, shift, grads)
+            return super().log_weight_factors(thetas, points, grads)
 
     model = Recording(y=toy_model.y, q=toy_model.q, tau=toy_model.tau)
     bank = mg.draw_sample_bank(model, toy_grid, 16, master_seed=5)

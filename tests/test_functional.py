@@ -192,8 +192,9 @@ def test_batched_gradients_match_the_per_point_formula(toy_functional, toy_model
 
 
 class TwoHookToy(mg.models.Model):
-    """The toy model behind only the two required hooks, so its row ranges
-    and blocks come from the defaults, which have no gradients."""
+    """The toy model behind only the two required hooks, without factors,
+    so its fits and curves take the fallback of ``log_weight_tiles``, which
+    has no gradients."""
 
     def __init__(self, toy):
         self.toy = toy
@@ -418,16 +419,23 @@ def test_flat_values_must_split_into_whole_points():
             fn.marginal_many(bad)
 
 
-def test_toy_log_weights_reject_multi_column_points(toy_model):
+def test_toy_log_weights_reject_multi_column_points(toy_model, toy_functional):
     thetas = np.zeros(4)
     with pytest.raises(ValueError):
         toy_model.log_weight_matrix(thetas, [[0.1, 5.0]])
     with pytest.raises(ValueError):
         toy_model.log_weight_matrix(thetas, np.zeros((3, 2)))
+    # non-finite values get margrid's own message, neither a NaN curve value
+    # nor a numpy warning
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            toy_model.log_weight_matrix(thetas, [[0.3], [bad]])
+        with pytest.raises(ValueError, match="finite"):
+            toy_functional.marginal_many([bad])
 
 
-class FortranToy(mg.ToyBimodalModel):
-    """The toy model handing back its log-weights in Fortran order."""
+class FortranToy(TwoHookToy):
+    """The two-hook toy handing back its log-weights in Fortran order."""
 
     def log_weight_matrix(self, thetas, points):
         return np.asfortranarray(super().log_weight_matrix(thetas, points))
@@ -435,10 +443,13 @@ class FortranToy(mg.ToyBimodalModel):
 
 def test_fortran_ordered_log_weights_change_no_bit():
     # reductions along a row of a Fortran-ordered array add in another
-    # order, so the callers take the log-weights in C order first
-    models = [cls(y=1.0, q=64.0, tau=16.0) for cls in (mg.ToyBimodalModel, FortranToy)]
+    # order, so the fit's row ranges and the curve's one tile of a model
+    # without factors are taken in C order first
+    toy = mg.ToyBimodalModel(y=1.0, q=64.0, tau=16.0)
+    models = [TwoHookToy(toy), FortranToy(toy)]
     grid = mg.make_regular_grid(mg.Domain(-2.0, 2.0), 64)
     eval_points = np.linspace(-2.0, 2.0, 256)
+    assert not models[1].log_weight_matrix(np.zeros(8), eval_points[:, None]).flags.c_contiguous
     fits = []
     for model in models:
         est = mg.fit_emus(mg.draw_sample_bank(model, grid, 64, master_seed=3), model)
@@ -499,7 +510,8 @@ def check_toy_tiles_round_as_one_wide_product():
     for m in (17, 33, 250, 256):
         eval_grid = mg.make_regular_grid(mg.Domain(-2.0, 2.0), m)
         points = eval_grid.points
-        tiles = len(list(fn.model.log_weight_blocks(thetas, points, fn.emus.lse)))
+        tiles = len(list(mg.models.log_weight_tiles(fn.model, thetas, points,
+                                                    shift=fn.emus.lse)))
         assert tiles == max(1, m // 16), (m, tiles)
         ratios = np.exp(fn.model.log_weight_matrix(thetas, points) - fn.emus.lse[:, None])
         curve = c @ ratios
@@ -534,19 +546,50 @@ def test_curves_hold_one_tile_at_a_time():
         assert peak < tiles * tile, (curve.__name__, peak / tile)
 
 
-def test_toy_tiles_round_as_one_wide_product():
-    # A tile starts at a multiple of 16 columns and is at least 16 wide, so
-    # each column keeps its lane of the matrix-vector product.  The
-    # reference, one wide product, moves its last bits with the BLAS thread
-    # count (see FunctionalEstimate._curve), so the check runs in a process
-    # pinned to one thread.
+def check_gp_split_group_rounds_as_one_wide_product():
+    """A length scale shared by 32, 40 and 48 points of the gp-surface
+    curve (9216 draws, so T = 16 columns) comes in 2, 2 and 3 tiles, whose
+    curve values and gradients equal one wide product over the whole
+    group, bit for bit: the values c @ B and the gradient moments
+    (c * dstats[k]) @ B combined with the group's coefficients."""
+    fn, _ = gp_surface_functional()
+    thetas, c = fn.emus.bank.thetas, fn._weights
+    tau1 = np.exp(np.linspace(np.log(0.1), np.log(10.0), 48))
+    for m in (32, 40, 48):
+        points = np.column_stack([tau1[:m], np.full(m, 1.3)])
+        tiles = list(mg.models.log_weight_tiles(fn.model, thetas, points, shift=fn.emus.lse))
+        assert len(tiles) == m // 16, (m, len(tiles))
+        ratios = fn._ratio_matrix(points)
+        (_, _, _, dstats, dcoefs), = fn.model.log_weight_factors(thetas, points, grads=True)
+        moments = np.stack([(c * stat) @ ratios for stat in dstats])
+        values, gradients = fn.curve_with_gradient(points)
+        np.testing.assert_array_equal(fn.marginal_many(points), c @ ratios)
+        np.testing.assert_array_equal(values, c @ ratios)
+        np.testing.assert_array_equal(gradients, (moments[:, :, None] * dcoefs).sum(axis=0))
+
+
+def run_pinned(check):
+    """Run a check of this module in a process pinned to one BLAS thread:
+    a wide product's reference moves its last bits with the thread count
+    (see FunctionalEstimate._curve)."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
-    code = ("import runpy; runpy.run_path({!r})"
-            "['check_toy_tiles_round_as_one_wide_product']()".format(__file__))
+    code = "import runpy; runpy.run_path({!r})[{!r}]()".format(__file__, check)
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+def test_toy_tiles_round_as_one_wide_product():
+    # A tile starts at a multiple of 16 columns and is at least 16 wide, so
+    # each column keeps its lane of the matrix-vector product.
+    run_pinned("check_toy_tiles_round_as_one_wide_product")
+
+
+def test_gp_split_group_rounds_as_one_wide_product():
+    # The same for the GP: a group wider than 2T - 1 columns is split, and
+    # each of its columns keeps its lane of the group's one product.
+    run_pinned("check_gp_split_group_rounds_as_one_wide_product")
 
 
 def uneven_tau2_points():
@@ -558,8 +601,8 @@ def uneven_tau2_points():
 
 
 def test_gp_block_curves_hold_the_whole_matrix_product(gp_surface_fit):
-    # a block of w columns is one BLAS product of width w, which rounds its
-    # last columns by the width, so only the last bits may move; the
+    # a group of w < 32 columns is one BLAS product of width w, which rounds
+    # its last columns by the width, so only the last bits may move; the
     # gradients are the moments of three statistics combined, which cancel
     # where a component is small, so they are held to the largest
     # gradient of their component
@@ -568,9 +611,10 @@ def test_gp_block_curves_hold_the_whole_matrix_product(gp_surface_fit):
     ratios = fn._ratio_matrix(points)
     np.testing.assert_allclose(fn.marginal_many(points), fn._curve(ratios), rtol=1e-13, atol=0)
     grads = np.empty(ratios.shape + (2,))
-    blocks = fn.model.log_weight_blocks(fn.emus.bank.thetas, points, fn.emus.lse, grads=True)
-    for cols, _, (dstats, dcoefs) in blocks:
-        grads[:, cols] = np.einsum("nk,kcp->ncp", dstats, dcoefs) * ratios[:, cols, None]
+    factors = fn.model.log_weight_factors(fn.emus.bank.thetas, points, grads=True)
+    for cols, _, _, dstats, dcoefs in factors:
+        grads[:, cols] = (np.einsum("nk,kcp->ncp", np.column_stack(dstats), dcoefs)
+                          * ratios[:, cols, None])
     values, got = fn.curve_with_gradient(points)
     np.testing.assert_allclose(values, fn._curve(ratios), rtol=1e-13, atol=0)
     expected = fn._curve(grads.reshape(len(ratios), -1)).reshape(-1, 2)
@@ -588,8 +632,9 @@ def test_pointwise_models_reduce_through_the_default_block(toy_model, toy_grid):
     # a model with only the two required hooks runs the whole pipeline to
     # the toy's bits: a griddy chain draws through the base-class loop (one
     # chain, since the toy's batched draw orders a shared stream's variates
-    # differently for more), and curves and expectations reduce one default
-    # block, which is the toy's one tile at 11 points; it has no gradients
+    # differently for more), and curves and expectations reduce the one tile
+    # of log_weight_tiles's fallback, which is the toy's one tile at 11
+    # points; it has no gradients
     eval_grid = mg.make_regular_grid(mg.Domain(-2.0, 2.0), 11)
     runs = []
     for model in (toy_model, TwoHookToy(toy_model)):
@@ -706,17 +751,17 @@ def long_double_gradients(fn, points):
         grads = ld(model.tau) * np.subtract.outer(thetas.astype(ld), points[:, 0].astype(ld))
         return (c * grads * fn._ratio_matrix(points)).sum(axis=0)[:, None]
     # the GP gradient formula of ``_grad_coefs`` per point, from the
-    # whitened squares q_B and q_E of each block and tr(B^{-1} E) of its
+    # whitened squares q_B and q_E of each tile and tr(B^{-1} E) of its
     # length scale
     n = model.y.size
     out = np.empty(points.shape, dtype=ld)
-    blocks = model.log_weight_blocks(thetas, points, fn.emus.lse, grads=True)
-    for cols, block, (dstats, _) in blocks:
+    tiles = mg.models.log_weight_tiles(model, thetas, points, shift=fn.emus.lse, grads=True)
+    for cols, block, (dstats, _) in tiles:
         decay, chol = model._factor(points[cols[0], 1])
         trace = ld(np.trace(cho_solve((chol, True), decay * model._sqdist)))
         tau1, tau2 = points[cols, 0].astype(ld), ld(points[cols[0], 1])
-        quad_k = dstats[:, :1].astype(ld) * tau2 / tau1
-        quad_e = dstats[:, 1:2].astype(ld) * tau2 / tau1
+        quad_k = dstats[0][:, None].astype(ld) * tau2 / tau1
+        quad_e = dstats[1][:, None].astype(ld) * tau2 / tau1
         weights = c * np.exp(block)
         out[cols, 0] = (weights * ((quad_k - n - 2) / (2 * tau1))).sum(axis=0)
         out[cols, 1] = (weights * ((n - quad_k - 2) / (2 * tau2)

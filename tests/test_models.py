@@ -110,19 +110,19 @@ def test_toy_grad_log_weight_matrix_is_the_per_point_gradient(toy_model, toy_gri
     thetas = np.linspace(-2.0, 2.0, 11)
     points = np.vstack([toy_grid.points, [[0.3], [-1.7]]])
     tau = toy_model.tau
-    factors = gather_blocks(toy_model, thetas, points, grads=True)[1]
+    factors = gather_tiles(toy_model, thetas, points, grads=True)[1]
     for dstats, _ in factors:
         np.testing.assert_array_equal(dstats, np.column_stack([thetas, np.ones(11)]))
     dcoefs = np.concatenate([f[1] for f in factors], axis=1)
     np.testing.assert_array_equal(dcoefs[:, :, 0], [np.full(len(points), tau),
                                                     -tau * points[:, 0]])
-    fast = block_grads(toy_model, thetas, points)
+    fast = factor_grads(toy_model, thetas, points)
     assert fast.shape == (11, len(points), 1)
     exact = tau * np.subtract.outer(thetas, points[:, 0])
     scale = tau * np.add.outer(np.abs(thetas), np.abs(points[:, 0]))
     assert np.all(np.abs(fast[:, :, 0] - exact) <= 2 * np.finfo(float).eps * scale)
     with pytest.raises(ValueError):
-        block_grads(toy_model, thetas, np.array([[0.1, 5.0]]))
+        factor_grads(toy_model, thetas, np.array([[0.1, 5.0]]))
 
 
 @pytest.mark.parametrize("half_width", [2.0, 10.0])
@@ -187,7 +187,7 @@ def gp_log_psi_oracle(model, thetas, lam):
 
 def gp_grad_oracle(model, thetas, lam):
     """Gradient of log(psi_lam(theta) p(lam)) in (tau1, tau2), one factor
-    of C_lam per call: the per-point formula that the gradient blocks
+    of C_lam per call: the per-point formula that the gradient factors
     batch.
 
     d log N(theta; 0, K)/d tau_r = -tr(K^-1 dK)/2 + theta' K^-1 dK K^-1 theta / 2
@@ -290,7 +290,7 @@ def gp_draws_and_points(model, seed):
 def gp_log_weight_columnwise(model, thetas, points):
     """The per-column sum of the shared-factor kernel's terms, in the order
     q_B * (-1/(2 scale)), + obs, + c0, + log prior: the bit-exact reference
-    for the gathered passes and the per-block products of log_weight_matrix."""
+    for the per-group products of log_weight_matrix."""
     n = model.y.size
     resid = model.y[None, :] - thetas
     obs = -0.5 * (n * (_LOG_2PI + np.log(model.noise_var))
@@ -387,7 +387,7 @@ def test_gp_grad_log_weight_matrix_matches_the_oracle(n, seed):
     x, y = mg.make_synthetic_gp_dataset(n=n, seed=seed)
     model = mg.GpRegressionModel(x, y)
     thetas, points = gp_draws_and_points(model, seed)
-    fast = block_grads(model, thetas, points)
+    fast = factor_grads(model, thetas, points)
     assert fast.shape == (len(thetas), len(points), 2)
     slow = np.stack([gp_grad_oracle(model, thetas, p) for p in points], axis=1)
     np.testing.assert_allclose(fast, slow, rtol=1e-9)
@@ -406,7 +406,7 @@ def test_gp_gradients_no_worse_than_the_oracle_in_extended_precision():
     thetas = mg.draw_sample_bank(model, grid, 64, master_seed=11).thetas
     rng = np.random.default_rng(0)
     thetas = thetas[np.sort(rng.choice(thetas.shape[0], 1024, replace=False))]
-    fast = block_grads(model, thetas, grid.points)
+    fast = factor_grads(model, thetas, grid.points)
     err_fast = err_oracle = 0.0
     for j, lam in enumerate(grid.points):
         ref = gp_grad_long_double(model, thetas, lam)
@@ -420,21 +420,21 @@ def test_gp_gradients_no_worse_than_the_oracle_in_extended_precision():
 
 def test_gp_grad_columns_do_not_depend_on_their_companions(gp_model):
     thetas, points = gp_draws_and_points(gp_model, 6)
-    matrix = block_grads(gp_model, thetas, points)
+    matrix = factor_grads(gp_model, thetas, points)
     for j, lam in enumerate(points):
         np.testing.assert_array_equal(
-            block_grads(gp_model, thetas, lam[None, :])[:, 0], matrix[:, j])
+            factor_grads(gp_model, thetas, lam[None, :])[:, 0], matrix[:, j])
     perm = np.random.default_rng(1).permutation(len(points))
     np.testing.assert_array_equal(
-        block_grads(gp_model, thetas, points[perm]), matrix[:, perm])
+        factor_grads(gp_model, thetas, points[perm]), matrix[:, perm])
     repeat = np.r_[np.arange(len(points)), [0, 4, 4, len(points) - 1]]
     np.testing.assert_array_equal(
-        block_grads(gp_model, thetas, points[repeat]), matrix[:, repeat])
+        factor_grads(gp_model, thetas, points[repeat]), matrix[:, repeat])
     # every tau2 distinct: one factorization per point
     scattered = points + np.arange(len(points))[:, None] * np.array([0.0, 1e-3])
-    separate = np.stack([block_grads(gp_model, thetas, p[None, :])[:, 0]
+    separate = np.stack([factor_grads(gp_model, thetas, p[None, :])[:, 0]
                          for p in scattered], axis=1)
-    np.testing.assert_array_equal(block_grads(gp_model, thetas, scattered), separate)
+    np.testing.assert_array_equal(factor_grads(gp_model, thetas, scattered), separate)
 
 
 def test_gp_log_weight_columns_do_not_depend_on_their_companions(gp_model):
@@ -454,37 +454,40 @@ def test_gp_log_weight_columns_do_not_depend_on_their_companions(gp_model):
 
 
 def factor_product(dstats, dcoefs):
-    """The gradients dstats @ dcoefs of gradient factors, (N, k) by
-    (k, M, p), term by term in order, so that an entry depends only on its
-    own draw's statistics and its own point's coefficients."""
+    """The gradients dstats @ dcoefs of gradient factors stacked as an
+    (N, k) matrix, by (k, M, p), term by term in order, so that an entry
+    depends only on its own draw's statistics and its own point's
+    coefficients."""
     out = dstats[:, 0, None, None] * dcoefs[0]
     for k in range(1, len(dcoefs)):
         out += dstats[:, k, None, None] * dcoefs[k]
     return out
 
 
-def gather_blocks(model, thetas, points, grads, shift=None):
-    """Scatter the blocks of ``log_weight_blocks`` (with a zero shift by
-    default) back into a whole matrix, each as it is yielded (a block is
-    valid until the next one is requested), checking that each block and
-    gradient factor is a C-ordered array of its shape and that the blocks
-    cover every column once; returns (shifted log-weights, per-column
-    gradient factors (dstats, dcoefs column) or None, number of blocks)."""
+def gather_tiles(model, thetas, points, grads, shift=None):
+    """Scatter a curve's column tiles from ``log_weight_tiles`` (with a zero
+    shift by default) back into a whole matrix, each as it is yielded (a
+    tile is valid until the next one is requested), checking that each
+    tile is a C-ordered array of its shape, each gradient statistic a float
+    array of one value per draw, and that the tiles cover every column
+    once; returns (shifted log-weights, per-column gradient factors (dstats
+    stacked as an (N, k) matrix, dcoefs column) or None, number of
+    tiles)."""
     if shift is None:
         shift = np.zeros(len(thetas))
     logw = np.full((len(thetas), len(points)), np.nan)
     factors = [None] * len(points) if grads else None
     seen, count = [], 0
-    for cols, block, grad in model.log_weight_blocks(thetas, points, shift, grads):
+    for cols, block, grad in mg.models.log_weight_tiles(model, thetas, points, shift=shift,
+                                                        grads=grads):
         assert block.flags.c_contiguous and block.shape == (len(thetas), len(cols))
         logw[:, cols] = block
         if grads:
             dstats, dcoefs = grad
-            assert dstats.flags.c_contiguous and dcoefs.flags.c_contiguous
-            assert dstats.dtype == float and dcoefs.dtype == float
-            assert dstats.shape == (len(thetas), len(dcoefs))
+            assert len(dstats) == len(dcoefs) and dcoefs.dtype == float
+            assert all(stat.dtype == float and stat.shape == (len(thetas),) for stat in dstats)
             assert dcoefs.shape[1:] == (len(cols), points.shape[1])
-            dstats = dstats.copy()
+            dstats = np.column_stack(dstats)
             for i, j in enumerate(cols):
                 factors[j] = dstats, dcoefs[:, i:i + 1].copy()
         else:
@@ -495,11 +498,13 @@ def gather_blocks(model, thetas, points, grads, shift=None):
     return logw, factors, count
 
 
-def block_grads(model, thetas, points):
-    """The gradients of ``log_weight_blocks``, the product of each column's
-    factors, as one (N, M, p) array."""
-    factors = gather_blocks(model, thetas, points, grads=True)[1]
-    return np.concatenate([factor_product(*f) for f in factors], axis=1)
+def factor_grads(model, thetas, points):
+    """The gradients of ``log_weight_factors``, the product of each group's
+    gradient factors, as one (N, M, p) array."""
+    out = np.full((len(thetas), len(points), points.shape[1]), np.nan)
+    for cols, _, _, dstats, dcoefs in model.log_weight_factors(thetas, points, grads=True):
+        out[:, cols] = factor_product(np.column_stack(dstats), dcoefs)
+    return out
 
 
 @pytest.mark.parametrize("order", ["given", "permuted", "repeats", "distinct-tau2"])
@@ -512,11 +517,11 @@ def test_gp_log_weight_blocks_are_the_whole_matrix_columns(gp_model, order):
     elif order == "distinct-tau2":
         points = points + np.arange(len(points))[:, None] * np.array([0.0, 1e-3])
     matrix = gp_model.log_weight_matrix(thetas, points)
-    logw, _, count = gather_blocks(gp_model, thetas, points, grads=False)
-    # one block per distinct tau2
+    logw, _, count = gather_tiles(gp_model, thetas, points, grads=False)
+    # one tile per distinct tau2, every group being narrower than 2T
     assert count == np.unique(points[:, 1]).size
     np.testing.assert_array_equal(logw, matrix)
-    fused_logw, _, _ = gather_blocks(gp_model, thetas, points, grads=True)
+    fused_logw, _, _ = gather_tiles(gp_model, thetas, points, grads=True)
     np.testing.assert_array_equal(fused_logw, matrix)
 
 
@@ -561,60 +566,66 @@ def gp_grid_case():
                               "gp-3x3+4", "gp-24x24"])
 def test_log_weight_columns_are_one_point_calls(case):
     # the model contract: every column of the wide matrix is the bits of a
-    # one-point call, its blocks scatter back into the whole matrix minus
-    # the shift, bit for bit, and the gradient factors of each column
-    # (where it has them) are the bits of one-point blocks
+    # one-point call, a curve's tiles scatter back into the whole matrix
+    # minus the shift, bit for bit, and the gradient factors of each column
+    # (where it has them) are the bits of one-point tiles
     model, thetas, points = case()
     matrix = model.log_weight_matrix(thetas, points)
     for j, lam in enumerate(points):
         np.testing.assert_array_equal(
             matrix[:, j], model.log_weight_matrix(thetas, lam[None])[:, 0])
     grads = not isinstance(model, mg.DiscreteModel)
-    logw, factors, count = gather_blocks(model, thetas, points, grads=grads)
+    logw, factors, count = gather_tiles(model, thetas, points, grads=grads)
     if len(thetas) == TOY_TILED_DRAWS:
         assert count > 1
     elif not isinstance(model, mg.GpRegressionModel):
         assert count == 1
     np.testing.assert_array_equal(logw, matrix)
     shift = np.random.default_rng(2).normal(0.0, 10.0, len(thetas))
-    shifted = gather_blocks(model, thetas, points, grads=False, shift=shift)[0]
+    shifted = gather_tiles(model, thetas, points, grads=False, shift=shift)[0]
     np.testing.assert_array_equal(shifted, matrix - shift[:, None])
     if grads:
         for (dstats, dcoefs), lam in zip(factors, points):
-            (one_stats, one_coefs), = gather_blocks(model, thetas, lam[None, :], grads=True)[1]
+            (one_stats, one_coefs), = gather_tiles(model, thetas, lam[None, :], grads=True)[1]
             np.testing.assert_array_equal(dstats, one_stats)
             np.testing.assert_array_equal(dcoefs, one_coefs)
 
 
 @pytest.mark.parametrize("m", [64, 250])
 def test_toy_tiles_of_one_call_share_one_buffer(m):
-    # one call writes every column tile into one buffer and every row range
-    # into one buffer; each tile, copied as it is yielded, is still the bits
-    # of its whole-matrix columns (minus the shift) or rows
+    # one call of log_weight_tiles writes every column tile into one buffer
+    # and every row range into one buffer; each tile, copied as it is
+    # yielded, is still the bits of its whole-matrix columns (minus the
+    # shift) or rows
     model, thetas, points = toy_tiled_case(m)
     matrix = model.log_weight_matrix(thetas, points)
     shift = np.linspace(-3.0, 3.0, len(thetas))
     tiles = [(cols, block, block.copy())
-             for cols, block, _ in model.log_weight_blocks(thetas, points, shift)]
+             for cols, block, _ in mg.models.log_weight_tiles(model, thetas, points, shift=shift)]
     assert len(tiles) > 1
     assert np.shares_memory(tiles[0][1], tiles[-1][1])
     for cols, _, block in tiles:
         np.testing.assert_array_equal(block, matrix[:, cols] - shift[:, None])
     bounds = np.array([0, 5000, 9000, 9001, TOY_TILED_DRAWS])
-    rows = list(model.log_weight_rows(thetas, points, bounds))
+    rows = list(mg.models.log_weight_tiles(model, thetas, points, rows=bounds))
     assert np.shares_memory(rows[0], rows[-1])
-    for lo, hi, tile in zip(bounds[:-1], bounds[1:],
-                            (r.copy() for r in model.log_weight_rows(thetas, points, bounds))):
+    copies = (r.copy() for r in mg.models.log_weight_tiles(model, thetas, points, rows=bounds))
+    for lo, hi, tile in zip(bounds[:-1], bounds[1:], copies):
         np.testing.assert_array_equal(tile, matrix[lo:hi])
 
 
-@pytest.mark.parametrize("lam", [(1.0, -1.0), (0.0, 1.0), (1.0,), (1.0, 1.0, 1.0)])
+@pytest.mark.parametrize("lam", [(1.0, -1.0), (0.0, 1.0), (1.0,), (1.0, 1.0, 1.0),
+                                 (np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, np.inf)])
 def test_gp_log_weights_reject_a_bad_lambda(gp_model, lam):
+    # margrid's own message, for non-finite values too: neither a NaN curve
+    # value nor a failure inside scipy
     thetas = np.zeros((2, gp_model.y.size))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="finite positive pair"):
         gp_model.log_weight_matrix(thetas, [lam])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError):  # numpy's own for a ragged list
         gp_model.log_weight_matrix(thetas, [(1.0, 1.0), lam])
+    with pytest.raises(ValueError, match="finite positive pair"):
+        gp_model.log_marginal_likelihood(lam)
 
 
 def test_gp_single_point_marginal_closed_form():
@@ -639,7 +650,7 @@ def test_gp_gradient_matches_finite_differences(gp_model):
     def logp(t, l):
         return gp_model.log_weight_matrix(t, l[None, :])[:, 0]
 
-    grad = block_grads(gp_model, thetas, lam[None, :])[:, 0]
+    grad = factor_grads(gp_model, thetas, lam[None, :])[:, 0]
     for r in range(2):
         step = np.zeros(2)
         step[r] = h
@@ -774,6 +785,14 @@ def test_discrete_log_weight_matrix_matches_columnwise():
         np.testing.assert_array_equal(model.log_weight_matrix(thetas, p[None])[:, 0], col)
     with pytest.raises(mg.GridError):
         model.log_weight_matrix(thetas, [[0.0], [0.25]])
+    # latent states are atom indices: none wraps around or truncates
+    np.testing.assert_array_equal(model.log_weight_matrix(thetas.astype(float), points), fast)
+    for bad in (-1, 2.5, 5, np.nan, np.inf):
+        with pytest.raises(ValueError, match="atom indices"):
+            model.log_weight_matrix(np.r_[thetas, bad], points)
+    asym = mg.DiscreteModel(ASYM_TABLE)
+    with pytest.raises(ValueError, match="atom indices"):
+        mg.fit_emus(mg.SampleBank(asym.grid(), [-1, 0, 2.5, 1], [2, 2]), asym)
 
 
 def test_bundled_log_weight_matrices_are_c_ordered(asym_model, toy_model, gp_model):
@@ -790,19 +809,27 @@ def test_bundled_log_weight_matrices_are_c_ordered(asym_model, toy_model, gp_mod
 
 
 def test_bundled_grad_matrices_are_c_ordered(toy_model, gp_model):
-    # every gradient factor is a C-ordered float array of its shape
+    # every statistic of log_weight_factors is a float array of one value
+    # per draw, every coefficient array a C-ordered float array of its
+    # shape, and the groups hold each point once, in increasing order
     gp_thetas, gp_points = gp_draws_and_points(gp_model, 2)
     cases = [(toy_model, np.linspace(-2.0, 2.0, 7), np.linspace(-1.0, 1.0, 5)[:, None]),
              (gp_model, gp_thetas, gp_points)]
     for model, thetas, points in cases:
-        shift = np.zeros(len(thetas))
-        for cols, _, (dstats, dcoefs) in model.log_weight_blocks(thetas, points, shift,
-                                                                 grads=True):
-            assert dstats.shape == (len(thetas), len(dcoefs))
+        seen = []
+        for cols, stats, coefs, dstats, dcoefs in model.log_weight_factors(thetas, points,
+                                                                          grads=True):
+            assert np.all(np.diff(cols) > 0)
+            seen.extend(cols)
+            assert len(stats) == len(coefs) and len(dstats) == len(dcoefs)
+            for stat in (*stats, *dstats):
+                assert stat.dtype == float and stat.shape == (len(thetas),)
+            assert coefs.shape == (len(coefs), len(cols))
             assert dcoefs.shape == (len(dcoefs), len(cols), points.shape[1])
-            for factor in (dstats, dcoefs):
+            for factor in (coefs, dcoefs):
                 assert factor.dtype == float and factor.flags.c_contiguous
                 assert np.ascontiguousarray(factor, dtype=float) is factor
+        assert sorted(seen) == list(range(len(points)))
 
 
 def test_discrete_grid_subsets(asym_model):
@@ -819,13 +846,18 @@ def test_discrete_requires_positive_mass_per_atom():
         mg.DiscreteModel(np.array([[1.0, -1.0], [1.0, 2.0]]))
 
 
-def test_gradient_flags():
-    # a model without hyperparameter gradients says so by raising when
-    # blocks ask for gradients
+def test_gradient_flags(toy_model, gp_model):
+    # whether a model has factors is whether its class defines the hook; a
+    # model without them has no hyperparameter gradients and says so by
+    # raising when a curve's tiles ask for them
+    assert toy_model.has_log_weight_factors and gp_model.has_log_weight_factors
     disc = mg.DiscreteModel(ASYM_TABLE)
+    assert not disc.has_log_weight_factors
     with pytest.raises(mg.GradientUnavailableError):
-        list(disc.log_weight_blocks(np.array([0]), [[0.0], [1.0]], np.zeros(1),
-                                   grads=True))
+        list(mg.models.log_weight_tiles(disc, np.array([0]), [[0.0], [1.0]],
+                                        shift=np.zeros(1), grads=True))
+    with pytest.raises(NotImplementedError):
+        next(disc.log_weight_factors(np.array([0]), [[0.0]]))
 
 
 # -- dataset and table serialization ------------------------------------

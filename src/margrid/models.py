@@ -46,10 +46,10 @@ columns for a curve, which then has no gradients.  The bundled factors:
   [tau lam; 1; -tau lam^2 / 2 - log(2 pi / tau) / 2] (its prior is flat);
   the gradients tau (theta - lam) are [theta, 1] times [tau; -tau lam];
 - ``GpRegressionModel``, one group per length scale: one Cholesky factor
-  and one whitening solve give the whitened squares q_B of all draws, the
-  statistics are [q_B, obs, 1, 1] and the coefficients [-1 / (2 scale);
-  1; c0; log p(lam)], the log prior last; the gradients are [q_B, q_E, 1]
-  times ``_grad_coefs``.
+  and one whitening substitution give the whitened squares q_B of all
+  draws, the statistics are [q_B, obs, 1, 1] and the coefficients
+  [-1 / (2 scale); 1; c0; log p(lam)], the log prior last; the gradients
+  are [q_B, q_E, 1] times ``_grad_coefs``.
 
 One bit contract covers every tile.  Each term of a factor product past
 the first is a product with 1, so it is exact, and dgemm, which adds the
@@ -63,15 +63,19 @@ the bits of the same rows of the whole matrix, and a curve's tile, whose
 shift is one more statistic -shift with coefficient 1 (x + (-s) 1 rounds
 as x - s), the bits of the whole-matrix entries minus the shift.  A
 model's factors keep the contract when every statistic or coefficient
-past the first term is 1.  All tiles of one call are written into one
-buffer, so a yielded tile is valid only until the next one is
-requested, and a caller that keeps one copies it.
+past the first term is 1.  A fit forms all groups' columns as one
+product (``_stacked_factors``), whose extra terms, a group's statistics
+times another group's zero coefficients, are exact zeros between the
+entry's own terms, so it rounds as each group's product.  All tiles of
+one call are written into one buffer, so a yielded tile is valid only
+until the next one is requested, and a caller that keeps one copies it.
 
-Only the GP model uses scipy: its methods that factor and solve import
-``scipy.linalg`` on first use.  The toy and discrete models need numpy
-alone (the toy component weight is scipy's ``expit`` formula written in
-numpy), so a process that runs only them never pays for importing
-scipy's linear algebra.
+Every model runs on numpy alone.  The GP model's Cholesky factors are
+``np.linalg.cholesky`` and its triangular solves one substitution
+(``_substitute``), and the toy component weight is scipy's ``expit``
+formula written in numpy, so no margrid run imports scipy's linear
+algebra: a process pays neither its import nor a second BLAS library,
+whose thread pool would alternate with numpy's.
 """
 
 from __future__ import annotations
@@ -109,6 +113,37 @@ def _gauss_logpdf(x, mean, var):
     return -0.5 * (_LOG_2PI + np.log(var) + (x - mean) ** 2 / var)
 
 
+def _substitute(work, chol, back=False):
+    """Solve X L' = B, or X L = B with ``back``, in place, for a lower
+    triangular (n, n) ``chol``: ``work`` is a Fortran-ordered (k, n) array
+    whose k rows are right-hand sides, holding B on entry and X on return.
+
+    Column i of X is one matrix-vector product of the columns already
+    solved and column i of B, [X[:, :i], B[:, i]] @ [-L[i, :i], 1] (with
+    ``back``, [B[:, i], X[:, i+1:]] @ [1, -L[i+1:, i]], last column first),
+    then one divide by L[i, i].  The solved columns sit beside B's column
+    in ``work``, so each product reads one contiguous block.
+    """
+    n = chol.shape[0]
+    coefs = np.negative(chol.T if back else chol, order="C")
+    np.fill_diagonal(coefs, 1.0)
+    col = np.empty(work.shape[0])
+    for i in (range(n - 1, -1, -1) if back else range(n)):
+        span = slice(i, n) if back else slice(0, i + 1)
+        np.matmul(work[:, span], coefs[i, span], out=col)
+        np.divide(col, chol[i, i], out=work[:, i])
+    return work
+
+
+def _cho_solve(chol, rhs):
+    """(L L')^{-1} rhs for the lower Cholesky factor L and an (n, m) rhs, by
+    two substitutions (:func:`_substitute`) in a fresh C-ordered array,
+    whose transpose holds the m right-hand sides as Fortran-ordered rows."""
+    out = np.array(rhs, dtype=float, order="C")
+    _substitute(_substitute(out.T, chol), chol, back=True)
+    return out
+
+
 def _stats_times_coefs(stats, coefs, out=None):
     """The (N, M) product of (N, k) per-draw statistics and (k, M)
     per-point coefficients, written into ``out`` (a C-ordered (N, M)
@@ -127,6 +162,36 @@ def _stats_times_coefs(stats, coefs, out=None):
     return out
 
 
+def _stacked_factors(groups, n):
+    """Every group's factors as one (N, K) statistics matrix and (K, M)
+    coefficients, whose product is the whole log-weight matrix.
+
+    A statistic that every group holds, as one array, at the same position
+    is one column with each group's coefficients in its own columns; any
+    other position is one column per group, with coefficients zero outside
+    the group's columns.  Columns keep the groups' positions in order, so an
+    entry's terms are its own group's in order with exact zeros between
+    them, and its product rounds as the group's own does.  ``n`` draws give
+    an (n, 0) matrix when there is no group.
+    """
+    m = sum(cols.size for cols, _, _ in groups)
+    columns, rows = [], []
+    for k, stat in enumerate(groups[0][1] if groups else ()):
+        if all(stats[k] is stat for _, stats, _ in groups):
+            columns.append(stat)
+            rows.append(np.empty(m))
+            for cols, _, coefs in groups:
+                rows[-1][cols] = coefs[k]
+            continue
+        for cols, stats, coefs in groups:
+            columns.append(stats[k])
+            rows.append(np.zeros(m))
+            rows[-1][cols] = coefs[k]
+    if not columns:
+        return np.empty((n, 0)), np.empty((0, m))
+    return np.column_stack(columns), np.array(rows)
+
+
 def log_weight_tiles(model, thetas, points, rows=None, shift=None, grads=False):
     """The log-weights of ``thetas`` against ``points`` in tiles: the one
     place the pipeline evaluates them (see the module docstring).
@@ -140,17 +205,16 @@ def log_weight_tiles(model, thetas, points, rows=None, shift=None, grads=False):
     ``(dstats, dcoefs)``, otherwise None.  Every block is a C-ordered float
     array the caller may overwrite, valid until the next one is requested.
 
-    For a model with factors, a row range is its groups' products, each
-    written into the columns of its group, and all ranges share one buffer
-    sized for the largest.  The groups' statistics are held as the model
-    gives them, so a statistic that groups share is held once, and each
-    range stacks its rows of them.  A curve's tiles append the statistic
-    -shift with coefficient 1 to each group's product.  Within a group,
-    tiles start at multiples of T = 16 max(1, TILE_BYTES // (128 N))
-    columns (16 columns of N draws take 128 N bytes) and the last takes
-    the remaining columns, so it is T to 2T - 1 wide: a column keeps its
-    lane of a curve's matrix-vector products, and no narrow last tile is
-    rounded apart.  The tiles share one buffer, reallocated only for a
+    For a model with factors, the groups' statistics and coefficients are
+    stacked once per call (``_stacked_factors``, or the one group's
+    statistics side by side), so a row range is one product, and all
+    ranges share one buffer sized for the largest.  A curve's tiles append
+    the statistic -shift with coefficient 1 to each group's product.
+    Within a group, tiles start at multiples of T = 16 max(1, TILE_BYTES //
+    (128 N)) columns (16 columns of N draws take 128 N bytes) and the last
+    takes the remaining columns, so it is T to 2T - 1 wide: a column keeps
+    its lane of a curve's matrix-vector products, and no narrow last tile
+    is rounded apart.  The tiles share one buffer, reallocated only for a
     wider group.  A model without factors evaluates ``log_weight_matrix``
     on each row range, or once over all points for a curve, and raises
     ``GradientUnavailableError`` for gradients.
@@ -172,19 +236,18 @@ def log_weight_tiles(model, thetas, points, rows=None, shift=None, grads=False):
         return
     if shift is None:
         groups = list(model.log_weight_factors(thetas, points))
-        n = len(groups[0][1][0]) if groups else len(thetas)
-        m = sum(cols.size for cols, _, _ in groups)
-        bounds = (0, n) if rows is None else rows
-        buf = np.empty((max((b - a for a, b in zip(bounds[:-1], bounds[1:])), default=0), m))
+        if len(groups) == 1:  # every column in order
+            stats, coefs = np.column_stack(groups[0][1]), groups[0][2]
+        else:
+            stats, coefs = _stacked_factors(groups, len(thetas))
+        del groups
+        bounds = (0, stats.shape[0]) if rows is None else rows
+        buf = np.empty((max((b - a for a, b in zip(bounds[:-1], bounds[1:])), default=0),
+                        coefs.shape[1]))
         for lo, hi in zip(bounds[:-1], bounds[1:]):
-            out = buf[:hi - lo]
-            for cols, stats, coefs in groups:
-                part = np.column_stack([stat[lo:hi] for stat in stats])
-                if cols.size == m:  # the one group, every column in order
-                    _stats_times_coefs(part, coefs, out)
-                else:
-                    out[:, cols] = _stats_times_coefs(part, coefs)
-            yield out
+            if coefs.size:
+                _stats_times_coefs(stats[lo:hi], coefs, buf[:hi - lo])
+            yield buf[:hi - lo]
         return
     buf = np.empty(0)
     for cols, stats, coefs, *grad in model.log_weight_factors(thetas, points, grads):
@@ -252,8 +315,9 @@ class Model:
         sum_k stats[k][:, None] * coefs[k] with the C-ordered (k, len(cols))
         ``coefs`` is the ``log_weight_matrix`` columns ``cols``; every term
         past the first must be a product with 1 (see the module docstring).
-        A statistic that several groups share may be one array, which a
-        fit, holding every group at once, then holds once.  With ``grads``,
+        Every group gives the same k, and a statistic that every group
+        holds at the same position may be one array, which a fit's one
+        product then holds once (see the module docstring).  With ``grads``,
         a group also yields ``dstats``, k' per-draw statistics, and the
         C-ordered ``dcoefs`` (k', len(cols), p), whose product is the
         columns' hyperparameter gradients, shape (N, len(cols), p).  A
@@ -515,19 +579,26 @@ class GpRegressionModel(Model):
     first draw, and the exact marginal.  The model keeps its last grid's
     sampler, so repeated banks on one grid factor each point once.
 
-    The factors and triangular solves come from ``scipy.linalg``, which
-    each method that needs them imports on first use, so importing this
-    module loads no scipy.
+    The factors are ``np.linalg.cholesky`` and every triangular solve,
+    the whitening of all draws and the small solves of the posterior gain,
+    tr(B^{-1} E) and the exact marginal, goes through one substitution
+    helper (``_substitute``), so the model runs on numpy alone.
     """
 
     def __init__(self, x, y, noise_var: float = 1.0 / 16.0, jitter_scale: float = 1e-9):
         x = np.asarray(x, dtype=float)
+        if x.ndim not in (1, 2):
+            raise ValueError("x must be a vector or an (n, d) array of inputs")
         if x.ndim == 1:
             x = x[:, None]
         self.x = x
         self.y = np.asarray(y, dtype=float).ravel()
         if self.y.size != x.shape[0]:
             raise ValueError("x and y must have matching lengths")
+        if self.y.size == 0:
+            raise ValueError("the GP dataset is empty")
+        if not (np.isfinite(x).all() and np.isfinite(self.y).all()):
+            raise ValueError("the GP dataset's x and y must be finite")
         if not 0 < noise_var < np.inf:
             raise ValueError("noise_var must be finite and positive")
         self.noise_var = float(noise_var)
@@ -541,9 +612,7 @@ class GpRegressionModel(Model):
     # -- kernel factorizations at one hyperparameter value --------------
 
     def _cov_factor(self, lam):
-        """C_lam and the ``cho_factor`` of C_lam + noise_var I."""
-        from scipy.linalg import cho_factor
-
+        """C_lam and the lower Cholesky factor of C_lam + noise_var I."""
         lam = _as_lambda(lam)
         # written so that NaN fails it too
         if lam.size != 2 or not np.all((lam > 0) & (lam < np.inf)):
@@ -552,19 +621,17 @@ class GpRegressionModel(Model):
         kernel = (tau1 / tau2) * np.exp(-tau2 * self._sqdist)
         jitter = self.jitter_scale * (tau1 / tau2)
         cov = kernel + jitter * np.eye(self.y.size)
-        return cov, cho_factor(cov + self.noise_var * np.eye(self.y.size), lower=True)
+        return cov, np.linalg.cholesky(cov + self.noise_var * np.eye(self.y.size))
 
     def _posterior(self, lam):
         """Mean and lower Cholesky factor of the posterior of theta at lam."""
-        from scipy.linalg import cho_solve, cholesky
-
         cov, chol_noisy = self._cov_factor(lam)
-        gain = cho_solve(chol_noisy, cov)  # (C + s2 I)^{-1} C
+        gain = _cho_solve(chol_noisy, cov)  # (C + s2 I)^{-1} C
         mean = gain.T @ self.y
         post = cov - cov @ gain
         post = 0.5 * (post + post.T)
         bump = 1e-12 * max(np.trace(post) / post.shape[0], 1.0)
-        return mean, cholesky(post + bump * np.eye(post.shape[0]), lower=True)
+        return mean, np.linalg.cholesky(post + bump * np.eye(post.shape[0]))
 
     # -- Model interface ------------------------------------------------
 
@@ -585,34 +652,30 @@ class GpRegressionModel(Model):
     def _factor(self, tau2):
         """exp(-tau2 D) for the squared distances D, and the lower Cholesky
         factor of B(tau2)."""
-        from scipy.linalg import cholesky
-
         decay = np.exp(-tau2 * self._sqdist)
-        return decay, cholesky(decay + self.jitter_scale * np.eye(self.y.size), lower=True)
+        return decay, np.linalg.cholesky(decay + self.jitter_scale * np.eye(self.y.size))
 
     def _whiten(self, draws, work, tau2, grads: bool):
         """The per-tau2 kernel: one factor of B(tau2), one whitening of the
-        Fortran-ordered draws, solved in ``work``, a Fortran-ordered array of
-        their shape that the caller allocates once and this overwrites.
+        Fortran-ordered draws, substituted in place in ``work``
+        (:func:`_substitute`), a Fortran-ordered array of their shape that
+        the caller allocates once and this overwrites.
 
         Returns log det B, the whitened squares q_B = theta' B^{-1} theta per
         draw, and with ``grads`` also tr(B^{-1} E) and q_E (see
-        ``_grad_coefs``), whose solve reuses the whitened draws.
+        ``_grad_coefs``), whose solve starts from the whitened draws.
         """
-        from scipy.linalg import cho_solve
-        from scipy.linalg.blas import dtrsm
-
         decay, chol = self._factor(tau2)
         logdet = 2.0 * np.sum(np.log(np.diag(chol)))
         np.copyto(work, draws)
         # rows of the solution are L^{-1} theta_k: X L^T = Theta
-        white = dtrsm(1.0, chol, work, side=1, lower=1, trans_a=1, overwrite_b=1)
+        white = _substitute(work, chol)
         extra = None
         if grads:
             E = decay * self._sqdist
-            trace = np.trace(cho_solve((chol, True), E))
+            trace = np.trace(_cho_solve(chol, E))
             # rows of V are (B^{-1} theta_k)': X L = W, before W is squared
-            v = dtrsm(1.0, chol, white, side=1, lower=1)
+            v = _substitute(np.copy(white, order="F"), chol, back=True)
             extra = (trace, np.einsum("ij,ij->i", v, v @ E))
         q_b = np.multiply(white, white, out=white).sum(axis=1)
         return logdet, q_b, extra
@@ -710,12 +773,10 @@ class GpRegressionModel(Model):
 
     def log_marginal_likelihood(self, lam) -> float:
         """log N(y; 0, C_lam + noise_var I), the exact log z(lam)."""
-        from scipy.linalg import cho_solve
-
         chol_noisy = self._cov_factor(lam)[1]
         n = self.y.size
-        alpha = cho_solve(chol_noisy, self.y)
-        logdet_noisy = 2.0 * np.sum(np.log(np.diag(chol_noisy[0])))
+        alpha = _cho_solve(chol_noisy, self.y[:, None])[:, 0]
+        logdet_noisy = 2.0 * np.sum(np.log(np.diag(chol_noisy)))
         return float(-0.5 * (n * _LOG_2PI + logdet_noisy + self.y @ alpha))
 
     def exact_log_u(self, lam) -> float:

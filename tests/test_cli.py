@@ -195,28 +195,34 @@ mg.variance_diagnostics(fit)
 fn = mg.FunctionalEstimate(fit, toy)
 fn.marginal_many(grid.points)
 fn.expectation(lambda t: t * t, grid)
-table = mg.DiscreteModel(np.loadtxt(sys.argv[2], delimiter=","))
+table = mg.DiscreteModel(np.loadtxt(sys.argv[3], delimiter=","))
 mg.fit_emus(mg.draw_sample_bank(table, table.grid(), 16, master_seed=1), table)
-assert margrid.cli.main(["estimate", "--config", sys.argv[1], "--out", sys.argv[3]]) == 0
+assert margrid.cli.main(["estimate", "--config", sys.argv[1], "--out", sys.argv[4] + "/toy"]) == 0
+gp = mg.GpRegressionModel(*mg.make_synthetic_gp_dataset(n=4))
+gp.exact_log_u([1.0, 1.0])
+gp_grid = mg.make_regular_grid(mg.Domain([0.5, 0.5], [2.0, 2.0]), [3, 3], "log")
+gp_fit = mg.fit_emus(mg.draw_sample_bank(gp, gp_grid, 8, master_seed=1), gp)
+mg.FunctionalEstimate(gp_fit, gp).curve_with_gradient(gp_grid.points)
+assert margrid.cli.main(["estimate", "--config", sys.argv[2], "--out", sys.argv[4] + "/gp"]) == 0
 loaded = {"scipy.linalg", "scipy.special"} & set(sys.modules)
 assert not loaded, sorted(loaded)
-mg.GpRegressionModel(*mg.make_synthetic_gp_dataset(n=4)).exact_log_u([1.0, 1.0])
-assert "scipy.linalg" in sys.modules
 """
 
 
-def test_toy_and_discrete_runs_load_no_scipy(tmp_path):
-    # only the GP model needs scipy.linalg, which it imports on first use,
-    # so a toy or discrete process never pays for importing it
+def test_no_margrid_run_loads_scipy_linalg(tmp_path):
+    # every model, the GP's factors and solves included, runs on numpy
+    # alone, so no margrid process pays for importing scipy's linear
+    # algebra or numpy and scipy's two BLAS thread pools alternating
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
     (tmp_path / "toy.ini").write_text(SMALL_TOY)
+    (tmp_path / "gp.ini").write_text(SMALL_GP)
     (tmp_path / "table.csv").write_text(SMALL_TABLE)
     result = subprocess.run(
         [sys.executable, "-W", "error", "-c", _SCIPY_FREE_RUN, str(tmp_path / "toy.ini"),
-         str(tmp_path / "table.csv"), str(tmp_path / "out")],
+         str(tmp_path / "gp.ini"), str(tmp_path / "table.csv"), str(tmp_path / "out")],
         env=env, capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
 
@@ -268,6 +274,19 @@ def test_empty_table_csv_fails_cleanly(tmp_path, capsys, kind, key, text, what):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert what in err
+
+
+def test_gp_dataset_with_nan_fails_cleanly(tmp_path, capsys):
+    # a readable CSV whose values the model rejects: margrid's own error
+    # before any file is written, not NaN factors or a warning
+    (tmp_path / "data.csv").write_text("x0,y\n0.0,1.0\n0.5,nan\n1.0,0.2\n")
+    path = tmp_path / "gp.ini"
+    path.write_text(SMALL_GP.replace("n_data = 8", "dataset = data.csv"))
+    out = tmp_path / "x"
+    assert run_cli("estimate", "--config", str(path), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be finite" in err
+    assert not list(out.glob("*"))
 
 
 def test_unknown_subcommand_is_a_usage_error(config_path, tmp_path):

@@ -8,7 +8,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve
 
 import margrid as mg
 
@@ -752,13 +751,14 @@ def long_double_gradients(fn, points):
         return (c * grads * fn._ratio_matrix(points)).sum(axis=0)[:, None]
     # the GP gradient formula of ``_grad_coefs`` per point, from the
     # whitened squares q_B and q_E of each tile and tr(B^{-1} E) of its
-    # length scale
+    # length scale, taken as the model takes it, so this gate holds the
+    # reduction, not the trace
     n = model.y.size
     out = np.empty(points.shape, dtype=ld)
     tiles = mg.models.log_weight_tiles(model, thetas, points, shift=fn.emus.lse, grads=True)
     for cols, block, (dstats, _) in tiles:
         decay, chol = model._factor(points[cols[0], 1])
-        trace = ld(np.trace(cho_solve((chol, True), decay * model._sqdist)))
+        trace = ld(np.trace(mg.models._cho_solve(chol, decay * model._sqdist)))
         tau1, tau2 = points[cols, 0].astype(ld), ld(points[cols[0], 1])
         quad_k = dstats[0][:, None].astype(ld) * tau2 / tau1
         quad_e = dstats[1][:, None].astype(ld) * tau2 / tau1

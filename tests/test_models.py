@@ -211,6 +211,18 @@ def gp_grad_oracle(model, thetas, lam):
     return np.stack([g1, g2], axis=1)
 
 
+def _long_double_cholesky(a):
+    """The lower Cholesky factor of a symmetric positive definite np.longdouble
+    matrix, written out in np.longdouble."""
+    n = a.shape[0]
+    chol = np.zeros_like(a)
+    for j in range(n):
+        chol[j, j] = np.sqrt(a[j, j] - np.sum(chol[j, :j] ** 2))
+        for i in range(j + 1, n):
+            chol[i, j] = (a[i, j] - np.sum(chol[i, :j] * chol[j, :j])) / chol[j, j]
+    return chol
+
+
 def _long_double_cov_factor(model, lam):
     """K = C_lam + relative jitter, its kernel part and its Cholesky factor,
     all in np.longdouble."""
@@ -219,19 +231,14 @@ def _long_double_cov_factor(model, lam):
     n = model.y.size
     decay = np.exp(-tau2 * model._sqdist.astype(ld))
     cov = (tau1 / tau2) * (decay + ld(model.jitter_scale) * np.eye(n, dtype=ld))
-    chol = np.zeros((n, n), dtype=ld)
-    for j in range(n):
-        chol[j, j] = np.sqrt(cov[j, j] - np.sum(chol[j, :j] ** 2))
-        for i in range(j + 1, n):
-            chol[i, j] = (cov[i, j] - np.sum(chol[i, :j] * chol[j, :j])) / chol[j, j]
-    return (tau1 / tau2) * decay, chol
+    return (tau1 / tau2) * decay, _long_double_cholesky(cov)
 
 
 def _long_double_forward(chol, rhs):
     """L^{-1} rhs for rhs of shape (n, k), by forward substitution."""
     out = np.zeros_like(rhs)
     for i in range(chol.shape[0]):
-        out[i] = (rhs[i] - chol[i, :i] @ out[:i]) / chol[i, i]
+        out[i] = (rhs[i] - np.einsum("j,jk->k", chol[i, :i], out[:i])) / chol[i, i]
     return out
 
 
@@ -239,7 +246,7 @@ def _long_double_backward(chol, rhs):
     """L^{-T} rhs for rhs of shape (n, k), by backward substitution."""
     out = np.zeros_like(rhs)
     for i in range(chol.shape[0] - 1, -1, -1):
-        out[i] = (rhs[i] - chol[i + 1:, i] @ out[i + 1:]) / chol[i, i]
+        out[i] = (rhs[i] - np.einsum("j,jk->k", chol[i + 1:, i], out[i + 1:])) / chol[i, i]
     return out
 
 
@@ -290,7 +297,9 @@ def gp_draws_and_points(model, seed):
 def gp_log_weight_columnwise(model, thetas, points):
     """The per-column sum of the shared-factor kernel's terms, in the order
     q_B * (-1/(2 scale)), + obs, + c0, + log prior: the bit-exact reference
-    for the per-group products of log_weight_matrix."""
+    for the products of log_weight_matrix.  q_B comes from the model's own
+    factor and substitution, so this pins the product's rounding, not the
+    solve's."""
     n = model.y.size
     resid = model.y[None, :] - thetas
     obs = -0.5 * (n * (_LOG_2PI + np.log(model.noise_var))
@@ -300,10 +309,9 @@ def gp_log_weight_columnwise(model, thetas, points):
     log_priors = gp_log_prior(points)
     out = np.empty((thetas.shape[0], points.shape[0]))
     for g, tau2 in enumerate(tau2s):
-        base = np.exp(-tau2 * model._sqdist) + model.jitter_scale * np.eye(n)
-        chol = cholesky(base, lower=True)
+        chol = model._factor(tau2)[1]
         logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-        white = dtrsm(1.0, chol, draws, side=1, lower=1, trans_a=1)
+        white = mg.models._substitute(np.copy(draws, order="F"), chol)
         q = np.sum(white * white, axis=1)
         for j in np.flatnonzero(group == g):
             scale = points[j, 0] / tau2
@@ -321,6 +329,53 @@ def gp_surface_case():
     grid = mg.make_regular_grid(domain, [12, 12], "log")
     thetas = mg.draw_sample_bank(model, grid, 64, master_seed=7).thetas
     return model, thetas, mg.make_regular_grid(domain, [24, 24], "log").points
+
+
+def test_gp_whitening_holds_the_long_double_reference():
+    # q_B and q_E of the model's factor and substitution against a
+    # long-double Cholesky and whitening of the same double B(tau2), beside
+    # scipy's cholesky and dtrsm on the same draws: the gp-surface bank at
+    # its 12 tau2 values, cond(B) 15 to 1.2e10.  Both paths carry the
+    # factor's conditioning, up to 3e-7 normwise at the smallest tau2, so
+    # the bound is relative to scipy's error (floored at 1e-12 for the
+    # well-conditioned groups): measured at most 2.03 times it per group
+    # over seeds 1-20 on the default, Haswell and Sandybridge kernels.
+    # That error hides the solve's own (any backward-stable whitening, even
+    # one through inv(B), stays within it), so q_B is also held against the
+    # long-double substitution by the model's own factor: measured at most
+    # 5.0e-13 normwise, where whitening through inv(B) reads 1.9e-7
+    # scipy's solves for all 12 tau2 go first, so that scipy's and numpy's
+    # BLAS thread pools take turns once per seed, not once per call
+    model = mg.GpRegressionModel(*mg.make_synthetic_gp_dataset(16, 7))
+    grid = mg.make_regular_grid(mg.Domain([0.1, 0.1], [10.0, 10.0]), [12, 12], "log")
+    eye = np.eye(model.y.size)
+    for seed in range(1, 21):
+        thetas = mg.draw_sample_bank(model, grid, 64, master_seed=seed).thetas
+        draws = np.asfortranarray(thetas)
+        work = np.empty_like(draws, order="F")
+        scipy_solves = []
+        for tau2 in grid.axes[1]:
+            chol = cholesky(np.exp(-tau2 * model._sqdist) + model.jitter_scale * eye, lower=True)
+            w = dtrsm(1.0, chol, draws, side=1, lower=1, trans_a=1)
+            scipy_solves.append((w, dtrsm(1.0, chol, w, side=1, lower=1)))
+        for tau2, (w, vs) in zip(grid.axes[1], scipy_solves):
+            decay, own_chol = model._factor(tau2)
+            base, E = decay + model.jitter_scale * eye, decay * model._sqdist
+            ref_chol = _long_double_cholesky(base.astype(np.longdouble))
+            white = _long_double_forward(ref_chol, thetas.T.astype(np.longdouble))
+            v = _long_double_backward(ref_chol, white)
+            refs = (np.sum(white * white, axis=0),
+                    np.sum(v * (E.astype(np.longdouble) @ v), axis=0))
+            _, q_b, (_, q_e) = model._whiten(draws, work, tau2, True)
+            own = _long_double_forward(own_chol.astype(np.longdouble),
+                                       thetas.T.astype(np.longdouble))
+            own = np.sum(own * own, axis=0)
+            assert np.max(np.abs(q_b - own)) <= 2e-12 * np.max(own), (seed, tau2)
+            theirs = (np.sum(w * w, axis=1), np.einsum("ij,ij->i", vs, vs @ E))
+            for ours, scipys, ref in zip((q_b, q_e), theirs, refs):
+                scale = np.max(np.abs(ref))
+                err, scipy_err = (float(np.max(np.abs(q - ref)) / scale) for q in (ours, scipys))
+                assert err <= 3.0 * max(scipy_err, 1e-12), (seed, tau2, err, scipy_err)
 
 
 def gp_small_case():
@@ -708,6 +763,18 @@ def test_gp_exact_log_u_adds_hyperprior(gp_model):
 def test_gp_rejects_bad_inputs():
     with pytest.raises(ValueError):
         mg.GpRegressionModel([0.0, 1.0], [1.0])
+    # at construction, with margrid's own message: a NaN would reach the
+    # factors as NaN rows, an inf in x would warn, and an empty dataset
+    # would have a marginal of -0.0
+    for x, y, named in (([0.0, np.nan], [1.0, 2.0], "finite"),
+                        ([0.0, np.inf], [1.0, 2.0], "finite"),
+                        ([0.0, 1.0], [np.nan, 2.0], "finite"),
+                        ([0.0, 1.0], [1.0, -np.inf], "finite"),
+                        (np.zeros((2, 1, 1)), [1.0, 2.0], "vector or an"),
+                        ([], [], "empty"),
+                        (np.zeros((0, 2)), [], "empty")):
+        with pytest.raises(ValueError, match=named):
+            mg.GpRegressionModel(x, y)
     for noise_var in (0.0, np.inf, np.nan):
         with pytest.raises(ValueError):
             mg.GpRegressionModel([0.0], [1.0], noise_var=noise_var)

@@ -46,10 +46,14 @@ columns for a curve, which then has no gradients.  The bundled factors:
   [tau lam; 1; -tau lam^2 / 2 - log(2 pi / tau) / 2] (its prior is flat);
   the gradients tau (theta - lam) are [theta, 1] times [tau; -tau lam];
 - ``GpRegressionModel``, one group per length scale: one Cholesky factor
-  and one whitening substitution give the whitened squares q_B of all
-  draws, the statistics are [q_B, obs, 1, 1] and the coefficients
-  [-1 / (2 scale); 1; c0; log p(lam)], the log prior last; the gradients
-  are [q_B, q_E, 1] times ``_grad_coefs``.
+  L, its triangular inverse and one product L^{-1} Theta' give the
+  whitened squares q_B of all draws, the statistics are [q_B, obs, 1, 1]
+  and the coefficients [-1 / (2 scale); 1; c0; log p(lam)], the log prior
+  last; the gradients are [q_B, q_E, 1] times ``_grad_coefs``.  A draw's
+  q_B and q_E may move in their last bits with the number of draws in the
+  call (the product's blocking), as a curve's values do with its tile
+  widths; the bit contract below holds for the products of fixed
+  statistics.
 
 One bit contract covers every tile.  Each term of a factor product past
 the first is a product with 1, so it is exact, and dgemm, which adds the
@@ -71,8 +75,9 @@ one call are written into one buffer, so a yielded tile is valid only
 until the next one is requested, and a caller that keeps one copies it.
 
 Every model runs on numpy alone.  The GP model's Cholesky factors are
-``np.linalg.cholesky`` and its triangular solves one substitution
-(``_substitute``), and the toy component weight is scipy's ``expit``
+``np.linalg.cholesky``, its small triangular solves one substitution
+(``_substitute``), which also gives each factor's inverse for the
+whitening product, and the toy component weight is scipy's ``expit``
 formula written in numpy, so no margrid run imports scipy's linear
 algebra: a process pays neither its import nor a second BLAS library,
 whose thread pool would alternate with numpy's.
@@ -579,10 +584,12 @@ class GpRegressionModel(Model):
     first draw, and the exact marginal.  The model keeps its last grid's
     sampler, so repeated banks on one grid factor each point once.
 
-    The factors are ``np.linalg.cholesky`` and every triangular solve,
-    the whitening of all draws and the small solves of the posterior gain,
-    tr(B^{-1} E) and the exact marginal, goes through one substitution
-    helper (``_substitute``), so the model runs on numpy alone.
+    The factors are ``np.linalg.cholesky``.  A group whitens all draws by
+    one product with the factor's triangular inverse (``_whiten``), and the
+    small solves, that inverse, the posterior gain and the exact marginal,
+    go through one substitution helper (``_substitute``), so the model runs
+    on numpy alone.  A factor that is not positive definite raises a
+    ValueError naming its tau2 or lam and ``jitter_scale``.
     """
 
     def __init__(self, x, y, noise_var: float = 1.0 / 16.0, jitter_scale: float = 1e-9):
@@ -621,7 +628,9 @@ class GpRegressionModel(Model):
         kernel = (tau1 / tau2) * np.exp(-tau2 * self._sqdist)
         jitter = self.jitter_scale * (tau1 / tau2)
         cov = kernel + jitter * np.eye(self.y.size)
-        return cov, np.linalg.cholesky(cov + self.noise_var * np.eye(self.y.size))
+        return cov, self._cholesky(
+            cov + self.noise_var * np.eye(self.y.size),
+            f"the GP covariance C_lam + noise_var I at lam = {(tau1, tau2)}")
 
     def _posterior(self, lam):
         """Mean and lower Cholesky factor of the posterior of theta at lam."""
@@ -631,7 +640,20 @@ class GpRegressionModel(Model):
         post = cov - cov @ gain
         post = 0.5 * (post + post.T)
         bump = 1e-12 * max(np.trace(post) / post.shape[0], 1.0)
-        return mean, np.linalg.cholesky(post + bump * np.eye(post.shape[0]))
+        return mean, self._cholesky(
+            post + bump * np.eye(post.shape[0]),
+            f"the GP posterior covariance at lam = {tuple(map(float, lam))}")
+
+    def _cholesky(self, matrix, what):
+        """The lower Cholesky factor of ``matrix``; a matrix that is not
+        positive definite raises a ValueError naming ``what`` and the jitter
+        that keeps it so."""
+        try:
+            return np.linalg.cholesky(matrix)
+        except np.linalg.LinAlgError:
+            raise ValueError(
+                f"{what} is not positive definite: raise jitter_scale "
+                f"([model] jitter_scale, now {self.jitter_scale!r})") from None
 
     # -- Model interface ------------------------------------------------
 
@@ -653,31 +675,37 @@ class GpRegressionModel(Model):
         """exp(-tau2 D) for the squared distances D, and the lower Cholesky
         factor of B(tau2)."""
         decay = np.exp(-tau2 * self._sqdist)
-        return decay, np.linalg.cholesky(decay + self.jitter_scale * np.eye(self.y.size))
+        return decay, self._cholesky(decay + self.jitter_scale * np.eye(self.y.size),
+                                     f"the GP kernel matrix B(tau2) at tau2 = {float(tau2)!r}")
 
-    def _whiten(self, draws, work, tau2, grads: bool):
-        """The per-tau2 kernel: one factor of B(tau2), one whitening of the
-        Fortran-ordered draws, substituted in place in ``work``
-        (:func:`_substitute`), a Fortran-ordered array of their shape that
-        the caller allocates once and this overwrites.
+    def _whiten(self, thetas, work, tau2, grads: bool):
+        """The per-tau2 kernel: one factor L of B(tau2), its triangular
+        inverse L^{-1} (:func:`_substitute` of the identity, exact to the
+        triangle), and one product whitening every draw at once, W =
+        L^{-1} Theta', written into ``work[0]``.  ``work`` is a C-ordered
+        (k, n, N) array that the caller allocates once and this overwrites,
+        k = 2 with ``grads`` and 1 without; the draws are W's columns, so
+        ``thetas.T`` is read as a view and never copied.
 
-        Returns log det B, the whitened squares q_B = theta' B^{-1} theta per
-        draw, and with ``grads`` also tr(B^{-1} E) and q_E (see
-        ``_grad_coefs``), whose solve starts from the whitened draws.
+        Returns log det B, the whitened squares q_B = theta' B^{-1} theta,
+        the column sums of W .* W, and with ``grads`` also tr(B^{-1} E) and
+        q_E (see ``_grad_coefs``) from the n x n M = L^{-1} E L^{-T}: tr(M),
+        and the column sums of W .* (M W), with M W in ``work[1]``.
+
+        A draw's statistics may move in their last bits with the number of
+        draws in the call, which the products block by (see the module
+        docstring).
         """
         decay, chol = self._factor(tau2)
         logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-        np.copyto(work, draws)
-        # rows of the solution are L^{-1} theta_k: X L^T = Theta
-        white = _substitute(work, chol)
+        # X L' = I gives X = L^{-T}
+        inv = _substitute(np.eye(chol.shape[0], order="F"), chol).T
+        white = np.matmul(inv, thetas.T, out=work[0])
+        q_b = np.einsum("ij,ij->j", white, white)
         extra = None
         if grads:
-            E = decay * self._sqdist
-            trace = np.trace(_cho_solve(chol, E))
-            # rows of V are (B^{-1} theta_k)': X L = W, before W is squared
-            v = _substitute(np.copy(white, order="F"), chol, back=True)
-            extra = (trace, np.einsum("ij,ij->i", v, v @ E))
-        q_b = np.multiply(white, white, out=white).sum(axis=1)
+            m = inv @ (decay * self._sqdist) @ inv.T
+            extra = (np.trace(m), np.einsum("ij,ij->j", white, np.matmul(m, white, out=work[1])))
         return logdet, q_b, extra
 
     def _observation(self, thetas):
@@ -714,9 +742,9 @@ class GpRegressionModel(Model):
         theta' K^{-1} (scale E) K^{-1} theta = q_E/scale, and the last
         terms are the flat prior on (log tau1, log tau2).  Since
         scale tau2 = tau1, the q_B coefficients are 1/(2 scale tau1) and
-        -1/(2 tau1).  ``_whiten`` gives q_B = rowsum W^2 from the whitened
-        draws W = Theta L^{-T} and q_E = rowsum V .* (V E) from
-        V = W L^{-1}.
+        -1/(2 tau1).  ``_whiten`` gives q_B = colsum W .* W from the
+        whitened draws W = L^{-1} Theta', and, with M = L^{-1} E L^{-T},
+        q_E = colsum W .* (M W) and tr(B^{-1} E) = tr(M).
         """
         n = self.y.size
         tau1, tau2 = points[:, 0], points[:, 1]
@@ -738,24 +766,24 @@ class GpRegressionModel(Model):
         """One group per distinct tau2 among the points, in increasing tau2.
 
         A group takes one factor of B(tau2) and one whitening of the draws
-        (``_whiten``), shared by its log-weights, the statistics [q_B, obs,
-        1, 1] times ``_coefs``, and with ``grads`` its gradients, [q_B, q_E,
-        1] times ``_grad_coefs``.  A column depends only on its own point,
+        (``_whiten``, into one buffer per call; the draws are read, never
+        copied), shared by its log-weights, the statistics [q_B, obs, 1, 1]
+        times ``_coefs``, and with ``grads`` its gradients, [q_B, q_E, 1]
+        times ``_grad_coefs``.  A column depends only on its own point,
         never on which other points share the call.
         """
         points = self._points(points)
         thetas = self._draws(thetas)
         # the observation terms and the ones are shared by every group;
-        # obs first, so that its temporaries are gone before the draws'
-        # copies come
+        # obs first, so that its temporaries are gone before the whitening
+        # buffer comes
         obs = self._observation(thetas)
         ones = np.ones_like(obs)
-        draws = np.asfortranarray(thetas)
-        work = np.empty_like(draws, order="F")
+        work = np.empty((2 if grads else 1, thetas.shape[1], thetas.shape[0]))
         tau2s, group = np.unique(points[:, 1], return_inverse=True)
         for g, tau2 in enumerate(tau2s):
             cols = np.flatnonzero(group == g)
-            logdet, q_b, extra = self._whiten(draws, work, tau2, grads)
+            logdet, q_b, extra = self._whiten(thetas, work, tau2, grads)
             grad = ()
             if grads:
                 trace, q_e = extra

@@ -289,6 +289,21 @@ def test_gp_dataset_with_nan_fails_cleanly(tmp_path, capsys):
     assert not list(out.glob("*"))
 
 
+def test_gp_factor_that_is_not_positive_definite_fails_cleanly(tmp_path, capsys):
+    # no jitter and length scales down to 1e-7: a posterior or kernel factor
+    # fails, and the error names the key that cures it, before any file is
+    # written
+    path = tmp_path / "gp.ini"
+    path.write_text(SMALL_GP.replace("jitter_scale = 1e-9", "jitter_scale = 0")
+                    .replace("lower = 0.25 0.25", "lower = 1e-7 1e-7"))
+    out = tmp_path / "x"
+    assert run_cli("estimate", "--config", str(path), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not positive definite" in err
+    assert "[model] jitter_scale" in err
+    assert not list(out.glob("*"))
+
+
 def test_unknown_subcommand_is_a_usage_error(config_path, tmp_path):
     for argv in (("explode", "--config", config_path, "--out", str(tmp_path)),
                  ("estimate", "--config", config_path, "--out", str(tmp_path),

@@ -751,14 +751,16 @@ def long_double_gradients(fn, points):
         return (c * grads * fn._ratio_matrix(points)).sum(axis=0)[:, None]
     # the GP gradient formula of ``_grad_coefs`` per point, from the
     # whitened squares q_B and q_E of each tile and tr(B^{-1} E) of its
-    # length scale, taken as the model takes it, so this gate holds the
-    # reduction, not the trace
+    # length scale, taken as the model takes it, tr(M) for M = L^{-1} E
+    # L^{-T}, so this gate holds the reduction, not the trace (which
+    # test_gp_trace_holds_the_long_double_reference holds); tr(M) does not
+    # depend on the draws, so one draw's whitening gives its bits
     n = model.y.size
     out = np.empty(points.shape, dtype=ld)
+    work = np.empty((2, n, 1))
     tiles = mg.models.log_weight_tiles(model, thetas, points, shift=fn.emus.lse, grads=True)
     for cols, block, (dstats, _) in tiles:
-        decay, chol = model._factor(points[cols[0], 1])
-        trace = ld(np.trace(mg.models._cho_solve(chol, decay * model._sqdist)))
+        trace = ld(model._whiten(thetas[:1], work, points[cols[0], 1], True)[2][0])
         tau1, tau2 = points[cols, 0].astype(ld), ld(points[cols[0], 1])
         quad_k = dstats[0][:, None].astype(ld) * tau2 / tau1
         quad_e = dstats[1][:, None].astype(ld) * tau2 / tau1

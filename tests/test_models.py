@@ -297,22 +297,19 @@ def gp_draws_and_points(model, seed):
 def gp_log_weight_columnwise(model, thetas, points):
     """The per-column sum of the shared-factor kernel's terms, in the order
     q_B * (-1/(2 scale)), + obs, + c0, + log prior: the bit-exact reference
-    for the products of log_weight_matrix.  q_B comes from the model's own
-    factor and substitution, so this pins the product's rounding, not the
-    solve's."""
+    for the products of log_weight_matrix.  log det B and q_B come from the
+    model's own factor and whitening, so this pins the product's rounding,
+    not the solve's."""
     n = model.y.size
     resid = model.y[None, :] - thetas
     obs = -0.5 * (n * (_LOG_2PI + np.log(model.noise_var))
                   + np.sum(resid * resid, axis=1) / model.noise_var)
-    draws = np.asfortranarray(thetas)
+    work = np.empty((1, n, thetas.shape[0]))
     tau2s, group = np.unique(points[:, 1], return_inverse=True)
     log_priors = gp_log_prior(points)
     out = np.empty((thetas.shape[0], points.shape[0]))
     for g, tau2 in enumerate(tau2s):
-        chol = model._factor(tau2)[1]
-        logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-        white = mg.models._substitute(np.copy(draws, order="F"), chol)
-        q = np.sum(white * white, axis=1)
+        logdet, q, _ = model._whiten(thetas, work, tau2, False)
         for j in np.flatnonzero(group == g):
             scale = points[j, 0] / tau2
             c0 = -0.5 * (n * (_LOG_2PI + np.log(scale)) + logdet)
@@ -332,18 +329,20 @@ def gp_surface_case():
 
 
 def test_gp_whitening_holds_the_long_double_reference():
-    # q_B and q_E of the model's factor and substitution against a
-    # long-double Cholesky and whitening of the same double B(tau2), beside
-    # scipy's cholesky and dtrsm on the same draws: the gp-surface bank at
-    # its 12 tau2 values, cond(B) 15 to 1.2e10.  Both paths carry the
-    # factor's conditioning, up to 3e-7 normwise at the smallest tau2, so
-    # the bound is relative to scipy's error (floored at 1e-12 for the
-    # well-conditioned groups): measured at most 2.03 times it per group
-    # over seeds 1-20 on the default, Haswell and Sandybridge kernels.
+    # q_B and q_E of the model's factor and whitening (one product with the
+    # factor's triangular inverse) against a long-double Cholesky and
+    # whitening of the same double B(tau2), beside scipy's cholesky and
+    # dtrsm on the same draws: the gp-surface bank at its 12 tau2 values,
+    # cond(B) 15 to 1.2e10.  Both paths carry the factor's conditioning, up
+    # to 3e-7 normwise at the smallest tau2, so the bound is relative to
+    # scipy's error (floored at 1e-12 for the well-conditioned groups):
+    # measured at most 1.52 times it for q_B and 1.69 times for q_E per
+    # group over seeds 1-20 on the default, Haswell and Sandybridge kernels.
     # That error hides the solve's own (any backward-stable whitening, even
     # one through inv(B), stays within it), so q_B is also held against the
     # long-double substitution by the model's own factor: measured at most
-    # 5.0e-13 normwise, where whitening through inv(B) reads 1.9e-7
+    # 1.05e-12, 1.10e-12 and 1.22e-12 normwise on the three kernels, where
+    # whitening through inv(B) reads 1.9e-7
     # scipy's solves for all 12 tau2 go first, so that scipy's and numpy's
     # BLAS thread pools take turns once per seed, not once per call
     model = mg.GpRegressionModel(*mg.make_synthetic_gp_dataset(16, 7))
@@ -352,7 +351,7 @@ def test_gp_whitening_holds_the_long_double_reference():
     for seed in range(1, 21):
         thetas = mg.draw_sample_bank(model, grid, 64, master_seed=seed).thetas
         draws = np.asfortranarray(thetas)
-        work = np.empty_like(draws, order="F")
+        work = np.empty((2, model.y.size, len(thetas)))
         scipy_solves = []
         for tau2 in grid.axes[1]:
             chol = cholesky(np.exp(-tau2 * model._sqdist) + model.jitter_scale * eye, lower=True)
@@ -366,7 +365,7 @@ def test_gp_whitening_holds_the_long_double_reference():
             v = _long_double_backward(ref_chol, white)
             refs = (np.sum(white * white, axis=0),
                     np.sum(v * (E.astype(np.longdouble) @ v), axis=0))
-            _, q_b, (_, q_e) = model._whiten(draws, work, tau2, True)
+            _, q_b, (_, q_e) = model._whiten(thetas, work, tau2, True)
             own = _long_double_forward(own_chol.astype(np.longdouble),
                                        thetas.T.astype(np.longdouble))
             own = np.sum(own * own, axis=0)
@@ -376,6 +375,29 @@ def test_gp_whitening_holds_the_long_double_reference():
                 scale = np.max(np.abs(ref))
                 err, scipy_err = (float(np.max(np.abs(q - ref)) / scale) for q in (ours, scipys))
                 assert err <= 3.0 * max(scipy_err, 1e-12), (seed, tau2, err, scipy_err)
+
+
+def test_gp_trace_holds_the_long_double_reference():
+    # tr(B^{-1} E), which enters every tau2 gradient, as the model takes it
+    # (tr(M), M = L^{-1} E L^{-T}), against a long-double solve by the
+    # model's own double factor L at gp-surface's 12 tau2 values: measured
+    # at most 1.6e-10, 1.7e-10 and 3.2e-10 relative on the default, Haswell
+    # and Sandybridge kernels, all at tau2 <= 1 (cond(B) 1e6 to 1.2e10;
+    # 1.5e-12 or less from tau2 = 1.47 up), where two substitutions by the
+    # same factor read up to 1.5e-9 and a solve through inv(B) would carry
+    # cond(B) eps.  Against a long-double Cholesky of B itself, tr(M), the
+    # substitutions and scipy's cho_solve all read up to about 6e-9: that is
+    # the factor's conditioning, not the solve's, so it bounds nothing here
+    model = mg.GpRegressionModel(*mg.make_synthetic_gp_dataset(16, 7))
+    grid = mg.make_regular_grid(mg.Domain([0.1, 0.1], [10.0, 10.0]), [12, 12], "log")
+    work = np.empty((2, model.y.size, 1))
+    for tau2 in grid.axes[1]:
+        decay, chol = model._factor(tau2)
+        trace = model._whiten(np.zeros((1, model.y.size)), work, tau2, True)[2][0]
+        own = chol.astype(np.longdouble)
+        ref = np.trace(_long_double_backward(own, _long_double_forward(
+            own, (decay * model._sqdist).astype(np.longdouble))))
+        assert abs(trace - ref) <= 1e-9 * abs(ref), (tau2, float(abs(trace - ref) / ref))
 
 
 def gp_small_case():
@@ -784,6 +806,25 @@ def test_gp_rejects_bad_inputs():
     model = mg.GpRegressionModel([0.0], [1.0])
     with pytest.raises(ValueError):
         model.log_marginal_likelihood((1.0, -1.0))
+
+
+def test_gp_factor_that_is_not_positive_definite_names_jitter_scale():
+    # without jitter, B(tau2) at a tiny tau2 is a near all-ones matrix of
+    # numerical rank far below n, and C_lam at a huge scale swamps the noise
+    # variance: the error names the value and the key that cures it, not
+    # numpy's bare "Matrix is not positive definite"
+    model = mg.GpRegressionModel(*mg.make_synthetic_gp_dataset(8, 3), jitter_scale=0.0)
+    thetas = np.zeros((3, 8))
+    for call, named in ((lambda: model._factor(1e-7), r"tau2 = 1e-07"),
+                        (lambda: model.log_weight_matrix(thetas, [[1.0, 1e-7]]), r"tau2 = 1e-07"),
+                        (lambda: model._cov_factor([1e12, 1e-7]),
+                         r"lam = \(1000000000000.0, 1e-07\)"),
+                        (lambda: model.exact_log_u([1e12, 1e-7]), r"lam = \(1000000000000.0")):
+        with pytest.raises(ValueError, match=named) as exc:
+            call()
+        assert "not positive definite" in str(exc.value)
+        assert "[model] jitter_scale" in str(exc.value)
+        assert not isinstance(exc.value, np.linalg.LinAlgError)
 
 
 def test_synthetic_dataset_is_deterministic():

@@ -12,7 +12,6 @@ new sampling effort round out the toolkit.
 from .baselines import (
     GibbsTrace,
     run_griddy_chains,
-    run_griddy_gibbs,
 )
 from .design import (
     DesignState,
@@ -28,7 +27,6 @@ from .diagnostics import (
     pointwise_variance_bound,
     spectral_gap,
     variance_diagnostics,
-    weight_ratio_variances,
 )
 from .emus import (
     EmusEstimate,
@@ -96,11 +94,11 @@ __all__ = [
     "SampleBank", "EmusEstimate", "child_rng",
     "draw_sample_bank", "estimate_transition_matrix",
     "stationary_vector", "fit_emus",
-    "hitting_probabilities", "weight_ratio_variances",
+    "hitting_probabilities",
     "pointwise_variance_bound", "VarianceDiagnostics", "variance_diagnostics",
     "group_inverse", "spectral_gap",
     "FunctionalEstimate", "profile", "argmax_on",
-    "GibbsTrace", "run_griddy_gibbs", "run_griddy_chains",
+    "GibbsTrace", "run_griddy_chains",
     "optimal_weights", "incremental_weights",
     "pivotal_sample", "DesignState", "run_design_loop",
     "enumerate_discrete_transition", "enumerate_discrete_kernel",

@@ -27,7 +27,7 @@ from .errors import DegenerateWeightError
 from .grids import HyperGrid
 from .models import Model
 
-__all__ = ["GibbsTrace", "run_griddy_gibbs", "run_griddy_chains"]
+__all__ = ["GibbsTrace", "run_griddy_chains"]
 
 
 @dataclass
@@ -48,14 +48,6 @@ class GibbsTrace:
         if self.kept <= 0:
             raise ValueError("no post-burn-in iterations were kept")
         return self.visits * (self.visits.size / self.kept)
-
-
-def run_griddy_gibbs(model: Model, grid: HyperGrid, n_iter: int,
-                     rng: np.random.Generator, burn_in: int = 0,
-                     init_state: int | None = None) -> GibbsTrace:
-    """One griddy Gibbs chain: the one-chain case of :func:`run_griddy_chains`."""
-    return run_griddy_chains(model, grid, n_iter, rng, 1, burn_in=burn_in,
-                             init_state=init_state)[0]
 
 
 def run_griddy_chains(model: Model, grid: HyperGrid, n_iter: int,

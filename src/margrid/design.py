@@ -208,7 +208,7 @@ def pivotal_sample(expected_counts: np.ndarray, rng: np.random.Generator) -> np.
     total = p.sum()
     B = int(round(total))
     if abs(total - B) > 1e-6:
-        raise ValueError(f"expected counts must sum to an integer, got {total!r}")
+        raise ValueError(f"expected counts must sum to an integer, got {float(total)!r}")
     base = np.floor(p).astype(int)
     frac = p - base
     snap_high = frac > 1.0 - 1e-9

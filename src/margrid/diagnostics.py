@@ -27,7 +27,6 @@ from .errors import NotReversibleError, ReducibleChainError
 
 __all__ = [
     "hitting_probabilities",
-    "weight_ratio_variances",
     "pointwise_variance_bound",
     "VarianceDiagnostics",
     "variance_diagnostics",
@@ -142,20 +141,6 @@ def _finite(N: np.ndarray) -> np.ndarray:
     return N
 
 
-def weight_ratio_variances(estimate: EmusEstimate) -> np.ndarray:
-    """Unbiased per-row variances R[i, j] of the normalized weights.
-
-    R[i, j] is the sample variance (denominator N_i - 1) over the draws
-    at grid point i of the normalized weight against column j, i.e. the
-    quantity whose row means form the transition matrix.  Rows with a
-    single draw are unavailable and reported as NaN, never as zero.  The
-    fit computes R in the same tiled pass as the matrix
-    (:func:`margrid.emus.estimate_transition_matrix`), and this returns
-    the R the estimate holds.
-    """
-    return estimate.ratio_variances
-
-
 def _bound_terms(R: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """Per-row grid terms L sum_{j != i} R_ij / Q_ij^2 of the variance bound.
 
@@ -192,7 +177,7 @@ def variance_diagnostics(estimate: EmusEstimate) -> VarianceDiagnostics:
     matrix.  ``eq_sample`` records whether every point got the same
     number of draws; it is recorded, not enforced.
     """
-    R = weight_ratio_variances(estimate)
+    R = estimate.ratio_variances
     Q = hitting_probabilities(estimate.transition)
     counts = estimate.counts
     w = counts / counts.sum()

@@ -75,12 +75,13 @@ one call are written into one buffer, so a yielded tile is valid only
 until the next one is requested, and a caller that keeps one copies it.
 
 Every model runs on numpy alone.  The GP model's Cholesky factors are
-``np.linalg.cholesky``, its small triangular solves one substitution
-(``_substitute``), which also gives each factor's inverse for the
-whitening product, and the toy component weight is scipy's ``expit``
-formula written in numpy, so no margrid run imports scipy's linear
-algebra: a process pays neither its import nor a second BLAS library,
-whose thread pool would alternate with numpy's.
+``np.linalg.cholesky``, every solve by one is a product with its
+triangular inverse (``_tri_inverse``, one substitution loop on the
+identity): the whitening of the draws, the posterior and the exact
+marginal.  The toy component weight is scipy's ``expit`` formula written
+in numpy, so no margrid run imports scipy's linear algebra: a process
+pays neither its import nor a second BLAS library, whose thread pool
+would alternate with numpy's.
 """
 
 from __future__ import annotations
@@ -118,35 +119,25 @@ def _gauss_logpdf(x, mean, var):
     return -0.5 * (_LOG_2PI + np.log(var) + (x - mean) ** 2 / var)
 
 
-def _substitute(work, chol, back=False):
-    """Solve X L' = B, or X L = B with ``back``, in place, for a lower
-    triangular (n, n) ``chol``: ``work`` is a Fortran-ordered (k, n) array
-    whose k rows are right-hand sides, holding B on entry and X on return.
+def _tri_inverse(chol):
+    """L^{-1} of a lower triangular (n, n) ``chol``, as a C-ordered array
+    exact to the triangle: the entries above the diagonal are exact zeros.
 
-    Column i of X is one matrix-vector product of the columns already
-    solved and column i of B, [X[:, :i], B[:, i]] @ [-L[i, :i], 1] (with
-    ``back``, [B[:, i], X[:, i+1:]] @ [1, -L[i+1:, i]], last column first),
-    then one divide by L[i, i].  The solved columns sit beside B's column
-    in ``work``, so each product reads one contiguous block.
+    Row i of L^{-1} is one matrix-vector product of the rows already solved
+    and row i of the identity, [L^{-1}[:i]; e_i]' @ [-L[i, :i], 1], then
+    one divide by L[i, i].  The rows are the columns of a Fortran-ordered
+    work array, whose transpose is returned, so each product reads one
+    contiguous block.
     """
     n = chol.shape[0]
-    coefs = np.negative(chol.T if back else chol, order="C")
+    coefs = np.negative(chol, order="C")
     np.fill_diagonal(coefs, 1.0)
-    col = np.empty(work.shape[0])
-    for i in (range(n - 1, -1, -1) if back else range(n)):
-        span = slice(i, n) if back else slice(0, i + 1)
-        np.matmul(work[:, span], coefs[i, span], out=col)
+    work = np.eye(n, order="F")
+    col = np.empty(n)
+    for i in range(n):
+        np.matmul(work[:, :i + 1], coefs[i, :i + 1], out=col)
         np.divide(col, chol[i, i], out=work[:, i])
-    return work
-
-
-def _cho_solve(chol, rhs):
-    """(L L')^{-1} rhs for the lower Cholesky factor L and an (n, m) rhs, by
-    two substitutions (:func:`_substitute`) in a fresh C-ordered array,
-    whose transpose holds the m right-hand sides as Fortran-ordered rows."""
-    out = np.array(rhs, dtype=float, order="C")
-    _substitute(_substitute(out.T, chol), chol, back=True)
-    return out
+    return work.T
 
 
 def _stats_times_coefs(stats, coefs, out=None):
@@ -211,10 +202,10 @@ def log_weight_tiles(model, thetas, points, rows=None, shift=None, grads=False):
     array the caller may overwrite, valid until the next one is requested.
 
     For a model with factors, the groups' statistics and coefficients are
-    stacked once per call (``_stacked_factors``, or the one group's
-    statistics side by side), so a row range is one product, and all
-    ranges share one buffer sized for the largest.  A curve's tiles append
-    the statistic -shift with coefficient 1 to each group's product.
+    stacked once per call (``_stacked_factors``), so a row range is one
+    product, and all ranges share one buffer sized for the largest.  A
+    curve's tiles append the statistic -shift with coefficient 1 to each
+    group's product.
     Within a group, tiles start at multiples of T = 16 max(1, TILE_BYTES //
     (128 N)) columns (16 columns of N draws take 128 N bytes) and the last
     takes the remaining columns, so it is T to 2T - 1 wide: a column keeps
@@ -241,10 +232,7 @@ def log_weight_tiles(model, thetas, points, rows=None, shift=None, grads=False):
         return
     if shift is None:
         groups = list(model.log_weight_factors(thetas, points))
-        if len(groups) == 1:  # every column in order
-            stats, coefs = np.column_stack(groups[0][1]), groups[0][2]
-        else:
-            stats, coefs = _stacked_factors(groups, len(thetas))
+        stats, coefs = _stacked_factors(groups, len(thetas))
         del groups
         bounds = (0, stats.shape[0]) if rows is None else rows
         buf = np.empty((max((b - a for a, b in zip(bounds[:-1], bounds[1:])), default=0),
@@ -345,11 +333,12 @@ class Model:
         return next(log_weight_tiles(self, thetas, points))
 
 
-def _as_lambda(lam) -> np.ndarray:
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    if lam.ndim != 1:
-        raise ValueError("a hyperparameter value must be a flat vector")
-    return lam
+def _single(rows):
+    """The one row of a model's checked hyperparameter values (or of their
+    table columns): the callers that take a single value read it here."""
+    if len(rows) != 1:
+        raise ValueError(f"expected one hyperparameter value, got {len(rows)}")
+    return rows[0]
 
 
 class DiscreteModel(Model):
@@ -394,11 +383,12 @@ class DiscreteModel(Model):
         hits = np.abs(points - self.atom_values[None, :]) <= 1e-9
         missing = ~hits.any(axis=1)
         if np.any(missing):
-            raise GridError(f"lambda={points[missing][0, 0]!r} does not match any model atom")
+            raise GridError(
+                f"lambda={float(points[missing][0, 0])!r} does not match any model atom")
         return np.argmax(hits, axis=1)
 
     def column_of(self, lam) -> int:
-        return int(self._columns(_as_lambda(lam)[None, :])[0])
+        return int(_single(self._columns(lam)))
 
     def grid(self, columns=None) -> HyperGrid:
         """Explicit grid over a subset of the lambda-atoms (all by default)."""
@@ -526,7 +516,7 @@ class ToyBimodalModel(Model):
         return _MixtureSampler(*self._local_mixture(self._points(grid.points)[:, 0]))
 
     def exact_log_u(self, lam) -> float:
-        lam = _as_lambda(lam)[0]
+        lam = _single(self._points(lam))[0]
         s = 1.0 / self.q + 1.0 / self.tau
         return float(
             np.log(0.5)
@@ -584,12 +574,12 @@ class GpRegressionModel(Model):
     first draw, and the exact marginal.  The model keeps its last grid's
     sampler, so repeated banks on one grid factor each point once.
 
-    The factors are ``np.linalg.cholesky``.  A group whitens all draws by
-    one product with the factor's triangular inverse (``_whiten``), and the
-    small solves, that inverse, the posterior gain and the exact marginal,
-    go through one substitution helper (``_substitute``), so the model runs
-    on numpy alone.  A factor that is not positive definite raises a
-    ValueError naming its tau2 or lam and ``jitter_scale``.
+    The factors are ``np.linalg.cholesky``, and every solve by one is a
+    product with its triangular inverse (``_tri_inverse``): a group whitens
+    all draws by one product (``_whiten``), the posterior takes L^{-1} C
+    and L^{-1} y (``_posterior``), and the exact marginal |L^{-1} y|^2, so
+    the model runs on numpy alone.  A factor that is not positive definite
+    raises a ValueError naming its tau2 or lam and ``jitter_scale``.
     """
 
     def __init__(self, x, y, noise_var: float = 1.0 / 16.0, jitter_scale: float = 1e-9):
@@ -620,11 +610,7 @@ class GpRegressionModel(Model):
 
     def _cov_factor(self, lam):
         """C_lam and the lower Cholesky factor of C_lam + noise_var I."""
-        lam = _as_lambda(lam)
-        # written so that NaN fails it too
-        if lam.size != 2 or not np.all((lam > 0) & (lam < np.inf)):
-            raise ValueError("lam must be a finite positive pair (tau1, tau2)")
-        tau1, tau2 = float(lam[0]), float(lam[1])
+        tau1, tau2 = map(float, _single(self._points(lam)))
         kernel = (tau1 / tau2) * np.exp(-tau2 * self._sqdist)
         jitter = self.jitter_scale * (tau1 / tau2)
         cov = kernel + jitter * np.eye(self.y.size)
@@ -633,12 +619,18 @@ class GpRegressionModel(Model):
             f"the GP covariance C_lam + noise_var I at lam = {(tau1, tau2)}")
 
     def _posterior(self, lam):
-        """Mean and lower Cholesky factor of the posterior of theta at lam."""
+        """Mean and lower Cholesky factor of the posterior of theta at lam.
+
+        With L the factor of C + noise_var I and V = L^{-1} C, the mean
+        C (C + noise_var I)^{-1} y is V' (L^{-1} y) and the covariance
+        C - C (C + noise_var I)^{-1} C is C - V' V, exactly symmetric: V' V
+        is one symmetric rank-k update, and C is symmetric.
+        """
         cov, chol_noisy = self._cov_factor(lam)
-        gain = _cho_solve(chol_noisy, cov)  # (C + s2 I)^{-1} C
-        mean = gain.T @ self.y
-        post = cov - cov @ gain
-        post = 0.5 * (post + post.T)
+        inv = _tri_inverse(chol_noisy)
+        v = inv @ cov
+        mean = v.T @ (inv @ self.y)
+        post = cov - v.T @ v
         bump = 1e-12 * max(np.trace(post) / post.shape[0], 1.0)
         return mean, self._cholesky(
             post + bump * np.eye(post.shape[0]),
@@ -666,10 +658,15 @@ class GpRegressionModel(Model):
             raise ValueError("lam must be a finite positive pair (tau1, tau2)")
         return points
 
-    @staticmethod
-    def _draws(thetas) -> np.ndarray:
+    def _draws(self, thetas) -> np.ndarray:
+        """The draws as an (N, n) array; one draw may come as a vector."""
         thetas = np.asarray(thetas, dtype=float)
-        return thetas[None, :] if thetas.ndim == 1 else thetas
+        if thetas.ndim == 1:
+            thetas = thetas[None, :]
+        if thetas.ndim != 2 or thetas.shape[1] != self.y.size:
+            raise ValueError(f"GP draws must be an (N, {self.y.size}) array of function "
+                             f"values at the inputs, got shape {thetas.shape}")
+        return thetas
 
     def _factor(self, tau2):
         """exp(-tau2 D) for the squared distances D, and the lower Cholesky
@@ -680,12 +677,12 @@ class GpRegressionModel(Model):
 
     def _whiten(self, thetas, work, tau2, grads: bool):
         """The per-tau2 kernel: one factor L of B(tau2), its triangular
-        inverse L^{-1} (:func:`_substitute` of the identity, exact to the
-        triangle), and one product whitening every draw at once, W =
-        L^{-1} Theta', written into ``work[0]``.  ``work`` is a C-ordered
-        (k, n, N) array that the caller allocates once and this overwrites,
-        k = 2 with ``grads`` and 1 without; the draws are W's columns, so
-        ``thetas.T`` is read as a view and never copied.
+        inverse L^{-1} (:func:`_tri_inverse`), and one product whitening
+        every draw at once, W = L^{-1} Theta', written into ``work[0]``.
+        ``work`` is a C-ordered (k, n, N) array that the caller allocates
+        once and this overwrites, k = 2 with ``grads`` and 1 without; the
+        draws are W's columns, so ``thetas.T`` is read as a view and never
+        copied.
 
         Returns log det B, the whitened squares q_B = theta' B^{-1} theta,
         the column sums of W .* W, and with ``grads`` also tr(B^{-1} E) and
@@ -698,8 +695,7 @@ class GpRegressionModel(Model):
         """
         decay, chol = self._factor(tau2)
         logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-        # X L' = I gives X = L^{-T}
-        inv = _substitute(np.eye(chol.shape[0], order="F"), chol).T
+        inv = _tri_inverse(chol)
         white = np.matmul(inv, thetas.T, out=work[0])
         q_b = np.einsum("ij,ij->j", white, white)
         extra = None
@@ -800,16 +796,16 @@ class GpRegressionModel(Model):
         return self._sampler
 
     def log_marginal_likelihood(self, lam) -> float:
-        """log N(y; 0, C_lam + noise_var I), the exact log z(lam)."""
+        """log N(y; 0, C_lam + noise_var I), the exact log z(lam): with L
+        the factor of C_lam + noise_var I, -(n log 2 pi + log det
+        + |L^{-1} y|^2) / 2."""
         chol_noisy = self._cov_factor(lam)[1]
-        n = self.y.size
-        alpha = _cho_solve(chol_noisy, self.y[:, None])[:, 0]
+        white = _tri_inverse(chol_noisy) @ self.y
         logdet_noisy = 2.0 * np.sum(np.log(np.diag(chol_noisy)))
-        return float(-0.5 * (n * _LOG_2PI + logdet_noisy + self.y @ alpha))
+        return float(-0.5 * (self.y.size * _LOG_2PI + logdet_noisy + white @ white))
 
     def exact_log_u(self, lam) -> float:
-        return self.log_marginal_likelihood(lam) + float(
-            self._log_priors(_as_lambda(lam)[None, :])[0])
+        return self.log_marginal_likelihood(lam) + float(self._log_priors(self._points(lam))[0])
 
 
 class _PosteriorSampler(GridSampler):

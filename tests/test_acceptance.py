@@ -174,7 +174,7 @@ def test_criterion_05_grid_estimator_beats_single_chain():
         )
         est = mg.fit_emus(bank, model, on_degenerate="truncate")
         emus_err.append(mg.mean_abs_error(est.stationary, exact))
-        trace = mg.run_griddy_gibbs(model, grid, n_iter, mg.child_rng(SEED, 1, r))
+        trace = mg.run_griddy_chains(model, grid, n_iter, mg.child_rng(SEED, 1, r), 1)[0]
         gibbs_err.append(mg.mean_abs_error(trace.stationary_estimate(), exact))
     e_mean = float(np.mean(emus_err))
     g_mean = float(np.mean(gibbs_err))
@@ -184,7 +184,7 @@ def test_criterion_05_grid_estimator_beats_single_chain():
     signs = np.sign(grid.points[:, 0])
     trapped = 0
     for r in range(reps):
-        trace = mg.run_griddy_gibbs(hot, grid, n_iter, mg.child_rng(SEED, 2, r))
+        trace = mg.run_griddy_chains(hot, grid, n_iter, mg.child_rng(SEED, 2, r), 1)[0]
         neg = int(trace.visits[signs < 0].sum())
         pos = int(trace.visits[signs > 0].sum())
         trapped += (neg == 0) or (pos == 0)

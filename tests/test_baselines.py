@@ -53,23 +53,19 @@ def _equivalence_case(case, request):
 
 def test_gibbs_single_point_grid_counts_everything(toy_model):
     grid = mg.make_regular_grid(mg.Domain(-2.0, 2.0), 1)
-    trace = mg.run_griddy_gibbs(toy_model, grid, 50, np.random.default_rng(0))
+    trace, = mg.run_griddy_chains(toy_model, grid, 50, np.random.default_rng(0), 1)
     assert trace.visits.tolist() == [50]
     np.testing.assert_allclose(trace.stationary_estimate(), [1.0])
 
 
 def test_gibbs_burn_in_accounting(toy_model, toy_grid):
-    def one_chain(n_iter, **kwargs):
-        return [mg.run_griddy_gibbs(toy_model, toy_grid, n_iter,
-                                    np.random.default_rng(1), **kwargs)]
+    for n_chains in (1, 3):
+        def run(n_iter, **kwargs):
+            return mg.run_griddy_chains(toy_model, toy_grid, n_iter, np.random.default_rng(1),
+                                        n_chains, **kwargs)
 
-    def three_chains(n_iter, **kwargs):
-        return mg.run_griddy_chains(toy_model, toy_grid, n_iter, np.random.default_rng(1), 3,
-                                    **kwargs)
-
-    for run, n_traces in ((one_chain, 1), (three_chains, 3)):
         traces = run(40, burn_in=15)
-        assert len(traces) == n_traces
+        assert len(traces) == n_chains
         for trace in traces:
             assert trace.kept == 25
             assert trace.visits.sum() == 25
@@ -83,8 +79,8 @@ def test_gibbs_burn_in_accounting(toy_model, toy_grid):
 
 
 def test_gibbs_is_reproducible(toy_model, toy_grid):
-    a = mg.run_griddy_gibbs(toy_model, toy_grid, 60, np.random.default_rng(7))
-    b = mg.run_griddy_gibbs(toy_model, toy_grid, 60, np.random.default_rng(7))
+    a, = mg.run_griddy_chains(toy_model, toy_grid, 60, np.random.default_rng(7), 1)
+    b, = mg.run_griddy_chains(toy_model, toy_grid, 60, np.random.default_rng(7), 1)
     np.testing.assert_array_equal(a.visits, b.visits)
     assert a.init_state == len(toy_grid) // 2
 
@@ -93,8 +89,8 @@ def test_gibbs_consistent_on_discrete_oracle(asym_model):
     # Long chain on the two-atom model: visit frequencies approach the
     # exact stationary law (8/7, 6/7) because the latent atoms overlap.
     grid = asym_model.grid()
-    trace = mg.run_griddy_gibbs(
-        asym_model, grid, 60_000, np.random.default_rng(3), burn_in=1000)
+    trace, = mg.run_griddy_chains(
+        asym_model, grid, 60_000, np.random.default_rng(3), 1, burn_in=1000)
     est = trace.stationary_estimate()
     np.testing.assert_allclose(est, [8.0 / 7.0, 6.0 / 7.0], atol=0.05)
 
@@ -105,8 +101,8 @@ def test_gibbs_traps_in_one_mode_when_local_densities_separate():
     # side of the grid ends up with all the visits.
     model = mg.ToyBimodalModel(y=1.0, q=1000.0, tau=1000.0)
     grid = mg.make_regular_grid(mg.Domain(-2.0, 2.0), 8)
-    trace = mg.run_griddy_gibbs(
-        model, grid, 2000, np.random.default_rng(11), init_state=1)
+    trace, = mg.run_griddy_chains(
+        model, grid, 2000, np.random.default_rng(11), 1, init_state=1)
     signs = np.sign(grid.points[:, 0])
     neg = trace.visits[signs < 0].sum()
     pos = trace.visits[signs > 0].sum()
@@ -122,7 +118,7 @@ def test_lockstep_chains_match_the_one_chain_oracle(case, request):
     n_iter = 40 if case == "gp-2x2" else 300
     for seed in (5, 6, 7):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        one = mg.run_griddy_gibbs(model, grid, n_iter, rng, burn_in=10)
+        one, = mg.run_griddy_chains(model, grid, n_iter, rng, 1, burn_in=10)
         ref = griddy_gibbs_oracle(model, grid, n_iter, ref_rng, burn_in=10)
         np.testing.assert_array_equal(one.visits, ref.visits)
         assert rng.bit_generator.state == ref_rng.bit_generator.state

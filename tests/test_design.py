@@ -422,6 +422,9 @@ def test_pivotal_validates_input():
         pivotal_sample(np.array([-0.5, 1.5]), np.random.default_rng(0))
     with pytest.raises(ValueError):
         pivotal_sample(np.array([0.4, 0.3]), np.random.default_rng(0))
+    # the total as a plain number, not numpy's scalar repr
+    with pytest.raises(ValueError, match=r"sum to an integer, got 1\.5$"):
+        pivotal_sample(np.array([0.5, 1.0]), np.random.default_rng(0))
 
 
 @given(st.integers(2, 8), st.integers(1, 6), st.integers(0, 2**32 - 1))

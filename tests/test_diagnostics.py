@@ -321,7 +321,7 @@ def test_killed_inverse_in_place_is_the_block_assembly(m):
 
 
 def test_weight_ratio_variances_match_numpy(toy_fit, toy_model):
-    R = mg.weight_ratio_variances(toy_fit)
+    R = toy_fit.ratio_variances
     bank = toy_fit.bank
     # the normalized weights, built here from the model's whole matrix
     logw = np.array(toy_model.log_weight_matrix(bank.thetas, bank.grid.points), dtype=float)

@@ -304,7 +304,7 @@ def test_kernel_ratio_variances_at_grid_point(toy_fit, toy_model):
     # At a simulation column the kernel weights coincide with the
     # normalized transition weights, so their variances match R there.
     fn = mg.FunctionalEstimate(toy_fit, toy_model)
-    R = mg.weight_ratio_variances(toy_fit)
+    R = toy_fit.ratio_variances
     j = 3
     ratios = fn._ratio_matrix([toy_fit.grid.points[j]])[:, 0]
     np.testing.assert_allclose(

@@ -151,6 +151,13 @@ def test_toy_rejects_nonpositive_precisions():
                 {"y": np.inf}, {"y": np.nan}):
         with pytest.raises(ValueError):
             mg.ToyBimodalModel(**bad)
+    # the closed form checks its value as the log-weights do: a NaN is no
+    # NaN marginal, and a second coordinate is not dropped
+    model = mg.ToyBimodalModel()
+    for lam, named in ((np.nan, "must be finite"), (np.inf, "must be finite"),
+                       ([1.0, 2.0], "one-dimensional"), ([[1.0], [2.0]], "one hyperparameter")):
+        with pytest.raises(ValueError, match=named):
+            model.exact_log_u(lam)
 
 
 # -- Gaussian process regression model ---------------------------------
@@ -398,6 +405,42 @@ def test_gp_trace_holds_the_long_double_reference():
         ref = np.trace(_long_double_backward(own, _long_double_forward(
             own, (decay * model._sqdist).astype(np.longdouble))))
         assert abs(trace - ref) <= 1e-9 * abs(ref), (tau2, float(abs(trace - ref) / ref))
+
+
+def test_gp_posterior_and_marginal_hold_the_long_double_reference():
+    # the posterior mean and covariance that the sampler draws from, and the
+    # exact log z(lam), all products with the triangular inverse of the
+    # factor L of C_lam + noise_var I, against a long-double solve by the
+    # model's own double factor at every point of gp-surface's 24x24
+    # evaluation grid.  Errors are max-abs over the reference's max-abs for
+    # the mean and covariance, and relative for log z: measured at most
+    # 1.28e-12, 6.69e-12 and 2.42e-15 over the default, Haswell and
+    # Sandybridge kernels, where two substitutions by the same factor read
+    # 1.32e-13, 1.04e-12 and 6.27e-16, all far below the model's 1e-9
+    # relative jitter.  The covariance is read back from the sampler's
+    # factor, whose own error, at most 6.1e-16 of the largest entry, is
+    # negligible beside the bound
+    model = mg.GpRegressionModel(*mg.make_synthetic_gp_dataset(16, 7))
+    points = mg.make_regular_grid(mg.Domain([0.1, 0.1], [10.0, 10.0]), [24, 24], "log").points
+    ld = np.longdouble
+    n = model.y.size
+    y = model.y.astype(ld)
+    log_2pi = np.log(2 * np.arccos(ld(-1)))
+    for lam in points:
+        cov, chol = model._cov_factor(lam)
+        own, cov = chol.astype(ld), cov.astype(ld)
+        gain = _long_double_backward(own, _long_double_forward(own, cov))
+        mean_ref, post_ref = gain.T @ y, cov - cov @ gain
+        white = _long_double_forward(own, y[:, None])[:, 0]
+        log_z_ref = -(n * log_2pi + 2 * np.sum(np.log(np.diag(own))) + white @ white) / 2
+        mean, chol_post = model._posterior(lam)
+        bump = 1e-12 * max(float(np.trace(post_ref)) / n, 1.0)
+        post = chol_post @ chol_post.T - bump * np.eye(n)
+        for got, ref, bound in ((mean, mean_ref, 4e-12), (post, post_ref, 2e-11)):
+            err = float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
+            assert err <= bound, (tuple(lam), err)
+        err = float(abs(model.log_marginal_likelihood(lam) - log_z_ref) / abs(log_z_ref))
+        assert err <= 8e-15, (tuple(lam), err)
 
 
 def gp_small_case():
@@ -806,6 +849,12 @@ def test_gp_rejects_bad_inputs():
     model = mg.GpRegressionModel([0.0], [1.0])
     with pytest.raises(ValueError):
         model.log_marginal_likelihood((1.0, -1.0))
+    # draws of the wrong length or rank: margrid's own message, neither
+    # numpy's broadcast error nor a matrix of the wrong shape
+    model = mg.GpRegressionModel(*mg.make_synthetic_gp_dataset(4, 1))
+    for thetas in (np.zeros((3, 5)), np.zeros((3, 4, 1)), np.zeros(5)):
+        with pytest.raises(ValueError, match=r"GP draws must be an \(N, 4\) array"):
+            model.log_weight_matrix(thetas, [[1.0, 1.0]])
 
 
 def test_gp_factor_that_is_not_positive_definite_names_jitter_scale():
@@ -841,7 +890,8 @@ def test_synthetic_dataset_is_deterministic():
 def test_discrete_column_lookup(asym_model):
     assert asym_model.column_of(0.0) == 0
     assert asym_model.column_of(1.0) == 1
-    with pytest.raises(mg.GridError):
+    # the value as a plain number, not numpy's scalar repr
+    with pytest.raises(mg.GridError, match=r"^lambda=0\.5 does not match"):
         asym_model.column_of(0.5)
 
 

@@ -6,7 +6,7 @@ use the local density psi_lam and the prior p(lam) only as their product:
 - ``sampler(grid)``: a :class:`GridSampler` bound to the points of one
   grid, the only values at which the pipeline draws (banks, design blocks
   and griddy Gibbs states).  It holds each point's state, computed once:
-  the toy mixture, the discrete CDF row, the GP posterior mean and factor.
+  the toy mixture, the discrete CDF row, the GP posterior mean and root.
   Its ``draw(i, rng, size)`` gives exact draws at point i from the
   normalized local density pi_lam = psi_lam / z(lam), for banks and design
   blocks; its ``draw_rows(rows, rng)`` gives one draw per grid index, all
@@ -74,14 +74,14 @@ entry's own terms, so it rounds as each group's product.  All tiles of
 one call are written into one buffer, so a yielded tile is valid only
 until the next one is requested, and a caller that keeps one copies it.
 
-Every model runs on numpy alone.  The GP model's Cholesky factors are
-``np.linalg.cholesky``, every solve by one is a product with its
-triangular inverse (``_tri_inverse``, one substitution loop on the
-identity): the whitening of the draws, the posterior and the exact
-marginal.  The toy component weight is scipy's ``expit`` formula written
-in numpy, so no margrid run imports scipy's linear algebra: a process
-pays neither its import nor a second BLAS library, whose thread pool
-would alternate with numpy's.
+Every model runs on numpy alone.  The GP model whitens the draws with
+the triangular inverse (``_tri_inverse``, one substitution loop on the
+identity) of a ``np.linalg.cholesky`` factor of B(tau2), and takes its
+posterior and exact marginal from one ``np.linalg.eigh`` of B(tau2).  The
+toy component weight is scipy's ``expit`` formula written in numpy, so no
+margrid run imports scipy's linear algebra: a process pays neither its
+import nor a second BLAS library, whose thread pool would alternate with
+numpy's.
 """
 
 from __future__ import annotations
@@ -122,6 +122,8 @@ def _gauss_logpdf(x, mean, var):
 def _tri_inverse(chol):
     """L^{-1} of a lower triangular (n, n) ``chol``, as a C-ordered array
     exact to the triangle: the entries above the diagonal are exact zeros.
+    The GP model whitens its draws, and takes the trace of its gradients,
+    by products with it (``GpRegressionModel._whiten``).
 
     Row i of L^{-1} is one matrix-vector product of the rows already solved
     and row i of the identity, [L^{-1}[:i]; e_i]' @ [-L[i, :i], 1], then
@@ -569,17 +571,19 @@ class GpRegressionModel(Model):
 
     with the log prior last: one group of columns per tau2, whose
     gradients come from the same factor and whitening (``_grad_coefs``).
-    The per-value factorization of C_lam + noise_var I (``_cov_factor``)
-    serves the sampler, which factors each grid point's posterior on its
-    first draw, and the exact marginal.  The model keeps its last grid's
-    sampler, so repeated banks on one grid factor each point once.
+    The factor is ``np.linalg.cholesky``, and a group whitens all draws by
+    one product with its triangular inverse (``_whiten``).
 
-    The factors are ``np.linalg.cholesky``, and every solve by one is a
-    product with its triangular inverse (``_tri_inverse``): a group whitens
-    all draws by one product (``_whiten``), the posterior takes L^{-1} C
-    and L^{-1} y (``_posterior``), and the exact marginal |L^{-1} y|^2, so
-    the model runs on numpy alone.  A factor that is not positive definite
-    raises a ValueError naming its tau2 or lam and ``jitter_scale``.
+    The posterior and the exact marginal take one spectrum B(tau2) = Q
+    diag(Lam) Q' per tau2 instead (``_spectrum``; Rasmussen and Williams
+    2006, sections 2.2-2.3).  With d = (tau1/tau2) Lam and e = d +
+    noise_var, the posterior mean is Q (d/e .* Q'y), its covariance has the
+    root Q diag(sqrt(d noise_var / e)), with no second factorization, and
+    log z = -(n log 2 pi + sum log e + sum (Q'y)^2 / e) / 2.  The sampler
+    builds its points' means and roots at construction, and the model
+    keeps its last grid's sampler, so repeated banks on one grid take no
+    further spectrum.  A B(tau2) of numerical rank below n raises one
+    ValueError naming tau2 and ``jitter_scale`` (``_check``).
     """
 
     def __init__(self, x, y, noise_var: float = 1.0 / 16.0, jitter_scale: float = 1e-9):
@@ -606,47 +610,6 @@ class GpRegressionModel(Model):
         self._sqdist = np.sum(diff * diff, axis=-1)
         self._sampler = None
 
-    # -- kernel factorizations at one hyperparameter value --------------
-
-    def _cov_factor(self, lam):
-        """C_lam and the lower Cholesky factor of C_lam + noise_var I."""
-        tau1, tau2 = map(float, _single(self._points(lam)))
-        kernel = (tau1 / tau2) * np.exp(-tau2 * self._sqdist)
-        jitter = self.jitter_scale * (tau1 / tau2)
-        cov = kernel + jitter * np.eye(self.y.size)
-        return cov, self._cholesky(
-            cov + self.noise_var * np.eye(self.y.size),
-            f"the GP covariance C_lam + noise_var I at lam = {(tau1, tau2)}")
-
-    def _posterior(self, lam):
-        """Mean and lower Cholesky factor of the posterior of theta at lam.
-
-        With L the factor of C + noise_var I and V = L^{-1} C, the mean
-        C (C + noise_var I)^{-1} y is V' (L^{-1} y) and the covariance
-        C - C (C + noise_var I)^{-1} C is C - V' V, exactly symmetric: V' V
-        is one symmetric rank-k update, and C is symmetric.
-        """
-        cov, chol_noisy = self._cov_factor(lam)
-        inv = _tri_inverse(chol_noisy)
-        v = inv @ cov
-        mean = v.T @ (inv @ self.y)
-        post = cov - v.T @ v
-        bump = 1e-12 * max(np.trace(post) / post.shape[0], 1.0)
-        return mean, self._cholesky(
-            post + bump * np.eye(post.shape[0]),
-            f"the GP posterior covariance at lam = {tuple(map(float, lam))}")
-
-    def _cholesky(self, matrix, what):
-        """The lower Cholesky factor of ``matrix``; a matrix that is not
-        positive definite raises a ValueError naming ``what`` and the jitter
-        that keeps it so."""
-        try:
-            return np.linalg.cholesky(matrix)
-        except np.linalg.LinAlgError:
-            raise ValueError(
-                f"{what} is not positive definite: raise jitter_scale "
-                f"([model] jitter_scale, now {self.jitter_scale!r})") from None
-
     # -- Model interface ------------------------------------------------
 
     @staticmethod
@@ -668,12 +631,34 @@ class GpRegressionModel(Model):
                              f"values at the inputs, got shape {thetas.shape}")
         return thetas
 
-    def _factor(self, tau2):
-        """exp(-tau2 D) for the squared distances D, and the lower Cholesky
-        factor of B(tau2)."""
+    def _kernel(self, tau2):
+        """exp(-tau2 D), D the squared distances, and B(tau2) with its jitter."""
         decay = np.exp(-tau2 * self._sqdist)
-        return decay, self._cholesky(decay + self.jitter_scale * np.eye(self.y.size),
-                                     f"the GP kernel matrix B(tau2) at tau2 = {float(tau2)!r}")
+        return decay, decay + self.jitter_scale * np.eye(self.y.size)
+
+    def _check(self, tau2, vals):
+        """Raise a ValueError naming tau2 and ``jitter_scale`` unless the
+        smallest of B(tau2)'s increasing eigenvalues ``vals`` is above n eps
+        times the largest, numpy's ``matrix_rank`` tolerance: below it, the
+        BLAS kernel's rounding decides its sign.  The factor and the spectrum
+        both check, so they accept the same tau2."""
+        if not vals[0] > self.y.size * np.finfo(float).eps * vals[-1]:
+            raise ValueError(
+                f"the GP kernel matrix B(tau2) at tau2 = {float(tau2)!r} is not positive "
+                f"definite: raise jitter_scale ([model] jitter_scale, now {self.jitter_scale!r})")
+
+    def _factor(self, tau2):
+        """exp(-tau2 D) and the lower Cholesky factor of a checked B(tau2)."""
+        decay, kernel = self._kernel(tau2)
+        self._check(tau2, np.linalg.eigvalsh(kernel))
+        return decay, np.linalg.cholesky(kernel)
+
+    def _spectrum(self, tau2):
+        """Lam (increasing), Q and Q'y of a checked B(tau2) = Q diag(Lam) Q',
+        the jitter inside Lam, by one ``np.linalg.eigh``."""
+        vals, vecs = np.linalg.eigh(self._kernel(tau2)[1])
+        self._check(tau2, vals)
+        return vals, vecs, vecs.T @ self.y
 
     def _whiten(self, thetas, work, tau2, grads: bool):
         """The per-tau2 kernel: one factor L of B(tau2), its triangular
@@ -789,36 +774,49 @@ class GpRegressionModel(Model):
 
     def sampler(self, grid):
         """Posterior draws at ``grid``'s points.  The last grid's sampler is
-        kept and served again for the same points, with its factors."""
+        kept and served again for the same points, with its spectra."""
         points = self._points(grid.points)
         if self._sampler is None or not np.array_equal(self._sampler.points, points):
             self._sampler = _PosteriorSampler(self, points.copy())
         return self._sampler
 
     def log_marginal_likelihood(self, lam) -> float:
-        """log N(y; 0, C_lam + noise_var I), the exact log z(lam): with L
-        the factor of C_lam + noise_var I, -(n log 2 pi + log det
-        + |L^{-1} y|^2) / 2."""
-        chol_noisy = self._cov_factor(lam)[1]
-        white = _tri_inverse(chol_noisy) @ self.y
-        logdet_noisy = 2.0 * np.sum(np.log(np.diag(chol_noisy)))
-        return float(-0.5 * (self.y.size * _LOG_2PI + logdet_noisy + white @ white))
+        """log N(y; 0, C_lam + noise_var I), the exact log z(lam): with
+        e = d + noise_var the eigenvalues of C_lam + noise_var I
+        (``_spectrum``), -(n log 2 pi + sum log e + sum (Q' y)^2 / e) / 2."""
+        tau1, tau2 = map(float, _single(self._points(lam)))
+        vals, _, qty = self._spectrum(tau2)
+        noisy = (tau1 / tau2) * vals + self.noise_var
+        return float(-0.5 * (self.y.size * _LOG_2PI + np.sum(np.log(noisy))
+                             + np.sum(qty * qty / noisy)))
 
     def exact_log_u(self, lam) -> float:
         return self.log_marginal_likelihood(lam) + float(self._log_priors(self._points(lam))[0])
 
 
 class _PosteriorSampler(GridSampler):
+    """Each point's posterior mean Q (d/e .* Q'y) and root scales
+    sqrt(d noise_var / e), e = d + noise_var, from one ``_spectrum`` per
+    distinct tau2 of the grid: a draw is mean + (z .* root) Q'."""
+
     def __init__(self, model, points):
-        self.model, self.points = model, points
-        self.posteriors = [None] * len(points)  # (mean, factor), on first draw
+        self.points = points
+        self.means = np.empty((len(points), model.y.size))
+        self.roots = np.empty_like(self.means)
+        self.vecs = [None] * len(points)  # each point's Q, one array per tau2
+        tau2s, group = np.unique(points[:, 1], return_inverse=True)
+        for g, tau2 in enumerate(tau2s):
+            vals, vecs, qty = model._spectrum(tau2)
+            for j in np.flatnonzero(group == g):
+                d = (points[j, 0] / tau2) * vals
+                noisy = d + model.noise_var
+                self.means[j] = vecs @ (d / noisy * qty)
+                self.roots[j] = np.sqrt(d * model.noise_var / noisy)
+                self.vecs[j] = vecs
 
     def draw(self, i, rng, size):
-        if self.posteriors[i] is None:
-            self.posteriors[i] = self.model._posterior(self.points[i])
-        mean, chol_post = self.posteriors[i]
-        z = rng.standard_normal((size, mean.size))
-        return mean[None, :] + z @ chol_post.T
+        z = rng.standard_normal((size, self.means.shape[1]))
+        return self.means[i] + (z * self.roots[i]) @ self.vecs[i].T
 
     def draw_rows(self, rows, rng):
         # one product per row: rows stacked into one product round apart

@@ -72,19 +72,19 @@ def point_draws(model, lam, rng, size):
 
 
 @pytest.fixture
-def count_posteriors(monkeypatch):
-    """Called with a GP model, returns the list of values at which the model
-    then factors a posterior, one entry per factorization."""
+def count_spectra(monkeypatch):
+    """Called with a GP model, returns the list of tau2 values at which the
+    model then takes the spectrum of B(tau2), one entry per eigendecomposition."""
     def count(model):
-        factored = []
-        posterior = model._posterior
+        taken = []
+        spectrum = model._spectrum
 
-        def counting(lam):
-            factored.append(tuple(lam))
-            return posterior(lam)
+        def counting(tau2):
+            taken.append(float(tau2))
+            return spectrum(tau2)
 
-        monkeypatch.setattr(model, "_posterior", counting)
-        return factored
+        monkeypatch.setattr(model, "_spectrum", counting)
+        return taken
 
     return count
 

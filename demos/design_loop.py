@@ -63,7 +63,7 @@ for r in range(8):
     )
     uniform_runs.append(density_at_mode(flat))
 
-exact = np.exp([model.exact_log_u(p) for p in ev.points])
+exact = np.exp(model.exact_log_u(ev.points))
 exact /= exact @ quad
 print(f"\ndensity at the mode lam = +1 (exact {exact[probe]:.3f}), 8 runs each:")
 print(f"  designed: mean {np.mean(designed_runs):.3f}  "

@@ -223,6 +223,22 @@ def pointwise_variance_bound(functional, lam, diagnostics: VarianceDiagnostics |
     return float(2.0 * np.sum((grid_part + point_part) / diagnostics.sampling_fractions))
 
 
+def _chain(transition, stationary):
+    """F, checked by ``_row_stochastic``, and its stationary probability
+    vector: ``stationary``, by default :func:`stationary_vector` of F, once
+    it has one finite positive entry per state, scaled to sum 1."""
+    F = _row_stochastic(transition)
+    v = stationary_vector(F) if stationary is None else np.asarray(stationary, dtype=float)
+    if v.shape != (F.shape[0],):
+        raise ValueError(
+            f"stationary vector has shape {v.shape}; the matrix has {F.shape[0]} states")
+    if not np.isfinite(v).all():
+        raise ValueError("stationary vector must be finite")
+    if np.any(v <= 0):
+        raise ReducibleChainError("stationary vector must be strictly positive")
+    return F, v / v.sum()
+
+
 def group_inverse(transition: np.ndarray, stationary: np.ndarray | None = None) -> np.ndarray:
     """Group inverse A^# of A = I - F for an irreducible row-stochastic F.
 
@@ -239,21 +255,14 @@ def group_inverse(transition: np.ndarray, stationary: np.ndarray | None = None) 
     ------
     ValueError
         If the matrix is not square and row-stochastic (NaN entries
-        included), or ``stationary`` does not have one entry per state.
+        included), or ``stationary`` does not have one finite entry per
+        state.
     ReducibleChainError
         If ``stationary`` has a nonpositive entry, or I - F + 1 v^T is
         singular (the matrix is not irreducible).
     """
-    F = _row_stochastic(transition)
+    F, v = _chain(transition, stationary)
     n = F.shape[0]
-    v = stationary_vector(F) if stationary is None else np.asarray(stationary, dtype=float)
-    if v.shape != (n,):
-        raise ValueError(
-            f"stationary vector has shape {v.shape}; the matrix has {n} states"
-        )
-    if np.any(v <= 0):
-        raise ReducibleChainError("stationary vector must be strictly positive")
-    v = v / v.sum()
     E = np.outer(np.ones(n), v)
     try:
         inv = np.linalg.solve(np.eye(n) - F + E, np.eye(n))
@@ -275,15 +284,14 @@ def spectral_gap(transition: np.ndarray, stationary: np.ndarray | None = None) -
 
     Raises
     ------
+    ValueError, ReducibleChainError
+        For a matrix or ``stationary`` that :func:`group_inverse` rejects
+        before its solve.
     NotReversibleError
         If detailed balance is violated: max|v_i F_ij - v_j F_ji| exceeds
         DETAILED_BALANCE_TOL.
     """
-    F = np.asarray(transition, dtype=float)
-    if stationary is None:
-        stationary = stationary_vector(F)
-    v = np.asarray(stationary, dtype=float)
-    v = v / v.sum()
+    F, v = _chain(transition, stationary)
     imbalance = np.max(np.abs(v[:, None] * F - (v[:, None] * F).T))
     if imbalance > DETAILED_BALANCE_TOL:
         raise NotReversibleError(

@@ -296,10 +296,6 @@ def normalized_l2_error(u_hat, u_ref) -> float:
     return float(np.linalg.norm(u_hat / np.abs(u_hat).sum() - u_ref / np.abs(u_ref).sum()))
 
 
-def _exact_logs(model: Model, points) -> np.ndarray:
-    return np.array([model.exact_log_u(p) for p in points], dtype=float)
-
-
 def exact_stationary(model: Model, grid: HyperGrid) -> np.ndarray:
     """Exact stationary vector over a grid, normalized to sum L."""
     return exact_reference(model, grid, grid)
@@ -310,10 +306,10 @@ def exact_reference(model: Model, eval_grid: HyperGrid, sim_grid: HyperGrid) -> 
 
     The fitted curve interpolates a stationary vector that sums to L
     over the simulation grid, so the comparable exact values are the
-    raw curve rescaled by L over its simulation-grid total.
+    raw curve rescaled by L over its simulation-grid total, from one
+    ``model.exact_log_u`` call per grid.
     """
-    log_e = _exact_logs(model, eval_grid.points)
-    log_s = _exact_logs(model, sim_grid.points)
+    log_e, log_s = (model.exact_log_u(g.points) for g in (eval_grid, sim_grid))
     shift = max(log_e.max(), log_s.max())
     z_e = np.exp(log_e - shift)
     total = np.exp(log_s - shift).sum()

@@ -25,8 +25,8 @@ use the local density psi_lam and the prior p(lam) only as their product:
   array, whose product is those columns' hyperparameter gradients, the
   only place gradients come from.  A model that defines it inherits
   ``log_weight_matrix``,
-- optionally ``exact_log_u`` (a closed form for log z(lam) p(lam), used
-  as an oracle by diagnostics and experiments).
+- optionally ``exact_log_u(points)``: log z(lam) p(lam) in closed form,
+  shape (M,), the oracle of diagnostics and experiments.
 
 The marginal quantity of interest is always u(lam) = z(lam) p(lam)
 up to a lam-independent constant.
@@ -77,11 +77,11 @@ until the next one is requested, and a caller that keeps one copies it.
 Every model runs on numpy alone.  The GP model whitens the draws with
 the triangular inverse (``_tri_inverse``, one substitution loop on the
 identity) of a ``np.linalg.cholesky`` factor of B(tau2), and takes its
-posterior and exact marginal from one ``np.linalg.eigh`` of B(tau2).  The
-toy component weight is scipy's ``expit`` formula written in numpy, so no
-margrid run imports scipy's linear algebra: a process pays neither its
-import nor a second BLAS library, whose thread pool would alternate with
-numpy's.
+posterior and exact marginal from one ``np.linalg.eigh`` of B(tau2), each
+once per distinct tau2 in a call (``_by_tau2``).  The toy component
+weight is scipy's ``expit`` formula in numpy, so no margrid run imports
+scipy's linear algebra: a process pays neither its import nor a second
+BLAS library, whose thread pool would alternate with numpy's.
 """
 
 from __future__ import annotations
@@ -107,6 +107,9 @@ __all__ = [
 ]
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
+
+#: largest distance at which a value matches a ``DiscreteModel`` atom
+_ATOM_TOL = 1e-9
 
 #: bytes of one cache-sized tile, read by both tilings: a curve's column
 #: tile of log-weights (``log_weight_tiles``) and a fit's row tile of whole
@@ -291,7 +294,13 @@ class Model:
     def has_exact_log_u(self) -> bool:
         return type(self).exact_log_u is not Model.exact_log_u
 
-    def exact_log_u(self, lam) -> float:
+    def exact_log_u(self, points) -> np.ndarray:
+        """log z(lam) p(lam) in closed form, one float per row of the (M, p)
+        ``points``, checked as ``log_weight_matrix`` checks them.
+
+        >>> ToyBimodalModel().exact_log_u([[0.5], [1.0]]).shape
+        (2,)
+        """
         raise NotImplementedError(
             f"{type(self).__name__} has no closed form for the marginal"
         )
@@ -335,14 +344,6 @@ class Model:
         return next(log_weight_tiles(self, thetas, points))
 
 
-def _single(rows):
-    """The one row of a model's checked hyperparameter values (or of their
-    table columns): the callers that take a single value read it here."""
-    if len(rows) != 1:
-        raise ValueError(f"expected one hyperparameter value, got {len(rows)}")
-    return rows[0]
-
-
 class DiscreteModel(Model):
     """Fully enumerable model over finitely many latent atoms.
 
@@ -368,11 +369,16 @@ class DiscreteModel(Model):
         self.atom_values = np.asarray(atom_values, dtype=float)
         if self.atom_values.shape != (n_atoms,):
             raise ValueError("need one atom value per table column")
+        # atoms closer than the match tolerance would share a table column
+        if not (np.isfinite(self.atom_values).all()
+                and np.all(np.diff(np.sort(self.atom_values)) > _ATOM_TOL)):
+            raise ValueError(f"atom values must be finite and more than {_ATOM_TOL} apart")
         if prior is None:
             prior = np.ones(n_atoms)
         self.prior = np.asarray(prior, dtype=float)
-        if self.prior.shape != (n_atoms,) or np.any(self.prior <= 0):
-            raise ValueError("prior must be a positive vector over lambda-atoms")
+        # written so that NaN fails it too
+        if self.prior.shape != (n_atoms,) or not np.all((self.prior > 0) & (self.prior < np.inf)):
+            raise ValueError("prior must be a finite positive vector over lambda-atoms")
         # per-column CDFs formed as Generator.choice(p=w / w.sum()) forms them
         self._cdfs = np.array([np.cumsum(w / w.sum()) for w in table.T])
         self._cdfs /= self._cdfs[:, -1:]
@@ -382,7 +388,7 @@ class DiscreteModel(Model):
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if points.ndim != 2 or points.shape[1] != 1:
             raise ValueError("discrete models have a one-dimensional hyperparameter")
-        hits = np.abs(points - self.atom_values[None, :]) <= 1e-9
+        hits = np.abs(points - self.atom_values[None, :]) <= _ATOM_TOL
         missing = ~hits.any(axis=1)
         if np.any(missing):
             raise GridError(
@@ -390,7 +396,10 @@ class DiscreteModel(Model):
         return np.argmax(hits, axis=1)
 
     def column_of(self, lam) -> int:
-        return int(_single(self._columns(lam)))
+        cols = self._columns(lam)
+        if cols.size != 1:
+            raise ValueError(f"expected one hyperparameter value, got {cols.size}")
+        return int(cols[0])
 
     def grid(self, columns=None) -> HyperGrid:
         """Explicit grid over a subset of the lambda-atoms (all by default)."""
@@ -415,9 +424,11 @@ class DiscreteModel(Model):
         """Inverse-CDF draws from the CDF rows of ``grid``'s columns."""
         return _CdfSampler(self._cdfs[self._columns(grid.points)])
 
-    def exact_log_u(self, lam) -> float:
-        col = self.column_of(lam)
-        return float(np.log(self.psi_table[:, col].sum()) + np.log(self.prior[col]))
+    def exact_log_u(self, points) -> np.ndarray:
+        cols = self._columns(points)
+        # each mass is the pairwise sum of one contiguous row: its column's own sum
+        mass = np.ascontiguousarray(self.psi_table[:, cols].T).sum(axis=1)
+        return np.log(mass) + np.log(self.prior[cols])
 
 
 class _CdfSampler(GridSampler):
@@ -517,13 +528,11 @@ class ToyBimodalModel(Model):
         """Draws from the mixtures of ``grid``'s points, each computed once."""
         return _MixtureSampler(*self._local_mixture(self._points(grid.points)[:, 0]))
 
-    def exact_log_u(self, lam) -> float:
-        lam = _single(self._points(lam))[0]
+    def exact_log_u(self, points) -> np.ndarray:
+        lams = self._points(points)[:, 0]
         s = 1.0 / self.q + 1.0 / self.tau
-        return float(
-            np.log(0.5)
-            + np.logaddexp(_gauss_logpdf(self.y, lam, s), _gauss_logpdf(self.y, -lam, s))
-        )
+        return np.log(0.5) + np.logaddexp(_gauss_logpdf(self.y, lams, s),
+                                          _gauss_logpdf(self.y, -lams, s))
 
 
 class _MixtureSampler(GridSampler):
@@ -743,6 +752,12 @@ class GpRegressionModel(Model):
         """log p(lam) = -log tau1 - log tau2 for every row of points."""
         return -np.log(points[:, 0]) - np.log(points[:, 1])
 
+    @staticmethod
+    def _by_tau2(points):
+        """Each distinct tau2 of checked points, increasing, and its points."""
+        tau2s, group = np.unique(points[:, 1], return_inverse=True)
+        return [(tau2, np.flatnonzero(group == g)) for g, tau2 in enumerate(tau2s)]
+
     def log_weight_factors(self, thetas, points, grads: bool = False):
         """One group per distinct tau2 among the points, in increasing tau2.
 
@@ -761,9 +776,7 @@ class GpRegressionModel(Model):
         obs = self._observation(thetas)
         ones = np.ones_like(obs)
         work = np.empty((2 if grads else 1, thetas.shape[1], thetas.shape[0]))
-        tau2s, group = np.unique(points[:, 1], return_inverse=True)
-        for g, tau2 in enumerate(tau2s):
-            cols = np.flatnonzero(group == g)
+        for tau2, cols in self._by_tau2(points):
             logdet, q_b, extra = self._whiten(thetas, work, tau2, grads)
             grad = ()
             if grads:
@@ -780,18 +793,18 @@ class GpRegressionModel(Model):
             self._sampler = _PosteriorSampler(self, points.copy())
         return self._sampler
 
-    def log_marginal_likelihood(self, lam) -> float:
-        """log N(y; 0, C_lam + noise_var I), the exact log z(lam): with
-        e = d + noise_var the eigenvalues of C_lam + noise_var I
-        (``_spectrum``), -(n log 2 pi + sum log e + sum (Q' y)^2 / e) / 2."""
-        tau1, tau2 = map(float, _single(self._points(lam)))
-        vals, _, qty = self._spectrum(tau2)
-        noisy = (tau1 / tau2) * vals + self.noise_var
-        return float(-0.5 * (self.y.size * _LOG_2PI + np.sum(np.log(noisy))
-                             + np.sum(qty * qty / noisy)))
-
-    def exact_log_u(self, lam) -> float:
-        return self.log_marginal_likelihood(lam) + float(self._log_priors(self._points(lam))[0])
+    def exact_log_u(self, points) -> np.ndarray:
+        """log z(lam) + log p(lam): log z = log N(y; 0, C_lam + noise_var I) =
+        -(n log 2 pi + sum log e + sum (Q'y)^2 / e) / 2, e = d + noise_var (see
+        the class docstring), every tau1 from one ``_spectrum`` per tau2."""
+        points = self._points(points)
+        out = self._log_priors(points)
+        for tau2, cols in self._by_tau2(points):
+            vals, _, qty = self._spectrum(tau2)
+            noisy = (points[cols, :1] / tau2) * vals + self.noise_var
+            out[cols] += -0.5 * (self.y.size * _LOG_2PI + np.sum(np.log(noisy), axis=1)
+                                 + np.sum(qty * qty / noisy, axis=1))
+        return out
 
 
 class _PosteriorSampler(GridSampler):
@@ -804,10 +817,9 @@ class _PosteriorSampler(GridSampler):
         self.means = np.empty((len(points), model.y.size))
         self.roots = np.empty_like(self.means)
         self.vecs = [None] * len(points)  # each point's Q, one array per tau2
-        tau2s, group = np.unique(points[:, 1], return_inverse=True)
-        for g, tau2 in enumerate(tau2s):
+        for tau2, cols in model._by_tau2(points):
             vals, vecs, qty = model._spectrum(tau2)
-            for j in np.flatnonzero(group == g):
+            for j in cols:
                 d = (points[j, 0] / tau2) * vals
                 noisy = d + model.noise_var
                 self.means[j] = vecs @ (d / noisy * qty)

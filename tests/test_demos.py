@@ -38,7 +38,8 @@ def test_demos_are_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs(demo):
-    proc = run_python(str(demo))
+    # without a single warning, the rule pyproject's filter sets for Tier-1
+    proc = run_python("-W", "error", str(demo))
     assert proc.returncode == 0, proc.stderr
 
 

@@ -380,6 +380,28 @@ def test_group_inverse_checks_its_inputs():
     for v in ([0.5, 0.5], np.ones(4), np.ones((3, 1))):
         with pytest.raises(ValueError, match="stationary vector has shape"):
             mg.group_inverse(F, v)
+    # checked before it is normalized: a NaN entry once gave an all-NaN
+    # inverse, an infinite one a RuntimeWarning
+    for v in ([np.nan, 1.0, 1.0], [np.inf, 1.0, 1.0]):
+        with pytest.raises(ValueError, match="stationary vector must be finite"):
+            mg.group_inverse(F, v)
+    with pytest.raises(mg.ReducibleChainError, match="strictly positive"):
+        mg.group_inverse(F, [0.0, 1.0, 1.0])
+
+
+def test_spectral_gap_checks_its_inputs():
+    # the checks of group_inverse, where a NaN matrix or vector once gave a
+    # NaN gap and a vector of the wrong length numpy's broadcast error
+    F = np.full((2, 2), 0.5)
+    with pytest.raises(ValueError, match="row-stochastic"):
+        mg.spectral_gap([[np.nan, 0.5], [0.5, 0.5]], [0.5, 0.5])
+    with pytest.raises(ValueError, match="stationary vector has shape"):
+        mg.spectral_gap(F, np.ones(3))
+    for v in ([np.nan, 1.0], [np.inf, 1.0]):
+        with pytest.raises(ValueError, match="stationary vector must be finite"):
+            mg.spectral_gap(F, v)
+    with pytest.raises(mg.ReducibleChainError, match="strictly positive"):
+        mg.spectral_gap(F, [-1.0, 1.0])
 
 
 def test_group_inverse_is_exact_on_the_quadrature_chain_of_criterion_11():

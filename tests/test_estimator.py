@@ -44,7 +44,7 @@ def test_stationary_matches_hand_computation(asym_model):
     np.testing.assert_allclose(emus.stationary, [8.0 / 7.0, 6.0 / 7.0], atol=1e-12)
     # Consistency with the closed-form marginal: u is proportional to
     # exp(exact_log_u) at the two atoms, which is (4, 3).
-    exact = np.exp([asym_model.exact_log_u(0.0), asym_model.exact_log_u(1.0)])
+    exact = np.exp(asym_model.exact_log_u([[0.0], [1.0]]))
     ratio = emus.stationary / exact
     assert ratio[0] == pytest.approx(ratio[1], rel=1e-12)
 

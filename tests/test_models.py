@@ -21,16 +21,16 @@ from conftest import ASYM_TABLE, point_draws
 
 
 def test_toy_marginal_is_symmetric(toy_model):
-    for lam in (0.0, 0.3, 1.0, 1.7):
-        assert toy_model.exact_log_u(lam) == pytest.approx(
-            toy_model.exact_log_u(-lam), abs=1e-13
-        )
+    lams = np.array([[0.0], [0.3], [1.0], [1.7]])
+    np.testing.assert_allclose(toy_model.exact_log_u(lams), toy_model.exact_log_u(-lams),
+                               rtol=0.0, atol=1e-13)
 
 
 def test_toy_marginal_matches_quadrature(toy_model):
     # Independent check of the closed form: integrate the joint density
     # over theta numerically and compare in log space.
-    for lam in (-1.5, 0.0, 0.4, 2.0):
+    lams = [-1.5, 0.0, 0.4, 2.0]
+    for lam, exact in zip(lams, toy_model.exact_log_u(np.array(lams)[:, None])):
         val, err = quad(
             lambda th: math.exp(toy_model.log_weight_matrix([th], [[lam]])[0, 0]),
             -12.0,
@@ -38,7 +38,7 @@ def test_toy_marginal_matches_quadrature(toy_model):
             limit=200,
         )
         assert err < 1e-7
-        assert math.log(val) == pytest.approx(toy_model.exact_log_u(lam), abs=1e-7)
+        assert math.log(val) == pytest.approx(exact, abs=1e-7)
 
 
 def test_toy_modes_sit_near_plus_minus_y():
@@ -46,7 +46,7 @@ def test_toy_modes_sit_near_plus_minus_y():
     # marginal peaks very close to lam = +/- y.
     model = mg.ToyBimodalModel(y=1.0, q=64.0, tau=1e6)
     lams = np.linspace(-2.0, 2.0, 4001)
-    vals = np.array([model.exact_log_u(l) for l in lams])
+    vals = model.exact_log_u(lams[:, None])
     order = np.argsort(vals)[::-1]
     top = sorted(lams[order[:2]])
     assert top[0] == pytest.approx(-1.0, abs=0.01)
@@ -151,13 +151,18 @@ def test_toy_rejects_nonpositive_precisions():
                 {"y": np.inf}, {"y": np.nan}):
         with pytest.raises(ValueError):
             mg.ToyBimodalModel(**bad)
-    # the closed form checks its value as the log-weights do: a NaN is no
+    # the closed form checks its points as the log-weights do: a NaN is no
     # NaN marginal, and a second coordinate is not dropped
     model = mg.ToyBimodalModel()
     for lam, named in ((np.nan, "must be finite"), (np.inf, "must be finite"),
-                       ([1.0, 2.0], "one-dimensional"), ([[1.0], [2.0]], "one hyperparameter")):
+                       ([1.0, 2.0], "one-dimensional")):
         with pytest.raises(ValueError, match=named):
             model.exact_log_u(lam)
+    # a column of two values is two points: z(lam) = (N(1; lam, 1) + N(1;
+    # -lam, 1)) / 2 at y = 1 and s = 1/q + 1/tau = 1
+    z = [(math.exp(-(1 - lam) ** 2 / 2) + math.exp(-(1 + lam) ** 2 / 2))
+         / (2 * math.sqrt(2 * math.pi)) for lam in (1.0, 2.0)]
+    assert model.exact_log_u([[1.0], [2.0]]) == pytest.approx(np.log(z), rel=1e-14)
 
 
 # -- Gaussian process regression model ---------------------------------
@@ -433,6 +438,7 @@ def test_gp_posterior_and_marginal_hold_the_long_double_reference():
     model = mg.GpRegressionModel(*mg.make_synthetic_gp_dataset(16, 7))
     grid = mg.make_regular_grid(mg.Domain([0.1, 0.1], [10.0, 10.0]), [24, 24], "log")
     sampler = model.sampler(grid)
+    log_zs = model.exact_log_u(grid.points) - model._log_priors(grid.points)
     ld = np.longdouble
     n = model.y.size
     y = model.y.astype(ld)
@@ -448,7 +454,7 @@ def test_gp_posterior_and_marginal_hold_the_long_double_reference():
         for got, ref, bound in ((sampler.means[j], mean_ref, 4e-12), (post, post_ref, 2e-11)):
             err = float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
             assert err <= bound, (tuple(lam), err)
-        log_z = model.log_marginal_likelihood(lam)
+        log_z = log_zs[j]
         white = _long_double_forward(chol, y[:, None])[:, 0]
         same_c = -(n * log_2pi + 2 * np.sum(np.log(np.diag(chol))) + white @ white) / 2
         vals, vecs, _ = model._spectrum(lam[1])
@@ -767,7 +773,7 @@ def test_gp_log_weights_reject_a_bad_lambda(gp_model, lam):
     with pytest.raises(ValueError):  # numpy's own for a ragged list
         gp_model.log_weight_matrix(thetas, [(1.0, 1.0), lam])
     with pytest.raises(ValueError, match="finite positive pair"):
-        gp_model.log_marginal_likelihood(lam)
+        gp_model.exact_log_u(lam)
 
 
 def test_gp_single_point_marginal_closed_form():
@@ -775,12 +781,11 @@ def test_gp_single_point_marginal_closed_form():
     # tau1/tau2 + noise_var, so log z has a one-line closed form.
     y0 = 0.8
     model = mg.GpRegressionModel([0.0], [y0], noise_var=1.0 / 16.0, jitter_scale=0.0)
-    for tau1, tau2 in [(1.0, 1.0), (2.0, 0.5), (0.3, 4.0)]:
-        s = tau1 / tau2 + 1.0 / 16.0
-        expected = -0.5 * (math.log(2 * math.pi * s) + y0**2 / s)
-        assert model.log_marginal_likelihood((tau1, tau2)) == pytest.approx(
-            expected, abs=1e-12
-        )
+    points = np.array([(1.0, 1.0), (2.0, 0.5), (0.3, 4.0)])
+    s = points[:, 0] / points[:, 1] + 1.0 / 16.0
+    expected = -0.5 * (np.log(2 * np.pi * s) + y0**2 / s)
+    log_z = model.exact_log_u(points) - model._log_priors(points)
+    np.testing.assert_allclose(log_z, expected, rtol=0.0, atol=1e-12)
 
 
 def test_gp_gradient_matches_finite_differences(gp_model):
@@ -844,8 +849,13 @@ def test_gp_banks_factor_each_point_once_per_grid(count_spectra):
 
 
 def test_gp_exact_log_u_adds_hyperprior(gp_model):
+    # log N(y; 0, C_lam + noise_var I) by a dense solve, plus the hyperprior
+    # log p(lam) = -log tau1 - log tau2
     lam = (0.9, 1.4)
-    expected = gp_model.log_marginal_likelihood(lam) - math.log(0.9) - math.log(1.4)
+    n, y = gp_model.y.size, gp_model.y
+    cov = gp_cov(gp_model, lam) + gp_model.noise_var * np.eye(n)
+    log_z = -0.5 * (n * _LOG_2PI + np.linalg.slogdet(cov)[1] + y @ np.linalg.solve(cov, y))
+    expected = log_z - math.log(0.9) - math.log(1.4)
     assert gp_model.exact_log_u(lam) == pytest.approx(expected, abs=1e-12)
 
 
@@ -872,7 +882,7 @@ def test_gp_rejects_bad_inputs():
             mg.GpRegressionModel([0.0], [1.0], jitter_scale=jitter_scale)
     model = mg.GpRegressionModel([0.0], [1.0])
     with pytest.raises(ValueError):
-        model.log_marginal_likelihood((1.0, -1.0))
+        model.exact_log_u((1.0, -1.0))
     # draws of the wrong length or rank: margrid's own message, neither
     # numpy's broadcast error nor a matrix of the wrong shape
     model = mg.GpRegressionModel(*mg.make_synthetic_gp_dataset(4, 1))
@@ -928,8 +938,14 @@ def test_discrete_column_lookup(asym_model):
 
 
 def test_discrete_exact_log_u(asym_model):
-    assert asym_model.exact_log_u(0.0) == pytest.approx(math.log(4.0))
-    assert asym_model.exact_log_u(1.0) == pytest.approx(math.log(3.0))
+    assert asym_model.exact_log_u([[0.0], [1.0]]) == pytest.approx(np.log([4.0, 3.0]))
+    assert asym_model.exact_log_u(1.0) == pytest.approx([math.log(3.0)])
+    # each atom's mass is its column's own sum, the one its sampler's CDF
+    # divides by, bit for bit
+    model, points = discrete_exact_case()
+    masses = [column.sum() for column in model.psi_table.T]
+    np.testing.assert_array_equal(model.exact_log_u(points),
+                                  np.log(masses) + np.log(model.prior))
 
 
 def test_discrete_sampler_frequencies(asym_model):
@@ -1034,6 +1050,18 @@ def test_discrete_requires_positive_mass_per_atom():
         mg.DiscreteModel(np.array([[1.0, 0.0], [1.0, 0.0]]))
     with pytest.raises(ValueError):
         mg.DiscreteModel(np.array([[1.0, -1.0], [1.0, 2.0]]))
+    # a NaN prior once gave a NaN exact marginal and a fit that blamed the
+    # sampler; atoms within the 1e-9 match tolerance of each other once
+    # shared column 0, so a fit read u = [1, 1] where the ratio is 4 : 3
+    for kwargs, named in (({"prior": [np.nan, 1.0]}, "prior must be"),
+                          ({"prior": [1.0, np.inf]}, "prior must be"),
+                          ({"atom_values": [np.nan, 1.0]}, "atom values must be"),
+                          ({"atom_values": [0.0, -np.inf]}, "atom values must be"),
+                          ({"atom_values": [0.0, 0.0]}, "atom values must be"),
+                          ({"atom_values": [1.0, 1.0 - 1e-9]}, "atom values must be")):
+        with pytest.raises(ValueError, match=named):
+            mg.DiscreteModel(ASYM_TABLE, **kwargs)
+    assert mg.DiscreteModel(ASYM_TABLE, atom_values=[0.0, 2e-9]).column_of(2e-9) == 1
 
 
 def test_gradient_flags(toy_model, gp_model):
@@ -1048,6 +1076,59 @@ def test_gradient_flags(toy_model, gp_model):
                                         shift=np.zeros(1), grads=True))
     with pytest.raises(NotImplementedError):
         next(disc.log_weight_factors(np.array([0]), [[0.0]]))
+
+
+# -- the exact marginal of every bundled model -----------------------------
+
+
+def gp_surface_grids():
+    """gp-surface's model, simulation grid and evaluation grid."""
+    model = mg.GpRegressionModel(*mg.make_synthetic_gp_dataset(16, 7))
+    domain = mg.Domain([0.1, 0.1], [10.0, 10.0])
+    return (model, mg.make_regular_grid(domain, [12, 12], "log"),
+            mg.make_regular_grid(domain, [24, 24], "log"))
+
+
+def toy_exact_case():
+    # toy-diagnose's model and evaluation grid
+    model = mg.ToyBimodalModel(y=1.0, q=64.0, tau=16.0)
+    return model, mg.make_regular_grid(mg.Domain(-2.0, 2.0), 256).points
+
+
+def gp_exact_case():
+    model, _, ev = gp_surface_grids()
+    return model, ev.points
+
+
+def discrete_exact_case():
+    # 40 theta-atoms, more than numpy's pairwise summation unrolls, so a
+    # mass summed down the table rounds apart from each column's own sum
+    rng = np.random.default_rng(0)
+    table = rng.random((40, 9)) * (rng.random((40, 9)) < 0.7) + 1e-3
+    atoms = np.sort(rng.normal(size=9))
+    return mg.DiscreteModel(table, atoms, rng.random(9) + 0.1), atoms[:, None]
+
+
+@pytest.mark.parametrize("case", [toy_exact_case, gp_exact_case, discrete_exact_case],
+                         ids=["toy", "gp", "discrete"])
+def test_exact_log_u_of_a_batch_is_its_one_point_calls(case):
+    # one float per point, each the bits of that point's own call, whatever
+    # else the batch holds: here every point twice, shuffled
+    model, points = case()
+    points = points[np.random.default_rng(3).permutation(np.tile(np.arange(len(points)), 2))]
+    got = model.exact_log_u(points)
+    assert got.shape == (len(points),) and got.dtype == float
+    np.testing.assert_array_equal(got, np.concatenate([model.exact_log_u(p) for p in points]))
+
+
+def test_gp_exact_reference_takes_one_spectrum_per_tau2_of_each_grid(count_spectra):
+    # one exact_log_u call per grid, one spectrum per distinct tau2 of each:
+    # 24 + 12 on gp-surface's grids, where one per point took 720
+    model, sim, ev = gp_surface_grids()
+    taken = count_spectra(model)
+    mg.exact_reference(model, ev, sim)
+    assert taken == np.unique(ev.points[:, 1]).tolist() + np.unique(sim.points[:, 1]).tolist()
+    assert len(taken) == 36
 
 
 # -- dataset and table serialization ------------------------------------

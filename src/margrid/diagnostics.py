@@ -226,7 +226,8 @@ def pointwise_variance_bound(functional, lam, diagnostics: VarianceDiagnostics |
 def _chain(transition, stationary):
     """F, checked by ``_row_stochastic``, and its stationary probability
     vector: ``stationary``, by default :func:`stationary_vector` of F, once
-    it has one finite positive entry per state, scaled to sum 1."""
+    it has one finite positive entry per state and a finite sum, scaled to
+    sum 1."""
     F = _row_stochastic(transition)
     v = stationary_vector(F) if stationary is None else np.asarray(stationary, dtype=float)
     if v.shape != (F.shape[0],):
@@ -236,7 +237,11 @@ def _chain(transition, stationary):
         raise ValueError("stationary vector must be finite")
     if np.any(v <= 0):
         raise ReducibleChainError("stationary vector must be strictly positive")
-    return F, v / v.sum()
+    with np.errstate(over="ignore"):
+        total = v.sum()
+    if not np.isfinite(total):
+        raise ValueError("stationary vector must be finite, and so must its sum")
+    return F, v / total
 
 
 def group_inverse(transition: np.ndarray, stationary: np.ndarray | None = None) -> np.ndarray:
@@ -256,7 +261,7 @@ def group_inverse(transition: np.ndarray, stationary: np.ndarray | None = None) 
     ValueError
         If the matrix is not square and row-stochastic (NaN entries
         included), or ``stationary`` does not have one finite entry per
-        state.
+        state and a finite sum.
     ReducibleChainError
         If ``stationary`` has a nonpositive entry, or I - F + 1 v^T is
         singular (the matrix is not irreducible).

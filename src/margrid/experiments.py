@@ -281,19 +281,33 @@ def _sample_counts(config: ExperimentConfig, n_points: int) -> np.ndarray:
 # error metrics and exact references
 
 
+def _normalizer(name, u, absolute=False):
+    """``u`` as a float array and the sum an error metric divides it by, of
+    its absolute values with ``absolute``: a ValueError naming ``name``
+    unless ``u`` is finite and that sum finite and positive."""
+    u = np.asarray(u, dtype=float)
+    if not np.isfinite(u).all():
+        raise ValueError(f"{name} must be finite")
+    with np.errstate(over="ignore"):
+        total = (np.abs(u) if absolute else u).sum()
+    if not 0 < total < np.inf:
+        raise ValueError(f"{name} must have a finite positive sum, got {float(total)!r}")
+    return u, total
+
+
 def mean_abs_error(u_hat, u_ref) -> float:
     """Mean absolute difference after normalizing both vectors to sum L."""
-    u_hat = np.asarray(u_hat, dtype=float)
-    u_ref = np.asarray(u_ref, dtype=float)
+    u_hat, hat_sum = _normalizer("u_hat", u_hat)
+    u_ref, ref_sum = _normalizer("u_ref", u_ref)
     n = u_hat.size
-    return float(np.mean(np.abs(u_hat * (n / u_hat.sum()) - u_ref * (n / u_ref.sum()))))
+    return float(np.mean(np.abs(u_hat * (n / hat_sum) - u_ref * (n / ref_sum))))
 
 
 def normalized_l2_error(u_hat, u_ref) -> float:
     """Euclidean distance between the two vectors rescaled to unit 1-norm."""
-    u_hat = np.asarray(u_hat, dtype=float)
-    u_ref = np.asarray(u_ref, dtype=float)
-    return float(np.linalg.norm(u_hat / np.abs(u_hat).sum() - u_ref / np.abs(u_ref).sum()))
+    u_hat, hat_norm = _normalizer("u_hat", u_hat, absolute=True)
+    u_ref, ref_norm = _normalizer("u_ref", u_ref, absolute=True)
+    return float(np.linalg.norm(u_hat / hat_norm - u_ref / ref_norm))
 
 
 def exact_stationary(model: Model, grid: HyperGrid) -> np.ndarray:

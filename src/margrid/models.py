@@ -284,7 +284,12 @@ class GridSampler:
 
 
 class Model:
-    """Interface shared by the model families; see the module docstring."""
+    """Interface shared by the model families; see the module docstring.
+
+    Every bundled model is a case of the contract suite's registry,
+    ``CASES`` in ``tests/test_model_contract.py``, which runs each hook's
+    checks on it; a new model adds one case.
+    """
 
     def sampler(self, grid: HyperGrid) -> GridSampler:
         """The :class:`GridSampler` of ``grid``'s points."""
@@ -369,10 +374,10 @@ class DiscreteModel(Model):
         self.atom_values = np.asarray(atom_values, dtype=float)
         if self.atom_values.shape != (n_atoms,):
             raise ValueError("need one atom value per table column")
-        # atoms closer than the match tolerance would share a table column
+        # atoms within twice the match tolerance could both match one value
         if not (np.isfinite(self.atom_values).all()
-                and np.all(np.diff(np.sort(self.atom_values)) > _ATOM_TOL)):
-            raise ValueError(f"atom values must be finite and more than {_ATOM_TOL} apart")
+                and np.all(np.diff(np.sort(self.atom_values)) > 2 * _ATOM_TOL)):
+            raise ValueError(f"atom values must be finite and more than {2 * _ATOM_TOL} apart")
         if prior is None:
             prior = np.ones(n_atoms)
         self.prior = np.asarray(prior, dtype=float)

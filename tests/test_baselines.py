@@ -5,6 +5,8 @@ import pytest
 
 import margrid as mg
 
+from test_model_contract import CASES
+
 
 def griddy_gibbs_oracle(model, grid, n_iter, rng, burn_in=0, init_state=None):
     """One griddy Gibbs chain, one unbatched draw and grid move per iteration.
@@ -30,25 +32,6 @@ def griddy_gibbs_oracle(model, grid, n_iter, rng, burn_in=0, init_state=None):
             visits[state] += 1
     return mg.GibbsTrace(visits=visits, n_iter=n_iter, burn_in=burn_in,
                          init_state=start)
-
-
-def _equivalence_case(case, request):
-    """(model, grid) of one stream-equivalence case."""
-    if case.startswith("toy-tau"):
-        return (mg.ToyBimodalModel(y=1.0, q=64.0, tau=float(case[len("toy-tau"):])),
-                mg.make_regular_grid(mg.Domain(-2.0, 2.0), 16))
-    if case == "gp-2x2":
-        x, y = mg.make_synthetic_gp_dataset(n=8, seed=3)
-        return (mg.GpRegressionModel(x, y),
-                mg.make_regular_grid(mg.Domain([0.5, 0.5], [2.0, 2.0]), (2, 2),
-                                     scale="log"))
-    if case == "asym":
-        model = request.getfixturevalue("asym_model")
-    else:  # a larger table with a zero entry: "discrete-6x5"
-        table = np.random.default_rng(0).random((6, 5))
-        table[2, 1] = 0.0
-        model = mg.DiscreteModel(table)
-    return model, model.grid()
 
 
 def test_gibbs_single_point_grid_counts_everything(toy_model):
@@ -111,10 +94,10 @@ def test_gibbs_traps_in_one_mode_when_local_densities_separate():
 
 
 @pytest.mark.parametrize("case", ["toy-tau100", "toy-tau1000", "asym", "gp-2x2"])
-def test_lockstep_chains_match_the_one_chain_oracle(case, request):
+def test_lockstep_chains_match_the_one_chain_oracle(case):
     # one chain draws as the unbatched loop does, bit for bit and to the
     # generator state; the GP sampler's draw_rows takes one draw per row
-    model, grid = _equivalence_case(case, request)
+    model, grid = CASES[case].model, CASES[case].grid
     n_iter = 40 if case == "gp-2x2" else 300
     for seed in (5, 6, 7):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -144,23 +127,14 @@ def _toy_row_law(model, points):
 
 
 @pytest.mark.parametrize("case", ["toy-tau100", "asym", "discrete-6x5"])
-def test_draw_rows_is_the_per_row_draw(case, request):
-    model, grid = _equivalence_case(case, request)
-    sampler = model.sampler(grid)
-    # (a) a one-row call is draw's one draw at that point: the same bits, and
-    # the generator left in the same state
-    rng, ref_rng = np.random.default_rng(1), np.random.default_rng(1)
-    for i in range(len(grid)):
-        one = sampler.draw_rows(np.array([i]), rng)
-        ref = sampler.draw(i, ref_rng, 1)
-        assert one.dtype == ref.dtype
-        np.testing.assert_array_equal(one, ref)
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
-    # (b) many rows, in shuffled order: each row follows its own local law,
-    # checked within 5 Monte Carlo standard errors per grid point
+def test_draw_rows_follows_each_rows_law(case):
+    # many rows, in shuffled order: each row follows its own local law,
+    # checked within 5 Monte Carlo standard errors per grid point (the
+    # one-row contract is the model contract suite's)
+    model, grid = CASES[case].model, CASES[case].grid
     n = 4000
     rows = np.random.default_rng(2).permutation(np.repeat(np.arange(len(grid)), n))
-    draws = sampler.draw_rows(rows, np.random.default_rng(3))
+    draws = model.sampler(grid).draw_rows(rows, np.random.default_rng(3))
     assert draws.shape == (rows.size,)
     if case.startswith("toy"):
         mean, var = _toy_row_law(model, grid.points)
@@ -175,20 +149,6 @@ def test_draw_rows_is_the_per_row_draw(case, request):
             law = model.psi_table[:, col] / model.psi_table[:, col].sum()
             freq = np.bincount(draws[rows == i], minlength=law.size) / n
             assert np.all(np.abs(freq - law) <= 5 * np.sqrt(law * (1 - law) / n))
-
-
-def test_gp_draw_rows_is_one_draw_per_row(request):
-    # many rows give the bits of one draw per row: several rows in one
-    # product would round apart on some BLAS kernels, and the lockstep
-    # chains must match the one-chain oracle on every kernel
-    model, grid = _equivalence_case("gp-2x2", request)
-    sampler = model.sampler(grid)
-    rows = np.random.default_rng(2).integers(0, len(grid), 12)
-    rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
-    draws = sampler.draw_rows(rows, rng)
-    ref = np.concatenate([sampler.draw(i, ref_rng, 1) for i in rows])
-    np.testing.assert_array_equal(draws, ref)
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_discrete_chains_never_look_a_state_up(asym_model, monkeypatch):

@@ -381,8 +381,8 @@ def test_group_inverse_checks_its_inputs():
         with pytest.raises(ValueError, match="stationary vector has shape"):
             mg.group_inverse(F, v)
     # checked before it is normalized: a NaN entry once gave an all-NaN
-    # inverse, an infinite one a RuntimeWarning
-    for v in ([np.nan, 1.0, 1.0], [np.inf, 1.0, 1.0]):
+    # inverse, an infinite entry or sum a RuntimeWarning
+    for v in ([np.nan, 1.0, 1.0], [np.inf, 1.0, 1.0], [1e308, 1e308, 1e308]):
         with pytest.raises(ValueError, match="stationary vector must be finite"):
             mg.group_inverse(F, v)
     with pytest.raises(mg.ReducibleChainError, match="strictly positive"):
@@ -397,7 +397,7 @@ def test_spectral_gap_checks_its_inputs():
         mg.spectral_gap([[np.nan, 0.5], [0.5, 0.5]], [0.5, 0.5])
     with pytest.raises(ValueError, match="stationary vector has shape"):
         mg.spectral_gap(F, np.ones(3))
-    for v in ([np.nan, 1.0], [np.inf, 1.0]):
+    for v in ([np.nan, 1.0], [np.inf, 1.0], [1e308, 1e308]):
         with pytest.raises(ValueError, match="stationary vector must be finite"):
             mg.spectral_gap(F, v)
     with pytest.raises(mg.ReducibleChainError, match="strictly positive"):

@@ -123,6 +123,16 @@ def test_normalized_l2_error_hand_case():
     assert mg.normalized_l2_error(u, 5 * u) == 0.0
 
 
+def test_error_metrics_reject_a_curve_they_cannot_normalize():
+    # a zero or overflowing sum once warned, a NaN entry gave a silent nan
+    for metric in (mg.mean_abs_error, mg.normalized_l2_error):
+        for bad in ([0.0, 0.0], [np.nan, 1.0], [1.0, np.inf], [1e308, 1e308]):
+            with pytest.raises(ValueError, match="u_hat must"):
+                metric(bad, [1.0, 1.0])
+            with pytest.raises(ValueError, match="u_ref must"):
+                metric([1.0, 1.0], bad)
+
+
 def test_exact_stationary_matches_closed_form(toy_model, toy_grid):
     u = mg.exact_stationary(toy_model, toy_grid)
     assert u.sum() == pytest.approx(len(toy_grid))

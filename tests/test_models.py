@@ -3,7 +3,6 @@
 import io
 import math
 import warnings
-from functools import partial
 
 import numpy as np
 import pytest
@@ -15,6 +14,8 @@ import margrid as mg
 from margrid.models import _LOG_2PI
 
 from conftest import ASYM_TABLE, point_draws
+from test_model_contract import (CASES, TOY_TILED_DRAWS, factor_grads, gather_tiles,
+                                 gp_draws_and_points, gp_surface_case)
 
 
 # -- toy bimodal model -------------------------------------------------
@@ -97,12 +98,6 @@ def test_toy_mixture_weight_is_expit_to_four_ulp():
     assert np.all(w_plus[~normal] <= 1e-300)
 
 
-def test_toy_sampler_is_reproducible(toy_model):
-    a = point_draws(toy_model, 0.4, np.random.default_rng(99), 64)
-    b = point_draws(toy_model, 0.4, np.random.default_rng(99), 64)
-    np.testing.assert_array_equal(a, b)
-
-
 def test_toy_grad_log_weight_matrix_is_the_per_point_gradient(toy_model, toy_grid):
     # the toy gradient factors: [theta, 1] per draw and [tau; -tau lam] per
     # point, bit for bit, whose product tau theta - tau lam is the gradient
@@ -121,8 +116,6 @@ def test_toy_grad_log_weight_matrix_is_the_per_point_gradient(toy_model, toy_gri
     exact = tau * np.subtract.outer(thetas, points[:, 0])
     scale = tau * np.add.outer(np.abs(thetas), np.abs(points[:, 0]))
     assert np.all(np.abs(fast[:, :, 0] - exact) <= 2 * np.finfo(float).eps * scale)
-    with pytest.raises(ValueError):
-        factor_grads(toy_model, thetas, np.array([[0.1, 5.0]]))
 
 
 @pytest.mark.parametrize("half_width", [2.0, 10.0])
@@ -151,15 +144,9 @@ def test_toy_rejects_nonpositive_precisions():
                 {"y": np.inf}, {"y": np.nan}):
         with pytest.raises(ValueError):
             mg.ToyBimodalModel(**bad)
-    # the closed form checks its points as the log-weights do: a NaN is no
-    # NaN marginal, and a second coordinate is not dropped
-    model = mg.ToyBimodalModel()
-    for lam, named in ((np.nan, "must be finite"), (np.inf, "must be finite"),
-                       ([1.0, 2.0], "one-dimensional")):
-        with pytest.raises(ValueError, match=named):
-            model.exact_log_u(lam)
     # a column of two values is two points: z(lam) = (N(1; lam, 1) + N(1;
     # -lam, 1)) / 2 at y = 1 and s = 1/q + 1/tau = 1
+    model = mg.ToyBimodalModel()
     z = [(math.exp(-(1 - lam) ** 2 / 2) + math.exp(-(1 + lam) ** 2 / 2))
          / (2 * math.sqrt(2 * math.pi)) for lam in (1.0, 2.0)]
     assert model.exact_log_u([[1.0], [2.0]]) == pytest.approx(np.log(z), rel=1e-14)
@@ -306,15 +293,6 @@ def gp_grad_long_double(model, thetas, lam):
     return np.stack([g1, g2], axis=1)
 
 
-def gp_draws_and_points(model, seed):
-    """Draws from a 3x3 log grid plus off-grid points sharing and not
-    sharing its tau2 values."""
-    grid = mg.make_regular_grid(mg.Domain([0.3, 0.3], [3.0, 3.0]), [3, 3], "log")
-    thetas = mg.draw_sample_bank(model, grid, 16, master_seed=seed).thetas
-    extra = np.array([[0.7, grid.axes[1][0]], [2.2, grid.axes[1][2]], [1.3, 0.45], [0.4, 2.6]])
-    return thetas, np.vstack([grid.points, extra])
-
-
 def gp_log_weight_columnwise(model, thetas, points):
     """The per-column sum of the shared-factor kernel's terms, in the order
     q_B * (-1/(2 scale)), + obs, + c0, + log prior: the bit-exact reference
@@ -336,17 +314,6 @@ def gp_log_weight_columnwise(model, thetas, points):
             c0 = -0.5 * (n * (_LOG_2PI + np.log(scale)) + logdet)
             out[:, j] = ((q * (-0.5 / scale) + obs) + c0) + log_priors[j]
     return out
-
-
-def gp_surface_case():
-    """The benchmark's GP surface: 64 draws at each point of a 12x12 log
-    grid against the 24x24 evaluation grid."""
-    x, y = mg.make_synthetic_gp_dataset(16, 7)
-    model = mg.GpRegressionModel(x, y)
-    domain = mg.Domain([0.1, 0.1], [10.0, 10.0])
-    grid = mg.make_regular_grid(domain, [12, 12], "log")
-    thetas = mg.draw_sample_bank(model, grid, 64, master_seed=7).thetas
-    return model, thetas, mg.make_regular_grid(domain, [24, 24], "log").points
 
 
 def test_gp_whitening_holds_the_long_double_reference():
@@ -466,18 +433,15 @@ def test_gp_posterior_and_marginal_hold_the_long_double_reference():
             assert err <= bound, (tuple(lam), err)
 
 
-def gp_small_case():
-    x, y = mg.make_synthetic_gp_dataset(n=8, seed=3)
-    model = mg.GpRegressionModel(x, y)
-    return (model,) + gp_draws_and_points(model, 4)
-
-
-@pytest.mark.parametrize("case", [gp_small_case, gp_surface_case], ids=["3x3+4", "gp-surface"])
+@pytest.mark.parametrize("case", [
+    lambda: (CASES["gp-2x2"].model, *CASES["gp-2x2"].columns["gp-3x3+4"]), gp_surface_case],
+    ids=["3x3+4", "gp-surface"])
 def test_gp_log_weight_matrix_is_the_columnwise_fill(case):
+    # one factor group, and so one curve tile, per distinct tau2
     model, thetas, points = case()
     fast = model.log_weight_matrix(thetas, points)
-    assert fast.flags.c_contiguous
     np.testing.assert_array_equal(fast, gp_log_weight_columnwise(model, thetas, points))
+    assert len(list(model.log_weight_factors(thetas, points))) == np.unique(points[:, 1]).size
 
 
 @pytest.mark.parametrize("n,seed,jitter_scale", [(5, 2, 1e-9), (8, 3, 1e-9), (16, 7, 1e-4)])
@@ -566,186 +530,15 @@ def test_gp_gradients_no_worse_than_the_oracle_in_extended_precision():
     assert err_fast < 1e-5
 
 
-def test_gp_grad_columns_do_not_depend_on_their_companions(gp_model):
-    thetas, points = gp_draws_and_points(gp_model, 6)
-    matrix = factor_grads(gp_model, thetas, points)
-    for j, lam in enumerate(points):
-        np.testing.assert_array_equal(
-            factor_grads(gp_model, thetas, lam[None, :])[:, 0], matrix[:, j])
-    perm = np.random.default_rng(1).permutation(len(points))
-    np.testing.assert_array_equal(
-        factor_grads(gp_model, thetas, points[perm]), matrix[:, perm])
-    repeat = np.r_[np.arange(len(points)), [0, 4, 4, len(points) - 1]]
-    np.testing.assert_array_equal(
-        factor_grads(gp_model, thetas, points[repeat]), matrix[:, repeat])
-    # every tau2 distinct: one factorization per point
-    scattered = points + np.arange(len(points))[:, None] * np.array([0.0, 1e-3])
-    separate = np.stack([factor_grads(gp_model, thetas, p[None, :])[:, 0]
-                         for p in scattered], axis=1)
-    np.testing.assert_array_equal(factor_grads(gp_model, thetas, scattered), separate)
-
-
-def test_gp_log_weight_columns_do_not_depend_on_their_companions(gp_model):
-    thetas, points = gp_draws_and_points(gp_model, 6)
-    matrix = gp_model.log_weight_matrix(thetas, points)
-    perm = np.random.default_rng(1).permutation(len(points))
-    np.testing.assert_array_equal(
-        gp_model.log_weight_matrix(thetas, points[perm]), matrix[:, perm])
-    repeat = np.r_[np.arange(len(points)), [0, 4, 4, len(points) - 1]]
-    np.testing.assert_array_equal(
-        gp_model.log_weight_matrix(thetas, points[repeat]), matrix[:, repeat])
-    # every tau2 distinct: one factorization per column
-    scattered = points + np.arange(len(points))[:, None] * np.array([0.0, 1e-3])
-    separate = np.stack([gp_model.log_weight_matrix(thetas, p[None, :])[:, 0]
-                         for p in scattered], axis=1)
-    np.testing.assert_array_equal(gp_model.log_weight_matrix(thetas, scattered), separate)
-
-
-def factor_product(dstats, dcoefs):
-    """The gradients dstats @ dcoefs of gradient factors stacked as an
-    (N, k) matrix, by (k, M, p), term by term in order, so that an entry
-    depends only on its own draw's statistics and its own point's
-    coefficients."""
-    out = dstats[:, 0, None, None] * dcoefs[0]
-    for k in range(1, len(dcoefs)):
-        out += dstats[:, k, None, None] * dcoefs[k]
-    return out
-
-
-def gather_tiles(model, thetas, points, grads, shift=None):
-    """Scatter a curve's column tiles from ``log_weight_tiles`` (with a zero
-    shift by default) back into a whole matrix, each as it is yielded (a
-    tile is valid until the next one is requested), checking that each
-    tile is a C-ordered array of its shape, each gradient statistic a float
-    array of one value per draw, and that the tiles cover every column
-    once; returns (shifted log-weights, per-column gradient factors (dstats
-    stacked as an (N, k) matrix, dcoefs column) or None, number of
-    tiles)."""
-    if shift is None:
-        shift = np.zeros(len(thetas))
-    logw = np.full((len(thetas), len(points)), np.nan)
-    factors = [None] * len(points) if grads else None
-    seen, count = [], 0
-    for cols, block, grad in mg.models.log_weight_tiles(model, thetas, points, shift=shift,
-                                                        grads=grads):
-        assert block.flags.c_contiguous and block.shape == (len(thetas), len(cols))
-        logw[:, cols] = block
-        if grads:
-            dstats, dcoefs = grad
-            assert len(dstats) == len(dcoefs) and dcoefs.dtype == float
-            assert all(stat.dtype == float and stat.shape == (len(thetas),) for stat in dstats)
-            assert dcoefs.shape[1:] == (len(cols), points.shape[1])
-            dstats = np.column_stack(dstats)
-            for i, j in enumerate(cols):
-                factors[j] = dstats, dcoefs[:, i:i + 1].copy()
-        else:
-            assert grad is None
-        seen.extend(cols)
-        count += 1
-    assert sorted(seen) == list(range(len(points)))
-    return logw, factors, count
-
-
-def factor_grads(model, thetas, points):
-    """The gradients of ``log_weight_factors``, the product of each group's
-    gradient factors, as one (N, M, p) array."""
-    out = np.full((len(thetas), len(points), points.shape[1]), np.nan)
-    for cols, _, _, dstats, dcoefs in model.log_weight_factors(thetas, points, grads=True):
-        out[:, cols] = factor_product(np.column_stack(dstats), dcoefs)
-    return out
-
-
-@pytest.mark.parametrize("order", ["given", "permuted", "repeats", "distinct-tau2"])
-def test_gp_log_weight_blocks_are_the_whole_matrix_columns(gp_model, order):
-    thetas, points = gp_draws_and_points(gp_model, 6)
-    if order == "permuted":
-        points = points[np.random.default_rng(1).permutation(len(points))]
-    elif order == "repeats":
-        points = points[np.r_[np.arange(len(points)), [0, 4, 4, len(points) - 1]]]
-    elif order == "distinct-tau2":
-        points = points + np.arange(len(points))[:, None] * np.array([0.0, 1e-3])
-    matrix = gp_model.log_weight_matrix(thetas, points)
-    logw, _, count = gather_tiles(gp_model, thetas, points, grads=False)
-    # one tile per distinct tau2, every group being narrower than 2T
-    assert count == np.unique(points[:, 1]).size
-    np.testing.assert_array_equal(logw, matrix)
-    fused_logw, _, _ = gather_tiles(gp_model, thetas, points, grads=True)
-    np.testing.assert_array_equal(fused_logw, matrix)
-
-
-def toy_case():
-    """Toy draws against a reversed 8-point grid and two off-grid values."""
-    model = mg.ToyBimodalModel(y=1.0, q=2.0, tau=2.0)
-    points = np.vstack([mg.make_regular_grid(mg.Domain(-2.0, 2.0), 8).points[::-1],
-                        [[0.3], [-1.7]]])
-    return model, np.linspace(-2.0, 2.0, 11), points
-
-
-#: draws of the toy-diagnose fit (64 points, 256 draws each): enough that
-#: its log-weights come in several cache-sized tiles
-TOY_TILED_DRAWS = 16384
-
-
-def toy_tiled_case(m):
-    """The toy-diagnose model's draws against an m-point grid."""
-    model = mg.ToyBimodalModel(y=1.0, q=64.0, tau=16.0)
-    thetas = np.random.default_rng(3).normal(0.0, 1.5, TOY_TILED_DRAWS)
-    return model, thetas, mg.make_regular_grid(mg.Domain(-2.0, 2.0), m).points
-
-
-def discrete_case():
-    """A table with zero entries and a nonflat prior, atoms repeated and
-    out of order."""
-    model = mg.DiscreteModel(ASYM_TABLE[:, [0, 1, 0]] + [[0, 0, 1]] * 5,
-                             atom_values=[0.0, 0.5, 1.0], prior=[1.0, 2.0, 3.0])
-    return model, np.array([0, 4, 2, 1, 3, 0, 2, 4]), np.array([[1.0], [0.0], [0.5], [1.0], [0.0]])
-
-
-def gp_grid_case():
-    """The gp-surface evaluation grid against every eighth of its draws."""
-    model, thetas, points = gp_surface_case()
-    return model, thetas[::8], points
-
-
-@pytest.mark.parametrize("case", [toy_case, partial(toy_tiled_case, 33),
-                                  partial(toy_tiled_case, 256), discrete_case,
-                                  gp_small_case, gp_grid_case],
-                         ids=["toy", "toy-tiles-33", "toy-tiles-256", "discrete",
-                              "gp-3x3+4", "gp-24x24"])
-def test_log_weight_columns_are_one_point_calls(case):
-    # the model contract: every column of the wide matrix is the bits of a
-    # one-point call, a curve's tiles scatter back into the whole matrix
-    # minus the shift, bit for bit, and the gradient factors of each column
-    # (where it has them) are the bits of one-point tiles
-    model, thetas, points = case()
-    matrix = model.log_weight_matrix(thetas, points)
-    for j, lam in enumerate(points):
-        np.testing.assert_array_equal(
-            matrix[:, j], model.log_weight_matrix(thetas, lam[None])[:, 0])
-    grads = not isinstance(model, mg.DiscreteModel)
-    logw, factors, count = gather_tiles(model, thetas, points, grads=grads)
-    if len(thetas) == TOY_TILED_DRAWS:
-        assert count > 1
-    elif not isinstance(model, mg.GpRegressionModel):
-        assert count == 1
-    np.testing.assert_array_equal(logw, matrix)
-    shift = np.random.default_rng(2).normal(0.0, 10.0, len(thetas))
-    shifted = gather_tiles(model, thetas, points, grads=False, shift=shift)[0]
-    np.testing.assert_array_equal(shifted, matrix - shift[:, None])
-    if grads:
-        for (dstats, dcoefs), lam in zip(factors, points):
-            (one_stats, one_coefs), = gather_tiles(model, thetas, lam[None, :], grads=True)[1]
-            np.testing.assert_array_equal(dstats, one_stats)
-            np.testing.assert_array_equal(dcoefs, one_coefs)
-
-
 @pytest.mark.parametrize("m", [64, 250])
 def test_toy_tiles_of_one_call_share_one_buffer(m):
     # one call of log_weight_tiles writes every column tile into one buffer
     # and every row range into one buffer; each tile, copied as it is
     # yielded, is still the bits of its whole-matrix columns (minus the
     # shift) or rows
-    model, thetas, points = toy_tiled_case(m)
+    model = CASES["toy-diagnose"].model
+    thetas = CASES["toy-diagnose"].columns["toy-tiles-33"][0]
+    points = mg.make_regular_grid(mg.Domain(-2.0, 2.0), m).points
     matrix = model.log_weight_matrix(thetas, points)
     shift = np.linspace(-3.0, 3.0, len(thetas))
     tiles = [(cols, block, block.copy())
@@ -762,20 +555,6 @@ def test_toy_tiles_of_one_call_share_one_buffer(m):
         np.testing.assert_array_equal(tile, matrix[lo:hi])
 
 
-@pytest.mark.parametrize("lam", [(1.0, -1.0), (0.0, 1.0), (1.0,), (1.0, 1.0, 1.0),
-                                 (np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, np.inf)])
-def test_gp_log_weights_reject_a_bad_lambda(gp_model, lam):
-    # margrid's own message, for non-finite values too: neither a NaN curve
-    # value nor a failure inside scipy
-    thetas = np.zeros((2, gp_model.y.size))
-    with pytest.raises(ValueError, match="finite positive pair"):
-        gp_model.log_weight_matrix(thetas, [lam])
-    with pytest.raises(ValueError):  # numpy's own for a ragged list
-        gp_model.log_weight_matrix(thetas, [(1.0, 1.0), lam])
-    with pytest.raises(ValueError, match="finite positive pair"):
-        gp_model.exact_log_u(lam)
-
-
 def test_gp_single_point_marginal_closed_form():
     # With one observation the marginal covariance is the scalar
     # tau1/tau2 + noise_var, so log z has a one-line closed form.
@@ -786,23 +565,6 @@ def test_gp_single_point_marginal_closed_form():
     expected = -0.5 * (np.log(2 * np.pi * s) + y0**2 / s)
     log_z = model.exact_log_u(points) - model._log_priors(points)
     np.testing.assert_allclose(log_z, expected, rtol=0.0, atol=1e-12)
-
-
-def test_gp_gradient_matches_finite_differences(gp_model):
-    rng = np.random.default_rng(11)
-    lam = np.array([1.3, 0.7])
-    thetas = point_draws(gp_model, lam, rng, 3)
-    h = 1e-6
-
-    def logp(t, l):
-        return gp_model.log_weight_matrix(t, l[None, :])[:, 0]
-
-    grad = factor_grads(gp_model, thetas, lam[None, :])[:, 0]
-    for r in range(2):
-        step = np.zeros(2)
-        step[r] = h
-        fd = (logp(thetas, lam + step) - logp(thetas, lam - step)) / (2 * h)
-        np.testing.assert_allclose(grad[:, r], fd, rtol=1e-5)
 
 
 def test_gp_huge_noise_pulls_posterior_to_prior():
@@ -859,6 +621,24 @@ def test_gp_exact_log_u_adds_hyperprior(gp_model):
     assert gp_model.exact_log_u(lam) == pytest.approx(expected, abs=1e-12)
 
 
+def gp_surface_grids():
+    """gp-surface's model, simulation grid and evaluation grid."""
+    model = mg.GpRegressionModel(*mg.make_synthetic_gp_dataset(16, 7))
+    domain = mg.Domain([0.1, 0.1], [10.0, 10.0])
+    return (model, mg.make_regular_grid(domain, [12, 12], "log"),
+            mg.make_regular_grid(domain, [24, 24], "log"))
+
+
+def test_gp_exact_reference_takes_one_spectrum_per_tau2_of_each_grid(count_spectra):
+    # one exact_log_u call per grid, one spectrum per distinct tau2 of each:
+    # 24 + 12 on gp-surface's grids, where one per point took 720
+    model, sim, ev = gp_surface_grids()
+    taken = count_spectra(model)
+    mg.exact_reference(model, ev, sim)
+    assert taken == np.unique(ev.points[:, 1]).tolist() + np.unique(sim.points[:, 1]).tolist()
+    assert len(taken) == 36
+
+
 def test_gp_rejects_bad_inputs():
     with pytest.raises(ValueError):
         mg.GpRegressionModel([0.0, 1.0], [1.0])
@@ -880,9 +660,6 @@ def test_gp_rejects_bad_inputs():
     for jitter_scale in (-1e-9, np.inf, np.nan):
         with pytest.raises(ValueError, match="jitter_scale"):
             mg.GpRegressionModel([0.0], [1.0], jitter_scale=jitter_scale)
-    model = mg.GpRegressionModel([0.0], [1.0])
-    with pytest.raises(ValueError):
-        model.exact_log_u((1.0, -1.0))
     # draws of the wrong length or rank: margrid's own message, neither
     # numpy's broadcast error nor a matrix of the wrong shape
     model = mg.GpRegressionModel(*mg.make_synthetic_gp_dataset(4, 1))
@@ -942,7 +719,7 @@ def test_discrete_exact_log_u(asym_model):
     assert asym_model.exact_log_u(1.0) == pytest.approx([math.log(3.0)])
     # each atom's mass is its column's own sum, the one its sampler's CDF
     # divides by, bit for bit
-    model, points = discrete_exact_case()
+    model, points = CASES["discrete-40x9"].model, CASES["discrete-40x9"].exact
     masses = [column.sum() for column in model.psi_table.T]
     np.testing.assert_array_equal(model.exact_log_u(points),
                                   np.log(masses) + np.log(model.prior))
@@ -978,19 +755,15 @@ def test_discrete_sampler_is_generator_choice():
 
 
 def test_discrete_log_weight_matrix_matches_columnwise():
-    model, thetas, points = discrete_case()
+    model = CASES["discrete"].model
+    thetas, points = CASES["discrete"].columns["discrete"]
     fast = model.log_weight_matrix(thetas, points)
     assert np.isneginf(fast).any()
-    # against the table and the prior themselves, and one-point calls
-    # as the same columns
+    # against the table and the prior themselves
     cols = [2, 0, 1, 2, 0]
     with np.errstate(divide="ignore"):
         direct = [np.log(model.psi_table[thetas, c]) + np.log(model.prior[c]) for c in cols]
     np.testing.assert_array_equal(fast, np.stack(direct, axis=1))
-    for p, col in zip(points, direct):
-        np.testing.assert_array_equal(model.log_weight_matrix(thetas, p[None])[:, 0], col)
-    with pytest.raises(mg.GridError):
-        model.log_weight_matrix(thetas, [[0.0], [0.25]])
     # latent states are atom indices: none wraps around or truncates
     np.testing.assert_array_equal(model.log_weight_matrix(thetas.astype(float), points), fast)
     for bad in (-1, 2.5, 5, np.nan, np.inf):
@@ -999,43 +772,6 @@ def test_discrete_log_weight_matrix_matches_columnwise():
     asym = mg.DiscreteModel(ASYM_TABLE)
     with pytest.raises(ValueError, match="atom indices"):
         mg.fit_emus(mg.SampleBank(asym.grid(), [-1, 0, 2.5, 1], [2, 2]), asym)
-
-
-def test_bundled_log_weight_matrices_are_c_ordered(asym_model, toy_model, gp_model):
-    # the callers' np.ascontiguousarray is then free: no copy is made
-    gp_thetas, gp_points = gp_draws_and_points(gp_model, 2)
-    cases = [(asym_model, np.array([0, 4, 2, 1]), asym_model.grid().points),
-             (toy_model, np.linspace(-2.0, 2.0, 7), np.linspace(-1.0, 1.0, 5)[:, None]),
-             (gp_model, gp_thetas, gp_points)]
-    for model, thetas, points in cases:
-        logw = model.log_weight_matrix(thetas, points)
-        assert logw.shape == (len(thetas), len(points))
-        assert logw.dtype == float and logw.flags.c_contiguous
-        assert np.ascontiguousarray(logw, dtype=float) is logw
-
-
-def test_bundled_grad_matrices_are_c_ordered(toy_model, gp_model):
-    # every statistic of log_weight_factors is a float array of one value
-    # per draw, every coefficient array a C-ordered float array of its
-    # shape, and the groups hold each point once, in increasing order
-    gp_thetas, gp_points = gp_draws_and_points(gp_model, 2)
-    cases = [(toy_model, np.linspace(-2.0, 2.0, 7), np.linspace(-1.0, 1.0, 5)[:, None]),
-             (gp_model, gp_thetas, gp_points)]
-    for model, thetas, points in cases:
-        seen = []
-        for cols, stats, coefs, dstats, dcoefs in model.log_weight_factors(thetas, points,
-                                                                          grads=True):
-            assert np.all(np.diff(cols) > 0)
-            seen.extend(cols)
-            assert len(stats) == len(coefs) and len(dstats) == len(dcoefs)
-            for stat in (*stats, *dstats):
-                assert stat.dtype == float and stat.shape == (len(thetas),)
-            assert coefs.shape == (len(coefs), len(cols))
-            assert dcoefs.shape == (len(dcoefs), len(cols), points.shape[1])
-            for factor in (coefs, dcoefs):
-                assert factor.dtype == float and factor.flags.c_contiguous
-                assert np.ascontiguousarray(factor, dtype=float) is factor
-        assert sorted(seen) == list(range(len(points)))
 
 
 def test_discrete_grid_subsets(asym_model):
@@ -1051,84 +787,19 @@ def test_discrete_requires_positive_mass_per_atom():
     with pytest.raises(ValueError):
         mg.DiscreteModel(np.array([[1.0, -1.0], [1.0, 2.0]]))
     # a NaN prior once gave a NaN exact marginal and a fit that blamed the
-    # sampler; atoms within the 1e-9 match tolerance of each other once
-    # shared column 0, so a fit read u = [1, 1] where the ratio is 4 : 3
+    # sampler; atoms 1e-9 apart once shared column 0 (a fit read u = [1, 1]
+    # for 4 : 3), and atoms 1.5e-9 apart once both matched 0.75e-9
     for kwargs, named in (({"prior": [np.nan, 1.0]}, "prior must be"),
                           ({"prior": [1.0, np.inf]}, "prior must be"),
                           ({"atom_values": [np.nan, 1.0]}, "atom values must be"),
                           ({"atom_values": [0.0, -np.inf]}, "atom values must be"),
                           ({"atom_values": [0.0, 0.0]}, "atom values must be"),
-                          ({"atom_values": [1.0, 1.0 - 1e-9]}, "atom values must be")):
+                          ({"atom_values": [1.0, 1.0 - 1e-9]}, "atom values must be"),
+                          ({"atom_values": [0.0, 1.5e-9]}, "atom values must be"),
+                          ({"atom_values": [0.0, 2e-9]}, "atom values must be")):
         with pytest.raises(ValueError, match=named):
             mg.DiscreteModel(ASYM_TABLE, **kwargs)
-    assert mg.DiscreteModel(ASYM_TABLE, atom_values=[0.0, 2e-9]).column_of(2e-9) == 1
-
-
-def test_gradient_flags(toy_model, gp_model):
-    # whether a model has factors is whether its class defines the hook; a
-    # model without them has no hyperparameter gradients and says so by
-    # raising when a curve's tiles ask for them
-    assert toy_model.has_log_weight_factors and gp_model.has_log_weight_factors
-    disc = mg.DiscreteModel(ASYM_TABLE)
-    assert not disc.has_log_weight_factors
-    with pytest.raises(mg.GradientUnavailableError):
-        list(mg.models.log_weight_tiles(disc, np.array([0]), [[0.0], [1.0]],
-                                        shift=np.zeros(1), grads=True))
-    with pytest.raises(NotImplementedError):
-        next(disc.log_weight_factors(np.array([0]), [[0.0]]))
-
-
-# -- the exact marginal of every bundled model -----------------------------
-
-
-def gp_surface_grids():
-    """gp-surface's model, simulation grid and evaluation grid."""
-    model = mg.GpRegressionModel(*mg.make_synthetic_gp_dataset(16, 7))
-    domain = mg.Domain([0.1, 0.1], [10.0, 10.0])
-    return (model, mg.make_regular_grid(domain, [12, 12], "log"),
-            mg.make_regular_grid(domain, [24, 24], "log"))
-
-
-def toy_exact_case():
-    # toy-diagnose's model and evaluation grid
-    model = mg.ToyBimodalModel(y=1.0, q=64.0, tau=16.0)
-    return model, mg.make_regular_grid(mg.Domain(-2.0, 2.0), 256).points
-
-
-def gp_exact_case():
-    model, _, ev = gp_surface_grids()
-    return model, ev.points
-
-
-def discrete_exact_case():
-    # 40 theta-atoms, more than numpy's pairwise summation unrolls, so a
-    # mass summed down the table rounds apart from each column's own sum
-    rng = np.random.default_rng(0)
-    table = rng.random((40, 9)) * (rng.random((40, 9)) < 0.7) + 1e-3
-    atoms = np.sort(rng.normal(size=9))
-    return mg.DiscreteModel(table, atoms, rng.random(9) + 0.1), atoms[:, None]
-
-
-@pytest.mark.parametrize("case", [toy_exact_case, gp_exact_case, discrete_exact_case],
-                         ids=["toy", "gp", "discrete"])
-def test_exact_log_u_of_a_batch_is_its_one_point_calls(case):
-    # one float per point, each the bits of that point's own call, whatever
-    # else the batch holds: here every point twice, shuffled
-    model, points = case()
-    points = points[np.random.default_rng(3).permutation(np.tile(np.arange(len(points)), 2))]
-    got = model.exact_log_u(points)
-    assert got.shape == (len(points),) and got.dtype == float
-    np.testing.assert_array_equal(got, np.concatenate([model.exact_log_u(p) for p in points]))
-
-
-def test_gp_exact_reference_takes_one_spectrum_per_tau2_of_each_grid(count_spectra):
-    # one exact_log_u call per grid, one spectrum per distinct tau2 of each:
-    # 24 + 12 on gp-surface's grids, where one per point took 720
-    model, sim, ev = gp_surface_grids()
-    taken = count_spectra(model)
-    mg.exact_reference(model, ev, sim)
-    assert taken == np.unique(ev.points[:, 1]).tolist() + np.unique(sim.points[:, 1]).tolist()
-    assert len(taken) == 36
+    assert mg.DiscreteModel(ASYM_TABLE, atom_values=[0.0, 2.5e-9]).column_of(2.5e-9) == 1
 
 
 # -- dataset and table serialization ------------------------------------

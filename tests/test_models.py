@@ -530,6 +530,55 @@ def test_gp_gradients_no_worse_than_the_oracle_in_extended_precision():
     assert err_fast < 1e-5
 
 
+def test_gp_grad_columns_do_not_depend_on_their_companions(gp_model):
+    thetas, points = gp_draws_and_points(gp_model, 6)
+    matrix = factor_grads(gp_model, thetas, points)
+    for j, lam in enumerate(points):
+        np.testing.assert_array_equal(
+            factor_grads(gp_model, thetas, lam[None, :])[:, 0], matrix[:, j])
+    perm = np.random.default_rng(1).permutation(len(points))
+    np.testing.assert_array_equal(
+        factor_grads(gp_model, thetas, points[perm]), matrix[:, perm])
+    repeat = np.r_[np.arange(len(points)), [0, 4, 4, len(points) - 1]]
+    np.testing.assert_array_equal(
+        factor_grads(gp_model, thetas, points[repeat]), matrix[:, repeat])
+    # every tau2 distinct: one factorization per point
+    scattered = points + np.arange(len(points))[:, None] * np.array([0.0, 1e-3])
+    separate = np.stack([factor_grads(gp_model, thetas, p[None, :])[:, 0]
+                         for p in scattered], axis=1)
+    np.testing.assert_array_equal(factor_grads(gp_model, thetas, scattered), separate)
+
+
+def test_gp_log_weight_columns_do_not_depend_on_their_companions(gp_model):
+    thetas, points = gp_draws_and_points(gp_model, 6)
+    matrix = gp_model.log_weight_matrix(thetas, points)
+    perm = np.random.default_rng(1).permutation(len(points))
+    np.testing.assert_array_equal(
+        gp_model.log_weight_matrix(thetas, points[perm]), matrix[:, perm])
+    repeat = np.r_[np.arange(len(points)), [0, 4, 4, len(points) - 1]]
+    np.testing.assert_array_equal(
+        gp_model.log_weight_matrix(thetas, points[repeat]), matrix[:, repeat])
+    # every tau2 distinct: one factorization per column
+    scattered = points + np.arange(len(points))[:, None] * np.array([0.0, 1e-3])
+    separate = np.stack([gp_model.log_weight_matrix(thetas, p[None, :])[:, 0]
+                         for p in scattered], axis=1)
+    np.testing.assert_array_equal(gp_model.log_weight_matrix(thetas, scattered), separate)
+
+
+@pytest.mark.parametrize("order", ["given", "permuted", "repeats", "distinct-tau2"])
+def test_gp_log_weight_blocks_are_the_whole_matrix_columns(order):
+    # the column contract's GP inputs in that order: one tile per distinct
+    # tau2, every group being narrower than 2T, with or without gradients
+    model = CASES["gp-2x2"].model
+    thetas, points = CASES["gp-2x2"].columns[f"gp-{order}"]
+    matrix = model.log_weight_matrix(thetas, points)
+    logw, _, count = gather_tiles(model, thetas, points, grads=False)
+    assert count == np.unique(points[:, 1]).size
+    np.testing.assert_array_equal(logw, matrix)
+    fused_logw, _, _ = gather_tiles(model, thetas, points, grads=True)
+    np.testing.assert_array_equal(fused_logw, matrix)
+
+
 @pytest.mark.parametrize("m", [64, 250])
 def test_toy_tiles_of_one_call_share_one_buffer(m):
     # one call of log_weight_tiles writes every column tile into one buffer
@@ -553,6 +602,19 @@ def test_toy_tiles_of_one_call_share_one_buffer(m):
     copies = (r.copy() for r in mg.models.log_weight_tiles(model, thetas, points, rows=bounds))
     for lo, hi, tile in zip(bounds[:-1], bounds[1:], copies):
         np.testing.assert_array_equal(tile, matrix[lo:hi])
+
+
+@pytest.mark.parametrize("lam", CASES["gp-2x2"].bad["finite positive pair"])
+def test_gp_log_weights_reject_a_bad_lambda(gp_model, lam):
+    # margrid's own message, for non-finite values too: neither a NaN curve
+    # value nor a failure inside scipy
+    thetas = np.zeros((2, gp_model.y.size))
+    with pytest.raises(ValueError, match="finite positive pair"):
+        gp_model.log_weight_matrix(thetas, [lam])
+    with pytest.raises(ValueError):  # numpy's own for a ragged list
+        gp_model.log_weight_matrix(thetas, [(1.0, 1.0), lam])
+    with pytest.raises(ValueError, match="finite positive pair"):
+        gp_model.exact_log_u(lam)
 
 
 def test_gp_single_point_marginal_closed_form():
